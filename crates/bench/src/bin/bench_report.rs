@@ -7,7 +7,7 @@
 //!
 //! Documents are given newest first; the first one is the subject, every
 //! later one a history point. For engine documents each scenario shows
-//! the wall-clock trend (after/parallel/optimistic medians) and, for
+//! the wall-clock trend (after/parallel medians) and, for
 //! schema v4 documents, the attribution columns (compute / wire /
 //! blocking idle / fill / drain / collective milliseconds) with signed
 //! deltas of the subject against the oldest document that has the
@@ -214,8 +214,8 @@ fn main() {
         println!("### {name}\n");
         // Wall-clock trend across every document carrying the scenario,
         // subject first.
-        println!("| document | after p50 (ms) | speedup | par p50 | opt p50 |");
-        println!("|---|---|---|---|---|");
+        println!("| document | after p50 (ms) | speedup | par p50 |");
+        println!("|---|---|---|---|");
         let fmt = |v: Option<f64>| v.map_or("—".to_string(), |x| format!("{x:.3}"));
         for (label, doc) in &docs {
             let Some(sc) = find_scenario(doc, name) else { continue };
@@ -225,13 +225,12 @@ fn main() {
                 .and_then(|arr| arr.first())
                 .and_then(|p| p.get("wall_ms")?.get("p50")?.as_f64());
             println!(
-                "| {label} | {} | {} | {} | {} |",
+                "| {label} | {} | {} | {} |",
                 fmt(scenario_p50(sc, "after")),
                 sc.get("speedup_p50")
                     .and_then(Json::as_f64)
                     .map_or("—".to_string(), |x| format!("{x:.2}x")),
                 fmt(par),
-                fmt(scenario_p50(sc, "optimistic")),
             );
         }
         println!();

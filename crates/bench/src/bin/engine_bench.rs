@@ -80,19 +80,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        if let Some(o) = &r.optimistic {
-            eprintln!(
-                "  {}: opt({} partitions) p50 {:.1} ms, {} rounds, {} speculated ({} commits, {} rollbacks), digest_match={}",
-                r.name, o.partitions, o.wall.p50_ms, o.rounds, o.speculated, o.commits, o.rollbacks, o.digest_match
-            );
-            if !o.digest_match {
-                eprintln!(
-                    "FATAL: {}: optimistic engine ({} partitions) diverged from the sequential digest",
-                    r.name, o.partitions
-                );
-                std::process::exit(1);
-            }
-        }
         if let Some(sn) = &r.snapshot {
             eprintln!(
                 "  {}: snap({} variants, fork @{} activations) p50 {:.1} ms vs naive {:.1} ms ({:.2}x campaign), digest_match={}",

@@ -23,7 +23,7 @@ pub mod sweep;
 
 use std::time::Instant;
 
-use cluster_sim::{Engine, MachineSpec, NoiseModel, OptConfig, ReferenceEngine, RunReport};
+use cluster_sim::{Engine, MachineSpec, NoiseModel, ReferenceEngine, RunReport};
 use sweep3d::trace::{generate_program_set, generate_programs, FlopModel};
 use sweep3d::ProblemConfig;
 
@@ -50,10 +50,6 @@ pub struct BenchScenario {
     /// Thread counts to additionally measure through the conservative
     /// parallel engine (`Engine::run_parallel`); empty = sequential only.
     pub par_threads: &'static [usize],
-    /// Partition count to additionally measure through the optimistic
-    /// (Time Warp-style) scheduler (`Engine::run_optimistic_stats`);
-    /// `None` = not measured.
-    pub opt_partitions: Option<usize>,
     /// Whether to measure the snapshot-forked rate campaign (shared
     /// simulation prefix + per-variant resumes vs from-scratch runs).
     pub snapshot: bool,
@@ -63,17 +59,6 @@ fn speculation_machine() -> MachineSpec {
     let mut m = hwbench::machines::opteron_myrinet_sim();
     m.noise = NoiseModel::commodity();
     m.rendezvous_bytes = Some(4096);
-    m
-}
-
-/// The speculation machine without OS noise: boundary arrivals settle
-/// into exact cadences, so the optimistic scheduler's *commit* path is
-/// exercised (per-message jitter makes exact-match commits essentially
-/// impossible on the noisy variant — there the rollback path is what
-/// gets measured).
-fn quiet_speculation_machine() -> MachineSpec {
-    let mut m = speculation_machine();
-    m.noise = NoiseModel::none();
     m
 }
 
@@ -113,19 +98,6 @@ pub fn scenarios(smoke: bool) -> Vec<BenchScenario> {
                 config: speculative_config(true, 16, 32, 1),
                 reps: 3,
                 par_threads: &[4],
-                // Partitions must cut inside processor rows before the
-                // eager boundary channels develop the steady blocking
-                // cadence speculation needs.
-                opt_partitions: Some(64),
-                snapshot: false,
-            },
-            BenchScenario {
-                name: "fig8_64pe_quiet_smoke",
-                machine: quiet_speculation_machine(),
-                config: speculative_config(true, 8, 8, 1),
-                reps: 3,
-                par_threads: &[],
-                opt_partitions: Some(16),
                 snapshot: false,
             },
             BenchScenario {
@@ -134,7 +106,6 @@ pub fn scenarios(smoke: bool) -> Vec<BenchScenario> {
                 config: speculative_config(false, 8, 8, 1),
                 reps: 3,
                 par_threads: &[4],
-                opt_partitions: Some(4),
                 snapshot: true,
             },
             BenchScenario {
@@ -143,7 +114,6 @@ pub fn scenarios(smoke: bool) -> Vec<BenchScenario> {
                 config: table_config(8, 8),
                 reps: 3,
                 par_threads: &[],
-                opt_partitions: None,
                 snapshot: false,
             },
         ]
@@ -155,18 +125,6 @@ pub fn scenarios(smoke: bool) -> Vec<BenchScenario> {
                 config: speculative_config(true, 80, 100, 1),
                 reps: 3,
                 par_threads: &[2, 4, 8],
-                // 50 ranks per partition: half a processor row, so the
-                // within-row eager exchanges cross partition boundaries.
-                opt_partitions: Some(160),
-                snapshot: false,
-            },
-            BenchScenario {
-                name: "fig8_512pe_quiet",
-                machine: quiet_speculation_machine(),
-                config: speculative_config(true, 16, 32, 1),
-                reps: 3,
-                par_threads: &[],
-                opt_partitions: Some(64),
                 snapshot: false,
             },
             BenchScenario {
@@ -175,7 +133,6 @@ pub fn scenarios(smoke: bool) -> Vec<BenchScenario> {
                 config: speculative_config(false, 80, 100, 1),
                 reps: 3,
                 par_threads: &[8],
-                opt_partitions: Some(8),
                 snapshot: true,
             },
             BenchScenario {
@@ -184,7 +141,6 @@ pub fn scenarios(smoke: bool) -> Vec<BenchScenario> {
                 config: table_config(8, 8),
                 reps: 5,
                 par_threads: &[],
-                opt_partitions: None,
                 snapshot: false,
             },
             BenchScenario {
@@ -193,7 +149,6 @@ pub fn scenarios(smoke: bool) -> Vec<BenchScenario> {
                 config: table_config(16, 32),
                 reps: 5,
                 par_threads: &[],
-                opt_partitions: None,
                 snapshot: false,
             },
             BenchScenario {
@@ -202,7 +157,6 @@ pub fn scenarios(smoke: bool) -> Vec<BenchScenario> {
                 config: table_config(16, 32),
                 reps: 5,
                 par_threads: &[],
-                opt_partitions: None,
                 snapshot: false,
             },
         ]
@@ -267,29 +221,6 @@ pub struct ParallelSide {
     pub fell_back: bool,
 }
 
-/// One optimistic-scheduler measurement of a scenario
-/// (`Engine::run_optimistic_stats` on the shared program set).
-#[derive(Debug, Clone)]
-pub struct OptimisticSide {
-    /// Partitions requested.
-    pub partitions: usize,
-    /// Wall-clock percentiles (setup + run, like the sequential sides).
-    pub wall: WallStats,
-    /// Simulated events per second at the median wall.
-    pub events_per_sec: f64,
-    /// Whether the report was bit-identical to the sequential optimized
-    /// engine's — the hard correctness gate.
-    pub digest_match: bool,
-    /// Scheduler rounds executed.
-    pub rounds: u64,
-    /// Speculative messages injected (last repetition).
-    pub speculated: u64,
-    /// Speculation attempts committed.
-    pub commits: u64,
-    /// Speculation attempts rolled back.
-    pub rollbacks: u64,
-}
-
 /// One snapshot-forked rate-campaign measurement: the three flop-rate
 /// what-ifs of the paper (×1.0, ×1.25, ×1.5) evaluated by pausing one
 /// base run mid-flight and resuming a snapshot per variant, timed
@@ -342,8 +273,6 @@ pub struct ScenarioResult {
     pub optimized: EngineSide,
     /// Conservative parallel engine at each requested thread count.
     pub parallel: Vec<ParallelSide>,
-    /// Optimistic scheduler, when the scenario requested it.
-    pub optimistic: Option<OptimisticSide>,
     /// Snapshot-forked rate campaign, when the scenario requested it.
     pub snapshot: Option<SnapshotSide>,
     /// Whether both engines produced bit-identical `RunReport`s.
@@ -483,28 +412,6 @@ pub fn run_scenario(s: &BenchScenario) -> ScenarioResult {
         })
         .collect();
 
-    // Optimistic (Time Warp-style) scheduler, same shared encoding.
-    let optimistic = s.opt_partitions.map(|partitions| {
-        let mut stats = cluster_sim::OptStats::default();
-        let (wall, report) = time_reps(s.reps, || {
-            let (report, st) = Engine::from_set(&s.machine, set.clone())
-                .run_optimistic_stats(OptConfig::new(partitions))
-                .expect("scenario runs");
-            stats = st;
-            report
-        });
-        OptimisticSide {
-            partitions,
-            wall,
-            events_per_sec: ops_per_run as f64 / (wall.p50_ms / 1e3).max(1e-12),
-            digest_match: report == opt_report,
-            rounds: stats.rounds,
-            speculated: stats.speculated,
-            commits: stats.commits,
-            rollbacks: stats.rollbacks,
-        }
-    });
-
     // Snapshot-forked rate campaign: paper's ×1.0/×1.25/×1.5 what-ifs,
     // forked from a shared half-run prefix vs simulated from scratch.
     let snapshot = s.snapshot.then(|| {
@@ -568,7 +475,6 @@ pub fn run_scenario(s: &BenchScenario) -> ScenarioResult {
         reference,
         optimized,
         parallel,
-        optimistic,
         snapshot,
         digest_match: ref_report == opt_report,
         attribution,
@@ -610,26 +516,6 @@ fn par_json(p: &ParallelSide) -> String {
     )
 }
 
-fn opt_json(o: &OptimisticSide) -> String {
-    format!(
-        concat!(
-            "{{\"partitions\": {}, \"wall_ms\": {{\"min\": {:.3}, \"p50\": {:.3}, \"p90\": {:.3}}}, ",
-            "\"events_per_sec\": {:.0}, \"digest_match\": {}, \"rounds\": {}, ",
-            "\"speculated\": {}, \"commits\": {}, \"rollbacks\": {}}}"
-        ),
-        o.partitions,
-        o.wall.min_ms,
-        o.wall.p50_ms,
-        o.wall.p90_ms,
-        o.events_per_sec,
-        o.digest_match,
-        o.rounds,
-        o.speculated,
-        o.commits,
-        o.rollbacks,
-    )
-}
-
 fn snap_json(sn: &SnapshotSide) -> String {
     format!(
         concat!(
@@ -657,10 +543,11 @@ fn snap_json(sn: &SnapshotSide) -> String {
 /// process-lifetime `vm_hwm_kb` of v1), a `parallel` side array with
 /// `<name>_par<threads>_p50_ms` check keys, and the measuring host's
 /// logical-core count (parallel wall times only mean something relative
-/// to it). v3 adds the optional `optimistic` side (Time Warp-style
-/// scheduler with rollback/commit counters, `<name>_opt_after_p50_ms`
-/// check key) and `snapshot` side (forked rate campaign with its
-/// campaign-level prefix-sharing speedup, `<name>_snap_after_p50_ms`).
+/// to it). v3 adds the optional `snapshot` side (forked rate campaign with
+/// its campaign-level prefix-sharing speedup, `<name>_snap_after_p50_ms`);
+/// Older v3/v4 documents may also carry a side for a since-removed
+/// speculative scheduler, with its own `_opt_` check key; readers ignore
+/// both.
 /// v4 adds the per-scenario `attribution` object (the deterministic
 /// [`obs::Rollup`] of one traced run, in feature-schema key order) —
 /// `bench_report` renders per-phase deltas from it across documents.
@@ -694,9 +581,6 @@ pub fn to_json(mode: &str, results: &[ScenarioResult]) -> String {
             }
             out.push_str("      ],\n");
         }
-        if let Some(o) = &r.optimistic {
-            out.push_str(&format!("      \"optimistic\": {},\n", opt_json(o)));
-        }
         if let Some(sn) = &r.snapshot {
             out.push_str(&format!("      \"snapshot\": {},\n", snap_json(sn)));
         }
@@ -718,9 +602,6 @@ pub fn to_json(mode: &str, results: &[ScenarioResult]) -> String {
                 "\"{}_par{}_after_p50_ms\": {:.3}",
                 r.name, p.threads, p.wall.p50_ms
             ));
-        }
-        if let Some(o) = &r.optimistic {
-            keys.push(format!("\"{}_opt_after_p50_ms\": {:.3}", r.name, o.wall.p50_ms));
         }
         if let Some(sn) = &r.snapshot {
             keys.push(format!("\"{}_snap_after_p50_ms\": {:.3}", r.name, sn.wall.p50_ms));
@@ -777,24 +658,6 @@ pub fn check_regressions(
                 }
             }
         }
-        if let Some(o) = &r.optimistic {
-            if !o.digest_match {
-                failures.push(format!(
-                    "{}: optimistic engine ({} partitions) diverged from sequential digest",
-                    r.name, o.partitions
-                ));
-            }
-            if let Some(base) = baseline_p50_ms(baseline, &format!("{}_opt", r.name)) {
-                compared += 1;
-                let now = o.wall.p50_ms;
-                if now > base * factor {
-                    failures.push(format!(
-                        "{}_opt: p50 {now:.3} ms vs baseline {base:.3} ms (> {factor}x)",
-                        r.name
-                    ));
-                }
-            }
-        }
         if let Some(sn) = &r.snapshot {
             if !sn.digest_match {
                 failures.push(format!(
@@ -840,7 +703,7 @@ mod tests {
     #[test]
     fn smoke_scenarios_run_and_agree() {
         let all = scenarios(true);
-        assert_eq!(all.len(), 4);
+        assert_eq!(all.len(), 3);
         // One tiny scenario end-to-end: both engines bit-identical and
         // sharing strictly smaller than materialized storage.
         let s = BenchScenario {
@@ -849,17 +712,11 @@ mod tests {
             config: table_config(4, 4),
             reps: 1,
             par_threads: &[2],
-            opt_partitions: Some(2),
             snapshot: true,
         };
         let r = run_scenario(&s);
         assert!(r.digest_match, "engines diverged");
         assert_eq!(r.ranks, 16);
-        // Optimistic scheduler reproduces the digest and counts rounds.
-        let o = r.optimistic.as_ref().expect("optimistic side requested");
-        assert!(o.digest_match, "optimistic engine diverged");
-        assert_eq!(o.partitions, 2);
-        assert!(o.rounds > 0);
         // Snapshot-forked campaign: identity variant bit-identical, fork
         // point strictly inside the run.
         let sn = r.snapshot.as_ref().expect("snapshot side requested");
@@ -889,7 +746,6 @@ mod tests {
             config: table_config(2, 2),
             reps: 1,
             par_threads: &[2],
-            opt_partitions: Some(2),
             snapshot: true,
         };
         let r = run_scenario(&s);
@@ -902,9 +758,6 @@ mod tests {
         assert!((parsed - (r.optimized.wall.p50_ms * 1e3).round() / 1e3).abs() < 1e-9);
         let par = baseline_p50_ms(&doc, "unit_par2").expect("parallel check key present");
         assert!((par - (r.parallel[0].wall.p50_ms * 1e3).round() / 1e3).abs() < 1e-9);
-        let opt = baseline_p50_ms(&doc, "unit_opt").expect("optimistic check key present");
-        let o = r.optimistic.as_ref().unwrap();
-        assert!((opt - (o.wall.p50_ms * 1e3).round() / 1e3).abs() < 1e-9);
         let snap = baseline_p50_ms(&doc, "unit_snap").expect("snapshot check key present");
         let sn = r.snapshot.as_ref().unwrap();
         assert!((snap - (sn.wall.p50_ms * 1e3).round() / 1e3).abs() < 1e-9);
@@ -915,11 +768,9 @@ mod tests {
         // A digest mismatch fails regardless of timing — on any side.
         let mut broken = r;
         broken.parallel[0].digest_match = false;
-        broken.optimistic.as_mut().unwrap().digest_match = false;
         broken.snapshot.as_mut().unwrap().digest_match = false;
         let err = check_regressions(std::slice::from_ref(&broken), &doc, 2.0).unwrap_err();
         assert!(err.contains("diverged from sequential digest"));
-        assert!(err.contains("optimistic engine"));
         assert!(err.contains("snapshot-forked identity variant"));
     }
 
@@ -931,7 +782,6 @@ mod tests {
             config: table_config(2, 2),
             reps: 1,
             par_threads: &[],
-            opt_partitions: None,
             snapshot: false,
         };
         let r = run_scenario(&s);

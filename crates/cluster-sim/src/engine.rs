@@ -40,7 +40,7 @@
 //! [`RankStats`] exactly. Recording never touches the noise streams or
 //! clocks: results are bit-identical with tracing on or off.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use obs::{Cat, EdgeKind, EdgeRecord, Recorder};
 
@@ -69,10 +69,8 @@ pub(crate) enum St {
     Done,
 }
 
-/// An in-flight message on a channel queue. `PartialEq` lets the
-/// optimistic scheduler validate speculatively-consumed messages against
-/// the real boundary mail field-by-field (exact picoseconds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// An in-flight message on a channel queue.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Msg {
     pub(crate) tag: u32,
     pub(crate) bytes: usize,
@@ -96,8 +94,8 @@ pub(crate) struct Pend {
 /// 8000-PE noiseless run seeds no RNGs. The silent fast path is
 /// bit-identical: a silent [`NoiseStream`] returns its constants without
 /// drawing. `Clone` captures the streams' positions, which is what makes
-/// checkpoint/rollback and snapshot forks bit-exact: a restored bank
-/// replays the same draws the discarded execution consumed.
+/// snapshot forks bit-exact: a cloned bank replays the same draws the
+/// original would have drawn.
 #[derive(Clone)]
 pub(crate) enum NoiseBank {
     Silent,
@@ -319,6 +317,8 @@ struct RunCtx<'a> {
     /// Telemetry sink (None when absent or disabled: zero-cost path).
     rec: Option<&'a Recorder>,
     pid: u32,
+    /// Span totals the recorder held before this run (debug builds).
+    span_baseline: SpanTotals,
 }
 
 impl<'a> RunCtx<'a> {
@@ -336,6 +336,7 @@ impl<'a> RunCtx<'a> {
             eager_limit: machine.rendezvous_bytes.unwrap_or(usize::MAX),
             rec,
             pid,
+            span_baseline: debug_span_baseline(rec),
         }
     }
 }
@@ -830,7 +831,7 @@ fn finalize(
     let report = RunReport { ranks: st.stats };
     if check_spans {
         if let Some(rec) = ctx.rec {
-            debug_check_span_totals(rec, ctx.pid, &report);
+            debug_check_span_totals(rec, ctx.pid, &report, &ctx.span_baseline);
         }
     }
     Ok((report, probe))
@@ -968,18 +969,38 @@ pub(crate) fn collective_cost(machine: &MachineSpec, bytes: usize, n: usize) -> 
     total
 }
 
-/// Debug cross-check fed by the recorder: the span stream must sum back
-/// to the per-rank statistics *exactly* — compute spans to
-/// `stats.compute`, comm spans to `send_overhead + send_wait +
-/// recv_overhead`, idle spans to `recv_wait`, collective spans to
-/// `collective`. A drift here means an activity interval was dropped or
-/// double-charged.
-pub(crate) fn debug_check_span_totals(rec: &Recorder, pid: u32, report: &RunReport) {
+/// Per-track sim-span totals, as [`Recorder::sim_totals`] returns them.
+pub(crate) type SpanTotals = BTreeMap<(u32, u32, Cat), u64>;
+
+/// The recorder's span totals before a run starts, so
+/// [`debug_check_span_totals`] counts only that run's spans: a shared
+/// recorder may already hold earlier runs on the same pid. Empty, and
+/// free, in release builds.
+pub(crate) fn debug_span_baseline(rec: Option<&Recorder>) -> SpanTotals {
+    match rec {
+        Some(rec) if cfg!(debug_assertions) => rec.sim_totals(),
+        _ => SpanTotals::new(),
+    }
+}
+
+/// Debug cross-check fed by the recorder: the span stream a run added on
+/// top of `baseline` must sum back to the per-rank statistics *exactly* —
+/// compute spans to `stats.compute`, comm spans to `send_overhead +
+/// send_wait + recv_overhead`, idle spans to `recv_wait`, collective
+/// spans to `collective`. A drift here means an activity interval was
+/// dropped or double-charged.
+pub(crate) fn debug_check_span_totals(
+    rec: &Recorder,
+    pid: u32,
+    report: &RunReport,
+    baseline: &SpanTotals,
+) {
     if !cfg!(debug_assertions) {
         return;
     }
     let totals = rec.sim_totals();
-    let get = |tid: u32, cat: Cat| totals.get(&(pid, tid, cat)).copied().unwrap_or(0);
+    let sum = |t: &SpanTotals, key| t.get(&key).copied().unwrap_or(0);
+    let get = |tid: u32, cat: Cat| sum(&totals, (pid, tid, cat)) - sum(baseline, (pid, tid, cat));
     for (r, stats) in report.ranks.iter().enumerate() {
         let tid = r as u32;
         debug_assert_eq!(get(tid, Cat::Compute), stats.compute.picos(), "rank {r}: compute spans");

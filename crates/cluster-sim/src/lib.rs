@@ -18,6 +18,18 @@
 //!
 //! The simulation is fully deterministic for a given seed: noise is drawn
 //! per-rank in program order, independent of scheduling interleavings.
+//! Two schedulers execute a program set, and both produce the same
+//! `RunReport` bit for bit:
+//!
+//! * [`Engine::run`] — the sequential scheduler;
+//! * [`Engine::run_parallel`] — the windowed conservative-parallel
+//!   scheduler in [`par`], which splits the ranks into contiguous
+//!   partitions advanced in lock-step windows.
+//!
+//! [`Engine::run_paused`] stops a sequential run after a number of
+//! activations; [`Paused::snapshot`] then forks that prefix into variants
+//! (rate what-ifs) that resume from it. [`ReferenceEngine`] is the seed
+//! engine, kept as the oracle the tests compare both schedulers against.
 //!
 //! ```
 //! use cluster_sim::{Engine, MachineSpec, Program, Op};
@@ -37,7 +49,6 @@ pub mod error;
 pub mod machine;
 pub mod network;
 pub mod noise;
-pub mod opt;
 pub mod par;
 pub mod program;
 pub mod progset;
@@ -52,7 +63,6 @@ pub use error::{SimError, SimResult};
 pub use machine::MachineSpec;
 pub use network::{NetworkModel, PiecewiseSegments};
 pub use noise::NoiseModel;
-pub use opt::{ExecOrder, OptConfig, OptStats, OPT_PID};
 pub use par::{zero_lookahead_fallbacks, ParStats, PARTITION_PID};
 pub use program::{Op, Program};
 pub use progset::{ProgramSet, ProgramSetBuilder, SharedOp};

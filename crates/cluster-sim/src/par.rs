@@ -68,8 +68,8 @@ use std::time::Instant;
 use obs::{Cat, EdgeKind, EdgeRecord, Recorder};
 
 use crate::engine::{
-    build_channels, collective_cost, debug_check_span_totals, Channels, Engine, Msg, NoiseBank,
-    Pend, St,
+    build_channels, collective_cost, debug_check_span_totals, debug_span_baseline, Channels,
+    Engine, Msg, NoiseBank, Pend, St,
 };
 use crate::error::{SimError, SimResult};
 use crate::machine::MachineSpec;
@@ -115,7 +115,7 @@ pub struct ParStats {
 
 /// A boundary-mailbox entry, drained by the coordinator between windows.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Bound {
+enum Bound {
     /// An eager message for a channel owned by the destination partition.
     Eager { chan: u32, msg: Msg },
     /// A parked rendezvous send announced to the receiving partition.
@@ -131,61 +131,54 @@ pub(crate) enum Bound {
 /// read the sender's live NIC state; boundary sends carry the frozen
 /// snapshot shipped in [`Bound::Pend`].
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PendEntry {
-    pub(crate) pend: Pend,
-    pub(crate) src_nic_busy: Option<SimTime>,
+struct PendEntry {
+    pend: Pend,
+    src_nic_busy: Option<SimTime>,
 }
 
-/// Read-only context shared by every partition worker. Also used by the
-/// optimistic scheduler in [`crate::opt`], which swaps `rec` for a
-/// per-speculation buffer recorder so speculative spans can be withheld
-/// until the speculation commits.
-pub(crate) struct Ctx<'a> {
-    pub(crate) set: &'a ProgramSet,
-    pub(crate) machine: &'a MachineSpec,
-    pub(crate) channels: &'a Channels,
+/// Read-only context shared by every partition worker.
+struct Ctx<'a> {
+    set: &'a ProgramSet,
+    machine: &'a MachineSpec,
+    channels: &'a Channels,
     /// Partition owning each rank.
-    pub(crate) part_of: &'a [u32],
+    part_of: &'a [u32],
     /// `(receiver, sender)` ranks of each owned channel id.
-    pub(crate) chan_owner: &'a [(u32, u32)],
+    chan_owner: &'a [(u32, u32)],
     /// First dangling channel id (sends nothing reads; only reachable
     /// with validation off).
-    pub(crate) dangling_base: u32,
-    pub(crate) eager_limit: usize,
-    pub(crate) run_factor: f64,
-    pub(crate) sharers: usize,
-    pub(crate) rec: Option<&'a Recorder>,
-    pub(crate) pid: u32,
+    dangling_base: u32,
+    eager_limit: usize,
+    run_factor: f64,
+    sharers: usize,
+    rec: Option<&'a Recorder>,
+    pid: u32,
 }
 
 /// One partition's share of the engine state: the per-rank SoA arrays and
 /// per-channel queues for ranks `lo..hi`, indexed locally (`rank - lo`),
-/// plus outboxes toward every other partition. `Clone` is the optimistic
-/// scheduler's checkpoint: every field a later event can read is owned
-/// here, so restoring a clone rolls the partition back bit-exactly
-/// (including its noise-stream positions and withheld outbox mail).
-#[derive(Clone)]
-pub(crate) struct Part {
-    pub(crate) id: usize,
-    pub(crate) lo: usize,
-    pub(crate) hi: usize,
-    pub(crate) chan_lo: usize,
-    pub(crate) clock: Vec<SimTime>,
-    pub(crate) pc: Vec<u32>,
-    pub(crate) status: Vec<St>,
-    pub(crate) park_clock: Vec<SimTime>,
-    pub(crate) stats: Vec<RankStats>,
-    pub(crate) nic_busy: Vec<SimTime>,
-    pub(crate) noise: NoiseBank,
-    pub(crate) inflight: Vec<VecDeque<Msg>>,
-    pub(crate) pending: Vec<VecDeque<PendEntry>>,
+/// plus outboxes toward every other partition.
+struct Part {
+    id: usize,
+    lo: usize,
+    hi: usize,
+    chan_lo: usize,
+    clock: Vec<SimTime>,
+    pc: Vec<u32>,
+    status: Vec<St>,
+    park_clock: Vec<SimTime>,
+    stats: Vec<RankStats>,
+    nic_busy: Vec<SimTime>,
+    noise: NoiseBank,
+    inflight: Vec<VecDeque<Msg>>,
+    pending: Vec<VecDeque<PendEntry>>,
     /// Runnable ranks (global ids), all within `lo..hi`.
-    pub(crate) ready: VecDeque<usize>,
+    ready: VecDeque<usize>,
     /// Ranks parked at the pending collective (global ids).
-    pub(crate) parked: Vec<usize>,
-    pub(crate) finished: usize,
+    parked: Vec<usize>,
+    finished: usize,
     /// Boundary mail per destination partition, drained at the barrier.
-    pub(crate) outbox: Vec<Vec<Bound>>,
+    outbox: Vec<Vec<Bound>>,
 }
 
 impl Part {
@@ -193,7 +186,7 @@ impl Part {
     /// frontier: each rank runs until it blocks on remote input, parks at
     /// a collective, or completes. Returns the number of rank
     /// activations processed (for telemetry only).
-    pub(crate) fn run_window(&mut self, ctx: &Ctx<'_>) -> usize {
+    fn run_window(&mut self, ctx: &Ctx<'_>) -> usize {
         let set = ctx.set;
         let machine = ctx.machine;
         let rec = ctx.rec;
@@ -604,7 +597,7 @@ impl Part {
     /// Apply one drained boundary-mailbox entry (coordinator, between
     /// windows). Wake-ups mirror the sequential engine's: a delivery only
     /// readies a rank blocked on exactly that `(src, tag)`.
-    pub(crate) fn deliver(&mut self, bound: Bound, ctx: &Ctx<'_>) {
+    fn deliver(&mut self, bound: Bound, ctx: &Ctx<'_>) {
         match bound {
             Bound::Eager { chan, msg } => {
                 let (dst, src) = ctx.chan_owner[chan as usize];
@@ -793,6 +786,7 @@ impl<'m> Engine<'m> {
 
         let rec: Option<&Recorder> = eng.recorder.filter(|r| r.is_enabled());
         let pid = eng.trace_pid;
+        let span_baseline = debug_span_baseline(rec);
         if let Some(rec) = rec {
             for r in 0..n {
                 rec.set_thread_name(pid, r as u32, format!("rank {r}"));
@@ -1058,7 +1052,7 @@ impl<'m> Engine<'m> {
         })?;
 
         if let Some(rec) = rec {
-            debug_check_span_totals(rec, pid, &report);
+            debug_check_span_totals(rec, pid, &report, &span_baseline);
         }
         Ok((report, stats))
     }

@@ -17,7 +17,7 @@ use std::collections::{HashMap, VecDeque};
 
 use obs::{Cat, Recorder};
 
-use crate::engine::debug_check_span_totals;
+use crate::engine::{debug_check_span_totals, debug_span_baseline};
 use crate::error::{SimError, SimResult};
 use crate::machine::MachineSpec;
 use crate::noise::NoiseStream;
@@ -118,6 +118,7 @@ impl<'m> ReferenceEngine<'m> {
         // Telemetry sink (None when absent or disabled: zero-cost path).
         let rec: Option<&Recorder> = self.recorder.filter(|r| r.is_enabled());
         let pid = self.trace_pid;
+        let span_baseline = debug_span_baseline(rec);
         if let Some(rec) = rec {
             for r in 0..n {
                 rec.set_thread_name(pid, r as u32, format!("rank {r}"));
@@ -414,7 +415,7 @@ impl<'m> ReferenceEngine<'m> {
 
         let report = RunReport { ranks: ranks.into_iter().map(|s| s.stats).collect() };
         if let Some(rec) = rec {
-            debug_check_span_totals(rec, pid, &report);
+            debug_check_span_totals(rec, pid, &report, &span_baseline);
         }
         Ok(report)
     }

@@ -8,12 +8,12 @@
 //! the makespan went. The extractor's hard gate — path length equals the
 //! `RunReport` makespan to the picosecond — runs on every invocation.
 //!
-//! `--check-modes` replays the identical scenario through all three
-//! engines (sequential, windowed parallel, optimistic) and fails unless
+//! `--check-modes` replays the identical scenario through both engines
+//! (sequential and windowed parallel) and fails unless
 //! the attribution reports are byte-identical, turning the engine
 //! equivalence guarantee into a one-command audit.
 
-use cluster_sim::{Engine, MachineSpec, NoiseModel, OptConfig, RunReport};
+use cluster_sim::{Engine, MachineSpec, NoiseModel, RunReport};
 use obs::{attr, Attribution, Obs, Recorder};
 use pace_core::{AllreduceParams, StencilParams, Workload, WorkloadKind};
 use sweep3d::trace::{generate_programs, FlopModel};
@@ -29,8 +29,6 @@ pub enum Mode {
     Sequential,
     /// Conservative windowed-parallel engine on N threads.
     Parallel(usize),
-    /// Optimistic Time Warp-style engine on N partitions.
-    Optimistic(usize),
 }
 
 impl Mode {
@@ -39,7 +37,6 @@ impl Mode {
         match self {
             Mode::Sequential => "sequential",
             Mode::Parallel(_) => "parallel",
-            Mode::Optimistic(_) => "optimistic",
         }
     }
 }
@@ -97,7 +94,6 @@ fn finish_traced(eng: Engine<'_>, mode: Mode, rec: &Recorder) -> (RunReport, Att
     let report = match mode {
         Mode::Sequential => eng.run(),
         Mode::Parallel(threads) => eng.run_parallel(threads),
-        Mode::Optimistic(parts) => eng.run_optimistic(OptConfig::new(parts)),
     }
     .expect("fixture scenario executes without deadlock");
     let attribution = attr::attribute(rec, MEASURE_PID).expect("trace attributes cleanly");
@@ -110,7 +106,7 @@ fn finish_traced(eng: Engine<'_>, mode: Mode, rec: &Recorder) -> (RunReport, Att
 }
 
 /// `experiments attribute [--px N] [--py N] [--workload <kind>]
-/// [--mode seq|par|opt] [--threads N] [--speedscope <path>]
+/// [--mode seq|par] [--threads N] [--speedscope <path>]
 /// [--check-modes] [--json]`.
 pub fn run(args: &[String], obs: &Obs, json: bool) {
     let mut px = 2usize;
@@ -130,8 +126,8 @@ pub fn run(args: &[String], obs: &Obs, json: bool) {
             })
         };
         match args[i].as_str() {
-            "--px" => px = value(&mut i).parse().expect("--px takes an integer"),
-            "--py" => py = value(&mut i).parse().expect("--py takes an integer"),
+            "--px" => px = crate::int_flag("--px", value(&mut i)),
+            "--py" => py = crate::int_flag("--py", value(&mut i)),
             "--workload" => {
                 workload = WorkloadKind::parse(value(&mut i)).unwrap_or_else(|e| {
                     eprintln!("{e}");
@@ -139,7 +135,7 @@ pub fn run(args: &[String], obs: &Obs, json: bool) {
                 })
             }
             "--mode" => mode_arg = value(&mut i).to_string(),
-            "--threads" => threads = value(&mut i).parse().expect("--threads takes an integer"),
+            "--threads" => threads = crate::int_flag("--threads", value(&mut i)),
             "--speedscope" => speedscope = Some(value(&mut i).to_string()),
             "--check-modes" => check_modes = true,
             other => {
@@ -152,9 +148,8 @@ pub fn run(args: &[String], obs: &Obs, json: bool) {
     let mode = match mode_arg.as_str() {
         "seq" | "sequential" => Mode::Sequential,
         "par" | "parallel" => Mode::Parallel(threads.max(2)),
-        "opt" | "optimistic" => Mode::Optimistic(threads.max(2)),
         other => {
-            eprintln!("unknown mode {other:?} (expected seq, par or opt)");
+            eprintln!("unknown mode {other:?} (expected seq or par)");
             std::process::exit(2);
         }
     };
@@ -192,8 +187,7 @@ pub fn run(args: &[String], obs: &Obs, json: bool) {
     }
 
     if check_modes {
-        let modes =
-            [Mode::Sequential, Mode::Parallel(threads.max(2)), Mode::Optimistic(threads.max(2))];
+        let modes = [Mode::Sequential, Mode::Parallel(threads.max(2))];
         let runs: Vec<(Mode, String)> = modes
             .iter()
             .map(|&m| {
@@ -254,10 +248,6 @@ mod tests {
         let rec_par = Recorder::enabled();
         let (_, a_par) = run_traced(2, 3, Mode::Parallel(2), &rec_par);
         assert_eq!(a_seq.to_json(), a_par.to_json());
-
-        let rec_opt = Recorder::enabled();
-        let (_, a_opt) = run_traced(2, 3, Mode::Optimistic(2), &rec_opt);
-        assert_eq!(a_seq.to_json(), a_opt.to_json());
     }
 
     #[test]

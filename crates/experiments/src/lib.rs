@@ -37,6 +37,15 @@ pub mod strong_scaling;
 pub mod validation;
 pub mod wavefront_fig;
 
+/// Parse the integer operand of a command-line flag, or exit 2 with a
+/// one-line usage error (the same treatment unknown flags get).
+pub fn int_flag<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("{flag} takes an integer, got {value:?}");
+        std::process::exit(2)
+    })
+}
+
 /// Paper-format error: `(measured − predicted) / measured × 100`.
 /// Negative ⇒ over-prediction (prediction larger than measurement).
 pub fn error_pct(measured: f64, predicted: f64) -> f64 {

@@ -33,24 +33,22 @@
 //!                                        serves valid stored ranges without recomputation
 //! experiments speculation [--problem 20m|1b] [--workload <wavefront|stencil|allreduce>]
 //!                         [--ranks N] [--repeat K] [--iterations I]
-//!                         [--threads N] [--optimistic] [--partitions P] [--budget B] [--json]
+//!                         [--threads N] [--json]
 //!                                        discrete-event run of a speculative scenario (default
 //!                                        8000 ranks), seed-replicated over the worker pool;
 //!                                        --workload replays another template's DES lowering on
 //!                                        the same hypothetical machine;
 //!                                        --threads N runs each replication on the parallel
-//!                                        engine with N threads (bit-identical results);
-//!                                        --optimistic uses the Time Warp-style scheduler
-//!                                        (bit-identical, reports commit/rollback counters)
+//!                                        engine with N threads (bit-identical results)
 //! experiments timeline                  pipeline Gantt chart (simulated)
 //! experiments obs                       telemetry demo: phase spans + span/stats cross-check
 //! experiments attribute [--px N] [--py N] [--workload <wavefront|stencil|allreduce>]
-//!                       [--mode seq|par|opt] [--threads N]
+//!                       [--mode seq|par] [--threads N]
 //!                       [--speedscope <path>] [--check-modes] [--json]
 //!                                        critical-path attribution of a traced run: per-mechanism
 //!                                        makespan breakdown, per-rank slack, top critical edges;
 //!                                        --check-modes proves byte-identical attribution across
-//!                                        all three engine modes, --speedscope writes a profile
+//!                                        both engine modes, --speedscope writes a profile
 //! experiments csv [dir]                 write tables/figures as CSV files
 //! experiments validate                  all three tables + summary stats
 //! experiments all                       everything above
@@ -63,8 +61,8 @@
 
 use experiments::speculation::Problem;
 use experiments::{
-    ablation, asci_goals, attribute, blocking, hmcl, observability, related, rendezvous, report,
-    speculation, strong_scaling, validation, wavefront_fig,
+    ablation, asci_goals, attribute, blocking, hmcl, int_flag, observability, related, rendezvous,
+    report, speculation, strong_scaling, validation, wavefront_fig,
 };
 use obs::Obs;
 
@@ -615,9 +613,6 @@ fn run_speculation(args: &[String], json: bool) {
     let mut repeat = 3usize;
     let mut iterations = 2usize;
     let mut threads: Option<usize> = None;
-    let mut optimistic = false;
-    let mut partitions: Option<usize> = None;
-    let mut budget = 4usize;
     let mut i = 0;
     while i < args.len() {
         let value = |i: &mut usize| -> &str {
@@ -644,19 +639,10 @@ fn run_speculation(args: &[String], json: bool) {
                     std::process::exit(2);
                 })
             }
-            "--ranks" => ranks = value(&mut i).parse().expect("--ranks takes an integer"),
-            "--repeat" => repeat = value(&mut i).parse().expect("--repeat takes an integer"),
-            "--iterations" => {
-                iterations = value(&mut i).parse().expect("--iterations takes an integer")
-            }
-            "--threads" => {
-                threads = Some(value(&mut i).parse().expect("--threads takes an integer"))
-            }
-            "--optimistic" => optimistic = true,
-            "--partitions" => {
-                partitions = Some(value(&mut i).parse().expect("--partitions takes an integer"))
-            }
-            "--budget" => budget = value(&mut i).parse().expect("--budget takes an integer"),
+            "--ranks" => ranks = int_flag("--ranks", value(&mut i)),
+            "--repeat" => repeat = int_flag("--repeat", value(&mut i)),
+            "--iterations" => iterations = int_flag("--iterations", value(&mut i)),
+            "--threads" => threads = Some(int_flag("--threads", value(&mut i))),
             other => {
                 eprintln!("unknown speculation flag {other:?}");
                 std::process::exit(2);
@@ -667,19 +653,10 @@ fn run_speculation(args: &[String], json: bool) {
     let workers = sweepsvc::available_workers();
     if workload != pace_core::WorkloadKind::Wavefront {
         return run_workload_speculation(
-            workload, ranks, repeat, iterations, threads, optimistic, partitions, budget, workers,
-            json,
+            workload, ranks, repeat, iterations, threads, workers, json,
         );
     }
-    let (c, opt) = if optimistic {
-        let parts = partitions.or(threads).unwrap_or(4).max(2);
-        let cfg = cluster_sim::OptConfig::new(parts).with_budget(budget);
-        let (c, counters) =
-            speculation::simulate_optimistic(problem, ranks, repeat, iterations, workers, cfg);
-        (c, Some((parts, counters)))
-    } else {
-        (speculation::simulate_threaded(problem, ranks, repeat, iterations, workers, threads), None)
-    };
+    let c = speculation::simulate_threaded(problem, ranks, repeat, iterations, workers, threads);
     let s = &c.summary;
     let sim_threads = threads
         .or_else(sweepsvc::sim_threads_override)
@@ -706,14 +683,6 @@ fn run_speculation(args: &[String], json: bool) {
             s.max_makespan(),
             s.std_dev_makespan()
         );
-        if let Some((parts, ct)) = &opt {
-            println!("  \"engine\": \"optimistic\",");
-            println!("  \"partitions\": {parts},");
-            println!(
-                "  \"opt\": {{\"rounds\": {}, \"speculated\": {}, \"commits\": {}, \"rollbacks\": {}}},",
-                ct.rounds, ct.speculated, ct.commits, ct.rollbacks
-            );
-        }
         let per_seed: Vec<String> = s
             .replications
             .iter()
@@ -749,12 +718,6 @@ fn run_speculation(args: &[String], json: bool) {
         s.max_makespan(),
         s.std_dev_makespan()
     );
-    if let Some((parts, ct)) = &opt {
-        println!(
-            "optimistic engine  : {parts} partitions, {} rounds, {} speculated ({} commits, {} rollbacks)",
-            ct.rounds, ct.speculated, ct.commits, ct.rollbacks
-        );
-    }
     println!("campaign wall      : {:.2} ms", c.wall.as_secs_f64() * 1e3);
     println!("throughput         : {:.2} M simulated events/s\n", c.events_per_sec() / 1e6);
 }
@@ -763,16 +726,12 @@ fn run_speculation(args: &[String], json: bool) {
 /// the template through its `Workload::program_set` on the §6 speculation
 /// machine and replicate it under noise seeds, exactly like the SWEEP3D
 /// campaigns.
-#[allow(clippy::too_many_arguments)]
 fn run_workload_speculation(
     workload: pace_core::WorkloadKind,
     ranks: usize,
     repeat: usize,
     iterations: usize,
     threads: Option<usize>,
-    optimistic: bool,
-    partitions: Option<usize>,
-    budget: usize,
     workers: usize,
     json: bool,
 ) {
@@ -791,11 +750,7 @@ fn run_workload_speculation(
         }
         WorkloadKind::Wavefront => unreachable!("wavefront takes the SWEEP3D path"),
     };
-    let opt_cfg = optimistic.then(|| {
-        let parts = partitions.or(threads).unwrap_or(4).max(2);
-        cluster_sim::OptConfig::new(parts).with_budget(budget)
-    });
-    let (c, opt) = speculation::simulate_workload(&*params, repeat, workers, threads, opt_cfg);
+    let c = speculation::simulate_workload(&*params, repeat, workers, threads);
     let s = &c.summary;
     let sim_threads = threads
         .or_else(sweepsvc::sim_threads_override)
@@ -821,13 +776,6 @@ fn run_workload_speculation(
             s.max_makespan(),
             s.std_dev_makespan()
         );
-        if let Some(ct) = &opt {
-            println!("  \"engine\": \"optimistic\",");
-            println!(
-                "  \"opt\": {{\"rounds\": {}, \"speculated\": {}, \"commits\": {}, \"rollbacks\": {}}},",
-                ct.rounds, ct.speculated, ct.commits, ct.rollbacks
-            );
-        }
         let per_seed: Vec<String> = s
             .replications
             .iter()
@@ -856,12 +804,6 @@ fn run_workload_speculation(
         s.max_makespan(),
         s.std_dev_makespan()
     );
-    if let Some(ct) = &opt {
-        println!(
-            "optimistic engine  : {} rounds, {} speculated ({} commits, {} rollbacks)",
-            ct.rounds, ct.speculated, ct.commits, ct.rollbacks
-        );
-    }
     println!("campaign wall      : {:.2} ms", c.wall.as_secs_f64() * 1e3);
     println!("throughput         : {:.2} M simulated events/s\n", c.events_per_sec() / 1e6);
 }
@@ -910,7 +852,7 @@ fn run_obs(obs: &Obs) {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments [--trace <path>] [--metrics <path>] [--json] <table1|table2|table3|fig1|fig8|fig9|hmcl [--machine <name|path>]|concurrence|ablation|blocking|asci-goals|rendezvous|strong-scaling|sweep [--machine <name|path>] [--backend <list>] [--workload <wavefront|stencil|allreduce>]|speculation [--workload <kind>] [--threads N] [--optimistic]|timeline|obs|attribute [--workload <kind>] [--mode seq|par|opt] [--speedscope <path>] [--check-modes]|robustness|host-validate|csv [dir]|validate|all>"
+        "usage: experiments [--trace <path>] [--metrics <path>] [--json] <table1|table2|table3|fig1|fig8|fig9|hmcl [--machine <name|path>]|concurrence|ablation|blocking|asci-goals|rendezvous|strong-scaling|sweep [--machine <name|path>] [--backend <list>] [--workload <wavefront|stencil|allreduce>]|speculation [--workload <kind>] [--threads N]|timeline|obs|attribute [--workload <kind>] [--mode seq|par] [--speedscope <path>] [--check-modes]|robustness|host-validate|csv [dir]|validate|all>"
     );
     std::process::exit(2)
 }

@@ -99,6 +99,9 @@ pub fn run_representative(obs: &Obs) -> ObsReport {
     let hw = hwbench::benchmark_machine(&machine, &[50], 1);
     phase("benchmark", t0);
 
+    // The recorder may be shared with earlier subcommands (`experiments
+    // all`) that traced runs on the same pid; only this run's spans count.
+    let before = rec.sim_totals();
     let t0 = Instant::now();
     let programs = generate_programs(&config, &flop_model);
     let seeded = machine.clone().with_seed(machine.seed ^ 1);
@@ -114,7 +117,9 @@ pub fn run_representative(obs: &Obs) -> ObsReport {
 
     let totals = rec.sim_totals();
     let total = |rank: usize, cat: Cat| -> u64 {
-        totals.get(&(MEASURE_PID, rank as u32, cat)).copied().unwrap_or(0)
+        let key = (MEASURE_PID, rank as u32, cat);
+        let sum = |t: &std::collections::BTreeMap<_, u64>| t.get(&key).copied().unwrap_or(0);
+        sum(&totals) - sum(&before)
     };
     let ranks: Vec<RankCheck> = report
         .ranks
@@ -215,5 +220,18 @@ mod tests {
         // And the rendering mentions the cross-check result.
         let text = render(&report);
         assert!(text.contains("exactly"), "{text}");
+    }
+
+    #[test]
+    fn earlier_spans_on_a_shared_recorder_do_not_break_the_cross_check() {
+        // `experiments all` traces other runs into the same recorder first.
+        let obs = Obs::enabled();
+        let rec = &*obs.recorder;
+        rec.sim_span(MEASURE_PID, 0, "compute", Cat::Compute, 0, 12_345, vec![]);
+        rec.sim_span(MEASURE_PID, 3, "recv", Cat::Idle, 0, 678, vec![]);
+        let first = run_representative(&obs);
+        let second = run_representative(&obs);
+        assert!(first.all_exact(), "{:?}", first.ranks);
+        assert_eq!(first.ranks, second.ranks);
     }
 }

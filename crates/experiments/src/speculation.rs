@@ -9,8 +9,7 @@
 
 use std::time::{Duration, Instant};
 
-use cluster_sim::{MachineSpec, OptConfig};
-use obs::MetricValue;
+use cluster_sim::MachineSpec;
 use pace_core::{HardwareModel, Sweep3dModel, Sweep3dParams, Workload};
 use registry::quoted as machines;
 use sweep3d::trace::{generate_program_set, FlopModel};
@@ -288,71 +287,6 @@ pub fn simulate_threaded(
     }
 }
 
-/// Speculation telemetry of an optimistic DES campaign, summed over all
-/// replications (the `opt.*` counters published by
-/// [`sweepsvc::replicate_set_optimistic`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OptCounters {
-    /// Scheduler rounds executed.
-    pub rounds: u64,
-    /// Speculative messages injected.
-    pub speculated: u64,
-    /// Speculations committed (predictions confirmed exactly).
-    pub commits: u64,
-    /// Speculations rolled back.
-    pub rollbacks: u64,
-}
-
-/// [`simulate_threaded`] through the optimistic (Time Warp-style)
-/// partition scheduler: same campaign, same seeds, bit-identical
-/// reports, but windows beyond predicted boundary arrivals are executed
-/// speculatively and rolled back on mispredictions. Returns the usual
-/// campaign plus the rollback/commit counters the run produced.
-pub fn simulate_optimistic(
-    problem: Problem,
-    ranks: usize,
-    repeat: usize,
-    iterations: usize,
-    workers: usize,
-    cfg: OptConfig,
-) -> (DesCampaign, OptCounters) {
-    let t0 = Instant::now();
-    let (px, py) = array_for_ranks(ranks);
-    let mut config = problem.config(px, py);
-    config.iterations = iterations;
-    let fm = FlopModel {
-        flops_per_cell_angle: 21.5,
-        source_flops_per_cell: 2.0,
-        flux_err_flops_per_cell: 3.0,
-    };
-    let set = generate_program_set(&config, &fm);
-    let machine = speculation_machine();
-    let seeds: Vec<u64> = (1..=repeat as u64).map(|i| 0x5EED_0000 + i).collect();
-    let obs = obs::Obs::disabled(); // metrics still record
-    let summary = sweepsvc::replicate_set_optimistic(&machine, &set, &seeds, workers, cfg, &obs)
-        .expect("trace is deadlock-free");
-    let snap = obs.metrics.snapshot();
-    let counter = |name: &str| snap.get(name).and_then(MetricValue::as_counter).unwrap_or(0);
-    let counters = OptCounters {
-        rounds: counter("opt.rounds"),
-        speculated: counter("opt.speculated"),
-        commits: counter("opt.commits"),
-        rollbacks: counter("opt.rollbacks"),
-    };
-    let campaign = DesCampaign {
-        problem,
-        px,
-        py,
-        iterations,
-        streams: set.num_streams(),
-        stored_ops: set.stored_ops(),
-        ops_per_run: set.total_ops(),
-        summary,
-        wall: t0.elapsed(),
-    };
-    (campaign, counters)
-}
-
 /// A seed-replicated DES campaign of an arbitrary [`Workload`] lowering —
 /// the generic sibling of [`simulate`] behind
 /// `experiments speculation --workload stencil|allreduce`.
@@ -389,52 +323,28 @@ impl WorkloadCampaign {
 }
 
 /// Replicate any workload's DES lowering under noise seeds on the
-/// [`speculation_machine`], fanned over `workers` pool threads. `opt`
-/// routes each run through the optimistic scheduler instead (results stay
-/// bit-identical either way; the `opt.*` counters come back alongside).
-/// Same fixed seed family as [`simulate`], so campaigns are reproducible.
+/// [`speculation_machine`], fanned over `workers` pool threads. Same fixed
+/// seed family as [`simulate`], so campaigns are reproducible.
 pub fn simulate_workload(
     workload: &dyn Workload,
     repeat: usize,
     workers: usize,
     sim_threads: Option<usize>,
-    opt: Option<OptConfig>,
-) -> (WorkloadCampaign, Option<OptCounters>) {
+) -> WorkloadCampaign {
     let t0 = Instant::now();
     let machine = speculation_machine();
     let set = workload.program_set(&machine).expect("workload lowers on the speculation machine");
     let seeds: Vec<u64> = (1..=repeat as u64).map(|i| 0x5EED_0000 + i).collect();
-    let (summary, counters) = match opt {
-        Some(cfg) => {
-            let obs = obs::Obs::disabled(); // metrics still record
-            let summary =
-                sweepsvc::replicate_set_optimistic(&machine, &set, &seeds, workers, cfg, &obs)
-                    .expect("trace is deadlock-free");
-            let snap = obs.metrics.snapshot();
-            let counter =
-                |name: &str| snap.get(name).and_then(MetricValue::as_counter).unwrap_or(0);
-            let counters = OptCounters {
-                rounds: counter("opt.rounds"),
-                speculated: counter("opt.speculated"),
-                commits: counter("opt.commits"),
-                rollbacks: counter("opt.rollbacks"),
-            };
-            (summary, Some(counters))
-        }
-        None => {
-            let summary = sweepsvc::replicate_set_threaded(
-                &machine,
-                &set,
-                &seeds,
-                workers,
-                sim_threads,
-                &obs::Obs::disabled(),
-            )
-            .expect("trace is deadlock-free");
-            (summary, None)
-        }
-    };
-    let campaign = WorkloadCampaign {
+    let summary = sweepsvc::replicate_set_threaded(
+        &machine,
+        &set,
+        &seeds,
+        workers,
+        sim_threads,
+        &obs::Obs::disabled(),
+    )
+    .expect("trace is deadlock-free");
+    WorkloadCampaign {
         kind: workload.kind(),
         pes: workload.pes(),
         iterations: workload.iterations(),
@@ -443,8 +353,7 @@ pub fn simulate_workload(
         ops_per_run: set.total_ops(),
         summary,
         wall: t0.elapsed(),
-    };
-    (campaign, counters)
+    }
 }
 
 /// The pre-engine serial reference path: one model evaluation at a time,
@@ -560,41 +469,18 @@ mod tests {
     }
 
     #[test]
-    fn optimistic_campaign_is_bit_identical() {
-        // The Time Warp-style scheduler must not change a single
-        // simulated number — only the wall clock and the opt.* counters.
-        let plain = simulate(Problem::TwentyMillion, 6, 2, 1, 2);
-        let (opt, counters) = simulate_optimistic(
-            Problem::TwentyMillion,
-            6,
-            2,
-            1,
-            2,
-            OptConfig::new(3).with_budget(4),
-        );
-        assert_eq!(plain.summary.replications, opt.summary.replications);
-        assert!(counters.rounds > 0, "no rounds counted: {counters:?}");
-        // An attempt may inject several messages, so the message counter
-        // dominates the attempt counters.
-        assert!(counters.speculated >= counters.commits + counters.rollbacks);
-    }
-
-    #[test]
-    fn workload_campaigns_replicate_and_stay_bit_identical_optimistically() {
+    fn workload_campaigns_replicate_across_seeds() {
         let mut p = pace_core::StencilParams::weak_scaling(2, 2);
         p.iterations = 3;
-        let (c, opt) = simulate_workload(&p, 2, 2, None, None);
+        let c = simulate_workload(&p, 2, 2, None);
         assert_eq!((c.kind, c.pes, c.iterations), ("stencil", 4, 3));
-        assert!(opt.is_none());
         assert_eq!(c.summary.replications.len(), 2);
         let makespans = c.summary.makespans();
         assert!(makespans[0] != makespans[1], "seeds had no effect: {makespans:?}");
         assert!(c.total_events() > 0 && c.events_per_sec() > 0.0);
-        // The optimistic scheduler must not change a single simulated number.
-        let (o, counters) =
-            simulate_workload(&p, 2, 2, None, Some(OptConfig::new(2).with_budget(4)));
-        assert_eq!(c.summary.replications, o.summary.replications);
-        assert!(counters.expect("optimistic runs report counters").rounds > 0);
+        // Engine threads must not change a single simulated number.
+        let threaded = simulate_workload(&p, 2, 1, Some(2));
+        assert_eq!(c.summary.replications, threaded.summary.replications);
     }
 
     #[test]

@@ -145,8 +145,8 @@ impl EdgeKind {
 /// One message-causality edge in the sim domain: the send that caused a
 /// receive, with every gate timestamp in integer picoseconds.
 ///
-/// Like sim spans, edges are a pure function of the run: the sequential,
-/// windowed-parallel and optimistic engines emit identical edge multisets
+/// Like sim spans, edges are a pure function of the run: the sequential
+/// and windowed-parallel engines emit identical edge multisets
 /// for the same run, so [`Recorder::sim_edges`] is byte-deterministic.
 ///
 /// Timestamp semantics (all ps):

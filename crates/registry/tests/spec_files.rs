@@ -203,6 +203,13 @@ fn rejects_documents_that_are_not_json_objects() {
 }
 
 #[test]
+fn deeply_nested_documents_are_a_structured_error() {
+    let err = MachineSpec::from_json(&"[".repeat(1_000_000)).unwrap_err();
+    assert!(err.starts_with("machine spec: nesting deeper than"), "{err}");
+    assert!(err.contains("at byte"), "{err}");
+}
+
+#[test]
 fn load_file_errors_name_the_path() {
     let err = registry::load_file("/no/such/machine.json").unwrap_err();
     assert!(err.contains("/no/such/machine.json"), "{err}");

@@ -20,9 +20,10 @@
 //!   bit-identical evaluations plus snapshot-prefix sharing for DES rate
 //!   what-ifs, executed by [`SweepEngine::run_planned`] with
 //!   byte-identical results to the naive path ([`plan`]);
-//! * [`replicate`] — a parallel-replication runner for `cluster-sim`
-//!   measurement campaigns: N seeds of one machine, merged into one
-//!   statistics summary ([`replicate`](mod@replicate));
+//! * [`replicate_set_threaded`] / [`replicate_set_attributed`] — the
+//!   parallel-replication runner for `cluster-sim` measurement campaigns:
+//!   N seeds of one machine, merged into one statistics summary, the
+//!   second also carrying each run's critical-path rollup ([`replicate`]);
 //! * [`shard`] — the multi-process campaign tier: a coordinator that
 //!   partitions a spec into contiguous scenario-id ranges, fans them out
 //!   over `sweep-worker` processes via length-prefixed JSON frames,
@@ -61,9 +62,8 @@ pub use pool::{
     PoolRun, WorkerStats,
 };
 pub use replicate::{
-    campaign, campaign_forked, campaign_threaded, replicate, replicate_observed, replicate_set,
-    replicate_set_attributed, replicate_set_observed, replicate_set_optimistic,
-    replicate_set_threaded, Replication, ReplicationSummary, REPLICATE_PID,
+    replicate_set_attributed, replicate_set_threaded, Replication, ReplicationSummary,
+    REPLICATE_PID,
 };
 pub use shard::{
     partition, run_sharded, run_sharded_observed, ChunkStore, IdRange, ShardConfig, ShardOutcome,

@@ -1,16 +1,24 @@
 //! Parallel replication of `cluster-sim` runs.
 //!
 //! A measurement campaign replays the same machine under N noise seeds.
-//! [`replicate`] fans the seeds out over the worker pool — each
+//! Two entry points fan the seeds out over the worker pool — each
 //! replication is an independent deterministic simulation of
-//! `machine.with_seed(seed)` — and merges the runs into one
-//! [`ReplicationSummary`]. Replications are reported in seed order, so
-//! the summary is identical whether the runs happened concurrently or
-//! sequentially.
+//! `machine.with_seed(seed)` — and merge the runs into one
+//! [`ReplicationSummary`]:
+//!
+//! * [`replicate_set_threaded`] — the plain campaign;
+//! * [`replicate_set_attributed`] — the same runs, each traced and
+//!   carrying its critical-path [`obs::Rollup`].
+//!
+//! Replications are reported in seed order, so the summary is identical
+//! whether the runs happened concurrently or sequentially. Fork campaigns
+//! (one simulated prefix, many hardware variants) go through the planner
+//! instead: [`SweepSpec::des_fork`](crate::SweepSpec::des_fork) with
+//! [`SweepEngine::run_planned`](crate::SweepEngine::run_planned).
 
 use std::time::{Duration, Instant};
 
-use cluster_sim::{Engine, MachineSpec, OptConfig, Program, ProgramSet, RunReport, SimResult};
+use cluster_sim::{Engine, MachineSpec, ProgramSet, RunReport, SimResult};
 use obs::{Cat, Obs};
 
 use crate::pool::{self, WorkerStats};
@@ -128,69 +136,22 @@ impl ReplicationSummary {
     }
 }
 
-/// Run `programs` on `machine` once per seed, fanned out over `workers`
-/// pool threads. Fails with the first simulation error, if any.
-///
-/// The programs are interned into a shared [`ProgramSet`] once up front;
-/// each seeded run clones the set (an `Arc` bump per distinct op stream),
-/// not the op vectors.
-pub fn replicate(
-    machine: &MachineSpec,
-    programs: &[Program],
-    seeds: &[u64],
-    workers: usize,
-) -> SimResult<ReplicationSummary> {
-    replicate_observed(machine, programs, seeds, workers, &Obs::disabled())
-}
-
-/// [`replicate`] over an already-shared program set — the cheap entry
-/// point for large campaigns where the caller built the set directly
-/// (e.g. `sweep3d::trace::generate_program_set`).
-pub fn replicate_set(
-    machine: &MachineSpec,
-    set: &ProgramSet,
-    seeds: &[u64],
-    workers: usize,
-) -> SimResult<ReplicationSummary> {
-    replicate_set_observed(machine, set, seeds, workers, &Obs::disabled())
-}
-
-/// [`replicate`] with telemetry: each seeded run becomes a wall span on
-/// its worker's track, and the summary merge publishes its duration to
-/// the metrics registry (`wall.replicate.merge_us`).
-pub fn replicate_observed(
-    machine: &MachineSpec,
-    programs: &[Program],
-    seeds: &[u64],
-    workers: usize,
-    obs: &Obs,
-) -> SimResult<ReplicationSummary> {
-    let set = ProgramSet::from_programs(programs);
-    replicate_set_observed(machine, &set, seeds, workers, obs)
-}
-
-/// [`replicate_set`] with telemetry (see [`replicate_observed`]).
+/// Run the shared program `set` on `machine` once per seed, fanned out
+/// over `workers` pool threads. Fails with the first simulation error, if
+/// any. Each seeded run clones the set (an `Arc` bump per distinct op
+/// stream), not the op vectors.
 ///
 /// Worker slots follow the nested-parallelism policy
 /// ([`pool::nested_plan`]): campaign-level seeds first, spare slots
 /// donated to intra-run engine threads
-/// ([`cluster_sim::Engine::run_parallel`]), never oversubscribing. Set
-/// `PACE_SIM_THREADS` or call [`replicate_set_threaded`] to pin the
-/// intra-run thread count explicitly. Results are bit-identical for every
-/// split.
-pub fn replicate_set_observed(
-    machine: &MachineSpec,
-    set: &ProgramSet,
-    seeds: &[u64],
-    workers: usize,
-    obs: &Obs,
-) -> SimResult<ReplicationSummary> {
-    replicate_set_threaded(machine, set, seeds, workers, None, obs)
-}
-
-/// [`replicate_set_observed`] with an explicit per-run engine thread
-/// count (`--threads N` in the CLI). `None` lets [`pool::nested_plan`]
-/// decide, subject to the `PACE_SIM_THREADS` override.
+/// ([`cluster_sim::Engine::run_parallel`]), never oversubscribing.
+/// `sim_threads` pins the intra-run thread count (`--threads N` in the
+/// CLI); `None` lets the plan decide, subject to the `PACE_SIM_THREADS`
+/// override. Results are bit-identical for every split.
+///
+/// With telemetry on, each seeded run becomes a wall span on its worker's
+/// track, and the summary merge publishes its duration to the metrics
+/// registry (`wall.replicate.merge_us`).
 pub fn replicate_set_threaded(
     machine: &MachineSpec,
     set: &ProgramSet,
@@ -199,53 +160,16 @@ pub fn replicate_set_threaded(
     sim_threads: Option<usize>,
     obs: &Obs,
 ) -> SimResult<ReplicationSummary> {
-    let rec = &*obs.recorder;
-    if rec.is_enabled() {
-        rec.set_process_name(REPLICATE_PID, format!("replicate {}", machine.name));
-    }
-    let (outer, planned) = pool::nested_plan(workers, seeds.len());
-    let inner = sim_threads.or_else(pool::sim_threads_override).unwrap_or(planned).max(1);
-    let run = pool::run_ordered_with_worker(seeds.to_vec(), outer, |worker, &seed| {
-        let t0 = Instant::now();
-        let seeded = machine.clone().with_seed(seed);
-        let result = Engine::from_set(&seeded, set.clone()).run_parallel(inner).map(|report| {
-            Replication { seed, makespan_secs: report.makespan(), report, rollup: None }
-        });
-        if rec.is_enabled() {
-            rec.wall_span(
-                REPLICATE_PID,
-                worker as u32,
-                format!("seed:{seed}"),
-                Cat::Task,
-                t0,
-                vec![("seed", seed.into()), ("sim_threads", inner.into())],
-            );
-        }
-        result
-    });
-    let merge_started = Instant::now();
-    let mut replications = Vec::with_capacity(run.results.len());
-    for result in run.results {
-        replications.push(result?);
-    }
-    let summary = ReplicationSummary {
-        machine: machine.name.clone(),
-        replications,
-        workers: run.workers,
-        wall: run.wall,
-    };
-    obs.metrics.counter_add("replicate.seeds", seeds.len() as u64);
-    obs.metrics.gauge_set("wall.replicate.merge_us", merge_started.elapsed().as_micros() as f64);
-    Ok(summary)
+    replicate_seeds(machine, set, seeds, workers, sim_threads, false, obs)
 }
 
-/// [`replicate_set_observed`] with per-seed critical-path attribution:
+/// [`replicate_set_threaded`] with per-seed critical-path attribution:
 /// each seeded run is traced into a private recorder and attributed with
 /// [`obs::attr::attribute`] — the extractor's path-equals-makespan gate
 /// runs for every seed — and the whole-run mechanism [`obs::Rollup`]
 /// rides along on each [`Replication`]. Render the columns with
 /// [`ReplicationSummary::attribution_markdown`]. The simulated numbers
-/// are bit-identical to [`replicate_set`]; only `rollup` differs.
+/// are bit-identical to [`replicate_set_threaded`]; only `rollup` differs.
 pub fn replicate_set_attributed(
     machine: &MachineSpec,
     set: &ProgramSet,
@@ -253,165 +177,64 @@ pub fn replicate_set_attributed(
     workers: usize,
     obs: &Obs,
 ) -> SimResult<ReplicationSummary> {
-    let rec = &*obs.recorder;
-    if rec.is_enabled() {
-        rec.set_process_name(REPLICATE_PID, format!("replicate {}", machine.name));
-    }
-    let (outer, planned) = pool::nested_plan(workers, seeds.len());
-    let inner = pool::sim_threads_override().unwrap_or(planned).max(1);
-    let run = pool::run_ordered_with_worker(seeds.to_vec(), outer, |worker, &seed| {
-        let t0 = Instant::now();
-        let seeded = machine.clone().with_seed(seed);
-        let trace = obs::Recorder::enabled();
-        let result = Engine::from_set(&seeded, set.clone())
-            .with_recorder(&trace, obs::pids::ENGINE)
-            .run_parallel(inner)
-            .map(|report| {
-                let a = obs::attr::attribute(&trace, obs::pids::ENGINE)
-                    .expect("traced replication attributes cleanly");
-                Replication {
-                    seed,
-                    makespan_secs: report.makespan(),
-                    report,
-                    rollup: Some(a.rollup),
-                }
-            });
-        if rec.is_enabled() {
-            rec.wall_span(
-                REPLICATE_PID,
-                worker as u32,
-                format!("seed:{seed}"),
-                Cat::Task,
-                t0,
-                vec![("seed", seed.into()), ("attributed", 1u64.into())],
-            );
-        }
-        result
-    });
-    let mut replications = Vec::with_capacity(run.results.len());
-    for result in run.results {
-        replications.push(result?);
-    }
-    obs.metrics.counter_add("replicate.seeds", seeds.len() as u64);
-    obs.metrics.counter_add("replicate.attributed", seeds.len() as u64);
-    Ok(ReplicationSummary {
-        machine: machine.name.clone(),
-        replications,
-        workers: run.workers,
-        wall: run.wall,
-    })
+    replicate_seeds(machine, set, seeds, workers, None, true, obs)
 }
 
-/// A what-if campaign: every machine variant (procurement candidates,
-/// flop-rate multipliers, interconnect swaps) replicated under every
-/// noise seed, fanned out as **one** `variants × seeds` batch over the
-/// worker pool so the pool stays saturated even when each variant has
-/// only a few seeds. Results are grouped back per variant, seeds in
-/// input order — bit-identical for any worker count.
-pub fn campaign(
-    variants: &[MachineSpec],
-    set: &ProgramSet,
-    seeds: &[u64],
-    workers: usize,
-) -> SimResult<Vec<ReplicationSummary>> {
-    campaign_threaded(variants, set, seeds, workers, None)
-}
-
-/// [`campaign`] with an explicit per-run engine thread count; `None`
-/// applies the nested-parallelism policy ([`pool::nested_plan`]) and the
-/// `PACE_SIM_THREADS` override. Bit-identical for every split.
-pub fn campaign_threaded(
-    variants: &[MachineSpec],
-    set: &ProgramSet,
-    seeds: &[u64],
-    workers: usize,
-    sim_threads: Option<usize>,
-) -> SimResult<Vec<ReplicationSummary>> {
-    let items: Vec<(usize, u64)> =
-        variants.iter().enumerate().flat_map(|(v, _)| seeds.iter().map(move |&s| (v, s))).collect();
-    let (outer, planned) = pool::nested_plan(workers, items.len());
-    let inner = sim_threads.or_else(pool::sim_threads_override).unwrap_or(planned).max(1);
-    let run = pool::run_ordered_with_worker(items, outer, |_worker, &(v, seed)| {
-        let seeded = variants[v].clone().with_seed(seed);
-        Engine::from_set(&seeded, set.clone()).run_parallel(inner).map(|report| Replication {
-            seed,
-            makespan_secs: report.makespan(),
-            report,
-            rollup: None,
-        })
-    });
-    let mut results = run.results.into_iter();
-    let mut summaries = Vec::with_capacity(variants.len());
-    for variant in variants {
-        let mut replications = Vec::with_capacity(seeds.len());
-        for _ in seeds {
-            replications.push(results.next().expect("one result per (variant, seed)")?);
-        }
-        summaries.push(ReplicationSummary {
-            machine: variant.name.clone(),
-            replications,
-            workers: run.workers.clone(),
-            wall: run.wall,
-        });
-    }
-    Ok(summaries)
-}
-
-/// [`replicate_set_threaded`] on the optimistic partition scheduler
-/// ([`cluster_sim::Engine::run_optimistic`]) instead of the conservative
-/// one. Results are bit-identical to every other entry point — the
-/// engine's commit gate guarantees it — but the run publishes the
-/// speculation counters (`opt.rounds`, `opt.speculated`, `opt.commits`,
-/// `opt.rollbacks`, summed over seeds) to the metrics registry so
-/// campaigns can watch rollback health.
-pub fn replicate_set_optimistic(
+/// The per-seed loop behind both entry points.
+fn replicate_seeds(
     machine: &MachineSpec,
     set: &ProgramSet,
     seeds: &[u64],
     workers: usize,
-    cfg: OptConfig,
+    sim_threads: Option<usize>,
+    attributed: bool,
     obs: &Obs,
 ) -> SimResult<ReplicationSummary> {
     let rec = &*obs.recorder;
     if rec.is_enabled() {
         rec.set_process_name(REPLICATE_PID, format!("replicate {}", machine.name));
     }
-    let (outer, _) = pool::nested_plan(workers, seeds.len());
+    let (outer, planned) = pool::nested_plan(workers, seeds.len());
+    let inner = sim_threads.or_else(pool::sim_threads_override).unwrap_or(planned).max(1);
     let run = pool::run_ordered_with_worker(seeds.to_vec(), outer, |worker, &seed| {
         let t0 = Instant::now();
         let seeded = machine.clone().with_seed(seed);
-        let result = Engine::from_set(&seeded, set.clone()).run_optimistic_stats(cfg).map(
-            |(report, opt)| {
-                (Replication { seed, makespan_secs: report.makespan(), report, rollup: None }, opt)
-            },
-        );
+        let trace = attributed.then(obs::Recorder::enabled);
+        let mut engine = Engine::from_set(&seeded, set.clone());
+        if let Some(trace) = &trace {
+            engine = engine.with_recorder(trace, obs::pids::ENGINE);
+        }
+        let result = engine.run_parallel(inner).map(|report| {
+            let rollup = trace.as_ref().map(|trace| {
+                obs::attr::attribute(trace, obs::pids::ENGINE)
+                    .expect("traced replication attributes cleanly")
+                    .rollup
+            });
+            Replication { seed, makespan_secs: report.makespan(), report, rollup }
+        });
         if rec.is_enabled() {
+            let mut args = vec![("seed", seed.into()), ("sim_threads", inner.into())];
+            if attributed {
+                args.push(("attributed", 1u64.into()));
+            }
             rec.wall_span(
                 REPLICATE_PID,
                 worker as u32,
                 format!("seed:{seed}"),
                 Cat::Task,
                 t0,
-                vec![("seed", seed.into()), ("partitions", cfg.partitions.into())],
+                args,
             );
         }
         result
     });
-    let mut replications = Vec::with_capacity(run.results.len());
-    let (mut rounds, mut speculated, mut commits, mut rollbacks) = (0u64, 0u64, 0u64, 0u64);
-    for result in run.results {
-        let (rep, opt) = result?;
-        rounds += opt.rounds;
-        speculated += opt.speculated;
-        commits += opt.commits;
-        rollbacks += opt.rollbacks;
-        replications.push(rep);
-    }
+    let merge_started = Instant::now();
+    let replications = run.results.into_iter().collect::<SimResult<Vec<_>>>()?;
     obs.metrics.counter_add("replicate.seeds", seeds.len() as u64);
-    obs.metrics.counter_add("opt.rounds", rounds);
-    obs.metrics.counter_add("opt.speculated", speculated);
-    obs.metrics.counter_add("opt.commits", commits);
-    obs.metrics.counter_add("opt.rollbacks", rollbacks);
+    if attributed {
+        obs.metrics.counter_add("replicate.attributed", seeds.len() as u64);
+    }
+    obs.metrics.gauge_set("wall.replicate.merge_us", merge_started.elapsed().as_micros() as f64);
     Ok(ReplicationSummary {
         machine: machine.name.clone(),
         replications,
@@ -420,117 +243,37 @@ pub fn replicate_set_optimistic(
     })
 }
 
-/// A what-if campaign that **forks a shared simulation prefix** instead
-/// of re-simulating every variant from `t = 0`.
-///
-/// Per seed, the `base` machine runs once up to `fork_after` rank
-/// activations ([`cluster_sim::Engine::run_paused`]); each variant then
-/// resumes an independent [`snapshot`](cluster_sim::Paused::snapshot) of
-/// that paused state with its own hardware
-/// ([`resume_with`](cluster_sim::Paused::resume_with) — "the hardware
-/// changes at the fork point"). Flop-rate what-ifs
-/// ([`MachineSpec::with_cpu_scaled`]) diverge only at compute-event
-/// durations, so the prefix is simulated once per seed rather than once
-/// per `(variant, seed)` — the campaign-level speedup the bench harness
-/// measures.
-///
-/// Digest gate: a variant equal to `base` is bit-identical to an
-/// uninterrupted [`Engine::run`], and every variant is bit-identical to
-/// its own standalone pause-at-`fork_after`-and-swap run. Variants must
-/// keep `base`'s noise class (see
-/// [`cluster_sim::SimError::SnapshotIncompatible`]).
-///
-/// Results are grouped per variant in input order, seeds in input order
-/// — bit-identical for any worker count.
-pub fn campaign_forked(
-    base: &MachineSpec,
-    variants: &[MachineSpec],
-    set: &ProgramSet,
-    seeds: &[u64],
-    fork_after: u64,
-    workers: usize,
-    obs: &Obs,
-) -> SimResult<Vec<ReplicationSummary>> {
-    let rec = &*obs.recorder;
-    if rec.is_enabled() {
-        rec.set_process_name(REPLICATE_PID, format!("campaign {}", base.name));
-    }
-    let (outer, _) = pool::nested_plan(workers, seeds.len());
-    let run = pool::run_ordered_with_worker(seeds.to_vec(), outer, |worker, &seed| {
-        let t0 = Instant::now();
-        let seeded = base.clone().with_seed(seed);
-        let paused = Engine::from_set(&seeded, set.clone()).run_paused(fork_after)?;
-        let mut reps = Vec::with_capacity(variants.len());
-        for variant in variants {
-            // The resumed machine re-seeds like the base: noise-stream
-            // positions travel inside the snapshot, and the run factor
-            // derives from the machine seed.
-            let swapped = variant.clone().with_seed(seed);
-            let report = paused.snapshot().resume_with(&swapped)?;
-            reps.push(Replication { seed, makespan_secs: report.makespan(), report, rollup: None });
-        }
-        if rec.is_enabled() {
-            rec.wall_span(
-                REPLICATE_PID,
-                worker as u32,
-                format!("fork:{seed}"),
-                Cat::Task,
-                t0,
-                vec![
-                    ("seed", seed.into()),
-                    ("variants", variants.len().into()),
-                    ("fork_after", paused.activations().into()),
-                ],
-            );
-        }
-        Ok(reps)
-    });
-    let mut per_seed = Vec::with_capacity(seeds.len());
-    for result in run.results {
-        per_seed.push(result?);
-    }
-    obs.metrics.counter_add("campaign.forks", seeds.len() as u64);
-    obs.metrics.counter_add("campaign.forked_resumes", (seeds.len() * variants.len()) as u64);
-    let mut summaries = Vec::with_capacity(variants.len());
-    for (v, variant) in variants.iter().enumerate() {
-        let replications: Vec<Replication> =
-            per_seed.iter().map(|reps: &Vec<Replication>| reps[v].clone()).collect();
-        summaries.push(ReplicationSummary {
-            machine: variant.name.clone(),
-            replications,
-            workers: run.workers.clone(),
-            wall: run.wall,
-        });
-    }
-    Ok(summaries)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cluster_sim::Op;
+    use cluster_sim::{Op, Program};
 
-    fn ring_programs(ranks: usize) -> Vec<Program> {
+    fn ring_programs(ranks: usize) -> ProgramSet {
         let mut programs = vec![Program::new(); ranks];
         for (r, prog) in programs.iter_mut().enumerate() {
             prog.push(Op::Compute { flops: 2e6, working_set: 1000 });
             prog.push(Op::Send { to: (r + 1) % ranks, bytes: 512, tag: 7 });
             prog.push(Op::Recv { from: (r + ranks - 1) % ranks, tag: 7 });
         }
-        programs
+        ProgramSet::from_programs(&programs)
     }
 
     fn noisy_machine() -> MachineSpec {
         MachineSpec::ideal(100.0).with_noise(cluster_sim::NoiseModel::commodity())
     }
 
+    /// A plain campaign with the engine-thread split left to the plan.
+    fn replicate(set: &ProgramSet, seeds: &[u64], workers: usize) -> ReplicationSummary {
+        replicate_set_threaded(&noisy_machine(), set, seeds, workers, None, &Obs::disabled())
+            .unwrap()
+    }
+
     #[test]
     fn seed_order_is_preserved_and_concurrency_free() {
-        let machine = noisy_machine();
-        let programs = ring_programs(4);
+        let set = ring_programs(4);
         let seeds = [11u64, 22, 33, 44, 55];
-        let serial = replicate(&machine, &programs, &seeds, 1).unwrap();
-        let parallel = replicate(&machine, &programs, &seeds, 4).unwrap();
+        let serial = replicate(&set, &seeds, 1);
+        let parallel = replicate(&set, &seeds, 4);
         assert_eq!(serial.makespans(), parallel.makespans());
         assert_eq!(serial.replications, parallel.replications);
         for (rep, &seed) in serial.replications.iter().zip(&seeds) {
@@ -540,8 +283,7 @@ mod tests {
 
     #[test]
     fn summary_statistics_are_consistent() {
-        let machine = noisy_machine();
-        let summary = replicate(&machine, &ring_programs(3), &[1, 2, 3, 4, 5, 6], 2).unwrap();
+        let summary = replicate(&ring_programs(3), &[1, 2, 3, 4, 5, 6], 2);
         let mean = summary.mean_makespan();
         assert!(summary.min_makespan() <= mean && mean <= summary.max_makespan());
         assert!(summary.std_dev_makespan() >= 0.0);
@@ -557,9 +299,9 @@ mod tests {
     #[test]
     fn observed_replication_records_spans_and_merge_metric() {
         let machine = noisy_machine();
+        let set = ring_programs(3);
         let obs = obs::Obs::enabled();
-        let summary =
-            replicate_observed(&machine, &ring_programs(3), &[1, 2, 3, 4], 2, &obs).unwrap();
+        let summary = replicate_set_threaded(&machine, &set, &[1, 2, 3, 4], 2, None, &obs).unwrap();
         assert_eq!(summary.replications.len(), 4);
         let spans = obs.recorder.wall_spans();
         assert_eq!(spans.len(), 4);
@@ -568,27 +310,15 @@ mod tests {
         assert_eq!(snap.get("replicate.seeds").and_then(obs::MetricValue::as_counter), Some(4));
         assert!(snap.get("wall.replicate.merge_us").is_some());
         // Telemetry must not perturb the simulated results.
-        let plain = replicate(&machine, &ring_programs(3), &[1, 2, 3, 4], 2).unwrap();
+        let plain = replicate(&set, &[1, 2, 3, 4], 2);
         assert_eq!(plain.replications, summary.replications);
     }
 
     #[test]
     fn empty_seed_list() {
-        let machine = noisy_machine();
-        let summary = replicate(&machine, &ring_programs(2), &[], 4).unwrap();
+        let summary = replicate(&ring_programs(2), &[], 4);
         assert!(summary.replications.is_empty());
         assert_eq!(summary.mean_makespan(), 0.0);
-    }
-
-    #[test]
-    fn replicate_set_matches_program_replication() {
-        let machine = noisy_machine();
-        let programs = ring_programs(4);
-        let set = ProgramSet::from_programs(&programs);
-        let seeds = [3u64, 1, 4, 1, 5];
-        let a = replicate(&machine, &programs, &seeds, 2).unwrap();
-        let b = replicate_set(&machine, &set, &seeds, 3).unwrap();
-        assert_eq!(a.replications, b.replications);
     }
 
     #[test]
@@ -598,8 +328,7 @@ mod tests {
         // simulated number must still match the serial run — ordering is
         // pinned by input position, never by completion order.
         let machine = noisy_machine();
-        let programs = ring_programs(6);
-        let set = ProgramSet::from_programs(&programs);
+        let set = ring_programs(6);
         let seeds = [42u64, 5, 17, 99, 3];
         let serial =
             replicate_set_threaded(&machine, &set, &seeds, 1, Some(1), &Obs::disabled()).unwrap();
@@ -623,30 +352,13 @@ mod tests {
     }
 
     #[test]
-    fn threaded_campaign_matches_sequential_campaign() {
-        let base = noisy_machine();
-        let mut fast = MachineSpec::ideal(150.0).with_noise(cluster_sim::NoiseModel::commodity());
-        fast.name = "fast".into();
-        let set = ProgramSet::from_programs(&ring_programs(6));
-        let seeds = [7u64, 8, 9];
-        let variants = [base, fast];
-        let serial = campaign_threaded(&variants, &set, &seeds, 1, Some(1)).unwrap();
-        let threaded = campaign_threaded(&variants, &set, &seeds, 3, Some(2)).unwrap();
-        assert_eq!(serial.len(), threaded.len());
-        for (a, b) in serial.iter().zip(&threaded) {
-            assert_eq!(a.machine, b.machine);
-            assert_eq!(a.replications, b.replications);
-        }
-    }
-
-    #[test]
     fn attributed_replication_matches_plain_and_renders_columns() {
         let machine = noisy_machine();
-        let set = ProgramSet::from_programs(&ring_programs(4));
+        let set = ring_programs(4);
         let seeds = [11u64, 22, 33];
-        let plain = replicate_set(&machine, &set, &seeds, 1).unwrap();
-        let attributed =
-            replicate_set_attributed(&machine, &set, &seeds, 2, &Obs::disabled()).unwrap();
+        let plain = replicate(&set, &seeds, 1);
+        let obs = obs::Obs::enabled();
+        let attributed = replicate_set_attributed(&machine, &set, &seeds, 2, &obs).unwrap();
         // Attribution must not perturb the simulated numbers.
         for (a, b) in plain.replications.iter().zip(&attributed.replications) {
             assert_eq!(a.report, b.report);
@@ -656,6 +368,11 @@ mod tests {
             assert_eq!(ro.makespan_ps, makespan_ps);
             assert!(ro.messages > 0);
         }
+        let snap = obs.metrics.snapshot();
+        assert_eq!(
+            snap.get("replicate.attributed").and_then(obs::MetricValue::as_counter),
+            Some(3)
+        );
         // Worker-count invariance extends to the rollup columns.
         let serial = replicate_set_attributed(&machine, &set, &seeds, 1, &Obs::disabled()).unwrap();
         assert_eq!(serial.replications, attributed.replications);
@@ -664,112 +381,5 @@ mod tests {
         assert_eq!(table.lines().count(), 2 + seeds.len());
         // Plain campaigns have no attribution columns to render.
         assert!(plain.attribution_markdown().is_none());
-    }
-
-    #[test]
-    fn optimistic_replication_is_bit_identical_and_counts() {
-        let machine = noisy_machine();
-        let set = ProgramSet::from_programs(&ring_programs(6));
-        let seeds = [42u64, 5, 17];
-        let want = replicate_set(&machine, &set, &seeds, 1).unwrap();
-        let obs = obs::Obs::enabled();
-        let got = replicate_set_optimistic(
-            &machine,
-            &set,
-            &seeds,
-            2,
-            cluster_sim::OptConfig::new(3),
-            &obs,
-        )
-        .unwrap();
-        assert_eq!(want.replications, got.replications);
-        let snap = obs.metrics.snapshot();
-        assert!(snap.get("opt.rounds").and_then(obs::MetricValue::as_counter).unwrap_or(0) > 0);
-        assert!(snap.get("opt.commits").is_some());
-        assert!(snap.get("opt.rollbacks").is_some());
-    }
-
-    /// A multi-block ring: compute keeps happening long after any early
-    /// fork point, so post-fork hardware changes are visible.
-    fn blocky_ring(ranks: usize, blocks: usize) -> Vec<Program> {
-        let mut programs = vec![Program::new(); ranks];
-        for (r, prog) in programs.iter_mut().enumerate() {
-            for b in 0..blocks {
-                prog.push(Op::Compute { flops: 2e6, working_set: 1000 });
-                prog.push(Op::Send { to: (r + 1) % ranks, bytes: 512, tag: b as u32 });
-                prog.push(Op::Recv { from: (r + ranks - 1) % ranks, tag: b as u32 });
-            }
-        }
-        programs
-    }
-
-    #[test]
-    fn forked_campaign_identity_variant_matches_uninterrupted_runs() {
-        let base = noisy_machine();
-        let mut faster = base.clone().with_cpu_scaled(1.5);
-        faster.name = "faster".into();
-        let set = ProgramSet::from_programs(&blocky_ring(5, 4));
-        let seeds = [7u64, 8, 9];
-        let variants = [base.clone(), faster.clone()];
-        let forked =
-            campaign_forked(&base, &variants, &set, &seeds, 6, 3, &Obs::disabled()).unwrap();
-        assert_eq!(forked.len(), 2);
-        // The identity variant is bit-identical to from-scratch runs.
-        let standalone = replicate_set(&base, &set, &seeds, 1).unwrap();
-        assert_eq!(forked[0].replications, standalone.replications);
-        // Every variant is bit-identical to its own standalone
-        // pause-and-swap run (no snapshot sharing).
-        for (v, variant) in variants.iter().enumerate() {
-            for (s, &seed) in seeds.iter().enumerate() {
-                let seeded = base.clone().with_seed(seed);
-                let naive = cluster_sim::Engine::from_set(&seeded, set.clone())
-                    .run_paused(6)
-                    .unwrap()
-                    .resume_with(&variant.clone().with_seed(seed))
-                    .unwrap();
-                assert_eq!(
-                    forked[v].replications[s].report, naive,
-                    "variant {v} seed {seed} diverged from naive pause-and-swap"
-                );
-            }
-        }
-        // The faster hardware from the fork point onward actually wins.
-        assert!(forked[1].mean_makespan() < forked[0].mean_makespan());
-    }
-
-    #[test]
-    fn forked_campaign_is_worker_count_invariant() {
-        let base = noisy_machine();
-        let slower = base.clone().with_cpu_scaled(0.8);
-        let set = ProgramSet::from_programs(&ring_programs(4));
-        let seeds = [1u64, 2, 3, 4];
-        let variants = [base.clone(), slower];
-        let serial =
-            campaign_forked(&base, &variants, &set, &seeds, 4, 1, &Obs::disabled()).unwrap();
-        let parallel =
-            campaign_forked(&base, &variants, &set, &seeds, 4, 4, &Obs::disabled()).unwrap();
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.replications, b.replications);
-        }
-    }
-
-    #[test]
-    fn campaign_groups_variants_in_order() {
-        let base = noisy_machine();
-        let mut fast = MachineSpec::ideal(150.0).with_noise(cluster_sim::NoiseModel::commodity());
-        fast.name = "fast".into();
-        let set = ProgramSet::from_programs(&ring_programs(4));
-        let seeds = [7u64, 8, 9];
-        let variants = [base.clone(), fast.clone()];
-        let summaries = campaign(&variants, &set, &seeds, 4).unwrap();
-        assert_eq!(summaries.len(), 2);
-        // Each variant's summary must match a standalone replication.
-        for (variant, summary) in variants.iter().zip(&summaries) {
-            assert_eq!(summary.machine, variant.name);
-            let standalone = replicate_set(variant, &set, &seeds, 1).unwrap();
-            assert_eq!(summary.replications, standalone.replications);
-        }
-        // The faster variant actually wins.
-        assert!(summaries[1].mean_makespan() < summaries[0].mean_makespan());
     }
 }

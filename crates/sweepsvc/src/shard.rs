@@ -1209,6 +1209,18 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_frames_are_a_structured_error() {
+        let mut input = Vec::new();
+        write_frame(&mut input, &"[".repeat(1_000_000)).unwrap();
+        let err =
+            worker_loop(&mut std::io::BufReader::new(&input[..]), &mut Vec::new()).unwrap_err();
+        assert!(err.starts_with("spec frame: nesting deeper than"), "{err}");
+        // The same bound guards the spec document a frame carries.
+        let err = spec_from_json(&"{\"a\": [".repeat(100_000)).unwrap_err();
+        assert!(err.starts_with("shard spec: nesting deeper than"), "{err}");
+    }
+
+    #[test]
     fn worker_loop_evaluates_ranges_in_memory() {
         let spec = small_spec();
         let expected = SweepEngine::with_workers(1).run(&spec).results;

@@ -2,12 +2,12 @@
 //!
 //! * the extracted critical-path length equals the `RunReport` makespan
 //!   to the picosecond — the hard internal gate — across random seeds,
-//!   noise classes, partition counts and all three engine modes;
-//! * the attribution report is byte-identical between the sequential,
-//!   windowed-parallel and optimistic engines on digest-matched runs;
+//!   noise classes, partition counts and both engine modes;
+//! * the attribution report is byte-identical between the sequential and
+//!   windowed-parallel engines on digest-matched runs;
 //! * both hold on every golden fixture (6 / 64 / 512 / 8000 ranks).
 
-use cluster_sim::{Engine, MachineSpec, NoiseModel, OptConfig};
+use cluster_sim::{Engine, MachineSpec, NoiseModel};
 use obs::{attr, Recorder};
 use proptest::prelude::*;
 use sweep3d::trace::{generate_programs, FlopModel};
@@ -41,7 +41,6 @@ fn flop_model() -> FlopModel {
 enum Mode {
     Seq,
     Par(usize),
-    Opt(usize),
 }
 
 /// Run the fixture through one engine mode with tracing, return the
@@ -58,7 +57,6 @@ fn attribute_mode(
     let report = match mode {
         Mode::Seq => eng.run(),
         Mode::Par(threads) => eng.run_parallel(threads),
-        Mode::Opt(parts) => eng.run_optimistic(OptConfig::new(parts)),
     }
     .expect("fixture runs");
     let makespan_ps = report.ranks.iter().map(|r| r.finish.picos()).max().unwrap();
@@ -71,7 +69,7 @@ proptest! {
 
     /// Path length == report makespan, integer-ps exact, for random
     /// seeds × noise classes × array shapes × engine modes — and the
-    /// attribution JSON is byte-identical across the three modes.
+    /// attribution JSON is byte-identical across both modes.
     #[test]
     fn critical_path_equals_makespan_across_modes(
         seed in any::<u64>(),
@@ -91,10 +89,6 @@ proptest! {
         let (mk_par, a_par) = attribute_mode(&machine, px, py, Mode::Par(threads));
         prop_assert_eq!(mk_par, makespan, "parallel engine diverged");
         prop_assert_eq!(a_seq.to_json(), a_par.to_json(), "parallel attribution differs");
-
-        let (mk_opt, a_opt) = attribute_mode(&machine, px, py, Mode::Opt(threads));
-        prop_assert_eq!(mk_opt, makespan, "optimistic engine diverged");
-        prop_assert_eq!(a_seq.to_json(), a_opt.to_json(), "optimistic attribution differs");
     }
 }
 

@@ -1,23 +1,17 @@
-//! Differential fuzzing harness for the optimistic partition scheduler
-//! and snapshot/delta campaigns.
+//! Differential fuzzing harness for snapshot/delta campaigns.
 //!
-//! The optimistic engine (`Engine::run_optimistic`) is allowed to guess,
-//! execute ahead and roll back — but never to change a result: every run
-//! must reproduce the sequential `RunReport` **bit for bit**, including
-//! the pinned golden digests shared with `engine_golden.rs` /
-//! `engine_parallel.rs`. This suite attacks that claim from every axis
-//! the scheduler exposes:
+//! `Engine::run_paused` stops a run after a number of rank activations;
+//! `Paused::snapshot` forks the paused state, and every fork resumes
+//! independently. Forking is allowed to share work, never to change a
+//! result: every resumed run must reproduce the uninterrupted sequential
+//! `RunReport` **bit for bit**, including the pinned golden digests
+//! shared with `engine_golden.rs` / `engine_parallel.rs`. This suite
+//! attacks that claim from two sides:
 //!
-//! * randomized partition counts, speculation budgets and per-channel
-//!   delivery windows over random valid program sets;
-//! * fuzzed per-round partition visit orders (`ExecOrder::Shuffled`),
-//!   both with speculation and for the conservative zero-budget engine
-//!   (`run_parallel_ordered`) — scheduling order must be invisible;
-//! * rollback-forcing fixtures: pipelines whose compute cost changes
-//!   mid-stream establish a verified arrival cadence and then break it,
-//!   so speculation commits for a while and then *must* roll back;
-//! * snapshot campaigns: pausing at a random activation cut, forking the
-//!   state N ways and resuming each fork must equal a from-scratch run.
+//! * golden meshes (6/64/512/8000 ranks) paused mid-run, forked and
+//!   resumed, with and without tracing;
+//! * random valid program sets paused at a random activation cut, forked
+//!   N ways, each fork resumed and compared to a from-scratch run.
 //!
 //! Failures reproduce deterministically (the proptest shim derives each
 //! case's RNG from the test name and case index) and, when
@@ -27,10 +21,7 @@
 //! If a golden digest changes on purpose, re-bless with `BLESS_GOLDEN=1`
 //! (see `engine_golden.rs`) and say so loudly in the PR.
 
-use cluster_sim::{
-    Engine, ExecOrder, MachineSpec, NetworkModel, NoiseModel, Op, OptConfig, Program,
-    ReferenceEngine,
-};
+use cluster_sim::{Engine, MachineSpec, NoiseModel, Op, Program};
 use obs::Recorder;
 use proptest::prelude::*;
 use sweep3d::trace::{generate_program_set, FlopModel};
@@ -67,39 +58,6 @@ const GOLDEN: [(usize, usize, u64); 4] = [
     (16, 32, 0xbbb560b6cfb2758e),  // 512 ranks
     (80, 100, 0x30aee2ab03494c51), // 8000 ranks
 ];
-
-#[test]
-fn optimistic_engine_reproduces_golden_digests() {
-    let machine = fixture_machine();
-    let fm = flop_model();
-    for &(px, py, want) in &GOLDEN {
-        let set = generate_program_set(&fixture_config(px, py), &fm);
-        // Small meshes across several partition counts; the big mesh once
-        // at the bench partitioning (cuts within processor rows).
-        let partitions: &[usize] = if px * py >= 8000 { &[160] } else { &[2, 3, 8] };
-        for &p in partitions {
-            let (report, st) = Engine::from_set(&machine, set.clone())
-                .run_optimistic_stats(OptConfig::new(p))
-                .expect("fixture runs");
-            assert_eq!(
-                report.digest(),
-                want,
-                "{px}x{py} at {p} partitions: optimistic digest diverged from sequential golden"
-            );
-            assert_eq!(st.partitions, p.min(px * py));
-            assert!(st.rounds > 0, "{px}x{py}: optimistic run recorded no rounds");
-        }
-    }
-    // Tracing must be invisible to the optimistic engine too (64-rank
-    // mesh; the larger meshes would record millions of spans).
-    let set = generate_program_set(&fixture_config(8, 8), &fm);
-    let rec = Recorder::enabled();
-    let traced = Engine::from_set(&machine, set)
-        .with_recorder(&rec, 0)
-        .run_optimistic(OptConfig::new(8))
-        .expect("fixture runs");
-    assert_eq!(traced.digest(), GOLDEN[1].2, "tracing changed the optimistic engine");
-}
 
 #[test]
 fn snapshot_forked_campaigns_reproduce_golden_digests() {
@@ -140,61 +98,6 @@ fn snapshot_forked_campaigns_reproduce_golden_digests() {
     }
 }
 
-/// Two-phase halo exchange: bidirectional neighbour traffic whose
-/// compute cost jumps at `cut` blocks in. The first phase establishes a
-/// constant arrival cadence the predictor verifies and speculates on;
-/// the phase change breaks the cadence, so in-flight attempts *must*
-/// mispredict and roll back. The digest still may not move.
-fn two_phase_halo(ranks: usize, blocks: usize, bytes: usize, cut: usize) -> Vec<Program> {
-    let mut programs = Vec::new();
-    for r in 0..ranks {
-        let mut p = Program::new();
-        for b in 0..blocks {
-            let tag = b as u32;
-            let flops = if b >= cut { 5e6 } else { 1e6 };
-            p.push(Op::Compute { flops, working_set: 2048 });
-            if r + 1 < ranks {
-                p.push(Op::Send { to: r + 1, bytes, tag: 2 * tag });
-            }
-            if r > 0 {
-                p.push(Op::Send { to: r - 1, bytes, tag: 2 * tag + 1 });
-            }
-            if r > 0 {
-                p.push(Op::Recv { from: r - 1, tag: 2 * tag });
-            }
-            if r + 1 < ranks {
-                p.push(Op::Recv { from: r + 1, tag: 2 * tag + 1 });
-            }
-        }
-        programs.push(p);
-    }
-    programs
-}
-
-/// A quiet (noise-free) machine with a real link model: arrivals are
-/// perfectly periodic until the program's own structure breaks the
-/// cadence, which is exactly what the rollback fixtures need.
-fn quiet_machine() -> MachineSpec {
-    let mut m = MachineSpec::ideal(100.0);
-    m.network = NetworkModel::from_link(10.0, 250.0, 2.0, 16384.0);
-    m
-}
-
-#[test]
-fn fuzz_fixture_forces_real_rollbacks() {
-    // The rollback-forcing corpus must not be vacuous: on the reference
-    // fixture the optimistic engine really speculates, really commits and
-    // really rolls back — and still matches the sequential digest.
-    let m = quiet_machine();
-    let programs = two_phase_halo(6, 12, 512, 6);
-    let want = Engine::new(&m, programs.clone()).run().unwrap();
-    let (got, st) = Engine::new(&m, programs).run_optimistic_stats(OptConfig::new(3)).unwrap();
-    assert_eq!(got, want, "rollback fixture diverged: {st:?}");
-    assert!(st.speculated > 0, "fixture never speculated: {st:?}");
-    assert!(st.commits > 0, "fixture never committed: {st:?}");
-    assert!(st.rollbacks > 0, "fixture never rolled back: {st:?}");
-}
-
 /// Random, statically-valid, deadlock-free program sets (same generator
 /// as `engine_golden.rs`): messages in one global total order interleaved
 /// with compute, a collective between rounds.
@@ -231,109 +134,7 @@ fn random_programs(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Differential equivalence under full configuration fuzz: random
-    /// valid programs × random partition count × speculation budget ×
-    /// delivery window × visit order, with and without tracing, must
-    /// match the retained reference scheduler bit for bit.
-    #[test]
-    fn optimistic_engine_matches_reference_on_random_programs(
-        n in 2usize..6,
-        msgs in prop::collection::vec((0usize..6, 0usize..6, 0u32..5, 1usize..20_000), 1..40),
-        computes in prop::collection::vec((0usize..6, 0u32..1000, 0u32..100_000), 0..6),
-        collectives in 1usize..3,
-        rendezvous_raw in 0usize..8192,
-        noisy in any::<bool>(),
-        partitions in 1usize..9,
-        budget in 0usize..6,
-        chan_window in 1usize..17,
-        order_seed in any::<u64>(),
-        shuffled in any::<bool>(),
-    ) {
-        let msgs: Vec<_> =
-            msgs.into_iter().map(|(f, t, tag, b)| (f % n, t % n, tag, b)).collect();
-        let programs = random_programs(n, &msgs, &computes, collectives);
-        let mut machine = fixture_machine();
-        machine.rendezvous_bytes = (rendezvous_raw >= 512).then_some(rendezvous_raw);
-        if !noisy {
-            machine.noise = NoiseModel::none();
-        }
-        let order = if shuffled { ExecOrder::Shuffled(order_seed) } else { ExecOrder::RoundRobin };
-        let cfg = OptConfig::new(partitions)
-            .with_budget(budget)
-            .with_chan_window(chan_window)
-            .with_order(order);
-        let want = ReferenceEngine::new(&machine, programs.clone()).run().unwrap();
-        let (got, st) =
-            Engine::new(&machine, programs.clone()).run_optimistic_stats(cfg).unwrap();
-        prop_assert_eq!(&got, &want, "optimistic != reference with {:?} ({:?})", cfg, st);
-        if budget == 0 {
-            prop_assert_eq!(st.speculated, 0, "zero budget still speculated: {:?}", st);
-        }
-        let rec = Recorder::enabled();
-        let traced =
-            Engine::new(&machine, programs).with_recorder(&rec, 0).run_optimistic(cfg).unwrap();
-        prop_assert_eq!(&traced, &want, "tracing changed the optimistic engine ({:?})", cfg);
-    }
-}
-
-proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Rollback-forcing fuzz: randomized two-phase halo geometries make
-    /// the engine speculate on a verified cadence and then break it. No
-    /// combination of phase-change point, partitioning, budget or
-    /// delivery window may leak a misprediction into the result.
-    #[test]
-    fn rollback_forcing_chains_match_sequential(
-        ranks in 2usize..7,
-        blocks in 4usize..16,
-        bytes in 64usize..2048,
-        cut_raw in 1usize..15,
-        partitions in 2usize..7,
-        budget in 1usize..6,
-        chan_window in 1usize..9,
-    ) {
-        let cut = cut_raw.min(blocks - 1);
-        let programs = two_phase_halo(ranks, blocks, bytes, cut);
-        let m = quiet_machine();
-        let want = Engine::new(&m, programs.clone()).run().unwrap();
-        let cfg = OptConfig::new(partitions).with_budget(budget).with_chan_window(chan_window);
-        let (got, st) = Engine::new(&m, programs).run_optimistic_stats(cfg).unwrap();
-        prop_assert_eq!(&got, &want, "cadence-break run diverged with {:?} ({:?})", cfg, st);
-    }
-
-    /// Satellite invariant for the conservative engine: a fuzzed
-    /// per-round partition visit order (zero speculation budget, the
-    /// `run_parallel` scheduling-order surface) must not change digests.
-    #[test]
-    fn conservative_shuffled_order_is_invisible(
-        n in 2usize..6,
-        msgs in prop::collection::vec((0usize..6, 0usize..6, 0u32..5, 1usize..20_000), 1..40),
-        computes in prop::collection::vec((0usize..6, 0u32..1000, 0u32..100_000), 0..6),
-        collectives in 1usize..3,
-        noisy in any::<bool>(),
-        order_seed in any::<u64>(),
-    ) {
-        let msgs: Vec<_> =
-            msgs.into_iter().map(|(f, t, tag, b)| (f % n, t % n, tag, b)).collect();
-        let programs = random_programs(n, &msgs, &computes, collectives);
-        let mut machine = fixture_machine();
-        if !noisy {
-            machine.noise = NoiseModel::none();
-        }
-        let want = Engine::new(&machine, programs.clone()).run().unwrap();
-        for partitions in [2usize, 3, 7] {
-            let got = Engine::new(&machine, programs.clone())
-                .run_parallel_ordered(partitions, order_seed)
-                .unwrap();
-            prop_assert_eq!(
-                &got, &want,
-                "shuffled order changed results (p={}, seed={:#x})", partitions, order_seed
-            );
-        }
-    }
 
     /// Snapshot fuzz: pausing at a random activation cut, forking the
     /// paused state and resuming every fork must equal a from-scratch

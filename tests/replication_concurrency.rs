@@ -9,7 +9,7 @@
 use cluster_sim::{Engine, MachineSpec, Program, ProgramSet};
 use sweep3d::trace::{generate_programs, FlopModel};
 use sweep3d::ProblemConfig;
-use sweepsvc::{campaign_threaded, replicate, replicate_set_threaded};
+use sweepsvc::{replicate_set_attributed, replicate_set_threaded, ReplicationSummary};
 
 const SEEDS: [u64; 6] = [0xA11CE, 3, 1414, 7, 99, 2];
 
@@ -22,6 +22,13 @@ fn workload() -> (MachineSpec, Vec<Program>) {
     let fm = FlopModel::calibrate(&config, 8);
     let programs = generate_programs(&config, &fm);
     (hwbench::machines::pentium3_myrinet_sim(), programs)
+}
+
+/// A campaign with the engine-thread split left to the nested plan.
+fn replicate(machine: &MachineSpec, programs: &[Program], workers: usize) -> ReplicationSummary {
+    let set = ProgramSet::from_programs(programs);
+    replicate_set_threaded(machine, &set, &SEEDS, workers, None, &obs::Obs::disabled())
+        .expect("campaign")
 }
 
 #[test]
@@ -37,8 +44,8 @@ fn concurrent_replications_match_sequential_engine_loop() {
         })
         .collect();
 
-    let serial = replicate(&machine, &programs, &SEEDS, 1).expect("serial campaign");
-    let pooled = replicate(&machine, &programs, &SEEDS, 4).expect("pooled campaign");
+    let serial = replicate(&machine, &programs, 1);
+    let pooled = replicate(&machine, &programs, 4);
 
     assert_eq!(serial.makespans(), by_hand, "1-worker campaign diverged from the plain loop");
     assert_eq!(pooled.makespans(), by_hand, "4-worker campaign diverged from the plain loop");
@@ -51,8 +58,8 @@ fn concurrent_replications_match_sequential_engine_loop() {
 #[test]
 fn campaign_statistics_are_worker_count_invariant() {
     let (machine, programs) = workload();
-    let a = replicate(&machine, &programs, &SEEDS, 1).expect("campaign");
-    let b = replicate(&machine, &programs, &SEEDS, 3).expect("campaign");
+    let a = replicate(&machine, &programs, 1);
+    let b = replicate(&machine, &programs, 3);
     assert_eq!(a.mean_makespan(), b.mean_makespan());
     assert_eq!(a.std_dev_makespan(), b.std_dev_makespan());
     assert_eq!(a.min_makespan(), b.min_makespan());
@@ -82,13 +89,12 @@ fn intra_run_engine_threads_keep_result_order_and_values() {
     let order: Vec<u64> = nested.replications.iter().map(|r| r.seed).collect();
     assert_eq!(order, SEEDS, "replications must come back in input-seed order");
 
-    // Same invariant across a multi-variant campaign: summaries line up
-    // with the variant list regardless of the (workers, threads) split.
-    let variants = [machine.clone(), machine.clone().with_seed(0xD15EA5E)];
-    let flat = campaign_threaded(&variants, &set, &SEEDS, 1, Some(1)).expect("serial campaign");
-    let split = campaign_threaded(&variants, &set, &SEEDS, 4, Some(3)).expect("split campaign");
-    assert_eq!(flat.len(), variants.len());
-    for (a, b) in flat.iter().zip(&split) {
-        assert_eq!(a.replications, b.replications, "campaign rows must be split-invariant");
+    // Same invariant through the attributed entry point: the traced runs
+    // keep input-seed order and every simulated number of the plain ones.
+    let attributed =
+        replicate_set_attributed(&machine, &set, &SEEDS, 4, &obs).expect("attributed campaign");
+    for (a, b) in serial.replications.iter().zip(&attributed.replications) {
+        assert_eq!((a.seed, &a.report), (b.seed, &b.report), "attribution perturbed the campaign");
+        assert!(b.rollup.is_some(), "attributed run carries a rollup");
     }
 }

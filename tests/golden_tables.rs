@@ -15,9 +15,12 @@
 //! benchmarking), so the tight pins are stable across machines. If a
 //! deliberate model change moves them, regenerate with the values these
 //! assertions print on failure.
+//!
+//! The simulated *measured* runtimes are pinned too, bit for bit: the DES
+//! is seeded per row, so every `measured_secs` of Tables 1–3 is exact.
 
 use experiments::validation::{
-    predict_row, predict_row_cached, RowSpec, TABLE1_ROWS, TABLE2_ROWS, TABLE3_ROWS,
+    self, predict_row, predict_row_cached, RowSpec, TABLE1_ROWS, TABLE2_ROWS, TABLE3_ROWS,
 };
 use hwbench::machines as sim_machines;
 use pace_core::HardwareModel;
@@ -80,6 +83,70 @@ const TABLE3_GOLDEN: [f64; 16] = [
     18.1782301558,
     18.8376545538,
     18.5079423548,
+];
+
+/// Exact simulated-measurement seconds (`f64` bit patterns) per row, in
+/// row order, from the tables' own runs (`validation::table1/2/3`, row
+/// `idx` seeded with `idx + 1`). The DES measurement has no tolerance: a
+/// trace-lowering or scheduling change that moves any measured bit is a
+/// behaviour change, not noise. Regenerate only on a deliberate change to
+/// the trace, the engine or the simulated machines.
+const TABLE1_MEASURED_BITS: [u64; 24] = [
+    0x403aa51fe56f60fc,
+    0x403bbb72daa8e471,
+    0x403e0d900a51bc50,
+    0x403d46b4ef05e658,
+    0x403e75858d978aec,
+    0x403dc74723c61c11,
+    0x403fd51bf31bc50a,
+    0x403f4a4a247deef6,
+    0x4040908d72e23315,
+    0x404072243eca3d01,
+    0x404136f0e65d6bb3,
+    0x404139f14989172b,
+    0x404183db8e420712,
+    0x4041fb8a10428174,
+    0x40423dcb54cdd876,
+    0x404275d1af1bba8f,
+    0x404300d8da480518,
+    0x4042c649317c9b69,
+    0x40431e265ec10e84,
+    0x404311986509e031,
+    0x4042ffde4164be61,
+    0x404429496d5e936b,
+    0x4044b09c350c6f2c,
+    0x4043652d05cd7666,
+];
+
+const TABLE2_MEASURED_BITS: [u64; 9] = [
+    0x40222871cd38aab1,
+    0x402271e6d6e0f3a1,
+    0x4023516013d78538,
+    0x4023dc2398959248,
+    0x4023f230c22b0037,
+    0x4024cb0d2d2a7fdb,
+    0x4024dbd0f57b21ef,
+    0x4025c1abecb6736a,
+    0x4025b6531f30f1d7,
+];
+
+const TABLE3_MEASURED_BITS: [u64; 16] = [
+    0x402d86ff3335308c,
+    0x402e54fc566b4f14,
+    0x403021a95920ad24,
+    0x40309aa6a334de78,
+    0x40310057e2c5dd3b,
+    0x4030ff332f538a0f,
+    0x40317fea89c45952,
+    0x4031fc5268403aff,
+    0x4032581463b2012b,
+    0x40326cc122ffd587,
+    0x4032d7b79df5b421,
+    0x403354675a1985e2,
+    0x40337dae357804b3,
+    0x403378e5ff8dea5c,
+    0x403438f0dae93e90,
+    0x4033e9a4b22dbb94,
 ];
 
 fn benchmarked(machine: &cluster_sim::MachineSpec) -> HardwareModel {
@@ -210,5 +277,29 @@ fn cached_predictions_match_golden_pins_exactly() {
         assert_eq!(first, direct, "{}: cached cold pass diverged", t.label);
         assert_eq!(second, direct, "{}: cached warm pass diverged", t.label);
         assert!(engine.cache().hits() > 0, "{}: warm pass must hit the cache", t.label);
+    }
+}
+
+#[test]
+fn every_row_measurement_matches_golden_bits() {
+    let tables = [
+        (validation::table1(), &TABLE1_MEASURED_BITS[..]),
+        (validation::table2(), &TABLE2_MEASURED_BITS[..]),
+        (validation::table3(), &TABLE3_MEASURED_BITS[..]),
+    ];
+    for (table, pins) in tables {
+        assert_eq!(table.rows.len(), pins.len(), "{}", table.label);
+        for (row, &pin) in table.rows.iter().zip(pins) {
+            assert_eq!(
+                row.measured_secs.to_bits(),
+                pin,
+                "{} {}x{}: measured {:.12e} != pinned {:.12e}",
+                table.label,
+                row.spec.px,
+                row.spec.py,
+                row.measured_secs,
+                f64::from_bits(pin)
+            );
+        }
     }
 }

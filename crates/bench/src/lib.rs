@@ -24,7 +24,7 @@ pub mod sweep;
 use std::time::Instant;
 
 use cluster_sim::{Engine, MachineSpec, NoiseModel, ReferenceEngine, RunReport};
-use sweep3d::trace::{generate_program_set, generate_programs, FlopModel};
+use sweep3d::trace::{generate_program_set, FlopModel};
 use sweep3d::ProblemConfig;
 
 /// Fixed calibration constants (the golden-fixture family) so benchmark
@@ -451,8 +451,9 @@ pub fn run_scenario(s: &BenchScenario) -> ScenarioResult {
     });
 
     // "Before": per-rank op vectors, cloned per repetition (deep copies —
-    // exactly what every seed of a pre-optimization campaign paid).
-    let programs = generate_programs(&s.config, &fm);
+    // exactly what every seed of a pre-optimization campaign paid). The
+    // decoded set is element-wise identical to the per-rank trace.
+    let programs = set.materialize_all();
     let hwm = hwm_window_begin();
     let (ref_wall, ref_report) = time_reps(s.reps, || {
         ReferenceEngine::new(&s.machine, programs.clone()).run().expect("scenario runs")

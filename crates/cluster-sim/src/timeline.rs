@@ -8,7 +8,7 @@
 //!
 //! Intervals are consumed directly from the engine's recorded span stream
 //! (one [`obs`] span per activity interval, exact virtual-time bounds):
-//! [`record`] runs the programs once under a recorder and folds the spans
+//! [`record`] runs a program set once under a recorder and folds the spans
 //! into a [`Timeline`]. The pre-telemetry implementation re-ran the
 //! programs and *approximated* interval boundaries by spreading per-rank
 //! aggregates across the op sequence; that duplicate path is gone — the
@@ -19,7 +19,7 @@ use obs::{Cat, Recorder, SpanRecord};
 use crate::engine::Engine;
 use crate::error::SimResult;
 use crate::machine::MachineSpec;
-use crate::program::Program;
+use crate::progset::ProgramSet;
 use crate::stats::RunReport;
 use crate::time::SimTime;
 
@@ -82,9 +82,9 @@ pub struct Timeline {
 
 /// Run a program set once under a recorder and build per-rank timelines
 /// from the engine's exact span stream.
-pub fn record(machine: &MachineSpec, programs: Vec<Program>) -> SimResult<Timeline> {
+pub fn record(machine: &MachineSpec, set: ProgramSet) -> SimResult<Timeline> {
     let rec = Recorder::enabled();
-    let report = Engine::new(machine, programs).with_recorder(&rec, 0).run()?;
+    let report = Engine::from_set(machine, set).with_recorder(&rec, 0).run()?;
     Ok(Timeline::from_spans(&rec.sim_spans(), report))
 }
 
@@ -141,9 +141,9 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::Op;
+    use crate::program::{Op, Program};
 
-    fn pipeline_programs(ranks: usize, blocks: usize) -> Vec<Program> {
+    fn pipeline_programs(ranks: usize, blocks: usize) -> ProgramSet {
         let mut programs = Vec::new();
         for r in 0..ranks {
             let mut p = Program::new();
@@ -159,7 +159,7 @@ mod tests {
             p.push(Op::Barrier);
             programs.push(p);
         }
-        programs
+        ProgramSet::from_programs(&programs)
     }
 
     #[test]

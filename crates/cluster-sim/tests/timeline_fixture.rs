@@ -9,11 +9,11 @@
 use cluster_sim::machine::MachineSpec;
 use cluster_sim::network::NetworkModel;
 use cluster_sim::program::{Op, Program};
-use cluster_sim::timeline;
+use cluster_sim::{timeline, ProgramSet};
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/timeline_6rank.txt");
 
-fn pipeline_programs(ranks: usize, blocks: usize) -> Vec<Program> {
+fn pipeline_programs(ranks: usize, blocks: usize) -> ProgramSet {
     let mut programs = Vec::new();
     for r in 0..ranks {
         let mut p = Program::new();
@@ -29,7 +29,7 @@ fn pipeline_programs(ranks: usize, blocks: usize) -> Vec<Program> {
         p.push(Op::AllReduce { bytes: 8 });
         programs.push(p);
     }
-    programs
+    ProgramSet::from_programs(&programs)
 }
 
 #[test]

@@ -16,7 +16,7 @@
 use cluster_sim::{Engine, MachineSpec, NoiseModel, RunReport};
 use obs::{attr, Attribution, Obs, Recorder};
 use pace_core::{AllreduceParams, StencilParams, Workload, WorkloadKind};
-use sweep3d::trace::{generate_programs, FlopModel};
+use sweep3d::trace::{generate_program_set, FlopModel};
 use sweep3d::ProblemConfig;
 
 /// Track group the traced measurement lands on.
@@ -71,8 +71,8 @@ fn fixture_flops() -> FlopModel {
 /// returned path length equals the report makespan exactly.
 pub fn run_traced(px: usize, py: usize, mode: Mode, rec: &Recorder) -> (RunReport, Attribution) {
     let machine = fixture_machine();
-    let programs = generate_programs(&fixture_config(px, py), &fixture_flops());
-    let eng = Engine::new(&machine, programs).with_recorder(rec, MEASURE_PID);
+    let set = generate_program_set(&fixture_config(px, py), &fixture_flops());
+    let eng = Engine::from_set(&machine, set).with_recorder(rec, MEASURE_PID);
     finish_traced(eng, mode, rec)
 }
 

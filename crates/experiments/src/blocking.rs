@@ -9,7 +9,7 @@
 
 use cluster_sim::{Engine, MachineSpec};
 use pace_core::{Sweep3dModel, Sweep3dParams};
-use sweep3d::trace::{generate_programs, FlopModel};
+use sweep3d::trace::{generate_program_set, FlopModel};
 use sweep3d::ProblemConfig;
 
 /// One blocking observation.
@@ -44,9 +44,9 @@ pub fn sweep(
             if config.validate().is_err() {
                 continue;
             }
-            let programs = generate_programs(&config, &flop_model);
+            let set = generate_program_set(&config, &flop_model);
             let measured =
-                Engine::new(machine, programs).run().expect("blocking trace runs").makespan();
+                Engine::from_set(machine, set).run().expect("blocking trace runs").makespan();
             let mut params = Sweep3dParams::weak_scaling_50cubed(px, py);
             params.nx = config.it / px;
             params.ny = config.jt / py;

@@ -810,15 +810,15 @@ fn run_workload_speculation(
 
 fn run_timeline() {
     use cluster_sim::timeline;
-    use sweep3d::trace::{generate_programs, FlopModel};
+    use sweep3d::trace::{generate_program_set, FlopModel};
     use sweep3d::ProblemConfig;
     let machine = sim_machine("pentium3-myrinet");
     let mut config = ProblemConfig::weak_scaling(12, 1, 6);
     config.iterations = 1;
     config.mk = 4;
     let fm = FlopModel::calibrate(&config, 8);
-    let programs = generate_programs(&config, &fm);
-    let tl = timeline::record(&machine, programs).expect("timeline run");
+    let set = generate_program_set(&config, &fm);
+    let tl = timeline::record(&machine, set).expect("timeline run");
     println!("### Pipeline timeline: 12^3/PE on a 1x6 array, one iteration\n");
     println!("{}", tl.render(100));
     println!(

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use cluster_sim::Engine;
 use obs::{Cat, Obs};
 use registry::sim as sim_machines;
-use sweep3d::trace::{generate_programs, FlopModel};
+use sweep3d::trace::{generate_program_set, FlopModel};
 
 use crate::validation::{self, RowSpec};
 
@@ -103,9 +103,9 @@ pub fn run_representative(obs: &Obs) -> ObsReport {
     // all`) that traced runs on the same pid; only this run's spans count.
     let before = rec.sim_totals();
     let t0 = Instant::now();
-    let programs = generate_programs(&config, &flop_model);
+    let set = generate_program_set(&config, &flop_model);
     let seeded = machine.clone().with_seed(machine.seed ^ 1);
-    let report = Engine::new(&seeded, programs)
+    let report = Engine::from_set(&seeded, set)
         .with_recorder(rec, MEASURE_PID)
         .run()
         .expect("trace executes without deadlock");

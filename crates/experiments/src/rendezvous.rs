@@ -17,7 +17,7 @@
 
 use cluster_sim::{Engine, MachineSpec};
 use hwbench::stats::ols;
-use sweep3d::trace::{generate_programs, FlopModel};
+use sweep3d::trace::{generate_program_set, FlopModel};
 use sweep3d::ProblemConfig;
 
 /// Result of the protocol comparison on one machine.
@@ -55,11 +55,11 @@ pub fn run(
     let mut points = Vec::with_capacity(arrays.len());
     for &(px, py) in arrays {
         let config = ProblemConfig::weak_scaling(cells_per_pe, px, py);
-        let programs = generate_programs(&config, &fm);
+        let set = generate_program_set(&config, &fm);
         let stages = (3 * (px - 1) + 2 * (py - 1)) as f64;
-        let eager = Engine::new(machine, programs.clone()).run().expect("eager run").makespan();
+        let eager = Engine::from_set(machine, set.clone()).run().expect("eager run").makespan();
         let rendezvous =
-            Engine::new(&rendezvous_machine, programs).run().expect("rendezvous run").makespan();
+            Engine::from_set(&rendezvous_machine, set).run().expect("rendezvous run").makespan();
         points.push((stages, eager, rendezvous));
     }
     let eager_fit = ols(&points.iter().map(|p| (p.0, p.1)).collect::<Vec<_>>());

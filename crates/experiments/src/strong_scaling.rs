@@ -11,7 +11,7 @@
 
 use cluster_sim::{Engine, MachineSpec};
 use pace_core::Sweep3dParams;
-use sweep3d::trace::{generate_programs, FlopModel};
+use sweep3d::trace::{generate_program_set, FlopModel};
 use sweep3d::ProblemConfig;
 
 /// One strong-scaling observation.
@@ -63,8 +63,8 @@ pub fn run(
     let run = sweepsvc::run_ordered(arrays.to_vec(), sweepsvc::available_workers(), |&(px, py)| {
         let config = config_for(it, jt, kt, px, py);
         config.validate().expect("strong-scaling config");
-        let programs = generate_programs(&config, &fm);
-        let measured = Engine::new(machine, programs).run().expect("runs").makespan();
+        let set = generate_program_set(&config, &fm);
+        let measured = Engine::from_set(machine, set).run().expect("runs").makespan();
         let mut params = Sweep3dParams::weak_scaling_50cubed(px, py);
         params.nx = it / px;
         params.ny = jt / py;

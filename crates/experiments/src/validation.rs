@@ -17,7 +17,7 @@
 use cluster_sim::{Engine, MachineSpec};
 use pace_core::{HardwareModel, Sweep3dModel, Sweep3dParams};
 use registry::sim as sim_machines;
-use sweep3d::trace::{generate_programs, FlopModel};
+use sweep3d::trace::{generate_program_set, FlopModel};
 use sweep3d::ProblemConfig;
 
 use crate::error_pct;
@@ -193,10 +193,9 @@ pub fn measure_row_observed(
     recorder: &obs::Recorder,
     pid: u32,
 ) -> f64 {
-    let config = row_config(spec);
-    let programs = generate_programs(&config, flop_model);
+    let set = generate_program_set(&row_config(spec), flop_model);
     let machine = machine.clone().with_seed(machine.seed ^ row_seed);
-    Engine::new(&machine, programs)
+    Engine::from_set(&machine, set)
         .with_recorder(recorder, pid)
         .run()
         .expect("trace executes without deadlock")
@@ -222,8 +221,9 @@ pub fn predict_row_cached(
 }
 
 /// Run a full validation table. Rows are independent — each carries its
-/// own derived seed — so they are fanned out over the worker pool; the
-/// returned table is in row order and identical for any worker count.
+/// own derived seed — so they are fanned out over the worker pool, largest
+/// processor array first; the returned table is in row order and
+/// identical for any worker count or dispatch order.
 pub fn run_table(label: &str, rows: &[RowSpec], machine: &MachineSpec) -> ValidationTable {
     run_table_observed(label, rows, machine, &obs::Obs::disabled())
 }
@@ -256,19 +256,26 @@ pub fn run_table_observed_at(
     obs: &obs::Obs,
     pid_base: u32,
 ) -> ValidationTable {
-    // Kernel calibration: one instrumented serial proxy run (the paper's
-    // PAPI profiling step), shared by every row of the table.
+    // Kernel calibration (one instrumented serial proxy run, the paper's
+    // PAPI profiling step) and hardware benchmarking (profile at 1×1 /
+    // 1×2, fit the Eq. 3 curves) are independent; run them side by side.
     let reference = row_config(&rows[0]);
-    let flop_model = FlopModel::calibrate(&reference, 10);
-    // Hardware benchmarking: the paper profiles at 1×1 / 1×2 and fits the
-    // Eq. 3 curves from microbenchmarks.
-    let hw = hwbench::benchmark_machine(machine, &[50], 1);
+    let (flop_model, hw) = std::thread::scope(|s| {
+        let flop_model = s.spawn(|| FlopModel::calibrate(&reference, 10));
+        let hw = hwbench::benchmark_machine(machine, &[50], 1);
+        (flop_model.join().expect("kernel calibration panicked"), hw)
+    });
     let calibrated_mflops = hw.achieved_mflops(125_000);
 
     let recorder = &*obs.recorder;
     let engine = sweepsvc::CachedEngine::new();
-    let indexed: Vec<(usize, RowSpec)> = rows.iter().copied().enumerate().collect();
-    let rows = sweepsvc::run_ordered(indexed, sweepsvc::available_workers(), |&(idx, spec)| {
+    // Longest row first: the largest arrays dominate the pool's tail, so
+    // starting them first keeps every worker busy to the end. Each row
+    // keeps its own index (pid, noise seed) and results return in row
+    // order, so the table is identical to an in-order run.
+    let mut indexed: Vec<(usize, RowSpec)> = rows.iter().copied().enumerate().collect();
+    indexed.sort_by_key(|&(idx, spec)| (std::cmp::Reverse(spec.pes()), idx));
+    let mut rows = sweepsvc::run_ordered(indexed, sweepsvc::available_workers(), |&(idx, spec)| {
         let pid = pid_base + idx as u32;
         if recorder.is_enabled() {
             recorder.set_process_name(
@@ -279,14 +286,19 @@ pub fn run_table_observed_at(
         let measured =
             measure_row_observed(&spec, machine, &flop_model, idx as u64 + 1, recorder, pid);
         let predicted = predict_row_cached(&spec, &hw, &engine);
-        ValidationRow {
-            spec,
-            measured_secs: measured,
-            predicted_secs: predicted,
-            error_pct: error_pct(measured, predicted),
-        }
+        (
+            idx,
+            ValidationRow {
+                spec,
+                measured_secs: measured,
+                predicted_secs: predicted,
+                error_pct: error_pct(measured, predicted),
+            },
+        )
     })
     .results;
+    rows.sort_unstable_by_key(|&(idx, _)| idx);
+    let rows: Vec<ValidationRow> = rows.into_iter().map(|(_, row)| row).collect();
     let stats = engine.cache().stats();
     obs.metrics.counter_add("validation.rows", rows.len() as u64);
     obs.metrics.counter_add("wall.validation.cache.hits", stats.hits);

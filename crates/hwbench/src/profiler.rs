@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use cluster_sim::{Engine, MachineSpec};
 use sweep3d::serial::SerialSolver;
-use sweep3d::trace::{generate_programs, FlopModel};
+use sweep3d::trace::{generate_program_set, FlopModel};
 use sweep3d::ProblemConfig;
 
 /// One achieved-rate observation.
@@ -51,9 +51,9 @@ pub fn virtual_profile(
     config.jt = per_pe_config.jt * profile_pes;
     config.validate().expect("profiling config");
     let flop_model = FlopModel::calibrate(&config, CALIBRATION_PROXY_CELLS);
-    let programs = generate_programs(&config, &flop_model);
-    let rank_flops = programs[0].total_flops();
-    let report = Engine::new(spec, programs).run().expect("profiling run");
+    let set = generate_program_set(&config, &flop_model);
+    let rank_flops = set.materialize(0).total_flops();
+    let report = Engine::from_set(spec, set).run().expect("profiling run");
     let elapsed = report.makespan();
     let cells = config.it * (config.jt / profile_pes) * config.kt;
     ProfilePoint {

@@ -1,5 +1,5 @@
 //! Trace generation: SWEEP3D's communication/computation schedule as
-//! per-rank [`cluster_sim`] op programs.
+//! [`cluster_sim`] op programs.
 //!
 //! The trace has *exactly* the structure of [`crate::parallel`] — the same
 //! octant order, the same per-unit receive/compute/send sequence, the same
@@ -9,6 +9,15 @@
 //! the real kernel (see [`FlopModel::calibrate`]). Running the trace on a
 //! [`cluster_sim::MachineSpec`] yields the "Measurement" columns of the
 //! paper's validation tables on machines we do not physically have.
+//!
+//! Two functions produce the same trace:
+//!
+//! * [`generate_program_set`] is how every DES caller builds its trace
+//!   (validation tables, profiling, studies, campaigns): one interned op
+//!   stream per mesh role, run with [`cluster_sim::Engine::from_set`];
+//! * [`generate_programs`] is the per-rank reference — one `Vec<Op>` per
+//!   rank — that tests decode the shared set against and that the
+//!   benchmark's traced rebuild uses.
 
 use std::collections::HashMap;
 
@@ -154,6 +163,12 @@ fn trace_angle_blocks(config: &ProblemConfig) -> Vec<(usize, usize)> {
 }
 
 /// Generate the per-rank programs for a full run of the configured problem.
+///
+/// This is the per-rank reference form of the trace, used by tests (the
+/// decode-equality checks against [`generate_program_set`]) and by the
+/// benchmark's traced rebuild. Simulation callers build the shared form
+/// with [`generate_program_set`] instead: it stores each role's stream
+/// once rather than one copy per rank.
 pub fn generate_programs(config: &ProblemConfig, flops: &FlopModel) -> Vec<Program> {
     config.validate().expect("valid config");
     let topo = Cart2d::new(config.npe_i, config.npe_j);

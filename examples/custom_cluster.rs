@@ -13,7 +13,7 @@
 use cluster_sim::Engine;
 use experiments::hmcl;
 use pace_core::{Sweep3dModel, Sweep3dParams};
-use sweep3d::trace::{generate_programs, FlopModel};
+use sweep3d::trace::{generate_program_set, FlopModel};
 use sweep3d::ProblemConfig;
 
 fn main() {
@@ -51,8 +51,8 @@ fn main() {
     // Spot-check the forecast against a full simulation at 8x8.
     let config = ProblemConfig::weak_scaling(50, 8, 8);
     let fm = FlopModel::calibrate(&config, 10);
-    let programs = generate_programs(&config, &fm);
-    let measured = Engine::new(&candidate, programs).run().expect("runs").makespan();
+    let set = generate_program_set(&config, &fm);
+    let measured = Engine::from_set(&candidate, set).run().expect("runs").makespan();
     let predicted =
         Sweep3dModel::new(Sweep3dParams::weak_scaling_50cubed(8, 8)).predict(&hw).total_secs;
     let err = (measured - predicted) / measured * 100.0;

@@ -9,7 +9,7 @@
 use cluster_sim::Engine;
 use hwbench::machines::opteron_gige_sim;
 use pace_core::{Sweep3dModel, Sweep3dParams};
-use sweep3d::trace::{generate_programs, FlopModel};
+use sweep3d::trace::{generate_program_set, FlopModel};
 use sweep3d::ProblemConfig;
 
 fn main() {
@@ -46,8 +46,8 @@ fn main() {
     // Step 3 — "measurement": execute the application's communication/
     // computation schedule on the simulated machine.
     let flop_model = FlopModel::calibrate(&config, 10);
-    let programs = generate_programs(&config, &flop_model);
-    let report = Engine::new(&machine, programs).run().expect("simulation runs");
+    let set = generate_program_set(&config, &flop_model);
+    let report = Engine::from_set(&machine, set).run().expect("simulation runs");
     let measured = report.makespan();
     println!("\nsimulated measurement    : {measured:.2} s");
 

@@ -81,3 +81,27 @@ fn prediction_is_deterministic_and_measurement_seeded() {
     // But runs stay within the noise envelope.
     assert!((a - c).abs() / a < 0.08);
 }
+
+#[test]
+fn run_table_returns_rows_in_input_order() {
+    // The pool starts the largest arrays first; the table must still come
+    // back in input order, each row equal to its own one-by-one
+    // measurement (seed = index + 1) and prediction. These rows are in
+    // ascending PE order, the reverse of the dispatch order.
+    let rows = &validation::TABLE1_ROWS[4..8];
+    assert!(rows.windows(2).all(|w| w[0].pes() < w[1].pes()));
+    let machine = sim_machines::pentium3_myrinet_sim();
+    let table = validation::run_table("Table 1", rows, &machine);
+
+    let fm = FlopModel::calibrate(&validation::row_config(&rows[0]), 10);
+    let hw = hwbench::benchmark_machine(&machine, &[50], 1);
+    assert_eq!(table.rows.len(), rows.len());
+    for (idx, (row, spec)) in table.rows.iter().zip(rows).enumerate() {
+        assert_eq!(row.spec, *spec, "row {idx} out of order");
+        let measured = validation::measure_row(spec, &machine, &fm, idx as u64 + 1);
+        let predicted = validation::predict_row(spec, &hw);
+        assert_eq!(row.measured_secs.to_bits(), measured.to_bits(), "row {idx} measured");
+        assert_eq!(row.predicted_secs.to_bits(), predicted.to_bits(), "row {idx} predicted");
+        assert_eq!(row.error_pct, experiments::error_pct(measured, predicted), "row {idx} error");
+    }
+}

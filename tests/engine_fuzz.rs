@@ -21,7 +21,8 @@
 //! If a golden digest changes on purpose, re-bless with `BLESS_GOLDEN=1`
 //! (see `engine_golden.rs`) and say so loudly in the PR.
 
-use cluster_sim::{Engine, MachineSpec, NoiseModel, Op, Program};
+use cluster_sim::cpu::RatePoint;
+use cluster_sim::{CpuModel, Engine, MachineSpec, NetworkModel, NoiseModel, Op, Program, SimError};
 use obs::Recorder;
 use proptest::prelude::*;
 use sweep3d::trace::{generate_program_set, FlopModel};
@@ -95,6 +96,69 @@ fn snapshot_forked_campaigns_reproduce_golden_digests() {
                 .expect("traced resume");
             assert_eq!(traced.digest(), want, "{px}x{py}: tracing changed the paused resume");
         }
+    }
+}
+
+/// The fixture machine with its interconnect, rendezvous threshold and
+/// CPU rate curve all replaced; noise model and seed are kept, so a run
+/// paused on the fixture may resume here. The threshold sits below the
+/// fixture's 192-byte messages: every send after the cut is a rendezvous
+/// handshake priced by this machine's network.
+fn replacement_machine() -> MachineSpec {
+    let mut m = fixture_machine();
+    m.network = NetworkModel::from_link(30.0, 100.0, 8.0, 16384.0);
+    m.rendezvous_bytes = Some(128);
+    const KB: f64 = 1024.0;
+    m.cpu = CpuModel::with_curve(
+        "replacement",
+        vec![
+            RatePoint { bytes: 32.0 * KB, mflops: 95.0 },
+            RatePoint { bytes: 512.0 * KB, mflops: 71.0 },
+            RatePoint { bytes: 16.0 * 1024.0 * KB, mflops: 52.0 },
+        ],
+        0.05,
+    );
+    m
+}
+
+/// Cross-machine fork digests: paused on the fixture machine after about
+/// half the run's activations, resumed on [`replacement_machine`].
+const CROSS_MACHINE_GOLDEN: [(usize, usize, u64); 2] = [
+    (8, 8, 0x6ed1ddda955772d3),    // 64 ranks
+    (80, 100, 0xc7814205b18fb883), // 8000 ranks
+];
+
+#[test]
+fn cross_machine_forks_reproduce_golden_digests() {
+    // A fork that swaps network, rendezvous threshold and CPU curve at the
+    // cut must price every op after the cut on the replacement machine —
+    // sends parked by the new threshold included — and keep every message
+    // already in flight as the original machine sent it.
+    let a = fixture_machine();
+    let b = replacement_machine();
+    let fm = flop_model();
+    for &(px, py, want) in &CROSS_MACHINE_GOLDEN {
+        let set = generate_program_set(&fixture_config(px, py), &fm);
+        let total = Engine::from_set(&a, set.clone()).run_paused(u64::MAX).unwrap().activations();
+        let paused = Engine::from_set(&a, set.clone()).run_paused(total / 2).unwrap();
+        assert!(!paused.is_complete(), "{px}x{py}: the cut must fall mid-run");
+        // Traffic is in flight at the cut: the noise-class probe names a
+        // busy channel.
+        let silent = a.clone().with_noise(NoiseModel::none());
+        match paused.compatible_with(&silent) {
+            Err(SimError::SnapshotIncompatible { channel: Some(_), .. }) => {}
+            other => panic!("{px}x{py}: expected a busy channel at the cut, got {other:?}"),
+        }
+        let got = paused.snapshot().resume_with(&b).unwrap().digest();
+        assert_eq!(got, want, "{px}x{py}: cross-machine fork digest {got:#018x}");
+        // The cut matters: neither machine alone gives this report.
+        let only_a = Engine::from_set(&a, set.clone()).run().unwrap().digest();
+        let only_b = Engine::from_set(&b, set).run().unwrap().digest();
+        assert_ne!(got, only_a, "{px}x{py}: replacement machine had no effect");
+        assert_ne!(got, only_b, "{px}x{py}: prefix on the fixture machine had no effect");
+        // Resuming on the original machine still reproduces the golden.
+        let golden = GOLDEN.iter().find(|g| (g.0, g.1) == (px, py)).unwrap().2;
+        assert_eq!(paused.resume().unwrap().digest(), golden, "{px}x{py}: same-machine resume");
     }
 }
 

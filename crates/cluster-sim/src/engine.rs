@@ -26,6 +26,30 @@
 //!   retained one empty queue per tag forever). Matching scans the edge
 //!   queue for the first tag match, which preserves the per-`(src, dst,
 //!   tag)` FIFO order bit-exactly.
+//! * The channel index is flat: receiver-allocated ids are contiguous per
+//!   rank, so a receive reads `chan_base[r] + slot` and a send reads
+//!   `send_chan[chan_base[r] + slot]` — two arrays for the whole run
+//!   instead of two small heap tables per rank.
+//! * Each distinct op is priced once per run. Before the first activation
+//!   the machine is lowered to a `CostTable`: ops with equal model inputs
+//!   (a compute block's flops and working set, a send's size) share a
+//!   price class holding the compute block's noise-free time or the
+//!   send's sender overhead, serialisation, wire and receiver-overhead
+//!   times, and every stored op of every distinct stream names its class.
+//!   An 8000-rank speculation run executes 12.7 M ops over about 10.6 k
+//!   stored ones, so the hot loop reads a price where it used to call the
+//!   CPU and network models. Messages and parked rendezvous sends carry
+//!   the sending op's class, so the receiver side prices the transfer
+//!   from the same entry. At 4 bytes per stored op the table stays well
+//!   below the size of the streams it prices.
+//! * The table changes no bit. Its prices are the very `SimTime`s the
+//!   model calls return, and the noise is still drawn per executed op in
+//!   program order and applied on top with the same f64 expression
+//!   (`SimTime::from_secs(base.as_secs() * factor)`). The table is built
+//!   from the machine in force: [`Paused::resume_with`] rebuilds it from
+//!   the replacement machine, so a fork prices every op after the cut —
+//!   a parked rendezvous send included — on the new hardware. The
+//!   collective tree cost is still computed per collective.
 //! * Hot per-rank state (clock, pc, status) lives in parallel arrays so
 //!   the scheduler loop stays cache-resident at 8000+ ranks.
 //!
@@ -40,7 +64,7 @@
 //! [`RankStats`] exactly. Recording never touches the noise streams or
 //! clocks: results are bit-identical with tracing on or off.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use obs::{Cat, EdgeKind, EdgeRecord, Recorder};
 
@@ -73,6 +97,9 @@ pub(crate) enum St {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Msg {
     pub(crate) tag: u32,
+    /// The sending op's [`CostTable`] price class (prices the receive
+    /// overhead).
+    pub(crate) cost: u32,
     pub(crate) bytes: usize,
     pub(crate) arrival: SimTime,
 }
@@ -81,6 +108,9 @@ pub(crate) struct Msg {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Pend {
     pub(crate) tag: u32,
+    /// The sending op's [`CostTable`] price class (prices the transfer
+    /// once the handshake completes).
+    pub(crate) cost: u32,
     pub(crate) bytes: usize,
     /// Time the sender became ready to transfer (after the send-call
     /// overhead).
@@ -155,55 +185,146 @@ pub struct MemProbe {
     pub pending_capacity: usize,
 }
 
-/// Dense channel tables: a channel id per directed partner edge.
+/// Dense channel index: a channel id per directed partner edge, in two
+/// flat arrays.
 ///
-/// Channel ids are allocated receiver-side — `recv_chan[r][s]` is the
-/// queue for messages from `partners(r)[s]` to `r` — and the sender side
-/// resolves to the same id (`send_chan[r][s]` is where `r`'s sends to
-/// `partners(r)[s]` land). A send whose destination does not list the
-/// sender as a partner (only possible for statically-invalid programs run
-/// with validation off) gets a dangling channel nothing reads.
+/// Channel ids are allocated receiver-side and are contiguous per rank:
+/// `chan_base[r] + s` is the queue for messages from `partners(r)[s]` to
+/// `r`. The sender side is indexed the same way: `r`'s sends to
+/// `partners(r)[s]` land on `send_chan[chan_base[r] + s]`. A send whose
+/// destination does not list the sender as a partner (only possible for
+/// statically-invalid programs run with validation off) gets a dangling
+/// channel nothing reads.
 pub(crate) struct Channels {
-    pub(crate) send_chan: Vec<Vec<u32>>,
-    pub(crate) recv_chan: Vec<Vec<u32>>,
+    /// First receive channel of each rank, plus the receiver-allocated
+    /// total as a final entry (`n + 1` entries).
+    pub(crate) chan_base: Vec<u32>,
+    pub(crate) send_chan: Vec<u32>,
     pub(crate) count: usize,
+}
+
+impl Channels {
     /// First dangling channel id (== the receiver-allocated count). Ids
     /// at or above this are write-only; causality edges are never
     /// recorded for them.
-    pub(crate) dangling_base: u32,
+    pub(crate) fn dangling_base(&self) -> u32 {
+        self.chan_base[self.chan_base.len() - 1]
+    }
 }
 
 pub(crate) fn build_channels(set: &ProgramSet) -> Channels {
     let n = set.num_ranks();
+    let mut chan_base = Vec::with_capacity(n + 1);
     let mut next = 0u32;
-    let mut recv_chan: Vec<Vec<u32>> = Vec::with_capacity(n);
     for r in 0..n {
-        let k = set.partners(r).len();
-        recv_chan.push((next..next + k as u32).collect());
-        next += k as u32;
+        chan_base.push(next);
+        next += set.partners(r).len() as u32;
     }
-    let dangling_base = next;
-    let mut send_chan: Vec<Vec<u32>> = Vec::with_capacity(n);
+    chan_base.push(next);
+    let mut send_chan = Vec::with_capacity(next as usize);
     for r in 0..n {
-        let chans = set
-            .partners(r)
-            .iter()
-            .map(|&p| {
-                let to = p as usize;
-                let resolved = (to < n)
-                    .then(|| set.partners(to).iter().position(|&x| x as usize == r))
-                    .flatten()
-                    .map(|t| recv_chan[to][t]);
-                resolved.unwrap_or_else(|| {
-                    let c = next;
-                    next += 1;
-                    c
-                })
-            })
-            .collect();
-        send_chan.push(chans);
+        for &p in set.partners(r) {
+            let to = p as usize;
+            let resolved = (to < n)
+                .then(|| set.partners(to).iter().position(|&x| x as usize == r))
+                .flatten()
+                .map(|t| chan_base[to] + t as u32);
+            send_chan.push(resolved.unwrap_or_else(|| {
+                let c = next;
+                next += 1;
+                c
+            }));
+        }
     }
-    Channels { send_chan, recv_chan, count: next as usize, dangling_base }
+    Channels { chan_base, send_chan, count: next as usize }
+}
+
+/// The machine's price of an op, computed once per run. Only the fields
+/// an op kind reads are set; the rest stay zero.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct OpCost {
+    /// CPU time of the executing rank: a compute block's noise-free
+    /// duration, or a send call's overhead.
+    pub(crate) cpu: SimTime,
+    /// Send: span the sender's NIC is busy.
+    pub(crate) serialization: SimTime,
+    /// Send: one-way wire time.
+    pub(crate) wire: SimTime,
+    /// Send: the receiver's call overhead once the message is available.
+    pub(crate) recv_overhead: SimTime,
+}
+
+/// Per-run op-cost table of a [`ProgramSet`] on one machine. Ops with
+/// equal model inputs — a compute block's `(flops, working_set)`, a
+/// send's `bytes` — share one *price class*; each stored op of every
+/// distinct stream names its class. So the table costs 4 bytes per
+/// stored op plus one [`OpCost`] per class, which keeps it far smaller
+/// than the streams it prices. The prices hold exactly the `SimTime`s the
+/// models return, so reading one instead of calling the model changes no
+/// bit; noise is applied per executed op, on top.
+pub(crate) struct CostTable {
+    /// Start of each stream's run in `class_of`, plus the total as a
+    /// final entry.
+    stream_base: Vec<u32>,
+    /// Price class of every stored op, stream after stream.
+    class_of: Vec<u32>,
+    /// Price of each class. Receives and collectives share one empty
+    /// class: their costs depend on the sender's op or on every rank.
+    pub(crate) prices: Vec<OpCost>,
+}
+
+impl CostTable {
+    pub(crate) fn new(machine: &MachineSpec, set: &ProgramSet) -> Self {
+        let sharers = machine.sharers(set.num_ranks());
+        let net = &machine.network;
+        let price = |op: &SharedOp| match *op {
+            SharedOp::Compute { flops, working_set } => OpCost {
+                cpu: machine.cpu.compute_time(flops, working_set, sharers),
+                ..OpCost::default()
+            },
+            SharedOp::Send { bytes, .. } => OpCost {
+                cpu: net.sender_overhead(bytes),
+                serialization: net.serialization_time(bytes),
+                wire: net.wire_time(bytes),
+                recv_overhead: net.receiver_overhead(bytes),
+            },
+            SharedOp::Recv { .. } | SharedOp::AllReduce { .. } | SharedOp::Barrier => {
+                OpCost::default()
+            }
+        };
+        let mut classes: HashMap<(u8, u64, u64), u32> = HashMap::new();
+        let mut prices = Vec::new();
+        let mut stream_base = Vec::with_capacity(set.num_streams() + 1);
+        let mut class_of = Vec::with_capacity(set.stored_ops());
+        for ops in set.streams() {
+            stream_base.push(class_of.len() as u32);
+            for op in ops {
+                let key = match *op {
+                    SharedOp::Compute { flops, working_set } => {
+                        (0u8, flops.to_bits(), working_set as u64)
+                    }
+                    SharedOp::Send { bytes, .. } => (1, bytes as u64, 0),
+                    SharedOp::Recv { .. } | SharedOp::AllReduce { .. } | SharedOp::Barrier => {
+                        (2, 0, 0)
+                    }
+                };
+                let class = *classes.entry(key).or_insert_with(|| {
+                    prices.push(price(op));
+                    u32::try_from(prices.len() - 1).expect("price classes fit in u32")
+                });
+                class_of.push(class);
+            }
+        }
+        stream_base.push(u32::try_from(class_of.len()).expect("stored ops fit in u32"));
+        CostTable { stream_base, class_of, prices }
+    }
+
+    /// Price class of each op of rank `r`'s stream, indexed by pc.
+    #[inline]
+    pub(crate) fn classes(&self, set: &ProgramSet, r: usize) -> &[u32] {
+        let s = set.stream_index(r);
+        &self.class_of[self.stream_base[s] as usize..self.stream_base[s + 1] as usize]
+    }
 }
 
 /// The simulation engine. Construct with [`Engine::new`] (legacy per-rank
@@ -271,7 +392,7 @@ impl<'m> Engine<'m> {
         if n == 0 {
             return Ok((RunReport { ranks: vec![] }, MemProbe::default()));
         }
-        let ctx = RunCtx::new(self.machine, self.recorder, self.trace_pid, n);
+        let ctx = RunCtx::new(self.machine, &self.set, self.recorder, self.trace_pid);
         let channels = build_channels(&self.set);
         let mut state = SeqState::new(self.machine, n, channels.count);
         state.advance(&self.set, &channels, &ctx, None);
@@ -291,7 +412,7 @@ impl<'m> Engine<'m> {
             self.set.validate().map_err(|detail| SimError::InvalidPrograms { detail })?;
         }
         let n = self.set.num_ranks();
-        let ctx = RunCtx::new(self.machine, self.recorder, self.trace_pid, n);
+        let ctx = RunCtx::new(self.machine, &self.set, self.recorder, self.trace_pid);
         let channels = build_channels(&self.set);
         let mut state = SeqState::new(self.machine, n, channels.count);
         state.advance(&self.set, &channels, &ctx, Some(pause_after));
@@ -305,12 +426,12 @@ impl<'m> Engine<'m> {
     }
 }
 
-/// Machine-derived per-run parameters. Recomputed from the replacement
-/// machine when a paused run resumes, so a fork models "the hardware
-/// changes at the pause point".
+/// Machine-derived per-run parameters, the op-cost table among them.
+/// Recomputed from the replacement machine when a paused run resumes, so
+/// a fork models "the hardware changes at the pause point".
 struct RunCtx<'a> {
     machine: &'a MachineSpec,
-    sharers: usize,
+    costs: CostTable,
     /// Per-run background-load level (same for every rank in this run).
     run_factor: f64,
     eager_limit: usize,
@@ -322,16 +443,21 @@ struct RunCtx<'a> {
 }
 
 impl<'a> RunCtx<'a> {
-    fn new(machine: &'a MachineSpec, recorder: Option<&'a Recorder>, pid: u32, n: usize) -> Self {
+    fn new(
+        machine: &'a MachineSpec,
+        set: &ProgramSet,
+        recorder: Option<&'a Recorder>,
+        pid: u32,
+    ) -> Self {
         let rec = recorder.filter(|r| r.is_enabled());
         if let Some(rec) = rec {
-            for r in 0..n {
+            for r in 0..set.num_ranks() {
                 rec.set_thread_name(pid, r as u32, format!("rank {r}"));
             }
         }
         RunCtx {
             machine,
-            sharers: machine.sharers(n),
+            costs: CostTable::new(machine, set),
             run_factor: machine.noise.run_factor(machine.seed),
             eager_limit: machine.rendezvous_bytes.unwrap_or(usize::MAX),
             rec,
@@ -405,7 +531,7 @@ impl SeqState {
     ) {
         let n = set.num_ranks();
         let machine = ctx.machine;
-        let sharers = ctx.sharers;
+        let prices = &ctx.costs.prices;
         let run_factor = ctx.run_factor;
         let eager_limit = ctx.eager_limit;
         let rec = ctx.rec;
@@ -437,6 +563,8 @@ impl SeqState {
             debug_assert_eq!(status[r], St::Ready);
             let ops = set.ops(r);
             let partners = set.partners(r);
+            let classes = ctx.costs.classes(set, r);
+            let chan0 = channels.chan_base[r] as usize;
             loop {
                 let at = pc[r] as usize;
                 if at >= ops.len() {
@@ -454,8 +582,8 @@ impl SeqState {
                     break;
                 }
                 match ops[at] {
-                    SharedOp::Compute { flops, working_set } => {
-                        let base = machine.cpu.compute_time(flops, working_set, sharers);
+                    SharedOp::Compute { .. } => {
+                        let base = prices[classes[at] as usize].cpu;
                         let factor = noise.compute_factor(r) * run_factor;
                         let dur = SimTime::from_secs(base.as_secs() * factor);
                         if let Some(rec) = rec {
@@ -475,7 +603,9 @@ impl SeqState {
                     }
                     SharedOp::Send { slot, bytes, tag } => {
                         let to = partners[slot as usize] as usize;
-                        let overhead = machine.network.sender_overhead(bytes);
+                        let class = classes[at];
+                        let cost = prices[class as usize];
+                        let overhead = cost.cpu;
                         if let Some(rec) = rec {
                             rec.sim_span(
                                 pid,
@@ -494,13 +624,19 @@ impl SeqState {
                         clock[r] += overhead;
                         stats[r].send_overhead += overhead;
                         let jitter = SimTime::from_secs(noise.message_jitter_secs(r));
-                        let chan = channels.send_chan[r][slot as usize] as usize;
+                        let chan = channels.send_chan[chan0 + slot as usize] as usize;
                         if bytes >= eager_limit
                             && status[to] != (St::BlockedRecv { from: r as u32, tag })
                         {
                             // Rendezvous: the receiver has not posted yet;
                             // park until it reaches the matching receive.
-                            pending[chan].push_back(Pend { tag, bytes, ready: clock[r], jitter });
+                            pending[chan].push_back(Pend {
+                                tag,
+                                cost: class,
+                                bytes,
+                                ready: clock[r],
+                                jitter,
+                            });
                             *queued += 1;
                             *peak_queued = (*peak_queued).max(*queued);
                             status[r] = St::BlockedSend { to: to as u32, tag };
@@ -514,12 +650,12 @@ impl SeqState {
                             SimTime::ZERO
                         };
                         let wire_start = clock[r].max(nic_busy[r]).max(posted);
-                        nic_busy[r] = wire_start + machine.network.serialization_time(bytes);
-                        let arrival = wire_start + machine.network.wire_time(bytes) + jitter;
+                        nic_busy[r] = wire_start + cost.serialization;
+                        let arrival = wire_start + cost.wire + jitter;
                         if let Some(rec) = rec {
                             // Dangling channels (validation off) have no
                             // receiver: no causal edge exists.
-                            if (chan as u32) < channels.dangling_base {
+                            if (chan as u32) < channels.dangling_base() {
                                 rec.sim_edge(EdgeRecord {
                                     pid,
                                     kind: EdgeKind::Message,
@@ -540,7 +676,7 @@ impl SeqState {
                                 });
                             }
                         }
-                        inflight[chan].push_back(Msg { tag, bytes, arrival });
+                        inflight[chan].push_back(Msg { tag, cost: class, bytes, arrival });
                         *queued += 1;
                         *peak_queued = (*peak_queued).max(*queued);
                         stats[r].messages_sent += 1;
@@ -576,14 +712,14 @@ impl SeqState {
                     }
                     SharedOp::Recv { slot, tag } => {
                         let from = partners[slot as usize] as usize;
-                        let chan = channels.recv_chan[r][slot as usize] as usize;
+                        let chan = chan0 + slot as usize;
                         let q = &mut inflight[chan];
                         match q.iter().position(|m| m.tag == tag) {
                             Some(i) => {
                                 let msg = q.remove(i).expect("position is in range");
                                 *queued -= 1;
                                 let wait = msg.arrival.saturating_sub(clock[r]);
-                                let overhead = machine.network.receiver_overhead(msg.bytes);
+                                let overhead = prices[msg.cost as usize].recv_overhead;
                                 if let Some(rec) = rec {
                                     if wait > SimTime::ZERO {
                                         rec.sim_span(
@@ -622,13 +758,11 @@ impl SeqState {
                                 if let Some(i) = pq.iter().position(|p| p.tag == tag) {
                                     let pend = pq.remove(i).expect("position is in range");
                                     *queued -= 1;
+                                    let sent = prices[pend.cost as usize];
                                     let s_rank = from;
                                     let wire_start = pend.ready.max(nic_busy[s_rank]).max(clock[r]);
-                                    nic_busy[s_rank] =
-                                        wire_start + machine.network.serialization_time(pend.bytes);
-                                    let arrival = wire_start
-                                        + machine.network.wire_time(pend.bytes)
-                                        + pend.jitter;
+                                    nic_busy[s_rank] = wire_start + sent.serialization;
+                                    let arrival = wire_start + sent.wire + pend.jitter;
                                     // Sender resumes once the buffer is
                                     // reusable; its wait is accounted.
                                     let resume = nic_busy[s_rank];
@@ -674,7 +808,7 @@ impl SeqState {
                                     ready.push_back(s_rank);
                                     // Receiver waits for the wire.
                                     let wait = arrival.saturating_sub(clock[r]);
-                                    let overhead = machine.network.receiver_overhead(pend.bytes);
+                                    let overhead = sent.recv_overhead;
                                     if let Some(rec) = rec {
                                         if wait > SimTime::ZERO {
                                             rec.sim_span(
@@ -942,8 +1076,7 @@ impl<'m> Paused<'m> {
     /// to the original is bit-identical to an uninterrupted run.
     pub fn resume_with(self, machine: &MachineSpec) -> SimResult<RunReport> {
         self.compatible_with(machine)?;
-        let n = self.set.num_ranks();
-        let ctx = RunCtx::new(machine, self.recorder, self.trace_pid, n);
+        let ctx = RunCtx::new(machine, &self.set, self.recorder, self.trace_pid);
         let channels = build_channels(&self.set);
         let mut state = self.state;
         state.advance(&self.set, &channels, &ctx, None);

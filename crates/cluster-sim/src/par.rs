@@ -40,16 +40,24 @@
 //! * **Collectives are order-free.** A collective completes from the
 //!   parked ranks' entry clocks (`max`) and payload (`max`) only, which
 //!   the coordinator evaluates at the window barrier.
+//! * **Costs come from the same table.** The run lowers the machine to
+//!   one `CostTable` before the first window and every partition reads
+//!   it; a message or parked send crosses the boundary with its sending
+//!   op's price class, so the receiving partition prices the transfer
+//!   from the entry the sequential engine would read. Channels use the same flat
+//!   index too: rank `r`'s receive channels start at `chan_base[r]`, and
+//!   a partition owns the contiguous id range of its rank block.
 //!
 //! The *lookahead* — the minimum wire latency over all messages that
 //! cross a partition boundary — is what makes the window conservative in
 //! the classical sense: a message sent in window `k` cannot influence a
 //! neighbour partition earlier than `lookahead` after its send clock, so
 //! draining boundary mailboxes at the barrier never delivers anything a
-//! partition should already have seen *within* its window frontier. With
-//! a zero-latency link the safe window collapses to zero width, so the
-//! engine falls back to sequential execution (with a warning) rather
-//! than claim a conservative schedule it cannot honour.
+//! partition should already have seen *within* its window frontier. It
+//! is read from the cost table's wire times. With a zero-latency link the
+//! safe window collapses to zero width, so the engine falls back to
+//! sequential execution (with a warning) rather than claim a conservative
+//! schedule it cannot honour.
 //!
 //! Telemetry: the run emits the *same* per-rank sim spans as the
 //! sequential engine (the recorder sorts spans deterministically on
@@ -69,10 +77,9 @@ use obs::{Cat, EdgeKind, EdgeRecord, Recorder};
 
 use crate::engine::{
     build_channels, collective_cost, debug_check_span_totals, debug_span_baseline, Channels,
-    Engine, Msg, NoiseBank, Pend, St,
+    CostTable, Engine, Msg, NoiseBank, Pend, St,
 };
 use crate::error::{SimError, SimResult};
-use crate::machine::MachineSpec;
 use crate::progset::{ProgramSet, SharedOp};
 use crate::stats::{RankStats, RunReport};
 use crate::time::SimTime;
@@ -139,18 +146,15 @@ struct PendEntry {
 /// Read-only context shared by every partition worker.
 struct Ctx<'a> {
     set: &'a ProgramSet,
-    machine: &'a MachineSpec,
     channels: &'a Channels,
+    /// The run's op-cost table, shared by every partition.
+    costs: &'a CostTable,
     /// Partition owning each rank.
     part_of: &'a [u32],
     /// `(receiver, sender)` ranks of each owned channel id.
     chan_owner: &'a [(u32, u32)],
-    /// First dangling channel id (sends nothing reads; only reachable
-    /// with validation off).
-    dangling_base: u32,
     eager_limit: usize,
     run_factor: f64,
-    sharers: usize,
     rec: Option<&'a Recorder>,
     pid: u32,
 }
@@ -188,7 +192,7 @@ impl Part {
     /// activations processed (for telemetry only).
     fn run_window(&mut self, ctx: &Ctx<'_>) -> usize {
         let set = ctx.set;
-        let machine = ctx.machine;
+        let prices = &ctx.costs.prices;
         let rec = ctx.rec;
         let pid = ctx.pid;
         let mut activations = 0usize;
@@ -198,6 +202,8 @@ impl Part {
             debug_assert_eq!(self.status[li], St::Ready);
             let ops = set.ops(r);
             let partners = set.partners(r);
+            let classes = ctx.costs.classes(set, r);
+            let chan0 = ctx.channels.chan_base[r] as usize;
             loop {
                 let at = self.pc[li] as usize;
                 if at >= ops.len() {
@@ -212,8 +218,8 @@ impl Part {
                     break;
                 }
                 match ops[at] {
-                    SharedOp::Compute { flops, working_set } => {
-                        let base = machine.cpu.compute_time(flops, working_set, ctx.sharers);
+                    SharedOp::Compute { .. } => {
+                        let base = prices[classes[at] as usize].cpu;
                         let factor = self.noise.compute_factor(li) * ctx.run_factor;
                         let dur = SimTime::from_secs(base.as_secs() * factor);
                         if let Some(rec) = rec {
@@ -233,7 +239,9 @@ impl Part {
                     }
                     SharedOp::Send { slot, bytes, tag } => {
                         let to = partners[slot as usize] as usize;
-                        let overhead = machine.network.sender_overhead(bytes);
+                        let class = classes[at];
+                        let cost = prices[class as usize];
+                        let overhead = cost.cpu;
                         if let Some(rec) = rec {
                             rec.sim_span(
                                 pid,
@@ -252,8 +260,8 @@ impl Part {
                         self.clock[li] += overhead;
                         self.stats[li].send_overhead += overhead;
                         let jitter = SimTime::from_secs(self.noise.message_jitter_secs(li));
-                        let chan = ctx.channels.send_chan[r][slot as usize];
-                        if chan >= ctx.dangling_base {
+                        let chan = ctx.channels.send_chan[chan0 + slot as usize];
+                        if chan >= ctx.channels.dangling_base() {
                             // Statically-invalid send (validation off): the
                             // destination never reads this channel. Mirror
                             // the sequential engine's observable behaviour
@@ -264,8 +272,7 @@ impl Part {
                                 break;
                             }
                             let wire_start = self.clock[li].max(self.nic_busy[li]);
-                            self.nic_busy[li] =
-                                wire_start + machine.network.serialization_time(bytes);
+                            self.nic_busy[li] = wire_start + cost.serialization;
                             self.stats[li].messages_sent += 1;
                             self.stats[li].bytes_sent += bytes as u64;
                             self.pc[li] += 1;
@@ -278,7 +285,13 @@ impl Part {
                                 && self.status[lto] != (St::BlockedRecv { from: r as u32, tag })
                             {
                                 self.pending[chan as usize - self.chan_lo].push_back(PendEntry {
-                                    pend: Pend { tag, bytes, ready: self.clock[li], jitter },
+                                    pend: Pend {
+                                        tag,
+                                        cost: class,
+                                        bytes,
+                                        ready: self.clock[li],
+                                        jitter,
+                                    },
                                     src_nic_busy: None,
                                 });
                                 self.status[li] = St::BlockedSend { to: to as u32, tag };
@@ -290,9 +303,8 @@ impl Part {
                                 SimTime::ZERO
                             };
                             let wire_start = self.clock[li].max(self.nic_busy[li]).max(posted);
-                            self.nic_busy[li] =
-                                wire_start + machine.network.serialization_time(bytes);
-                            let arrival = wire_start + machine.network.wire_time(bytes) + jitter;
+                            self.nic_busy[li] = wire_start + cost.serialization;
+                            let arrival = wire_start + cost.wire + jitter;
                             if let Some(rec) = rec {
                                 rec.sim_edge(EdgeRecord {
                                     pid,
@@ -315,6 +327,7 @@ impl Part {
                             }
                             self.inflight[chan as usize - self.chan_lo].push_back(Msg {
                                 tag,
+                                cost: class,
                                 bytes,
                                 arrival,
                             });
@@ -355,16 +368,21 @@ impl Part {
                             if bytes >= ctx.eager_limit {
                                 self.outbox[dst_part].push(Bound::Pend {
                                     chan,
-                                    pend: Pend { tag, bytes, ready: self.clock[li], jitter },
+                                    pend: Pend {
+                                        tag,
+                                        cost: class,
+                                        bytes,
+                                        ready: self.clock[li],
+                                        jitter,
+                                    },
                                     src_nic_busy: self.nic_busy[li],
                                 });
                                 self.status[li] = St::BlockedSend { to: to as u32, tag };
                                 break;
                             }
                             let wire_start = self.clock[li].max(self.nic_busy[li]);
-                            self.nic_busy[li] =
-                                wire_start + machine.network.serialization_time(bytes);
-                            let arrival = wire_start + machine.network.wire_time(bytes) + jitter;
+                            self.nic_busy[li] = wire_start + cost.serialization;
+                            let arrival = wire_start + cost.wire + jitter;
                             if let Some(rec) = rec {
                                 // Below the eager limit the receiver never
                                 // gates, so the edge is fully determined
@@ -385,8 +403,10 @@ impl Part {
                                     resume: self.clock[li].picos(),
                                 });
                             }
-                            self.outbox[dst_part]
-                                .push(Bound::Eager { chan, msg: Msg { tag, bytes, arrival } });
+                            self.outbox[dst_part].push(Bound::Eager {
+                                chan,
+                                msg: Msg { tag, cost: class, bytes, arrival },
+                            });
                             self.stats[li].messages_sent += 1;
                             self.stats[li].bytes_sent += bytes as u64;
                             self.pc[li] += 1;
@@ -394,13 +414,13 @@ impl Part {
                     }
                     SharedOp::Recv { slot, tag } => {
                         let from = partners[slot as usize] as usize;
-                        let chan = ctx.channels.recv_chan[r][slot as usize] as usize - self.chan_lo;
+                        let chan = chan0 + slot as usize - self.chan_lo;
                         let q = &mut self.inflight[chan];
                         match q.iter().position(|m| m.tag == tag) {
                             Some(i) => {
                                 let msg = q.remove(i).expect("position is in range");
                                 let wait = msg.arrival.saturating_sub(self.clock[li]);
-                                let overhead = machine.network.receiver_overhead(msg.bytes);
+                                let overhead = prices[msg.cost as usize].recv_overhead;
                                 if let Some(rec) = rec {
                                     if wait > SimTime::ZERO {
                                         rec.sim_span(
@@ -437,6 +457,7 @@ impl Part {
                                 if let Some(i) = pq.iter().position(|p| p.pend.tag == tag) {
                                     let entry = pq.remove(i).expect("position is in range");
                                     let pend = entry.pend;
+                                    let sent = prices[pend.cost as usize];
                                     let arrival = match entry.src_nic_busy {
                                         None => {
                                             // Local sender: complete the
@@ -447,11 +468,8 @@ impl Part {
                                                 .ready
                                                 .max(self.nic_busy[ls])
                                                 .max(self.clock[li]);
-                                            self.nic_busy[ls] = wire_start
-                                                + machine.network.serialization_time(pend.bytes);
-                                            let arrival = wire_start
-                                                + machine.network.wire_time(pend.bytes)
-                                                + pend.jitter;
+                                            self.nic_busy[ls] = wire_start + sent.serialization;
+                                            let arrival = wire_start + sent.wire + pend.jitter;
                                             let resume = self.nic_busy[ls];
                                             let send_wait = resume.saturating_sub(pend.ready);
                                             if let Some(rec) = rec {
@@ -501,11 +519,8 @@ impl Part {
                                             // the resume time back.
                                             let wire_start =
                                                 pend.ready.max(snap).max(self.clock[li]);
-                                            let resume = wire_start
-                                                + machine.network.serialization_time(pend.bytes);
-                                            let arrival = wire_start
-                                                + machine.network.wire_time(pend.bytes)
-                                                + pend.jitter;
+                                            let resume = wire_start + sent.serialization;
+                                            let arrival = wire_start + sent.wire + pend.jitter;
                                             if let Some(rec) = rec {
                                                 // The receiver-side handshake
                                                 // computes values identical to
@@ -541,7 +556,7 @@ impl Part {
                                         }
                                     };
                                     let wait = arrival.saturating_sub(self.clock[li]);
-                                    let overhead = machine.network.receiver_overhead(pend.bytes);
+                                    let overhead = sent.recv_overhead;
                                     if let Some(rec) = rec {
                                         if wait > SimTime::ZERO {
                                             rec.sim_span(
@@ -699,20 +714,14 @@ impl<'m> Engine<'m> {
         let set = eng.set.clone();
         let machine = eng.machine;
         let channels = build_channels(&set);
+        let costs = CostTable::new(machine, &set);
         // Receiver-allocated channel ids are contiguous per rank, so each
         // partition owns the contiguous id range of its rank block.
-        let mut chan_starts = Vec::with_capacity(n + 1);
-        let mut acc = 0u32;
-        for r in 0..n {
-            chan_starts.push(acc);
-            acc += set.partners(r).len() as u32;
-        }
-        chan_starts.push(acc);
-        let dangling_base = acc;
-        let mut chan_owner = vec![(0u32, 0u32); dangling_base as usize];
+        let chan_base = &channels.chan_base;
+        let mut chan_owner = vec![(0u32, 0u32); channels.dangling_base() as usize];
         for r in 0..n {
             for (s, &q) in set.partners(r).iter().enumerate() {
-                chan_owner[chan_starts[r] as usize + s] = (r as u32, q);
+                chan_owner[chan_base[r] as usize + s] = (r as u32, q);
             }
         }
 
@@ -734,11 +743,12 @@ impl<'m> Engine<'m> {
             if !crosses {
                 continue;
             }
-            for op in set.ops(r) {
-                if let SharedOp::Send { slot, bytes, .. } = *op {
+            let classes = costs.classes(&set, r);
+            for (at, op) in set.ops(r).iter().enumerate() {
+                if let SharedOp::Send { slot, .. } = *op {
                     let to = partners[slot as usize] as usize;
                     if to < n && part_of[to] != pr {
-                        let w = machine.network.wire_time(bytes);
+                        let w = costs.prices[classes[at] as usize].wire;
                         lookahead = Some(lookahead.map_or(w, |l| l.min(w)));
                     }
                 }
@@ -800,14 +810,12 @@ impl<'m> Engine<'m> {
 
         let ctx = Ctx {
             set: &set,
-            machine,
             channels: &channels,
+            costs: &costs,
             part_of: &part_of,
             chan_owner: &chan_owner,
-            dangling_base,
             eager_limit: machine.rendezvous_bytes.unwrap_or(usize::MAX),
             run_factor: machine.noise.run_factor(machine.seed),
-            sharers: machine.sharers(n),
             rec,
             pid,
         };
@@ -815,7 +823,7 @@ impl<'m> Engine<'m> {
         let parts: Vec<Mutex<Part>> = (0..p)
             .map(|i| {
                 let (lo, hi) = (bounds[i], bounds[i + 1]);
-                let (chan_lo, chan_hi) = (chan_starts[lo] as usize, chan_starts[hi] as usize);
+                let (chan_lo, chan_hi) = (chan_base[lo] as usize, chan_base[hi] as usize);
                 Mutex::new(Part {
                     id: i,
                     lo,

@@ -131,6 +131,17 @@ impl ProgramSet {
         &self.ranks[r].partners
     }
 
+    /// Index of the distinct stream rank `r` executes (into
+    /// [`ProgramSet::streams`]).
+    pub(crate) fn stream_index(&self, r: usize) -> usize {
+        self.ranks[r].stream as usize
+    }
+
+    /// The distinct op streams, each stored once, in stream-index order.
+    pub(crate) fn streams(&self) -> impl Iterator<Item = &[SharedOp]> {
+        self.streams.iter().map(|s| &s[..])
+    }
+
     /// Ops actually stored (each distinct stream counted once).
     pub fn stored_ops(&self) -> usize {
         self.streams.iter().map(|s| s.len()).sum()

@@ -11,7 +11,10 @@
 //! * golden meshes (6/64/512/8000 ranks) paused mid-run, forked and
 //!   resumed, with and without tracing;
 //! * random valid program sets paused at a random activation cut, forked
-//!   N ways, each fork resumed and compared to a from-scratch run.
+//!   N ways, each fork resumed and compared to a from-scratch run;
+//! * forks that resume on a different machine (network, rendezvous
+//!   threshold and CPU curve swapped): pinned digests at 64 and 8000
+//!   ranks, and a random-machine oracle at both ends of the cut range.
 //!
 //! Failures reproduce deterministically (the proptest shim derives each
 //! case's RNG from the test name and case index) and, when
@@ -232,5 +235,55 @@ proptest! {
         }
         let got = paused.resume().unwrap();
         prop_assert_eq!(&got, &want, "original resume @{} diverged", pause_after);
+    }
+
+    /// Cross-machine resume oracle: machine B differs from the fixture
+    /// only in network, CPU rate curve and rendezvous threshold (same
+    /// noise model and seed). At both ends of the cut range the answer is
+    /// a whole run: a cut before the first activation resumes as a run on
+    /// B, and a cut past the end leaves the run on the fixture untouched.
+    /// So whatever a fork prices after the cut comes from the machine in
+    /// force, never from the one it was paused on.
+    #[test]
+    fn cross_machine_resume_matches_whole_runs_at_both_ends(
+        n in 2usize..6,
+        msgs in prop::collection::vec((0usize..6, 0usize..6, 0u32..5, 1usize..20_000), 1..30),
+        computes in prop::collection::vec((0usize..6, 0u32..1000, 0u32..100_000), 0..6),
+        collectives in 1usize..3,
+        noisy in any::<bool>(),
+        link in (1.0f64..50.0, 20.0f64..1000.0, 0.5f64..10.0, 256.0f64..32_768.0),
+        rates in (20.0f64..400.0, 20.0f64..400.0),
+        rendezvous in (any::<bool>(), 64usize..20_000),
+    ) {
+        let msgs: Vec<_> =
+            msgs.into_iter().map(|(f, t, tag, b)| (f % n, t % n, tag, b)).collect();
+        let programs = random_programs(n, &msgs, &computes, collectives);
+        let mut a = fixture_machine();
+        if !noisy {
+            a.noise = NoiseModel::none();
+        }
+        let mut b = a.clone();
+        b.network = NetworkModel::from_link(link.0, link.1, link.2, link.3);
+        b.cpu = CpuModel::with_curve(
+            "random replacement",
+            vec![
+                RatePoint { bytes: 16.0 * 1024.0, mflops: rates.0 },
+                RatePoint { bytes: 4.0 * 1024.0 * 1024.0, mflops: rates.1 },
+            ],
+            a.cpu.smp_contention,
+        );
+        b.rendezvous_bytes = rendezvous.0.then_some(rendezvous.1);
+
+        let on_b = Engine::new(&b, programs.clone()).run().unwrap();
+        let fork = Engine::new(&a, programs.clone()).run_paused(0).unwrap();
+        prop_assert_eq!(fork.activations(), 0);
+        let got = fork.resume_with(&b).unwrap();
+        prop_assert_eq!(&got, &on_b, "cut before the first activation, resumed on B");
+
+        let on_a = Engine::new(&a, programs.clone()).run().unwrap();
+        let done = Engine::new(&a, programs).run_paused(u64::MAX).unwrap();
+        prop_assert!(done.is_complete());
+        let got = done.resume_with(&b).unwrap();
+        prop_assert_eq!(&got, &on_a, "cut past the end, resumed on B");
     }
 }

@@ -175,6 +175,7 @@ impl ProgramSet {
     }
 
     /// Decode the whole set (legacy representation; costs O(total ops)).
+    #[cfg(test)]
     pub fn materialize_all(&self) -> Vec<Program> {
         (0..self.num_ranks()).map(|r| self.materialize(r)).collect()
     }

@@ -7,7 +7,8 @@
 //! [`crate::engine::Engine`] is differential-tested against: the golden
 //! digests in `tests/engine_golden.rs` and the random-program property
 //! tests require the two schedulers to produce bit-identical
-//! [`RunReport`]s, with tracing on and off.
+//! [`RunReport`]s, with tracing on and off, and `tests/engine_parallel.rs`
+//! holds the windowed-parallel scheduler to the same oracle.
 //!
 //! Keep this implementation simple and obviously correct; do not optimize
 //! it. New engine features must be mirrored here first so the differential
@@ -66,7 +67,8 @@ struct RankState {
     park_clock: SimTime,
 }
 
-/// The retained pre-optimization simulation engine. Same contract as
+/// The retained pre-optimization simulation engine, kept as the oracle the
+/// differential tests compare both schedulers against. Same contract as
 /// [`crate::engine::Engine`], array-of-structs state and hash-map channel
 /// tables. Construct with [`ReferenceEngine::new`], run with
 /// [`ReferenceEngine::run`].

@@ -208,11 +208,13 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance one UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or escape. Both stops
+                // are ASCII, so the run is whole UTF-8 scalars, and each
+                // byte is validated once: linear in the string's length.
+                let run = &bytes[*pos..];
+                let len = run.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(run.len());
+                out.push_str(std::str::from_utf8(&run[..len]).map_err(|e| e.to_string())?);
+                *pos += len;
             }
         }
     }

@@ -17,6 +17,7 @@
 //! seeds are); larger seeds are rejected rather than silently rounded.
 
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 
 use cluster_sim::cpu::{CpuModel, RatePoint};
 use cluster_sim::{NetworkModel, NoiseModel, PiecewiseSegments};
@@ -219,15 +220,89 @@ pub(crate) fn integer(v: &Json, ctx: &str) -> Result<u64, String> {
     Ok(x as u64)
 }
 
+// Physical ranges of the noise, network and rate fields. A value outside
+// its range is rejected with the field's path. The bounds also keep every
+// simulated op's cost far inside the picosecond clock's ~213-day span.
+
+/// Achieved compute rate per PE, MFLOPS: 1 MFLOPS to 1 PFLOPS.
+const MFLOPS: RangeInclusive<f64> = 1.0..=1e9;
+/// Fractional noise terms (`compute_mean`, `compute_spread`, `run_bias`):
+/// background load at most triples a compute block.
+const NOISE_FRACTION: RangeInclusive<f64> = 0.0..=2.0;
+/// Mean additive message jitter, µs: at most one second.
+const JITTER_US: RangeInclusive<f64> = 0.0..=1e6;
+/// Per-message intercepts of comm curves and network segments, µs: at
+/// most one second.
+const INTERCEPT_US: RangeInclusive<f64> = 0.0..=1e6;
+/// Per-byte slopes of comm curves and network segments, µs/byte: down to
+/// 1 kB/s.
+const SLOPE_US_PER_BYTE: RangeInclusive<f64> = 0.0..=1e3;
+/// Eager-to-rendezvous switch points, bytes (`"inf"`: never switches).
+const SWITCH_BYTES: RangeInclusive<f64> = 0.0..=f64::INFINITY;
+/// Wire serialization bandwidth, bytes/s: 1 kB/s to 10 TB/s.
+const SERIALIZATION_BW: RangeInclusive<f64> = 1e3..=1e13;
+
+type Object = BTreeMap<String, Json>;
+
+/// Required float field `key` of `map`, held to `range`.
+fn ranged(map: &Object, key: &str, ctx: &str, range: RangeInclusive<f64>) -> Result<f64, String> {
+    let path = format!("{ctx}.{key}");
+    let x = float(req(map, key, ctx)?, &path)?;
+    if !range.contains(&x) {
+        return Err(format!(
+            "{path}: must be in [{:?}, {:?}], got {x:?}",
+            range.start(),
+            range.end()
+        ));
+    }
+    Ok(x)
+}
+
+/// A non-empty array field's elements, each checked to be an object with
+/// only `fields`, paired with its `ctx.key[i]` path.
+fn objects<'a>(
+    map: &'a Object,
+    key: &str,
+    ctx: &str,
+    fields: &[&str],
+) -> Result<Vec<(String, &'a Object)>, String> {
+    let items =
+        req(map, key, ctx)?.as_arr().ok_or_else(|| format!("{ctx}.{key}: expected an array"))?;
+    if items.is_empty() {
+        return Err(format!("{ctx}.{key}: need at least one point"));
+    }
+    let mut out = Vec::with_capacity(items.len());
+    for (i, item) in items.iter().enumerate() {
+        let ictx = format!("{ctx}.{key}[{i}]");
+        let imap = as_obj(item, &ictx)?;
+        check_fields(imap, fields, &ictx)?;
+        out.push((ictx, imap));
+    }
+    Ok(out)
+}
+
+/// A finite, positive abscissa of a rate table, strictly above `prev`.
+fn ascending(map: &Object, key: &str, ctx: &str, prev: f64) -> Result<f64, String> {
+    let path = format!("{ctx}.{key}");
+    let x = float(req(map, key, ctx)?, &path)?;
+    if !(x > 0.0 && x.is_finite()) {
+        return Err(format!("{path}: must be finite and positive, got {x:?}"));
+    }
+    if x <= prev {
+        return Err(format!("{path}: must be strictly above the previous point's {prev}"));
+    }
+    Ok(x)
+}
+
 fn comm_curve(v: &Json, ctx: &str) -> Result<CommCurve, String> {
     let map = as_obj(v, ctx)?;
     check_fields(map, &["a_bytes", "b_us", "c_us_per_byte", "d_us", "e_us_per_byte"], ctx)?;
     Ok(CommCurve {
-        a_bytes: float(req(map, "a_bytes", ctx)?, &format!("{ctx}.a_bytes"))?,
-        b_us: float(req(map, "b_us", ctx)?, &format!("{ctx}.b_us"))?,
-        c_us_per_byte: float(req(map, "c_us_per_byte", ctx)?, &format!("{ctx}.c_us_per_byte"))?,
-        d_us: float(req(map, "d_us", ctx)?, &format!("{ctx}.d_us"))?,
-        e_us_per_byte: float(req(map, "e_us_per_byte", ctx)?, &format!("{ctx}.e_us_per_byte"))?,
+        a_bytes: ranged(map, "a_bytes", ctx, SWITCH_BYTES)?,
+        b_us: ranged(map, "b_us", ctx, INTERCEPT_US)?,
+        c_us_per_byte: ranged(map, "c_us_per_byte", ctx, SLOPE_US_PER_BYTE)?,
+        d_us: ranged(map, "d_us", ctx, INTERCEPT_US)?,
+        e_us_per_byte: ranged(map, "e_us_per_byte", ctx, SLOPE_US_PER_BYTE)?,
     })
 }
 
@@ -235,28 +310,13 @@ fn analytic(v: &Json, ctx: &str) -> Result<HardwareModel, String> {
     let map = as_obj(v, ctx)?;
     check_fields(map, &["name", "rates", "comm"], ctx)?;
     let name = string(req(map, "name", ctx)?, &format!("{ctx}.name"))?;
-    let rates_json = req(map, "rates", ctx)?
-        .as_arr()
-        .ok_or_else(|| format!("{ctx}.rates: expected an array"))?;
-    if rates_json.is_empty() {
-        return Err(format!("{ctx}.rates: need at least one achieved-rate point"));
-    }
-    let mut rates = Vec::with_capacity(rates_json.len());
-    for (i, r) in rates_json.iter().enumerate() {
-        let rctx = format!("{ctx}.rates[{i}]");
-        let rmap = as_obj(r, &rctx)?;
-        check_fields(rmap, &["cells_per_pe", "mflops"], &rctx)?;
-        let point = AchievedRate {
-            cells_per_pe: float(
-                req(rmap, "cells_per_pe", &rctx)?,
-                &format!("{rctx}.cells_per_pe"),
-            )?,
-            mflops: float(req(rmap, "mflops", &rctx)?, &format!("{rctx}.mflops"))?,
-        };
-        if !(point.mflops > 0.0 && point.mflops.is_finite()) {
-            return Err(format!("{rctx}: mflops must be finite and positive"));
-        }
-        rates.push(point);
+    let mut rates: Vec<AchievedRate> = Vec::new();
+    for (rctx, rmap) in objects(map, "rates", ctx, &["cells_per_pe", "mflops"])? {
+        let prev = rates.last().map_or(0.0, |r| r.cells_per_pe);
+        rates.push(AchievedRate {
+            cells_per_pe: ascending(rmap, "cells_per_pe", &rctx, prev)?,
+            mflops: ranged(rmap, "mflops", &rctx, MFLOPS)?,
+        });
     }
     let comm_json = req(map, "comm", ctx)?;
     let cctx = format!("{ctx}.comm");
@@ -284,17 +344,11 @@ fn segments(v: &Json, ctx: &str) -> Result<PiecewiseSegments, String> {
         ctx,
     )?;
     Ok(PiecewiseSegments {
-        switch_bytes: float(req(map, "switch_bytes", ctx)?, &format!("{ctx}.switch_bytes"))?,
-        small_intercept_us: float(
-            req(map, "small_intercept_us", ctx)?,
-            &format!("{ctx}.small_intercept_us"),
-        )?,
-        small_slope_us: float(req(map, "small_slope_us", ctx)?, &format!("{ctx}.small_slope_us"))?,
-        large_intercept_us: float(
-            req(map, "large_intercept_us", ctx)?,
-            &format!("{ctx}.large_intercept_us"),
-        )?,
-        large_slope_us: float(req(map, "large_slope_us", ctx)?, &format!("{ctx}.large_slope_us"))?,
+        switch_bytes: ranged(map, "switch_bytes", ctx, SWITCH_BYTES)?,
+        small_intercept_us: ranged(map, "small_intercept_us", ctx, INTERCEPT_US)?,
+        small_slope_us: ranged(map, "small_slope_us", ctx, SLOPE_US_PER_BYTE)?,
+        large_intercept_us: ranged(map, "large_intercept_us", ctx, INTERCEPT_US)?,
+        large_slope_us: ranged(map, "large_slope_us", ctx, SLOPE_US_PER_BYTE)?,
     })
 }
 
@@ -302,29 +356,15 @@ fn cpu(v: &Json, ctx: &str) -> Result<CpuModel, String> {
     let map = as_obj(v, ctx)?;
     check_fields(map, &["name", "rate_curve", "smp_contention"], ctx)?;
     let name = string(req(map, "name", ctx)?, &format!("{ctx}.name"))?;
-    let curve_json = req(map, "rate_curve", ctx)?
-        .as_arr()
-        .ok_or_else(|| format!("{ctx}.rate_curve: expected an array"))?;
-    let mut curve = Vec::with_capacity(curve_json.len());
-    for (i, p) in curve_json.iter().enumerate() {
-        let pctx = format!("{ctx}.rate_curve[{i}]");
-        let pmap = as_obj(p, &pctx)?;
-        check_fields(pmap, &["bytes", "mflops"], &pctx)?;
-        curve.push(RatePoint {
-            bytes: float(req(pmap, "bytes", &pctx)?, &format!("{pctx}.bytes"))?,
-            mflops: float(req(pmap, "mflops", &pctx)?, &format!("{pctx}.mflops"))?,
-        });
-    }
     // Re-state `CpuModel::with_curve`'s asserts as errors so a bad spec
     // file reports instead of panicking.
-    if curve.is_empty() {
-        return Err(format!("{ctx}.rate_curve: need at least one point"));
-    }
-    if !curve.windows(2).all(|w| w[0].bytes < w[1].bytes) {
-        return Err(format!("{ctx}.rate_curve: must be strictly sorted by working-set bytes"));
-    }
-    if !curve.iter().all(|p| p.mflops > 0.0 && p.bytes > 0.0 && p.mflops.is_finite()) {
-        return Err(format!("{ctx}.rate_curve: bytes and mflops must be finite and positive"));
+    let mut curve: Vec<RatePoint> = Vec::new();
+    for (pctx, pmap) in objects(map, "rate_curve", ctx, &["bytes", "mflops"])? {
+        let prev = curve.last().map_or(0.0, |p| p.bytes);
+        curve.push(RatePoint {
+            bytes: ascending(pmap, "bytes", &pctx, prev)?,
+            mflops: ranged(pmap, "mflops", &pctx, MFLOPS)?,
+        });
     }
     let smp_contention = float(req(map, "smp_contention", ctx)?, &format!("{ctx}.smp_contention"))?;
     if !(0.0..1.0).contains(&smp_contention) {
@@ -347,10 +387,7 @@ fn sim(v: &Json, ctx: &str) -> Result<cluster_sim::MachineSpec, String> {
         send: segments(req(nmap, "send", &nctx)?, &format!("{nctx}.send"))?,
         recv: segments(req(nmap, "recv", &nctx)?, &format!("{nctx}.recv"))?,
         pingpong: segments(req(nmap, "pingpong", &nctx)?, &format!("{nctx}.pingpong"))?,
-        serialization_bw: float(
-            req(nmap, "serialization_bw", &nctx)?,
-            &format!("{nctx}.serialization_bw"),
-        )?,
+        serialization_bw: ranged(nmap, "serialization_bw", &nctx, SERIALIZATION_BW)?,
     };
     let octx = format!("{ctx}.noise");
     let omap = as_obj(req(map, "noise", ctx)?, &octx)?;
@@ -360,16 +397,10 @@ fn sim(v: &Json, ctx: &str) -> Result<cluster_sim::MachineSpec, String> {
         &octx,
     )?;
     let noise = NoiseModel {
-        compute_mean: float(req(omap, "compute_mean", &octx)?, &format!("{octx}.compute_mean"))?,
-        compute_spread: float(
-            req(omap, "compute_spread", &octx)?,
-            &format!("{octx}.compute_spread"),
-        )?,
-        message_jitter_us: float(
-            req(omap, "message_jitter_us", &octx)?,
-            &format!("{octx}.message_jitter_us"),
-        )?,
-        run_bias: float(req(omap, "run_bias", &octx)?, &format!("{octx}.run_bias"))?,
+        compute_mean: ranged(omap, "compute_mean", &octx, NOISE_FRACTION)?,
+        compute_spread: ranged(omap, "compute_spread", &octx, NOISE_FRACTION)?,
+        message_jitter_us: ranged(omap, "message_jitter_us", &octx, JITTER_US)?,
+        run_bias: ranged(omap, "run_bias", &octx, NOISE_FRACTION)?,
     };
     let rendezvous_bytes = match map.get("rendezvous_bytes") {
         None | Some(Json::Null) => None,

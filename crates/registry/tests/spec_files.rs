@@ -66,18 +66,23 @@ proptest! {
         sim_curve in prop::collection::vec((1.0f64..1e6, 1.0f64..2000.0), 1..4),
         net in (1.0f64..65536.0, 0.1f64..50.0, 0.0001f64..0.1, 0.1f64..50.0, 0.0001f64..0.1),
         inf_net in any::<bool>(),
-        serialization_bw in 10.0f64..5000.0,
+        serialization_bw in 1e6f64..1e10,
         noise in (0.9f64..1.1, 0.0f64..0.2, 0.0f64..50.0, 0.0f64..0.1),
         smp in (1usize..9, 0.0f64..0.9),
         seed in 0u64..(1 << 53),
         rendezvous in 0usize..100_000,
     ) {
         let name = names()[name_idx];
+        // Strictly increasing cell counts by cumulative sum.
+        let mut cells_per_pe = 0.0;
         let analytic = HardwareModel {
             name: name.to_string(),
             rates: rates
                 .iter()
-                .map(|&(cells_per_pe, mflops)| AchievedRate { cells_per_pe, mflops })
+                .map(|&(delta, mflops)| {
+                    cells_per_pe += delta;
+                    AchievedRate { cells_per_pe, mflops }
+                })
                 .collect(),
             comm: CommModel {
                 send: curve(send, inf_send, switch_a),

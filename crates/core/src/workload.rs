@@ -149,7 +149,7 @@ impl PartialEq for dyn Workload + '_ {
 
 /// Recover the S_N order from an angles-per-octant count
 /// (`angles = N(N+2)/8`, N even).
-fn sn_order_for(angles_per_octant: usize) -> Result<usize, String> {
+pub fn sn_order_for(angles_per_octant: usize) -> Result<usize, String> {
     (2..=64).step_by(2).find(|n| n * (n + 2) / 8 == angles_per_octant).ok_or_else(|| {
         format!("no even S_N order ≤ 64 yields {angles_per_octant} angles per octant")
     })

@@ -25,12 +25,12 @@
 //!                                        --plan routes the grid through the campaign execution
 //!                                        planner (grid dedup + snapshot-prefix sharing on a rate
 //!                                        what-if axis), digest-checked against the naive path
-//! experiments sweep --shard N [--store DIR] [--resume] [--machine ...] [--json]
-//!                                        sharded registry sweep: fan the grid out over N local
-//!                                        sweep-worker processes, bit-identity-checked against an
-//!                                        in-process reference run; --store persists completed
-//!                                        ranges in a content-addressed chunk store and --resume
-//!                                        serves valid stored ranges without recomputation
+//! experiments sweep --store DIR [--resume] [--machine ...] [--json]
+//!                                        resumable registry sweep: persist completed scenario-id
+//!                                        ranges in a content-addressed chunk store; --resume
+//!                                        serves valid stored ranges without recomputation; the
+//!                                        merge is bit-identity-checked against a serial
+//!                                        in-process reference run
 //! experiments speculation [--problem 20m|1b] [--workload <wavefront|stencil|allreduce>]
 //!                         [--ranks N] [--repeat K] [--iterations I]
 //!                         [--threads N] [--json]
@@ -254,12 +254,6 @@ fn run_validate(obs: &Obs) {
     }
 }
 
-/// `experiments sweep --machine <name|path>`: resolve a machine through
-/// the registry and evaluate the small Fig. 8 ladder across predictor
-/// backends via the sweep engine's backend axis. With `--plan` the grid
-/// gains a flop-rate what-if axis and a mid-run DES fork, and runs
-/// through the campaign execution planner — digest-checked against the
-/// naive path (any divergence is a hard failure).
 /// The sweep's `--workload` argument: a named template (which owns a
 /// default problem ladder) or a spec file carrying one parameter point.
 enum WorkloadArg {
@@ -277,20 +271,26 @@ impl WorkloadArg {
     }
 }
 
-/// `--shard N [--store DIR] [--resume]`: route the grid through the
-/// multi-process campaign tier instead of the in-process pool.
-struct ShardArgs {
-    workers: usize,
-    store: Option<String>,
+/// `--store DIR [--resume]`: checkpoint the grid in a chunk store.
+struct StoreArgs {
+    dir: String,
     resume: bool,
 }
 
+/// `experiments sweep --machine <name|path>`: resolve a machine through
+/// the registry and evaluate the small Fig. 8 ladder across predictor
+/// backends via the sweep engine's backend axis. With `--plan` the grid
+/// gains a flop-rate what-if axis and a mid-run DES fork, and runs
+/// through the campaign execution planner; with `--store` completed id
+/// ranges persist in a chunk store and `--resume` serves them on a rerun.
+/// Planned and stored runs are digest-checked against a serial in-process
+/// reference (any divergence is a hard failure).
 fn run_registry_sweep(
     machine_arg: &str,
     backend_arg: Option<&str>,
     workload: WorkloadArg,
     plan: bool,
-    shard: Option<ShardArgs>,
+    store: Option<StoreArgs>,
     obs: &Obs,
     json: bool,
 ) {
@@ -345,80 +345,26 @@ fn run_registry_sweep(
         }
     }
     spec.validate().unwrap_or_else(|e| exit(e));
-    if let Some(sh) = shard {
-        // Sharded mode: fan the grid out over worker processes, then gate
-        // the merge bit-for-bit against a single-threaded in-process
-        // reference run (any divergence is a hard failure).
-        let mut cfg = sweepsvc::ShardConfig::new(sh.workers).resume(sh.resume);
-        if let Some(dir) = &sh.store {
-            cfg = cfg.store(dir);
-        }
-        let reference = sweepsvc::SweepEngine::with_workers(1).run(&spec);
-        let out = sweepsvc::run_sharded_observed(&spec, &cfg, obs).unwrap_or_else(|e| exit(e));
-        if reference.results != out.results {
-            eprintln!("FATAL: sharded sweep diverged from the in-process reference");
-            std::process::exit(1);
-        }
-        let s = &out.stats;
-        if json {
-            let rows: Vec<String> = out
-                .results
-                .iter()
-                .map(|r| {
-                    format!(
-                        "    {{\"label\": \"{}\", \"pes\": {}, \"backend\": \"{}\", \"total_secs\": {:.9}}}",
-                        r.label,
-                        r.pes,
-                        r.backend.name(),
-                        r.total_secs
-                    )
-                })
-                .collect();
-            println!("{{");
-            println!("  \"machine\": \"{}\",", machine.id);
-            println!("  \"workload\": \"{}\",", workload.kind());
-            let names: Vec<String> = backends.iter().map(|b| format!("\"{}\"", b.name())).collect();
-            println!("  \"backends\": [{}],", names.join(", "));
-            println!("  \"parity\": true,");
-            println!(
-                "  \"shard\": {{\"workers\": {}, \"ranges\": {}, \"completed\": {}, \"retried\": {}, \"store_hits\": {}, \"store_misses\": {}}},",
-                s.workers, s.ranges, s.completed, s.retried, s.store_hits, s.store_misses
-            );
-            println!("  \"results\": [\n{}\n  ]", rows.join(",\n"));
-            println!("}}");
-            return;
-        }
-        println!(
-            "### Sharded registry sweep: {} workload on {} across {} backend(s)\n",
-            workload.kind(),
-            machine.id,
-            backends.len()
-        );
-        println!("sharded == in-process : yes (bit-identical)");
-        print!("{}", s.summary());
-        println!();
-        println!("| array | PEs | backend | predicted(s) |");
-        println!("|---|---|---|---|");
-        for r in &out.results {
-            println!("| {} | {} | {} | {:.4} |", r.label, r.pes, r.backend.name(), r.total_secs);
-        }
-        println!();
-        return;
-    }
-    let out = if plan {
-        let naive = sweepsvc::SweepEngine::with_workers(1).run(&spec);
-        let out = sweepsvc::SweepEngine::new().with_obs(obs.clone()).run_planned(&spec);
-        if naive.results != out.results {
-            eprintln!("FATAL: planned sweep diverged from the naive reference");
-            std::process::exit(1);
-        }
-        out
+    let engine = sweepsvc::SweepEngine::new().with_obs(obs.clone());
+    let (results, plan_stats, store_stats) = if plan {
+        let out = engine.run_planned(&spec);
+        (out.results, out.stats.plan, None)
+    } else if let Some(st) = store {
+        let chunks = sweepsvc::ChunkStore::open(&st.dir).unwrap_or_else(|e| exit(e));
+        let out =
+            sweepsvc::run_stored(&engine, &spec, &chunks, st.resume).unwrap_or_else(|e| exit(e));
+        (out.results, None, Some(out.stats))
     } else {
-        sweepsvc::SweepEngine::new().with_obs(obs.clone()).run(&spec)
+        (engine.run(&spec).results, None, None)
     };
+    let parity = plan_stats.is_some() || store_stats.is_some();
+    if parity && sweepsvc::SweepEngine::with_workers(1).run(&spec).results != results {
+        let path = if plan { "planned" } else { "stored" };
+        eprintln!("FATAL: {path} sweep diverged from the serial in-process reference");
+        std::process::exit(1);
+    }
     if json {
-        let rows: Vec<String> = out
-            .results
+        let rows: Vec<String> = results
             .iter()
             .map(|r| {
                 format!(
@@ -435,11 +381,21 @@ fn run_registry_sweep(
         println!("  \"workload\": \"{}\",", workload.kind());
         let names: Vec<String> = backends.iter().map(|b| format!("\"{}\"", b.name())).collect();
         println!("  \"backends\": [{}],", names.join(", "));
-        if let Some(p) = out.stats.plan {
+        if parity {
             println!("  \"parity\": true,");
+        }
+        if let Some(p) = plan_stats {
             println!(
                 "  \"plan\": {{\"scenarios\": {}, \"jobs\": {}, \"deduped\": {}, \"groups\": {}, \"fork_resumes\": {}, \"fallbacks\": {}}},",
                 p.scenarios, p.jobs, p.deduped, p.groups, p.fork_resumes, p.fallbacks
+            );
+        }
+        if let Some(s) = store_stats {
+            // Every miss is evaluated and saved, so misses are the ranges
+            // completed by this run.
+            println!(
+                "  \"store\": {{\"ranges\": {}, \"completed\": {}, \"store_hits\": {}, \"store_misses\": {}}},",
+                s.ranges, s.store_misses, s.store_hits, s.store_misses
             );
         }
         println!("  \"results\": [\n{}\n  ]", rows.join(",\n"));
@@ -452,15 +408,18 @@ fn run_registry_sweep(
         machine.id,
         backends.len()
     );
-    if let Some(p) = out.stats.plan {
+    if let Some(p) = plan_stats {
         println!(
             "planned == naive : yes (bit-identical); {} scenarios -> {} jobs ({} deduped), {} fork group(s) / {} resume(s) / {} fallback(s)\n",
             p.scenarios, p.jobs, p.deduped, p.groups, p.fork_resumes, p.fallbacks
         );
     }
+    if let Some(s) = store_stats {
+        println!("stored == in-process : yes (bit-identical); {}", s.summary());
+    }
     println!("| array | PEs | backend | predicted(s) |");
     println!("|---|---|---|---|");
-    for r in &out.results {
+    for r in &results {
         println!("| {} | {} | {} | {:.4} |", r.label, r.pes, r.backend.name(), r.total_secs);
     }
     println!();
@@ -474,7 +433,6 @@ fn run_sweep(args: &[String], obs: &Obs, json: bool) {
     let mut backend_arg: Option<String> = None;
     let mut workload_arg: Option<String> = None;
     let mut plan = false;
-    let mut shard_arg: Option<usize> = None;
     let mut store_arg: Option<String> = None;
     let mut resume = false;
     let mut i = 0;
@@ -491,13 +449,6 @@ fn run_sweep(args: &[String], obs: &Obs, json: bool) {
             "--backend" => backend_arg = Some(value(&mut i)),
             "--workload" => workload_arg = Some(value(&mut i)),
             "--plan" => plan = true,
-            "--shard" => {
-                let v = value(&mut i);
-                shard_arg = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("--shard expects a worker count, got {v:?}");
-                    std::process::exit(2);
-                }));
-            }
             "--store" => store_arg = Some(value(&mut i)),
             "--resume" => resume = true,
             other => {
@@ -507,20 +458,20 @@ fn run_sweep(args: &[String], obs: &Obs, json: bool) {
         }
         i += 1;
     }
-    if plan && shard_arg.is_some() {
-        eprintln!("--plan and --shard are separate execution tiers; pick one");
+    if plan && store_arg.is_some() {
+        eprintln!("--plan and --store are separate execution paths; pick one");
         std::process::exit(2);
     }
-    if shard_arg.is_none() && (store_arg.is_some() || resume) {
-        eprintln!("--store/--resume only apply to sharded campaigns (--shard N)");
+    if resume && store_arg.is_none() {
+        eprintln!("--resume needs a chunk store (--store DIR)");
         std::process::exit(2);
     }
-    let shard = shard_arg.map(|workers| ShardArgs { workers, store: store_arg, resume });
+    let store = store_arg.map(|dir| StoreArgs { dir, resume });
     if machine_arg.is_some()
         || backend_arg.is_some()
         || workload_arg.is_some()
         || plan
-        || shard.is_some()
+        || store.is_some()
     {
         let machine = machine_arg.unwrap_or_else(|| "opteron-myrinet".into());
         // A bare identifier selects a template's default ladder; anything
@@ -542,7 +493,7 @@ fn run_sweep(args: &[String], obs: &Obs, json: bool) {
             backend_arg.as_deref(),
             workload,
             plan,
-            shard,
+            store,
             obs,
             json,
         );

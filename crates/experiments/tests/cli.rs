@@ -63,3 +63,92 @@ fn out_of_range_machine_spec_fields_are_usage_errors() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Workload spec files that parse but hold values a template cannot price
+/// (a zero extent or count, a negative or non-finite per-cell operation
+/// count, an angle count no S_N order yields) exit 2 naming the field.
+#[test]
+fn unpriceable_workload_spec_fields_are_usage_errors() {
+    use pace_core::{AllreduceParams, StencilParams, Sweep3dParams};
+    use registry::WorkloadSpec;
+    let stencil = WorkloadSpec::Stencil(StencilParams::weak_scaling(2, 2)).to_json();
+    let allreduce = WorkloadSpec::Allreduce(AllreduceParams::cg_like(4)).to_json();
+    let mut params = Sweep3dParams::speculative_20m(2, 2);
+    params.iterations = 1;
+    let wavefront = WorkloadSpec::Wavefront(params).to_json();
+    let probes = [
+        (&stencil, "\"px\": 2", "\"px\": 0", "params.px"),
+        (&stencil, "\"ny\": 1000", "\"ny\": 0", "params.ny"),
+        (&stencil, "\"flops_per_cell\": 6", "\"flops_per_cell\": -5", "params.flops_per_cell"),
+        (&stencil, "\"flops_per_cell\": 6", "\"flops_per_cell\": 1e300", "params.flops_per_cell"),
+        (&allreduce, "\"procs\": 4", "\"procs\": 0", "params.procs"),
+        (
+            &allreduce,
+            "\"flops_per_cell\": 10",
+            "\"flops_per_cell\": \"-inf\"",
+            "params.flops_per_cell",
+        ),
+        (&wavefront, "\"nz\": 100", "\"nz\": 0", "params.nz"),
+        (&wavefront, "\"mk\": 10", "\"mk\": 0", "params.mk"),
+        (&wavefront, "\"mmi\": 3", "\"mmi\": 0", "params.mmi"),
+        (&wavefront, "\"iterations\": 1", "\"iterations\": 0", "params.iterations"),
+        (
+            &wavefront,
+            "\"angles_per_octant\": 6",
+            "\"angles_per_octant\": 5",
+            "params.angles_per_octant",
+        ),
+        (&wavefront, "\"ifbr\": 3", "\"ifbr\": -3", "sweep_per_cell_angle.ifbr"),
+    ];
+    let dir = std::env::temp_dir().join(format!("pace-workload-probes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (i, (base, from, to, field)) in probes.iter().enumerate() {
+        assert_eq!(base.matches(from).count(), 1, "probe {from:?} must edit exactly one field");
+        let path = dir.join(format!("probe{i}.json"));
+        std::fs::write(&path, base.replacen(from, to, 1)).unwrap();
+        let out = experiments(&["sweep", "--workload", path.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{to}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{to} panicked: {stderr}");
+        assert!(stderr.contains(field), "{to}: error should name {field}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Flags of the retired process tier, and store flags used without a
+/// store or alongside the planner, exit 2 with one line.
+#[test]
+fn store_flag_misuse_is_a_usage_error() {
+    assert_usage_error(&["sweep", "--shard", "2"]);
+    assert_usage_error(&["sweep", "--resume"]);
+    let dir = std::env::temp_dir().join(format!("pace-store-misuse-{}", std::process::id()));
+    assert_usage_error(&["sweep", "--plan", "--store", dir.to_str().unwrap()]);
+    assert!(!dir.exists(), "a rejected command line must not create the store");
+}
+
+/// `sweep --store D` then `sweep --store D --resume`: the resume serves
+/// every range from the store and prints the same results.
+#[test]
+fn warm_store_resume_serves_every_range() {
+    let dir = std::env::temp_dir().join(format!("pace-cli-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = dir.to_str().unwrap();
+    let run = |extra: &[&str]| {
+        let out = experiments(&[&["sweep", "--store", store, "--json"], extra].concat());
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        let doc = obs::Json::parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
+        assert_eq!(doc.get("parity"), Some(&obs::Json::Bool(true)));
+        let counter =
+            |key: &str| doc.get("store").and_then(|s| s.get(key)).and_then(obs::Json::as_f64);
+        let counts = [counter("ranges"), counter("completed"), counter("store_hits")];
+        (counts.map(|c| c.expect("store counter") as usize), doc.get("results").cloned())
+    };
+    let ([ranges, completed, hits], cold) = run(&[]);
+    assert!(ranges > 0);
+    assert_eq!((completed, hits), (ranges, 0), "a cold store evaluates every range");
+    let ([warm_ranges, completed, hits], warm) = run(&["--resume"]);
+    assert_eq!(warm_ranges, ranges);
+    assert_eq!((completed, hits), (0, ranges), "a warm resume evaluates nothing");
+    assert_eq!(warm, cold, "the store changed the printed results");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -72,30 +72,6 @@ pub const SWEEP_PLAN_FORK_RESUMES: &str = "sweep.plan.fork_resumes";
 /// incompatible with their group's snapshot).
 pub const SWEEP_PLAN_FALLBACKS: &str = "sweep.plan.fallbacks";
 
-/// Deterministic: scenarios in a sharded campaign (`sweepsvc::shard`).
-pub const SHARD_SCENARIOS: &str = "shard.scenarios";
-/// Deterministic: ranges the campaign was partitioned into.
-pub const SHARD_RANGES: &str = "shard.ranges";
-/// Deterministic: ranges computed by worker processes this run (equals
-/// the store-miss count when a store is configured).
-pub const SHARD_RANGES_COMPLETED: &str = "shard.ranges.completed";
-/// Deterministic: ranges served from the chunk store without
-/// recomputation (a pure function of the spec and the store's contents).
-pub const SHARD_STORE_HITS: &str = "shard.store.hits";
-/// Deterministic: ranges a configured store could not serve.
-pub const SHARD_STORE_MISSES: &str = "shard.store.misses";
-
-/// Range dispatches to workers (exceeds completions under retries).
-pub const SHARD_RANGES_DISPATCHED: &str = "wall.shard.ranges.dispatched";
-/// Ranges re-queued after a worker crash or protocol violation.
-pub const SHARD_RANGES_RETRIED: &str = "wall.shard.ranges.retried";
-/// Worker processes the coordinator actually drove.
-pub const SHARD_WORKERS: &str = "wall.shard.workers";
-/// Sharded-campaign wall time in microseconds.
-pub const SHARD_WALL_US: &str = "wall.shard.wall_us";
-/// Summed worker busy time (dispatch to reply) in microseconds.
-pub const SHARD_WORKER_WALL_US: &str = "wall.shard.worker_wall_us";
-
 /// Per-shard hit counters, indexed by shard id.
 pub const SWEEP_CACHE_SHARD_HITS: [&str; SWEEP_CACHE_SHARDS] = [
     "wall.sweep.cache.shard.00.hits",
@@ -191,11 +167,6 @@ mod tests {
             SWEEP_PLAN_GROUPS,
             SWEEP_PLAN_FORK_RESUMES,
             SWEEP_PLAN_FALLBACKS,
-            SHARD_SCENARIOS,
-            SHARD_RANGES,
-            SHARD_RANGES_COMPLETED,
-            SHARD_STORE_HITS,
-            SHARD_STORE_MISSES,
         ] {
             assert!(!name.starts_with("wall."), "{name} must stay deterministic");
         }
@@ -206,11 +177,6 @@ mod tests {
             SWEEP_CACHE_EVICTIONS,
             SWEEP_POOL_WORKERS,
             SWEEP_WALL_US,
-            SHARD_RANGES_DISPATCHED,
-            SHARD_RANGES_RETRIED,
-            SHARD_WORKERS,
-            SHARD_WALL_US,
-            SHARD_WORKER_WALL_US,
         ] {
             assert!(name.starts_with("wall."), "{name} must be wall-prefixed");
         }

@@ -11,7 +11,6 @@
 //! | [`SWEEP`] (1000)     | `sweepsvc` scenarios   | one per pool worker           |
 //! | [`REPLICATE`] (1001) | `sweepsvc` replication | one per replication slot      |
 //! | [`PARTITION`] (1002) | windowed parallel engine (`sim.partition`) | one per partition + coordinator |
-//! | [`SHARD`] (1004)     | `sweepsvc` shard coordinator | one per worker process  |
 //! | [`PHASE`] (2000)     | `experiments obs` phases | single `phases` track       |
 //! | base + row·[`TABLE_STRIDE`] | `experiments` validation tables | one block per table row |
 //!
@@ -32,10 +31,6 @@ pub const REPLICATE: u32 = 1001;
 /// window/drain wall spans, one tid per partition plus a coordinator tid.
 pub const PARTITION: u32 = 1002;
 
-/// The sharded-campaign coordinator (`sweepsvc::shard`): per-range wall
-/// spans, one tid per worker process slot.
-pub const SHARD: u32 = 1004;
-
 /// Coarse program phases recorded by `experiments obs`.
 pub const PHASE: u32 = 2000;
 
@@ -54,7 +49,7 @@ mod tests {
 
     #[test]
     fn pid_blocks_do_not_collide() {
-        let orchestration = [SWEEP, REPLICATE, PARTITION, SHARD, PHASE];
+        let orchestration = [SWEEP, REPLICATE, PARTITION, PHASE];
         for (i, a) in orchestration.iter().enumerate() {
             for b in orchestration.iter().skip(i + 1) {
                 assert_ne!(a, b);

@@ -242,10 +242,15 @@ const SWITCH_BYTES: RangeInclusive<f64> = 0.0..=f64::INFINITY;
 /// Wire serialization bandwidth, bytes/s: 1 kB/s to 10 TB/s.
 const SERIALIZATION_BW: RangeInclusive<f64> = 1e3..=1e13;
 
-type Object = BTreeMap<String, Json>;
+pub(crate) type Object = BTreeMap<String, Json>;
 
 /// Required float field `key` of `map`, held to `range`.
-fn ranged(map: &Object, key: &str, ctx: &str, range: RangeInclusive<f64>) -> Result<f64, String> {
+pub(crate) fn ranged(
+    map: &Object,
+    key: &str,
+    ctx: &str,
+    range: RangeInclusive<f64>,
+) -> Result<f64, String> {
     let path = format!("{ctx}.{key}");
     let x = float(req(map, key, ctx)?, &path)?;
     if !range.contains(&x) {

@@ -10,9 +10,13 @@
 //!   bit (floats use shortest-roundtrip formatting);
 //! * **strictness** — unknown fields, missing fields and malformed values
 //!   are errors naming the offending path, and an unknown `workload`
-//!   identifier lists every valid one.
+//!   identifier lists every valid one;
+//! * **no aborts downstream** — every extent, blocking factor and count a
+//!   template asserts on or divides by must be at least 1, the wavefront
+//!   angle count must belong to an even S_N order, and per-cell operation
+//!   counts must lie in [`OPS_PER_CELL`].
 
-use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use obs::json::{escape, Json};
@@ -20,7 +24,13 @@ use pace_core::clc::ResourceVector;
 use pace_core::sweep3d_model::KernelCharacterisation;
 use pace_core::{AllreduceParams, StencilParams, Sweep3dParams, Workload};
 
-use crate::json::{as_obj, check_fields, float, integer, num, req, string};
+use crate::json::{as_obj, check_fields, integer, num, ranged, req, string, Object};
+
+/// Per-cell operation counts: stencil and allreduce `flops_per_cell` and
+/// every component of the wavefront kernel's clc vectors. A million
+/// operations per cell is far past any real cell update and keeps each
+/// simulated compute op well inside the picosecond clock.
+pub const OPS_PER_CELL: RangeInclusive<f64> = 0.0..=1e6;
 
 /// A parsed workload spec: which template plus its parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,20 +172,30 @@ fn allreduce_json(p: &AllreduceParams) -> String {
 // Parsing
 // ---------------------------------------------------------------------------
 
-fn usize_field(map: &BTreeMap<String, Json>, key: &str, ctx: &str) -> Result<usize, String> {
+fn usize_field(map: &Object, key: &str, ctx: &str) -> Result<usize, String> {
     Ok(integer(req(map, key, ctx)?, &format!("{ctx}.{key}"))? as usize)
+}
+
+/// An extent, blocking factor or count the templates assert on or divide
+/// by: zero is rejected with the field's path.
+fn positive(map: &Object, key: &str, ctx: &str) -> Result<usize, String> {
+    match usize_field(map, key, ctx)? {
+        0 => Err(format!("{ctx}.{key}: must be at least 1, got 0")),
+        n => Ok(n),
+    }
 }
 
 fn vector(v: &Json, ctx: &str) -> Result<ResourceVector, String> {
     let map = as_obj(v, ctx)?;
     check_fields(map, &["mfdg", "afdg", "dfdg", "ifbr", "lfor", "cmld"], ctx)?;
+    let op = |key: &str| ranged(map, key, ctx, OPS_PER_CELL);
     Ok(ResourceVector {
-        mfdg: float(req(map, "mfdg", ctx)?, &format!("{ctx}.mfdg"))?,
-        afdg: float(req(map, "afdg", ctx)?, &format!("{ctx}.afdg"))?,
-        dfdg: float(req(map, "dfdg", ctx)?, &format!("{ctx}.dfdg"))?,
-        ifbr: float(req(map, "ifbr", ctx)?, &format!("{ctx}.ifbr"))?,
-        lfor: float(req(map, "lfor", ctx)?, &format!("{ctx}.lfor"))?,
-        cmld: float(req(map, "cmld", ctx)?, &format!("{ctx}.cmld"))?,
+        mfdg: op("mfdg")?,
+        afdg: op("afdg")?,
+        dfdg: op("dfdg")?,
+        ifbr: op("ifbr")?,
+        lfor: op("lfor")?,
+        cmld: op("cmld")?,
     })
 }
 
@@ -203,16 +223,19 @@ fn wavefront(v: &Json, ctx: &str) -> Result<Sweep3dParams, String> {
             &format!("{kctx}.flux_err_per_cell"),
         )?,
     };
+    let angles_per_octant = positive(map, "angles_per_octant", ctx)?;
+    pace_core::workload::sn_order_for(angles_per_octant)
+        .map_err(|e| format!("{ctx}.angles_per_octant: {e}"))?;
     Ok(Sweep3dParams {
-        px: usize_field(map, "px", ctx)?,
-        py: usize_field(map, "py", ctx)?,
-        nx: usize_field(map, "nx", ctx)?,
-        ny: usize_field(map, "ny", ctx)?,
-        nz: usize_field(map, "nz", ctx)?,
-        mk: usize_field(map, "mk", ctx)?,
-        mmi: usize_field(map, "mmi", ctx)?,
-        angles_per_octant: usize_field(map, "angles_per_octant", ctx)?,
-        iterations: usize_field(map, "iterations", ctx)?,
+        px: positive(map, "px", ctx)?,
+        py: positive(map, "py", ctx)?,
+        nx: positive(map, "nx", ctx)?,
+        ny: positive(map, "ny", ctx)?,
+        nz: positive(map, "nz", ctx)?,
+        mk: positive(map, "mk", ctx)?,
+        mmi: positive(map, "mmi", ctx)?,
+        angles_per_octant,
+        iterations: positive(map, "iterations", ctx)?,
         kernel,
     })
 }
@@ -221,12 +244,12 @@ fn stencil(v: &Json, ctx: &str) -> Result<StencilParams, String> {
     let map = as_obj(v, ctx)?;
     check_fields(map, &["px", "py", "nx", "ny", "iterations", "flops_per_cell"], ctx)?;
     Ok(StencilParams {
-        px: usize_field(map, "px", ctx)?,
-        py: usize_field(map, "py", ctx)?,
-        nx: usize_field(map, "nx", ctx)?,
-        ny: usize_field(map, "ny", ctx)?,
+        px: positive(map, "px", ctx)?,
+        py: positive(map, "py", ctx)?,
+        nx: positive(map, "nx", ctx)?,
+        ny: positive(map, "ny", ctx)?,
         iterations: usize_field(map, "iterations", ctx)?,
-        flops_per_cell: float(req(map, "flops_per_cell", ctx)?, &format!("{ctx}.flops_per_cell"))?,
+        flops_per_cell: ranged(map, "flops_per_cell", ctx, OPS_PER_CELL)?,
     })
 }
 
@@ -245,9 +268,9 @@ fn allreduce(v: &Json, ctx: &str) -> Result<AllreduceParams, String> {
         ctx,
     )?;
     Ok(AllreduceParams {
-        procs: usize_field(map, "procs", ctx)?,
+        procs: positive(map, "procs", ctx)?,
         cells_per_pe: usize_field(map, "cells_per_pe", ctx)?,
-        flops_per_cell: float(req(map, "flops_per_cell", ctx)?, &format!("{ctx}.flops_per_cell"))?,
+        flops_per_cell: ranged(map, "flops_per_cell", ctx, OPS_PER_CELL)?,
         reduce_bytes: usize_field(map, "reduce_bytes", ctx)?,
         reductions_per_iteration: usize_field(map, "reductions_per_iteration", ctx)?,
         iterations: usize_field(map, "iterations", ctx)?,
@@ -296,6 +319,36 @@ mod tests {
             WorkloadSpec::from_json(r#"{ "workload": "allreduce", "params": { "procs": 4 } }"#)
                 .unwrap_err();
         assert!(err.contains("missing required field"), "{err}");
+    }
+
+    #[test]
+    fn values_the_templates_cannot_price_name_their_field() {
+        let cases = [
+            (WorkloadSpec::Stencil(StencilParams::weak_scaling(2, 2)), "\"nx\": 1000", "\"nx\": 0"),
+            (
+                WorkloadSpec::Stencil(StencilParams::weak_scaling(2, 2)),
+                "\"flops_per_cell\": 6",
+                "\"flops_per_cell\": \"inf\"",
+            ),
+            (WorkloadSpec::Allreduce(AllreduceParams::cg_like(4)), "\"procs\": 4", "\"procs\": 0"),
+            (
+                WorkloadSpec::Wavefront(Sweep3dParams::speculative_20m(2, 2)),
+                "\"angles_per_octant\": 6",
+                "\"angles_per_octant\": 5",
+            ),
+            (
+                WorkloadSpec::Wavefront(Sweep3dParams::speculative_20m(2, 2)),
+                "\"cmld\": 12",
+                "\"cmld\": -12",
+            ),
+        ];
+        for (spec, from, to) in cases {
+            let doc = spec.to_json();
+            assert_eq!(doc.matches(from).count(), 1, "{from} must edit one field");
+            let err = WorkloadSpec::from_json(&doc.replacen(from, to, 1)).unwrap_err();
+            let field = to.split('"').nth(1).unwrap();
+            assert!(err.contains(&format!(".{field}: ")), "{to}: {err}");
+        }
     }
 
     #[test]

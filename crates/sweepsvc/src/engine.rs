@@ -132,10 +132,9 @@ pub(crate) fn evaluate_scenario(
 }
 
 /// Evaluate one scenario into its full [`ScenarioResult`] row. This is
-/// [`evaluate_scenario`] plus the result-row construction every consumer
-/// shares — the in-process paths ([`SweepEngine::run`], the planner) and
-/// the multi-process shard workers ([`crate::shard`]) all build their
-/// rows here, so cross-tier byte identity holds by construction.
+/// [`evaluate_scenario`] plus the result-row construction: every row
+/// [`SweepEngine::run`] returns, and every row a chunk store
+/// ([`crate::store`]) saves, is built here.
 pub fn scenario_result(engine: &CachedEngine, spec: &SweepSpec, sc: &Scenario) -> ScenarioResult {
     let report = evaluate_scenario(engine, spec, sc);
     let total_secs = report.total_secs;
@@ -306,7 +305,14 @@ impl SweepEngine {
         if let Err(e) = spec.validate() {
             panic!("invalid sweep spec: {e}");
         }
-        let scenarios = spec.scenarios();
+        self.run_scenarios(spec, spec.scenarios())
+    }
+
+    /// Evaluate `scenarios`, a subset of the validated `spec`'s expansion
+    /// in id order, on the pool; results keep the input order. This is the
+    /// body of [`SweepEngine::run`], and [`crate::store::run_stored`]
+    /// hands it the scenarios its store could not serve.
+    pub(crate) fn run_scenarios(&self, spec: &SweepSpec, scenarios: Vec<Scenario>) -> SweepOutcome {
         let n = scenarios.len();
         let kinds = workload_counts(&scenarios);
         let cache_before = self.cache.shard_stats();

@@ -24,12 +24,10 @@
 //!   parallel-replication runner for `cluster-sim` measurement campaigns:
 //!   N seeds of one machine, merged into one statistics summary, the
 //!   second also carrying each run's critical-path rollup ([`replicate`]);
-//! * [`shard`] — the multi-process campaign tier: a coordinator that
-//!   partitions a spec into contiguous scenario-id ranges, fans them out
-//!   over `sweep-worker` processes via length-prefixed JSON frames,
-//!   persists completed ranges in a content-addressed chunk store for
-//!   resume, and merges bit-identically to the in-process engine
-//!   ([`run_sharded`]).
+//! * [`run_stored`] — resumable campaigns: the scenario ids split into
+//!   contiguous ranges, each persisted as a content-addressed chunk, so a
+//!   rerun evaluates only missing or corrupt ranges, bit-identical to
+//!   [`SweepEngine::run`] ([`store`]).
 //!
 //! ```
 //! use pace_core::Sweep3dParams;
@@ -51,8 +49,8 @@ pub mod engine;
 pub mod plan;
 pub mod pool;
 pub mod replicate;
-pub mod shard;
 pub mod spec;
+pub mod store;
 
 pub use cache::{CacheKey, CacheStats, EvalCache};
 pub use engine::{scenario_result, CachedEngine, SweepEngine, SweepOutcome, SweepStats, SWEEP_PID};
@@ -65,8 +63,5 @@ pub use replicate::{
     replicate_set_attributed, replicate_set_threaded, Replication, ReplicationSummary,
     REPLICATE_PID,
 };
-pub use shard::{
-    partition, run_sharded, run_sharded_observed, ChunkStore, IdRange, ShardConfig, ShardOutcome,
-    ShardStats, SHARD_PID,
-};
 pub use spec::{ProblemPoint, Scenario, ScenarioResult, SweepSpec};
+pub use store::{partition, run_stored, ChunkStore, IdRange, StoreStats, StoredOutcome};

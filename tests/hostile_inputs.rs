@@ -1,11 +1,10 @@
 //! Hostile-input properties of the parsers that read untrusted bytes:
-//! spec files and store chunks go through `obs::Json`, worker frames
-//! through `read_frame`. Each must return a value or a structured error
-//! on arbitrary input, never panic.
+//! spec files and store chunks go through `obs::Json`. Each must return
+//! a value or a structured error on arbitrary input, never panic.
 
 use obs::json::{escape, Json};
 use proptest::prelude::*;
-use sweepsvc::shard::{read_frame, ChunkStore, IdRange};
+use sweepsvc::store::{ChunkStore, IdRange};
 
 /// Arbitrary scalars, half of them ASCII (controls, quotes and
 /// backslashes included) so escapes are common.
@@ -42,23 +41,6 @@ proptest! {
     }
 
     #[test]
-    fn read_frame_never_panics_on_arbitrary_bytes(
-        bytes in prop::collection::vec(any::<u8>(), 0..64),
-        header in 0usize..40,
-        framed in any::<bool>(),
-    ) {
-        // Half the cases lead with a well-formed length header.
-        let mut input = if framed { format!("{header}\n").into_bytes() } else { Vec::new() };
-        input.extend_from_slice(&bytes);
-        let mut reader: &[u8] = &input;
-        // Read until end of stream or the first error; every frame must
-        // fit the cap it was read under.
-        while let Ok(Some(frame)) = read_frame(&mut reader, 32) {
-            prop_assert!(frame.len() <= 32);
-        }
-    }
-
-    #[test]
     fn chunk_store_load_rejects_arbitrary_chunk_files(
         codes in prop::collection::vec(0u32..0x11_0000, 0..64),
         parts in prop::collection::vec(prop::sample::select(JSON_ALPHABET.to_vec()), 0..32),
@@ -78,8 +60,8 @@ proptest! {
     }
 }
 
-/// A worker frame may be hundreds of MiB, so string parsing must be
-/// linear: a 4 MiB string round-trips through `escape` and `parse`.
+/// A store chunk may be many MiB, so string parsing must be linear: a
+/// 4 MiB string round-trips through `escape` and `parse`.
 #[test]
 fn multi_megabyte_strings_parse() {
     let s: String = "a\"\\é\n".chars().cycle().take(4 << 20).collect();

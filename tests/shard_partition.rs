@@ -1,11 +1,9 @@
-//! Property tests for the sharded-campaign range partitioner and the
-//! shard codecs (process-free — the process-spawning acceptance tests
-//! live in `crates/experiments/tests/shard.rs`).
+//! Property tests for the chunk store's range partitioner, chunk keys
+//! and result codec (the resume matrix lives in `tests/sweep_plan.rs`).
 
 use proptest::prelude::*;
-use sweepsvc::shard::{
-    partition, result_from_json, result_to_json, results_to_json, spec_digest, spec_from_json,
-    spec_to_json, ChunkStore, IdRange,
+use sweepsvc::store::{
+    partition, result_from_json, result_to_json, results_to_json, ChunkStore, IdRange,
 };
 use sweepsvc::{SweepEngine, SweepSpec};
 use wavefront_models::Backend;
@@ -13,7 +11,7 @@ use wavefront_models::Backend;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// For arbitrary scenario counts × shard counts: ranges are
+    /// For arbitrary scenario counts × range counts: ranges are
     /// contiguous, non-overlapping, cover every id exactly once, and
     /// concatenating them in order *is* the scenario-id order.
     #[test]
@@ -69,7 +67,7 @@ proptest! {
 }
 
 /// A small mixed-backend grid covering every shipped workload kind and a
-/// DES fork point — the codec must round-trip all of it exactly.
+/// DES fork point — the result codec must round-trip all of it exactly.
 fn mixed_spec() -> SweepSpec {
     use pace_core::{AllreduceParams, StencilParams, Sweep3dParams};
     let mut params = Sweep3dParams::speculative_20m(2, 2);
@@ -83,16 +81,6 @@ fn mixed_spec() -> SweepSpec {
         .problem("cg4", AllreduceParams::cg_like(4))
         .backends(vec![Backend::Pace, Backend::DesSim])
         .des_fork(20)
-}
-
-#[test]
-fn spec_codec_round_trips_every_workload_kind() {
-    let spec = mixed_spec();
-    let text = spec_to_json(&spec).unwrap();
-    let back = spec_from_json(&text).unwrap();
-    assert_eq!(back, spec);
-    assert_eq!(spec_to_json(&back).unwrap(), text, "canonical text must be stable");
-    assert_eq!(spec_digest(&back).unwrap(), spec_digest(&spec).unwrap());
 }
 
 #[test]

@@ -12,10 +12,13 @@
 //!   the same key sequence replays to identical counters and values,
 //!   and campaigns under eviction pressure (`capacity < grid`) change
 //!   no bits while `evictions > 0`.
+//! * The chunk-store resume matrix: the 512-rank golden campaign run
+//!   through `run_stored` cold, warm and with one chunk deleted hits the
+//!   pinned digest every time and recomputes only the missing ranges.
 
 use pace_core::Sweep3dParams;
 use proptest::prelude::*;
-use sweepsvc::{ScenarioResult, SweepEngine, SweepSpec};
+use sweepsvc::{run_stored, ChunkStore, ScenarioResult, StoreStats, SweepEngine, SweepSpec};
 use wavefront_models::Backend;
 
 /// FNV-1a over every result field that matters, same mixing idiom as
@@ -211,4 +214,49 @@ fn eviction_pressure_changes_no_bits() {
         }
     }
     assert_eq!(unbounded.stats.cache.evictions, 0);
+}
+
+/// The 512-rank golden campaign through the chunk store: a cold run
+/// misses every range, a warm resume evaluates nothing, and deleting or
+/// corrupting one chunk recomputes exactly that range; without resume
+/// every range runs. Each run is bit-identical to `SweepEngine::run` and
+/// hits the pinned digest.
+#[test]
+fn stored_resume_recomputes_only_missing_ranges() {
+    let (px, py, fork, want) = GOLDEN[0];
+    let spec = rate_campaign(px, py, fork);
+    let reference = SweepEngine::with_workers(1).run(&spec).results;
+    assert_eq!(campaign_digest(&reference), want);
+    let dir = std::env::temp_dir().join(format!("pace-resume-matrix-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = ChunkStore::open(&dir).unwrap();
+    let engine = SweepEngine::with_workers(2);
+    let run = |resume: bool, store_hits: usize| {
+        let out = run_stored(&engine, &spec, &store, resume).unwrap();
+        let ranges = spec.len().min(sweepsvc::store::STORE_RANGES);
+        let store_misses = ranges - store_hits;
+        assert_eq!(out.stats, StoreStats { ranges, store_hits, store_misses });
+        assert_eq!(out.results, reference, "the store changed bits");
+        assert_eq!(campaign_digest(&out.results), want);
+        ranges
+    };
+
+    let ranges = run(true, 0);
+    run(true, ranges);
+    let mut chunks: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "json"))
+        .collect();
+    assert_eq!(chunks.len(), ranges);
+    chunks.sort();
+    std::fs::remove_file(&chunks[0]).unwrap();
+    run(true, ranges - 1);
+    // A chunk that no longer validates is a miss too, and is rewritten.
+    std::fs::write(&chunks[1], "{}").unwrap();
+    run(true, ranges - 1);
+    run(true, ranges);
+    // Without resume the store is only written.
+    run(false, 0);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -4,8 +4,8 @@
 //! [`run_stored`] splits a [`SweepSpec`]'s scenario ids into
 //! [`STORE_RANGES`] contiguous ranges ([`partition`]), serves every range
 //! that already has a valid chunk in the [`ChunkStore`], evaluates the
-//! rest in process through the engine's pool and saves each computed
-//! range. Results come back in scenario-id order, bit-identical to
+//! rest in process through the engine's pool, one range at a time, and
+//! saves each range as soon as it completes. Results come back in scenario-id order, bit-identical to
 //! [`SweepEngine::run`] on the same spec (digest-gated in
 //! `tests/sweep_plan.rs` against the golden campaign pins).
 //!
@@ -32,7 +32,7 @@ use registry::WorkloadSpec;
 use wavefront_models::Backend;
 
 use crate::engine::SweepEngine;
-use crate::spec::{Scenario, ScenarioResult, SweepSpec};
+use crate::spec::{ScenarioResult, SweepSpec};
 
 /// Ranges a stored campaign is split into. Chunk keys depend on the
 /// split, so changing it turns every existing store cold.
@@ -410,7 +410,10 @@ impl ChunkStore {
         let path = self.path(key);
         let tmp = self.dir.join(format!("{key:016x}.tmp.{}", std::process::id()));
         std::fs::write(&tmp, doc).map_err(|e| format!("store write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, &path).map_err(|e| format!("store rename {}: {e}", path.display()))
+        std::fs::rename(&tmp, &path).map_err(|e| {
+            let _ = std::fs::remove_file(&tmp);
+            format!("store rename {}: {e}", path.display())
+        })
     }
 }
 
@@ -453,8 +456,10 @@ pub struct StoredOutcome {
 /// Evaluate every scenario of the spec with a chunk store as checkpoint.
 /// With `resume`, ranges whose chunks load and validate are served from
 /// the store; every other range is evaluated through `engine`'s pool (the
-/// body of [`SweepEngine::run`], given only the missing scenarios) and
-/// saved atomically. Results are bit-identical to `engine.run(spec)`.
+/// body of [`SweepEngine::run`], given only that range's scenarios) and
+/// saved atomically as soon as it completes, so an interrupted campaign
+/// keeps every range it finished. Results are bit-identical to
+/// `engine.run(spec)`.
 pub fn run_stored(
     engine: &SweepEngine,
     spec: &SweepSpec,
@@ -465,35 +470,17 @@ pub fn run_stored(
     let digest = spec_digest(spec)?;
     let scenarios = spec.scenarios();
     let ranges = partition(scenarios.len(), STORE_RANGES);
-    let chunks: Vec<Option<Vec<ScenarioResult>>> =
-        ranges.iter().map(|&range| if resume { store.load(digest, range) } else { None }).collect();
-    let missing: Vec<Scenario> = ranges
-        .iter()
-        .zip(&chunks)
-        .filter(|(_, chunk)| chunk.is_none())
-        .flat_map(|(range, _)| scenarios[range.start..range.end].iter().cloned())
-        .collect();
-    let mut computed =
-        if missing.is_empty() { Vec::new() } else { engine.run_scenarios(spec, missing).results }
-            .into_iter();
-
-    // Walk the ranges in id order: a hit contributes its chunk, a miss the
-    // next `len` evaluated results (the pool keeps input order), saved
-    // before they join the merge.
     let mut results = Vec::with_capacity(scenarios.len());
     let mut store_hits = 0;
-    for (&range, chunk) in ranges.iter().zip(chunks) {
-        match chunk {
-            Some(chunk) => {
-                store_hits += 1;
-                results.extend(chunk);
-            }
-            None => {
-                let chunk: Vec<ScenarioResult> = computed.by_ref().take(range.len()).collect();
-                store.save(digest, range, &chunk)?;
-                results.extend(chunk);
-            }
+    for &range in &ranges {
+        if let Some(chunk) = resume.then(|| store.load(digest, range)).flatten() {
+            store_hits += 1;
+            results.extend(chunk);
+            continue;
         }
+        let chunk = engine.run_scenarios(spec, scenarios[range.start..range.end].to_vec()).results;
+        store.save(digest, range, &chunk)?;
+        results.extend(chunk);
     }
     let stats =
         StoreStats { ranges: ranges.len(), store_hits, store_misses: ranges.len() - store_hits };
@@ -578,6 +565,59 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, text.replace("\"id\": 0", "\"id\": 9")).unwrap();
         assert!(store.load(digest, range).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn interrupted_campaign_keeps_every_finished_range() {
+        let dir = std::env::temp_dir().join(format!("pace-chunk-stop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ChunkStore::open(&dir).unwrap();
+        let spec = small_spec();
+        let digest = spec_digest(&spec).unwrap();
+        let scenarios = spec.scenarios();
+        let ranges = partition(scenarios.len(), STORE_RANGES);
+        let lookups = |engine: &SweepEngine| engine.cache().hits() + engine.cache().misses();
+        // A directory where range 3's chunk goes makes its rename fail:
+        // the campaign stops there, after saving ranges 0..3 and before
+        // evaluating anything past range 3.
+        let stop = 3;
+        let blocked = store.path(ChunkStore::chunk_key(digest, ranges[stop]));
+        std::fs::create_dir(&blocked).unwrap();
+        let engine = SweepEngine::with_workers(2);
+        let err = run_stored(&engine, &spec, &store, false).unwrap_err();
+        assert!(err.contains("store rename"), "{err}");
+        for (i, &range) in ranges.iter().enumerate() {
+            assert_eq!(
+                store.load(digest, range).is_some(),
+                i < stop,
+                "range {i} saved iff finished"
+            );
+        }
+        let done = SweepEngine::with_workers(1);
+        done.run_scenarios(&spec, scenarios[..ranges[stop].end].to_vec());
+        assert_eq!(lookups(&engine), lookups(&done), "evaluated exactly ranges 0..=stop");
+        let full = SweepEngine::with_workers(1);
+        full.run(&spec);
+        assert!(lookups(&done) < lookups(&full), "the stop leaves later ranges unevaluated");
+        let leftovers = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().contains(".tmp."))
+            .count();
+        assert_eq!(leftovers, 0, "a failed save leaves no temp file");
+
+        // Resume pays only for the ranges that never finished.
+        std::fs::remove_dir(&blocked).unwrap();
+        let out = run_stored(&engine, &spec, &store, true).unwrap();
+        assert_eq!(
+            out.stats,
+            StoreStats {
+                ranges: ranges.len(),
+                store_hits: stop,
+                store_misses: ranges.len() - stop
+            }
+        );
+        assert_eq!(out.results, SweepEngine::with_workers(1).run(&spec).results);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 use sweepsvc::store::{
-    partition, result_from_json, result_to_json, results_to_json, ChunkStore, IdRange,
+    partition, result_from_json, result_to_json, results_to_json, spec_digest, ChunkStore, IdRange,
+    STORE_RANGES,
 };
 use sweepsvc::{SweepEngine, SweepSpec};
 use wavefront_models::Backend;
@@ -95,4 +96,21 @@ fn result_codec_round_trips_bit_for_bit() {
     // digests depend on it).
     let list = results_to_json(&results);
     assert_eq!(results_to_json(&results), list);
+}
+
+/// Store keys are pinned to the values the multi-process shard tier
+/// wrote (its `--shard 2` split is `partition(n, 8)`), so stores written
+/// before it was retired stay warm. If the spec canonicalisation or the
+/// key derivation drifts, every existing store goes cold — this test
+/// fails first. `mixed_spec` covers all three workload kinds.
+#[test]
+fn store_keys_stay_byte_identical() {
+    let spec = mixed_spec();
+    let digest = spec_digest(&spec).unwrap();
+    assert_eq!(digest, 0xd71a_0767_49b6_6351);
+    let ranges = partition(spec.scenarios().len(), STORE_RANGES);
+    assert_eq!(ranges.len(), 8);
+    assert_eq!(ranges[0], IdRange { start: 0, end: 3 });
+    assert_eq!(ChunkStore::chunk_key(digest, ranges[0]), 0x58fa_1b8e_07eb_8822);
+    assert_eq!(ChunkStore::chunk_key(digest, ranges[7]), 0x7829_ce87_9537_b443);
 }

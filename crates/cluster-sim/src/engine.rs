@@ -26,6 +26,14 @@
 //!   retained one empty queue per tag forever). Matching scans the edge
 //!   queue for the first tag match, which preserves the per-`(src, dst,
 //!   tag)` FIFO order bit-exactly.
+//! * Queue storage is sized by what is in flight. Each channel holds two
+//!   intrusive FIFO lists — in-flight messages and parked rendezvous
+//!   sends — as head/tail indices into one per-run [`NodePool`] with a
+//!   free list. The pool's length is the run's peak queued-entry count,
+//!   and its capacity stays within twice that, whereas one deque per
+//!   channel retained the sum of every channel's own peak (2.0 M slots
+//!   against a 10.3 k peak at 8000 ranks). A snapshot copies one pool and
+//!   two index arrays.
 //! * The channel index is flat: receiver-allocated ids are contiguous per
 //!   rank, so a receive reads `chan_base[r] + slot` and a send reads
 //!   `send_chan[chan_base[r] + slot]` — two arrays for the whole run
@@ -120,6 +128,190 @@ pub(crate) struct Pend {
     pub(crate) jitter: SimTime,
 }
 
+/// Null link of a [`NodePool`] list.
+const NIL: u32 = u32::MAX;
+
+/// An intrusive FIFO list threaded through a [`NodePool`]: the indices of
+/// its first and last nodes, [`NIL`] when empty. Eight bytes per list, so
+/// an idle channel costs no heap at all.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Fifo {
+    head: u32,
+    tail: u32,
+}
+
+impl Fifo {
+    const EMPTY: Fifo = Fifo { head: NIL, tail: NIL };
+
+    fn is_empty(self) -> bool {
+        self.head == NIL
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Node<T> {
+    item: T,
+    /// Next node of the same list, or of the free list once released.
+    next: u32,
+}
+
+/// One run's queue nodes: every [`Fifo`] of the run keeps its entries in
+/// this single vector, and released nodes are recycled through a free list
+/// threaded through their `next` links.
+///
+/// The vector only grows when every node is live, so its length never
+/// exceeds the peak number of live entries, and it grows by exact
+/// doubling, so its capacity stays within twice that peak. Cloning it (a
+/// snapshot) copies one dense vector.
+#[derive(Debug, Clone)]
+struct NodePool<T> {
+    nodes: Vec<Node<T>>,
+    free: u32,
+    live: usize,
+    peak: usize,
+}
+
+impl<T: Copy> NodePool<T> {
+    fn new() -> Self {
+        NodePool { nodes: Vec::new(), free: NIL, live: 0, peak: 0 }
+    }
+
+    /// Append `item` to the back of `list`.
+    fn push_back(&mut self, list: &mut Fifo, item: T) {
+        let node = Node { item, next: NIL };
+        let i = if self.free != NIL {
+            let i = self.free;
+            self.free = self.nodes[i as usize].next;
+            self.nodes[i as usize] = node;
+            i
+        } else {
+            assert!(self.nodes.len() < NIL as usize, "queue pool exhausted its u32 node ids");
+            if self.nodes.len() == self.nodes.capacity() {
+                self.nodes.reserve_exact(self.nodes.len().max(1));
+            }
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        };
+        match list.tail {
+            NIL => list.head = i,
+            tail => self.nodes[tail as usize].next = i,
+        }
+        list.tail = i;
+        self.live += 1;
+        self.peak = self.peak.max(self.live);
+    }
+
+    /// Unlink and return the first item of `list` that satisfies `hit`,
+    /// leaving the others in order.
+    fn take_first(&mut self, list: &mut Fifo, hit: impl Fn(&T) -> bool) -> Option<T> {
+        let mut prev = NIL;
+        let mut cur = list.head;
+        while cur != NIL {
+            let node = &self.nodes[cur as usize];
+            let next = node.next;
+            if hit(&node.item) {
+                let item = node.item;
+                match prev {
+                    NIL => list.head = next,
+                    prev => self.nodes[prev as usize].next = next,
+                }
+                if list.tail == cur {
+                    list.tail = prev;
+                }
+                self.nodes[cur as usize].next = self.free;
+                self.free = cur;
+                self.live -= 1;
+                return Some(item);
+            }
+            prev = cur;
+            cur = next;
+        }
+        None
+    }
+
+    /// Peak number of simultaneously live entries so far, counted
+    /// independently of the node vector.
+    fn peak_live(&self) -> usize {
+        self.peak
+    }
+
+    /// Nodes the pool can hold without reallocating.
+    fn capacity(&self) -> usize {
+        self.nodes.capacity()
+    }
+}
+
+/// A channel queue entry. In-flight messages and parked rendezvous sends
+/// live on separate lists but share one [`NodePool`].
+#[derive(Debug, Clone, Copy)]
+enum Queued {
+    Msg(Msg),
+    Pend(Pend),
+}
+
+impl Queued {
+    fn tag(&self) -> u32 {
+        match self {
+            Queued::Msg(m) => m.tag,
+            Queued::Pend(p) => p.tag,
+        }
+    }
+}
+
+/// The dense channel queues of one sequential run: per channel, a FIFO of
+/// in-flight messages and a FIFO of parked rendezvous sends, both in
+/// sender program order (MPI non-overtaking) and matched by taking the
+/// first tag hit. All lists draw on one node pool, so the queues retain
+/// memory for the peak traffic in flight, not for each channel's history.
+#[derive(Clone)]
+struct ChannelQueues {
+    pool: NodePool<Queued>,
+    inflight: Vec<Fifo>,
+    pending: Vec<Fifo>,
+    /// Rendezvous sends parked so far.
+    parked_sends: u64,
+}
+
+impl ChannelQueues {
+    fn new(channel_count: usize) -> Self {
+        ChannelQueues {
+            pool: NodePool::new(),
+            inflight: vec![Fifo::EMPTY; channel_count],
+            pending: vec![Fifo::EMPTY; channel_count],
+            parked_sends: 0,
+        }
+    }
+
+    fn push_msg(&mut self, chan: usize, msg: Msg) {
+        self.pool.push_back(&mut self.inflight[chan], Queued::Msg(msg));
+    }
+
+    fn push_pend(&mut self, chan: usize, pend: Pend) {
+        self.pool.push_back(&mut self.pending[chan], Queued::Pend(pend));
+        self.parked_sends += 1;
+    }
+
+    fn take_msg(&mut self, chan: usize, tag: u32) -> Option<Msg> {
+        match self.pool.take_first(&mut self.inflight[chan], |e| e.tag() == tag)? {
+            Queued::Msg(msg) => Some(msg),
+            Queued::Pend(_) => unreachable!("in-flight lists hold messages only"),
+        }
+    }
+
+    fn take_pend(&mut self, chan: usize, tag: u32) -> Option<Pend> {
+        match self.pool.take_first(&mut self.pending[chan], |e| e.tag() == tag)? {
+            Queued::Pend(pend) => Some(pend),
+            Queued::Msg(_) => unreachable!("pending lists hold parked sends only"),
+        }
+    }
+
+    /// Lowest channel id with a message in flight or a parked send.
+    fn first_busy(&self) -> Option<usize> {
+        (0..self.inflight.len())
+            .find(|&ch| !self.inflight[ch].is_empty() || !self.pending[ch].is_empty())
+    }
+}
+
 /// Per-rank noise streams, elided entirely for silent machines so an
 /// 8000-PE noiseless run seeds no RNGs. The silent fast path is
 /// bit-identical: a silent [`NoiseStream`] returns its constants without
@@ -170,7 +362,7 @@ impl NoiseBank {
 /// Memory-footprint counters of one run's channel tables (see
 /// [`Engine::run_probed`]). The channel count is a pure function of the
 /// topology and the queue peaks are bounded by in-flight traffic, so a
-/// longer run of the same program shape must not grow any of these —
+/// longer run of the same program shape must not grow the first three —
 /// which the long-run regression test asserts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemProbe {
@@ -179,10 +371,14 @@ pub struct MemProbe {
     /// Peak entries queued across all channels (in-flight + pending) at
     /// any point of the run.
     pub peak_queued: usize,
-    /// Total retained capacity of the in-flight queues at run end.
-    pub inflight_capacity: usize,
-    /// Total retained capacity of the pending-send queues at run end.
-    pub pending_capacity: usize,
+    /// Retained capacity, in nodes, of the run's queue-node pool at run
+    /// end. Every channel's in-flight and pending lists share the pool,
+    /// which grows by doubling only when all its nodes are live, so this
+    /// is at most `2 × peak_queued`.
+    pub queue_capacity: usize,
+    /// Rendezvous sends that parked on their channel because the
+    /// receiver had not posted the matching receive yet.
+    pub parked_sends: u64,
 }
 
 /// Dense channel index: a channel id per directed partner edge, in two
@@ -481,12 +677,7 @@ pub(crate) struct SeqState {
     park_clock: Vec<SimTime>,
     stats: Vec<RankStats>,
     noise: NoiseBank,
-    // Dense channel queues; FIFO in sender program order (MPI
-    // non-overtaking), matched by scanning for the first tag hit.
-    inflight: Vec<VecDeque<Msg>>,
-    pending: Vec<VecDeque<Pend>>,
-    queued: usize,
-    peak_queued: usize,
+    queues: ChannelQueues,
     /// Sender NIC busy-until times (back-to-back serialisation).
     nic_busy: Vec<SimTime>,
     /// Ranks currently parked at the pending collective.
@@ -506,10 +697,7 @@ impl SeqState {
             park_clock: vec![SimTime::ZERO; n],
             stats: vec![RankStats::default(); n],
             noise: NoiseBank::new(machine, n),
-            inflight: (0..channel_count).map(|_| VecDeque::new()).collect(),
-            pending: (0..channel_count).map(|_| VecDeque::new()).collect(),
-            queued: 0,
-            peak_queued: 0,
+            queues: ChannelQueues::new(channel_count),
             nic_busy: vec![SimTime::ZERO; n],
             parked: Vec::with_capacity(n),
             finished: 0,
@@ -543,10 +731,7 @@ impl SeqState {
             park_clock,
             stats,
             noise,
-            inflight,
-            pending,
-            queued,
-            peak_queued,
+            queues,
             nic_busy,
             parked,
             finished,
@@ -630,15 +815,10 @@ impl SeqState {
                         {
                             // Rendezvous: the receiver has not posted yet;
                             // park until it reaches the matching receive.
-                            pending[chan].push_back(Pend {
-                                tag,
-                                cost: class,
-                                bytes,
-                                ready: clock[r],
-                                jitter,
-                            });
-                            *queued += 1;
-                            *peak_queued = (*peak_queued).max(*queued);
+                            queues.push_pend(
+                                chan,
+                                Pend { tag, cost: class, bytes, ready: clock[r], jitter },
+                            );
                             status[r] = St::BlockedSend { to: to as u32, tag };
                             break;
                         }
@@ -676,9 +856,7 @@ impl SeqState {
                                 });
                             }
                         }
-                        inflight[chan].push_back(Msg { tag, cost: class, bytes, arrival });
-                        *queued += 1;
-                        *peak_queued = (*peak_queued).max(*queued);
+                        queues.push_msg(chan, Msg { tag, cost: class, bytes, arrival });
                         stats[r].messages_sent += 1;
                         stats[r].bytes_sent += bytes as u64;
                         // A blocking rendezvous send returns once the
@@ -713,11 +891,8 @@ impl SeqState {
                     SharedOp::Recv { slot, tag } => {
                         let from = partners[slot as usize] as usize;
                         let chan = chan0 + slot as usize;
-                        let q = &mut inflight[chan];
-                        match q.iter().position(|m| m.tag == tag) {
-                            Some(i) => {
-                                let msg = q.remove(i).expect("position is in range");
-                                *queued -= 1;
+                        match queues.take_msg(chan, tag) {
+                            Some(msg) => {
                                 let wait = msg.arrival.saturating_sub(clock[r]);
                                 let overhead = prices[msg.cost as usize].recv_overhead;
                                 if let Some(rec) = rec {
@@ -754,10 +929,7 @@ impl SeqState {
                             None => {
                                 // A rendezvous sender may be parked on
                                 // this channel: complete the handshake.
-                                let pq = &mut pending[chan];
-                                if let Some(i) = pq.iter().position(|p| p.tag == tag) {
-                                    let pend = pq.remove(i).expect("position is in range");
-                                    *queued -= 1;
+                                if let Some(pend) = queues.take_pend(chan, tag) {
                                     let sent = prices[pend.cost as usize];
                                     let s_rank = from;
                                     let wire_start = pend.ready.max(nic_busy[s_rank]).max(clock[r]);
@@ -958,9 +1130,9 @@ fn finalize(
 
     let probe = MemProbe {
         channels: channels.count,
-        peak_queued: st.peak_queued,
-        inflight_capacity: st.inflight.iter().map(|q| q.capacity()).sum(),
-        pending_capacity: st.pending.iter().map(|q| q.capacity()).sum(),
+        peak_queued: st.queues.pool.peak_live(),
+        queue_capacity: st.queues.pool.capacity(),
+        parked_sends: st.queues.parked_sends,
     };
     let report = RunReport { ranks: st.stats };
     if check_spans {
@@ -1026,13 +1198,6 @@ impl<'m> Paused<'m> {
         self.clone()
     }
 
-    /// Lowest channel id with a message in flight or an unposted send
-    /// pending at the pause point, if any.
-    fn first_busy_channel(&self) -> Option<usize> {
-        (0..self.state.inflight.len())
-            .find(|&ch| !self.state.inflight[ch].is_empty() || !self.state.pending[ch].is_empty())
-    }
-
     /// Non-consuming compatibility probe for [`Paused::resume_with`]:
     /// checks that `machine` keeps the snapshot's noise class. On
     /// mismatch the error names the offending noise-class pair and the
@@ -1044,7 +1209,7 @@ impl<'m> Paused<'m> {
             return Err(SimError::SnapshotIncompatible {
                 snapshot_noise: if was_silent { "silent" } else { "noisy" },
                 resume_noise: noise_class(machine),
-                channel: self.first_busy_channel(),
+                channel: self.state.queues.first_busy(),
             });
         }
         Ok(())
@@ -1157,6 +1322,8 @@ mod tests {
     use crate::network::NetworkModel;
     use crate::noise::NoiseModel;
     use crate::program::Op;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     fn ideal(mflops: f64) -> MachineSpec {
         MachineSpec::ideal(mflops)
@@ -1671,5 +1838,183 @@ mod tests {
         assert_eq!(short.channels, long.channels);
         assert!(short.channels > 0);
         assert!(long.peak_queued >= 1);
+    }
+
+    /// The items of `list`, front to back; checks that `tail` is the
+    /// last node walked.
+    fn items<T: Copy>(pool: &NodePool<T>, list: Fifo) -> Vec<T> {
+        let mut out = Vec::new();
+        let (mut prev, mut cur) = (NIL, list.head);
+        while cur != NIL {
+            out.push(pool.nodes[cur as usize].item);
+            (prev, cur) = (cur, pool.nodes[cur as usize].next);
+        }
+        assert_eq!(list.tail, prev, "tail must be the last node");
+        out
+    }
+
+    /// `(tag, id)` items on one list, for the pool tests.
+    fn filled(tags: &[u32]) -> (NodePool<(u32, usize)>, Fifo) {
+        let mut pool = NodePool::new();
+        let mut list = Fifo::EMPTY;
+        for (id, &tag) in tags.iter().enumerate() {
+            pool.push_back(&mut list, (tag, id));
+        }
+        (pool, list)
+    }
+
+    #[test]
+    fn pool_takes_first_tag_match_from_head_middle_and_tail() {
+        let (mut pool, mut list) = filled(&[1, 2, 3, 2, 4]);
+        // Head.
+        assert_eq!(pool.take_first(&mut list, |e| e.0 == 1), Some((1, 0)));
+        assert_eq!(items(&pool, list), vec![(2, 1), (3, 2), (2, 3), (4, 4)]);
+        // Middle: the first of two equal tags leaves first.
+        assert_eq!(pool.take_first(&mut list, |e| e.0 == 2), Some((2, 1)));
+        assert_eq!(pool.take_first(&mut list, |e| e.0 == 2), Some((2, 3)));
+        assert_eq!(items(&pool, list), vec![(3, 2), (4, 4)]);
+        // Tail: a later push must land after the new tail.
+        assert_eq!(pool.take_first(&mut list, |e| e.0 == 4), Some((4, 4)));
+        pool.push_back(&mut list, (5, 5));
+        assert_eq!(items(&pool, list), vec![(3, 2), (5, 5)]);
+        assert_eq!(pool.take_first(&mut list, |e| e.0 == 9), None);
+        // Draining leaves an empty list that accepts pushes again.
+        assert_eq!(pool.take_first(&mut list, |e| e.0 == 3), Some((3, 2)));
+        assert_eq!(pool.take_first(&mut list, |e| e.0 == 5), Some((5, 5)));
+        assert_eq!(list, Fifo::EMPTY);
+        pool.push_back(&mut list, (6, 6));
+        assert_eq!(items(&pool, list), vec![(6, 6)]);
+    }
+
+    #[test]
+    fn pool_reuses_freed_nodes_before_growing() {
+        let (mut pool, mut a) = filled(&[1, 2, 3]);
+        let mut b = Fifo::EMPTY;
+        for tag in [1, 2, 3] {
+            pool.take_first(&mut a, |e| e.0 == tag).unwrap();
+        }
+        // Three live at most so far: three fresh pushes on another list
+        // recycle the freed nodes.
+        for id in 0..3 {
+            pool.push_back(&mut b, (7, id));
+        }
+        assert_eq!((pool.nodes.len(), pool.peak_live()), (3, 3));
+        assert_eq!(items(&pool, b), vec![(7, 0), (7, 1), (7, 2)]);
+        assert!(a.is_empty());
+        // A fourth live entry grows the pool by doubling.
+        pool.push_back(&mut a, (8, 3));
+        assert_eq!((pool.nodes.len(), pool.peak_live()), (4, 4));
+        assert_eq!(pool.capacity(), 4);
+    }
+
+    #[test]
+    fn channel_queues_keep_messages_and_parked_sends_apart() {
+        let mut q = ChannelQueues::new(3);
+        let msg = |tag| Msg { tag, cost: 0, bytes: 8, arrival: SimTime::ZERO };
+        let pend =
+            |tag| Pend { tag, cost: 1, bytes: 9, ready: SimTime::ZERO, jitter: SimTime::ZERO };
+        assert_eq!(q.first_busy(), None);
+        q.push_pend(2, pend(5));
+        q.push_msg(2, msg(6));
+        q.push_msg(1, msg(5));
+        assert_eq!(q.first_busy(), Some(1));
+        // Each list answers only for its own kind of entry.
+        assert!(q.take_msg(2, 5).is_none());
+        assert_eq!(q.take_pend(2, 5).map(|p| p.bytes), Some(9));
+        assert!(q.take_pend(2, 6).is_none());
+        assert_eq!(q.take_msg(2, 6).map(|m| m.tag), Some(6));
+        assert_eq!(q.take_msg(1, 5).map(|m| m.tag), Some(5));
+        assert_eq!(q.first_busy(), None);
+        assert_eq!(q.parked_sends, 1);
+        assert_eq!(q.pool.peak_live(), 3);
+    }
+
+    /// Operations of the pool property tests: `(push?, channel, tag)`.
+    type PoolOps = Vec<(bool, usize, u32)>;
+
+    /// A pool with four channel lists checked against one `VecDeque` per
+    /// channel: pushes append, takes remove the first tag match.
+    #[derive(Clone)]
+    struct Checked {
+        pool: NodePool<(u32, usize)>,
+        lists: Vec<Fifo>,
+        model: Vec<VecDeque<(u32, usize)>>,
+        next_id: usize,
+        peak: usize,
+    }
+
+    impl Checked {
+        fn new() -> Self {
+            Checked {
+                pool: NodePool::new(),
+                lists: vec![Fifo::EMPTY; 4],
+                model: vec![VecDeque::new(); 4],
+                next_id: 0,
+                peak: 0,
+            }
+        }
+
+        fn apply(&mut self, ops: &PoolOps) -> Result<(), TestCaseError> {
+            for &(push, chan, tag) in ops {
+                if push {
+                    let item = (tag, self.next_id);
+                    self.next_id += 1;
+                    self.pool.push_back(&mut self.lists[chan], item);
+                    self.model[chan].push_back(item);
+                } else {
+                    let got = self.pool.take_first(&mut self.lists[chan], |e| e.0 == tag);
+                    let q = &mut self.model[chan];
+                    let want = q.iter().position(|e| e.0 == tag).and_then(|i| q.remove(i));
+                    prop_assert_eq!(got, want);
+                }
+                let live: usize = self.model.iter().map(VecDeque::len).sum();
+                self.peak = self.peak.max(live);
+                prop_assert_eq!(self.pool.peak_live(), self.peak);
+                // Freed nodes are reused before the vector grows.
+                prop_assert_eq!(self.pool.nodes.len(), self.peak);
+                prop_assert!(self.pool.capacity() <= 2 * self.peak);
+            }
+            for (chan, q) in self.model.iter().enumerate() {
+                prop_assert_eq!(items(&self.pool, self.lists[chan]), Vec::from(q.clone()));
+            }
+            Ok(())
+        }
+    }
+
+    fn pool_ops() -> impl Strategy<Value = PoolOps> {
+        prop::collection::vec((any::<bool>(), 0usize..4, 0u32..3), 0..120)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn pool_lists_match_a_deque_per_channel(ops in pool_ops()) {
+            Checked::new().apply(&ops)?;
+        }
+
+        #[test]
+        fn cloned_pool_evolves_independently(
+            prefix in pool_ops(),
+            left in pool_ops(),
+            right in pool_ops(),
+        ) {
+            let mut original = Checked::new();
+            original.apply(&prefix)?;
+            let mut fork = original.clone();
+            original.apply(&left)?;
+            fork.apply(&right)?;
+            // Replaying the fork's suffix on a fresh copy of the prefix
+            // gives the same lists: the original's suffix did not leak.
+            let mut replay = Checked::new();
+            replay.apply(&prefix)?;
+            replay.apply(&right)?;
+            for chan in 0..4 {
+                prop_assert_eq!(
+                    items(&fork.pool, fork.lists[chan]),
+                    items(&replay.pool, replay.lists[chan])
+                );
+            }
+        }
     }
 }

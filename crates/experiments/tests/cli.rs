@@ -115,6 +115,43 @@ fn unpriceable_workload_spec_fields_are_usage_errors() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Workload spec files whose rank count is past `registry::MAX_RANKS` exit
+/// 2 naming the ceiling, before the DES allocates per-rank state (a
+/// 100000 x 100000 stencil used to abort allocating 240 GB, exit 134).
+#[test]
+fn workload_specs_past_the_rank_ceiling_are_usage_errors() {
+    use pace_core::{AllreduceParams, StencilParams, Sweep3dParams};
+    use registry::{WorkloadSpec, MAX_RANKS};
+    let grid = |px, py| {
+        [
+            WorkloadSpec::Stencil(StencilParams::weak_scaling(px, py)),
+            WorkloadSpec::Wavefront(Sweep3dParams::speculative_20m(px, py)),
+        ]
+    };
+    let probes: Vec<WorkloadSpec> = grid(100_000, 100_000)
+        .into_iter()
+        .chain(grid(1 << 32, 1 << 32)) // px * py overflows u64
+        .chain([WorkloadSpec::Allreduce(AllreduceParams::cg_like(MAX_RANKS + 1))])
+        .collect();
+    let ceiling = MAX_RANKS.to_string();
+    let dir = std::env::temp_dir().join(format!("pace-rank-probes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (i, spec) in probes.iter().enumerate() {
+        let path = dir.join(format!("probe{i}.json"));
+        std::fs::write(&path, spec.to_json()).unwrap();
+        let out = experiments(&["sweep", "--workload", path.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "probe {i} ({}): {stderr}", spec.name());
+        assert!(!stderr.contains("panicked"), "probe {i} panicked: {stderr}");
+        assert!(!stderr.contains("memory allocation"), "probe {i} aborted: {stderr}");
+        assert!(
+            stderr.contains("rank ceiling") && stderr.contains(&ceiling),
+            "probe {i}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Flags of the retired process tier, and store flags used without a
 /// store or alongside the planner, exit 2 with one line.
 #[test]

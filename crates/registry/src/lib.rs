@@ -29,7 +29,7 @@ pub mod quoted;
 pub mod sim;
 mod workload_json;
 
-pub use workload_json::{load_workload_file, WorkloadSpec};
+pub use workload_json::{load_workload_file, WorkloadSpec, MAX_RANKS};
 
 use pace_core::HardwareModel;
 

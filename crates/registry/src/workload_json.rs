@@ -13,8 +13,9 @@
 //!   identifier lists every valid one;
 //! * **no aborts downstream** — every extent, blocking factor and count a
 //!   template asserts on or divides by must be at least 1, the wavefront
-//!   angle count must belong to an even S_N order, and per-cell operation
-//!   counts must lie in [`OPS_PER_CELL`].
+//!   angle count must belong to an even S_N order, per-cell operation
+//!   counts must lie in [`OPS_PER_CELL`], and the rank count may not
+//!   exceed [`MAX_RANKS`].
 
 use std::ops::RangeInclusive;
 use std::sync::Arc;
@@ -31,6 +32,13 @@ use crate::json::{as_obj, check_fields, integer, num, ranged, req, string, Objec
 /// operations per cell is far past any real cell update and keeps each
 /// simulated compute op well inside the picosecond clock.
 pub const OPS_PER_CELL: RangeInclusive<f64> = 0.0..=1e6;
+
+/// Rank ceiling: a wavefront or stencil spec's `px · py` and an allreduce
+/// spec's `procs` may not exceed 2^20 ranks, over a hundred times the
+/// paper's 8000-PE speculative campaign. The DES allocates its per-rank
+/// state before the first event, so a larger grid would abort allocating
+/// rather than fail.
+pub const MAX_RANKS: usize = 1 << 20;
 
 /// A parsed workload spec: which template plus its parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -185,6 +193,18 @@ fn positive(map: &Object, key: &str, ctx: &str) -> Result<usize, String> {
     }
 }
 
+/// A `px × py` process grid within [`MAX_RANKS`].
+fn grid(map: &Object, ctx: &str) -> Result<(usize, usize), String> {
+    let px = positive(map, "px", ctx)?;
+    let py = positive(map, "py", ctx)?;
+    match px.checked_mul(py) {
+        Some(ranks) if ranks <= MAX_RANKS => Ok((px, py)),
+        _ => Err(format!(
+            "{ctx}: px × py = {px} × {py} ranks exceeds the rank ceiling MAX_RANKS = {MAX_RANKS}"
+        )),
+    }
+}
+
 fn vector(v: &Json, ctx: &str) -> Result<ResourceVector, String> {
     let map = as_obj(v, ctx)?;
     check_fields(map, &["mfdg", "afdg", "dfdg", "ifbr", "lfor", "cmld"], ctx)?;
@@ -226,9 +246,10 @@ fn wavefront(v: &Json, ctx: &str) -> Result<Sweep3dParams, String> {
     let angles_per_octant = positive(map, "angles_per_octant", ctx)?;
     pace_core::workload::sn_order_for(angles_per_octant)
         .map_err(|e| format!("{ctx}.angles_per_octant: {e}"))?;
+    let (px, py) = grid(map, ctx)?;
     Ok(Sweep3dParams {
-        px: positive(map, "px", ctx)?,
-        py: positive(map, "py", ctx)?,
+        px,
+        py,
         nx: positive(map, "nx", ctx)?,
         ny: positive(map, "ny", ctx)?,
         nz: positive(map, "nz", ctx)?,
@@ -243,9 +264,10 @@ fn wavefront(v: &Json, ctx: &str) -> Result<Sweep3dParams, String> {
 fn stencil(v: &Json, ctx: &str) -> Result<StencilParams, String> {
     let map = as_obj(v, ctx)?;
     check_fields(map, &["px", "py", "nx", "ny", "iterations", "flops_per_cell"], ctx)?;
+    let (px, py) = grid(map, ctx)?;
     Ok(StencilParams {
-        px: positive(map, "px", ctx)?,
-        py: positive(map, "py", ctx)?,
+        px,
+        py,
         nx: positive(map, "nx", ctx)?,
         ny: positive(map, "ny", ctx)?,
         iterations: usize_field(map, "iterations", ctx)?,
@@ -267,8 +289,14 @@ fn allreduce(v: &Json, ctx: &str) -> Result<AllreduceParams, String> {
         ],
         ctx,
     )?;
+    let procs = positive(map, "procs", ctx)?;
+    if procs > MAX_RANKS {
+        return Err(format!(
+            "{ctx}.procs: {procs} ranks exceeds the rank ceiling MAX_RANKS = {MAX_RANKS}"
+        ));
+    }
     Ok(AllreduceParams {
-        procs: positive(map, "procs", ctx)?,
+        procs,
         cells_per_pe: usize_field(map, "cells_per_pe", ctx)?,
         flops_per_cell: ranged(map, "flops_per_cell", ctx, OPS_PER_CELL)?,
         reduce_bytes: usize_field(map, "reduce_bytes", ctx)?,
@@ -349,6 +377,33 @@ mod tests {
             let field = to.split('"').nth(1).unwrap();
             assert!(err.contains(&format!(".{field}: ")), "{to}: {err}");
         }
+    }
+
+    #[test]
+    fn rank_counts_past_the_ceiling_are_rejected() {
+        let parse = |spec: WorkloadSpec| WorkloadSpec::from_json(&spec.to_json());
+        // 1024 x 1024 is exactly MAX_RANKS; a product past u64 must not
+        // wrap into range.
+        for (px, py, fits) in [(1024, 1024, true), (1024, 1025, false), (1 << 32, 1 << 32, false)] {
+            for spec in [
+                WorkloadSpec::Stencil(StencilParams::weak_scaling(px, py)),
+                WorkloadSpec::Wavefront(Sweep3dParams::speculative_20m(px, py)),
+            ] {
+                let name = spec.name();
+                match parse(spec) {
+                    Ok(_) => assert!(fits, "{name} {px}x{py} must be rejected"),
+                    Err(err) => {
+                        assert!(!fits, "{name} {px}x{py}: {err}");
+                        assert!(err.contains("rank ceiling"), "{err}");
+                        assert!(err.contains(&MAX_RANKS.to_string()), "{err}");
+                    }
+                }
+            }
+        }
+        let procs = |n| parse(WorkloadSpec::Allreduce(AllreduceParams::cg_like(n)));
+        assert!(procs(MAX_RANKS).is_ok());
+        let err = procs(MAX_RANKS + 1).unwrap_err();
+        assert!(err.contains("params.procs: ") && err.contains("rank ceiling"), "{err}");
     }
 
     #[test]

@@ -10,6 +10,13 @@
 //! are consumed in per-rank program order, so scheduling interleavings
 //! cannot change the outcome.
 //!
+//! `SeqState::advance` is the engine's only op interpreter. A `SeqState`
+//! owns a contiguous rank range and the channels those ranks receive on:
+//! the sequential driver here runs one over the whole mesh (and pauses
+//! and forks it), and the windowed-parallel driver in [`crate::par`] runs
+//! one per rank partition, routing each partition's outbox between
+//! windows.
+//!
 //! # Execution-core layout
 //!
 //! The engine is built for large rank counts (the paper's speculative
@@ -28,12 +35,13 @@
 //!   tag)` FIFO order bit-exactly.
 //! * Queue storage is sized by what is in flight. Each channel holds two
 //!   intrusive FIFO lists — in-flight messages and parked rendezvous
-//!   sends — as head/tail indices into one per-run [`NodePool`] with a
-//!   free list. The pool's length is the run's peak queued-entry count,
-//!   and its capacity stays within twice that, whereas one deque per
-//!   channel retained the sum of every channel's own peak (2.0 M slots
-//!   against a 10.3 k peak at 8000 ranks). A snapshot copies one pool and
-//!   two index arrays.
+//!   sends — as head/tail indices into one [`NodePool`] with a free list
+//!   per scheduler state: one for a sequential run, one per partition of
+//!   a windowed-parallel run. The pool's length is its state's peak
+//!   queued-entry count, and its capacity stays within twice that,
+//!   whereas one deque per channel retained the sum of every channel's
+//!   own peak (2.0 M slots against a 10.3 k peak at 8000 ranks). A
+//!   snapshot copies one pool and two index arrays.
 //! * The channel index is flat: receiver-allocated ids are contiguous per
 //!   rank, so a receive reads `chan_base[r] + slot` and a send reads
 //!   `send_chan[chan_base[r] + slot]` — two arrays for the whole run
@@ -73,6 +81,7 @@
 //! clocks: results are bit-identical with tracing on or off.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::Range;
 
 use obs::{Cat, EdgeKind, EdgeRecord, Recorder};
 
@@ -86,7 +95,7 @@ use crate::time::SimTime;
 
 /// Rank scheduling status (compact: fits SoA status array).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum St {
+enum St {
     Ready,
     BlockedRecv {
         from: u32,
@@ -126,6 +135,37 @@ pub(crate) struct Pend {
     /// Pre-drawn wire jitter (drawn at send execution so noise stays in
     /// program order).
     pub(crate) jitter: SimTime,
+    /// The sender's NIC-busy time at park time. A parked sender executes
+    /// nothing, so the value is frozen until the handshake, and the
+    /// receiver reads it here whether or not its state runs the sender.
+    pub(crate) nic_busy: SimTime,
+}
+
+/// Traffic a [`SeqState`] cannot apply itself: a message or parked send
+/// on a channel another state owns, or a handshake reply to a sender
+/// another state runs. Only windowed-parallel partitions produce it; the
+/// driver in [`crate::par`] routes it between windows.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Bound {
+    /// An eager message from `src` to `dst` on channel `chan`.
+    Msg { chan: u32, src: u32, dst: u32, msg: Msg },
+    /// A rendezvous send from `src` to `dst`, parked on channel `chan`.
+    Pend { chan: u32, src: u32, dst: u32, pend: Pend },
+    /// A completed handshake: sender `src` resumes at `resume`.
+    Done { src: u32, dst: u32, bytes: usize, ready: SimTime, resume: SimTime },
+}
+
+impl Bound {
+    /// The rank whose state takes this entry, or `None` for traffic on a
+    /// dangling channel, which nothing reads.
+    pub(crate) fn owner(&self, channels: &Channels) -> Option<usize> {
+        match *self {
+            Bound::Msg { chan, dst, .. } | Bound::Pend { chan, dst, .. } => {
+                (chan < channels.dangling_base()).then_some(dst as usize)
+            }
+            Bound::Done { src, .. } => Some(src as usize),
+        }
+    }
 }
 
 /// Null link of a [`NodePool`] list.
@@ -319,31 +359,27 @@ impl ChannelQueues {
 /// snapshot forks bit-exact: a cloned bank replays the same draws the
 /// original would have drawn.
 #[derive(Clone)]
-pub(crate) enum NoiseBank {
+enum NoiseBank {
     Silent,
     PerRank(Vec<NoiseStream>),
 }
 
 impl NoiseBank {
-    fn new(machine: &MachineSpec, n: usize) -> Self {
-        Self::for_range(machine, 0, n)
-    }
-
-    /// A bank covering global ranks `lo..hi`, indexed locally (`r - lo`).
-    /// Streams are salted with the *global* rank, so a partitioned engine
-    /// draws exactly the sequence the monolithic bank would.
-    pub(crate) fn for_range(machine: &MachineSpec, lo: usize, hi: usize) -> Self {
+    /// A bank covering global ranks `ranks`, indexed locally. Streams are
+    /// salted with the *global* rank, so a partition draws exactly the
+    /// sequence the whole-mesh bank would.
+    fn for_range(machine: &MachineSpec, ranks: Range<usize>) -> Self {
         if machine.noise.is_none() {
             NoiseBank::Silent
         } else {
             NoiseBank::PerRank(
-                (lo..hi).map(|r| NoiseStream::new(machine.noise, machine.seed, r)).collect(),
+                ranks.map(|r| NoiseStream::new(machine.noise, machine.seed, r)).collect(),
             )
         }
     }
 
     #[inline]
-    pub(crate) fn compute_factor(&mut self, r: usize) -> f64 {
+    fn compute_factor(&mut self, r: usize) -> f64 {
         match self {
             NoiseBank::Silent => 1.0,
             NoiseBank::PerRank(v) => v[r].compute_factor(),
@@ -351,7 +387,7 @@ impl NoiseBank {
     }
 
     #[inline]
-    pub(crate) fn message_jitter_secs(&mut self, r: usize) -> f64 {
+    fn message_jitter_secs(&mut self, r: usize) -> f64 {
         match self {
             NoiseBank::Silent => 0.0,
             NoiseBank::PerRank(v) => v[r].message_jitter_secs(),
@@ -571,28 +607,23 @@ impl<'m> Engine<'m> {
 
     /// Execute the programs to completion, returning per-rank statistics.
     pub fn run(self) -> SimResult<RunReport> {
-        self.run_impl().map(|(report, _)| report)
+        self.run_probed().map(|(report, _)| report)
     }
 
     /// [`Engine::run`] plus the channel-table memory counters, for
     /// footprint regression tests and the bench harness.
     pub fn run_probed(self) -> SimResult<(RunReport, MemProbe)> {
-        self.run_impl()
+        self.validate()?;
+        let ctx = RunCtx::new(self.machine, &self.set, self.recorder, self.trace_pid);
+        run_sequential(&self.set, &build_channels(&self.set), &ctx)
     }
 
-    pub(crate) fn run_impl(self) -> SimResult<(RunReport, MemProbe)> {
-        if !self.skip_validation {
-            self.set.validate().map_err(|detail| SimError::InvalidPrograms { detail })?;
+    /// The static message-balance pre-check, unless switched off.
+    pub(crate) fn validate(&self) -> SimResult<()> {
+        if self.skip_validation {
+            return Ok(());
         }
-        let n = self.set.num_ranks();
-        if n == 0 {
-            return Ok((RunReport { ranks: vec![] }, MemProbe::default()));
-        }
-        let ctx = RunCtx::new(self.machine, &self.set, self.recorder, self.trace_pid);
-        let channels = build_channels(&self.set);
-        let mut state = SeqState::new(self.machine, n, channels.count);
-        state.advance(&self.set, &channels, &ctx, None);
-        finalize(state, &self.set, &channels, &ctx, true)
+        self.set.validate().map_err(|detail| SimError::InvalidPrograms { detail })
     }
 
     /// Run until at least `pause_after` rank activations have been
@@ -604,14 +635,11 @@ impl<'m> Engine<'m> {
     /// prefix. A pause target beyond the end of the run simply completes
     /// it (see [`Paused::is_complete`]).
     pub fn run_paused(self, pause_after: u64) -> SimResult<Paused<'m>> {
-        if !self.skip_validation {
-            self.set.validate().map_err(|detail| SimError::InvalidPrograms { detail })?;
-        }
-        let n = self.set.num_ranks();
+        self.validate()?;
         let ctx = RunCtx::new(self.machine, &self.set, self.recorder, self.trace_pid);
         let channels = build_channels(&self.set);
-        let mut state = SeqState::new(self.machine, n, channels.count);
-        state.advance(&self.set, &channels, &ctx, Some(pause_after));
+        let mut state = SeqState::new(self.machine, 0..self.set.num_ranks(), 0..channels.count);
+        state.run(&self.set, &channels, &ctx, Some(pause_after));
         Ok(Paused {
             machine: self.machine,
             set: self.set,
@@ -622,24 +650,25 @@ impl<'m> Engine<'m> {
     }
 }
 
-/// Machine-derived per-run parameters, the op-cost table among them.
-/// Recomputed from the replacement machine when a paused run resumes, so
-/// a fork models "the hardware changes at the pause point".
-struct RunCtx<'a> {
+/// Machine-derived per-run parameters, the op-cost table among them. One
+/// per run, shared by every partition of a parallel one. Recomputed from
+/// the replacement machine when a paused run resumes, so a fork models
+/// "the hardware changes at the pause point".
+pub(crate) struct RunCtx<'a> {
     machine: &'a MachineSpec,
-    costs: CostTable,
+    pub(crate) costs: CostTable,
     /// Per-run background-load level (same for every rank in this run).
     run_factor: f64,
     eager_limit: usize,
     /// Telemetry sink (None when absent or disabled: zero-cost path).
-    rec: Option<&'a Recorder>,
+    pub(crate) rec: Option<&'a Recorder>,
     pid: u32,
     /// Span totals the recorder held before this run (debug builds).
     span_baseline: SpanTotals,
 }
 
 impl<'a> RunCtx<'a> {
-    fn new(
+    pub(crate) fn new(
         machine: &'a MachineSpec,
         set: &ProgramSet,
         recorder: Option<&'a Recorder>,
@@ -663,12 +692,21 @@ impl<'a> RunCtx<'a> {
     }
 }
 
-/// The sequential scheduler's complete mutable state, cloneable so a
-/// paused run can be snapshotted and forked: every field a later event
-/// can read — clocks, queues, noise-stream positions, the ready queue —
-/// is owned here, which is what makes a restored copy bit-identical.
+/// The scheduler state of a contiguous rank range `lo..hi` and of the
+/// channels those ranks receive on. A sequential run owns the whole mesh
+/// in one state; a windowed-parallel run gives each partition one.
+///
+/// Cloneable so a paused run can be snapshotted and forked: every field a
+/// later event can read — clocks, queues, noise-stream positions, the
+/// ready queue — is owned here, which is what makes a restored copy
+/// bit-identical. Per-rank arrays are indexed locally (`rank - lo`),
+/// queues by `channel - chan_lo`.
 #[derive(Clone)]
 pub(crate) struct SeqState {
+    /// First global rank of the range.
+    lo: usize,
+    /// First channel id the state owns.
+    chan_lo: usize,
     // Hot per-rank state, struct-of-arrays.
     clock: Vec<SimTime>,
     pc: Vec<u32>,
@@ -680,96 +718,123 @@ pub(crate) struct SeqState {
     queues: ChannelQueues,
     /// Sender NIC busy-until times (back-to-back serialisation).
     nic_busy: Vec<SimTime>,
-    /// Ranks currently parked at the pending collective.
+    /// Ranks (global ids) currently parked at the pending collective.
     parked: Vec<usize>,
     finished: usize,
+    /// Runnable ranks (global ids).
     ready: VecDeque<usize>,
     /// Rank activations processed so far (the pause-point unit).
     activations: u64,
+    /// Traffic for other states, drained by the parallel driver. Always
+    /// empty when the state owns the whole mesh.
+    pub(crate) outbox: Vec<Bound>,
 }
 
 impl SeqState {
-    fn new(machine: &MachineSpec, n: usize, channel_count: usize) -> Self {
+    pub(crate) fn new(machine: &MachineSpec, ranks: Range<usize>, chans: Range<usize>) -> Self {
+        let n = ranks.len();
         SeqState {
+            lo: ranks.start,
+            chan_lo: chans.start,
             clock: vec![SimTime::ZERO; n],
             pc: vec![0u32; n],
             status: vec![St::Ready; n],
             park_clock: vec![SimTime::ZERO; n],
             stats: vec![RankStats::default(); n],
-            noise: NoiseBank::new(machine, n),
-            queues: ChannelQueues::new(channel_count),
+            noise: NoiseBank::for_range(machine, ranks.clone()),
+            queues: ChannelQueues::new(chans.len()),
             nic_busy: vec![SimTime::ZERO; n],
             parked: Vec::with_capacity(n),
             finished: 0,
-            ready: (0..n).collect(),
+            ready: ranks.collect(),
             activations: 0,
+            outbox: Vec::new(),
         }
     }
 
-    /// Advance the scheduler until completion, global quiescence, or —
-    /// when `pause_after` is set — until at least that many activations
-    /// have been processed. The pause check sits at the activation
-    /// boundary only, so a paused state never holds a half-executed op.
-    fn advance(
+    pub(crate) fn activations(&self) -> u64 {
+        self.activations
+    }
+
+    /// No rank of the range is runnable.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.ready.is_empty()
+    }
+
+    fn owns_rank(&self, r: usize) -> bool {
+        r.wrapping_sub(self.lo) < self.clock.len()
+    }
+
+    /// Sequential driver: [`SeqState::advance`] over the whole mesh,
+    /// completing each collective once the last rank has parked, until the
+    /// run ends, deadlocks or has processed `pause_after` activations.
+    fn run(
         &mut self,
         set: &ProgramSet,
         channels: &Channels,
         ctx: &RunCtx<'_>,
         pause_after: Option<u64>,
     ) {
-        let n = set.num_ranks();
-        let machine = ctx.machine;
-        let prices = &ctx.costs.prices;
-        let run_factor = ctx.run_factor;
-        let eager_limit = ctx.eager_limit;
-        let rec = ctx.rec;
-        let pid = ctx.pid;
-        let SeqState {
-            clock,
-            pc,
-            status,
-            park_clock,
-            stats,
-            noise,
-            queues,
-            nic_busy,
-            parked,
-            finished,
-            ready,
-            activations,
-        } = self;
-
         loop {
-            if pause_after.is_some_and(|limit| *activations >= limit) {
+            self.advance(set, channels, ctx, pause_after);
+            if !complete_collective(&mut [&mut *self], set, ctx) {
                 return;
             }
-            let Some(r) = ready.pop_front() else { return };
-            *activations += 1;
-            debug_assert_eq!(status[r], St::Ready);
+        }
+    }
+
+    /// The engine's op interpreter: run the range's ready ranks until none
+    /// is runnable or, when `pause_after` is set, until at least that many
+    /// activations have been processed. The pause check sits at the
+    /// activation boundary only, so a paused state never holds a
+    /// half-executed op. When the last rank of the range parks at a
+    /// collective nothing is runnable, so it returns and leaves the
+    /// collective to its driver ([`complete_collective`]). Traffic on a
+    /// channel the state does not own goes to the outbox.
+    pub(crate) fn advance(
+        &mut self,
+        set: &ProgramSet,
+        channels: &Channels,
+        ctx: &RunCtx<'_>,
+        pause_after: Option<u64>,
+    ) {
+        let prices = &ctx.costs.prices;
+        let eager_limit = ctx.eager_limit;
+        let (rec, pid) = (ctx.rec, ctx.pid);
+        let (lo, chan_lo) = (self.lo, self.chan_lo);
+        let owned_chans = chan_lo..chan_lo + self.queues.inflight.len();
+        loop {
+            if pause_after.is_some_and(|limit| self.activations >= limit) {
+                return;
+            }
+            let Some(r) = self.ready.pop_front() else { return };
+            self.activations += 1;
+            let li = r - lo;
+            debug_assert_eq!(self.status[li], St::Ready);
             let ops = set.ops(r);
             let partners = set.partners(r);
             let classes = ctx.costs.classes(set, r);
             let chan0 = channels.chan_base[r] as usize;
             loop {
-                let at = pc[r] as usize;
+                let at = self.pc[li] as usize;
                 if at >= ops.len() {
-                    status[r] = St::Done;
-                    stats[r].finish = clock[r];
+                    self.status[li] = St::Done;
+                    self.stats[li].finish = self.clock[li];
                     // Every clock advance is mirrored by exactly one stats
                     // increment, so the breakdown closes *exactly* in
                     // integer picoseconds — not just approximately.
                     debug_assert_eq!(
-                        stats[r].accounted(),
-                        stats[r].finish,
+                        self.stats[li].accounted(),
+                        self.stats[li].finish,
                         "rank {r}: accounted time must equal finish exactly"
                     );
-                    *finished += 1;
+                    self.finished += 1;
                     break;
                 }
                 match ops[at] {
                     SharedOp::Compute { .. } => {
                         let base = prices[classes[at] as usize].cpu;
-                        let factor = noise.compute_factor(r) * run_factor;
+                        let factor = self.noise.compute_factor(li) * ctx.run_factor;
                         let dur = SimTime::from_secs(base.as_secs() * factor);
                         if let Some(rec) = rec {
                             rec.sim_span(
@@ -777,28 +842,27 @@ impl SeqState {
                                 r as u32,
                                 "compute",
                                 Cat::Compute,
-                                clock[r].picos(),
+                                self.clock[li].picos(),
                                 dur.picos(),
                                 vec![],
                             );
                         }
-                        clock[r] += dur;
-                        stats[r].compute += dur;
-                        pc[r] += 1;
+                        self.clock[li] += dur;
+                        self.stats[li].compute += dur;
+                        self.pc[li] += 1;
                     }
                     SharedOp::Send { slot, bytes, tag } => {
                         let to = partners[slot as usize] as usize;
                         let class = classes[at];
                         let cost = prices[class as usize];
-                        let overhead = cost.cpu;
                         if let Some(rec) = rec {
                             rec.sim_span(
                                 pid,
                                 r as u32,
                                 "send",
                                 Cat::Comm,
-                                clock[r].picos(),
-                                overhead.picos(),
+                                self.clock[li].picos(),
+                                cost.cpu.picos(),
                                 vec![
                                     ("to", to.into()),
                                     ("bytes", bytes.into()),
@@ -806,31 +870,48 @@ impl SeqState {
                                 ],
                             );
                         }
-                        clock[r] += overhead;
-                        stats[r].send_overhead += overhead;
-                        let jitter = SimTime::from_secs(noise.message_jitter_secs(r));
+                        self.clock[li] += cost.cpu;
+                        self.stats[li].send_overhead += cost.cpu;
+                        let jitter = SimTime::from_secs(self.noise.message_jitter_secs(li));
                         let chan = channels.send_chan[chan0 + slot as usize] as usize;
-                        if bytes >= eager_limit
-                            && status[to] != (St::BlockedRecv { from: r as u32, tag })
-                        {
-                            // Rendezvous: the receiver has not posted yet;
-                            // park until it reaches the matching receive.
-                            queues.push_pend(
-                                chan,
-                                Pend { tag, cost: class, bytes, ready: clock[r], jitter },
-                            );
-                            status[r] = St::BlockedSend { to: to as u32, tag };
+                        // A channel the state does not own has its receiver
+                        // in another partition (or, dangling, none at all).
+                        let local = owned_chans.contains(&chan);
+                        let rendezvous = bytes >= eager_limit;
+                        let waiting = rendezvous
+                            && local
+                            && self.status[to - lo] == (St::BlockedRecv { from: r as u32, tag });
+                        let sent_at = self.clock[li];
+                        if rendezvous && !waiting {
+                            // Rendezvous: the receiver has not posted yet
+                            // (or runs elsewhere); park until it reaches
+                            // the matching receive.
+                            let pend = Pend {
+                                tag,
+                                cost: class,
+                                bytes,
+                                ready: sent_at,
+                                jitter,
+                                nic_busy: self.nic_busy[li],
+                            };
+                            if local {
+                                self.queues.push_pend(chan - chan_lo, pend);
+                            } else {
+                                let (chan, src, dst) = (chan as u32, r as u32, to as u32);
+                                self.outbox.push(Bound::Pend { chan, src, dst, pend });
+                            }
+                            self.status[li] = St::BlockedSend { to: to as u32, tag };
                             break;
                         }
                         // Eager transfer (or the receiver is already
                         // waiting, which completes the handshake at once).
-                        let posted = if bytes >= eager_limit {
-                            clock[to] // receiver's clock at its post
+                        let posted = if rendezvous {
+                            self.clock[to - lo] // receiver's clock at its post
                         } else {
                             SimTime::ZERO
                         };
-                        let wire_start = clock[r].max(nic_busy[r]).max(posted);
-                        nic_busy[r] = wire_start + cost.serialization;
+                        let wire_start = sent_at.max(self.nic_busy[li]).max(posted);
+                        self.nic_busy[li] = wire_start + cost.serialization;
                         let arrival = wire_start + cost.wire + jitter;
                         if let Some(rec) = rec {
                             // Dangling channels (validation off) have no
@@ -844,27 +925,32 @@ impl SeqState {
                                     dst: to as u32,
                                     tag,
                                     bytes: bytes as u64,
-                                    send_post: clock[r].picos(),
+                                    send_post: sent_at.picos(),
                                     recv_post: posted.picos(),
                                     wire_start: wire_start.picos(),
                                     recv: arrival.picos(),
-                                    resume: if bytes >= eager_limit {
-                                        nic_busy[r].picos()
+                                    resume: if rendezvous {
+                                        self.nic_busy[li].picos()
                                     } else {
-                                        clock[r].picos()
+                                        sent_at.picos()
                                     },
                                 });
                             }
                         }
-                        queues.push_msg(chan, Msg { tag, cost: class, bytes, arrival });
-                        stats[r].messages_sent += 1;
-                        stats[r].bytes_sent += bytes as u64;
+                        let msg = Msg { tag, cost: class, bytes, arrival };
+                        if local {
+                            self.queues.push_msg(chan - chan_lo, msg);
+                        } else {
+                            let (chan, src, dst) = (chan as u32, r as u32, to as u32);
+                            self.outbox.push(Bound::Msg { chan, src, dst, msg });
+                        }
+                        self.stats[li].messages_sent += 1;
+                        self.stats[li].bytes_sent += bytes as u64;
                         // A blocking rendezvous send returns once the
                         // buffer is reusable (after serialisation).
-                        if bytes >= eager_limit {
-                            let done = nic_busy[r];
-                            let before = clock[r];
-                            let wait = done.saturating_sub(before);
+                        if rendezvous {
+                            let done = self.nic_busy[li];
+                            let wait = done.saturating_sub(sent_at);
                             if let Some(rec) = rec {
                                 if wait > SimTime::ZERO {
                                     rec.sim_span(
@@ -872,275 +958,326 @@ impl SeqState {
                                         r as u32,
                                         "send_wait",
                                         Cat::Comm,
-                                        before.picos(),
+                                        sent_at.picos(),
                                         wait.picos(),
                                         vec![("to", to.into()), ("bytes", bytes.into())],
                                     );
                                 }
                             }
-                            stats[r].send_wait += wait;
-                            clock[r] = before.max(done);
+                            self.stats[li].send_wait += wait;
+                            self.clock[li] = sent_at.max(done);
                         }
-                        pc[r] += 1;
-                        // Wake the receiver if it is blocked on this channel.
-                        if status[to] == (St::BlockedRecv { from: r as u32, tag }) {
-                            status[to] = St::Ready;
-                            ready.push_back(to);
+                        self.pc[li] += 1;
+                        if local {
+                            self.wake(to, r, tag);
                         }
                     }
                     SharedOp::Recv { slot, tag } => {
                         let from = partners[slot as usize] as usize;
                         let chan = chan0 + slot as usize;
-                        match queues.take_msg(chan, tag) {
-                            Some(msg) => {
-                                let wait = msg.arrival.saturating_sub(clock[r]);
-                                let overhead = prices[msg.cost as usize].recv_overhead;
-                                if let Some(rec) = rec {
-                                    if wait > SimTime::ZERO {
-                                        rec.sim_span(
-                                            pid,
-                                            r as u32,
-                                            "recv_wait",
-                                            Cat::Idle,
-                                            clock[r].picos(),
-                                            wait.picos(),
-                                            vec![("from", from.into())],
-                                        );
-                                    }
-                                    rec.sim_span(
-                                        pid,
-                                        r as u32,
-                                        "recv",
-                                        Cat::Comm,
-                                        clock[r].max(msg.arrival).picos(),
-                                        overhead.picos(),
-                                        vec![
-                                            ("from", from.into()),
-                                            ("bytes", msg.bytes.into()),
-                                            ("tag", (tag as u64).into()),
-                                        ],
-                                    );
-                                }
-                                stats[r].recv_wait += wait;
-                                clock[r] = clock[r].max(msg.arrival) + overhead;
-                                stats[r].recv_overhead += overhead;
-                                pc[r] += 1;
-                            }
-                            None => {
-                                // A rendezvous sender may be parked on
-                                // this channel: complete the handshake.
-                                if let Some(pend) = queues.take_pend(chan, tag) {
-                                    let sent = prices[pend.cost as usize];
-                                    let s_rank = from;
-                                    let wire_start = pend.ready.max(nic_busy[s_rank]).max(clock[r]);
-                                    nic_busy[s_rank] = wire_start + sent.serialization;
-                                    let arrival = wire_start + sent.wire + pend.jitter;
-                                    // Sender resumes once the buffer is
-                                    // reusable; its wait is accounted.
-                                    let resume = nic_busy[s_rank];
-                                    let send_wait = resume.saturating_sub(pend.ready);
-                                    if let Some(rec) = rec {
-                                        rec.sim_edge(EdgeRecord {
-                                            pid,
-                                            kind: EdgeKind::Message,
-                                            chan: chan as u32,
-                                            src: s_rank as u32,
-                                            dst: r as u32,
-                                            tag,
-                                            bytes: pend.bytes as u64,
-                                            send_post: pend.ready.picos(),
-                                            recv_post: clock[r].picos(),
-                                            wire_start: wire_start.picos(),
-                                            recv: arrival.picos(),
-                                            resume: resume.picos(),
-                                        });
-                                    }
-                                    if let Some(rec) = rec {
-                                        if send_wait > SimTime::ZERO {
-                                            rec.sim_span(
-                                                pid,
-                                                s_rank as u32,
-                                                "send_wait",
-                                                Cat::Comm,
-                                                pend.ready.picos(),
-                                                send_wait.picos(),
-                                                vec![
-                                                    ("to", r.into()),
-                                                    ("bytes", pend.bytes.into()),
-                                                ],
-                                            );
-                                        }
-                                    }
-                                    stats[s_rank].send_wait += send_wait;
-                                    clock[s_rank] = resume;
-                                    stats[s_rank].messages_sent += 1;
-                                    stats[s_rank].bytes_sent += pend.bytes as u64;
-                                    pc[s_rank] += 1;
-                                    status[s_rank] = St::Ready;
-                                    ready.push_back(s_rank);
-                                    // Receiver waits for the wire.
-                                    let wait = arrival.saturating_sub(clock[r]);
-                                    let overhead = sent.recv_overhead;
-                                    if let Some(rec) = rec {
-                                        if wait > SimTime::ZERO {
-                                            rec.sim_span(
-                                                pid,
-                                                r as u32,
-                                                "recv_wait",
-                                                Cat::Idle,
-                                                clock[r].picos(),
-                                                wait.picos(),
-                                                vec![("from", from.into())],
-                                            );
-                                        }
-                                        rec.sim_span(
-                                            pid,
-                                            r as u32,
-                                            "recv",
-                                            Cat::Comm,
-                                            clock[r].max(arrival).picos(),
-                                            overhead.picos(),
-                                            vec![
-                                                ("from", from.into()),
-                                                ("bytes", pend.bytes.into()),
-                                                ("tag", (tag as u64).into()),
-                                            ],
-                                        );
-                                    }
-                                    stats[r].recv_wait += wait;
-                                    clock[r] = clock[r].max(arrival) + overhead;
-                                    stats[r].recv_overhead += overhead;
-                                    pc[r] += 1;
-                                    continue;
-                                }
-                                status[r] = St::BlockedRecv { from: from as u32, tag };
+                        let (arrival, cost, bytes) =
+                            if let Some(msg) = self.queues.take_msg(chan - chan_lo, tag) {
+                                (msg.arrival, msg.cost, msg.bytes)
+                            } else if let Some(pend) = self.queues.take_pend(chan - chan_lo, tag) {
+                                // A rendezvous sender is parked on this
+                                // channel: complete the handshake.
+                                (self.handshake(r, from, chan, pend, ctx), pend.cost, pend.bytes)
+                            } else {
+                                self.status[li] = St::BlockedRecv { from: from as u32, tag };
                                 break;
+                            };
+                        let overhead = prices[cost as usize].recv_overhead;
+                        let wait = arrival.saturating_sub(self.clock[li]);
+                        if let Some(rec) = rec {
+                            if wait > SimTime::ZERO {
+                                rec.sim_span(
+                                    pid,
+                                    r as u32,
+                                    "recv_wait",
+                                    Cat::Idle,
+                                    self.clock[li].picos(),
+                                    wait.picos(),
+                                    vec![("from", from.into())],
+                                );
                             }
+                            rec.sim_span(
+                                pid,
+                                r as u32,
+                                "recv",
+                                Cat::Comm,
+                                self.clock[li].max(arrival).picos(),
+                                overhead.picos(),
+                                vec![
+                                    ("from", from.into()),
+                                    ("bytes", bytes.into()),
+                                    ("tag", (tag as u64).into()),
+                                ],
+                            );
                         }
+                        self.stats[li].recv_wait += wait;
+                        self.clock[li] = self.clock[li].max(arrival) + overhead;
+                        self.stats[li].recv_overhead += overhead;
+                        self.pc[li] += 1;
                     }
                     SharedOp::AllReduce { .. } | SharedOp::Barrier => {
-                        status[r] = St::Parked;
-                        park_clock[r] = clock[r];
-                        parked.push(r);
-                        if parked.len() == n {
-                            // Complete the collective: all ranks resume at
-                            // `max(arrival) + tree cost`. The payload is
-                            // the max across ranks (equal in well-formed
-                            // traces).
-                            let mut bytes = 0usize;
-                            for &x in parked.iter() {
-                                if let SharedOp::AllReduce { bytes: b } = set.ops(x)[pc[x] as usize]
-                                {
-                                    bytes = bytes.max(b);
-                                }
-                            }
-                            let entry = parked
-                                .iter()
-                                .map(|&x| park_clock[x])
-                                .max()
-                                .unwrap_or(SimTime::ZERO);
-                            let completion = entry + collective_cost(machine, bytes, n);
-                            if let Some(rec) = rec {
-                                // One edge per collective: the smallest
-                                // rank that arrived last set the entry
-                                // time (iterate ranks, not `parked`, so
-                                // every engine resolves ties alike).
-                                let entry_rank =
-                                    (0..n).find(|&x| park_clock[x] == entry).unwrap_or(0) as u32;
-                                rec.sim_edge(EdgeRecord {
-                                    pid,
-                                    kind: EdgeKind::Collective,
-                                    chan: u32::MAX,
-                                    src: entry_rank,
-                                    dst: entry_rank,
-                                    tag: 0,
-                                    bytes: bytes as u64,
-                                    send_post: entry.picos(),
-                                    recv_post: entry.picos(),
-                                    wire_start: entry.picos(),
-                                    recv: completion.picos(),
-                                    resume: entry.picos(),
-                                });
-                            }
-                            for &x in parked.iter() {
-                                let waited = completion.saturating_sub(park_clock[x]);
-                                if let Some(rec) = rec {
-                                    let name = match set.ops(x)[pc[x] as usize] {
-                                        SharedOp::AllReduce { .. } => "allreduce",
-                                        _ => "barrier",
-                                    };
-                                    if waited > SimTime::ZERO {
-                                        rec.sim_span(
-                                            pid,
-                                            x as u32,
-                                            name,
-                                            Cat::Collective,
-                                            park_clock[x].picos(),
-                                            waited.picos(),
-                                            vec![("bytes", bytes.into())],
-                                        );
-                                    }
-                                }
-                                stats[x].collective += waited;
-                                clock[x] = completion;
-                                status[x] = St::Ready;
-                                pc[x] += 1;
-                            }
-                            parked.clear();
-                            // Everyone (including r) is Ready again;
-                            // requeue all.
-                            for rank in 0..n {
-                                ready.push_back(rank);
-                            }
-                        }
+                        // Collectives span every rank: park, and let the
+                        // driver complete it once every rank has parked.
+                        self.status[li] = St::Parked;
+                        self.park_clock[li] = self.clock[li];
+                        self.parked.push(r);
                         break;
                     }
                 }
             }
-            if *finished == n {
-                return;
+        }
+    }
+
+    /// Ready `dst` if it is blocked on a receive from `src` with `tag`.
+    fn wake(&mut self, dst: usize, src: usize, tag: u32) {
+        let ld = dst - self.lo;
+        if self.status[ld] == (St::BlockedRecv { from: src as u32, tag }) {
+            self.status[ld] = St::Ready;
+            self.ready.push_back(dst);
+        }
+    }
+
+    /// The receiver's half of a rendezvous: `dst` posted the receive that
+    /// matches `src`'s send `pend`, parked on channel `chan`. The wire
+    /// starts once the sender is ready, its NIC is free and the receive is
+    /// posted. A sender this state runs resumes in place; any other gets
+    /// its resume time by mail. Returns the message's arrival time.
+    fn handshake(
+        &mut self,
+        dst: usize,
+        src: usize,
+        chan: usize,
+        pend: Pend,
+        ctx: &RunCtx<'_>,
+    ) -> SimTime {
+        let sent = ctx.costs.prices[pend.cost as usize];
+        let posted = self.clock[dst - self.lo];
+        let wire_start = pend.ready.max(pend.nic_busy).max(posted);
+        let resume = wire_start + sent.serialization;
+        let arrival = wire_start + sent.wire + pend.jitter;
+        if let Some(rec) = ctx.rec {
+            rec.sim_edge(EdgeRecord {
+                pid: ctx.pid,
+                kind: EdgeKind::Message,
+                chan: chan as u32,
+                src: src as u32,
+                dst: dst as u32,
+                tag: pend.tag,
+                bytes: pend.bytes as u64,
+                send_post: pend.ready.picos(),
+                recv_post: posted.picos(),
+                wire_start: wire_start.picos(),
+                recv: arrival.picos(),
+                resume: resume.picos(),
+            });
+        }
+        if self.owns_rank(src) {
+            debug_assert_eq!(pend.nic_busy, self.nic_busy[src - self.lo], "parked NIC moved");
+            self.resume_sender(src, dst, pend.bytes, pend.ready, resume, ctx);
+        } else {
+            let (src, dst, bytes, ready) = (src as u32, dst as u32, pend.bytes, pend.ready);
+            self.outbox.push(Bound::Done { src, dst, bytes, ready, resume });
+        }
+        arrival
+    }
+
+    /// The sender's half of a completed rendezvous: `src`, parked since
+    /// `ready`, resumes at `resume` with its send to `dst` done.
+    fn resume_sender(
+        &mut self,
+        src: usize,
+        dst: usize,
+        bytes: usize,
+        ready: SimTime,
+        resume: SimTime,
+        ctx: &RunCtx<'_>,
+    ) {
+        let ls = src - self.lo;
+        debug_assert!(matches!(self.status[ls], St::BlockedSend { .. }));
+        let wait = resume.saturating_sub(ready);
+        if let Some(rec) = ctx.rec {
+            if wait > SimTime::ZERO {
+                rec.sim_span(
+                    ctx.pid,
+                    src as u32,
+                    "send_wait",
+                    Cat::Comm,
+                    ready.picos(),
+                    wait.picos(),
+                    vec![("to", dst.into()), ("bytes", bytes.into())],
+                );
             }
+        }
+        self.stats[ls].send_wait += wait;
+        self.nic_busy[ls] = resume;
+        self.clock[ls] = resume;
+        self.stats[ls].messages_sent += 1;
+        self.stats[ls].bytes_sent += bytes as u64;
+        self.pc[ls] += 1;
+        self.status[ls] = St::Ready;
+        self.ready.push_back(src);
+    }
+
+    /// Apply traffic another state produced for this one. A delivery only
+    /// readies a rank blocked on exactly that `(src, tag)`. A delivered
+    /// parked send that wakes its receiver is the remote form of the
+    /// receiver-already-waiting rendezvous: the re-executed receive
+    /// completes the handshake with the same values.
+    pub(crate) fn deliver(&mut self, bound: Bound, ctx: &RunCtx<'_>) {
+        match bound {
+            Bound::Msg { chan, src, dst, msg } => {
+                self.queues.push_msg(chan as usize - self.chan_lo, msg);
+                self.wake(dst as usize, src as usize, msg.tag);
+            }
+            Bound::Pend { chan, src, dst, pend } => {
+                self.queues.push_pend(chan as usize - self.chan_lo, pend);
+                self.wake(dst as usize, src as usize, pend.tag);
+            }
+            Bound::Done { src, dst, bytes, ready, resume } => {
+                self.resume_sender(src as usize, dst as usize, bytes, ready, resume, ctx);
+            }
+        }
+    }
+
+    fn probe(&self, channels: &Channels) -> MemProbe {
+        MemProbe {
+            channels: channels.count,
+            peak_queued: self.queues.pool.peak_live(),
+            queue_capacity: self.queues.pool.capacity(),
+            parked_sends: self.queues.parked_sends,
         }
     }
 }
 
-/// Deadlock detection, memory probe and report assembly, shared by
-/// uninterrupted and resumed runs.
-fn finalize(
-    st: SeqState,
+/// Complete the pending collective once every rank of `parts` — states
+/// covering ranks `0..n` in order — has parked at it: all ranks resume at
+/// `max(arrival) + tree cost`. The payload is the max across ranks (equal
+/// in well-formed traces). Returns whether it completed one.
+pub(crate) fn complete_collective(
+    parts: &mut [&mut SeqState],
+    set: &ProgramSet,
+    ctx: &RunCtx<'_>,
+) -> bool {
+    let n = set.num_ranks();
+    if n == 0 || parts.iter().map(|s| s.parked.len()).sum::<usize>() != n {
+        return false;
+    }
+    let mut bytes = 0usize;
+    let mut entry = SimTime::ZERO;
+    for s in parts.iter() {
+        for &x in &s.parked {
+            let lx = x - s.lo;
+            if let SharedOp::AllReduce { bytes: b } = set.ops(x)[s.pc[lx] as usize] {
+                bytes = bytes.max(b);
+            }
+            entry = entry.max(s.park_clock[lx]);
+        }
+    }
+    let completion = entry + collective_cost(ctx.machine, bytes, n);
+    if let Some(rec) = ctx.rec {
+        // One edge per collective: the smallest rank that arrived last set
+        // the entry time (iterate ranks, not `parked`, so every engine
+        // resolves ties alike).
+        let entry_rank = parts
+            .iter()
+            .flat_map(|s| (s.lo..).zip(&s.park_clock))
+            .find(|&(_, &c)| c == entry)
+            .map_or(0, |(x, _)| x as u32);
+        rec.sim_edge(EdgeRecord {
+            pid: ctx.pid,
+            kind: EdgeKind::Collective,
+            chan: u32::MAX,
+            src: entry_rank,
+            dst: entry_rank,
+            tag: 0,
+            bytes: bytes as u64,
+            send_post: entry.picos(),
+            recv_post: entry.picos(),
+            wire_start: entry.picos(),
+            recv: completion.picos(),
+            resume: entry.picos(),
+        });
+    }
+    for s in parts.iter_mut() {
+        let s = &mut **s;
+        for &x in &s.parked {
+            let lx = x - s.lo;
+            let waited = completion.saturating_sub(s.park_clock[lx]);
+            if let Some(rec) = ctx.rec {
+                let name = match set.ops(x)[s.pc[lx] as usize] {
+                    SharedOp::AllReduce { .. } => "allreduce",
+                    _ => "barrier",
+                };
+                if waited > SimTime::ZERO {
+                    rec.sim_span(
+                        ctx.pid,
+                        x as u32,
+                        name,
+                        Cat::Collective,
+                        s.park_clock[lx].picos(),
+                        waited.picos(),
+                        vec![("bytes", bytes.into())],
+                    );
+                }
+            }
+            s.stats[lx].collective += waited;
+            s.clock[lx] = completion;
+            s.status[lx] = St::Ready;
+            s.pc[lx] += 1;
+        }
+        s.parked.clear();
+        // Everyone is Ready again; requeue all.
+        s.ready.extend(s.lo..s.lo + s.clock.len());
+    }
+    true
+}
+
+/// A whole-mesh sequential run to completion.
+pub(crate) fn run_sequential(
     set: &ProgramSet,
     channels: &Channels,
     ctx: &RunCtx<'_>,
-    check_spans: bool,
 ) -> SimResult<(RunReport, MemProbe)> {
-    let n = set.num_ranks();
-    if st.finished != n {
+    let mut state = SeqState::new(ctx.machine, 0..set.num_ranks(), 0..channels.count);
+    state.run(set, channels, ctx, None);
+    let probe = state.probe(channels);
+    finalize(vec![state], ctx, true).map(|report| (report, probe))
+}
+
+/// Deadlock detection and report assembly over the states that cover
+/// ranks `0..n` in order — one for a sequential run, one per partition
+/// for a parallel one.
+pub(crate) fn finalize(
+    parts: Vec<SeqState>,
+    ctx: &RunCtx<'_>,
+    check_spans: bool,
+) -> SimResult<RunReport> {
+    if parts.iter().any(|s| s.finished != s.clock.len()) {
         let mut blocked = Vec::new();
-        let mut parked_out = Vec::new();
-        for (idx, status) in st.status.iter().enumerate() {
-            match *status {
-                St::BlockedRecv { from, tag } => blocked.push((idx, from as usize, tag)),
-                St::BlockedSend { to, tag } => blocked.push((idx, to as usize, tag)),
-                St::Parked => parked_out.push(idx),
-                _ => {}
+        let mut parked = Vec::new();
+        for s in &parts {
+            for (idx, status) in (s.lo..).zip(&s.status) {
+                match *status {
+                    St::BlockedRecv { from, tag } => blocked.push((idx, from as usize, tag)),
+                    St::BlockedSend { to, tag } => blocked.push((idx, to as usize, tag)),
+                    St::Parked => parked.push(idx),
+                    _ => {}
+                }
             }
         }
-        return Err(SimError::Deadlock { blocked, parked: parked_out });
+        return Err(SimError::Deadlock { blocked, parked });
     }
-
-    let probe = MemProbe {
-        channels: channels.count,
-        peak_queued: st.queues.pool.peak_live(),
-        queue_capacity: st.queues.pool.capacity(),
-        parked_sends: st.queues.parked_sends,
-    };
-    let report = RunReport { ranks: st.stats };
+    let report = RunReport { ranks: parts.into_iter().flat_map(|s| s.stats).collect() };
     if check_spans {
         if let Some(rec) = ctx.rec {
             debug_check_span_totals(rec, ctx.pid, &report, &ctx.span_baseline);
         }
     }
-    Ok((report, probe))
+    Ok(report)
 }
 
 /// A sequential run paused at an activation boundary: the complete
@@ -1244,10 +1381,10 @@ impl<'m> Paused<'m> {
         let ctx = RunCtx::new(machine, &self.set, self.recorder, self.trace_pid);
         let channels = build_channels(&self.set);
         let mut state = self.state;
-        state.advance(&self.set, &channels, &ctx, None);
+        state.run(&self.set, &channels, &ctx, None);
         // Span totals are only checked on uninterrupted runs: several
         // forks may share one recorder, so per-run totals need not close.
-        finalize(state, &self.set, &channels, &ctx, false).map(|(report, _)| report)
+        finalize(vec![state], &ctx, false)
     }
 }
 
@@ -1911,8 +2048,8 @@ mod tests {
     fn channel_queues_keep_messages_and_parked_sends_apart() {
         let mut q = ChannelQueues::new(3);
         let msg = |tag| Msg { tag, cost: 0, bytes: 8, arrival: SimTime::ZERO };
-        let pend =
-            |tag| Pend { tag, cost: 1, bytes: 9, ready: SimTime::ZERO, jitter: SimTime::ZERO };
+        let zero = SimTime::ZERO;
+        let pend = |tag| Pend { tag, cost: 1, bytes: 9, ready: zero, jitter: zero, nic_busy: zero };
         assert_eq!(q.first_busy(), None);
         q.push_pend(2, pend(5));
         q.push_msg(2, msg(6));

@@ -18,18 +18,19 @@
 //!
 //! The simulation is fully deterministic for a given seed: noise is drawn
 //! per-rank in program order, independent of scheduling interleavings.
-//! Two schedulers execute a program set, and both produce the same
-//! `RunReport` bit for bit:
+//! One op interpreter executes a program set under two drivers, and both
+//! produce the same `RunReport` bit for bit:
 //!
-//! * [`Engine::run`] — the sequential scheduler;
-//! * [`Engine::run_parallel`] — the windowed conservative-parallel
-//!   scheduler in [`par`], which splits the ranks into contiguous
-//!   partitions advanced in lock-step windows.
+//! * [`Engine::run`] — the sequential driver, one scheduler state over
+//!   the whole mesh;
+//! * [`Engine::run_parallel`] — the windowed conservative-parallel driver
+//!   in [`par`], which splits the ranks into contiguous partitions, each
+//!   running the same interpreter, advanced in lock-step windows.
 //!
 //! [`Engine::run_paused`] stops a sequential run after a number of
 //! activations; [`Paused::snapshot`] then forks that prefix into variants
 //! (rate what-ifs) that resume from it. [`ReferenceEngine`] is the seed
-//! engine, kept as the oracle the tests compare both schedulers against.
+//! engine, kept as the oracle the tests compare both drivers against.
 //!
 //! ```
 //! use cluster_sim::{Engine, MachineSpec, Program, Op};

@@ -3,12 +3,15 @@
 //! [`Engine::run_parallel`] partitions the rank mesh into contiguous
 //! blocks — one per worker thread — and advances the partitions in
 //! lock-step *windows* separated by barriers (a null-message-free,
-//! barrier-synchronous variant of conservative parallel DES). Within a
-//! window each partition runs the existing dense per-channel scheduler
-//! over its own ranks until every local rank is blocked on remote input,
-//! parked at a collective, or done; cross-partition `(src, dst)` channels
-//! become *boundary mailboxes* that the coordinator drains between
-//! windows.
+//! barrier-synchronous variant of conservative parallel DES). Each
+//! partition is a `SeqState` over its rank block and the channels those
+//! ranks receive on, and a window runs the sequential engine's own op
+//! interpreter, `SeqState::advance`, until every local rank is blocked on
+//! remote input, parked at a collective, or done. Traffic on a channel
+//! another partition owns lands in the partition's outbox, which the
+//! coordinator drains into the receiving partition between windows. This
+//! module is only that driver: partitioning, the lookahead census, the
+//! zero-lookahead fallback and the barrier/drain loop.
 //!
 //! # Why the result is bit-identical to the sequential engine
 //!
@@ -30,23 +33,23 @@
 //!   so per-channel order (and therefore tag matching) is independent of
 //!   how windows interleave partitions.
 //! * **Rendezvous crosses the boundary as a handshake.** A cross-partition
-//!   synchronous send always parks (the mailbox carries the parked send
-//!   plus the sender's NIC-busy time, which is frozen while the sender is
-//!   blocked); the receiver completes the handshake and mails back the
-//!   resume time. Both rendezvous paths of the sequential engine —
-//!   receiver-already-waiting and sender-parks — compute the *same*
-//!   `wire_start = max(sender ready, sender NIC busy, receiver post
-//!   clock)`, so forcing the parked path at the boundary changes nothing.
+//!   synchronous send always parks. The parked send carries the sender's
+//!   NIC-busy time, which is frozen while the sender is blocked; the
+//!   receiver completes the handshake and mails back the resume time.
+//!   Both rendezvous paths of the interpreter — receiver-already-waiting
+//!   and sender-parks — compute the *same* `wire_start = max(sender
+//!   ready, sender NIC busy, receiver post clock)`, so forcing the parked
+//!   path at the boundary changes nothing.
 //! * **Collectives are order-free.** A collective completes from the
 //!   parked ranks' entry clocks (`max`) and payload (`max`) only, which
-//!   the coordinator evaluates at the window barrier.
-//! * **Costs come from the same table.** The run lowers the machine to
-//!   one `CostTable` before the first window and every partition reads
-//!   it; a message or parked send crosses the boundary with its sending
-//!   op's price class, so the receiving partition prices the transfer
-//!   from the entry the sequential engine would read. Channels use the same flat
-//!   index too: rank `r`'s receive channels start at `chan_base[r]`, and
-//!   a partition owns the contiguous id range of its rank block.
+//!   the coordinator evaluates at the window barrier with the same
+//!   completion function the sequential driver calls.
+//! * **Costs come from the same table.** The run builds one `RunCtx` — the
+//!   cost table, noise level, rendezvous threshold and recorder — and
+//!   every partition reads it. A message or parked send crosses the
+//!   boundary with its sending op's price class, and channels keep their
+//!   flat ids: a partition owns the contiguous id range of its rank
+//!   block.
 //!
 //! The *lookahead* — the minimum wire latency over all messages that
 //! cross a partition boundary — is what makes the window conservative in
@@ -67,21 +70,19 @@
 //! drain/barrier phases — so Chrome traces make the window structure and
 //! barrier waits visible.
 
-use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 use std::time::Instant;
 
-use obs::{Cat, EdgeKind, EdgeRecord, Recorder};
+use obs::Cat;
 
 use crate::engine::{
-    build_channels, collective_cost, debug_check_span_totals, debug_span_baseline, Channels,
-    CostTable, Engine, Msg, NoiseBank, Pend, St,
+    build_channels, complete_collective, finalize, run_sequential, Engine, RunCtx, SeqState,
 };
-use crate::error::{SimError, SimResult};
-use crate::progset::{ProgramSet, SharedOp};
-use crate::stats::{RankStats, RunReport};
+use crate::error::SimResult;
+use crate::progset::SharedOp;
+use crate::stats::RunReport;
 use crate::time::SimTime;
 
 /// Track group for the parallel engine's wall-clock telemetry (the
@@ -120,553 +121,6 @@ pub struct ParStats {
     pub boundary_messages: u64,
 }
 
-/// A boundary-mailbox entry, drained by the coordinator between windows.
-#[derive(Debug, Clone, Copy)]
-enum Bound {
-    /// An eager message for a channel owned by the destination partition.
-    Eager { chan: u32, msg: Msg },
-    /// A parked rendezvous send announced to the receiving partition.
-    /// Carries the sender's NIC-busy time, which is frozen while the
-    /// sender is blocked (a rank has at most one outstanding send).
-    Pend { chan: u32, pend: Pend, src_nic_busy: SimTime },
-    /// A completed rendezvous handshake travelling back to the sender's
-    /// partition: the sender resumes (and its NIC is busy) until `resume`.
-    Done { src: u32, dst: u32, bytes: usize, ready: SimTime, resume: SimTime },
-}
-
-/// A parked rendezvous send in a partition's pending queue. Local sends
-/// read the sender's live NIC state; boundary sends carry the frozen
-/// snapshot shipped in [`Bound::Pend`].
-#[derive(Debug, Clone, Copy)]
-struct PendEntry {
-    pend: Pend,
-    src_nic_busy: Option<SimTime>,
-}
-
-/// Read-only context shared by every partition worker.
-struct Ctx<'a> {
-    set: &'a ProgramSet,
-    channels: &'a Channels,
-    /// The run's op-cost table, shared by every partition.
-    costs: &'a CostTable,
-    /// Partition owning each rank.
-    part_of: &'a [u32],
-    /// `(receiver, sender)` ranks of each owned channel id.
-    chan_owner: &'a [(u32, u32)],
-    eager_limit: usize,
-    run_factor: f64,
-    rec: Option<&'a Recorder>,
-    pid: u32,
-}
-
-/// One partition's share of the engine state: the per-rank SoA arrays and
-/// per-channel queues for ranks `lo..hi`, indexed locally (`rank - lo`),
-/// plus outboxes toward every other partition.
-struct Part {
-    id: usize,
-    lo: usize,
-    hi: usize,
-    chan_lo: usize,
-    clock: Vec<SimTime>,
-    pc: Vec<u32>,
-    status: Vec<St>,
-    park_clock: Vec<SimTime>,
-    stats: Vec<RankStats>,
-    nic_busy: Vec<SimTime>,
-    noise: NoiseBank,
-    inflight: Vec<VecDeque<Msg>>,
-    pending: Vec<VecDeque<PendEntry>>,
-    /// Runnable ranks (global ids), all within `lo..hi`.
-    ready: VecDeque<usize>,
-    /// Ranks parked at the pending collective (global ids).
-    parked: Vec<usize>,
-    finished: usize,
-    /// Boundary mail per destination partition, drained at the barrier.
-    outbox: Vec<Vec<Bound>>,
-}
-
-impl Part {
-    /// Advance every runnable rank of this partition to its dependency
-    /// frontier: each rank runs until it blocks on remote input, parks at
-    /// a collective, or completes. Returns the number of rank
-    /// activations processed (for telemetry only).
-    fn run_window(&mut self, ctx: &Ctx<'_>) -> usize {
-        let set = ctx.set;
-        let prices = &ctx.costs.prices;
-        let rec = ctx.rec;
-        let pid = ctx.pid;
-        let mut activations = 0usize;
-        while let Some(r) = self.ready.pop_front() {
-            activations += 1;
-            let li = r - self.lo;
-            debug_assert_eq!(self.status[li], St::Ready);
-            let ops = set.ops(r);
-            let partners = set.partners(r);
-            let classes = ctx.costs.classes(set, r);
-            let chan0 = ctx.channels.chan_base[r] as usize;
-            loop {
-                let at = self.pc[li] as usize;
-                if at >= ops.len() {
-                    self.status[li] = St::Done;
-                    self.stats[li].finish = self.clock[li];
-                    debug_assert_eq!(
-                        self.stats[li].accounted(),
-                        self.stats[li].finish,
-                        "rank {r}: accounted time must equal finish exactly"
-                    );
-                    self.finished += 1;
-                    break;
-                }
-                match ops[at] {
-                    SharedOp::Compute { .. } => {
-                        let base = prices[classes[at] as usize].cpu;
-                        let factor = self.noise.compute_factor(li) * ctx.run_factor;
-                        let dur = SimTime::from_secs(base.as_secs() * factor);
-                        if let Some(rec) = rec {
-                            rec.sim_span(
-                                pid,
-                                r as u32,
-                                "compute",
-                                Cat::Compute,
-                                self.clock[li].picos(),
-                                dur.picos(),
-                                vec![],
-                            );
-                        }
-                        self.clock[li] += dur;
-                        self.stats[li].compute += dur;
-                        self.pc[li] += 1;
-                    }
-                    SharedOp::Send { slot, bytes, tag } => {
-                        let to = partners[slot as usize] as usize;
-                        let class = classes[at];
-                        let cost = prices[class as usize];
-                        let overhead = cost.cpu;
-                        if let Some(rec) = rec {
-                            rec.sim_span(
-                                pid,
-                                r as u32,
-                                "send",
-                                Cat::Comm,
-                                self.clock[li].picos(),
-                                overhead.picos(),
-                                vec![
-                                    ("to", to.into()),
-                                    ("bytes", bytes.into()),
-                                    ("tag", (tag as u64).into()),
-                                ],
-                            );
-                        }
-                        self.clock[li] += overhead;
-                        self.stats[li].send_overhead += overhead;
-                        let jitter = SimTime::from_secs(self.noise.message_jitter_secs(li));
-                        let chan = ctx.channels.send_chan[chan0 + slot as usize];
-                        if chan >= ctx.channels.dangling_base() {
-                            // Statically-invalid send (validation off): the
-                            // destination never reads this channel. Mirror
-                            // the sequential engine's observable behaviour
-                            // without storing the message.
-                            if bytes >= ctx.eager_limit {
-                                // A rendezvous nobody can complete.
-                                self.status[li] = St::BlockedSend { to: to as u32, tag };
-                                break;
-                            }
-                            let wire_start = self.clock[li].max(self.nic_busy[li]);
-                            self.nic_busy[li] = wire_start + cost.serialization;
-                            self.stats[li].messages_sent += 1;
-                            self.stats[li].bytes_sent += bytes as u64;
-                            self.pc[li] += 1;
-                            continue;
-                        }
-                        if ctx.part_of[to] as usize == self.id {
-                            // Local destination: exactly the sequential path.
-                            let lto = to - self.lo;
-                            if bytes >= ctx.eager_limit
-                                && self.status[lto] != (St::BlockedRecv { from: r as u32, tag })
-                            {
-                                self.pending[chan as usize - self.chan_lo].push_back(PendEntry {
-                                    pend: Pend {
-                                        tag,
-                                        cost: class,
-                                        bytes,
-                                        ready: self.clock[li],
-                                        jitter,
-                                    },
-                                    src_nic_busy: None,
-                                });
-                                self.status[li] = St::BlockedSend { to: to as u32, tag };
-                                break;
-                            }
-                            let posted = if bytes >= ctx.eager_limit {
-                                self.clock[lto]
-                            } else {
-                                SimTime::ZERO
-                            };
-                            let wire_start = self.clock[li].max(self.nic_busy[li]).max(posted);
-                            self.nic_busy[li] = wire_start + cost.serialization;
-                            let arrival = wire_start + cost.wire + jitter;
-                            if let Some(rec) = rec {
-                                rec.sim_edge(EdgeRecord {
-                                    pid,
-                                    kind: EdgeKind::Message,
-                                    chan,
-                                    src: r as u32,
-                                    dst: to as u32,
-                                    tag,
-                                    bytes: bytes as u64,
-                                    send_post: self.clock[li].picos(),
-                                    recv_post: posted.picos(),
-                                    wire_start: wire_start.picos(),
-                                    recv: arrival.picos(),
-                                    resume: if bytes >= ctx.eager_limit {
-                                        self.nic_busy[li].picos()
-                                    } else {
-                                        self.clock[li].picos()
-                                    },
-                                });
-                            }
-                            self.inflight[chan as usize - self.chan_lo].push_back(Msg {
-                                tag,
-                                cost: class,
-                                bytes,
-                                arrival,
-                            });
-                            self.stats[li].messages_sent += 1;
-                            self.stats[li].bytes_sent += bytes as u64;
-                            if bytes >= ctx.eager_limit {
-                                let done = self.nic_busy[li];
-                                let before = self.clock[li];
-                                let wait = done.saturating_sub(before);
-                                if let Some(rec) = rec {
-                                    if wait > SimTime::ZERO {
-                                        rec.sim_span(
-                                            pid,
-                                            r as u32,
-                                            "send_wait",
-                                            Cat::Comm,
-                                            before.picos(),
-                                            wait.picos(),
-                                            vec![("to", to.into()), ("bytes", bytes.into())],
-                                        );
-                                    }
-                                }
-                                self.stats[li].send_wait += wait;
-                                self.clock[li] = before.max(done);
-                            }
-                            self.pc[li] += 1;
-                            if self.status[lto] == (St::BlockedRecv { from: r as u32, tag }) {
-                                self.status[lto] = St::Ready;
-                                self.ready.push_back(to);
-                            }
-                        } else {
-                            // Boundary destination: mailbox path. A
-                            // synchronous send always parks (see module
-                            // docs: both sequential rendezvous paths are
-                            // value-identical, so the parked path is safe
-                            // even when the remote receiver already waits).
-                            let dst_part = ctx.part_of[to] as usize;
-                            if bytes >= ctx.eager_limit {
-                                self.outbox[dst_part].push(Bound::Pend {
-                                    chan,
-                                    pend: Pend {
-                                        tag,
-                                        cost: class,
-                                        bytes,
-                                        ready: self.clock[li],
-                                        jitter,
-                                    },
-                                    src_nic_busy: self.nic_busy[li],
-                                });
-                                self.status[li] = St::BlockedSend { to: to as u32, tag };
-                                break;
-                            }
-                            let wire_start = self.clock[li].max(self.nic_busy[li]);
-                            self.nic_busy[li] = wire_start + cost.serialization;
-                            let arrival = wire_start + cost.wire + jitter;
-                            if let Some(rec) = rec {
-                                // Below the eager limit the receiver never
-                                // gates, so the edge is fully determined
-                                // sender-side — identical to the sequential
-                                // engine's.
-                                rec.sim_edge(EdgeRecord {
-                                    pid,
-                                    kind: EdgeKind::Message,
-                                    chan,
-                                    src: r as u32,
-                                    dst: to as u32,
-                                    tag,
-                                    bytes: bytes as u64,
-                                    send_post: self.clock[li].picos(),
-                                    recv_post: 0,
-                                    wire_start: wire_start.picos(),
-                                    recv: arrival.picos(),
-                                    resume: self.clock[li].picos(),
-                                });
-                            }
-                            self.outbox[dst_part].push(Bound::Eager {
-                                chan,
-                                msg: Msg { tag, cost: class, bytes, arrival },
-                            });
-                            self.stats[li].messages_sent += 1;
-                            self.stats[li].bytes_sent += bytes as u64;
-                            self.pc[li] += 1;
-                        }
-                    }
-                    SharedOp::Recv { slot, tag } => {
-                        let from = partners[slot as usize] as usize;
-                        let chan = chan0 + slot as usize - self.chan_lo;
-                        let q = &mut self.inflight[chan];
-                        match q.iter().position(|m| m.tag == tag) {
-                            Some(i) => {
-                                let msg = q.remove(i).expect("position is in range");
-                                let wait = msg.arrival.saturating_sub(self.clock[li]);
-                                let overhead = prices[msg.cost as usize].recv_overhead;
-                                if let Some(rec) = rec {
-                                    if wait > SimTime::ZERO {
-                                        rec.sim_span(
-                                            pid,
-                                            r as u32,
-                                            "recv_wait",
-                                            Cat::Idle,
-                                            self.clock[li].picos(),
-                                            wait.picos(),
-                                            vec![("from", from.into())],
-                                        );
-                                    }
-                                    rec.sim_span(
-                                        pid,
-                                        r as u32,
-                                        "recv",
-                                        Cat::Comm,
-                                        self.clock[li].max(msg.arrival).picos(),
-                                        overhead.picos(),
-                                        vec![
-                                            ("from", from.into()),
-                                            ("bytes", msg.bytes.into()),
-                                            ("tag", (tag as u64).into()),
-                                        ],
-                                    );
-                                }
-                                self.stats[li].recv_wait += wait;
-                                self.clock[li] = self.clock[li].max(msg.arrival) + overhead;
-                                self.stats[li].recv_overhead += overhead;
-                                self.pc[li] += 1;
-                            }
-                            None => {
-                                let pq = &mut self.pending[chan];
-                                if let Some(i) = pq.iter().position(|p| p.pend.tag == tag) {
-                                    let entry = pq.remove(i).expect("position is in range");
-                                    let pend = entry.pend;
-                                    let sent = prices[pend.cost as usize];
-                                    let arrival = match entry.src_nic_busy {
-                                        None => {
-                                            // Local sender: complete the
-                                            // handshake in place, exactly as
-                                            // the sequential engine does.
-                                            let ls = from - self.lo;
-                                            let wire_start = pend
-                                                .ready
-                                                .max(self.nic_busy[ls])
-                                                .max(self.clock[li]);
-                                            self.nic_busy[ls] = wire_start + sent.serialization;
-                                            let arrival = wire_start + sent.wire + pend.jitter;
-                                            let resume = self.nic_busy[ls];
-                                            let send_wait = resume.saturating_sub(pend.ready);
-                                            if let Some(rec) = rec {
-                                                rec.sim_edge(EdgeRecord {
-                                                    pid,
-                                                    kind: EdgeKind::Message,
-                                                    chan: (chan + self.chan_lo) as u32,
-                                                    src: from as u32,
-                                                    dst: r as u32,
-                                                    tag,
-                                                    bytes: pend.bytes as u64,
-                                                    send_post: pend.ready.picos(),
-                                                    recv_post: self.clock[li].picos(),
-                                                    wire_start: wire_start.picos(),
-                                                    recv: arrival.picos(),
-                                                    resume: resume.picos(),
-                                                });
-                                            }
-                                            if let Some(rec) = rec {
-                                                if send_wait > SimTime::ZERO {
-                                                    rec.sim_span(
-                                                        pid,
-                                                        from as u32,
-                                                        "send_wait",
-                                                        Cat::Comm,
-                                                        pend.ready.picos(),
-                                                        send_wait.picos(),
-                                                        vec![
-                                                            ("to", r.into()),
-                                                            ("bytes", pend.bytes.into()),
-                                                        ],
-                                                    );
-                                                }
-                                            }
-                                            self.stats[ls].send_wait += send_wait;
-                                            self.clock[ls] = resume;
-                                            self.stats[ls].messages_sent += 1;
-                                            self.stats[ls].bytes_sent += pend.bytes as u64;
-                                            self.pc[ls] += 1;
-                                            self.status[ls] = St::Ready;
-                                            self.ready.push_back(from);
-                                            arrival
-                                        }
-                                        Some(snap) => {
-                                            // Boundary sender: its NIC state
-                                            // is the frozen snapshot; mail
-                                            // the resume time back.
-                                            let wire_start =
-                                                pend.ready.max(snap).max(self.clock[li]);
-                                            let resume = wire_start + sent.serialization;
-                                            let arrival = wire_start + sent.wire + pend.jitter;
-                                            if let Some(rec) = rec {
-                                                // The receiver-side handshake
-                                                // computes values identical to
-                                                // the sequential engine's, so
-                                                // the edge is emitted here (the
-                                                // sender partition only replays
-                                                // the resume).
-                                                rec.sim_edge(EdgeRecord {
-                                                    pid,
-                                                    kind: EdgeKind::Message,
-                                                    chan: (chan + self.chan_lo) as u32,
-                                                    src: from as u32,
-                                                    dst: r as u32,
-                                                    tag,
-                                                    bytes: pend.bytes as u64,
-                                                    send_post: pend.ready.picos(),
-                                                    recv_post: self.clock[li].picos(),
-                                                    wire_start: wire_start.picos(),
-                                                    recv: arrival.picos(),
-                                                    resume: resume.picos(),
-                                                });
-                                            }
-                                            self.outbox[ctx.part_of[from] as usize].push(
-                                                Bound::Done {
-                                                    src: from as u32,
-                                                    dst: r as u32,
-                                                    bytes: pend.bytes,
-                                                    ready: pend.ready,
-                                                    resume,
-                                                },
-                                            );
-                                            arrival
-                                        }
-                                    };
-                                    let wait = arrival.saturating_sub(self.clock[li]);
-                                    let overhead = sent.recv_overhead;
-                                    if let Some(rec) = rec {
-                                        if wait > SimTime::ZERO {
-                                            rec.sim_span(
-                                                pid,
-                                                r as u32,
-                                                "recv_wait",
-                                                Cat::Idle,
-                                                self.clock[li].picos(),
-                                                wait.picos(),
-                                                vec![("from", from.into())],
-                                            );
-                                        }
-                                        rec.sim_span(
-                                            pid,
-                                            r as u32,
-                                            "recv",
-                                            Cat::Comm,
-                                            self.clock[li].max(arrival).picos(),
-                                            overhead.picos(),
-                                            vec![
-                                                ("from", from.into()),
-                                                ("bytes", pend.bytes.into()),
-                                                ("tag", (tag as u64).into()),
-                                            ],
-                                        );
-                                    }
-                                    self.stats[li].recv_wait += wait;
-                                    self.clock[li] = self.clock[li].max(arrival) + overhead;
-                                    self.stats[li].recv_overhead += overhead;
-                                    self.pc[li] += 1;
-                                    continue;
-                                }
-                                self.status[li] = St::BlockedRecv { from: from as u32, tag };
-                                break;
-                            }
-                        }
-                    }
-                    SharedOp::AllReduce { .. } | SharedOp::Barrier => {
-                        // Collectives are global: park here and let the
-                        // coordinator complete them at the barrier once
-                        // every rank of every partition has arrived.
-                        self.status[li] = St::Parked;
-                        self.park_clock[li] = self.clock[li];
-                        self.parked.push(r);
-                        break;
-                    }
-                }
-            }
-        }
-        activations
-    }
-
-    /// Apply one drained boundary-mailbox entry (coordinator, between
-    /// windows). Wake-ups mirror the sequential engine's: a delivery only
-    /// readies a rank blocked on exactly that `(src, tag)`.
-    fn deliver(&mut self, bound: Bound, ctx: &Ctx<'_>) {
-        match bound {
-            Bound::Eager { chan, msg } => {
-                let (dst, src) = ctx.chan_owner[chan as usize];
-                self.inflight[chan as usize - self.chan_lo].push_back(msg);
-                let ld = dst as usize - self.lo;
-                if self.status[ld] == (St::BlockedRecv { from: src, tag: msg.tag }) {
-                    self.status[ld] = St::Ready;
-                    self.ready.push_back(dst as usize);
-                }
-            }
-            Bound::Pend { chan, pend, src_nic_busy } => {
-                let (dst, src) = ctx.chan_owner[chan as usize];
-                self.pending[chan as usize - self.chan_lo]
-                    .push_back(PendEntry { pend, src_nic_busy: Some(src_nic_busy) });
-                // Unlike an eager delivery this wake has no sequential
-                // counterpart post-send — it *is* the remote half of the
-                // receiver-already-waiting rendezvous: the re-executed
-                // receive completes the handshake with identical values.
-                let ld = dst as usize - self.lo;
-                if self.status[ld] == (St::BlockedRecv { from: src, tag: pend.tag }) {
-                    self.status[ld] = St::Ready;
-                    self.ready.push_back(dst as usize);
-                }
-            }
-            Bound::Done { src, dst, bytes, ready, resume } => {
-                let ls = src as usize - self.lo;
-                debug_assert!(matches!(self.status[ls], St::BlockedSend { .. }));
-                let wait = resume.saturating_sub(ready);
-                if let Some(rec) = ctx.rec {
-                    if wait > SimTime::ZERO {
-                        rec.sim_span(
-                            ctx.pid,
-                            src,
-                            "send_wait",
-                            Cat::Comm,
-                            ready.picos(),
-                            wait.picos(),
-                            vec![("to", (dst as u64).into()), ("bytes", bytes.into())],
-                        );
-                    }
-                }
-                self.stats[ls].send_wait += wait;
-                self.nic_busy[ls] = resume;
-                self.clock[ls] = resume;
-                self.stats[ls].messages_sent += 1;
-                self.stats[ls].bytes_sent += bytes as u64;
-                self.pc[ls] += 1;
-                self.status[ls] = St::Ready;
-                self.ready.push_back(src as usize);
-            }
-        }
-    }
-}
-
 impl<'m> Engine<'m> {
     /// Execute the programs on `threads` worker threads, returning the
     /// same [`RunReport`] — bit for bit — as [`Engine::run`].
@@ -682,26 +136,28 @@ impl<'m> Engine<'m> {
     /// [`Engine::run_parallel`] plus the window/lookahead counters, for
     /// tests and the bench harness.
     pub fn run_parallel_stats(self, threads: usize) -> SimResult<(RunReport, ParStats)> {
-        if !self.skip_validation {
-            self.set.validate().map_err(|detail| SimError::InvalidPrograms { detail })?;
-        }
-        let mut eng = self;
-        eng.skip_validation = true; // validated above (or deliberately skipped)
-        let n = eng.set.num_ranks();
+        self.validate()?;
+        let Engine { machine, set, recorder, trace_pid, .. } = self;
+        let n = set.num_ranks();
         let p = threads.min(n);
+        let channels = build_channels(&set);
+        let ctx = RunCtx::new(machine, &set, recorder, trace_pid);
+        // One partition: a sequential run, or (with a zero lookahead) the
+        // fallback from a parallel one.
+        let sequential = |lookahead: Option<SimTime>, boundary_channels| -> SimResult<_> {
+            let (report, _) = run_sequential(&set, &channels, &ctx)?;
+            let stats = ParStats {
+                partitions: 1,
+                windows: 0,
+                lookahead,
+                fell_back: lookahead.is_some(),
+                boundary_channels,
+                boundary_messages: 0,
+            };
+            Ok((report, stats))
+        };
         if p <= 1 {
-            let report = eng.run_impl()?.0;
-            return Ok((
-                report,
-                ParStats {
-                    partitions: 1,
-                    windows: 0,
-                    lookahead: None,
-                    fell_back: false,
-                    boundary_channels: 0,
-                    boundary_messages: 0,
-                },
-            ));
+            return sequential(None, 0);
         }
 
         // Contiguous rank partitions, sizes within one of each other.
@@ -709,20 +165,6 @@ impl<'m> Engine<'m> {
         let mut part_of = vec![0u32; n];
         for i in 0..p {
             part_of[bounds[i]..bounds[i + 1]].fill(i as u32);
-        }
-
-        let set = eng.set.clone();
-        let machine = eng.machine;
-        let channels = build_channels(&set);
-        let costs = CostTable::new(machine, &set);
-        // Receiver-allocated channel ids are contiguous per rank, so each
-        // partition owns the contiguous id range of its rank block.
-        let chan_base = &channels.chan_base;
-        let mut chan_owner = vec![(0u32, 0u32); channels.dangling_base() as usize];
-        for r in 0..n {
-            for (s, &q) in set.partners(r).iter().enumerate() {
-                chan_owner[chan_base[r] as usize + s] = (r as u32, q);
-            }
         }
 
         // Conservative lookahead: the minimum wire latency over every
@@ -743,12 +185,12 @@ impl<'m> Engine<'m> {
             if !crosses {
                 continue;
             }
-            let classes = costs.classes(&set, r);
+            let classes = ctx.costs.classes(&set, r);
             for (at, op) in set.ops(r).iter().enumerate() {
                 if let SharedOp::Send { slot, .. } = *op {
                     let to = partners[slot as usize] as usize;
                     if to < n && part_of[to] != pr {
-                        let w = costs.prices[classes[at] as usize].wire;
+                        let w = ctx.costs.prices[classes[at] as usize].wire;
                         lookahead = Some(lookahead.map_or(w, |l| l.min(w)));
                     }
                 }
@@ -759,7 +201,7 @@ impl<'m> Engine<'m> {
             // Warn exactly once per run: as a structured event on the
             // engine's own telemetry track when one is attached, on
             // stderr otherwise.
-            match eng.recorder.filter(|r| r.is_enabled()) {
+            match ctx.rec {
                 Some(rec) => rec.sim_event(
                     PARTITION_PID,
                     0,
@@ -780,27 +222,11 @@ impl<'m> Engine<'m> {
                      zero cross-partition wire latency leaves no conservative window"
                 ),
             }
-            let report = eng.run_impl()?.0;
-            return Ok((
-                report,
-                ParStats {
-                    partitions: 1,
-                    windows: 0,
-                    lookahead: Some(SimTime::ZERO),
-                    fell_back: true,
-                    boundary_channels,
-                    boundary_messages: 0,
-                },
-            ));
+            return sequential(lookahead, boundary_channels);
         }
 
-        let rec: Option<&Recorder> = eng.recorder.filter(|r| r.is_enabled());
-        let pid = eng.trace_pid;
-        let span_baseline = debug_span_baseline(rec);
+        let rec = ctx.rec;
         if let Some(rec) = rec {
-            for r in 0..n {
-                rec.set_thread_name(pid, r as u32, format!("rank {r}"));
-            }
             rec.set_process_name(PARTITION_PID, "sim.partition");
             for i in 0..p {
                 rec.set_thread_name(PARTITION_PID, i as u32, format!("partition {i}"));
@@ -808,41 +234,12 @@ impl<'m> Engine<'m> {
             rec.set_thread_name(PARTITION_PID, p as u32, "coordinator");
         }
 
-        let ctx = Ctx {
-            set: &set,
-            channels: &channels,
-            costs: &costs,
-            part_of: &part_of,
-            chan_owner: &chan_owner,
-            eager_limit: machine.rendezvous_bytes.unwrap_or(usize::MAX),
-            run_factor: machine.noise.run_factor(machine.seed),
-            rec,
-            pid,
-        };
-
-        let parts: Vec<Mutex<Part>> = (0..p)
+        let chan_base = &channels.chan_base;
+        let parts: Vec<Mutex<SeqState>> = (0..p)
             .map(|i| {
                 let (lo, hi) = (bounds[i], bounds[i + 1]);
-                let (chan_lo, chan_hi) = (chan_base[lo] as usize, chan_base[hi] as usize);
-                Mutex::new(Part {
-                    id: i,
-                    lo,
-                    hi,
-                    chan_lo,
-                    clock: vec![SimTime::ZERO; hi - lo],
-                    pc: vec![0u32; hi - lo],
-                    status: vec![St::Ready; hi - lo],
-                    park_clock: vec![SimTime::ZERO; hi - lo],
-                    stats: vec![RankStats::default(); hi - lo],
-                    nic_busy: vec![SimTime::ZERO; hi - lo],
-                    noise: NoiseBank::for_range(machine, lo, hi),
-                    inflight: (chan_lo..chan_hi).map(|_| VecDeque::new()).collect(),
-                    pending: (chan_lo..chan_hi).map(|_| VecDeque::new()).collect(),
-                    ready: (lo..hi).collect(),
-                    parked: Vec::new(),
-                    finished: 0,
-                    outbox: (0..p).map(|_| Vec::new()).collect(),
-                })
+                let chans = chan_base[lo] as usize..chan_base[hi] as usize;
+                Mutex::new(SeqState::new(machine, lo..hi, chans))
             })
             .collect();
 
@@ -850,13 +247,10 @@ impl<'m> Engine<'m> {
         let stop = AtomicBool::new(false);
         let panic_box: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
 
-        let (report, stats) = std::thread::scope(|scope| {
+        let (windows, boundary_messages) = std::thread::scope(|scope| {
             for i in 0..p {
-                let barrier = &barrier;
-                let stop = &stop;
-                let parts = &parts;
-                let ctx = &ctx;
-                let panic_box = &panic_box;
+                let (barrier, stop, parts, panic_box) = (&barrier, &stop, &parts, &panic_box);
+                let (set, channels, ctx) = (&set, &channels, &ctx);
                 scope.spawn(move || {
                     let mut window = 0u64;
                     loop {
@@ -867,21 +261,24 @@ impl<'m> Engine<'m> {
                         window += 1;
                         let t0 = Instant::now();
                         let ran = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            parts[i].lock().unwrap().run_window(ctx)
+                            let mut part = parts[i]
+                                .lock()
+                                .expect("no worker holds a partition across a panic");
+                            let before = part.activations();
+                            part.advance(set, channels, ctx, None);
+                            part.activations() - before
                         }));
                         match ran {
                             Ok(activations) => {
-                                if let Some(rec) = ctx.rec {
-                                    if activations > 0 {
-                                        rec.wall_span(
-                                            PARTITION_PID,
-                                            i as u32,
-                                            format!("window {window}"),
-                                            Cat::Phase,
-                                            t0,
-                                            vec![("activations", activations.into())],
-                                        );
-                                    }
+                                if let Some(rec) = rec.filter(|_| activations > 0) {
+                                    rec.wall_span(
+                                        PARTITION_PID,
+                                        i as u32,
+                                        format!("window {window}"),
+                                        Cat::Phase,
+                                        t0,
+                                        vec![("activations", activations.into())],
+                                    );
                                 }
                             }
                             Err(payload) => {
@@ -895,7 +292,7 @@ impl<'m> Engine<'m> {
 
             let mut windows = 0u64;
             let mut boundary_messages = 0u64;
-            let result = loop {
+            loop {
                 barrier.wait(); // workers enter the window
                 barrier.wait(); // workers reached the frontier
                 windows += 1;
@@ -907,99 +304,23 @@ impl<'m> Engine<'m> {
                 let t0 = Instant::now();
                 // Exclusive access: every worker is parked at the barrier.
                 let mut locked: Vec<_> = parts.iter().map(|m| m.lock().unwrap()).collect();
-                // Drain boundary mailboxes in deterministic source order.
-                // Per-channel order is preserved because a channel has a
-                // single sending rank (one source partition, FIFO outbox).
+                let mut states: Vec<&mut SeqState> = locked.iter_mut().map(|g| &mut **g).collect();
+                // Drain outboxes in deterministic source order. Per-channel
+                // order is preserved because a channel has a single sending
+                // rank (one source partition, FIFO outbox).
                 let mut delivered = 0u64;
                 for src in 0..p {
-                    for dst in 0..p {
-                        if src == dst {
-                            continue;
-                        }
-                        let mail = std::mem::take(&mut locked[src].outbox[dst]);
-                        for bound in mail {
-                            locked[dst].deliver(bound, &ctx);
+                    let mut mail = std::mem::take(&mut states[src].outbox);
+                    for bound in mail.drain(..) {
+                        if let Some(owner) = bound.owner(&channels) {
+                            states[part_of[owner] as usize].deliver(bound, &ctx);
                             delivered += 1;
                         }
                     }
+                    states[src].outbox = mail;
                 }
                 boundary_messages += delivered;
-                // A collective completes once every rank everywhere has
-                // parked: payload and entry time are maxima over parked
-                // state, independent of arrival order.
-                let total_parked: usize = locked.iter().map(|pt| pt.parked.len()).sum();
-                if total_parked == n {
-                    let mut bytes = 0usize;
-                    let mut entry = SimTime::ZERO;
-                    for pt in locked.iter() {
-                        for &x in &pt.parked {
-                            let lx = x - pt.lo;
-                            if let SharedOp::AllReduce { bytes: b } = set.ops(x)[pt.pc[lx] as usize]
-                            {
-                                bytes = bytes.max(b);
-                            }
-                            entry = entry.max(pt.park_clock[lx]);
-                        }
-                    }
-                    let completion = entry + collective_cost(machine, bytes, n);
-                    if let Some(rec) = rec {
-                        // Same tie rule as the sequential engine: the
-                        // smallest global rank that arrived last.
-                        let entry_rank = locked
-                            .iter()
-                            .flat_map(|pt| {
-                                (pt.lo..pt.hi).map(move |x| (x, pt.park_clock[x - pt.lo]))
-                            })
-                            .find(|&(_, pc)| pc == entry)
-                            .map(|(x, _)| x as u32)
-                            .unwrap_or(0);
-                        rec.sim_edge(EdgeRecord {
-                            pid,
-                            kind: EdgeKind::Collective,
-                            chan: u32::MAX,
-                            src: entry_rank,
-                            dst: entry_rank,
-                            tag: 0,
-                            bytes: bytes as u64,
-                            send_post: entry.picos(),
-                            recv_post: entry.picos(),
-                            wire_start: entry.picos(),
-                            recv: completion.picos(),
-                            resume: entry.picos(),
-                        });
-                    }
-                    for pt in locked.iter_mut() {
-                        let parked = std::mem::take(&mut pt.parked);
-                        for x in parked {
-                            let lx = x - pt.lo;
-                            let waited = completion.saturating_sub(pt.park_clock[lx]);
-                            if let Some(rec) = rec {
-                                let name = match set.ops(x)[pt.pc[lx] as usize] {
-                                    SharedOp::AllReduce { .. } => "allreduce",
-                                    _ => "barrier",
-                                };
-                                if waited > SimTime::ZERO {
-                                    rec.sim_span(
-                                        pid,
-                                        x as u32,
-                                        name,
-                                        Cat::Collective,
-                                        pt.park_clock[lx].picos(),
-                                        waited.picos(),
-                                        vec![("bytes", bytes.into())],
-                                    );
-                                }
-                            }
-                            pt.stats[lx].collective += waited;
-                            pt.clock[lx] = completion;
-                            pt.status[lx] = St::Ready;
-                            pt.pc[lx] += 1;
-                        }
-                        for rank in pt.lo..pt.hi {
-                            pt.ready.push_back(rank);
-                        }
-                    }
-                }
+                complete_collective(&mut states, &set, &ctx);
                 if let Some(rec) = rec {
                     rec.wall_span(
                         PARTITION_PID,
@@ -1010,58 +331,33 @@ impl<'m> Engine<'m> {
                         vec![("delivered", delivered.into())],
                     );
                 }
-                let total_finished: usize = locked.iter().map(|pt| pt.finished).sum();
-                if total_finished == n {
-                    let mut ranks = Vec::with_capacity(n);
-                    for pt in locked.iter_mut() {
-                        ranks.append(&mut pt.stats);
-                    }
-                    break Ok(RunReport { ranks });
+                // Nothing runnable anywhere: the run is done, or it reached
+                // the same least-fixpoint deadlock the sequential engine
+                // does.
+                if states.iter().all(|s| s.is_idle()) {
+                    break;
                 }
-                if locked.iter().all(|pt| pt.ready.is_empty()) {
-                    // Global quiescence with no deliverable progress: the
-                    // same least-fixpoint state the sequential engine
-                    // reaches, reported in the same rank order.
-                    let mut blocked = Vec::new();
-                    let mut parked_out = Vec::new();
-                    for pt in locked.iter() {
-                        for li in 0..(pt.hi - pt.lo) {
-                            let idx = pt.lo + li;
-                            match pt.status[li] {
-                                St::BlockedRecv { from, tag } => {
-                                    blocked.push((idx, from as usize, tag))
-                                }
-                                St::BlockedSend { to, tag } => {
-                                    blocked.push((idx, to as usize, tag))
-                                }
-                                St::Parked => parked_out.push(idx),
-                                _ => {}
-                            }
-                        }
-                    }
-                    break Err(SimError::Deadlock { blocked, parked: parked_out });
-                }
-            };
+            }
             stop.store(true, Ordering::Release);
             barrier.wait();
-            result.map(|report| {
-                (
-                    report,
-                    ParStats {
-                        partitions: p,
-                        windows,
-                        lookahead,
-                        fell_back: false,
-                        boundary_channels,
-                        boundary_messages,
-                    },
-                )
-            })
-        })?;
+            (windows, boundary_messages)
+        });
 
-        if let Some(rec) = rec {
-            debug_check_span_totals(rec, pid, &report, &span_baseline);
-        }
+        let states = parts
+            .into_iter()
+            .map(|m| {
+                m.into_inner().expect("a worker panic is re-raised before the states are read")
+            })
+            .collect();
+        let report = finalize(states, &ctx, true)?;
+        let stats = ParStats {
+            partitions: p,
+            windows,
+            lookahead,
+            fell_back: false,
+            boundary_channels,
+            boundary_messages,
+        };
         Ok((report, stats))
     }
 }
@@ -1069,10 +365,12 @@ impl<'m> Engine<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::SimError;
     use crate::machine::MachineSpec;
     use crate::network::NetworkModel;
     use crate::noise::NoiseModel;
     use crate::program::{Op, Program};
+    use obs::Recorder;
 
     fn prog(ops: &[Op]) -> Program {
         let mut p = Program::new();
@@ -1157,6 +455,46 @@ mod tests {
         let got = Engine::new(&m, vec![p0, p1]).run_parallel(2).unwrap();
         assert_eq!(got, want);
         assert!(want.ranks[1].recv_wait > SimTime::ZERO);
+    }
+
+    #[test]
+    fn parked_sender_carries_its_busy_nic_across_the_boundary() {
+        // Rank 0's eager send keeps its NIC busy for 0.9 s, then its
+        // rendezvous send parks at once (the receiver has not posted).
+        // Rank 1 posts after 0.5 s, so the wire waits for the NIC the
+        // parked send carries. run_parallel(2) puts the two ranks in
+        // different partitions, so the handshake reads that carried value
+        // instead of the sender's live state.
+        let mut m = MachineSpec::ideal(100.0);
+        m.network = NetworkModel {
+            send: crate::network::PiecewiseSegments::linear(1.0, 0.0),
+            recv: crate::network::PiecewiseSegments::linear(1.0, 0.0),
+            pingpong: crate::network::PiecewiseSegments::linear(20.0, 0.02),
+            serialization_bw: 1e6, // 1 µs per byte on the NIC
+        };
+        m.rendezvous_bytes = Some(1_000_000);
+        let p0 = prog(&[
+            Op::Send { to: 1, bytes: 900_000, tag: 1 },
+            Op::Send { to: 1, bytes: 2_000_000, tag: 2 },
+        ]);
+        let p1 = prog(&[
+            Op::Compute { flops: 5e7, working_set: 0 },
+            Op::Recv { from: 0, tag: 2 },
+            Op::Recv { from: 0, tag: 1 },
+        ]);
+        let programs = vec![p0, p1];
+        let want = crate::ReferenceEngine::new(&m, programs.clone()).run().unwrap();
+        let rec = Recorder::enabled();
+        let seq = Engine::new(&m, programs.clone()).with_recorder(&rec, 0).run().unwrap();
+        let (par, stats) = Engine::new(&m, programs).run_parallel_stats(2).unwrap();
+        assert_eq!(seq, want);
+        assert_eq!(par, want);
+        assert_eq!((stats.partitions, stats.fell_back), (2, false));
+        // The rendezvous wire started when the NIC freed, after both the
+        // sender's ready time and the receiver's post.
+        let edge = rec.sim_edges().into_iter().find(|e| e.tag == 2).unwrap();
+        assert!(edge.wire_start > edge.send_post.max(edge.recv_post), "{edge:?}");
+        assert_eq!(edge.wire_start, SimTime::from_secs(0.9 + 1e-6).picos());
     }
 
     #[test]

@@ -593,7 +593,13 @@ fn run_speculation(args: &[String], json: bool) {
             "--ranks" => ranks = int_flag("--ranks", value(&mut i)),
             "--repeat" => repeat = int_flag("--repeat", value(&mut i)),
             "--iterations" => iterations = int_flag("--iterations", value(&mut i)),
-            "--threads" => threads = Some(int_flag("--threads", value(&mut i))),
+            "--threads" => match int_flag("--threads", value(&mut i)) {
+                0 => {
+                    eprintln!("--threads takes a positive integer, got \"0\"");
+                    std::process::exit(2);
+                }
+                t => threads = Some(t),
+            },
             other => {
                 eprintln!("unknown speculation flag {other:?}");
                 std::process::exit(2);

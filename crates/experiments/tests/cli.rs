@@ -22,6 +22,10 @@ fn assert_usage_error(args: &[&str]) {
 fn non_integer_flag_values_are_usage_errors() {
     assert_usage_error(&["speculation", "--ranks", "abc"]);
     assert_usage_error(&["speculation", "--threads", "-1"]);
+    // Zero is not an engine thread count.
+    assert_usage_error(&["speculation", "--threads", "0"]);
+    let out = experiments(&["speculation", "--threads", "0"]);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--threads"));
     assert_usage_error(&["attribute", "--px", "two"]);
 }
 
@@ -111,6 +115,40 @@ fn unpriceable_workload_spec_fields_are_usage_errors() {
         assert_eq!(out.status.code(), Some(2), "{to}: {stderr}");
         assert!(!stderr.contains("panicked"), "{to} panicked: {stderr}");
         assert!(stderr.contains(field), "{to}: error should name {field}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Workload spec files past the per-rank work ceiling exit 2 naming the
+/// fields, before lowering: huge per-rank extents used to overflow the
+/// virtual clock (a panic, exit 101) and a huge iteration count grew the
+/// trace by about a gigabyte a second.
+#[test]
+fn workload_specs_past_the_work_ceiling_are_usage_errors() {
+    use pace_core::StencilParams;
+    use registry::WorkloadSpec;
+    let stencil = |nx, ny, iterations, flops_per_cell| {
+        WorkloadSpec::Stencil(StencilParams { px: 2, py: 2, nx, ny, iterations, flops_per_cell })
+    };
+    // (spec, phrases the one-line error must hold)
+    let probes = [
+        (stencil(1_000_000_000, 1_000_000_000, 100, 1e6), ["nx × ny", "flops_per_cell"]),
+        (stencil(10, 10, 100_000_000_000, 6.0), ["iterations", "operations"]),
+        (stencil(1, 1, 10_000_000, 6.0), ["params.iterations", "trace steps"]),
+    ];
+    let dir = std::env::temp_dir().join(format!("pace-work-probes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (i, (spec, phrases)) in probes.iter().enumerate() {
+        let path = dir.join(format!("probe{i}.json"));
+        std::fs::write(&path, spec.to_json()).unwrap();
+        let out = experiments(&["sweep", "--workload", path.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "probe {i}: {stderr}");
+        assert!(!stderr.contains("panicked"), "probe {i} panicked: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "probe {i}: expected one line: {stderr}");
+        for phrase in ["work ceiling"].iter().chain(phrases) {
+            assert!(stderr.contains(phrase), "probe {i}: error should name {phrase}: {stderr}");
+        }
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -14,8 +14,9 @@
 //! * **no aborts downstream** — every extent, blocking factor and count a
 //!   template asserts on or divides by must be at least 1, the wavefront
 //!   angle count must belong to an even S_N order, per-cell operation
-//!   counts must lie in [`OPS_PER_CELL`], and the rank count may not
-//!   exceed [`MAX_RANKS`].
+//!   counts must lie in [`OPS_PER_CELL`], the rank count may not exceed
+//!   [`MAX_RANKS`], and one rank's run must stay within the per-rank work
+//!   ceiling (`MAX_RANK_OPS` operations, `MAX_RANK_STEPS` trace steps).
 
 use std::ops::RangeInclusive;
 use std::sync::Arc;
@@ -39,6 +40,23 @@ pub const OPS_PER_CELL: RangeInclusive<f64> = 0.0..=1e6;
 /// state before the first event, so a larger grid would abort allocating
 /// rather than fail.
 pub const MAX_RANKS: usize = 1 << 20;
+
+/// Per-rank work ceiling, operations: cells per rank × operations per
+/// cell update × iterations, with every cell update counted as at least
+/// one operation. At the slowest admitted compute rate (1 MFLOPS, see
+/// [`json`](crate::json)) 10^12 operations take under twelve simulated
+/// days, inside the picosecond clock's ~213-day span even when background
+/// load triples them, and a rank's working set stays far below `usize`.
+/// Checked before a template is lowered to a trace, together with
+/// `MAX_RANK_STEPS`.
+const MAX_RANK_OPS: f64 = 1e12;
+
+/// Per-rank work ceiling, trace steps: iterations × steps per iteration
+/// (compute blocks, and an allreduce's collectives). The lowered trace
+/// stores every step of every rank, so this bounds its memory. 10^5 is 26
+/// times the largest built-in trace, the one-billion-cell wavefront's
+/// 3,840 steps.
+const MAX_RANK_STEPS: f64 = 1e5;
 
 /// A parsed workload spec: which template plus its parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -205,6 +223,35 @@ fn grid(map: &Object, ctx: &str) -> Result<(usize, usize), String> {
     }
 }
 
+/// Hold one rank's run to the work ceiling: `cells` per rank (made of
+/// the fields `cell_fields`) updated at `ops` operations each (`op_fields`)
+/// for `iterations`, in `steps` trace steps per iteration.
+fn rank_work(
+    ctx: &str,
+    (cells, cell_fields): (f64, &str),
+    (ops, op_fields): (f64, &str),
+    iterations: usize,
+    steps: f64,
+) -> Result<(), String> {
+    let ops = ops.max(1.0);
+    let work = cells * ops * iterations as f64;
+    if work > MAX_RANK_OPS {
+        return Err(format!(
+            "{ctx}: per-rank work {cell_fields} × {op_fields} × iterations = {cells:.3e} cells × \
+             {ops:.3e} operations × {iterations} = {work:.3e} operations exceeds the work \
+             ceiling of {MAX_RANK_OPS:e}"
+        ));
+    }
+    let trace = iterations as f64 * steps;
+    if trace > MAX_RANK_STEPS {
+        return Err(format!(
+            "{ctx}.iterations: {iterations} iterations × {steps} steps = {trace:.3e} trace steps \
+             per rank exceeds the work ceiling of {MAX_RANK_STEPS:e}"
+        ));
+    }
+    Ok(())
+}
+
 fn vector(v: &Json, ctx: &str) -> Result<ResourceVector, String> {
     let map = as_obj(v, ctx)?;
     check_fields(map, &["mfdg", "afdg", "dfdg", "ifbr", "lfor", "cmld"], ctx)?;
@@ -247,7 +294,7 @@ fn wavefront(v: &Json, ctx: &str) -> Result<Sweep3dParams, String> {
     pace_core::workload::sn_order_for(angles_per_octant)
         .map_err(|e| format!("{ctx}.angles_per_octant: {e}"))?;
     let (px, py) = grid(map, ctx)?;
-    Ok(Sweep3dParams {
+    let p = Sweep3dParams {
         px,
         py,
         nx: positive(map, "nx", ctx)?,
@@ -258,21 +305,35 @@ fn wavefront(v: &Json, ctx: &str) -> Result<Sweep3dParams, String> {
         angles_per_octant,
         iterations: positive(map, "iterations", ctx)?,
         kernel,
-    })
+    };
+    // A cell update sweeps every angle of all eight octants, then adds the
+    // source and flux-error terms.
+    let ops = |v: &ResourceVector| v.flops() + v.ifbr + v.lfor + v.cmld;
+    let k = &p.kernel;
+    let cell_ops = 8.0 * angles_per_octant as f64 * ops(&k.sweep_per_cell_angle)
+        + ops(&k.source_per_cell)
+        + ops(&k.flux_err_per_cell);
+    let cells = p.nx as f64 * p.ny as f64 * p.nz as f64;
+    let steps = 8.0 * angles_per_octant.div_ceil(p.mmi) as f64 * p.nz.div_ceil(p.mk) as f64;
+    rank_work(ctx, (cells, "nx × ny × nz"), (cell_ops, "kernel"), p.iterations, steps)?;
+    Ok(p)
 }
 
 fn stencil(v: &Json, ctx: &str) -> Result<StencilParams, String> {
     let map = as_obj(v, ctx)?;
     check_fields(map, &["px", "py", "nx", "ny", "iterations", "flops_per_cell"], ctx)?;
     let (px, py) = grid(map, ctx)?;
-    Ok(StencilParams {
+    let p = StencilParams {
         px,
         py,
         nx: positive(map, "nx", ctx)?,
         ny: positive(map, "ny", ctx)?,
         iterations: usize_field(map, "iterations", ctx)?,
         flops_per_cell: ranged(map, "flops_per_cell", ctx, OPS_PER_CELL)?,
-    })
+    };
+    let cells = p.nx as f64 * p.ny as f64;
+    rank_work(ctx, (cells, "nx × ny"), (p.flops_per_cell, "flops_per_cell"), p.iterations, 1.0)?;
+    Ok(p)
 }
 
 fn allreduce(v: &Json, ctx: &str) -> Result<AllreduceParams, String> {
@@ -295,14 +356,22 @@ fn allreduce(v: &Json, ctx: &str) -> Result<AllreduceParams, String> {
             "{ctx}.procs: {procs} ranks exceeds the rank ceiling MAX_RANKS = {MAX_RANKS}"
         ));
     }
-    Ok(AllreduceParams {
+    let p = AllreduceParams {
         procs,
         cells_per_pe: usize_field(map, "cells_per_pe", ctx)?,
         flops_per_cell: ranged(map, "flops_per_cell", ctx, OPS_PER_CELL)?,
         reduce_bytes: usize_field(map, "reduce_bytes", ctx)?,
         reductions_per_iteration: usize_field(map, "reductions_per_iteration", ctx)?,
         iterations: usize_field(map, "iterations", ctx)?,
-    })
+    };
+    rank_work(
+        ctx,
+        (p.cells_per_pe as f64, "cells_per_pe"),
+        (p.flops_per_cell, "flops_per_cell"),
+        p.iterations,
+        1.0 + p.reductions_per_iteration as f64,
+    )?;
+    Ok(p)
 }
 
 #[cfg(test)]
@@ -404,6 +473,48 @@ mod tests {
         assert!(procs(MAX_RANKS).is_ok());
         let err = procs(MAX_RANKS + 1).unwrap_err();
         assert!(err.contains("params.procs: ") && err.contains("rank ceiling"), "{err}");
+    }
+
+    #[test]
+    fn per_rank_work_past_the_ceiling_is_rejected() {
+        let stencil = |nx, ny, flops_per_cell, iterations| {
+            WorkloadSpec::Stencil(StencilParams {
+                px: 2,
+                py: 2,
+                nx,
+                ny,
+                iterations,
+                flops_per_cell,
+            })
+        };
+        let mut reductions = AllreduceParams::cg_like(4);
+        reductions.reductions_per_iteration = 1 << 20;
+        let mut k_blocks = Sweep3dParams::speculative_1b(2, 2);
+        (k_blocks.nx, k_blocks.ny, k_blocks.nz, k_blocks.mk) = (1, 1, 100_000, 1);
+        // `None`: the spec fits; otherwise a phrase the error must hold.
+        let cases = [
+            (stencil(1_000_000_000, 1_000_000_000, 1e6, 100), Some("nx × ny × flops_per_cell")),
+            (stencil(10, 10, 6.0, 100_000_000_000), Some("× iterations")),
+            // Free cell updates still count one operation each.
+            (stencil(1_000_000_000, 1_000_000_000, 0.0, 1), Some("work ceiling of 1e12")),
+            (stencil(1000, 1000, 1e6, 1), None), // exactly 1e12 operations
+            (stencil(1, 1, 6.0, 100_000), None), // exactly 1e5 trace steps
+            (stencil(1, 1, 6.0, 100_001), Some("params.iterations: ")),
+            (WorkloadSpec::Allreduce(reductions), Some("trace steps per rank")),
+            (WorkloadSpec::Wavefront(k_blocks), Some("params.iterations: ")),
+            (WorkloadSpec::Wavefront(Sweep3dParams::speculative_1b(80, 100)), None),
+            (WorkloadSpec::Stencil(StencilParams::weak_scaling(80, 100)), None),
+            (WorkloadSpec::Allreduce(AllreduceParams::cg_like(8000)), None),
+        ];
+        for (spec, want) in cases {
+            match (WorkloadSpec::from_json(&spec.to_json()), want) {
+                (Ok(back), None) => assert_eq!(back, spec),
+                (Err(err), Some(phrase)) => {
+                    assert!(err.contains("work ceiling") && err.contains(phrase), "{err}")
+                }
+                (got, _) => panic!("{spec:?}: unexpected {got:?}"),
+            }
+        }
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //! `Engine::run_parallel(threads)` must reproduce the sequential engine's
 //! `RunReport` — and therefore the pinned golden digests of
 //! `engine_golden.rs` — **bit for bit**, for every partition count, with
-//! tracing on and off. The differential proptest triangulates through the
-//! retained `ReferenceEngine` exactly like the sequential suite does, so a
-//! bug would have to fool three independent schedulers identically to
-//! slip through.
+//! tracing on and off. Both drivers run the same op interpreter, so the
+//! differential proptest checks them against the independently written
+//! `ReferenceEngine`, exactly like the sequential suite does.
 //!
 //! If a digest changes on purpose, re-bless with `BLESS_GOLDEN=1` (see
 //! `engine_golden.rs`) and say so loudly in the PR.
@@ -180,7 +179,8 @@ proptest! {
 
     /// Differential equivalence across partition counts: on random valid
     /// programs, `run_parallel(p)` for p in {1, 2, 3, 7, 8} must match the
-    /// retained reference scheduler bit for bit.
+    /// retained reference scheduler bit for bit, and for p in {2, 3, 7} a
+    /// traced run must record the sequential engine's spans and edges.
     #[test]
     fn parallel_engine_matches_reference_on_random_programs(
         n in 2usize..6,
@@ -204,6 +204,21 @@ proptest! {
                 .run_parallel(partitions)
                 .unwrap();
             prop_assert_eq!(&got, &want, "parallel({}) != reference", partitions);
+        }
+        // Traced, the parallel span and causality-edge streams equal the
+        // sequential ones after the recorder's deterministic sort.
+        let rec_seq = Recorder::enabled();
+        let seq = Engine::new(&machine, programs.clone()).with_recorder(&rec_seq, 0).run().unwrap();
+        prop_assert_eq!(&seq, &want);
+        for partitions in [2usize, 3, 7] {
+            let rec_par = Recorder::enabled();
+            let got = Engine::new(&machine, programs.clone())
+                .with_recorder(&rec_par, 0)
+                .run_parallel(partitions)
+                .unwrap();
+            prop_assert_eq!(&got, &want, "traced parallel({}) != reference", partitions);
+            prop_assert_eq!(rec_seq.sim_spans(), rec_par.sim_spans(), "spans at p = {}", partitions);
+            prop_assert_eq!(rec_seq.sim_edges(), rec_par.sim_edges(), "edges at p = {}", partitions);
         }
     }
 }

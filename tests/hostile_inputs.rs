@@ -4,6 +4,7 @@
 
 use obs::json::{escape, Json};
 use proptest::prelude::*;
+use registry::WorkloadSpec;
 use sweepsvc::store::{ChunkStore, IdRange};
 
 /// Arbitrary scalars, half of them ASCII (controls, quotes and
@@ -18,8 +19,102 @@ const JSON_ALPHABET: [&str; 20] = [
     "null", " ", "\"k\"", "1e999", "é",
 ];
 
+/// Field values a workload template accepts, and values it must reject
+/// with an error: zero, negative, fractional, non-finite, past 2^53, past
+/// the rank or work ceilings, or not a number at all.
+const VALID: [&str; 6] = ["1", "2", "3", "6", "10", "100"];
+const HOSTILE: [&str; 14] = [
+    "0",
+    "-1",
+    "0.5",
+    "1e6",
+    "1e300",
+    "1000000000",
+    "100000000000",
+    "9007199254740993",
+    "\"inf\"",
+    "\"nan\"",
+    "null",
+    "true",
+    "[]",
+    "{}",
+];
+
+/// The parameter fields of each template, by spec-file identifier.
+const TEMPLATES: [(&str, &[&str]); 3] = [
+    (
+        "wavefront",
+        &["px", "py", "nx", "ny", "nz", "mk", "mmi", "angles_per_octant", "iterations", "kernel"],
+    ),
+    ("stencil", &["px", "py", "nx", "ny", "iterations", "flops_per_cell"]),
+    (
+        "allreduce",
+        &[
+            "procs",
+            "cells_per_pe",
+            "flops_per_cell",
+            "reduce_bytes",
+            "reductions_per_iteration",
+            "iterations",
+        ],
+    ),
+];
+
+/// A workload spec document for `template` whose fields draw values from
+/// `picks` (one field in four and one kernel count in 64 hostile), with
+/// field `drop` left out and an unknown field added when `extra` is set.
+fn workload_doc(template: usize, picks: &[usize], drop: usize, extra: bool) -> String {
+    let mut picks = picks.iter().copied().cycle();
+    let mut value = |hostile_every: usize| {
+        let k = picks.next().unwrap_or(0);
+        if k % hostile_every == 0 {
+            HOSTILE[k / hostile_every % HOSTILE.len()]
+        } else {
+            VALID[k % VALID.len()]
+        }
+    };
+    let (name, fields) = TEMPLATES[template % TEMPLATES.len()];
+    let mut params: Vec<String> = Vec::new();
+    for (i, &field) in fields.iter().enumerate() {
+        if i == drop {
+            continue;
+        }
+        let v = if field == "kernel" {
+            let vectors =
+                ["sweep_per_cell_angle", "source_per_cell", "flux_err_per_cell"].map(|v| {
+                    let ops = ["mfdg", "afdg", "dfdg", "ifbr", "lfor", "cmld"];
+                    let counts = ops.map(|op| format!("\"{op}\": {}", value(64)));
+                    format!("\"{v}\": {{{}}}", counts.join(", "))
+                });
+            format!("{{{}}}", vectors.join(", "))
+        } else {
+            value(4).to_string()
+        };
+        params.push(format!("\"{field}\": {v}"));
+    }
+    if extra {
+        params.push("\"flops_per_cel\": 6".to_string());
+    }
+    format!("{{\"workload\": \"{name}\", \"params\": {{{}}}}}", params.join(", "))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// JSON-shaped workload documents: every one parses to a spec that
+    /// round-trips exactly, or to an error, never a panic.
+    #[test]
+    fn workload_spec_parse_round_trips_or_errors(
+        template in 0usize..3,
+        picks in prop::collection::vec(0usize..1000, 1..40),
+        drop in 0usize..24,
+        extra in 0u8..10,
+    ) {
+        let doc = workload_doc(template, &picks, drop, extra == 0);
+        if let Ok(spec) = WorkloadSpec::from_json(&doc) {
+            prop_assert_eq!(WorkloadSpec::from_json(&spec.to_json()), Ok(spec));
+        }
+    }
 
     #[test]
     fn json_parse_never_panics_on_arbitrary_text(codes in prop::collection::vec(0u32..0x11_0000, 0..64)) {

@@ -35,7 +35,7 @@
 //!   tag)` FIFO order bit-exactly.
 //! * Queue storage is sized by what is in flight. Each channel holds two
 //!   intrusive FIFO lists — in-flight messages and parked rendezvous
-//!   sends — as head/tail indices into one [`NodePool`] with a free list
+//!   sends — as head/tail indices into one `NodePool` with a free list
 //!   per scheduler state: one for a sequential run, one per partition of
 //!   a windowed-parallel run. The pool's length is its state's peak
 //!   queued-entry count, and its capacity stays within twice that,

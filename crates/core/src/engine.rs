@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::hardware::HardwareModel;
-use crate::model::{ApplicationObject, TemplateBinding};
+use crate::model::{ApplicationObject, SubtaskObject, TemplateBinding};
 use crate::templates;
 use crate::templates::pipeline::PipelineEstimate;
 
@@ -83,6 +83,26 @@ impl EvaluationReport {
     }
 }
 
+/// One subtask's evaluation: seconds per iteration, plus the pipeline
+/// breakdown when the pipeline template produced it.
+pub type SubtaskEval = (f64, Option<PipelineEstimate>);
+
+/// Evaluate one subtask on a hardware model: the template dispatch every
+/// evaluator shares, cached or not.
+pub fn evaluate_subtask(sub: &SubtaskObject, hw: &HardwareModel) -> SubtaskEval {
+    match &sub.template {
+        TemplateBinding::Pipeline(params) => {
+            let est = templates::pipeline::evaluate(params, hw);
+            (est.total_secs, Some(est))
+        }
+        TemplateBinding::Halo(params) => (templates::halo::evaluate(params, hw), None),
+        TemplateBinding::Collective(params) => {
+            (templates::collective::evaluate(params, &hw.comm), None)
+        }
+        TemplateBinding::Async => (templates::serial_secs(hw, sub.flops, sub.cells_per_pe), None),
+    }
+}
+
 /// The evaluation engine. Stateless; method-style API mirrors the PACE
 /// toolchain's `evaluate` step.
 #[derive(Debug, Clone, Copy, Default)]
@@ -96,22 +116,24 @@ impl EvaluationEngine {
 
     /// Evaluate an application model on a hardware model.
     pub fn evaluate(&self, app: &ApplicationObject, hw: &HardwareModel) -> EvaluationReport {
+        self.evaluate_with(app, hw, |sub| evaluate_subtask(sub, hw))
+    }
+
+    /// Evaluate an application model with `subtask` answering each
+    /// subtask in order; the report's summation is the same as
+    /// [`EvaluationEngine::evaluate`]'s, so a hook that returns
+    /// [`evaluate_subtask`]'s value (a memo of it, say) yields the same
+    /// bits.
+    pub fn evaluate_with(
+        &self,
+        app: &ApplicationObject,
+        hw: &HardwareModel,
+        mut subtask: impl FnMut(&SubtaskObject) -> SubtaskEval,
+    ) -> EvaluationReport {
         let mut subtasks = Vec::with_capacity(app.subtasks.len());
         let mut per_iteration = 0.0;
         for sub in &app.subtasks {
-            let (secs, pipeline) = match &sub.template {
-                TemplateBinding::Pipeline(params) => {
-                    let est = templates::pipeline::evaluate(params, hw);
-                    (est.total_secs, Some(est))
-                }
-                TemplateBinding::Halo(params) => (templates::halo::evaluate(params, hw), None),
-                TemplateBinding::Collective(params) => {
-                    (templates::collective::evaluate(params, &hw.comm), None)
-                }
-                TemplateBinding::Async => {
-                    (templates::serial_secs(hw, sub.flops, sub.cells_per_pe), None)
-                }
-            };
+            let (secs, pipeline) = subtask(sub);
             per_iteration += secs;
             subtasks.push(SubtaskTime {
                 name: sub.name.clone(),
@@ -134,7 +156,6 @@ mod tests {
     use super::*;
     use crate::clc::ResourceVector;
     use crate::comm::CommModel;
-    use crate::model::SubtaskObject;
 
     fn app() -> ApplicationObject {
         let v = ResourceVector { mfdg: 1.0, afdg: 1.0, ..Default::default() };

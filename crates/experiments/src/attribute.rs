@@ -44,7 +44,7 @@ impl Mode {
 /// The golden-fixture machine (see `tests/engine_golden.rs`): Pentium3
 /// sim spec + commodity noise + 4 KiB rendezvous threshold, pinned seed.
 pub fn fixture_machine() -> MachineSpec {
-    let mut m = hwbench::machines::pentium3_myrinet_sim();
+    let mut m = registry::sim::pentium3_myrinet_sim();
     m.noise = NoiseModel::commodity();
     m.rendezvous_bytes = Some(4096);
     m.seed = 0xF1B5_EED0;

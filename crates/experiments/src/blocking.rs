@@ -68,7 +68,7 @@ pub fn best(points: &[BlockingPoint]) -> Option<BlockingPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hwbench::machines::pentium3_myrinet_sim;
+    use registry::sim::pentium3_myrinet_sim;
 
     #[test]
     fn model_tracks_blocking_trend() {

@@ -6,7 +6,7 @@
 //! kernel calibration, hardware benchmarking, the simulated measurement
 //! (per-rank sim spans) and the PACE prediction. Each phase is recorded
 //! as a wall span; the measurement's per-rank activity lands as sim spans
-//! whose per-category totals must reproduce the run's [`RankStats`]
+//! whose per-category totals must reproduce the run's [`RankStats`](cluster_sim::RankStats)
 //! exactly (that cross-check is printed, not just asserted in tests).
 
 use std::time::{Duration, Instant};

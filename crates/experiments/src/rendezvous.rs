@@ -76,12 +76,7 @@ pub fn run(
 /// The default study: Pentium 3 / Myrinet, 4 kB threshold (below the 12 kB
 /// face messages), four arrays.
 pub fn pentium3_study() -> ProtocolStudy {
-    run(
-        &hwbench::machines::pentium3_myrinet_sim(),
-        4096,
-        20,
-        &[(1, 2), (2, 2), (2, 4), (4, 4), (4, 6)],
-    )
+    run(&registry::sim::pentium3_myrinet_sim(), 4096, 20, &[(1, 2), (2, 2), (2, 4), (4, 4), (4, 6)])
 }
 
 #[cfg(test)]
@@ -109,7 +104,7 @@ mod tests {
     #[test]
     fn high_threshold_restores_eager_behaviour() {
         // With the threshold above every message size, both runs coincide.
-        let machine = hwbench::machines::pentium3_myrinet_sim();
+        let machine = registry::sim::pentium3_myrinet_sim();
         let study = run(&machine, usize::MAX, 8, &[(1, 2), (2, 2), (2, 3)]);
         for (_, eager, rendezvous) in &study.points {
             assert_eq!(eager, rendezvous);

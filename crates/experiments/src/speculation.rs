@@ -210,7 +210,7 @@ impl DesCampaign {
 /// the Myrinet-typical rendezvous threshold so replications differ by
 /// seed.
 pub fn speculation_machine() -> MachineSpec {
-    let mut m = hwbench::machines::opteron_myrinet_sim();
+    let mut m = registry::sim::opteron_myrinet_sim();
     m.noise = cluster_sim::NoiseModel::commodity();
     m.rendezvous_bytes = Some(4096);
     m

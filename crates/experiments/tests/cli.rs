@@ -153,6 +153,40 @@ fn workload_specs_past_the_work_ceiling_are_usage_errors() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// An allreduce spec whose reductions move more than the per-rank byte
+/// budget exits 2 naming `params.reduce_bytes` (10^15 bytes in one
+/// reduction used to overflow the virtual clock: a panic, exit 101);
+/// 10^12 bytes still run.
+#[test]
+fn workload_specs_past_the_byte_budget_are_usage_errors() {
+    use pace_core::AllreduceParams;
+    use registry::WorkloadSpec;
+    let allreduce = |reduce_bytes| {
+        WorkloadSpec::Allreduce(AllreduceParams {
+            reduce_bytes,
+            reductions_per_iteration: 1,
+            iterations: 1,
+            ..AllreduceParams::cg_like(4)
+        })
+    };
+    let dir = std::env::temp_dir().join(format!("pace-byte-probes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("probe.json");
+    let run = |spec: WorkloadSpec| {
+        std::fs::write(&path, spec.to_json()).unwrap();
+        experiments(&["sweep", "--workload", path.to_str().unwrap()])
+    };
+    let out = run(allreduce(1_000_000_000_000_000));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(!stderr.contains("panicked"), "panicked: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "expected one line: {stderr}");
+    assert!(stderr.contains("params.reduce_bytes") && stderr.contains("byte budget"), "{stderr}");
+    let out = run(allreduce(1_000_000_000_000));
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Workload spec files whose rank count is past `registry::MAX_RANKS` exit
 /// 2 naming the ceiling, before the DES allocates per-rank state (a
 /// 100000 x 100000 stencil used to abort allocating 240 GB, exit 134).

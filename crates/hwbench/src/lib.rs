@@ -12,10 +12,9 @@
 //!    increasing message sizes ([`netbench`]), fitted to the piecewise-
 //!    linear Eq. 3 by segmented least squares ([`fit`], [`stats`]).
 //!
-//! [`machines`] re-exports the canonical simulated machine specifications
-//! from the unified registry (Pentium 3/Myrinet, Opteron/GigE,
-//! Altix/NUMAlink), [`benchmark_machine`] runs the full characterisation
-//! workflow (simulated machine in, fitted [`pace_core::HardwareModel`]
+//! The canonical simulated machine specifications (Pentium 3/Myrinet,
+//! Opteron/GigE, Altix/NUMAlink) live in `registry::sim`;
+//! [`benchmark_machine`] runs the full characterisation workflow (simulated machine in, fitted [`pace_core::HardwareModel`]
 //! out), and [`characterise`] does the same at the registry level: a
 //! registry machine in, the same machine with a freshly fitted analytic
 //! half out.
@@ -23,7 +22,6 @@
 pub mod bootstrap;
 pub mod fit;
 pub mod host_netbench;
-pub mod machines;
 pub mod netbench;
 pub mod profiler;
 pub mod stats;
@@ -79,7 +77,7 @@ mod tests {
 
     #[test]
     fn full_workflow_produces_model() {
-        let spec = machines::pentium3_myrinet_sim();
+        let spec = registry::sim::pentium3_myrinet_sim();
         let hw = benchmark_machine(&spec, &[10, 20], 1);
         assert_eq!(hw.rates.len(), 2);
         assert!(hw.achieved_mflops(1000) > 1.0);

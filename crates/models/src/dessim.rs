@@ -10,7 +10,7 @@
 //! `sim` half. It is workload-generic: any [`Workload`] that lowers to a
 //! [`cluster_sim::ProgramSet`] can be simulated.
 
-use cluster_sim::Engine;
+use cluster_sim::{Engine, Paused};
 use pace_core::engine::{EvaluationReport, SubtaskTime};
 use pace_core::workload::Workload;
 use pace_core::Sweep3dParams;
@@ -66,24 +66,50 @@ pub fn report_from_makespan(
 /// activations, swap in `machine`'s twin, resume to completion. This is
 /// the per-scenario meaning of `SweepSpec::des_fork`; the campaign
 /// planner produces byte-identical results by sharing one paused prefix
-/// per (base, workload) cell and resuming snapshots. When `machine` and
-/// `base` are equal the result is bit-identical to a cold run.
+/// per (base, workload) cell through [`predict_fork_group`]. When
+/// `machine` and `base` are equal the result is bit-identical to a cold
+/// run.
 pub fn predict_forked(
     workload: &dyn Workload,
     base: &registry::MachineSpec,
     machine: &registry::MachineSpec,
     fork_after: u64,
 ) -> Result<EvaluationReport, String> {
+    let mut reports = predict_fork_group(workload, base, &[machine], fork_after)?;
+    Ok(reports.pop().expect("one report per machine"))
+}
+
+/// Forked DES predictions sharing one prefix: pause `base`'s twin once
+/// after `fork_after` activations, then resume on each of `machines` in
+/// order, reporting one prediction per machine. Every machine but the
+/// last resumes a snapshot of the paused run; the last resumes the run
+/// itself, so a single machine takes no snapshot. Each report is
+/// bit-identical to [`predict_forked`] on its machine.
+pub fn predict_fork_group(
+    workload: &dyn Workload,
+    base: &registry::MachineSpec,
+    machines: &[&registry::MachineSpec],
+    fork_after: u64,
+) -> Result<Vec<EvaluationReport>, String> {
+    let Some((last, rest)) = machines.split_last() else {
+        return Ok(Vec::new());
+    };
     let base_sim = base.sim_or_err()?;
-    let sim = machine.sim_or_err()?;
     let set = workload.program_set(base_sim)?;
     let paused = Engine::from_set(base_sim, set)
         .run_paused(fork_after)
         .map_err(|e| format!("dessim fork prefix on '{}': {e}", base.id))?;
-    let report = paused
-        .resume_with(sim)
-        .map_err(|e| format!("dessim fork resume on '{}': {e}", machine.id))?;
-    Ok(report_from_makespan(workload, &sim.name, report.makespan()))
+    let resume = |run: Paused<'_>, machine: &registry::MachineSpec| -> Result<_, String> {
+        let sim = machine.sim_or_err()?;
+        let report = run
+            .resume_with(sim)
+            .map_err(|e| format!("dessim fork resume on '{}': {e}", machine.id))?;
+        Ok(report_from_makespan(workload, &sim.name, report.makespan()))
+    };
+    let mut reports =
+        rest.iter().map(|m| resume(paused.snapshot(), m)).collect::<Result<Vec<_>, _>>()?;
+    reports.push(resume(paused, last)?);
+    Ok(reports)
 }
 
 /// The discrete-event predictor backend.
@@ -144,6 +170,18 @@ mod tests {
             );
             assert_eq!(cold, forked);
         }
+    }
+
+    #[test]
+    fn a_fork_group_matches_one_forked_prediction_per_machine() {
+        let machine = registry::builtin("opteron-myrinet").unwrap();
+        let twins: Vec<_> = [1.0, 1.25, 1.5].map(|r| machine.with_rate_scaled(r)).into();
+        let p = Sweep3dParams::speculative_20m(2, 2);
+        let group = predict_fork_group(&p, &machine, &twins.iter().collect::<Vec<_>>(), 30);
+        let one_by_one: Vec<_> =
+            twins.iter().map(|m| predict_forked(&p, &machine, m, 30).unwrap()).collect();
+        assert_eq!(group.unwrap(), one_by_one);
+        assert_eq!(predict_fork_group(&p, &machine, &[], 30).unwrap(), vec![]);
     }
 
     #[test]

@@ -1,22 +1,15 @@
 //! Interned metric names for the sweep engine.
 //!
-//! The sweep engine publishes per-shard cache counters on every campaign;
-//! building those names with `format!` allocated 16+ fresh strings per
-//! sweep. The names are static by construction (the shard count is a
-//! compile-time constant), so they are interned here once and shared by
-//! the publisher and by tests/tools that read the registry back.
+//! The names are static, so they are interned here once and shared by
+//! the publisher and by tests/tools that read the registry back; a
+//! campaign publishes without formatting a name per sweep.
 //!
 //! Naming convention (see [`crate::metrics`]): names under the `wall.`
 //! prefix are wall-clock/schedule-dependent and are excluded from
-//! deterministic snapshots. Cache hit/miss/eviction splits depend on
-//! worker interleaving and cache capacity, so every per-shard and total
-//! cache counter lives under `wall.`. Planner shape counters
-//! (`sweep.plan.*`) are pure functions of the spec and stay
-//! deterministic.
-
-/// Shard count of the sweep evaluation cache; the per-shard name arrays
-/// below are indexed by shard id.
-pub const SWEEP_CACHE_SHARDS: usize = 16;
+//! deterministic snapshots. The cache hit/miss split depends on worker
+//! interleaving, so both cache counters live under `wall.`. Planner shape
+//! counters (`sweep.plan.*`) and the cache's entry count are pure
+//! functions of the spec and stay deterministic.
 
 /// Deterministic: scenarios evaluated by the campaign.
 pub const SWEEP_SCENARIOS: &str = "sweep.scenarios";
@@ -38,22 +31,15 @@ pub fn workload_scenarios(kind: &str) -> Option<&'static str> {
         _ => None,
     }
 }
-/// Deterministic: live cache entries after an *unbounded* campaign (a
-/// pure function of the key set). Bounded caches publish
-/// [`SWEEP_CACHE_ENTRIES_WALL`] instead — under eviction the surviving
-/// set depends on worker interleaving.
+
+/// Deterministic: distinct cache entries after the campaign (a pure
+/// function of the key set the engine has seen).
 pub const SWEEP_CACHE_ENTRIES: &str = "sweep.cache.entries";
-/// Schedule-dependent twin of [`SWEEP_CACHE_ENTRIES`] for bounded caches.
-pub const SWEEP_CACHE_ENTRIES_WALL: &str = "wall.sweep.cache.entries";
-/// Per-shard capacity of a bounded cache (0 when unbounded).
-pub const SWEEP_CACHE_CAPACITY: &str = "sweep.cache.shard_capacity";
 
 /// Campaign-total cache hits (schedule-dependent under parallelism).
 pub const SWEEP_CACHE_HITS: &str = "wall.sweep.cache.hits";
 /// Campaign-total cache misses.
 pub const SWEEP_CACHE_MISSES: &str = "wall.sweep.cache.misses";
-/// Campaign-total LRU evictions.
-pub const SWEEP_CACHE_EVICTIONS: &str = "wall.sweep.cache.evictions";
 
 /// Worker count the pool actually used for the campaign.
 pub const SWEEP_POOL_WORKERS: &str = "wall.sweep.pool.workers";
@@ -72,86 +58,9 @@ pub const SWEEP_PLAN_FORK_RESUMES: &str = "sweep.plan.fork_resumes";
 /// incompatible with their group's snapshot).
 pub const SWEEP_PLAN_FALLBACKS: &str = "sweep.plan.fallbacks";
 
-/// Per-shard hit counters, indexed by shard id.
-pub const SWEEP_CACHE_SHARD_HITS: [&str; SWEEP_CACHE_SHARDS] = [
-    "wall.sweep.cache.shard.00.hits",
-    "wall.sweep.cache.shard.01.hits",
-    "wall.sweep.cache.shard.02.hits",
-    "wall.sweep.cache.shard.03.hits",
-    "wall.sweep.cache.shard.04.hits",
-    "wall.sweep.cache.shard.05.hits",
-    "wall.sweep.cache.shard.06.hits",
-    "wall.sweep.cache.shard.07.hits",
-    "wall.sweep.cache.shard.08.hits",
-    "wall.sweep.cache.shard.09.hits",
-    "wall.sweep.cache.shard.10.hits",
-    "wall.sweep.cache.shard.11.hits",
-    "wall.sweep.cache.shard.12.hits",
-    "wall.sweep.cache.shard.13.hits",
-    "wall.sweep.cache.shard.14.hits",
-    "wall.sweep.cache.shard.15.hits",
-];
-
-/// Per-shard miss counters, indexed by shard id.
-pub const SWEEP_CACHE_SHARD_MISSES: [&str; SWEEP_CACHE_SHARDS] = [
-    "wall.sweep.cache.shard.00.misses",
-    "wall.sweep.cache.shard.01.misses",
-    "wall.sweep.cache.shard.02.misses",
-    "wall.sweep.cache.shard.03.misses",
-    "wall.sweep.cache.shard.04.misses",
-    "wall.sweep.cache.shard.05.misses",
-    "wall.sweep.cache.shard.06.misses",
-    "wall.sweep.cache.shard.07.misses",
-    "wall.sweep.cache.shard.08.misses",
-    "wall.sweep.cache.shard.09.misses",
-    "wall.sweep.cache.shard.10.misses",
-    "wall.sweep.cache.shard.11.misses",
-    "wall.sweep.cache.shard.12.misses",
-    "wall.sweep.cache.shard.13.misses",
-    "wall.sweep.cache.shard.14.misses",
-    "wall.sweep.cache.shard.15.misses",
-];
-
-/// Per-shard eviction counters, indexed by shard id.
-pub const SWEEP_CACHE_SHARD_EVICTIONS: [&str; SWEEP_CACHE_SHARDS] = [
-    "wall.sweep.cache.shard.00.evictions",
-    "wall.sweep.cache.shard.01.evictions",
-    "wall.sweep.cache.shard.02.evictions",
-    "wall.sweep.cache.shard.03.evictions",
-    "wall.sweep.cache.shard.04.evictions",
-    "wall.sweep.cache.shard.05.evictions",
-    "wall.sweep.cache.shard.06.evictions",
-    "wall.sweep.cache.shard.07.evictions",
-    "wall.sweep.cache.shard.08.evictions",
-    "wall.sweep.cache.shard.09.evictions",
-    "wall.sweep.cache.shard.10.evictions",
-    "wall.sweep.cache.shard.11.evictions",
-    "wall.sweep.cache.shard.12.evictions",
-    "wall.sweep.cache.shard.13.evictions",
-    "wall.sweep.cache.shard.14.evictions",
-    "wall.sweep.cache.shard.15.evictions",
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The interned arrays must match the historical `format!` pattern
-    /// exactly — external dashboards key on these strings.
-    #[test]
-    fn shard_names_match_the_format_pattern() {
-        for i in 0..SWEEP_CACHE_SHARDS {
-            assert_eq!(SWEEP_CACHE_SHARD_HITS[i], format!("wall.sweep.cache.shard.{i:02}.hits"));
-            assert_eq!(
-                SWEEP_CACHE_SHARD_MISSES[i],
-                format!("wall.sweep.cache.shard.{i:02}.misses")
-            );
-            assert_eq!(
-                SWEEP_CACHE_SHARD_EVICTIONS[i],
-                format!("wall.sweep.cache.shard.{i:02}.evictions")
-            );
-        }
-    }
 
     #[test]
     fn deterministic_names_avoid_the_wall_prefix() {
@@ -161,7 +70,6 @@ mod tests {
             SWEEP_WORKLOAD_STENCIL_SCENARIOS,
             SWEEP_WORKLOAD_ALLREDUCE_SCENARIOS,
             SWEEP_CACHE_ENTRIES,
-            SWEEP_CACHE_CAPACITY,
             SWEEP_PLAN_JOBS,
             SWEEP_PLAN_DEDUPED,
             SWEEP_PLAN_GROUPS,
@@ -170,14 +78,7 @@ mod tests {
         ] {
             assert!(!name.starts_with("wall."), "{name} must stay deterministic");
         }
-        for name in [
-            SWEEP_CACHE_ENTRIES_WALL,
-            SWEEP_CACHE_HITS,
-            SWEEP_CACHE_MISSES,
-            SWEEP_CACHE_EVICTIONS,
-            SWEEP_POOL_WORKERS,
-            SWEEP_WALL_US,
-        ] {
+        for name in [SWEEP_CACHE_HITS, SWEEP_CACHE_MISSES, SWEEP_POOL_WORKERS, SWEEP_WALL_US] {
             assert!(name.starts_with("wall."), "{name} must be wall-prefixed");
         }
     }

@@ -123,3 +123,60 @@ pub fn validation_machines() -> Vec<(&'static str, MachineSpec)> {
         ("Table 3", altix_numalink_sim()),
     ]
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn machine_ranking_matches_paper() {
+        // At the validation working set (~1 MB sweep blocks), Opteron is
+        // fastest, then Itanium 2, then Pentium 3 — the paper's ordering.
+        let ws = 1 << 20;
+        let p3 = pentium3_myrinet_sim().cpu.rate_mflops(ws);
+        let op = opteron_gige_sim().cpu.rate_mflops(ws);
+        let it = altix_numalink_sim().cpu.rate_mflops(ws);
+        assert!(op > it && it > p3, "opteron {op} > itanium {it} > p3 {p3}");
+    }
+
+    #[test]
+    fn only_altix_has_heavy_smp_contention() {
+        assert!(altix_numalink_sim().cpu.smp_contention > 0.1);
+        assert!(pentium3_myrinet_sim().cpu.smp_contention < 0.05);
+        assert!(opteron_gige_sim().cpu.smp_contention < 0.05);
+        assert_eq!(altix_numalink_sim().smp_width, 56);
+    }
+
+    #[test]
+    fn interconnect_latency_ordering() {
+        let b = 12_000;
+        let numa = altix_numalink_sim().network.wire_time(b);
+        let myri = pentium3_myrinet_sim().network.wire_time(b);
+        let gige = opteron_gige_sim().network.wire_time(b);
+        assert!(numa < myri && myri < gige);
+    }
+
+    #[test]
+    fn hypothetical_machine_swaps_network_only() {
+        let gige = opteron_gige_sim();
+        let myri = opteron_myrinet_sim();
+        assert_eq!(gige.cpu, myri.cpu);
+        assert!(myri.network.wire_time(12_000) < gige.network.wire_time(12_000));
+    }
+
+    #[test]
+    fn machines_are_deterministic_specs() {
+        assert_eq!(pentium3_myrinet_sim(), pentium3_myrinet_sim());
+        assert_eq!(validation_machines().len(), 3);
+    }
+
+    #[test]
+    fn builtins_carry_these_machines() {
+        // The name-resolved builtins hold these very specs, so code on
+        // either path sees identical machines.
+        let builtin = crate::builtin("pentium3-myrinet").unwrap();
+        assert_eq!(builtin.sim.as_ref(), Some(&pentium3_myrinet_sim()));
+        let hypothetical = crate::builtin("opteron-myrinet").unwrap();
+        assert_eq!(hypothetical.sim.as_ref(), Some(&opteron_myrinet_sim()));
+    }
+}

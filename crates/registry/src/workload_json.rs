@@ -16,7 +16,8 @@
 //!   angle count must belong to an even S_N order, per-cell operation
 //!   counts must lie in [`OPS_PER_CELL`], the rank count may not exceed
 //!   [`MAX_RANKS`], and one rank's run must stay within the per-rank work
-//!   ceiling (`MAX_RANK_OPS` operations, `MAX_RANK_STEPS` trace steps).
+//!   ceiling (`MAX_RANK_OPS` operations, `MAX_RANK_STEPS` trace steps)
+//!   and byte budget (`MAX_RANK_BYTES` reduced bytes).
 
 use std::ops::RangeInclusive;
 use std::sync::Arc;
@@ -58,6 +59,14 @@ const MAX_RANK_OPS: f64 = 1e12;
 /// 3,840 steps.
 const MAX_RANK_STEPS: f64 = 1e5;
 
+/// Per-rank byte budget: the bytes one rank's collectives reduce over its
+/// run, `reduce_bytes × reductions_per_iteration × iterations`. A
+/// binomial all-reduce over `MAX_RANKS` ranks costs each rank 40 messages
+/// of its reduction's size; on the slowest built-in link (Gigabit
+/// Ethernet, ~100 MB/s) 10^12 bytes keep that under a week of simulated
+/// time, inside the picosecond clock's ~213-day span.
+const MAX_RANK_BYTES: f64 = 1e12;
+
 /// A parsed workload spec: which template plus its parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadSpec {
@@ -90,7 +99,7 @@ impl WorkloadSpec {
     }
 
     /// Move the parameters behind an `Arc<dyn Workload>` (the form
-    /// [`sweepsvc`]'s problem axis stores).
+    /// `sweepsvc`'s problem axis stores).
     pub fn into_arc(self) -> Arc<dyn Workload> {
         match self {
             WorkloadSpec::Wavefront(p) => Arc::new(p),
@@ -371,6 +380,15 @@ fn allreduce(v: &Json, ctx: &str) -> Result<AllreduceParams, String> {
         p.iterations,
         1.0 + p.reductions_per_iteration as f64,
     )?;
+    let bytes = p.reduce_bytes as f64 * p.reductions_per_iteration as f64 * p.iterations as f64;
+    if bytes > MAX_RANK_BYTES {
+        return Err(format!(
+            "{ctx}.reduce_bytes: per-rank traffic reduce_bytes × reductions_per_iteration × \
+             iterations = {} × {} × {} = {bytes:.3e} bytes exceeds the byte budget of \
+             {MAX_RANK_BYTES:e}",
+            p.reduce_bytes, p.reductions_per_iteration, p.iterations
+        ));
+    }
     Ok(p)
 }
 
@@ -513,6 +531,42 @@ mod tests {
                     assert!(err.contains("work ceiling") && err.contains(phrase), "{err}")
                 }
                 (got, _) => panic!("{spec:?}: unexpected {got:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn reduced_bytes_past_the_budget_are_rejected() {
+        let allreduce = |reduce_bytes, reductions_per_iteration, iterations| {
+            WorkloadSpec::Allreduce(AllreduceParams {
+                procs: 4,
+                cells_per_pe: 1,
+                flops_per_cell: 1.0,
+                reduce_bytes,
+                reductions_per_iteration,
+                iterations,
+            })
+        };
+        // `true`: within the budget (exactly 1e12 bytes still fits).
+        let cases = [
+            (allreduce(1_000_000_000_000, 1, 1), true),
+            (allreduce(1_000_000_000_000_000, 1, 1), false),
+            (allreduce(1_000_000_000_001, 1, 1), false),
+            (allreduce(1_000_000_000, 100, 10), true),
+            (allreduce(1_000_000_000, 100, 11), false),
+            (allreduce(1 << 52, 0, 1), true), // no reductions move no bytes
+        ];
+        for (spec, fits) in cases {
+            match WorkloadSpec::from_json(&spec.to_json()) {
+                Ok(back) => {
+                    assert!(fits, "{spec:?} must be rejected");
+                    assert_eq!(back, spec);
+                }
+                Err(err) => {
+                    assert!(!fits, "{spec:?}: {err}");
+                    assert!(err.contains("params.reduce_bytes: "), "{err}");
+                    assert!(err.contains("byte budget of 1e12"), "{err}");
+                }
             }
         }
     }

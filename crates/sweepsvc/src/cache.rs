@@ -16,40 +16,28 @@
 //! reduction is shared across the flop-rate what-ifs of a speculation
 //! sweep; an `async` subtask's key ignores the communication model.
 //!
+//! The cache is a plain memo: entries are never evicted, because a
+//! campaign's key set is small (one entry per distinct subtask input
+//! closure) and a hit must cost less than the evaluation it saves.
 //! Storage is sharded: each shard is an independent
 //! `parking_lot::RwLock<HashMap>`, selected by the key's hash, so
-//! concurrent workers rarely contend on the same lock. Hit/miss/eviction
-//! counters are relaxed atomics.
-//!
-//! # Bounded mode
-//!
-//! [`EvalCache::bounded`] caps each shard at a fixed entry count with
-//! least-recently-used eviction. Recency is a per-shard monotone tick
-//! stamped on every hit and insert, so stamps are unique within a shard
-//! and the eviction victim (minimum stamp) is always unambiguous: under
-//! serial access the eviction order is strict, deterministic LRU.
-//! Campaign *results* never depend on capacity or eviction order at all —
-//! evaluation is a pure function of the key, so an evicted-and-recomputed
-//! entry is bit-identical to the cached one. Only the hit/miss/eviction
-//! split is schedule-dependent, which is why those counters publish under
-//! `wall.`-prefixed metric names (see `obs::names`).
+//! concurrent workers rarely contend on the same lock. Hit/miss counters
+//! are relaxed atomics; their split depends on worker interleaving (a
+//! racing double-compute turns a would-be hit into a miss), which is why
+//! they publish under `wall.`-prefixed metric names (see `obs::names`).
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use pace_core::engine::SubtaskEval;
 use pace_core::templates::collective::ReduceKind;
-use pace_core::templates::pipeline::PipelineEstimate;
 use pace_core::{CommModel, HardwareModel, SubtaskObject, TemplateBinding};
 use parking_lot::RwLock;
 
 /// Number of independently locked shards (power of two).
 const SHARD_COUNT: usize = 16;
-
-/// A cached subtask evaluation: `(seconds per iteration, pipeline
-/// breakdown when the pipeline template produced it)`.
-pub type CachedEval = (f64, Option<PipelineEstimate>);
 
 /// Canonical bit pattern of an `f64` (`-0.0` and `0.0` unify; any other
 /// numeric difference, however small, yields a distinct pattern).
@@ -177,8 +165,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to evaluate.
     pub misses: u64,
-    /// Entries displaced by the LRU bound (always 0 when unbounded).
-    pub evictions: u64,
     /// Distinct entries currently stored.
     pub entries: usize,
 }
@@ -195,112 +181,50 @@ impl CacheStats {
     }
 }
 
-/// A stored evaluation plus its recency stamp. The stamp is atomic so a
-/// hit can refresh recency under the shard's *read* lock.
-#[derive(Debug)]
-struct Entry {
-    value: CachedEval,
-    stamp: AtomicU64,
-}
-
-/// One shard: an independently locked map plus its own recency tick and
-/// hit/miss/eviction counters, so the telemetry layer can report whether
-/// the key hash spreads load.
+/// One shard: an independently locked map plus its own hit/miss
+/// counters.
 #[derive(Debug, Default)]
 struct Shard {
-    map: RwLock<HashMap<CacheKey, Entry>>,
-    /// Monotone recency source; stamps handed out are unique per shard.
-    tick: AtomicU64,
+    map: RwLock<HashMap<CacheKey, SubtaskEval>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
-impl Shard {
-    fn next_stamp(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed) + 1
-    }
-}
-
-/// The sharded, lock-guarded evaluation cache (optionally LRU-bounded).
+/// The sharded, lock-guarded evaluation memo.
 #[derive(Debug, Default)]
 pub struct EvalCache {
     shards: Vec<Shard>,
-    /// Maximum entries per shard; `None` grows without bound.
-    shard_capacity: Option<usize>,
 }
 
 impl EvalCache {
-    /// An empty, unbounded cache.
+    /// An empty cache.
     pub fn new() -> Self {
-        EvalCache {
-            shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
-            shard_capacity: None,
-        }
-    }
-
-    /// An empty cache holding at most `per_shard` entries per shard
-    /// (total capacity `per_shard * 16`), evicting the least recently
-    /// used entry of the full shard on insert.
-    ///
-    /// # Panics
-    /// Panics when `per_shard` is zero — a cache that cannot hold the
-    /// entry it just computed would miss forever.
-    pub fn bounded(per_shard: usize) -> Self {
-        assert!(per_shard >= 1, "per-shard capacity must be at least 1");
-        EvalCache { shard_capacity: Some(per_shard), ..EvalCache::new() }
-    }
-
-    /// Per-shard entry bound, when one was configured.
-    pub fn shard_capacity(&self) -> Option<usize> {
-        self.shard_capacity
+        EvalCache { shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect() }
     }
 
     /// Look up `key`, evaluating and storing on a miss. Because evaluation
     /// is a pure function of the key's inputs, a racing double-compute
-    /// stores the identical value — results never depend on scheduling,
-    /// capacity, or eviction order.
-    pub fn get_or_insert_with<F: FnOnce() -> CachedEval>(
+    /// stores the identical value — results never depend on scheduling.
+    pub fn get_or_insert_with<F: FnOnce() -> SubtaskEval>(
         &self,
         key: CacheKey,
         compute: F,
-    ) -> CachedEval {
+    ) -> SubtaskEval {
         let shard = &self.shards[key.shard()];
-        if let Some(entry) = shard.map.read().get(&key) {
-            let value = entry.value;
-            entry.stamp.store(shard.next_stamp(), Ordering::Relaxed);
+        if let Some(&value) = shard.map.read().get(&key) {
             shard.hits.fetch_add(1, Ordering::Relaxed);
             return value;
         }
         let value = compute();
         shard.misses.fetch_add(1, Ordering::Relaxed);
-        let mut map = shard.map.write();
-        if let Some(entry) = map.get(&key) {
-            // Raced with another worker's insert of the same pure value;
-            // refresh recency and reuse theirs.
-            entry.stamp.store(shard.next_stamp(), Ordering::Relaxed);
-            return entry.value;
-        }
-        if let Some(cap) = self.shard_capacity {
-            if map.len() >= cap {
-                // Stamps are unique within the shard, so the minimum —
-                // the least recently touched entry — is unambiguous.
-                let victim = map
-                    .iter()
-                    .min_by_key(|(_, e)| e.stamp.load(Ordering::Relaxed))
-                    .map(|(k, _)| k.clone())
-                    .expect("a full shard has a victim");
-                map.remove(&victim);
-                shard.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        map.insert(key, Entry { value, stamp: AtomicU64::new(shard.next_stamp()) });
-        value
+        // A racing worker may have stored the same pure value first;
+        // keeping theirs or ours is the same bits.
+        *shard.map.write().entry(key).or_insert(value)
     }
 
-    /// Lookup without populating (touches neither counters nor recency).
-    pub fn peek(&self, key: &CacheKey) -> Option<CachedEval> {
-        self.shards[key.shard()].map.read().get(key).map(|e| e.value)
+    /// Lookup without populating (touches no counter).
+    pub fn peek(&self, key: &CacheKey) -> Option<SubtaskEval> {
+        self.shards[key.shard()].map.read().get(key).copied()
     }
 
     /// Cumulative hits, summed over the shards.
@@ -313,11 +237,6 @@ impl EvalCache {
         self.shards.iter().map(|s| s.misses.load(Ordering::Relaxed)).sum()
     }
 
-    /// Cumulative LRU evictions, summed over the shards.
-    pub fn evictions(&self) -> u64 {
-        self.shards.iter().map(|s| s.evictions.load(Ordering::Relaxed)).sum()
-    }
-
     /// Distinct entries stored.
     pub fn entries(&self) -> usize {
         self.shards.iter().map(|s| s.map.read().len()).sum()
@@ -325,25 +244,7 @@ impl EvalCache {
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits(),
-            misses: self.misses(),
-            evictions: self.evictions(),
-            entries: self.entries(),
-        }
-    }
-
-    /// Per-shard counter snapshots, in shard order.
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
-        self.shards
-            .iter()
-            .map(|s| CacheStats {
-                hits: s.hits.load(Ordering::Relaxed),
-                misses: s.misses.load(Ordering::Relaxed),
-                evictions: s.evictions.load(Ordering::Relaxed),
-                entries: s.map.read().len(),
-            })
-            .collect()
+        CacheStats { hits: self.hits(), misses: self.misses(), entries: self.entries() }
     }
 }
 
@@ -422,86 +323,6 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses(), cache.entries()), (1, 1, 1));
         assert_eq!(cache.peek(&key), Some((1.5, None)));
         assert!((cache.stats().hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shard_stats_sum_to_totals() {
-        let (subs, hw) = subtasks();
-        let cache = EvalCache::new();
-        for sub in &subs {
-            let key = CacheKey::for_subtask(sub, &hw);
-            cache.get_or_insert_with(key.clone(), || (2.0, None));
-            cache.get_or_insert_with(key, || panic!("must hit"));
-        }
-        let shards = cache.shard_stats();
-        assert_eq!(shards.len(), 16);
-        assert_eq!(shards.iter().map(|s| s.hits).sum::<u64>(), cache.hits());
-        assert_eq!(shards.iter().map(|s| s.misses).sum::<u64>(), cache.misses());
-        assert_eq!(shards.iter().map(|s| s.entries).sum::<usize>(), cache.entries());
-    }
-
-    /// Distinct keys with easily varied content (collective keys read
-    /// only the comm model, so varying `bytes` varies the key).
-    fn probe_key(hw: &HardwareModel, bytes: usize) -> CacheKey {
-        CacheKey::Collective { comm: CommKey::of(&hw.comm), is_max: false, bytes, procs: 4 }
-    }
-
-    /// First `n` probe keys landing in one specific shard.
-    fn colliding_keys(hw: &HardwareModel, n: usize) -> Vec<CacheKey> {
-        let target = probe_key(hw, 0).shard();
-        (0..).map(|b| probe_key(hw, b)).filter(|k| k.shard() == target).take(n).collect()
-    }
-
-    #[test]
-    fn bounded_cache_evicts_the_least_recently_used_entry() {
-        let (_, hw) = subtasks();
-        let keys = colliding_keys(&hw, 3);
-        let cache = EvalCache::bounded(2);
-        cache.get_or_insert_with(keys[0].clone(), || (1.0, None));
-        cache.get_or_insert_with(keys[1].clone(), || (2.0, None));
-        // Touch key 0 so key 1 becomes the LRU victim.
-        cache.get_or_insert_with(keys[0].clone(), || panic!("must hit"));
-        cache.get_or_insert_with(keys[2].clone(), || (3.0, None));
-        assert_eq!(cache.peek(&keys[0]), Some((1.0, None)), "recently touched survives");
-        assert_eq!(cache.peek(&keys[1]), None, "LRU entry was evicted");
-        assert_eq!(cache.peek(&keys[2]), Some((3.0, None)));
-        assert_eq!(cache.evictions(), 1);
-        // The evicted key recomputes to the same pure value.
-        assert_eq!(cache.get_or_insert_with(keys[1].clone(), || (2.0, None)), (2.0, None));
-    }
-
-    #[test]
-    fn bounded_cache_honours_the_per_shard_capacity() {
-        let (_, hw) = subtasks();
-        let cache = EvalCache::bounded(1);
-        for b in 0..64 {
-            cache.get_or_insert_with(probe_key(&hw, b), || (b as f64, None));
-        }
-        assert!(cache.entries() <= SHARD_COUNT, "at most one entry per shard");
-        assert_eq!(cache.evictions(), 64 - cache.entries() as u64);
-        assert_eq!(cache.stats().evictions, cache.evictions());
-        assert_eq!(cache.shard_capacity(), Some(1));
-        assert_eq!(EvalCache::new().shard_capacity(), None);
-    }
-
-    #[test]
-    fn serial_access_replays_to_identical_stats() {
-        let (_, hw) = subtasks();
-        let run = || {
-            let cache = EvalCache::bounded(2);
-            // A fixed hit/insert/evict interleaving.
-            for b in [0, 1, 0, 2, 3, 1, 0, 4, 4, 2] {
-                cache.get_or_insert_with(probe_key(&hw, b), || (b as f64, None));
-            }
-            (cache.stats(), cache.shard_stats())
-        };
-        assert_eq!(run(), run(), "deterministic eviction order under serial access");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_capacity_is_rejected() {
-        let _ = EvalCache::bounded(0);
     }
 
     #[test]

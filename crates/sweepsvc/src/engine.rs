@@ -1,10 +1,11 @@
 //! The cache-backed evaluator and the sweep engine.
 //!
-//! [`CachedEngine`] mirrors [`pace_core::EvaluationEngine`] exactly —
-//! same per-subtask evaluation, same summation order — but answers each
-//! subtask through the shared [`EvalCache`]. Because evaluation is a pure
-//! function of the cached key's inputs, its reports are bit-identical to
-//! the uncached engine's.
+//! [`CachedEngine`] runs [`pace_core::EvaluationEngine::evaluate_with`]
+//! with a hook that answers each subtask through the shared
+//! [`EvalCache`], memoising [`pace_core::engine::evaluate_subtask`].
+//! Evaluation is a pure function of the cached key's inputs and the loop
+//! is pace-core's own, so its reports are bit-identical to the uncached
+//! engine's.
 //!
 //! [`SweepEngine`] expands a [`SweepSpec`] and fans the scenarios out
 //! over the worker pool, returning results in scenario-id order plus the
@@ -15,34 +16,20 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use obs::{Cat, Obs};
-use pace_core::engine::SubtaskTime;
+use obs::{Args, Cat, Obs};
+use pace_core::engine::evaluate_subtask;
 use pace_core::sweep3d_model::Sweep3dPrediction;
 use pace_core::{
-    templates, ApplicationObject, EvaluationReport, HardwareModel, SubtaskObject, Sweep3dModel,
-    Sweep3dParams, TemplateBinding,
+    ApplicationObject, EvaluationEngine, EvaluationReport, HardwareModel, Sweep3dModel,
+    Sweep3dParams,
 };
 
 use wavefront_models::Backend;
 
-use crate::cache::{CacheKey, CacheStats, CachedEval, EvalCache};
-use crate::plan::{ExecPlan, PlanStats};
+use crate::cache::{CacheKey, CacheStats, EvalCache};
+use crate::plan::{self, ExecPlan, ForkGroup, PlanStats};
 use crate::pool::{self, WorkerStats};
 use crate::spec::{Scenario, ScenarioResult, SweepSpec};
-
-fn evaluate_subtask(sub: &SubtaskObject, hw: &HardwareModel) -> CachedEval {
-    match &sub.template {
-        TemplateBinding::Pipeline(params) => {
-            let est = templates::pipeline::evaluate(params, hw);
-            (est.total_secs, Some(est))
-        }
-        TemplateBinding::Halo(params) => (templates::halo::evaluate(params, hw), None),
-        TemplateBinding::Collective(params) => {
-            (templates::collective::evaluate(params, &hw.comm), None)
-        }
-        TemplateBinding::Async => (templates::serial_secs(hw, sub.flops, sub.cells_per_pe), None),
-    }
-}
 
 /// A drop-in evaluator with a shared, thread-safe memo of subtask
 /// evaluations.
@@ -70,25 +57,10 @@ impl CachedEngine {
     /// Evaluate an application model on a hardware model; equivalent to
     /// [`pace_core::EvaluationEngine::evaluate`] bit-for-bit.
     pub fn evaluate(&self, app: &ApplicationObject, hw: &HardwareModel) -> EvaluationReport {
-        let mut subtasks = Vec::with_capacity(app.subtasks.len());
-        let mut per_iteration = 0.0;
-        for sub in &app.subtasks {
-            let key = CacheKey::for_subtask(sub, hw);
-            let (secs, pipeline) = self.cache.get_or_insert_with(key, || evaluate_subtask(sub, hw));
-            per_iteration += secs;
-            subtasks.push(SubtaskTime {
-                name: sub.name.clone(),
-                secs_per_iteration: secs,
-                pipeline,
-            });
-        }
-        EvaluationReport {
-            application: app.name.clone(),
-            hardware: hw.name.clone(),
-            total_secs: per_iteration * app.iterations as f64,
-            iterations: app.iterations,
-            subtasks,
-        }
+        EvaluationEngine.evaluate_with(app, hw, |sub| {
+            self.cache
+                .get_or_insert_with(CacheKey::for_subtask(sub, hw), || evaluate_subtask(sub, hw))
+        })
     }
 
     /// Predict a SWEEP3D configuration, like [`Sweep3dModel::predict`].
@@ -112,44 +84,48 @@ pub(crate) fn evaluate_scenario(
     spec: &SweepSpec,
     sc: &Scenario,
 ) -> EvaluationReport {
-    match sc.backend {
-        Backend::Pace => engine.evaluate(&sc.workload.application(), sc.hw()),
-        Backend::DesSim if spec.des_fork.is_some() && fork_compatible(spec, sc) => {
-            let base = &spec.machines[sc.machine];
+    let report = match (sc.backend, spec.des_fork) {
+        (Backend::Pace, _) => return engine.evaluate(&sc.workload.application(), sc.hw()),
+        (Backend::DesSim, Some(fork)) if plan::forks_from_base(spec, sc) => {
             wavefront_models::dessim::predict_forked(
                 &*sc.workload,
-                base,
+                &spec.machines[sc.machine],
                 &sc.machine_spec,
-                spec.des_fork.unwrap(),
+                fork,
             )
-            .unwrap_or_else(|e| panic!("backend 'dessim': {e}"))
         }
-        other => other
-            .predictor()
-            .predict(&*sc.workload, &sc.machine_spec)
-            .unwrap_or_else(|e| panic!("backend '{}': {e}", other.name())),
-    }
+        (other, _) => other.predictor().predict(&*sc.workload, &sc.machine_spec),
+    };
+    report.unwrap_or_else(|e| panic!("backend '{}': {e}", sc.backend.name()))
 }
 
-/// Evaluate one scenario into its full [`ScenarioResult`] row. This is
-/// [`evaluate_scenario`] plus the result-row construction: every row
-/// [`SweepEngine::run`] returns, and every row a chunk store
-/// ([`crate::store`]) saves, is built here.
+/// Evaluate one scenario into its full [`ScenarioResult`] row: the
+/// scenario evaluation [`SweepEngine::run`] performs per scenario, and
+/// every row a chunk store ([`crate::store`]) saves.
 pub fn scenario_result(engine: &CachedEngine, spec: &SweepSpec, sc: &Scenario) -> ScenarioResult {
-    let report = evaluate_scenario(engine, spec, sc);
-    let total_secs = report.total_secs;
-    ScenarioResult {
-        id: sc.id,
-        machine: sc.machine,
-        problem: sc.problem,
-        multiplier: sc.multiplier,
-        backend: sc.backend,
-        rate_multiplier: sc.rate_multiplier,
-        label: sc.label.clone(),
-        pes: sc.workload.pes(),
-        total_secs,
-        report,
-    }
+    ScenarioResult::new(sc, evaluate_scenario(engine, spec, sc))
+}
+
+/// Evaluate one fork group of a plan: the group's shared prefix runs
+/// once, and each member job resumes from it. Returns `(job, report)`
+/// pairs in member order.
+fn evaluate_fork_group(
+    spec: &SweepSpec,
+    scenarios: &[Scenario],
+    plan: &ExecPlan,
+    group: &ForkGroup,
+    fork: u64,
+) -> Vec<(usize, EvaluationReport)> {
+    let proto = |j: usize| &scenarios[plan.jobs[j].proto];
+    let machines: Vec<_> = group.members.iter().map(|&j| &proto(j).machine_spec).collect();
+    let reports = wavefront_models::dessim::predict_fork_group(
+        &*proto(group.members[0]).workload,
+        &spec.machines[group.machine],
+        &machines,
+        fork,
+    )
+    .unwrap_or_else(|e| panic!("backend 'dessim': {e}"));
+    group.members.iter().copied().zip(reports).collect()
 }
 
 /// Per-workload scenario tallies for the interned `sweep.workload.*`
@@ -166,16 +142,6 @@ fn workload_counts(scenarios: &[Scenario]) -> Vec<(&'static str, u64)> {
         }
     }
     counts
-}
-
-/// Whether `sc`'s twin can resume from its base machine's paused prefix
-/// (the same probe the planner uses to form fork groups).
-fn fork_compatible(spec: &SweepSpec, sc: &Scenario) -> bool {
-    let base = &spec.machines[sc.machine];
-    match (base.sim_or_err(), sc.machine_spec.sim_or_err()) {
-        (Ok(b), Ok(m)) => cluster_sim::snapshot_compatible(b, m).is_ok(),
-        _ => false,
-    }
 }
 
 /// Counters of one sweep run.
@@ -200,13 +166,12 @@ impl SweepStats {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{} scenarios in {:.3} ms on {} worker(s); cache {} hit / {} miss / {} evicted ({:.0}% hit rate, {} entries)",
+            "{} scenarios in {:.3} ms on {} worker(s); cache {} hit / {} miss ({:.0}% hit rate, {} entries)",
             self.scenarios,
             self.wall.as_secs_f64() * 1e3,
             self.workers.len(),
             self.cache.hits,
             self.cache.misses,
-            self.cache.evictions,
             self.cache.hit_rate() * 100.0,
             self.cache.entries,
         );
@@ -273,15 +238,6 @@ impl SweepEngine {
         self
     }
 
-    /// Replace the engine's cache with a bounded LRU of `per_shard`
-    /// entries per shard (see [`EvalCache::bounded`]). Results are
-    /// bit-identical for any capacity — only the hit/miss/eviction split
-    /// changes.
-    pub fn with_cache_capacity(mut self, per_shard: usize) -> Self {
-        self.cache = Arc::new(EvalCache::bounded(per_shard));
-        self
-    }
-
     /// The engine's cache (shared across `run` calls).
     pub fn cache(&self) -> &EvalCache {
         &self.cache
@@ -305,55 +261,29 @@ impl SweepEngine {
         if let Err(e) = spec.validate() {
             panic!("invalid sweep spec: {e}");
         }
-        self.run_scenarios(spec, spec.scenarios())
+        self.run_scenarios(spec, &spec.scenarios())
     }
 
     /// Evaluate `scenarios`, a subset of the validated `spec`'s expansion
     /// in id order, on the pool; results keep the input order. This is the
     /// body of [`SweepEngine::run`], and [`crate::store::run_stored`]
     /// hands it the scenarios its store could not serve.
-    pub(crate) fn run_scenarios(&self, spec: &SweepSpec, scenarios: Vec<Scenario>) -> SweepOutcome {
-        let n = scenarios.len();
-        let kinds = workload_counts(&scenarios);
-        let cache_before = self.cache.shard_stats();
-        let engine = CachedEngine::with_cache(Arc::clone(&self.cache));
-        let rec = &*self.obs.recorder;
-        if rec.is_enabled() {
-            rec.set_process_name(SWEEP_PID, "sweepsvc");
-        }
-        let run = pool::run_ordered_with_worker(scenarios, self.workers, |worker, sc| {
-            let t0 = Instant::now();
-            let result = scenario_result(&engine, spec, sc);
-            if rec.is_enabled() {
-                rec.wall_span(
-                    SWEEP_PID,
-                    worker as u32,
-                    format!("scenario:{}", sc.label),
-                    Cat::Scenario,
-                    t0,
-                    vec![
-                        ("id", sc.id.into()),
-                        ("pes", sc.workload.pes().into()),
-                        ("total_secs", result.total_secs.into()),
-                    ],
-                );
-            }
-            result
-        });
-        if rec.is_enabled() {
-            for w in &run.workers {
-                rec.set_thread_name(SWEEP_PID, w.worker as u32, format!("worker {}", w.worker));
-            }
-        }
-        let stats = SweepStats {
-            scenarios: n,
-            workers: run.workers,
-            cache: self.cache.stats(),
-            wall: run.wall,
-            plan: None,
-        };
-        self.publish_metrics(&stats, &cache_before, &kinds);
-        SweepOutcome { results: run.results, stats }
+    pub(crate) fn run_scenarios(&self, spec: &SweepSpec, scenarios: &[Scenario]) -> SweepOutcome {
+        let (results, stats) = self.execute(
+            scenarios,
+            None,
+            scenarios.iter().collect(),
+            |engine, sc| scenario_result(engine, spec, sc),
+            |sc, r| {
+                let args = vec![
+                    ("id", sc.id.into()),
+                    ("pes", r.pes.into()),
+                    ("total_secs", r.total_secs.into()),
+                ];
+                (format!("scenario:{}", sc.label), args)
+            },
+        );
+        SweepOutcome { results, stats }
     }
 
     /// Evaluate every scenario of the spec through the campaign planner
@@ -373,150 +303,120 @@ impl SweepEngine {
             panic!("invalid sweep spec: {e}");
         }
         let scenarios = spec.scenarios();
-        let n = scenarios.len();
-        let kinds = workload_counts(&scenarios);
-        let cache_before = self.cache.shard_stats();
-        let engine = CachedEngine::with_cache(Arc::clone(&self.cache));
-        let rec = &*self.obs.recorder;
-        if rec.is_enabled() {
-            rec.set_process_name(SWEEP_PID, "sweepsvc");
-        }
         let plan = ExecPlan::build(spec, &scenarios);
+        let proto = |j: usize| &scenarios[plan.jobs[j].proto];
 
         // Execution units: one per fork group (the shared prefix runs
         // once inside the unit), one per standalone job. Each unit
         // returns the (job, report) pairs it evaluated.
         enum Unit<'p> {
-            Group(&'p crate::plan::ForkGroup),
+            Group(&'p ForkGroup, u64),
             Single(usize),
         }
         let units: Vec<Unit<'_>> = plan
             .groups
             .iter()
-            .map(Unit::Group)
+            .map(|g| Unit::Group(g, plan.fork.expect("fork groups only form under des_fork")))
             .chain(plan.singles.iter().map(|&j| Unit::Single(j)))
             .collect();
-        let run = pool::run_ordered_with_worker(units, self.workers, |worker, unit| match unit {
-            Unit::Single(j) => {
-                let sc = &scenarios[plan.jobs[*j].proto];
-                let t0 = Instant::now();
-                let report = evaluate_scenario(&engine, spec, sc);
-                if rec.is_enabled() {
-                    rec.wall_span(
-                        SWEEP_PID,
-                        worker as u32,
-                        format!("plan:job:{}", sc.label),
-                        Cat::Scenario,
-                        t0,
-                        vec![("id", sc.id.into()), ("total_secs", report.total_secs.into())],
-                    );
+        let (evaluated, stats) = self.execute(
+            &scenarios,
+            Some(plan.stats()),
+            units,
+            |engine, unit| match *unit {
+                Unit::Single(j) => vec![(j, evaluate_scenario(engine, spec, proto(j)))],
+                Unit::Group(g, fork) => evaluate_fork_group(spec, &scenarios, &plan, g, fork),
+            },
+            |unit, out| match *unit {
+                Unit::Single(j) => {
+                    let sc = proto(j);
+                    let args =
+                        vec![("id", sc.id.into()), ("total_secs", out[0].1.total_secs.into())];
+                    (format!("plan:job:{}", sc.label), args)
                 }
-                vec![(*j, report)]
-            }
-            Unit::Group(g) => {
-                let t0 = Instant::now();
-                let fork = plan.fork.expect("fork groups only form under des_fork");
-                let gsc = &scenarios[plan.jobs[g.members[0]].proto];
-                let base = &spec.machines[g.machine];
-                let base_sim = base.sim_or_err().expect("validated spec");
-                let set = gsc
-                    .workload
-                    .program_set(base_sim)
-                    .unwrap_or_else(|e| panic!("backend 'dessim': {e}"));
-                let paused = cluster_sim::Engine::from_set(base_sim, set)
-                    .run_paused(fork)
-                    .unwrap_or_else(|e| panic!("dessim fork prefix on '{}': {e}", base.id));
-                let out: Vec<(usize, EvaluationReport)> = g
-                    .members
-                    .iter()
-                    .map(|&j| {
-                        let sc = &scenarios[plan.jobs[j].proto];
-                        let sim = sc.machine_spec.sim_or_err().expect("validated spec");
-                        let report = paused.snapshot().resume_with(sim).unwrap_or_else(|e| {
-                            panic!("dessim fork resume on '{}': {e}", sc.machine_spec.id)
-                        });
-                        let report = wavefront_models::dessim::report_from_makespan(
-                            &*sc.workload,
-                            &sim.name,
-                            report.makespan(),
-                        );
-                        (j, report)
-                    })
-                    .collect();
-                if rec.is_enabled() {
-                    rec.wall_span(
-                        SWEEP_PID,
-                        worker as u32,
-                        format!("plan:fork:{}", gsc.label),
-                        Cat::Scenario,
-                        t0,
-                        vec![("members", out.len().into()), ("fork", fork.into())],
-                    );
+                Unit::Group(g, fork) => {
+                    let args = vec![("members", out.len().into()), ("fork", fork.into())];
+                    (format!("plan:fork:{}", proto(g.members[0]).label), args)
                 }
-                out
-            }
-        });
-        if rec.is_enabled() {
-            for w in &run.workers {
-                rec.set_thread_name(SWEEP_PID, w.worker as u32, format!("worker {}", w.worker));
-            }
-        }
+            },
+        );
 
         // Scatter: job reports back to scenario-id order. Duplicated
         // grid cells receive a clone of their prototype's report —
         // byte-identical to what they would have computed (evaluation is
         // pure and equal machine specs imply equal report labels).
         let mut job_reports: Vec<Option<EvaluationReport>> = vec![None; plan.jobs.len()];
-        for (j, report) in run.results.into_iter().flatten() {
+        for (j, report) in evaluated.into_iter().flatten() {
             job_reports[j] = Some(report);
         }
-        let results: Vec<ScenarioResult> = scenarios
+        let results = scenarios
             .iter()
             .map(|sc| {
-                let report =
-                    job_reports[plan.assignment[sc.id]].clone().expect("every job evaluated");
-                ScenarioResult {
-                    id: sc.id,
-                    machine: sc.machine,
-                    problem: sc.problem,
-                    multiplier: sc.multiplier,
-                    backend: sc.backend,
-                    rate_multiplier: sc.rate_multiplier,
-                    label: sc.label.clone(),
-                    pes: sc.workload.pes(),
-                    total_secs: report.total_secs,
-                    report,
-                }
+                let report = job_reports[plan.assignment[sc.id]].clone();
+                ScenarioResult::new(sc, report.expect("every job evaluated"))
             })
             .collect();
-        let stats = SweepStats {
-            scenarios: n,
-            workers: run.workers,
-            cache: self.cache.stats(),
-            wall: run.wall,
-            plan: Some(plan.stats()),
-        };
-        self.publish_metrics(&stats, &cache_before, &kinds);
         SweepOutcome { results, stats }
     }
 
+    /// The executor body of [`SweepEngine::run`] and
+    /// [`SweepEngine::run_planned`]: evaluate `units` on the pool through
+    /// one engine over the shared cache, record one wall span per unit
+    /// (`span` names it and picks its args, only when a recorder is
+    /// attached), name the worker tracks and publish the run's counters.
+    /// Outputs keep the units' order.
+    fn execute<U: Send, R: Send>(
+        &self,
+        scenarios: &[Scenario],
+        plan: Option<PlanStats>,
+        units: Vec<U>,
+        work: impl Fn(&CachedEngine, &U) -> R + Sync,
+        span: impl Fn(&U, &R) -> (String, Args) + Sync,
+    ) -> (Vec<R>, SweepStats) {
+        let kinds = workload_counts(scenarios);
+        let cache_before = self.cache.stats();
+        let engine = CachedEngine::with_cache(Arc::clone(&self.cache));
+        let rec = &*self.obs.recorder;
+        if rec.is_enabled() {
+            rec.set_process_name(SWEEP_PID, "sweepsvc");
+        }
+        let run = pool::run_ordered_with_worker(units, self.workers, |worker, unit| {
+            let t0 = Instant::now();
+            let out = work(&engine, unit);
+            if rec.is_enabled() {
+                let (name, args) = span(unit, &out);
+                rec.wall_span(SWEEP_PID, worker as u32, name, Cat::Scenario, t0, args);
+            }
+            out
+        });
+        if rec.is_enabled() {
+            for w in &run.workers {
+                rec.set_thread_name(SWEEP_PID, w.worker as u32, format!("worker {}", w.worker));
+            }
+        }
+        let stats = SweepStats {
+            scenarios: scenarios.len(),
+            workers: run.workers,
+            cache: self.cache.stats(),
+            wall: run.wall,
+            plan,
+        };
+        self.publish_metrics(&stats, cache_before, &kinds);
+        (run.results, stats)
+    }
+
     /// Publish the run's counters to the metrics registry. Scenario,
-    /// plan-shape and capacity values are scheduling-independent;
+    /// plan-shape and cache-entry values are scheduling-independent;
     /// everything timing- or interleaving-dependent (worker attribution,
-    /// cache hit/miss/eviction splits — a racing double-compute turns a
-    /// would-be hit into a miss, and eviction order under parallelism
-    /// follows the access interleaving) carries the `wall.` prefix so
-    /// deterministic snapshots exclude it. The live-entry gauge is
-    /// deterministic only while the cache is unbounded (the surviving set
-    /// of a bounded cache depends on the interleaving), so bounded runs
-    /// publish it under `wall.` too. Per-shard names are interned in
-    /// `obs::names` — no per-sweep string allocation. Cache counters are
-    /// cumulative over the engine's life, so this run's contribution is
-    /// the delta against the pre-run snapshot.
+    /// the cache hit/miss split — a racing double-compute turns a
+    /// would-be hit into a miss) carries the `wall.` prefix so
+    /// deterministic snapshots exclude it. Cache counters are cumulative
+    /// over the engine's life, so this run's contribution is the delta
+    /// against `cache_before`.
     fn publish_metrics(
         &self,
         stats: &SweepStats,
-        cache_before: &[CacheStats],
+        cache_before: CacheStats,
         kinds: &[(&'static str, u64)],
     ) {
         use obs::names as n;
@@ -525,13 +425,7 @@ impl SweepEngine {
         for &(name, count) in kinds {
             m.counter_add(name, count);
         }
-        match self.cache.shard_capacity() {
-            Some(cap) => {
-                m.gauge_set(n::SWEEP_CACHE_ENTRIES_WALL, stats.cache.entries as f64);
-                m.gauge_set(n::SWEEP_CACHE_CAPACITY, cap as f64);
-            }
-            None => m.gauge_set(n::SWEEP_CACHE_ENTRIES, stats.cache.entries as f64),
-        }
+        m.gauge_set(n::SWEEP_CACHE_ENTRIES, stats.cache.entries as f64);
         m.gauge_set(n::SWEEP_WALL_US, stats.wall.as_micros() as f64);
         m.gauge_set(n::SWEEP_POOL_WORKERS, stats.workers.len() as f64);
         if let Some(p) = &stats.plan {
@@ -541,23 +435,8 @@ impl SweepEngine {
             m.counter_add(n::SWEEP_PLAN_FORK_RESUMES, p.fork_resumes);
             m.counter_add(n::SWEEP_PLAN_FALLBACKS, p.fallbacks);
         }
-        let mut hits = 0;
-        let mut misses = 0;
-        let mut evictions = 0;
-        for (i, (after, before)) in self.cache.shard_stats().iter().zip(cache_before).enumerate() {
-            let shard_hits = after.hits - before.hits;
-            let shard_misses = after.misses - before.misses;
-            let shard_evictions = after.evictions - before.evictions;
-            hits += shard_hits;
-            misses += shard_misses;
-            evictions += shard_evictions;
-            m.counter_add(n::SWEEP_CACHE_SHARD_HITS[i], shard_hits);
-            m.counter_add(n::SWEEP_CACHE_SHARD_MISSES[i], shard_misses);
-            m.counter_add(n::SWEEP_CACHE_SHARD_EVICTIONS[i], shard_evictions);
-        }
-        m.counter_add(n::SWEEP_CACHE_HITS, hits);
-        m.counter_add(n::SWEEP_CACHE_MISSES, misses);
-        m.counter_add(n::SWEEP_CACHE_EVICTIONS, evictions);
+        m.counter_add(n::SWEEP_CACHE_HITS, stats.cache.hits - cache_before.hits);
+        m.counter_add(n::SWEEP_CACHE_MISSES, stats.cache.misses - cache_before.misses);
         for w in &stats.workers {
             let base = format!("wall.sweep.pool.worker.{:02}", w.worker);
             m.counter_add(&format!("{base}.items"), w.items);
@@ -577,7 +456,6 @@ impl Default for SweepEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pace_core::EvaluationEngine;
     use registry::quoted as machines;
 
     #[test]
@@ -720,6 +598,22 @@ mod tests {
     }
 
     #[test]
+    fn one_member_fork_groups_match_naive() {
+        // One rate per cell: each group resumes the paused run itself.
+        let spec = SweepSpec::new()
+            .machine(registry::builtin("opteron-myrinet").unwrap())
+            .problem("2x2", Sweep3dParams::speculative_20m(2, 2))
+            .problem("2x4", Sweep3dParams::speculative_20m(2, 4))
+            .backends(vec![Backend::DesSim])
+            .des_fork(30);
+        let naive = SweepEngine::with_workers(1).run(&spec);
+        let planned = SweepEngine::with_workers(2).run_planned(&spec);
+        assert_eq!(naive.results, planned.results);
+        let p = planned.stats.plan.unwrap();
+        assert_eq!((p.groups, p.fork_resumes), (2, 2));
+    }
+
+    #[test]
     fn planned_run_without_fork_still_dedupes() {
         let spec = SweepSpec::new()
             .machine_hw(machines::pentium3_myrinet())
@@ -730,21 +624,6 @@ mod tests {
         let planned = SweepEngine::with_workers(2).run_planned(&spec);
         assert_eq!(naive.results, planned.results);
         assert_eq!(planned.stats.plan.unwrap().deduped, 2);
-    }
-
-    #[test]
-    fn bounded_cache_changes_no_bits_while_evicting() {
-        let spec = SweepSpec::new()
-            .machine_hw(machines::pentium3_myrinet())
-            .rate_multipliers(vec![1.0, 1.1, 1.2, 1.3, 1.4])
-            .problem("2x2", Sweep3dParams::weak_scaling_50cubed(2, 2))
-            .problem("4x4", Sweep3dParams::weak_scaling_50cubed(4, 4))
-            .problem("8x8", Sweep3dParams::weak_scaling_50cubed(8, 8));
-        let unbounded = SweepEngine::with_workers(1).run(&spec);
-        let bounded = SweepEngine::with_workers(1).with_cache_capacity(1).run(&spec);
-        assert_eq!(unbounded.results, bounded.results);
-        assert!(bounded.stats.cache.evictions > 0, "capacity 1 must evict on this grid");
-        assert_eq!(unbounded.stats.cache.evictions, 0);
     }
 
     #[test]
@@ -765,30 +644,7 @@ mod tests {
         assert_eq!(counter(obs::names::SWEEP_PLAN_GROUPS), Some(0));
         assert_eq!(counter(obs::names::SWEEP_PLAN_FALLBACKS), Some(0));
         assert_eq!(gauge(obs::names::SWEEP_POOL_WORKERS), Some(2.0));
-        // Unbounded engine: the entries gauge stays deterministic.
         assert_eq!(gauge(obs::names::SWEEP_CACHE_ENTRIES), Some(out.stats.cache.entries as f64));
-        assert_eq!(gauge(obs::names::SWEEP_CACHE_ENTRIES_WALL), None);
-    }
-
-    #[test]
-    fn bounded_run_publishes_entries_under_wall() {
-        let spec = SweepSpec::new()
-            .machine_hw(machines::pentium3_myrinet())
-            .rate_multipliers(vec![1.0, 1.25])
-            .problem("2x2", Sweep3dParams::weak_scaling_50cubed(2, 2));
-        let obs = obs::Obs::enabled();
-        let out =
-            SweepEngine::with_workers(1).with_cache_capacity(4).with_obs(obs.clone()).run(&spec);
-        let snap = obs.metrics.snapshot();
-        let gauge = |name: &str| snap.get(name).and_then(obs::MetricValue::as_gauge);
-        assert_eq!(gauge(obs::names::SWEEP_CACHE_ENTRIES), None);
-        assert_eq!(
-            gauge(obs::names::SWEEP_CACHE_ENTRIES_WALL),
-            Some(out.stats.cache.entries as f64)
-        );
-        assert_eq!(gauge(obs::names::SWEEP_CACHE_CAPACITY), Some(4.0));
-        let counter = |name: &str| snap.get(name).and_then(obs::MetricValue::as_counter);
-        assert_eq!(counter(obs::names::SWEEP_CACHE_EVICTIONS), Some(out.stats.cache.evictions));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   bit-identical for any worker count ([`engine`], [`pool`]);
 //! * [`EvalCache`] — a sharded, `parking_lot`-guarded memo of subtask
 //!   evaluations keyed on canonicalised model/hardware inputs, shared by
-//!   all workers, with hit/miss/eviction counters and an optional
-//!   per-shard LRU bound ([`cache`]);
+//!   all workers, with hit/miss counters; [`CachedEngine`] runs
+//!   pace-core's evaluation loop through it ([`cache`]);
 //! * [`ExecPlan`] — the campaign execution planner: grid-level dedup of
 //!   bit-identical evaluations plus snapshot-prefix sharing for DES rate
 //!   what-ifs, executed by [`SweepEngine::run_planned`] with

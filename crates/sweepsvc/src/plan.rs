@@ -34,8 +34,8 @@
 //!    debuggable.
 //!
 //! The plan's shape (jobs, groups, fallbacks) is a deterministic function
-//! of the spec — it never depends on worker count, cache capacity or
-//! timing — so its counters publish as deterministic metrics.
+//! of the spec — it never depends on worker count or timing — so its
+//! counters publish as deterministic metrics.
 
 use wavefront_models::Backend;
 
@@ -151,14 +151,9 @@ impl ExecPlan {
                 singles.push(j);
                 continue;
             }
-            let base = &spec.machines[sc.machine];
             // 3. Static noise-class probe: an incompatible twin cannot
             // resume from the base prefix; evaluate it standalone.
-            let compatible = match (base.sim_or_err(), sc.machine_spec.sim_or_err()) {
-                (Ok(b), Ok(m)) => cluster_sim::snapshot_compatible(b, m).is_ok(),
-                _ => false,
-            };
-            if !compatible {
+            if !forks_from_base(spec, sc) {
                 fallbacks += 1;
                 singles.push(j);
                 continue;
@@ -191,6 +186,16 @@ impl ExecPlan {
             fork_resumes: self.groups.iter().map(|g| g.members.len() as u64).sum(),
             fallbacks: self.fallbacks,
         }
+    }
+}
+
+/// Whether `sc`'s twin can resume a prefix paused on its base machine's
+/// twin: the static noise-class probe behind both the planner's
+/// fallbacks and the naive path's cold-run degradation.
+pub(crate) fn forks_from_base(spec: &SweepSpec, sc: &Scenario) -> bool {
+    match (spec.machines[sc.machine].sim_or_err(), sc.machine_spec.sim_or_err()) {
+        (Ok(base), Ok(twin)) => cluster_sim::snapshot_compatible(base, twin).is_ok(),
+        _ => false,
     }
 }
 

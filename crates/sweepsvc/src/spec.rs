@@ -272,6 +272,24 @@ pub struct ScenarioResult {
     pub report: EvaluationReport,
 }
 
+impl ScenarioResult {
+    /// The result row of `sc` carrying `report`.
+    pub(crate) fn new(sc: &Scenario, report: EvaluationReport) -> Self {
+        ScenarioResult {
+            id: sc.id,
+            machine: sc.machine,
+            problem: sc.problem,
+            multiplier: sc.multiplier,
+            backend: sc.backend,
+            rate_multiplier: sc.rate_multiplier,
+            label: sc.label.clone(),
+            pes: sc.workload.pes(),
+            total_secs: report.total_secs,
+            report,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -478,7 +478,7 @@ pub fn run_stored(
             results.extend(chunk);
             continue;
         }
-        let chunk = engine.run_scenarios(spec, scenarios[range.start..range.end].to_vec()).results;
+        let chunk = engine.run_scenarios(spec, &scenarios[range.start..range.end]).results;
         store.save(digest, range, &chunk)?;
         results.extend(chunk);
     }
@@ -595,7 +595,7 @@ mod tests {
             );
         }
         let done = SweepEngine::with_workers(1);
-        done.run_scenarios(&spec, scenarios[..ranges[stop].end].to_vec());
+        done.run_scenarios(&spec, &scenarios[..ranges[stop].end]);
         assert_eq!(lookups(&engine), lookups(&done), "evaluated exactly ranges 0..=stop");
         let full = SweepEngine::with_workers(1);
         full.run(&spec);

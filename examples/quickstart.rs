@@ -7,8 +7,8 @@
 //! ```
 
 use cluster_sim::Engine;
-use hwbench::machines::opteron_gige_sim;
 use pace_core::{Sweep3dModel, Sweep3dParams};
+use registry::sim::opteron_gige_sim;
 use sweep3d::trace::{generate_program_set, FlopModel};
 use sweep3d::ProblemConfig;
 

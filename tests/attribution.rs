@@ -15,7 +15,7 @@ use sweep3d::ProblemConfig;
 
 /// The golden-fixture machine of `tests/engine_golden.rs`.
 fn fixture_machine(seed: u64) -> MachineSpec {
-    let mut m = hwbench::machines::pentium3_myrinet_sim();
+    let mut m = registry::sim::pentium3_myrinet_sim();
     m.noise = NoiseModel::commodity();
     m.rendezvous_bytes = Some(4096);
     m.seed = seed;

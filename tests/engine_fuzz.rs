@@ -32,7 +32,7 @@ use sweep3d::trace::{generate_program_set, FlopModel};
 use sweep3d::ProblemConfig;
 
 fn fixture_machine() -> MachineSpec {
-    let mut m = hwbench::machines::pentium3_myrinet_sim();
+    let mut m = registry::sim::pentium3_myrinet_sim();
     m.noise = NoiseModel::commodity();
     m.rendezvous_bytes = Some(4096);
     m.seed = 0xF1B5_EED0;

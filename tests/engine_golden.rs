@@ -20,7 +20,7 @@ use sweep3d::ProblemConfig;
 /// commodity noise and a rendezvous threshold so every engine path
 /// (eager, rendezvous, collectives, jitter) is exercised.
 fn fixture_machine() -> MachineSpec {
-    let mut m = hwbench::machines::pentium3_myrinet_sim();
+    let mut m = registry::sim::pentium3_myrinet_sim();
     m.noise = NoiseModel::commodity();
     m.rendezvous_bytes = Some(4096);
     m.seed = 0xF1B5_EED0;

@@ -22,8 +22,8 @@
 use experiments::validation::{
     self, predict_row, predict_row_cached, RowSpec, TABLE1_ROWS, TABLE2_ROWS, TABLE3_ROWS,
 };
-use hwbench::machines as sim_machines;
 use pace_core::HardwareModel;
+use registry::sim as sim_machines;
 
 /// Exact predicted seconds per row, in row order (regenerate on
 /// deliberate model changes).

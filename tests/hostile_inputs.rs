@@ -2,9 +2,11 @@
 //! spec files and store chunks go through `obs::Json`. Each must return
 //! a value or a structured error on arbitrary input, never panic.
 
+use std::collections::BTreeMap;
+
 use obs::json::{escape, Json};
 use proptest::prelude::*;
-use registry::WorkloadSpec;
+use registry::{MachineSpec, WorkloadSpec};
 use sweepsvc::store::{ChunkStore, IdRange};
 
 /// Arbitrary scalars, half of them ASCII (controls, quotes and
@@ -98,8 +100,73 @@ fn workload_doc(template: usize, picks: &[usize], drop: usize, extra: bool) -> S
     format!("{{\"workload\": \"{name}\", \"params\": {{{}}}}}", params.join(", "))
 }
 
+/// Render a machine document as JSON text with leaf `i` (depth-first)
+/// swapped for `edits[i]` (`None` drops it) and an unknown field added to
+/// object number `extra`; `seen` counts the leaves and objects visited.
+fn render(
+    v: &Json,
+    edits: &BTreeMap<usize, Option<&str>>,
+    extra: usize,
+    seen: &mut (usize, usize),
+) -> Option<String> {
+    match v {
+        Json::Arr(items) => {
+            let items: Vec<String> =
+                items.iter().filter_map(|x| render(x, edits, extra, seen)).collect();
+            Some(format!("[{}]", items.join(", ")))
+        }
+        Json::Obj(map) => {
+            let here = seen.1;
+            seen.1 += 1;
+            let mut fields: Vec<String> = map
+                .iter()
+                .filter_map(|(k, x)| {
+                    Some(format!("\"{}\": {}", escape(k), render(x, edits, extra, seen)?))
+                })
+                .collect();
+            if here == extra {
+                fields.push("\"bogus\": 1".to_string());
+            }
+            Some(format!("{{{}}}", fields.join(", ")))
+        }
+        scalar => {
+            seen.0 += 1;
+            match edits.get(&(seen.0 - 1)) {
+                Some(edit) => edit.map(str::to_string),
+                None => Some(match scalar {
+                    Json::Num(x) => format!("{x:?}"),
+                    Json::Str(s) => format!("\"{}\"", escape(s)),
+                    Json::Bool(b) => b.to_string(),
+                    _ => "null".to_string(),
+                }),
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// JSON-shaped machine documents: a built-in machine's spec (or one
+    /// without a simulated half) with fields swapped for the workload
+    /// values above, dropped, or joined by an unknown field. Every one
+    /// parses to a spec that round-trips exactly, or to an error, never a
+    /// panic.
+    #[test]
+    fn machine_spec_parse_round_trips_or_errors(
+        base in 0usize..5,
+        picks in prop::collection::vec((0usize..64, 0usize..24), 0..4),
+        extra in 0usize..60,
+    ) {
+        let quoted = MachineSpec::from_analytic("quoted", registry::quoted::opteron_gige());
+        let machine = registry::all_builtin().into_iter().chain([quoted]).nth(base).unwrap();
+        let doc = Json::parse(&machine.to_json()).unwrap();
+        let edits = picks.iter().map(|&(at, v)| (at, VALID.iter().chain(&HOSTILE).nth(v).copied()));
+        let doc = render(&doc, &edits.collect(), extra, &mut (0, 0)).unwrap();
+        if let Ok(spec) = MachineSpec::from_json(&doc) {
+            prop_assert_eq!(MachineSpec::from_json(&spec.to_json()), Ok(spec));
+        }
+    }
 
     /// JSON-shaped workload documents: every one parses to a spec that
     /// round-trips exactly, or to an error, never a panic.

@@ -2,9 +2,9 @@
 //! the complete semi-automated PACE workflow of Fig. 2.
 
 use cluster_sim::Engine;
-use hwbench::machines::pentium3_myrinet_sim;
 use pace_core::EvaluationEngine;
 use pace_psl::{compile, parse, Overrides};
+use registry::sim::pentium3_myrinet_sim;
 use sweep3d::trace::{generate_programs, FlopModel};
 use sweep3d::ProblemConfig;
 

@@ -21,7 +21,7 @@ fn workload() -> (MachineSpec, Vec<Program>) {
     config.iterations = 2;
     let fm = FlopModel::calibrate(&config, 8);
     let programs = generate_programs(&config, &fm);
-    (hwbench::machines::pentium3_myrinet_sim(), programs)
+    (registry::sim::pentium3_myrinet_sim(), programs)
 }
 
 /// A campaign with the engine-thread split left to the nested plan.

@@ -160,7 +160,7 @@ fn fit_handles_two_points() {
 #[test]
 fn hmcl_script_of_fitted_machine_roundtrips() {
     // Full loop: simulate → benchmark → fit → write HMCL → parse → equal.
-    let spec = hwbench::machines::opteron_gige_sim();
+    let spec = registry::sim::opteron_gige_sim();
     let hw = hwbench::benchmark_machine(&spec, &[20], 1);
     let script = pace_core::hmcl_script::write(&hw);
     let back = pace_core::hmcl_script::parse(&script).unwrap();

@@ -5,13 +5,9 @@
 //!   ranks — naive and planned runs must both hit the pinned digest.
 //!   Bless new values after an intentional engine change with
 //!   `BLESS_GOLDEN=1 cargo test --test sweep_plan -- --nocapture`.
-//! * A differential proptest over plan on/off × worker count × cache
-//!   capacity × fork point: every combination must produce the same
-//!   campaign digest as the serial naive unbounded reference.
-//! * LRU determinism: any interleaving of hits/inserts/evictions over
-//!   the same key sequence replays to identical counters and values,
-//!   and campaigns under eviction pressure (`capacity < grid`) change
-//!   no bits while `evictions > 0`.
+//! * A differential proptest over plan on/off × worker count × fork
+//!   point: every combination must produce the same campaign digest as
+//!   the serial naive reference.
 //! * The chunk-store resume matrix: the 512-rank golden campaign run
 //!   through `run_stored` cold, warm and with one chunk deleted hits the
 //!   pinned digest every time and recomputes only the missing ranges.
@@ -114,12 +110,11 @@ fn mixed_spec(fork: Option<u64>) -> SweepSpec {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
-    /// Plan on/off × workers × cache capacity × fork point: bit-identical
-    /// campaigns, always.
+    /// Plan on/off × workers × fork point: bit-identical campaigns,
+    /// always.
     #[test]
-    fn planner_workers_and_capacity_never_change_bits(
+    fn planner_and_workers_never_change_bits(
         workers in 1usize..4,
-        capacity_sel in 0usize..4,
         planned in 0usize..2,
         fork_sel in 0usize..3,
     ) {
@@ -127,93 +122,10 @@ proptest! {
         let spec = mixed_spec(fork);
         let reference = SweepEngine::with_workers(1).run(&spec);
         let engine = SweepEngine::with_workers(workers);
-        let engine = match capacity_sel {
-            0 => engine,
-            cap => engine.with_cache_capacity(cap),
-        };
         let out = if planned == 1 { engine.run_planned(&spec) } else { engine.run(&spec) };
         prop_assert_eq!(&out.results, &reference.results);
         prop_assert_eq!(campaign_digest(&out.results), campaign_digest(&reference.results));
     }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-    /// Replaying one access sequence against the LRU twice — and at a
-    /// different capacity — yields the same values every time, and the
-    /// same counters for the same capacity.
-    #[test]
-    fn lru_interleavings_replay_deterministically(
-        seq in prop::collection::vec(0usize..10, 1..48),
-        cap in 1usize..4,
-    ) {
-        use pace_core::Sweep3dModel;
-        use sweepsvc::{CacheKey, EvalCache};
-        let machine = registry::builtin("opteron-myrinet").unwrap();
-        // Ten *distinct* keys, so the stand-in value below stays a pure
-        // function of its key (the cache's core invariant).
-        let mut keys: Vec<CacheKey> = Vec::new();
-        'fill: for px in 1usize..20 {
-            let app =
-                Sweep3dModel::new(Sweep3dParams::weak_scaling_50cubed(px, px)).application_object();
-            for sub in &app.subtasks {
-                let key = CacheKey::for_subtask(sub, &machine.analytic);
-                if !keys.contains(&key) {
-                    keys.push(key);
-                }
-                if keys.len() == 10 {
-                    break 'fill;
-                }
-            }
-        }
-        let value = |i: usize| (i as f64 + 0.25, None);
-        let replay = |cache: &EvalCache| {
-            seq.iter()
-                .map(|&i| cache.get_or_insert_with(keys[i].clone(), || value(i)))
-                .collect::<Vec<_>>()
-        };
-        let a = EvalCache::bounded(cap);
-        let b = EvalCache::bounded(cap);
-        let unbounded = EvalCache::new();
-        let va = replay(&a);
-        let vb = replay(&b);
-        let vu = replay(&unbounded);
-        // Same capacity: identical values AND identical hit/miss/eviction
-        // interleaving.
-        prop_assert_eq!(&va, &vb);
-        prop_assert_eq!(a.stats(), b.stats());
-        prop_assert_eq!(a.shard_stats(), b.shard_stats());
-        // Any capacity: identical values (evaluation is pure).
-        prop_assert_eq!(&va, &vu);
-        prop_assert_eq!(unbounded.stats().evictions, 0);
-    }
-}
-
-/// Eviction pressure on a full campaign: capacity far below the grid's
-/// working set must evict, and must not change a single bit.
-#[test]
-fn eviction_pressure_changes_no_bits() {
-    let spec = SweepSpec::new()
-        .machine(registry::builtin("opteron-myrinet").unwrap())
-        .rate_multipliers(vec![1.0, 1.1, 1.2, 1.3, 1.4, 1.5])
-        .problem("2x2", Sweep3dParams::weak_scaling_50cubed(2, 2))
-        .problem("4x4", Sweep3dParams::weak_scaling_50cubed(4, 4))
-        .problem("6x6", Sweep3dParams::weak_scaling_50cubed(6, 6));
-    let unbounded = SweepEngine::with_workers(2).run(&spec);
-    for per_shard in [1, 2] {
-        for planned in [false, true] {
-            let engine = SweepEngine::with_workers(2).with_cache_capacity(per_shard);
-            let out = if planned { engine.run_planned(&spec) } else { engine.run(&spec) };
-            assert_eq!(out.results, unbounded.results, "cap={per_shard} planned={planned}");
-            assert_eq!(campaign_digest(&out.results), campaign_digest(&unbounded.results),);
-            assert!(
-                out.stats.cache.evictions > 0,
-                "cap={per_shard} planned={planned}: expected eviction pressure, stats {:?}",
-                out.stats.cache
-            );
-        }
-    }
-    assert_eq!(unbounded.stats.cache.evictions, 0);
 }
 
 /// The 512-rank golden campaign through the chunk store: a cold run

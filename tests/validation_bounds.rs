@@ -3,7 +3,7 @@
 //! simulated machines, with the error structure of §5.
 
 use experiments::validation::{self, RowSpec};
-use hwbench::machines as sim_machines;
+use registry::sim as sim_machines;
 use sweep3d::trace::FlopModel;
 
 #[test]

@@ -7,12 +7,14 @@
 //! is pace-core's own, so its reports are bit-identical to the uncached
 //! engine's.
 //!
-//! [`SweepEngine`] expands a [`SweepSpec`] and fans the scenarios out
-//! over the worker pool, returning results in scenario-id order plus the
+//! [`SweepEngine`] hands a [`SweepSpec`]'s scenario ids to the worker
+//! pool, whose workers decode each id they claim against the spec's
+//! [`ScenarioIndex`], and returns results in scenario-id order plus the
 //! run's cache and per-worker throughput counters. Scenarios on the PACE
 //! backend evaluate through the cache; other backends dispatch to their
 //! [`wavefront_models::Predictor`] implementation.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,7 +31,7 @@ use wavefront_models::Backend;
 use crate::cache::{CacheKey, CacheStats, EvalCache};
 use crate::plan::{self, ExecPlan, ForkGroup, PlanStats};
 use crate::pool::{self, WorkerStats};
-use crate::spec::{Scenario, ScenarioResult, SweepSpec};
+use crate::spec::{Scenario, ScenarioIndex, ScenarioResult, SweepSpec};
 
 /// A drop-in evaluator with a shared, thread-safe memo of subtask
 /// evaluations.
@@ -117,7 +119,7 @@ fn evaluate_fork_group(
     fork: u64,
 ) -> Vec<(usize, EvaluationReport)> {
     let proto = |j: usize| &scenarios[plan.jobs[j].proto];
-    let machines: Vec<_> = group.members.iter().map(|&j| &proto(j).machine_spec).collect();
+    let machines: Vec<_> = group.members.iter().map(|&j| &*proto(j).machine_spec).collect();
     let reports = wavefront_models::dessim::predict_fork_group(
         &*proto(group.members[0]).workload,
         &spec.machines[group.machine],
@@ -128,17 +130,30 @@ fn evaluate_fork_group(
     group.members.iter().copied().zip(reports).collect()
 }
 
-/// Per-workload scenario tallies for the interned `sweep.workload.*`
-/// counters (kinds without an interned name are skipped, keeping metric
-/// publication allocation-free at sweep time).
-fn workload_counts(scenarios: &[Scenario]) -> Vec<(&'static str, u64)> {
+/// Per-workload scenario tallies of the ids `ids` of `spec`, for the
+/// interned `sweep.workload.*` counters (kinds without an interned name
+/// are skipped, keeping metric publication allocation-free at sweep
+/// time). Counted per problem: problem `p` owns every id whose
+/// `id / (multipliers * backends) % problems` is `p`.
+fn workload_counts(spec: &SweepSpec, ids: Range<usize>) -> Vec<(&'static str, u64)> {
+    let run = spec.rate_multipliers.len() * spec.backends.len();
+    let period = run * spec.problems.len();
+    if period == 0 {
+        return Vec::new();
+    }
+    // Ids of problem `p` in `0..x`.
+    let below = |x: usize, p: usize| {
+        let rem = (x % period).saturating_sub(p * run).min(run);
+        x / period * run + rem
+    };
     let mut counts: Vec<(&'static str, u64)> = Vec::new();
-    for sc in scenarios {
-        if let Some(name) = obs::names::workload_scenarios(sc.workload.kind()) {
-            match counts.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, c)) => *c += 1,
-                None => counts.push((name, 1)),
-            }
+    for (p, prob) in spec.problems.iter().enumerate() {
+        let Some(name) = obs::names::workload_scenarios(prob.workload.kind()) else { continue };
+        let n = (below(ids.end, p) - below(ids.start, p)) as u64;
+        match counts.iter_mut().find(|(c, _)| *c == name) {
+            Some((_, c)) => *c += n,
+            None if n > 0 => counts.push((name, n)),
+            None => {}
         }
     }
     counts
@@ -261,26 +276,33 @@ impl SweepEngine {
         if let Err(e) = spec.validate() {
             panic!("invalid sweep spec: {e}");
         }
-        self.run_scenarios(spec, &spec.scenarios())
+        self.run_ids(spec, &spec.index(), 0..spec.len())
     }
 
-    /// Evaluate `scenarios`, a subset of the validated `spec`'s expansion
-    /// in id order, on the pool; results keep the input order. This is the
-    /// body of [`SweepEngine::run`], and [`crate::store::run_stored`]
-    /// hands it the scenarios its store could not serve.
-    pub(crate) fn run_scenarios(&self, spec: &SweepSpec, scenarios: &[Scenario]) -> SweepOutcome {
+    /// Evaluate the scenarios `ids` of the validated `spec` on the pool,
+    /// each worker decoding the ids it claims through `index`; results
+    /// come back in id order. This is the body of [`SweepEngine::run`],
+    /// and [`crate::store::run_stored`] hands it the id ranges its store
+    /// could not serve.
+    pub(crate) fn run_ids(
+        &self,
+        spec: &SweepSpec,
+        index: &ScenarioIndex<'_>,
+        ids: Range<usize>,
+    ) -> SweepOutcome {
+        let first = ids.start;
         let (results, stats) = self.execute(
-            scenarios,
+            ids.len(),
+            workload_counts(spec, ids),
             None,
-            scenarios.iter().collect(),
-            |engine, sc| scenario_result(engine, spec, sc),
-            |sc, r| {
+            |engine, i| scenario_result(engine, spec, &index.scenario(first + i)),
+            |_, r| {
                 let args = vec![
-                    ("id", sc.id.into()),
+                    ("id", r.id.into()),
                     ("pes", r.pes.into()),
                     ("total_secs", r.total_secs.into()),
                 ];
-                (format!("scenario:{}", sc.label), args)
+                (format!("scenario:{}", r.label), args)
             },
         );
         SweepOutcome { results, stats }
@@ -320,14 +342,14 @@ impl SweepEngine {
             .chain(plan.singles.iter().map(|&j| Unit::Single(j)))
             .collect();
         let (evaluated, stats) = self.execute(
-            &scenarios,
+            units.len(),
+            workload_counts(spec, 0..spec.len()),
             Some(plan.stats()),
-            units,
-            |engine, unit| match *unit {
+            |engine, u| match units[u] {
                 Unit::Single(j) => vec![(j, evaluate_scenario(engine, spec, proto(j)))],
                 Unit::Group(g, fork) => evaluate_fork_group(spec, &scenarios, &plan, g, fork),
             },
-            |unit, out| match *unit {
+            |u, out| match units[u] {
                 Unit::Single(j) => {
                     let sc = proto(j);
                     let args =
@@ -360,33 +382,35 @@ impl SweepEngine {
     }
 
     /// The executor body of [`SweepEngine::run`] and
-    /// [`SweepEngine::run_planned`]: evaluate `units` on the pool through
-    /// one engine over the shared cache, record one wall span per unit
-    /// (`span` names it and picks its args, only when a recorder is
-    /// attached), name the worker tracks and publish the run's counters.
-    /// Outputs keep the units' order.
-    fn execute<U: Send, R: Send>(
+    /// [`SweepEngine::run_planned`]: evaluate units `0..units` on the pool
+    /// through one engine over the shared cache, record one wall span per
+    /// unit (`span` names it and picks its args, only when a recorder is
+    /// attached), name the worker tracks and publish the run's counters,
+    /// `kinds` among them. A unit is one scenario unless `plan` says how
+    /// many scenarios the run covers. Outputs keep the units' order.
+    fn execute<R: Send>(
         &self,
-        scenarios: &[Scenario],
+        units: usize,
+        kinds: Vec<(&'static str, u64)>,
         plan: Option<PlanStats>,
-        units: Vec<U>,
-        work: impl Fn(&CachedEngine, &U) -> R + Sync,
-        span: impl Fn(&U, &R) -> (String, Args) + Sync,
+        work: impl Fn(&CachedEngine, usize) -> R + Sync,
+        span: impl Fn(usize, &R) -> (String, Args) + Sync,
     ) -> (Vec<R>, SweepStats) {
-        let kinds = workload_counts(scenarios);
+        let scenarios = plan.map_or(units, |p| p.scenarios);
         let cache_before = self.cache.stats();
         let engine = CachedEngine::with_cache(Arc::clone(&self.cache));
         let rec = &*self.obs.recorder;
         if rec.is_enabled() {
             rec.set_process_name(SWEEP_PID, "sweepsvc");
         }
-        let run = pool::run_ordered_with_worker(units, self.workers, |worker, unit| {
+        let run = pool::run_indexed(units, self.workers, |worker, unit| {
+            if !rec.is_enabled() {
+                return work(&engine, unit);
+            }
             let t0 = Instant::now();
             let out = work(&engine, unit);
-            if rec.is_enabled() {
-                let (name, args) = span(unit, &out);
-                rec.wall_span(SWEEP_PID, worker as u32, name, Cat::Scenario, t0, args);
-            }
+            let (name, args) = span(unit, &out);
+            rec.wall_span(SWEEP_PID, worker as u32, name, Cat::Scenario, t0, args);
             out
         });
         if rec.is_enabled() {
@@ -395,7 +419,7 @@ impl SweepEngine {
             }
         }
         let stats = SweepStats {
-            scenarios: scenarios.len(),
+            scenarios,
             workers: run.workers,
             cache: self.cache.stats(),
             wall: run.wall,
@@ -441,7 +465,6 @@ impl SweepEngine {
             let base = format!("wall.sweep.pool.worker.{:02}", w.worker);
             m.counter_add(&format!("{base}.items"), w.items);
             m.counter_add(&format!("{base}.steals"), w.steals);
-            m.counter_add(&format!("{base}.retries"), w.retries);
             m.gauge_set(&format!("{base}.busy_us"), w.busy.as_micros() as f64);
         }
     }
@@ -537,6 +560,37 @@ mod tests {
             .map(|w| counter(&format!("wall.sweep.pool.worker.{w:02}.items")).unwrap_or(0))
             .sum();
         assert_eq!(metric_items, items);
+    }
+
+    #[test]
+    fn workload_counts_match_a_walk_over_any_id_range() {
+        use pace_core::{AllreduceParams, StencilParams};
+        let spec = SweepSpec::new()
+            .machine_hw(machines::pentium3_myrinet())
+            .machine_hw(machines::opteron_myrinet_hypothetical())
+            .rate_multipliers(vec![1.0, 1.5])
+            .problem("2x2", Sweep3dParams::weak_scaling_50cubed(2, 2))
+            .problem("stencil", StencilParams::weak_scaling(2, 2))
+            .problem("4x4", Sweep3dParams::weak_scaling_50cubed(4, 4))
+            .problem("cg", AllreduceParams::cg_like(4))
+            .backends(vec![Backend::Pace, Backend::DesSim]);
+        let scenarios = spec.scenarios();
+        for start in 0..=spec.len() {
+            for end in start..=spec.len() {
+                let mut walked: Vec<(&str, u64)> = Vec::new();
+                for sc in &scenarios[start..end] {
+                    let name = obs::names::workload_scenarios(sc.workload.kind()).unwrap();
+                    match walked.iter_mut().find(|(n, _)| *n == name) {
+                        Some((_, c)) => *c += 1,
+                        None => walked.push((name, 1)),
+                    }
+                }
+                let mut counted = workload_counts(&spec, start..end);
+                counted.sort_unstable();
+                walked.sort_unstable();
+                assert_eq!(counted, walked, "ids {start}..{end}");
+            }
+        }
     }
 
     #[test]

@@ -7,10 +7,13 @@
 //! parallelism into a first-class batch layer:
 //!
 //! * [`SweepSpec`] — a declarative sweep: registry machines × flop-rate
-//!   multipliers × problem configurations × predictor backends, expanded
-//!   to scenarios with stable ids ([`spec`]);
-//! * [`SweepEngine`] — fans scenarios out over a `crossbeam`
-//!   work-stealing pool and collects results **in scenario-id order**,
+//!   multipliers × problem configurations × predictor backends, whose
+//!   scenarios are addressed by stable ids and decoded on demand through
+//!   a [`ScenarioIndex`] that scales each (machine, multiplier) pair once
+//!   ([`spec`]);
+//! * [`SweepEngine`] — hands scenario ids to a pool of scoped threads
+//!   that claim them in chunks from one shared cursor, decode and
+//!   evaluate them, and collects results **in scenario-id order**,
 //!   bit-identical for any worker count ([`engine`], [`pool`]);
 //! * [`EvalCache`] — a sharded, `parking_lot`-guarded memo of subtask
 //!   evaluations keyed on canonicalised model/hardware inputs, shared by
@@ -57,11 +60,11 @@ pub use engine::{scenario_result, CachedEngine, SweepEngine, SweepOutcome, Sweep
 pub use plan::{ExecPlan, ForkGroup, PlanJob, PlanStats};
 pub use pool::{
     available_workers, nested_plan, run_ordered, run_ordered_with_worker, sim_threads_override,
-    PoolRun, WorkerStats,
+    PoolRun, WorkerStats, CLAIMS_PER_WORKER,
 };
 pub use replicate::{
     replicate_set_attributed, replicate_set_threaded, Replication, ReplicationSummary,
     REPLICATE_PID,
 };
-pub use spec::{ProblemPoint, Scenario, ScenarioResult, SweepSpec};
+pub use spec::{ProblemPoint, Scenario, ScenarioIndex, ScenarioResult, SweepSpec};
 pub use store::{partition, run_stored, ChunkStore, IdRange, StoreStats, StoredOutcome};

@@ -204,6 +204,7 @@ mod tests {
     use super::*;
     use pace_core::Sweep3dParams;
     use registry::quoted as machines;
+    use std::sync::Arc;
 
     fn des_machine() -> registry::MachineSpec {
         registry::builtin("opteron-myrinet").unwrap()
@@ -281,7 +282,7 @@ mod tests {
         let mut scenarios = spec.scenarios();
         // Hand the ×1.5 scenario a noise-toggled twin: the rate axis can
         // never produce this, but the planner must not assume so.
-        let sim = scenarios[1].machine_spec.sim.as_mut().unwrap();
+        let sim = Arc::make_mut(&mut scenarios[1].machine_spec).sim.as_mut().unwrap();
         sim.noise = if sim.noise.is_none() {
             cluster_sim::NoiseModel::commodity()
         } else {

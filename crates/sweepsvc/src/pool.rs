@@ -1,19 +1,47 @@
-//! The work-stealing worker pool.
+//! The worker pool: one shared cursor, chunked claims.
 //!
-//! [`run_ordered`] fans a batch of items out over `crossbeam` scoped
-//! threads that steal work from a shared injector queue, and returns the
-//! results **in item order** regardless of which worker computed what or
-//! in what interleaving — each worker tags its outputs with the item
-//! index and the results are reassembled into index-order slots at the
+//! [`run_indexed`] fans item indices `0..n` out over `crossbeam` scoped
+//! threads. Workers claim contiguous blocks of indices from one atomic
+//! cursor — [`CLAIMS_PER_WORKER`] claims per worker on an even split, one
+//! item per claim for batches too small to split that finely — and the
+//! results come back **in index order** regardless of which worker
+//! computed what or in what interleaving: each worker keeps its blocks in
+//! claim order and the blocks are stitched together by start index at the
 //! end. With a pure work function the output is therefore bit-identical
-//! for any worker count.
+//! for any worker count. [`run_ordered`] and [`run_ordered_with_worker`]
+//! are the same pool over a `Vec` of items.
 //!
-//! Per-worker throughput counters (items processed, busy time) come back
-//! alongside the results.
+//! A panicking item stops the pool: the other workers finish the block
+//! they hold, claim nothing further, and the pool re-raises the item's own
+//! panic payload.
+//!
+//! Per-worker throughput counters (items processed, claims, busy time)
+//! come back alongside the results.
 
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use crossbeam::deque::{Injector, Steal};
+/// Claims each worker makes on an even split of a batch: a batch of `n`
+/// items on `w` workers is claimed in blocks of
+/// `ceil(n / (w * CLAIMS_PER_WORKER))` items. Enough claims that the last
+/// blocks even out the workers' finishing times, few enough that the
+/// shared cursor is touched once per many cheap items. Batches of at most
+/// `w * CLAIMS_PER_WORKER` items (validation rows, fork groups,
+/// replication seeds) are claimed one item at a time, in input order.
+pub const CLAIMS_PER_WORKER: usize = 32;
+
+/// Block size of a claim on a batch of `n` items over `workers` workers.
+fn claim_block(n: usize, workers: usize) -> usize {
+    n.div_ceil(pool_width(n, workers) * CLAIMS_PER_WORKER).max(1)
+}
+
+/// Workers a batch of `n` items actually runs on: never more than items,
+/// never fewer than one.
+fn pool_width(n: usize, workers: usize) -> usize {
+    workers.clamp(1, n.max(1))
+}
 
 /// One worker's throughput counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,18 +52,15 @@ pub struct WorkerStats {
     pub items: u64,
     /// Time spent inside the work function.
     pub busy: Duration,
-    /// Successful steals from the shared injector (equals `items` in the
-    /// current single-queue design; kept separate so the telemetry layer
-    /// reports queue behaviour, not a derived quantity).
+    /// Claims this worker took from the shared cursor (one block of
+    /// items each; see [`CLAIMS_PER_WORKER`]).
     pub steals: u64,
-    /// `Steal::Retry` collisions observed while taking from the injector.
-    pub retries: u64,
 }
 
 impl WorkerStats {
     /// A zeroed counter block for `worker`.
     pub fn new(worker: usize) -> Self {
-        WorkerStats { worker, items: 0, busy: Duration::ZERO, steals: 0, retries: 0 }
+        WorkerStats { worker, items: 0, busy: Duration::ZERO, steals: 0 }
     }
 }
 
@@ -118,75 +143,125 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     let started = Instant::now();
+    // The items, split into the pool's claim blocks. Each block is claimed
+    // exactly once, so its cell is only ever locked uncontended, by the
+    // worker that takes the block out.
     let n = items.len();
-    let workers = workers.max(1).min(n.max(1));
+    let block = claim_block(n, workers);
+    let mut items = items.into_iter();
+    let blocks: Vec<Mutex<Vec<T>>> =
+        (0..n.div_ceil(block)).map(|_| Mutex::new(items.by_ref().take(block).collect())).collect();
+    run_blocks(started, n, workers, |w, claim, out| {
+        let mut cell = blocks[claim.start / block].lock().unwrap_or_else(PoisonError::into_inner);
+        let items = std::mem::take(&mut *cell);
+        out.extend(items.iter().map(|item| work(w, item)));
+        items
+    })
+}
+
+/// Apply `work` to every index `0..n` on a pool of `workers` threads,
+/// returning results in index order; `work` also receives the executing
+/// worker's index. `workers <= 1` runs inline on the caller's thread.
+///
+/// # Panics
+///
+/// Re-raises the payload of the first worker (by index) whose item
+/// panicked, once every worker has stopped.
+pub fn run_indexed<R, F>(n: usize, workers: usize, work: F) -> PoolRun<R>
+where
+    R: Send,
+    F: Fn(usize, usize) -> R + Sync,
+{
+    run_blocks(Instant::now(), n, workers, |w, claim, out| out.extend(claim.map(|i| work(w, i))))
+}
+
+/// The pool itself: workers claim blocks of `0..n` from the shared cursor
+/// and `eval(worker, block, out)` appends the block's results, in order,
+/// to the empty buffer `out`. A worker is busy only inside `eval`: moving
+/// `out` into its results and dropping whatever `eval` returns (the
+/// block's consumed items) happen outside that window. The run's wall
+/// clock counts from `started`.
+fn run_blocks<R, D, F>(started: Instant, n: usize, workers: usize, eval: F) -> PoolRun<R>
+where
+    R: Send,
+    F: Fn(usize, Range<usize>, &mut Vec<R>) -> D + Sync,
+{
+    let workers = pool_width(n, workers);
+    let block = claim_block(n, workers);
+    let cursor = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    // One worker's loop: claim a block, evaluate it, until the cursor
+    // passes `n` or another worker's panic raises `stop`. Returns the
+    // worker's counters, its `(start, len)` blocks in claim order and
+    // their results, concatenated.
+    let worker = |w: usize| {
+        let _stop_on_panic = StopOnPanic(&stop);
+        let mut stats = WorkerStats::new(w);
+        let mut blocks: Vec<(usize, usize)> = Vec::new();
+        let mut local: Vec<R> = Vec::new();
+        let mut scratch: Vec<R> = Vec::with_capacity(block);
+        while !stop.load(Ordering::Relaxed) {
+            let start = cursor.fetch_add(block, Ordering::Relaxed);
+            if start >= n {
+                break;
+            }
+            let end = (start + block).min(n);
+            stats.steals += 1;
+            let t0 = Instant::now();
+            let spent = eval(w, start..end, &mut scratch);
+            stats.busy += t0.elapsed();
+            drop(spent);
+            local.append(&mut scratch);
+            stats.items += (end - start) as u64;
+            blocks.push((start, end - start));
+        }
+        (stats, blocks, local)
+    };
 
     if workers <= 1 {
-        let t0 = Instant::now();
-        let results: Vec<R> = items.iter().map(|item| work(0, item)).collect();
-        let stats = WorkerStats {
-            items: n as u64,
-            busy: t0.elapsed(),
-            steals: n as u64,
-            ..WorkerStats::new(0)
-        };
+        let (stats, _, results) = worker(0);
         return PoolRun { results, workers: vec![stats], wall: started.elapsed() };
     }
 
-    let injector = Injector::new();
-    for indexed in items.into_iter().enumerate() {
-        injector.push(indexed);
-    }
-
-    let outputs = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let injector = &injector;
-                let work = &work;
-                s.spawn(move |_| {
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    let mut stats = WorkerStats::new(w);
-                    loop {
-                        match injector.steal() {
-                            Steal::Success((i, item)) => {
-                                stats.steals += 1;
-                                let t0 = Instant::now();
-                                let r = work(w, &item);
-                                stats.busy += t0.elapsed();
-                                stats.items += 1;
-                                local.push((i, r));
-                            }
-                            Steal::Empty => break,
-                            Steal::Retry => {
-                                stats.retries += 1;
-                                std::hint::spin_loop();
-                            }
-                        }
-                    }
-                    (stats, local)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("pool worker panicked")).collect::<Vec<_>>()
+    let joined = crossbeam::thread::scope(|s| {
+        let worker = &worker;
+        let handles: Vec<_> = (0..workers).map(|w| s.spawn(move |_| worker(w))).collect();
+        handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
     })
-    .expect("pool scope");
+    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
 
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    // Stitch the blocks together by start index. Each worker's blocks sit
+    // in its buffer in claim order, which is ascending start order.
+    let mut segments: Vec<(usize, usize, usize)> = Vec::new();
+    let mut buffers = Vec::with_capacity(workers);
     let mut worker_stats = Vec::with_capacity(workers);
-    for (stats, local) in outputs {
+    for (w, outcome) in joined.into_iter().enumerate() {
+        let (stats, blocks, local) =
+            outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        segments.extend(blocks.into_iter().map(|(start, len)| (start, len, w)));
+        buffers.push(local.into_iter());
         worker_stats.push(stats);
-        for (i, r) in local {
-            debug_assert!(slots[i].is_none(), "item {i} computed twice");
-            slots[i] = Some(r);
+    }
+    segments.sort_unstable();
+    let mut results = Vec::with_capacity(n);
+    for (start, len, w) in segments {
+        debug_assert_eq!(start, results.len(), "blocks tile 0..n");
+        results.extend(buffers[w].by_ref().take(len));
+    }
+    assert_eq!(results.len(), n, "every item evaluated once");
+    PoolRun { results, workers: worker_stats, wall: started.elapsed() }
+}
+
+/// Raises the pool's stop flag when its worker unwinds, so the other
+/// workers claim nothing further.
+struct StopOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for StopOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
         }
     }
-    worker_stats.sort_by_key(|s| s.worker);
-    let results = slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| s.unwrap_or_else(|| panic!("item {i} never evaluated")))
-        .collect();
-    PoolRun { results, workers: worker_stats, wall: started.elapsed() }
 }
 
 #[cfg(test)]
@@ -259,12 +334,74 @@ mod tests {
     }
 
     #[test]
-    fn steal_counters_cover_every_item() {
-        for workers in [1, 4] {
-            let run = run_ordered((0..40u64).collect(), workers, |&x| x);
-            let steals: u64 = run.workers.iter().map(|w| w.steals).sum();
-            assert_eq!(steals, 40, "workers={workers}");
+    fn chunk_boundaries_evaluate_each_item_once_in_order() {
+        use std::sync::atomic::AtomicU32;
+        for workers in [1, 2, 3, 8] {
+            let threshold = workers * CLAIMS_PER_WORKER;
+            for n in [0, 1, threshold - 1, threshold, threshold + 1, 10_000] {
+                let seen: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+                let run = run_indexed(n, workers, |_, i| {
+                    seen[i].fetch_add(1, Ordering::Relaxed);
+                    i
+                });
+                let ctx = format!("n={n} workers={workers}");
+                assert_eq!(run.results, (0..n).collect::<Vec<_>>(), "{ctx}");
+                assert!(seen.iter().all(|c| c.load(Ordering::Relaxed) == 1), "{ctx}");
+                let items: u64 = run.workers.iter().map(|w| w.items).sum();
+                let claims: u64 = run.workers.iter().map(|w| w.steals).sum();
+                assert_eq!(items, n as u64, "{ctx}");
+                assert_eq!(claims, n.div_ceil(claim_block(n, workers)) as u64, "{ctx}");
+                if n <= threshold {
+                    assert_eq!(claims, items, "{ctx}: small batches claim one item at a time");
+                } else {
+                    assert!(claims < items, "{ctx}: large batches claim blocks");
+                }
+            }
         }
+    }
+
+    #[test]
+    fn a_panicking_item_stops_the_pool_and_keeps_its_payload() {
+        use std::sync::atomic::AtomicU64;
+        /// Raises its flag once item 0's panic unwinds (after the panic
+        /// hook has run), the earliest point the pool can react.
+        struct Unwinding<'a>(&'a AtomicBool);
+        impl Drop for Unwinding<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let (n, workers) = (10_000, 2);
+        let unwinding = AtomicBool::new(false);
+        let evaluated = AtomicU64::new(0);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_indexed(n, workers, |_, i| {
+                if i == 0 {
+                    let _flag = Unwinding(&unwinding);
+                    panic!("item 0 failed");
+                }
+                // Every other item starts once item 0 is unwinding and
+                // takes long enough that the stop lands between claims.
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !unwinding.load(Ordering::SeqCst) && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(Duration::from_micros(20));
+                evaluated.fetch_add(1, Ordering::Relaxed);
+                i
+            })
+        }));
+        let payload = caught.expect_err("the item's panic must reach the caller");
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        assert_eq!(message, Some("item 0 failed"));
+        // Each other worker finishes at most the block it holds, then
+        // claims nothing further.
+        let bound = ((workers - 1) * claim_block(n, workers)) as u64;
+        let evaluated = evaluated.into_inner();
+        assert!(evaluated <= bound, "{evaluated} items evaluated after the panic (bound {bound})");
     }
 
     #[test]

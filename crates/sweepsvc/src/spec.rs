@@ -2,11 +2,18 @@
 //!
 //! A [`SweepSpec`] is the grid the engine evaluates: a list of registry
 //! machines × a grid of flop-rate multipliers × a list of labelled
-//! workload configurations × a list of predictor backends.
-//! [`SweepSpec::scenarios`] enumerates the cartesian product in a fixed
-//! order (machine-major, then problem, then multiplier, then backend) and
-//! assigns each scenario a stable id; results are always reported in id
-//! order, so a sweep's output is a deterministic function of its spec.
+//! workload configurations × a list of predictor backends. Scenarios are
+//! addressed by a stable id in a fixed order (machine-major, then
+//! problem, then multiplier, then backend); results are always reported
+//! in id order, so a sweep's output is a deterministic function of its
+//! spec.
+//!
+//! [`SweepSpec::index`] scales each `(machine, multiplier)` pair once
+//! into a shared table, and [`ScenarioIndex::scenario`] decodes any id
+//! into its [`Scenario`] against that table, so the engine's workers
+//! decode the ids they claim and no scenario list is ever built;
+//! [`SweepSpec::scenarios`] is the same decode over every id, for the
+//! planner.
 //!
 //! The problem axis holds [`Workload`] trait objects, so one sweep can mix
 //! wavefront, stencil and allreduce configurations; scenario identity and
@@ -161,36 +168,78 @@ impl SweepSpec {
         Ok(())
     }
 
-    /// Expand into concrete scenarios with stable ids:
-    /// `id = ((machine_idx * problems + problem_idx) * multipliers + multiplier_idx) * backends + backend_idx`.
-    pub fn scenarios(&self) -> Vec<Scenario> {
-        let mut out = Vec::with_capacity(self.len());
-        for (mi, machine) in self.machines.iter().enumerate() {
-            for (pi, prob) in self.problems.iter().enumerate() {
-                for (ri, &mult) in self.rate_multipliers.iter().enumerate() {
-                    // The identity multiplier must evaluate the machine
-                    // exactly as given (bit-for-bit), so skip the scaling
-                    // call rather than multiplying by 1.0.
-                    let scaled =
-                        if mult == 1.0 { machine.clone() } else { machine.with_rate_scaled(mult) };
-                    for (bi, &backend) in self.backends.iter().enumerate() {
-                        out.push(Scenario {
-                            id: out.len(),
-                            machine: mi,
-                            problem: pi,
-                            multiplier: ri,
-                            backend_idx: bi,
-                            backend,
-                            rate_multiplier: mult,
-                            label: prob.label.clone(),
-                            machine_spec: scaled.clone(),
-                            workload: Arc::clone(&prob.workload),
-                        });
-                    }
-                }
+    /// The spec's scenarios addressed by id: every `(machine, multiplier)`
+    /// pair scaled once into a shared table. The identity multiplier takes
+    /// the machine verbatim (bit-for-bit) rather than scaling it by 1.0.
+    pub fn index(&self) -> ScenarioIndex<'_> {
+        let mut machines = Vec::with_capacity(self.machines.len() * self.rate_multipliers.len());
+        for machine in &self.machines {
+            for &mult in &self.rate_multipliers {
+                let scaled =
+                    if mult == 1.0 { machine.clone() } else { machine.with_rate_scaled(mult) };
+                machines.push(Arc::new(scaled));
             }
         }
-        out
+        ScenarioIndex { spec: self, machines }
+    }
+
+    /// Every scenario of the spec, in id order ([`ScenarioIndex::scenario`]
+    /// over `0..len()`).
+    pub fn scenarios(&self) -> Vec<Scenario> {
+        let index = self.index();
+        (0..self.len()).map(|id| index.scenario(id)).collect()
+    }
+}
+
+/// A [`SweepSpec`]'s scenarios addressed by id, over one table of scaled
+/// machines (see [`SweepSpec::index`]).
+#[derive(Debug, Clone)]
+pub struct ScenarioIndex<'s> {
+    spec: &'s SweepSpec,
+    /// `machines × rate_multipliers`, machine-major: entry
+    /// `machine_idx * multipliers + multiplier_idx`.
+    machines: Vec<Arc<registry::MachineSpec>>,
+}
+
+impl ScenarioIndex<'_> {
+    /// Number of scenarios ([`SweepSpec::len`]).
+    pub fn len(&self) -> usize {
+        self.spec.len()
+    }
+
+    /// Whether the spec has no scenarios.
+    pub fn is_empty(&self) -> bool {
+        self.spec.is_empty()
+    }
+
+    /// The scenario with stable id
+    /// `id = ((machine_idx * problems + problem_idx) * multipliers + multiplier_idx) * backends + backend_idx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id >= len()` (its machine index is past the table).
+    pub fn scenario(&self, id: usize) -> Scenario {
+        let spec = self.spec;
+        let rates = spec.rate_multipliers.len();
+        let backend_idx = id % spec.backends.len();
+        let rest = id / spec.backends.len();
+        let multiplier = rest % rates;
+        let rest = rest / rates;
+        let problem = rest % spec.problems.len();
+        let machine = rest / spec.problems.len();
+        let prob = &spec.problems[problem];
+        Scenario {
+            id,
+            machine,
+            problem,
+            multiplier,
+            backend_idx,
+            backend: spec.backends[backend_idx],
+            rate_multiplier: spec.rate_multipliers[multiplier],
+            label: prob.label.clone(),
+            machine_spec: Arc::clone(&self.machines[machine * rates + multiplier]),
+            workload: Arc::clone(&prob.workload),
+        }
     }
 }
 
@@ -219,8 +268,9 @@ pub struct Scenario {
     pub rate_multiplier: f64,
     /// Problem label.
     pub label: String,
-    /// The (already rate-scaled) registry machine to evaluate against.
-    pub machine_spec: registry::MachineSpec,
+    /// The (already rate-scaled) registry machine to evaluate against,
+    /// shared by every scenario of its `(machine, multiplier)` pair.
+    pub machine_spec: Arc<registry::MachineSpec>,
     /// The workload under prediction.
     pub workload: Arc<dyn Workload>,
 }
@@ -338,12 +388,33 @@ mod tests {
     fn identity_multiplier_keeps_hardware_verbatim() {
         let s = spec();
         let scenarios = s.scenarios();
-        assert_eq!(scenarios[0].machine_spec, s.machines[0]);
+        assert_eq!(*scenarios[0].machine_spec, s.machines[0]);
         assert_ne!(scenarios[1].hw().rates, s.machines[0].analytic.rates);
         // The sim half scales too.
         let scaled_sim = scenarios[1].machine_spec.sim.as_ref().unwrap();
         let base_sim = s.machines[0].sim.as_ref().unwrap();
         assert!(scaled_sim.cpu.rate_curve[0].mflops > base_sim.cpu.rate_curve[0].mflops);
+    }
+
+    #[test]
+    fn one_scaled_machine_per_machine_and_rate() {
+        let s = spec()
+            .machine(registry::builtin("opteron-gige").unwrap())
+            .backends(vec![Backend::Pace, Backend::LogGp]);
+        let scenarios = s.scenarios();
+        assert_eq!(scenarios.len(), 16);
+        for a in &scenarios {
+            for b in &scenarios {
+                let same_pair = (a.machine, a.multiplier) == (b.machine, b.multiplier);
+                assert_eq!(
+                    Arc::ptr_eq(&a.machine_spec, &b.machine_spec),
+                    same_pair,
+                    "scenarios {} and {}",
+                    a.id,
+                    b.id
+                );
+            }
+        }
     }
 
     #[test]

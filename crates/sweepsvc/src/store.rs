@@ -456,7 +456,7 @@ pub struct StoredOutcome {
 /// Evaluate every scenario of the spec with a chunk store as checkpoint.
 /// With `resume`, ranges whose chunks load and validate are served from
 /// the store; every other range is evaluated through `engine`'s pool (the
-/// body of [`SweepEngine::run`], given only that range's scenarios) and
+/// body of [`SweepEngine::run`], given only that range's ids) and
 /// saved atomically as soon as it completes, so an interrupted campaign
 /// keeps every range it finished. Results are bit-identical to
 /// `engine.run(spec)`.
@@ -468,9 +468,9 @@ pub fn run_stored(
 ) -> Result<StoredOutcome, String> {
     spec.validate()?;
     let digest = spec_digest(spec)?;
-    let scenarios = spec.scenarios();
-    let ranges = partition(scenarios.len(), STORE_RANGES);
-    let mut results = Vec::with_capacity(scenarios.len());
+    let index = spec.index();
+    let ranges = partition(spec.len(), STORE_RANGES);
+    let mut results = Vec::with_capacity(spec.len());
     let mut store_hits = 0;
     for &range in &ranges {
         if let Some(chunk) = resume.then(|| store.load(digest, range)).flatten() {
@@ -478,7 +478,7 @@ pub fn run_stored(
             results.extend(chunk);
             continue;
         }
-        let chunk = engine.run_scenarios(spec, &scenarios[range.start..range.end]).results;
+        let chunk = engine.run_ids(spec, &index, range.start..range.end).results;
         store.save(digest, range, &chunk)?;
         results.extend(chunk);
     }
@@ -575,8 +575,7 @@ mod tests {
         let store = ChunkStore::open(&dir).unwrap();
         let spec = small_spec();
         let digest = spec_digest(&spec).unwrap();
-        let scenarios = spec.scenarios();
-        let ranges = partition(scenarios.len(), STORE_RANGES);
+        let ranges = partition(spec.len(), STORE_RANGES);
         let lookups = |engine: &SweepEngine| engine.cache().hits() + engine.cache().misses();
         // A directory where range 3's chunk goes makes its rename fail:
         // the campaign stops there, after saving ranges 0..3 and before
@@ -595,7 +594,7 @@ mod tests {
             );
         }
         let done = SweepEngine::with_workers(1);
-        done.run_scenarios(&spec, &scenarios[..ranges[stop].end]);
+        done.run_ids(&spec, &spec.index(), 0..ranges[stop].end);
         assert_eq!(lookups(&engine), lookups(&done), "evaluated exactly ranges 0..=stop");
         let full = SweepEngine::with_workers(1);
         full.run(&spec);

@@ -1,12 +1,8 @@
 //! Minimal `crossbeam` facade for offline builds.
 //!
-//! * [`thread::scope`] — scoped threads with the crossbeam calling
-//!   convention (`scope` returns `Result`, spawned closures receive the
-//!   scope), implemented over `std::thread::scope`.
-//! * [`deque`] — an injector-style work queue for work distribution. The
-//!   shim backs it with a mutexed ring buffer; the API (push / steal /
-//!   `Steal` triage) matches crossbeam-deque so callers are source
-//!   compatible with the real crate.
+//! Only [`thread::scope`] is provided: scoped threads with the crossbeam
+//! calling convention (`scope` returns `Result`, spawned closures receive
+//! the scope), implemented over `std::thread::scope`.
 
 pub mod thread {
     //! Scoped threads.
@@ -54,128 +50,6 @@ pub mod thread {
     }
 }
 
-pub mod deque {
-    //! A FIFO injector work queue.
-
-    use std::collections::VecDeque;
-    use std::sync::Mutex;
-
-    /// Outcome of a steal attempt.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Steal<T> {
-        /// The queue was empty.
-        Empty,
-        /// One task was stolen.
-        Success(T),
-        /// The operation lost a race and should be retried.
-        Retry,
-    }
-
-    impl<T> Steal<T> {
-        pub fn success(self) -> Option<T> {
-            match self {
-                Steal::Success(t) => Some(t),
-                _ => None,
-            }
-        }
-
-        pub fn is_empty(&self) -> bool {
-            matches!(self, Steal::Empty)
-        }
-    }
-
-    /// A shared FIFO task injector that any worker may steal from.
-    #[derive(Debug, Default)]
-    pub struct Injector<T> {
-        queue: Mutex<VecDeque<T>>,
-    }
-
-    impl<T> Injector<T> {
-        pub fn new() -> Self {
-            Injector { queue: Mutex::new(VecDeque::new()) }
-        }
-
-        pub fn push(&self, task: T) {
-            self.queue.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push_back(task);
-        }
-
-        pub fn steal(&self) -> Steal<T> {
-            let mut q = match self.queue.try_lock() {
-                Ok(q) => q,
-                Err(std::sync::TryLockError::WouldBlock) => return Steal::Retry,
-                Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
-            };
-            match q.pop_front() {
-                Some(t) => Steal::Success(t),
-                None => Steal::Empty,
-            }
-        }
-
-        pub fn is_empty(&self) -> bool {
-            self.queue.lock().unwrap_or_else(std::sync::PoisonError::into_inner).is_empty()
-        }
-
-        pub fn len(&self) -> usize {
-            self.queue.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
-        }
-    }
-}
-
-pub mod channel {
-    //! Multi-producer multi-consumer channels over `std::sync::mpsc`.
-
-    use std::sync::mpsc;
-    use std::sync::{Arc, Mutex, PoisonError};
-
-    /// Sending half; clonable.
-    pub struct Sender<T>(mpsc::Sender<T>);
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            Sender(self.0.clone())
-        }
-    }
-
-    /// Receiving half; clonable (receives compete for messages).
-    pub struct Receiver<T>(Arc<Mutex<mpsc::Receiver<T>>>);
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            Receiver(Arc::clone(&self.0))
-        }
-    }
-
-    /// Error returned by [`Sender::send`] when all receivers are gone.
-    #[derive(Debug)]
-    pub struct SendError<T>(pub T);
-
-    /// Error returned by [`Receiver::recv`] when all senders are gone.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct RecvError;
-
-    impl<T> Sender<T> {
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            self.0.send(value).map_err(|mpsc::SendError(v)| SendError(v))
-        }
-    }
-
-    impl<T> Receiver<T> {
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.0.lock().unwrap_or_else(PoisonError::into_inner).recv().map_err(|_| RecvError)
-        }
-
-        pub fn try_recv(&self) -> Option<T> {
-            self.0.lock().unwrap_or_else(PoisonError::into_inner).try_recv().ok()
-        }
-    }
-
-    /// Create an unbounded channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        (Sender(tx), Receiver(Arc::new(Mutex::new(rx))))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,42 +81,5 @@ mod tests {
             thread::scope(|s| s.spawn(|inner| inner.spawn(|_| 7).join().unwrap()).join().unwrap())
                 .unwrap();
         assert_eq!(out, 7);
-    }
-
-    #[test]
-    fn injector_fifo_and_drain() {
-        let inj = deque::Injector::new();
-        for i in 0..10 {
-            inj.push(i);
-        }
-        let mut got = Vec::new();
-        loop {
-            match inj.steal() {
-                deque::Steal::Success(v) => got.push(v),
-                deque::Steal::Empty => break,
-                deque::Steal::Retry => continue,
-            }
-        }
-        assert_eq!(got, (0..10).collect::<Vec<_>>());
-        assert!(inj.is_empty());
-    }
-
-    #[test]
-    fn channel_multi_consumer() {
-        let (tx, rx) = channel::unbounded();
-        for i in 0..8 {
-            tx.send(i).unwrap();
-        }
-        drop(tx);
-        let rx2 = rx.clone();
-        let mut got = Vec::new();
-        while let Some(v) = rx.try_recv() {
-            got.push(v);
-            if let Some(v) = rx2.try_recv() {
-                got.push(v);
-            }
-        }
-        got.sort_unstable();
-        assert_eq!(got, (0..8).collect::<Vec<_>>());
     }
 }

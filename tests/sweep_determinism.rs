@@ -1,16 +1,24 @@
 //! Determinism guarantees of the sweep engine and its evaluation cache.
 //!
 //! The engine's contract: a sweep's output is a pure function of its spec —
-//! worker count, work-stealing order, and cache state must never show up in
-//! the results. The cache's contract: a hit can only ever be answered for
-//! bit-identical inputs. Both are exercised here, the latter with property
-//! tests that perturb single hardware fields by one ULP.
+//! worker count, claim order, and cache state must never show up in the
+//! results. The addressing contract: the scenario a worker decodes from an
+//! id is exactly the one the declarative nested expansion puts at that
+//! id. The cache's contract: a hit can only ever be answered for
+//! bit-identical inputs. All three are exercised here, the last with
+//! property tests that perturb single hardware fields by one ULP.
+
+use std::sync::Arc;
 
 use experiments::speculation::{self, Problem};
-use pace_core::{HardwareModel, Sweep3dModel, Sweep3dParams};
+use pace_core::{AllreduceParams, HardwareModel, StencilParams, Sweep3dModel, Sweep3dParams};
 use proptest::prelude::*;
 use registry::quoted as machines;
-use sweepsvc::{CacheKey, CachedEngine, EvalCache, SweepEngine};
+use sweepsvc::{
+    scenario_result, CacheKey, CachedEngine, EvalCache, Scenario, ScenarioResult, SweepEngine,
+    SweepSpec,
+};
+use wavefront_models::Backend;
 
 #[test]
 fn sweep_is_bit_identical_for_any_worker_count() {
@@ -44,6 +52,144 @@ fn scenario_ids_are_stable_and_in_order() {
     let outcome = SweepEngine::with_workers(4).run(&spec);
     let from_results: Vec<usize> = outcome.results.iter().map(|r| r.id).collect();
     assert_eq!(from_results, from_spec);
+}
+
+/// The scenarios of `spec` built the declarative way: one nested loop in
+/// id order, each `(machine, multiplier)` pair scaled where it is met
+/// (the identity multiplier takes the machine verbatim).
+fn oracle_scenarios(spec: &SweepSpec) -> Vec<Scenario> {
+    let mut out = Vec::new();
+    for (mi, machine) in spec.machines.iter().enumerate() {
+        for (pi, prob) in spec.problems.iter().enumerate() {
+            for (ri, &mult) in spec.rate_multipliers.iter().enumerate() {
+                let scaled = Arc::new(if mult == 1.0 {
+                    machine.clone()
+                } else {
+                    machine.with_rate_scaled(mult)
+                });
+                for (bi, &backend) in spec.backends.iter().enumerate() {
+                    out.push(Scenario {
+                        id: out.len(),
+                        machine: mi,
+                        problem: pi,
+                        multiplier: ri,
+                        backend_idx: bi,
+                        backend,
+                        rate_multiplier: mult,
+                        label: prob.label.clone(),
+                        machine_spec: Arc::clone(&scaled),
+                        workload: Arc::clone(&prob.workload),
+                    });
+                }
+            }
+        }
+    }
+    out
+}
+
+/// FNV-1a over every field of every result.
+fn results_digest(results: &[ScenarioResult]) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = OFFSET;
+    let mut mix = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(PRIME);
+        }
+    };
+    for r in results {
+        for v in [r.id, r.machine, r.problem, r.multiplier, r.pes, r.report.iterations] {
+            mix(&(v as u64).to_le_bytes());
+        }
+        mix(r.backend.name().as_bytes());
+        mix(r.label.as_bytes());
+        mix(r.report.application.as_bytes());
+        mix(r.report.hardware.as_bytes());
+        for x in [r.rate_multiplier, r.total_secs, r.report.total_secs] {
+            mix(&x.to_bits().to_le_bytes());
+        }
+        for s in &r.report.subtasks {
+            mix(s.name.as_bytes());
+            mix(&s.secs_per_iteration.to_bits().to_le_bytes());
+            if let Some(p) = &s.pipeline {
+                for x in [p.total_secs, p.fill_secs, p.steady_secs, p.comm_secs, p.unit_secs] {
+                    mix(&x.to_bits().to_le_bytes());
+                }
+                mix(&(p.stages as u64).to_le_bytes());
+            }
+        }
+    }
+    h
+}
+
+/// A procurement-style analytic design space: four machines (one from a
+/// spec file) × six rates including the identity; wavefront problems on
+/// every analytic backend (2,160 scenarios, several claims per worker at
+/// 8 workers), stencil and allreduce problems on PACE, the analytic
+/// backend that models them.
+fn design_space_specs() -> [SweepSpec; 2] {
+    let spec_file = concat!(env!("CARGO_MANIFEST_DIR"), "/assets/machines/candidate-ib.json");
+    let mut machines: Vec<registry::MachineSpec> =
+        ["pentium3-myrinet", "opteron-gige", "altix-numalink"]
+            .iter()
+            .map(|n| registry::builtin(n).unwrap())
+            .collect();
+    machines.push(registry::load_file(spec_file).unwrap());
+    let rates = vec![1.0, 1.05, 1.25, 1.5, 2.0, 3.0];
+    let arrays =
+        [(1, 1), (2, 2), (2, 4), (4, 4), (4, 8), (8, 8), (8, 16), (16, 16), (16, 32), (32, 32)];
+    let mut wavefront = SweepSpec::new().backends(Backend::ANALYTIC.to_vec());
+    let mut others = SweepSpec::new();
+    for m in &machines {
+        wavefront = wavefront.machine(m.clone());
+        others = others.machine(m.clone());
+    }
+    wavefront = wavefront.rate_multipliers(rates.clone());
+    others = others.rate_multipliers(rates);
+    for &(px, py) in &arrays {
+        wavefront = wavefront
+            .problem(format!("50c-{px}x{py}"), Sweep3dParams::weak_scaling_50cubed(px, py))
+            .problem(format!("20m-{px}x{py}"), Sweep3dParams::speculative_20m(px, py))
+            .problem(format!("1b-{px}x{py}"), Sweep3dParams::speculative_1b(px, py));
+        others = others
+            .problem(format!("stencil-{px}x{py}"), StencilParams::weak_scaling(px, py))
+            .problem(format!("allreduce-{}", px * py), AllreduceParams::cg_like(px * py));
+    }
+    [wavefront, others]
+}
+
+/// Pinned digest of the design space's 2,640 results, as the nested
+/// expansion with one scenario list per spec produced them. Index
+/// addressing, chunked claims and the shared scaled-machine table must
+/// leave every bit of every result where that expansion put it.
+const DESIGN_SPACE_DIGEST: u64 = 0x0ca5_64b1_e39b_bf97;
+
+#[test]
+fn index_addressed_design_space_matches_the_nested_oracle() {
+    let specs = design_space_specs();
+    assert!(specs[0].len() >= 2_000, "{} scenarios", specs[0].len());
+    assert!(specs[0].len() > 8 * sweepsvc::CLAIMS_PER_WORKER, "several claims per worker");
+    assert_eq!(specs.iter().map(SweepSpec::len).sum::<usize>(), 2_640);
+    let oracle: Vec<ScenarioResult> = specs
+        .iter()
+        .flat_map(|spec| {
+            let engine = CachedEngine::new();
+            let rows: Vec<_> = oracle_scenarios(spec)
+                .iter()
+                .map(|sc| scenario_result(&engine, spec, sc))
+                .collect();
+            rows
+        })
+        .collect();
+    let digest = results_digest(&oracle);
+    for workers in [1, 2, 3, 8] {
+        let engine = SweepEngine::with_workers(workers);
+        let results: Vec<ScenarioResult> =
+            specs.iter().flat_map(|spec| engine.run(spec).results).collect();
+        assert!(results == oracle, "workers={workers}: results diverged from the nested oracle");
+    }
+    assert_eq!(digest, DESIGN_SPACE_DIGEST, "design space digest drifted (0x{digest:016x})");
 }
 
 #[test]
@@ -109,6 +255,33 @@ fn perturb(hw: &mut HardwareModel, field: usize, rate_idx: usize) -> bool {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Over random axis lengths, every id decodes to exactly the scenario
+    /// the nested expansion puts there.
+    #[test]
+    fn decoded_ids_equal_the_nested_oracle(
+        machines in 1usize..5,
+        problems in 1usize..5,
+        rates in 1usize..6,
+        backends in 1usize..4,
+    ) {
+        let mut spec = SweepSpec::new()
+            .rate_multipliers((0..rates).map(|r| 1.0 + 0.25 * r as f64).collect())
+            .backends(Backend::ANALYTIC[..backends].to_vec());
+        for m in 0..machines {
+            let name = registry::BUILTIN_NAMES[m % registry::BUILTIN_NAMES.len()];
+            spec = spec.machine(registry::builtin(name).unwrap());
+        }
+        for p in 0..problems {
+            spec = spec.problem(format!("p{p}"), Sweep3dParams::weak_scaling_50cubed(p + 1, 2));
+        }
+        let index = spec.index();
+        let oracle = oracle_scenarios(&spec);
+        prop_assert_eq!(index.len(), oracle.len());
+        for sc in &oracle {
+            prop_assert_eq!(&index.scenario(sc.id), sc);
+        }
+    }
 
     /// Identical inputs always hit: a second evaluation of the same
     /// application on the same hardware is answered fully from cache and

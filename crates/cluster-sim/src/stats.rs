@@ -91,11 +91,6 @@ impl RunReport {
         s / self.ranks.len() as f64
     }
 
-    /// Maximum time any rank spent idle in receive waits, in seconds.
-    pub fn max_recv_wait(&self) -> f64 {
-        self.ranks.iter().map(|r| r.recv_wait).max().unwrap_or(SimTime::ZERO).as_secs()
-    }
-
     /// A 64-bit FNV-1a digest over the full report in **integer
     /// picoseconds** — every field of every rank, in rank order. Two
     /// reports are digest-equal iff they are bit-identical, which is what

@@ -13,7 +13,7 @@
 //! the attribution reports are byte-identical, turning the engine
 //! equivalence guarantee into a one-command audit.
 
-use cluster_sim::{Engine, MachineSpec, NoiseModel, RunReport};
+use cluster_sim::{Engine, MachineSpec, NoiseModel, ProgramSet, RunReport};
 use obs::{attr, Attribution, Obs, Recorder};
 use pace_core::{AllreduceParams, StencilParams, Workload, WorkloadKind};
 use sweep3d::trace::{generate_program_set, FlopModel};
@@ -66,31 +66,32 @@ fn fixture_flops() -> FlopModel {
     }
 }
 
-/// Run the fixture scenario through `mode` with tracing into `rec`, then
-/// attribute the trace. The extractor's internal gate guarantees the
-/// returned path length equals the report makespan exactly.
-pub fn run_traced(px: usize, py: usize, mode: Mode, rec: &Recorder) -> (RunReport, Attribution) {
-    let machine = fixture_machine();
-    let set = generate_program_set(&fixture_config(px, py), &fixture_flops());
-    let eng = Engine::from_set(&machine, set).with_recorder(rec, MEASURE_PID);
-    finish_traced(eng, mode, rec)
+/// The fixture's program set on a `px × py` array: the golden-fixture
+/// SWEEP3D scenario, or another template's DES lowering on the fixture
+/// machine (the allreduce solver only sees the total rank count), with
+/// iteration counts cut so the traced run stays tier-1 cheap.
+pub fn fixture_set(workload: WorkloadKind, px: usize, py: usize) -> Result<ProgramSet, String> {
+    let template = |w: &dyn Workload| w.program_set(&fixture_machine());
+    match workload {
+        WorkloadKind::Wavefront => {
+            Ok(generate_program_set(&fixture_config(px, py), &fixture_flops()))
+        }
+        WorkloadKind::Stencil => {
+            template(&StencilParams { iterations: 5, ..StencilParams::weak_scaling(px, py) })
+        }
+        WorkloadKind::Allreduce => {
+            template(&AllreduceParams { iterations: 10, ..AllreduceParams::cg_like(px * py) })
+        }
+    }
 }
 
-/// [`run_traced`] for an arbitrary workload: the template's DES lowering
-/// on the same golden-fixture machine, same tracing, same critical-path
-/// gate.
-pub fn run_traced_workload(
-    workload: &dyn Workload,
-    mode: Mode,
-    rec: &Recorder,
-) -> (RunReport, Attribution) {
+/// Run `set` on the fixture machine through `mode` with tracing into
+/// `rec`, then attribute the trace. The extractor's internal gate
+/// guarantees the returned path length equals the report makespan
+/// exactly.
+pub fn run_traced(set: ProgramSet, mode: Mode, rec: &Recorder) -> (RunReport, Attribution) {
     let machine = fixture_machine();
-    let set = workload.program_set(&machine).expect("workload lowers on the fixture machine");
     let eng = Engine::from_set(&machine, set).with_recorder(rec, MEASURE_PID);
-    finish_traced(eng, mode, rec)
-}
-
-fn finish_traced(eng: Engine<'_>, mode: Mode, rec: &Recorder) -> (RunReport, Attribution) {
     let report = match mode {
         Mode::Sequential => eng.run(),
         Mode::Parallel(threads) => eng.run_parallel(threads),
@@ -126,8 +127,8 @@ pub fn run(args: &[String], obs: &Obs, json: bool) {
             })
         };
         match args[i].as_str() {
-            "--px" => px = crate::int_flag("--px", value(&mut i)),
-            "--py" => py = crate::int_flag("--py", value(&mut i)),
+            "--px" => px = crate::positive_flag("--px", value(&mut i)),
+            "--py" => py = crate::positive_flag("--py", value(&mut i)),
             "--workload" => {
                 workload = WorkloadKind::parse(value(&mut i)).unwrap_or_else(|e| {
                     eprintln!("{e}");
@@ -154,32 +155,16 @@ pub fn run(args: &[String], obs: &Obs, json: bool) {
         }
     };
 
-    // Non-wavefront fixtures: the template on the same px×py array (the
-    // allreduce solver only sees the total rank count), iteration counts
-    // cut so the traced run stays tier-1 cheap.
-    let fixture: Option<Box<dyn Workload>> = match workload {
-        WorkloadKind::Wavefront => None,
-        WorkloadKind::Stencil => {
-            let mut p = StencilParams::weak_scaling(px, py);
-            p.iterations = 5;
-            Some(Box::new(p))
-        }
-        WorkloadKind::Allreduce => {
-            let mut p = AllreduceParams::cg_like(px * py);
-            p.iterations = 10;
-            Some(Box::new(p))
-        }
-    };
-    let trace = |mode: Mode, rec: &Recorder| match &fixture {
-        None => run_traced(px, py, mode, rec),
-        Some(w) => run_traced_workload(&**w, mode, rec),
-    };
+    let set = fixture_set(workload, px, py).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
 
     // Record into the shared bundle so --trace exports the same run.
     let rec = &*obs.recorder;
     let label = format!("attribute {} {px}x{py} ({})", workload.kind(), mode.name());
     rec.set_process_name(MEASURE_PID, label.clone());
-    let (_report, attribution) = trace(mode, rec);
+    let (_report, attribution) = run_traced(set.clone(), mode, rec);
 
     if let Some(path) = &speedscope {
         std::fs::write(path, obs::speedscope::export(rec, &label)).expect("write speedscope file");
@@ -192,7 +177,7 @@ pub fn run(args: &[String], obs: &Obs, json: bool) {
             .iter()
             .map(|&m| {
                 let fresh = Recorder::enabled();
-                let (_, a) = trace(m, &fresh);
+                let (_, a) = run_traced(set.clone(), m, &fresh);
                 (m, a.to_json())
             })
             .collect();
@@ -238,34 +223,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fixture_attribution_gates_and_modes_agree() {
-        let rec_seq = Recorder::enabled();
-        let (report, a_seq) = run_traced(2, 3, Mode::Sequential, &rec_seq);
-        let makespan_ps = report.ranks.iter().map(|r| r.finish.picos()).max().unwrap();
-        assert_eq!(a_seq.makespan_ps, makespan_ps);
-        assert_eq!(a_seq.ranks.len(), 6);
-
-        let rec_par = Recorder::enabled();
-        let (_, a_par) = run_traced(2, 3, Mode::Parallel(2), &rec_par);
-        assert_eq!(a_seq.to_json(), a_par.to_json());
-    }
-
-    #[test]
-    fn workload_fixtures_gate_and_agree_across_modes() {
-        let mut stencil = StencilParams::weak_scaling(2, 2);
-        stencil.iterations = 3;
-        let mut cg = AllreduceParams::cg_like(6);
-        cg.iterations = 5;
-        let workloads: [&dyn Workload; 2] = [&stencil, &cg];
-        for w in workloads {
+    fn fixtures_gate_and_agree_across_modes() {
+        for (workload, px, py) in [
+            (WorkloadKind::Wavefront, 2, 3),
+            (WorkloadKind::Stencil, 2, 2),
+            (WorkloadKind::Allreduce, 2, 3),
+        ] {
+            let set = fixture_set(workload, px, py).unwrap();
             let rec_seq = Recorder::enabled();
-            let (report, a_seq) = run_traced_workload(w, Mode::Sequential, &rec_seq);
-            assert_eq!(a_seq.ranks.len(), w.pes());
+            let (report, a_seq) = run_traced(set.clone(), Mode::Sequential, &rec_seq);
+            assert_eq!(a_seq.ranks.len(), px * py);
             let makespan_ps = report.ranks.iter().map(|r| r.finish.picos()).max().unwrap();
             assert_eq!(a_seq.makespan_ps, makespan_ps);
             let rec_par = Recorder::enabled();
-            let (_, a_par) = run_traced_workload(w, Mode::Parallel(2), &rec_par);
-            assert_eq!(a_seq.to_json(), a_par.to_json(), "{} parallel diverged", w.kind());
+            let (_, a_par) = run_traced(set, Mode::Parallel(2), &rec_par);
+            assert_eq!(a_seq.to_json(), a_par.to_json(), "{workload:?} parallel diverged");
         }
     }
 }

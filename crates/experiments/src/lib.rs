@@ -46,6 +46,18 @@ pub fn int_flag<T: std::str::FromStr>(flag: &str, value: &str) -> T {
     })
 }
 
+/// Parse the operand of a count flag (`--ranks`, `--repeat`, …): a
+/// positive integer, or exit 2 with a one-line usage error naming the flag.
+pub fn positive_flag(flag: &str, value: &str) -> usize {
+    match int_flag(flag, value) {
+        0 => {
+            eprintln!("{flag} takes a positive integer, got {value:?}");
+            std::process::exit(2)
+        }
+        n => n,
+    }
+}
+
 /// Paper-format error: `(measured − predicted) / measured × 100`.
 /// Negative ⇒ over-prediction (prediction larger than measurement).
 pub fn error_pct(measured: f64, predicted: f64) -> f64 {

@@ -12,16 +12,16 @@
 //! experiments asci-goals                §6 ASCI-target extrapolation
 //! experiments rendezvous                eager-vs-rendezvous ablation
 //! experiments strong-scaling            strong-scaling extension study
-//! experiments sweep [--json]            parallel sweep engine: parity, speedup, cache counters
-//! experiments sweep --machine <name|path> [--backend <pace|loggp|hoisie|dessim>[,...]]
-//!                   [--workload <wavefront|stencil|allreduce>] [--plan] [--json]
+//! experiments sweep [--machine <name|path>] [--backend <pace|loggp|hoisie|dessim>[,...]]
+//!                   [--workload <wavefront|stencil|allreduce|path>] [--plan] [--json]
 //!                                        registry sweep: resolve a machine by registry name or
-//!                                        spec-file path and evaluate it across backends
-//!                                        (--machine-file <path> forces file resolution);
+//!                                        spec-file path (default opteron-myrinet) and evaluate
+//!                                        a workload ladder (default wavefront) across backends
+//!                                        (default: every backend that models it on the machine;
+//!                                        --machine-file <path> forces file resolution);
 //!                                        --workload swaps the problem axis for another template
-//!                                        of the workload library (default backends narrow to
-//!                                        the ones that model it; an explicit unsupported pair
-//!                                        is a structured error);
+//!                                        of the workload library or a spec file (an explicit
+//!                                        unsupported backend pair is a structured error);
 //!                                        --plan routes the grid through the campaign execution
 //!                                        planner (grid dedup + snapshot-prefix sharing on a rate
 //!                                        what-if axis), digest-checked against the naive path
@@ -56,13 +56,14 @@
 //! Global flags (any subcommand):
 //!   --trace <path>     write a Chrome trace_event JSON of the run (Perfetto-loadable)
 //!   --metrics <path>   write the metrics registry as JSON
-//!   --json             machine-readable output where supported (sweep)
+//!   --json             machine-readable output where supported (sweep, speculation,
+//!                      attribute)
 //! ```
 
 use experiments::speculation::Problem;
 use experiments::{
-    ablation, asci_goals, attribute, blocking, hmcl, int_flag, observability, related, rendezvous,
-    report, speculation, strong_scaling, validation, wavefront_fig,
+    ablation, asci_goals, attribute, blocking, hmcl, observability, positive_flag, related,
+    rendezvous, report, speculation, strong_scaling, validation, wavefront_fig,
 };
 use obs::Obs;
 
@@ -122,7 +123,7 @@ fn run_validation_table(which: u8, obs: &Obs) {
         _ => unreachable!(),
     };
     let pid_base = (which as u32 - 1) * validation::TABLE_PID_STRIDE;
-    let table = validation::run_table_observed_at(label, rows, &machine, obs, pid_base);
+    let table = validation::run_table_observed(label, rows, &machine, obs, pid_base);
     println!("{}", report::validation_markdown(&table));
 }
 
@@ -271,37 +272,71 @@ impl WorkloadArg {
     }
 }
 
-/// `--store DIR [--resume]`: checkpoint the grid in a chunk store.
-struct StoreArgs {
-    dir: String,
-    resume: bool,
-}
-
-/// `experiments sweep --machine <name|path>`: resolve a machine through
-/// the registry and evaluate the small Fig. 8 ladder across predictor
-/// backends via the sweep engine's backend axis. With `--plan` the grid
-/// gains a flop-rate what-if axis and a mid-run DES fork, and runs
-/// through the campaign execution planner; with `--store` completed id
-/// ranges persist in a chunk store and `--resume` serves them on a rerun.
-/// Planned and stored runs are digest-checked against a serial in-process
-/// reference (any divergence is a hard failure).
-fn run_registry_sweep(
-    machine_arg: &str,
-    backend_arg: Option<&str>,
-    workload: WorkloadArg,
-    plan: bool,
-    store: Option<StoreArgs>,
-    obs: &Obs,
-    json: bool,
-) {
+/// `experiments sweep [flags]`: resolve a machine through the registry
+/// (default `opteron-myrinet`) and evaluate a workload ladder (default the
+/// small Fig. 8 ladder) across predictor backends via the sweep engine's
+/// backend axis. With `--plan` the grid gains a flop-rate what-if axis and
+/// a mid-run DES fork, and runs through the campaign execution planner;
+/// with `--store` completed id ranges persist in a chunk store and
+/// `--resume` serves them on a rerun. Planned and stored runs are
+/// digest-checked against a serial in-process reference (any divergence is
+/// a hard failure).
+fn run_sweep(args: &[String], obs: &Obs, json: bool) {
     use pace_core::{AllreduceParams, StencilParams, Sweep3dParams, WorkloadKind};
     use wavefront_models::Backend;
     let exit = |e: String| -> ! {
         eprintln!("{e}");
         std::process::exit(2)
     };
+    let mut machine_arg: Option<String> = None;
+    let mut backend_arg: Option<String> = None;
+    let mut workload_arg: Option<String> = None;
+    let mut plan = false;
+    let mut store_arg: Option<String> = None;
+    let mut resume = false;
+    let mut i = 0;
+    while i < args.len() {
+        let value = |i: &mut usize| -> String {
+            *i += 1;
+            args.get(*i).cloned().unwrap_or_else(|| {
+                eprintln!("{} requires a value", args[*i - 1]);
+                std::process::exit(2);
+            })
+        };
+        match args[i].as_str() {
+            "--machine" | "--machine-file" => machine_arg = Some(value(&mut i)),
+            "--backend" => backend_arg = Some(value(&mut i)),
+            "--workload" => workload_arg = Some(value(&mut i)),
+            "--plan" => plan = true,
+            "--store" => store_arg = Some(value(&mut i)),
+            "--resume" => resume = true,
+            other => {
+                eprintln!("unknown sweep flag {other:?}");
+                std::process::exit(2);
+            }
+        }
+        i += 1;
+    }
+    if plan && store_arg.is_some() {
+        exit("--plan and --store are separate execution paths; pick one".into());
+    }
+    if resume && store_arg.is_none() {
+        exit("--resume needs a chunk store (--store DIR)".into());
+    }
+    // A bare identifier selects a template's default ladder; anything
+    // else is tried as a workload spec-file path.
+    let workload = match workload_arg.as_deref() {
+        Some(s) => match WorkloadKind::parse(s) {
+            Ok(kind) => WorkloadArg::Ladder(kind),
+            Err(_) => WorkloadArg::File(Box::new(
+                registry::resolve_workload(s).unwrap_or_else(|e| exit(e)),
+            )),
+        },
+        None => WorkloadArg::Ladder(WorkloadKind::Wavefront),
+    };
+    let machine_arg = machine_arg.as_deref().unwrap_or("opteron-myrinet");
     let machine = registry::resolve(machine_arg).unwrap_or_else(|e| exit(e));
-    let backends: Vec<Backend> = match backend_arg {
+    let backends: Vec<Backend> = match backend_arg.as_deref() {
         Some(list) => {
             list.split(',').map(|s| Backend::parse(s.trim()).unwrap_or_else(|e| exit(e))).collect()
         }
@@ -349,10 +384,9 @@ fn run_registry_sweep(
     let (results, plan_stats, store_stats) = if plan {
         let out = engine.run_planned(&spec);
         (out.results, out.stats.plan, None)
-    } else if let Some(st) = store {
-        let chunks = sweepsvc::ChunkStore::open(&st.dir).unwrap_or_else(|e| exit(e));
-        let out =
-            sweepsvc::run_stored(&engine, &spec, &chunks, st.resume).unwrap_or_else(|e| exit(e));
+    } else if let Some(dir) = store_arg {
+        let chunks = sweepsvc::ChunkStore::open(&dir).unwrap_or_else(|e| exit(e));
+        let out = sweepsvc::run_stored(&engine, &spec, &chunks, resume).unwrap_or_else(|e| exit(e));
         (out.results, None, Some(out.stats))
     } else {
         (engine.run(&spec).results, None, None)
@@ -425,144 +459,19 @@ fn run_registry_sweep(
     println!();
 }
 
-fn run_sweep(args: &[String], obs: &Obs, json: bool) {
-    use std::time::Instant;
-    // Registry mode: any of --machine/--machine-file/--backend/--workload/
-    // --plan selects it.
-    let mut machine_arg: Option<String> = None;
-    let mut backend_arg: Option<String> = None;
-    let mut workload_arg: Option<String> = None;
-    let mut plan = false;
-    let mut store_arg: Option<String> = None;
-    let mut resume = false;
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: &mut usize| -> String {
-            *i += 1;
-            args.get(*i).cloned().unwrap_or_else(|| {
-                eprintln!("{} requires a value", args[*i - 1]);
-                std::process::exit(2);
-            })
-        };
-        match args[i].as_str() {
-            "--machine" | "--machine-file" => machine_arg = Some(value(&mut i)),
-            "--backend" => backend_arg = Some(value(&mut i)),
-            "--workload" => workload_arg = Some(value(&mut i)),
-            "--plan" => plan = true,
-            "--store" => store_arg = Some(value(&mut i)),
-            "--resume" => resume = true,
-            other => {
-                eprintln!("unknown sweep flag {other:?}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    if plan && store_arg.is_some() {
-        eprintln!("--plan and --store are separate execution paths; pick one");
-        std::process::exit(2);
-    }
-    if resume && store_arg.is_none() {
-        eprintln!("--resume needs a chunk store (--store DIR)");
-        std::process::exit(2);
-    }
-    let store = store_arg.map(|dir| StoreArgs { dir, resume });
-    if machine_arg.is_some()
-        || backend_arg.is_some()
-        || workload_arg.is_some()
-        || plan
-        || store.is_some()
-    {
-        let machine = machine_arg.unwrap_or_else(|| "opteron-myrinet".into());
-        // A bare identifier selects a template's default ladder; anything
-        // else is tried as a workload spec-file path.
-        let workload = match workload_arg.as_deref() {
-            Some(s) => match pace_core::WorkloadKind::parse(s) {
-                Ok(kind) => WorkloadArg::Ladder(kind),
-                Err(_) => {
-                    WorkloadArg::File(Box::new(registry::resolve_workload(s).unwrap_or_else(|e| {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    })))
-                }
-            },
-            None => WorkloadArg::Ladder(pace_core::WorkloadKind::Wavefront),
-        };
-        return run_registry_sweep(
-            &machine,
-            backend_arg.as_deref(),
-            workload,
-            plan,
-            store,
-            obs,
-            json,
-        );
-    }
-    let hw = registry::quoted::opteron_myrinet_hypothetical();
-    let workers = sweepsvc::available_workers();
-    if !json {
-        println!("### Parallel sweep engine: Figs. 8-9 speculation on {workers} worker(s)\n");
-    }
-    let mut json_figs = Vec::new();
-    for problem in [Problem::TwentyMillion, Problem::OneBillion] {
-        let t0 = Instant::now();
-        let serial = speculation::run_on_serial(problem, &hw);
-        let serial_wall = t0.elapsed();
-        let (parallel, stats) = speculation::run_on_observed(problem, &hw, workers, obs);
-        let parity = parallel == serial;
-        if json {
-            json_figs.push(format!(
-                concat!(
-                    "    {{\"figure\": \"{}\", \"scenarios\": {}, \"parity\": {}, ",
-                    "\"workers\": {}, \"serial_wall_us\": {}, \"sweep_wall_us\": {}, ",
-                    "\"cache\": {{\"hits\": {}, \"misses\": {}, \"entries\": {}}}}}"
-                ),
-                problem.figure(),
-                stats.scenarios,
-                parity,
-                stats.workers.len(),
-                serial_wall.as_micros(),
-                stats.wall.as_micros(),
-                stats.cache.hits,
-                stats.cache.misses,
-                stats.cache.entries,
-            ));
-            continue;
-        }
-        println!("{} ({} scenarios):", problem.figure(), stats.scenarios);
-        println!(
-            "  parallel == serial : {}",
-            if parity { "yes (bit-identical)" } else { "NO - MISMATCH" }
-        );
-        println!("  serial wall        : {:.3} ms", serial_wall.as_secs_f64() * 1e3);
-        println!(
-            "  sweep wall         : {:.3} ms ({:.2}x)",
-            stats.wall.as_secs_f64() * 1e3,
-            serial_wall.as_secs_f64() / stats.wall.as_secs_f64().max(1e-9)
-        );
-        print!("{}", stats.summary());
-        println!();
-    }
-    if json {
-        println!("{{\n  \"sweeps\": [\n{}\n  ],", json_figs.join(",\n"));
-        // The engine published the same counters to the registry; emit the
-        // deterministic subset inline for scripted consumers.
-        let snapshot = obs.metrics.snapshot().deterministic();
-        print!("  \"metrics\": {}}}", snapshot.to_json().replace('\n', "\n  "));
-        println!();
-    }
-}
-
 /// `experiments speculation`: execute a speculative scenario through the
 /// discrete-event engine itself (not the analytic model) — the full
-/// SWEEP3D trace at up to 8000 ranks, replicated under noise seeds over
-/// the worker pool.
+/// SWEEP3D trace at up to 8000 ranks, or another template's DES lowering
+/// on the same hypothetical machine, replicated under noise seeds over the
+/// worker pool.
 fn run_speculation(args: &[String], json: bool) {
-    let mut problem = Problem::TwentyMillion;
-    let mut workload = pace_core::WorkloadKind::Wavefront;
-    let mut ranks = 8000usize;
-    let mut repeat = 3usize;
-    let mut iterations = 2usize;
+    let mut spec = speculation::CampaignSpec {
+        workload: pace_core::WorkloadKind::Wavefront,
+        problem: Problem::TwentyMillion,
+        ranks: 8000,
+        iterations: 2,
+        repeat: 3,
+    };
     let mut threads: Option<usize> = None;
     let mut i = 0;
     while i < args.len() {
@@ -575,7 +484,7 @@ fn run_speculation(args: &[String], json: bool) {
         };
         match args[i].as_str() {
             "--problem" => {
-                problem = match value(&mut i) {
+                spec.problem = match value(&mut i) {
                     "20m" => Problem::TwentyMillion,
                     "1b" => Problem::OneBillion,
                     other => {
@@ -585,21 +494,15 @@ fn run_speculation(args: &[String], json: bool) {
                 }
             }
             "--workload" => {
-                workload = pace_core::WorkloadKind::parse(value(&mut i)).unwrap_or_else(|e| {
+                spec.workload = pace_core::WorkloadKind::parse(value(&mut i)).unwrap_or_else(|e| {
                     eprintln!("{e}");
                     std::process::exit(2);
                 })
             }
-            "--ranks" => ranks = int_flag("--ranks", value(&mut i)),
-            "--repeat" => repeat = int_flag("--repeat", value(&mut i)),
-            "--iterations" => iterations = int_flag("--iterations", value(&mut i)),
-            "--threads" => match int_flag("--threads", value(&mut i)) {
-                0 => {
-                    eprintln!("--threads takes a positive integer, got \"0\"");
-                    std::process::exit(2);
-                }
-                t => threads = Some(t),
-            },
+            "--ranks" => spec.ranks = positive_flag("--ranks", value(&mut i)),
+            "--repeat" => spec.repeat = positive_flag("--repeat", value(&mut i)),
+            "--iterations" => spec.iterations = positive_flag("--iterations", value(&mut i)),
+            "--threads" => threads = Some(positive_flag("--threads", value(&mut i))),
             other => {
                 eprintln!("unknown speculation flag {other:?}");
                 std::process::exit(2);
@@ -607,162 +510,12 @@ fn run_speculation(args: &[String], json: bool) {
         }
         i += 1;
     }
-    let workers = sweepsvc::available_workers();
-    if workload != pace_core::WorkloadKind::Wavefront {
-        return run_workload_speculation(
-            workload, ranks, repeat, iterations, threads, workers, json,
-        );
-    }
-    let c = speculation::simulate_threaded(problem, ranks, repeat, iterations, workers, threads);
-    let s = &c.summary;
-    let sim_threads = threads
-        .or_else(sweepsvc::sim_threads_override)
-        .unwrap_or_else(|| sweepsvc::nested_plan(workers, repeat).1);
-    if json {
-        println!("{{");
-        println!("  \"figure\": \"{}\",", c.problem.figure());
-        println!("  \"array\": [{}, {}],", c.px, c.py);
-        println!("  \"ranks\": {},", c.px * c.py);
-        println!("  \"iterations\": {},", c.iterations);
-        println!("  \"repeat\": {},", s.replications.len());
-        println!("  \"workers\": {workers},");
-        println!("  \"sim_threads\": {sim_threads},");
-        println!("  \"streams\": {},", c.streams);
-        println!("  \"stored_ops\": {},", c.stored_ops);
-        println!("  \"ops_per_run\": {},", c.ops_per_run);
-        println!("  \"total_events\": {},", c.total_events());
-        println!("  \"wall_ms\": {:.3},", c.wall.as_secs_f64() * 1e3);
-        println!("  \"events_per_sec\": {:.0},", c.events_per_sec());
-        println!(
-            "  \"makespan_secs\": {{\"mean\": {:.6}, \"min\": {:.6}, \"max\": {:.6}, \"std\": {:.6}}},",
-            s.mean_makespan(),
-            s.min_makespan(),
-            s.max_makespan(),
-            s.std_dev_makespan()
-        );
-        let per_seed: Vec<String> = s
-            .replications
-            .iter()
-            .map(|r| format!("{{\"seed\": {}, \"makespan_secs\": {:.6}}}", r.seed, r.makespan_secs))
-            .collect();
-        println!("  \"replications\": [{}]", per_seed.join(", "));
-        println!("}}");
-        return;
-    }
-    println!(
-        "### DES speculation: {} on a {}x{} array ({} ranks, {} iterations)\n",
-        c.problem.figure(),
-        c.px,
-        c.py,
-        c.px * c.py,
-        c.iterations
-    );
-    println!(
-        "program encoding   : {} roles / {} ranks, {} ops stored for {} executed per run",
-        c.streams,
-        c.px * c.py,
-        c.stored_ops,
-        c.ops_per_run
-    );
-    println!(
-        "replications       : {} seeds over {workers} worker(s), {sim_threads} engine thread(s)/run",
-        s.replications.len()
-    );
-    println!(
-        "makespan           : mean {:.4} s  (min {:.4}, max {:.4}, std {:.5})",
-        s.mean_makespan(),
-        s.min_makespan(),
-        s.max_makespan(),
-        s.std_dev_makespan()
-    );
-    println!("campaign wall      : {:.2} ms", c.wall.as_secs_f64() * 1e3);
-    println!("throughput         : {:.2} M simulated events/s\n", c.events_per_sec() / 1e6);
-}
-
-/// The non-wavefront arm of `experiments speculation --workload …`: lower
-/// the template through its `Workload::program_set` on the §6 speculation
-/// machine and replicate it under noise seeds, exactly like the SWEEP3D
-/// campaigns.
-fn run_workload_speculation(
-    workload: pace_core::WorkloadKind,
-    ranks: usize,
-    repeat: usize,
-    iterations: usize,
-    threads: Option<usize>,
-    workers: usize,
-    json: bool,
-) {
-    use pace_core::{AllreduceParams, StencilParams, Workload, WorkloadKind};
-    let params: Box<dyn Workload> = match workload {
-        WorkloadKind::Stencil => {
-            let (px, py) = speculation::array_for_ranks(ranks);
-            let mut p = StencilParams::weak_scaling(px, py);
-            p.iterations = iterations;
-            Box::new(p)
-        }
-        WorkloadKind::Allreduce => {
-            let mut p = AllreduceParams::cg_like(ranks);
-            p.iterations = iterations;
-            Box::new(p)
-        }
-        WorkloadKind::Wavefront => unreachable!("wavefront takes the SWEEP3D path"),
-    };
-    let c = speculation::simulate_workload(&*params, repeat, workers, threads);
-    let s = &c.summary;
-    let sim_threads = threads
-        .or_else(sweepsvc::sim_threads_override)
-        .unwrap_or_else(|| sweepsvc::nested_plan(workers, repeat).1);
-    if json {
-        println!("{{");
-        println!("  \"workload\": \"{}\",", c.kind);
-        println!("  \"ranks\": {},", c.pes);
-        println!("  \"iterations\": {},", c.iterations);
-        println!("  \"repeat\": {},", s.replications.len());
-        println!("  \"workers\": {workers},");
-        println!("  \"sim_threads\": {sim_threads},");
-        println!("  \"streams\": {},", c.streams);
-        println!("  \"stored_ops\": {},", c.stored_ops);
-        println!("  \"ops_per_run\": {},", c.ops_per_run);
-        println!("  \"total_events\": {},", c.total_events());
-        println!("  \"wall_ms\": {:.3},", c.wall.as_secs_f64() * 1e3);
-        println!("  \"events_per_sec\": {:.0},", c.events_per_sec());
-        println!(
-            "  \"makespan_secs\": {{\"mean\": {:.6}, \"min\": {:.6}, \"max\": {:.6}, \"std\": {:.6}}},",
-            s.mean_makespan(),
-            s.min_makespan(),
-            s.max_makespan(),
-            s.std_dev_makespan()
-        );
-        let per_seed: Vec<String> = s
-            .replications
-            .iter()
-            .map(|r| format!("{{\"seed\": {}, \"makespan_secs\": {:.6}}}", r.seed, r.makespan_secs))
-            .collect();
-        println!("  \"replications\": [{}]", per_seed.join(", "));
-        println!("}}");
-        return;
-    }
-    println!(
-        "### DES speculation: {} workload on {} ranks ({} iterations)\n",
-        c.kind, c.pes, c.iterations
-    );
-    println!(
-        "program encoding   : {} roles / {} ranks, {} ops stored for {} executed per run",
-        c.streams, c.pes, c.stored_ops, c.ops_per_run
-    );
-    println!(
-        "replications       : {} seeds over {workers} worker(s), {sim_threads} engine thread(s)/run",
-        s.replications.len()
-    );
-    println!(
-        "makespan           : mean {:.4} s  (min {:.4}, max {:.4}, std {:.5})",
-        s.mean_makespan(),
-        s.min_makespan(),
-        s.max_makespan(),
-        s.std_dev_makespan()
-    );
-    println!("campaign wall      : {:.2} ms", c.wall.as_secs_f64() * 1e3);
-    println!("throughput         : {:.2} M simulated events/s\n", c.events_per_sec() / 1e6);
+    let campaign = speculation::simulate(&spec, sweepsvc::available_workers(), threads)
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        });
+    print!("{}", campaign.render(json));
 }
 
 fn run_timeline() {
@@ -786,10 +539,14 @@ fn run_timeline() {
 
 fn run_csv(dir: &str) {
     use std::fs;
-    fs::create_dir_all(dir).expect("create output dir");
+    let fail = |path: &str, e: std::io::Error| -> ! {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1)
+    };
+    fs::create_dir_all(dir).unwrap_or_else(|e| fail(dir, e));
     let write = |name: &str, data: String| {
         let path = format!("{dir}/{name}");
-        fs::write(&path, data).expect("write csv");
+        fs::write(&path, data).unwrap_or_else(|e| fail(&path, e));
         println!("wrote {path}");
     };
     write("table1.csv", report::validation_csv(&validation::table1()));
@@ -809,7 +566,7 @@ fn run_obs(obs: &Obs) {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments [--trace <path>] [--metrics <path>] [--json] <table1|table2|table3|fig1|fig8|fig9|hmcl [--machine <name|path>]|concurrence|ablation|blocking|asci-goals|rendezvous|strong-scaling|sweep [--machine <name|path>] [--backend <list>] [--workload <wavefront|stencil|allreduce>]|speculation [--workload <kind>] [--threads N]|timeline|obs|attribute [--workload <kind>] [--mode seq|par] [--speedscope <path>] [--check-modes]|robustness|host-validate|csv [dir]|validate|all>"
+        "usage: experiments [--trace <path>] [--metrics <path>] [--json] <table1|table2|table3|fig1|fig8|fig9|hmcl [--machine <name|path>]|concurrence|ablation|blocking|asci-goals|rendezvous|strong-scaling|sweep [--machine <name|path>] [--backend <list>] [--workload <kind|path>] [--plan] [--store DIR [--resume]]|speculation [--problem 20m|1b] [--workload <kind>] [--ranks N] [--repeat K] [--iterations I] [--threads N]|timeline|obs|attribute [--px N] [--py N] [--workload <kind>] [--mode seq|par] [--speedscope <path>] [--check-modes]|robustness|host-validate|csv [dir]|validate|all>"
     );
     std::process::exit(2)
 }

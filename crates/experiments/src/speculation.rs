@@ -9,8 +9,11 @@
 
 use std::time::{Duration, Instant};
 
-use cluster_sim::MachineSpec;
-use pace_core::{HardwareModel, Sweep3dModel, Sweep3dParams, Workload};
+use cluster_sim::{MachineSpec, ProgramSet};
+use pace_core::{
+    AllreduceParams, HardwareModel, StencilParams, Sweep3dModel, Sweep3dParams, Workload,
+    WorkloadKind,
+};
 use registry::quoted as machines;
 use sweep3d::trace::{generate_program_set, FlopModel};
 use sweep3d::ProblemConfig;
@@ -104,15 +107,11 @@ pub fn processor_ladder() -> Vec<(usize, usize)> {
     ]
 }
 
-/// Run one speculation figure on the hypothetical machine.
+/// Run one speculation figure on the hypothetical machine, fanned out over
+/// all available worker threads.
 pub fn run(problem: Problem) -> SpeculationCurve {
-    run_on(problem, &machines::opteron_myrinet_hypothetical())
-}
-
-/// Run one speculation figure on an arbitrary hardware model, fanned out
-/// over all available worker threads.
-pub fn run_on(problem: Problem, hw: &HardwareModel) -> SpeculationCurve {
-    run_on_with(problem, hw, sweepsvc::available_workers()).0
+    let hw = machines::opteron_myrinet_hypothetical();
+    run_on_with(problem, &hw, sweepsvc::available_workers()).0
 }
 
 /// The declarative sweep behind one speculation figure: the processor
@@ -134,19 +133,7 @@ pub fn run_on_with(
     hw: &HardwareModel,
     workers: usize,
 ) -> (SpeculationCurve, SweepStats) {
-    run_on_observed(problem, hw, workers, &obs::Obs::disabled())
-}
-
-/// [`run_on_with`] with telemetry: the sweep engine records per-scenario
-/// wall spans and publishes pool/cache counters into `obs`.
-pub fn run_on_observed(
-    problem: Problem,
-    hw: &HardwareModel,
-    workers: usize,
-    obs: &obs::Obs,
-) -> (SpeculationCurve, SweepStats) {
-    let outcome =
-        SweepEngine::with_workers(workers).with_obs(obs.clone()).run(&sweep_spec(problem, hw));
+    let outcome = SweepEngine::with_workers(workers).run(&sweep_spec(problem, hw));
     let points = processor_ladder()
         .into_iter()
         .enumerate()
@@ -165,44 +152,6 @@ pub fn run_on_observed(
         })
         .collect();
     (SpeculationCurve { problem, machine: hw.name.clone(), points }, outcome.stats)
-}
-
-/// One simulated (discrete-event) speculation campaign: the full SWEEP3D
-/// trace of a figure's scenario executed rank-for-rank by `cluster-sim`,
-/// replicated under noise seeds over the sweep worker pool.
-#[derive(Debug, Clone)]
-pub struct DesCampaign {
-    /// Which problem was simulated.
-    pub problem: Problem,
-    /// Array extents used.
-    pub px: usize,
-    /// Processors in `j`.
-    pub py: usize,
-    /// Source-iteration count simulated.
-    pub iterations: usize,
-    /// Distinct interned op streams (roles) in the program set.
-    pub streams: usize,
-    /// Ops stored once (sum over streams).
-    pub stored_ops: usize,
-    /// Ops executed per run (sum over ranks).
-    pub ops_per_run: usize,
-    /// The per-seed replication results, in seed order.
-    pub summary: ReplicationSummary,
-    /// Wall-clock time of the whole campaign (setup + runs).
-    pub wall: Duration,
-}
-
-impl DesCampaign {
-    /// Total simulated events (executed ops) across all replications.
-    pub fn total_events(&self) -> u64 {
-        self.ops_per_run as u64 * self.summary.replications.len() as u64
-    }
-
-    /// Simulated events per wall-clock second — the throughput number the
-    /// engine optimisations are measured by.
-    pub fn events_per_sec(&self) -> f64 {
-        self.total_events() as f64 / self.wall.as_secs_f64().max(1e-12)
-    }
 }
 
 /// The hypothetical machine of §6 as a DES `MachineSpec`: Opteron rate
@@ -225,79 +174,107 @@ pub fn array_for_ranks(ranks: usize) -> (usize, usize) {
         .expect("ladder is non-empty")
 }
 
-/// Run one figure's scenario through the discrete-event engine, `repeat`
-/// noise seeds fanned over `workers` pool threads. Fully deterministic:
-/// seeds are fixed, so two invocations produce bit-identical reports.
-/// Intra-run engine threads follow the sweepsvc nested-parallelism policy
-/// (spare pool slots are donated to `Engine::run_parallel`).
-pub fn simulate(
-    problem: Problem,
-    ranks: usize,
-    repeat: usize,
-    iterations: usize,
-    workers: usize,
-) -> DesCampaign {
-    simulate_threaded(problem, ranks, repeat, iterations, workers, None)
+/// One `experiments speculation` scenario: which workload to lower, at
+/// what size, and how many noise seeds to replicate it under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CampaignSpec {
+    /// The workload template.
+    pub workload: WorkloadKind,
+    /// The figure problem (read by the wavefront only).
+    pub problem: Problem,
+    /// Requested ranks. The wavefront and the stencil run on the ladder
+    /// array nearest this count; the allreduce runs on exactly this many.
+    pub ranks: usize,
+    /// Outer iterations to simulate.
+    pub iterations: usize,
+    /// Noise seeds to replicate over.
+    pub repeat: usize,
 }
 
-/// [`simulate`] with an explicit per-run engine thread count (the CLI's
-/// `--threads N`); `None` lets the nested-parallelism policy decide.
-/// Results are bit-identical for every thread count.
-pub fn simulate_threaded(
-    problem: Problem,
-    ranks: usize,
-    repeat: usize,
-    iterations: usize,
-    workers: usize,
-    sim_threads: Option<usize>,
-) -> DesCampaign {
-    let t0 = Instant::now();
-    let (px, py) = array_for_ranks(ranks);
-    let mut config = problem.config(px, py);
-    config.iterations = iterations;
-    // Fixed calibration constants (same family as the golden fixtures)
-    // keep the campaign reproducible without a profiling run.
-    let fm = FlopModel {
-        flops_per_cell_angle: 21.5,
-        source_flops_per_cell: 2.0,
-        flux_err_flops_per_cell: 3.0,
-    };
-    let set = generate_program_set(&config, &fm);
-    let machine = speculation_machine();
-    let seeds: Vec<u64> = (1..=repeat as u64).map(|i| 0x5EED_0000 + i).collect();
-    let summary = sweepsvc::replicate_set_threaded(
-        &machine,
-        &set,
-        &seeds,
-        workers,
-        sim_threads,
-        &obs::Obs::disabled(),
-    )
-    .expect("trace is deadlock-free");
-    DesCampaign {
-        problem,
-        px,
-        py,
-        iterations,
-        streams: set.num_streams(),
-        stored_ops: set.stored_ops(),
-        ops_per_run: set.total_ops(),
-        summary,
-        wall: t0.elapsed(),
+/// What a campaign simulated, as its report names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Subject {
+    /// A figure's SWEEP3D problem on a `px × py` array.
+    Figure {
+        /// Which problem.
+        problem: Problem,
+        /// Processors in `i`.
+        px: usize,
+        /// Processors in `j`.
+        py: usize,
+    },
+    /// Another template of the workload library.
+    Template {
+        /// Stable workload kind (`"stencil"`, `"allreduce"`, …).
+        kind: &'static str,
+        /// Ranks simulated.
+        ranks: usize,
+    },
+}
+
+impl Subject {
+    /// Ranks simulated.
+    pub fn ranks(&self) -> usize {
+        match *self {
+            Subject::Figure { px, py, .. } => px * py,
+            Subject::Template { ranks, .. } => ranks,
+        }
     }
 }
 
-/// A seed-replicated DES campaign of an arbitrary [`Workload`] lowering —
-/// the generic sibling of [`simulate`] behind
-/// `experiments speculation --workload stencil|allreduce`.
+/// Fixed calibration constants (same family as the golden fixtures) keep
+/// the wavefront campaign reproducible without a profiling run.
+const FIGURE_FLOPS: FlopModel = FlopModel {
+    flops_per_cell_angle: 21.5,
+    source_flops_per_cell: 2.0,
+    flux_err_flops_per_cell: 3.0,
+};
+
+impl CampaignSpec {
+    /// Lower the scenario to the program set every replication replays:
+    /// the figure's SWEEP3D trace, or the template's DES lowering on the
+    /// [`speculation_machine`].
+    pub fn lower(&self) -> Result<(Subject, ProgramSet), String> {
+        let template = |w: &dyn Workload| {
+            let set = w.program_set(&speculation_machine())?;
+            Ok((Subject::Template { kind: w.kind(), ranks: w.pes() }, set))
+        };
+        match self.workload {
+            WorkloadKind::Wavefront => {
+                let (px, py) = array_for_ranks(self.ranks);
+                let mut config = self.problem.config(px, py);
+                config.iterations = self.iterations;
+                let subject = Subject::Figure { problem: self.problem, px, py };
+                Ok((subject, generate_program_set(&config, &FIGURE_FLOPS)))
+            }
+            WorkloadKind::Stencil => {
+                let (px, py) = array_for_ranks(self.ranks);
+                template(&StencilParams {
+                    iterations: self.iterations,
+                    ..StencilParams::weak_scaling(px, py)
+                })
+            }
+            WorkloadKind::Allreduce => template(&AllreduceParams {
+                iterations: self.iterations,
+                ..AllreduceParams::cg_like(self.ranks)
+            }),
+        }
+    }
+}
+
+/// A seed-replicated discrete-event campaign: one lowered program set run
+/// rank for rank by `cluster-sim` under each noise seed, fanned over the
+/// sweep worker pool.
 #[derive(Debug, Clone)]
-pub struct WorkloadCampaign {
-    /// Stable workload kind (`"stencil"`, `"allreduce"`, …).
-    pub kind: &'static str,
-    /// Ranks simulated.
-    pub pes: usize,
+pub struct Campaign {
+    /// What was simulated.
+    pub subject: Subject,
     /// Outer iterations simulated.
     pub iterations: usize,
+    /// Pool workers the seeds were fanned over.
+    pub workers: usize,
+    /// Engine threads per run.
+    pub sim_threads: usize,
     /// Distinct interned op streams (roles) in the program set.
     pub streams: usize,
     /// Ops stored once (sum over streams).
@@ -306,53 +283,152 @@ pub struct WorkloadCampaign {
     pub ops_per_run: usize,
     /// The per-seed replication results, in seed order.
     pub summary: ReplicationSummary,
-    /// Wall-clock time of the whole campaign (setup + runs).
+    /// Wall-clock time of the whole campaign (lowering + runs).
     pub wall: Duration,
 }
 
-impl WorkloadCampaign {
-    /// Total simulated events (executed ops) across all replications.
-    pub fn total_events(&self) -> u64 {
-        self.ops_per_run as u64 * self.summary.replications.len() as u64
-    }
-
-    /// Simulated events per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        self.total_events() as f64 / self.wall.as_secs_f64().max(1e-12)
-    }
-}
-
-/// Replicate any workload's DES lowering under noise seeds on the
-/// [`speculation_machine`], fanned over `workers` pool threads. Same fixed
-/// seed family as [`simulate`], so campaigns are reproducible.
-pub fn simulate_workload(
-    workload: &dyn Workload,
-    repeat: usize,
+/// Lower `spec` and replicate it under `spec.repeat` fixed noise seeds on
+/// the [`speculation_machine`], fanned over `workers` pool threads. Fully
+/// deterministic: two invocations produce bit-identical reports.
+/// `sim_threads` is the per-run engine thread count (the CLI's
+/// `--threads N`); `None` lets the sweepsvc nested-parallelism policy
+/// donate spare pool slots. Results are bit-identical for every thread
+/// count.
+pub fn simulate(
+    spec: &CampaignSpec,
     workers: usize,
     sim_threads: Option<usize>,
-) -> WorkloadCampaign {
+) -> Result<Campaign, String> {
     let t0 = Instant::now();
-    let machine = speculation_machine();
-    let set = workload.program_set(&machine).expect("workload lowers on the speculation machine");
-    let seeds: Vec<u64> = (1..=repeat as u64).map(|i| 0x5EED_0000 + i).collect();
+    let (subject, set) = spec.lower()?;
+    let seeds: Vec<u64> = (1..=spec.repeat as u64).map(|i| 0x5EED_0000 + i).collect();
     let summary = sweepsvc::replicate_set_threaded(
-        &machine,
+        &speculation_machine(),
         &set,
         &seeds,
         workers,
         sim_threads,
         &obs::Obs::disabled(),
     )
-    .expect("trace is deadlock-free");
-    WorkloadCampaign {
-        kind: workload.kind(),
-        pes: workload.pes(),
-        iterations: workload.iterations(),
+    .map_err(|e| format!("speculation campaign: {e}"))?;
+    let sim_threads = sim_threads
+        .or_else(sweepsvc::sim_threads_override)
+        .unwrap_or_else(|| sweepsvc::nested_plan(workers, spec.repeat).1);
+    Ok(Campaign {
+        subject,
+        iterations: spec.iterations,
+        workers,
+        sim_threads,
         streams: set.num_streams(),
         stored_ops: set.stored_ops(),
         ops_per_run: set.total_ops(),
         summary,
         wall: t0.elapsed(),
+    })
+}
+
+impl Campaign {
+    /// Total simulated events (executed ops) across all replications.
+    pub fn total_events(&self) -> u64 {
+        self.ops_per_run as u64 * self.summary.replications.len() as u64
+    }
+
+    /// Simulated events per wall-clock second — the throughput number the
+    /// engine optimisations are measured by.
+    pub fn events_per_sec(&self) -> f64 {
+        self.total_events() as f64 / self.wall.as_secs_f64().max(1e-12)
+    }
+
+    /// The campaign report: a JSON document, or markdown-style text.
+    pub fn render(&self, json: bool) -> String {
+        use std::fmt::Write as _;
+        let s = &self.summary;
+        let ranks = self.subject.ranks();
+        let mut out = String::new();
+        if json {
+            out.push_str("{\n");
+            match self.subject {
+                Subject::Figure { problem, px, py } => {
+                    let _ = writeln!(out, "  \"figure\": \"{}\",", problem.figure());
+                    let _ = writeln!(out, "  \"array\": [{px}, {py}],");
+                }
+                Subject::Template { kind, .. } => {
+                    let _ = writeln!(out, "  \"workload\": \"{kind}\",");
+                }
+            }
+            let per_seed: Vec<String> = s
+                .replications
+                .iter()
+                .map(|r| {
+                    format!("{{\"seed\": {}, \"makespan_secs\": {:.6}}}", r.seed, r.makespan_secs)
+                })
+                .collect();
+            let _ = write!(
+                out,
+                concat!(
+                    "  \"ranks\": {},\n  \"iterations\": {},\n  \"repeat\": {},\n",
+                    "  \"workers\": {},\n  \"sim_threads\": {},\n  \"streams\": {},\n",
+                    "  \"stored_ops\": {},\n  \"ops_per_run\": {},\n  \"total_events\": {},\n",
+                    "  \"wall_ms\": {:.3},\n  \"events_per_sec\": {:.0},\n",
+                    "  \"makespan_secs\": {{\"mean\": {:.6}, \"min\": {:.6}, \"max\": {:.6}, \"std\": {:.6}}},\n",
+                    "  \"replications\": [{}]\n}}\n"
+                ),
+                ranks,
+                self.iterations,
+                s.replications.len(),
+                self.workers,
+                self.sim_threads,
+                self.streams,
+                self.stored_ops,
+                self.ops_per_run,
+                self.total_events(),
+                self.wall.as_secs_f64() * 1e3,
+                self.events_per_sec(),
+                s.mean_makespan(),
+                s.min_makespan(),
+                s.max_makespan(),
+                s.std_dev_makespan(),
+                per_seed.join(", ")
+            );
+            return out;
+        }
+        let _ = match self.subject {
+            Subject::Figure { problem, px, py } => writeln!(
+                out,
+                "### DES speculation: {} on a {px}x{py} array ({ranks} ranks, {} iterations)\n",
+                problem.figure(),
+                self.iterations
+            ),
+            Subject::Template { kind, .. } => writeln!(
+                out,
+                "### DES speculation: {kind} workload on {ranks} ranks ({} iterations)\n",
+                self.iterations
+            ),
+        };
+        let _ = write!(
+            out,
+            concat!(
+                "program encoding   : {} roles / {} ranks, {} ops stored for {} executed per run\n",
+                "replications       : {} seeds over {} worker(s), {} engine thread(s)/run\n",
+                "makespan           : mean {:.4} s  (min {:.4}, max {:.4}, std {:.5})\n",
+                "campaign wall      : {:.2} ms\n",
+                "throughput         : {:.2} M simulated events/s\n\n"
+            ),
+            self.streams,
+            ranks,
+            self.stored_ops,
+            self.ops_per_run,
+            s.replications.len(),
+            self.workers,
+            self.sim_threads,
+            s.mean_makespan(),
+            s.min_makespan(),
+            s.max_makespan(),
+            s.std_dev_makespan(),
+            self.wall.as_secs_f64() * 1e3,
+            self.events_per_sec() / 1e6
+        );
+        out
     }
 }
 
@@ -443,13 +519,17 @@ mod tests {
         }
     }
 
+    fn spec(workload: WorkloadKind, ranks: usize, iterations: usize) -> CampaignSpec {
+        CampaignSpec { workload, problem: Problem::TwentyMillion, ranks, iterations, repeat: 2 }
+    }
+
     #[test]
     fn des_campaign_is_reproducible_and_counts_events() {
-        let a = simulate(Problem::TwentyMillion, 4, 2, 1, 2);
-        let b = simulate(Problem::TwentyMillion, 4, 2, 1, 4);
+        let a = simulate(&spec(WorkloadKind::Wavefront, 4, 1), 2, None).unwrap();
+        let b = simulate(&spec(WorkloadKind::Wavefront, 4, 1), 4, None).unwrap();
         // Worker count must not change the results, only the wall clock.
         assert_eq!(a.summary.replications, b.summary.replications);
-        assert_eq!((a.px, a.py), (2, 2));
+        assert_eq!(a.subject, Subject::Figure { problem: Problem::TwentyMillion, px: 2, py: 2 });
         assert_eq!(a.summary.replications.len(), 2);
         assert!(a.streams <= 4, "2x2 array has at most 4 roles, got {}", a.streams);
         assert!(a.stored_ops <= a.ops_per_run);
@@ -462,25 +542,26 @@ mod tests {
 
     #[test]
     fn threaded_campaign_is_bit_identical() {
-        // `--threads N` must not change a single simulated number.
-        let plain = simulate(Problem::TwentyMillion, 6, 2, 1, 1);
-        let threaded = simulate_threaded(Problem::TwentyMillion, 6, 2, 1, 2, Some(3));
-        assert_eq!(plain.summary.replications, threaded.summary.replications);
+        // `--threads N` must not change a single simulated number, for any
+        // workload.
+        for (workload, ranks) in
+            [(WorkloadKind::Wavefront, 6), (WorkloadKind::Stencil, 4), (WorkloadKind::Allreduce, 5)]
+        {
+            let plain = simulate(&spec(workload, ranks, 1), 1, None).unwrap();
+            let threaded = simulate(&spec(workload, ranks, 1), 2, Some(3)).unwrap();
+            assert_eq!(plain.summary.replications, threaded.summary.replications, "{workload:?}");
+        }
     }
 
     #[test]
     fn workload_campaigns_replicate_across_seeds() {
-        let mut p = pace_core::StencilParams::weak_scaling(2, 2);
-        p.iterations = 3;
-        let c = simulate_workload(&p, 2, 2, None);
-        assert_eq!((c.kind, c.pes, c.iterations), ("stencil", 4, 3));
+        let c = simulate(&spec(WorkloadKind::Stencil, 4, 3), 2, None).unwrap();
+        assert_eq!(c.subject, Subject::Template { kind: "stencil", ranks: 4 });
+        assert_eq!(c.iterations, 3);
         assert_eq!(c.summary.replications.len(), 2);
         let makespans = c.summary.makespans();
         assert!(makespans[0] != makespans[1], "seeds had no effect: {makespans:?}");
         assert!(c.total_events() > 0 && c.events_per_sec() > 0.0);
-        // Engine threads must not change a single simulated number.
-        let threaded = simulate_workload(&p, 2, 1, Some(2));
-        assert_eq!(c.summary.replications, threaded.summary.replications);
     }
 
     #[test]

@@ -185,7 +185,7 @@ pub fn measure_row(
 /// [`measure_row`] with the simulated run recorded: every rank activity
 /// becomes a sim-domain span on the track group `pid`. The makespan is
 /// identical with recording on or off.
-pub fn measure_row_observed(
+fn measure_row_observed(
     spec: &RowSpec,
     machine: &MachineSpec,
     flop_model: &FlopModel,
@@ -220,36 +220,26 @@ pub fn predict_row_cached(
     engine.predict(Sweep3dParams::weak_scaling_50cubed(spec.px, spec.py), hw).total_secs
 }
 
-/// Run a full validation table. Rows are independent — each carries its
-/// own derived seed — so they are fanned out over the worker pool, largest
-/// processor array first; the returned table is in row order and
-/// identical for any worker count or dispatch order.
-pub fn run_table(label: &str, rows: &[RowSpec], machine: &MachineSpec) -> ValidationTable {
-    run_table_observed(label, rows, machine, &obs::Obs::disabled())
-}
-
 /// Spacing between the pid blocks of consecutive validation tables, so
 /// `validate`'s three tables never share a track group in one trace
 /// (see [`obs::pids`] for the workspace-wide allocation table).
 pub const TABLE_PID_STRIDE: u32 = obs::pids::TABLE_STRIDE;
 
+/// Run a full validation table. Rows are independent — each carries its
+/// own derived seed — so they are fanned out over the worker pool, largest
+/// processor array first; the returned table is in row order and
+/// identical for any worker count or dispatch order.
+pub fn run_table(label: &str, rows: &[RowSpec], machine: &MachineSpec) -> ValidationTable {
+    run_table_observed(label, rows, machine, &obs::Obs::disabled(), 0)
+}
+
 /// [`run_table`] with telemetry. Every row's simulated measurement is
 /// recorded as a sim-span track group (pid = `pid_base` + row index),
 /// named after the row, so one `--trace` of a whole table opens in
-/// Perfetto as one process per row with one thread per rank. The table
-/// itself is unchanged by recording.
+/// Perfetto as one process per row with one thread per rank; multi-table
+/// traces give each table its own block of [`TABLE_PID_STRIDE`]. The
+/// table itself is unchanged by recording.
 pub fn run_table_observed(
-    label: &str,
-    rows: &[RowSpec],
-    machine: &MachineSpec,
-    obs: &obs::Obs,
-) -> ValidationTable {
-    run_table_observed_at(label, rows, machine, obs, 0)
-}
-
-/// [`run_table_observed`] with an explicit pid block start (multi-table
-/// traces give each table its own block of [`TABLE_PID_STRIDE`]).
-pub fn run_table_observed_at(
     label: &str,
     rows: &[RowSpec],
     machine: &MachineSpec,
@@ -393,7 +383,7 @@ mod tests {
         let machine = sim_machines::opteron_gige_sim();
         let obs = obs::Obs::enabled();
         let plain = run_table("Table 2", &TABLE2_ROWS, &machine);
-        let traced = run_table_observed("Table 2", &TABLE2_ROWS, &machine, &obs);
+        let traced = run_table_observed("Table 2", &TABLE2_ROWS, &machine, &obs, 0);
         assert_eq!(plain, traced, "recording must not perturb the table");
         // One track group (pid) per row, each with spans.
         let spans = obs.recorder.sim_spans();

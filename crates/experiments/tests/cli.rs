@@ -29,6 +29,94 @@ fn non_integer_flag_values_are_usage_errors() {
     assert_usage_error(&["attribute", "--px", "two"]);
 }
 
+/// Count flags take positive integers: a zero exits 2 naming the flag
+/// (it used to panic mid-lowering or print a non-JSON `inf`).
+#[test]
+fn zero_counts_are_usage_errors() {
+    for args in [
+        &["speculation", "--iterations", "0"][..],
+        &["speculation", "--workload", "allreduce", "--ranks", "0"],
+        &["speculation", "--repeat", "0", "--json"],
+        &["attribute", "--px", "0"],
+        &["attribute", "--py", "0"],
+    ] {
+        assert_usage_error(args);
+        let stderr = String::from_utf8_lossy(&experiments(args).stderr).into_owned();
+        let flag = args.iter().find(|a| a.starts_with("--") && **a != "--workload").unwrap();
+        assert!(stderr.contains(flag), "{args:?}: error should name {flag}: {stderr}");
+    }
+}
+
+/// `csv` into a directory it cannot create exits 1 naming the path.
+#[test]
+fn csv_reports_an_unwritable_directory() {
+    let file = std::env::temp_dir().join(format!("pace-csv-probe-{}", std::process::id()));
+    std::fs::write(&file, "not a directory").unwrap();
+    let dir = file.join("out");
+    let out = experiments(&["csv", dir.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "panicked: {stderr}");
+    assert!(stderr.contains(dir.to_str().unwrap()), "error should name the path: {stderr}");
+    std::fs::remove_file(&file).unwrap();
+}
+
+/// Every `speculation` arm prints one valid JSON document with the keys
+/// it has always printed: the wavefront names its figure and array, the
+/// other templates their workload.
+#[test]
+fn speculation_json_keeps_its_keys_for_every_workload() {
+    let common = [
+        "ranks",
+        "iterations",
+        "repeat",
+        "workers",
+        "sim_threads",
+        "streams",
+        "stored_ops",
+        "ops_per_run",
+        "total_events",
+        "wall_ms",
+        "events_per_sec",
+        "makespan_secs",
+        "replications",
+    ];
+    for (workload, identity, absent) in [
+        ("wavefront", &["figure", "array"][..], &["workload"][..]),
+        ("stencil", &["workload"], &["figure", "array"]),
+        ("allreduce", &["workload"], &["figure", "array"]),
+    ] {
+        let args = [
+            "speculation",
+            "--workload",
+            workload,
+            "--ranks",
+            "4",
+            "--repeat",
+            "2",
+            "--iterations",
+            "1",
+            "--json",
+        ];
+        let out = experiments(&args);
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        let text = String::from_utf8(out.stdout).unwrap();
+        let doc = obs::Json::parse(&text).unwrap_or_else(|e| panic!("{workload}: {e}\n{text}"));
+        for key in identity.iter().chain(&common) {
+            assert!(doc.get(key).is_some(), "{workload}: missing {key:?}\n{text}");
+        }
+        for key in absent {
+            assert!(doc.get(key).is_none(), "{workload}: unexpected {key:?}\n{text}");
+        }
+        let makespan = doc.get("makespan_secs").unwrap();
+        for stat in ["mean", "min", "max", "std"] {
+            assert!(makespan.get(stat).and_then(obs::Json::as_f64).is_some(), "{workload}: {stat}");
+        }
+        let seeds = doc.get("replications").and_then(obs::Json::as_arr).unwrap();
+        assert_eq!(seeds.len(), 2, "{workload}");
+    }
+}
+
 #[test]
 fn removed_engine_selectors_are_usage_errors() {
     // The flag of the deleted speculative scheduler, spelled in pieces so

@@ -19,7 +19,6 @@
 //! registry machine in, the same machine with a freshly fitted analytic
 //! half out.
 
-pub mod bootstrap;
 pub mod fit;
 pub mod host_netbench;
 pub mod netbench;

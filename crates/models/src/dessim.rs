@@ -13,33 +13,8 @@
 use cluster_sim::{Engine, Paused};
 use pace_core::engine::{EvaluationReport, SubtaskTime};
 use pace_core::workload::Workload;
-use pace_core::Sweep3dParams;
-use sweep3d::trace::FlopModel;
-use sweep3d::ProblemConfig;
 
 use crate::Predictor;
-
-/// Translate the analytic wavefront parameter set into the simulator's
-/// problem configuration (same decomposition, blocking and iteration
-/// count). Thin delegate kept for callers that work with the wavefront
-/// concretely; the generic path goes through [`Workload::program_set`].
-pub fn problem_config(params: &Sweep3dParams) -> Result<ProblemConfig, String> {
-    pace_core::workload::sweep3d_problem_config(params)
-}
-
-/// The per-cell flop weights the trace generator should charge, taken from
-/// the same kernel characterisation the analytic backends price.
-pub fn flop_model(params: &Sweep3dParams) -> FlopModel {
-    pace_core::workload::sweep3d_flop_model(params)
-}
-
-/// Build the interned program set the DES backend replays for the
-/// wavefront `params`. Exposed so campaign planners can pay trace
-/// generation once per (problem) cell and fork the simulation prefix
-/// across what-ifs.
-pub fn program_set(params: &Sweep3dParams) -> Result<cluster_sim::ProgramSet, String> {
-    pace_core::workload::sweep3d_program_set(params)
-}
 
 /// Wrap a simulated makespan into the report shape every DES prediction
 /// uses. Shared by the cold, forked and planned paths so they are
@@ -146,15 +121,7 @@ impl Predictor for DesSimPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn config_mirrors_params() {
-        let p = Sweep3dParams::weak_scaling_50cubed(4, 6);
-        let c = problem_config(&p).unwrap();
-        assert_eq!((c.it, c.jt, c.kt), (200, 300, 50));
-        assert_eq!((c.npe_i, c.npe_j), (4, 6));
-        assert_eq!((c.mk, c.mmi, c.sn_order, c.iterations), (10, 3, 6, 12));
-    }
+    use pace_core::Sweep3dParams;
 
     #[test]
     fn identity_fork_matches_a_cold_run_bit_for_bit() {

@@ -12,7 +12,7 @@
 //! * [`MetricsRegistry`] — monotonic counters, gauges and fixed-bucket
 //!   histograms, snapshotted in deterministic name order ([`metrics`]);
 //! * exporters — Chrome `trace_event` JSON loadable in Perfetto
-//!   ([`chrome`]) and a flat JSONL event log ([`jsonl`]);
+//!   ([`chrome`]) and speedscope profiles ([`speedscope`]);
 //! * [`json`] — the hand-rolled JSON emission helpers and a minimal
 //!   parser the round-trip tests validate against (the workspace builds
 //!   offline; the `serde` shim has no data format).
@@ -30,7 +30,6 @@
 pub mod attr;
 pub mod chrome;
 pub mod json;
-pub mod jsonl;
 pub mod metrics;
 pub mod names;
 pub mod pids;

@@ -115,15 +115,6 @@ pub fn opteron_myrinet_sim() -> MachineSpec {
     spec
 }
 
-/// The three validation machines, with the paper table each reproduces.
-pub fn validation_machines() -> Vec<(&'static str, MachineSpec)> {
-    vec![
-        ("Table 1", pentium3_myrinet_sim()),
-        ("Table 2", opteron_gige_sim()),
-        ("Table 3", altix_numalink_sim()),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,7 +158,6 @@ mod tests {
     #[test]
     fn machines_are_deterministic_specs() {
         assert_eq!(pentium3_myrinet_sim(), pentium3_myrinet_sim());
-        assert_eq!(validation_machines().len(), 3);
     }
 
     #[test]

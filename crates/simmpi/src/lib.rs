@@ -37,14 +37,12 @@
 pub mod comm;
 pub mod error;
 pub mod message;
-pub mod request;
 pub mod runtime;
 pub mod topology;
 
 pub use comm::{Comm, RecvStatus, ANY_SOURCE, ANY_TAG};
 pub use error::{MpiError, Result};
 pub use message::{Message, Payload};
-pub use request::{Completion, Request};
 pub use runtime::Runtime;
 pub use topology::Cart2d;
 

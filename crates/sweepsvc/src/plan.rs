@@ -37,9 +37,38 @@
 //! of the spec — it never depends on worker count or timing — so its
 //! counters publish as deterministic metrics.
 
+use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::sync::Arc;
+
 use wavefront_models::Backend;
 
 use crate::spec::{Scenario, SweepSpec};
+
+/// A job's bucket key: backend, workload `(kind, param digest)`, twin
+/// machine digest and, for forked DES jobs, the base machine digest.
+type JobKey<'a> = (Backend, (&'a str, u64), u64, Option<u64>);
+
+/// FNV-1a over formatted text, so a spec digests without allocating.
+struct Fnv(u64);
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// Digest of a machine spec's full field-by-field rendering. Equal specs
+/// render equally (short of `0.0` against `-0.0`, which would only cost a
+/// missed dedup), so equal inputs always share a bucket.
+fn spec_digest(machine: &registry::MachineSpec) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    write!(h, "{machine:?}").expect("hashing cannot fail");
+    h.0
+}
 
 /// Shape counters of an execution plan (all deterministic functions of
 /// the spec).
@@ -104,13 +133,30 @@ pub struct ExecPlan {
 
 impl ExecPlan {
     /// Plan the execution of `scenarios` (the expansion of `spec`).
+    ///
+    /// Jobs are found through hash buckets keyed on the evaluation
+    /// inputs' identity, so dedup is linear in the grid; equality is
+    /// confirmed only within a bucket, and buckets hold candidates in
+    /// ascending index order, so every scenario still folds onto the
+    /// *first* equal job. Fork groups (one per DES problem × base machine
+    /// cell, so few) are still found by a scan.
     pub fn build(spec: &SweepSpec, scenarios: &[Scenario]) -> ExecPlan {
         let fork = spec.des_fork;
         // Workload identity per problem-axis entry, computed once up
-        // front: the dedup loops below compare scenarios pairwise, and
-        // `param_digest` folds the full parameter struct on every call.
+        // front: `param_digest` folds the full parameter struct on every
+        // call.
         let problem_identity: Vec<(&str, u64)> =
             spec.problems.iter().map(|p| (p.workload.kind(), p.workload.param_digest())).collect();
+        // Base-machine digests, read only by forked DES jobs.
+        let base_digest: Vec<u64> = match fork {
+            Some(_) => spec.machines.iter().map(spec_digest).collect(),
+            None => Vec::new(),
+        };
+        // Scenarios of one (machine, multiplier) cell share one scaled
+        // spec, so each distinct spec is digested once.
+        let mut twin_digest: HashMap<*const registry::MachineSpec, u64> = HashMap::new();
+        let forked = |sc: &Scenario| sc.backend == Backend::DesSim && fork.is_some();
+
         // 1. Grid dedup: fold each scenario onto the first earlier
         // scenario with the same evaluation input closure. Every
         // backend is a pure function of (params, machine spec); a
@@ -118,15 +164,18 @@ impl ExecPlan {
         // that runs the prefix.
         let mut jobs: Vec<PlanJob> = Vec::new();
         let mut assignment: Vec<usize> = Vec::with_capacity(scenarios.len());
+        let mut buckets: HashMap<JobKey, Vec<usize>> = HashMap::new();
         for (i, sc) in scenarios.iter().enumerate() {
-            let existing = jobs.iter().position(|job| {
-                let p = &scenarios[job.proto];
-                p.backend == sc.backend
-                    && problem_identity[p.problem] == problem_identity[sc.problem]
-                    && p.machine_spec == sc.machine_spec
-                    && (sc.backend != Backend::DesSim
-                        || fork.is_none()
-                        || spec.machines[p.machine] == spec.machines[sc.machine])
+            let twin = *twin_digest
+                .entry(Arc::as_ptr(&sc.machine_spec))
+                .or_insert_with(|| spec_digest(&sc.machine_spec));
+            let base = forked(sc).then(|| base_digest[sc.machine]);
+            let key = (sc.backend, problem_identity[sc.problem], twin, base);
+            let bucket = buckets.entry(key).or_default();
+            let existing = bucket.iter().copied().find(|&j| {
+                let p = &scenarios[jobs[j].proto];
+                p.machine_spec == sc.machine_spec
+                    && (!forked(sc) || spec.machines[p.machine] == spec.machines[sc.machine])
             });
             match existing {
                 Some(j) => {
@@ -134,6 +183,7 @@ impl ExecPlan {
                     assignment.push(j);
                 }
                 None => {
+                    bucket.push(jobs.len());
                     assignment.push(jobs.len());
                     jobs.push(PlanJob { proto: i, scenarios: vec![i] });
                 }
@@ -147,7 +197,7 @@ impl ExecPlan {
         let mut fallbacks = 0u64;
         for (j, job) in jobs.iter().enumerate() {
             let sc = &scenarios[job.proto];
-            if sc.backend != Backend::DesSim || fork.is_none() {
+            if !forked(sc) {
                 singles.push(j);
                 continue;
             }
@@ -294,6 +344,72 @@ mod tests {
         assert_eq!(stats.groups, 1);
         assert_eq!(stats.fork_resumes, 1, "only the untoggled twin resumes");
         assert_eq!(plan.singles, vec![1]);
+    }
+
+    /// The pairwise dedup scan the hash buckets replaced: each scenario
+    /// against every earlier job. Returns `(jobs, assignment)`.
+    fn scan_dedup(spec: &SweepSpec, scenarios: &[Scenario]) -> (Vec<PlanJob>, Vec<usize>) {
+        let identity = |p: usize| {
+            let w = &spec.problems[p].workload;
+            (w.kind(), w.param_digest())
+        };
+        let mut jobs: Vec<PlanJob> = Vec::new();
+        let mut assignment = Vec::new();
+        for (i, sc) in scenarios.iter().enumerate() {
+            let existing = jobs.iter().position(|job| {
+                let p = &scenarios[job.proto];
+                p.backend == sc.backend
+                    && identity(p.problem) == identity(sc.problem)
+                    && p.machine_spec == sc.machine_spec
+                    && (sc.backend != Backend::DesSim
+                        || spec.des_fork.is_none()
+                        || spec.machines[p.machine] == spec.machines[sc.machine])
+            });
+            match existing {
+                Some(j) => {
+                    jobs[j].scenarios.push(i);
+                    assignment.push(j);
+                }
+                None => {
+                    assignment.push(jobs.len());
+                    jobs.push(PlanJob { proto: i, scenarios: vec![i] });
+                }
+            }
+        }
+        (jobs, assignment)
+    }
+
+    #[test]
+    fn hashed_plan_equals_the_pairwise_scan_on_duplicate_machines() {
+        let a = des_machine();
+        let b = registry::builtin("pentium3-myrinet").unwrap();
+        // `a` again under another id: a distinct base machine whose twins
+        // equal none of `a`'s, since the id is part of the spec.
+        let renamed = registry::MachineSpec { id: "a-again".into(), ..a.clone() };
+        for fork in [None, Some(30)] {
+            let mut spec = SweepSpec::new()
+                .machine(a.clone())
+                .machine(b.clone())
+                .machine(a.clone())
+                .machine(renamed.clone())
+                .machine(b.clone())
+                .machine_hw(machines::pentium3_myrinet())
+                .machine_hw(machines::pentium3_myrinet())
+                .rate_multipliers(vec![1.0, 1.25, 1.0, 1.5])
+                .problem("2x2", Sweep3dParams::speculative_20m(2, 2))
+                .problem("2x2-again", Sweep3dParams::speculative_20m(2, 2))
+                .problem("1x2", Sweep3dParams::speculative_20m(1, 2))
+                .backends(vec![Backend::Pace, Backend::DesSim]);
+            spec.des_fork = fork;
+            let mut scenarios = spec.scenarios();
+            // One noise-toggled twin: a spec outside the shared table of
+            // scaled machines, digested on its own.
+            let sim = Arc::make_mut(&mut scenarios[1].machine_spec).sim.as_mut().unwrap();
+            sim.noise = cluster_sim::NoiseModel::none();
+            let plan = ExecPlan::build(&spec, &scenarios);
+            assert_eq!((plan.jobs.clone(), plan.assignment.clone()), scan_dedup(&spec, &scenarios));
+            assert!(plan.stats().deduped > scenarios.len() / 2, "fork {fork:?}");
+        }
     }
 
     #[test]

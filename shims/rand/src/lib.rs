@@ -4,8 +4,8 @@
 //! xoshiro256++ generator, seedable from a `u64` via splitmix64),
 //! [`Rng::random`] for `f64`/`u64`/`u32`/`bool`, and [`Rng::random_range`]
 //! over half-open integer ranges. Streams are deterministic per seed, which
-//! is all the simulator's noise model and the bootstrap resampler require —
-//! they do not depend on matching the upstream crate's bit streams.
+//! is all the simulator's noise model requires — they do not depend on
+//! matching the upstream crate's bit streams.
 
 /// Types samplable uniformly from an RNG ("standard" distribution).
 pub trait FromRng: Sized {

@@ -1,5 +1,5 @@
 //! Cross-crate exporter tests: a real instrumented simulation run, pushed
-//! through both exporters and validated end to end — JSON shape,
+//! through the Chrome exporter and validated end to end — JSON shape,
 //! per-track timestamp monotonicity, span-total/`RankStats` agreement and
 //! byte determinism across identical runs.
 
@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 
 use cluster_sim::{Engine, MachineSpec, NetworkModel, Op, Program};
 use obs::json::Json;
-use obs::{chrome, jsonl, Cat, Recorder};
+use obs::{chrome, Cat, Recorder};
 
 /// A deterministic but non-trivial run: 5-rank pipeline with noise, both
 /// messaging protocols and a closing collective.
@@ -117,30 +117,6 @@ fn identical_runs_export_byte_identical_sim_traces() {
         chrome::export(&rec_b, false),
         "sim-only chrome export must be byte-identical"
     );
-    assert_eq!(
-        jsonl::export(&rec_a, false),
-        jsonl::export(&rec_b, false),
-        "sim-only jsonl export must be byte-identical"
-    );
-}
-
-#[test]
-fn jsonl_lines_validate_and_carry_exact_picoseconds() {
-    let (rec, report) = traced_run(2);
-    let text = jsonl::export(&rec, false);
-    let mut dur_by_rank: BTreeMap<u64, u64> = BTreeMap::new();
-    for line in text.lines() {
-        let v = Json::parse(line).expect("every jsonl line is valid JSON");
-        assert_eq!(v.get("domain").and_then(Json::as_str), Some("sim"));
-        let tid = v.get("tid").and_then(Json::as_f64).unwrap() as u64;
-        let dur = v.get("dur_ps").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-        *dur_by_rank.entry(tid).or_insert(0) += dur;
-    }
-    // Integer ps durations survive the round trip: per-rank sums equal
-    // the engine's finish times exactly.
-    for (rank, stats) in report.ranks.iter().enumerate() {
-        assert_eq!(dur_by_rank[&(rank as u64)], stats.finish.picos(), "rank {rank}");
-    }
 }
 
 /// The programs of `traced_run`, for runs that need to drive the engine
@@ -175,7 +151,7 @@ fn paused_resume_emits_the_uninterrupted_span_stream() {
     // A run paused mid-way and resumed must be invisible in the trace:
     // the sim-domain span stream (after the recorder's deterministic
     // sort) equals an uninterrupted traced run's, span for span, and the
-    // exporters serialize both byte-identically.
+    // exporter serializes both byte-identically.
     let (rec_full, full) = traced_run(4);
     let (machine, programs) = traced_run_programs();
     for pause_after in [1u64, 7, 23, 10_000] {
@@ -196,11 +172,6 @@ fn paused_resume_emits_the_uninterrupted_span_stream() {
             chrome::export(&rec, false),
             chrome::export(&rec_full, false),
             "pause @{pause_after}: chrome exports diverged"
-        );
-        assert_eq!(
-            jsonl::export(&rec, false),
-            jsonl::export(&rec_full, false),
-            "pause @{pause_after}: jsonl exports diverged"
         );
     }
 }

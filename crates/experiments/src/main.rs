@@ -93,15 +93,26 @@ impl Flags {
         Flags { trace, metrics, json }
     }
 
-    /// Write the requested telemetry files after the subcommand ran.
+    /// Write the requested telemetry files after the subcommand ran. The
+    /// trace streams to its file; a file that cannot be written exits 1
+    /// naming its path.
     fn export(&self, obs: &Obs) {
+        let fail = |path: &str, e: std::io::Error| -> ! {
+            eprintln!("cannot write {path}: {e}");
+            std::process::exit(1)
+        };
         if let Some(path) = &self.trace {
-            std::fs::write(path, obs::chrome::export(&obs.recorder, true))
-                .expect("write trace file");
+            let write = || -> std::io::Result<()> {
+                let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
+                obs::chrome::export_to(&obs.recorder, true, &mut out)?;
+                std::io::Write::flush(&mut out)
+            };
+            write().unwrap_or_else(|e| fail(path, e));
             eprintln!("wrote trace to {path}");
         }
         if let Some(path) = &self.metrics {
-            std::fs::write(path, obs.metrics.snapshot().to_json()).expect("write metrics file");
+            std::fs::write(path, obs.metrics.snapshot().to_json())
+                .unwrap_or_else(|e| fail(path, e));
             eprintln!("wrote metrics to {path}");
         }
     }

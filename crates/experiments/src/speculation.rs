@@ -433,8 +433,7 @@ impl Campaign {
 }
 
 /// The pre-engine serial reference path: one model evaluation at a time,
-/// no pool, no cache. Kept as the ground truth the parallel path is
-/// tested against.
+/// no pool. Kept as the ground truth the parallel path is tested against.
 pub fn run_on_serial(problem: Problem, hw: &HardwareModel) -> SpeculationCurve {
     let hw125 = hw.with_rate_scaled(1.25);
     let hw150 = hw.with_rate_scaled(1.50);
@@ -515,7 +514,7 @@ mod tests {
             let (many_workers, stats) = run_on_with(problem, &hw, 4);
             assert_eq!(serial, one_worker, "{problem:?}: 1-worker sweep diverged");
             assert_eq!(serial, many_workers, "{problem:?}: 4-worker sweep diverged");
-            assert!(stats.cache.hits > 0, "{problem:?}: sweep must reuse cached evaluations");
+            assert_eq!(stats.scenarios, 3 * serial.points.len(), "{problem:?}: one per rate");
         }
     }
 

@@ -10,7 +10,7 @@
 //! and reports speedups and model error.
 
 use cluster_sim::{Engine, MachineSpec};
-use pace_core::Sweep3dParams;
+use pace_core::{Sweep3dModel, Sweep3dParams};
 use sweep3d::trace::{generate_program_set, FlopModel};
 use sweep3d::ProblemConfig;
 
@@ -59,7 +59,6 @@ pub fn run(
     let hw = hwbench::benchmark_machine(machine, &edges, 1);
     // Ladder points are independent simulations: fan them out over the
     // pool, then derive speedups from the in-order results.
-    let engine = sweepsvc::CachedEngine::new();
     let run = sweepsvc::run_ordered(arrays.to_vec(), sweepsvc::available_workers(), |&(px, py)| {
         let config = config_for(it, jt, kt, px, py);
         config.validate().expect("strong-scaling config");
@@ -69,7 +68,7 @@ pub fn run(
         params.nx = it / px;
         params.ny = jt / py;
         params.nz = kt;
-        let predicted = engine.predict(params, &hw).total_secs;
+        let predicted = Sweep3dModel::new(params).predict(&hw).total_secs;
         (px, py, measured, predicted)
     });
     let base_time = run.results[0].2;

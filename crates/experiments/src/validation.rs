@@ -209,17 +209,6 @@ pub fn predict_row(spec: &RowSpec, hw: &HardwareModel) -> f64 {
     Sweep3dModel::new(params).predict(hw).total_secs
 }
 
-/// [`predict_row`] through a shared evaluation cache: identical output,
-/// but rows with repeated subtask structure (the convergence collective,
-/// the fixed-size `source`/`flux_err` kernels) are priced once.
-pub fn predict_row_cached(
-    spec: &RowSpec,
-    hw: &HardwareModel,
-    engine: &sweepsvc::CachedEngine,
-) -> f64 {
-    engine.predict(Sweep3dParams::weak_scaling_50cubed(spec.px, spec.py), hw).total_secs
-}
-
 /// Spacing between the pid blocks of consecutive validation tables, so
 /// `validate`'s three tables never share a track group in one trace
 /// (see [`obs::pids`] for the workspace-wide allocation table).
@@ -258,7 +247,6 @@ pub fn run_table_observed(
     let calibrated_mflops = hw.achieved_mflops(125_000);
 
     let recorder = &*obs.recorder;
-    let engine = sweepsvc::CachedEngine::new();
     // Longest row first: the largest arrays dominate the pool's tail, so
     // starting them first keeps every worker busy to the end. Each row
     // keeps its own index (pid, noise seed) and results return in row
@@ -275,7 +263,7 @@ pub fn run_table_observed(
         }
         let measured =
             measure_row_observed(&spec, machine, &flop_model, idx as u64 + 1, recorder, pid);
-        let predicted = predict_row_cached(&spec, &hw, &engine);
+        let predicted = predict_row(&spec, &hw);
         (
             idx,
             ValidationRow {
@@ -289,10 +277,7 @@ pub fn run_table_observed(
     .results;
     rows.sort_unstable_by_key(|&(idx, _)| idx);
     let rows: Vec<ValidationRow> = rows.into_iter().map(|(_, row)| row).collect();
-    let stats = engine.cache().stats();
     obs.metrics.counter_add("validation.rows", rows.len() as u64);
-    obs.metrics.counter_add("wall.validation.cache.hits", stats.hits);
-    obs.metrics.counter_add("wall.validation.cache.misses", stats.misses);
     ValidationTable {
         label: label.to_string(),
         machine: machine.name.clone(),
@@ -362,20 +347,6 @@ mod tests {
             "mean signed error {:+.2}% should be negative",
             t.mean_signed_error()
         );
-    }
-
-    #[test]
-    fn cached_prediction_matches_direct_prediction() {
-        let hw = hwbench::benchmark_machine(&sim_machines::opteron_gige_sim(), &[50], 1);
-        let engine = sweepsvc::CachedEngine::new();
-        for spec in &TABLE2_ROWS {
-            assert_eq!(predict_row(spec, &hw), predict_row_cached(spec, &hw, &engine));
-        }
-        // Second pass is answered from cache, still identical.
-        for spec in &TABLE2_ROWS {
-            assert_eq!(predict_row(spec, &hw), predict_row_cached(spec, &hw, &engine));
-        }
-        assert!(engine.cache().hits() > 0);
     }
 
     #[test]

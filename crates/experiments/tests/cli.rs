@@ -61,6 +61,21 @@ fn csv_reports_an_unwritable_directory() {
     std::fs::remove_file(&file).unwrap();
 }
 
+/// `--trace` into a directory that cannot be created exits 1 naming the
+/// path, after the subcommand ran.
+#[test]
+fn trace_reports_an_unwritable_path() {
+    let file = std::env::temp_dir().join(format!("pace-trace-probe-{}", std::process::id()));
+    std::fs::write(&file, "not a directory").unwrap();
+    let path = file.join("out").join("trace.json");
+    let out = experiments(&["--trace", path.to_str().unwrap(), "fig1"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "panicked: {stderr}");
+    assert!(stderr.contains(path.to_str().unwrap()), "error should name the path: {stderr}");
+    std::fs::remove_file(&file).unwrap();
+}
+
 /// Every `speculation` arm prints one valid JSON document with the keys
 /// it has always printed: the wavefront names its figure and array, the
 /// other templates their workload.

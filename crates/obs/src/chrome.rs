@@ -11,6 +11,7 @@
 //! included) use microseconds since the recorder's epoch.
 
 use std::fmt::Write as _;
+use std::io;
 
 use crate::json::{escape, fmt_f64};
 use crate::span::{ArgValue, Args, Recorder, SpanRecord};
@@ -61,56 +62,74 @@ fn write_span(out: &mut String, s: &SpanRecord, sim: bool) {
     out.push('}');
 }
 
-/// Render a recorder's contents as a Chrome-trace JSON document.
+/// Render a recorder's contents as a Chrome-trace JSON document: the
+/// in-memory form of [`export_to`], byte for byte.
 ///
 /// With `include_wall` false only the deterministic sim-domain stream
 /// (plus track names) is written — the form the determinism tests compare
 /// byte-for-byte.
 pub fn export(rec: &Recorder, include_wall: bool) -> String {
-    let mut out = String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [");
+    let mut out = Vec::new();
+    export_to(rec, include_wall, &mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("the exporter writes UTF-8")
+}
+
+/// Stream a recorder's contents as a Chrome-trace JSON document into
+/// `out`, one event at a time, so a trace of millions of spans never
+/// exists as one string. The bytes equal [`export`]'s; wrap a file in a
+/// [`std::io::BufWriter`]. The recorder stays locked while its sim spans
+/// are written.
+///
+/// # Errors
+///
+/// The first error `out` returns.
+pub fn export_to(rec: &Recorder, include_wall: bool, out: &mut impl io::Write) -> io::Result<()> {
+    out.write_all(b"{\"displayTimeUnit\": \"ms\", \"traceEvents\": [")?;
+    // Each event is rendered into `buf`, then written after its separator.
+    let mut buf = String::new();
     let mut first = true;
-    let mut sep = |out: &mut String| {
-        if first {
-            first = false;
-            out.push_str("\n ");
-        } else {
-            out.push_str(",\n ");
-        }
+    let mut emit = |out: &mut dyn io::Write, buf: &mut String| {
+        out.write_all(if first { b"\n " } else { b",\n " })?;
+        first = false;
+        out.write_all(buf.as_bytes())?;
+        buf.clear();
+        Ok::<_, io::Error>(())
     };
 
     for (pid, name) in rec.process_names() {
-        sep(&mut out);
         let _ = write!(
-            out,
+            buf,
             "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {}, \"tid\": 0, \
              \"args\": {{\"name\": \"{}\"}}}}",
             pid,
             escape(&name)
         );
+        emit(out, &mut buf)?;
     }
     for ((pid, tid), name) in rec.thread_names() {
-        sep(&mut out);
         let _ = write!(
-            out,
+            buf,
             "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {}, \"tid\": {}, \
              \"args\": {{\"name\": \"{}\"}}}}",
             pid,
             tid,
             escape(&name)
         );
+        emit(out, &mut buf)?;
     }
-    for span in rec.sim_spans() {
-        sep(&mut out);
-        write_span(&mut out, &span, true);
-    }
+    rec.with_sim_spans(|spans| {
+        spans.iter().try_for_each(|span| {
+            write_span(&mut buf, span, true);
+            emit(out, &mut buf)
+        })
+    })?;
     for event in rec.events() {
         if !event.sim_time && !include_wall {
             continue;
         }
-        sep(&mut out);
         let ts = if event.sim_time { ps_to_us(event.ts) } else { event.ts.to_string() };
         let _ = write!(
-            out,
+            buf,
             "{{\"name\": \"{}\", \"ph\": \"i\", \"s\": \"t\", \"pid\": {}, \"tid\": {}, \
              \"ts\": {}, \"args\": ",
             escape(&event.name),
@@ -118,17 +137,17 @@ pub fn export(rec: &Recorder, include_wall: bool) -> String {
             event.tid,
             ts
         );
-        write_args(&mut out, &event.args);
-        out.push('}');
+        write_args(&mut buf, &event.args);
+        buf.push('}');
+        emit(out, &mut buf)?;
     }
     if include_wall {
         for span in rec.wall_spans() {
-            sep(&mut out);
-            write_span(&mut out, &span, false);
+            write_span(&mut buf, &span, false);
+            emit(out, &mut buf)?;
         }
     }
-    out.push_str("\n]}\n");
-    out
+    out.write_all(b"\n]}\n")
 }
 
 #[cfg(test)]
@@ -171,6 +190,60 @@ mod tests {
         let b = export(&sample_recorder(), false);
         assert_eq!(a, b, "sim-only exports of identical recordings must be byte-identical");
         assert!(!a.contains("scenario"), "wall spans must be excluded");
+    }
+
+    /// A writer that takes one byte per call, so every record reaches it
+    /// in pieces.
+    struct Trickle(Vec<u8>);
+
+    impl io::Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.extend(buf.first());
+            Ok(buf.len().min(1))
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn streamed_export_equals_in_memory_export() {
+        let rec = sample_recorder();
+        for include_wall in [false, true] {
+            let mut streamed = Trickle(Vec::new());
+            export_to(&rec, include_wall, &mut streamed).unwrap();
+            assert_eq!(
+                String::from_utf8(streamed.0).unwrap(),
+                export(&rec, include_wall),
+                "include_wall={include_wall}"
+            );
+        }
+        // The sim-only document, pinned: streaming changed no byte.
+        let pinned = concat!(
+            "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n",
+            " {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"args\": {\"name\": \"row 0\"}},\n",
+            " {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"args\": {\"name\": \"rank 0\"}},\n",
+            " {\"name\": \"compute\", \"cat\": \"compute\", \"ph\": \"X\", \"pid\": 1, \"tid\": 0, \"ts\": 0.000000, \"dur\": 1.500000, \"args\": {\"flops\": 1000000}},\n",
+            " {\"name\": \"send\", \"cat\": \"comm\", \"ph\": \"X\", \"pid\": 1, \"tid\": 0, \"ts\": 1.500000, \"dur\": 0.250000, \"args\": {\"bytes\": 512}},\n",
+            " {\"name\": \"iteration\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 1, \"tid\": 0, \"ts\": 1.750000, \"args\": {\"n\": 1}}\n",
+            "]}\n",
+        );
+        assert_eq!(export(&rec, false), pinned);
+    }
+
+    #[test]
+    fn streamed_export_reports_writer_errors() {
+        struct Full;
+        impl io::Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::Error::new(io::ErrorKind::StorageFull, "disk full"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = export_to(&sample_recorder(), true, &mut Full).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
     }
 
     #[test]

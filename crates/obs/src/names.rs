@@ -6,10 +6,9 @@
 //!
 //! Naming convention (see [`crate::metrics`]): names under the `wall.`
 //! prefix are wall-clock/schedule-dependent and are excluded from
-//! deterministic snapshots. The cache hit/miss split depends on worker
-//! interleaving, so both cache counters live under `wall.`. Planner shape
-//! counters (`sweep.plan.*`) and the cache's entry count are pure
-//! functions of the spec and stay deterministic.
+//! deterministic snapshots. Scenario counters and planner shape counters
+//! (`sweep.plan.*`) are pure functions of the spec and stay
+//! deterministic.
 
 /// Deterministic: scenarios evaluated by the campaign.
 pub const SWEEP_SCENARIOS: &str = "sweep.scenarios";
@@ -31,15 +30,6 @@ pub fn workload_scenarios(kind: &str) -> Option<&'static str> {
         _ => None,
     }
 }
-
-/// Deterministic: distinct cache entries after the campaign (a pure
-/// function of the key set the engine has seen).
-pub const SWEEP_CACHE_ENTRIES: &str = "sweep.cache.entries";
-
-/// Campaign-total cache hits (schedule-dependent under parallelism).
-pub const SWEEP_CACHE_HITS: &str = "wall.sweep.cache.hits";
-/// Campaign-total cache misses.
-pub const SWEEP_CACHE_MISSES: &str = "wall.sweep.cache.misses";
 
 /// Worker count the pool actually used for the campaign.
 pub const SWEEP_POOL_WORKERS: &str = "wall.sweep.pool.workers";
@@ -69,7 +59,6 @@ mod tests {
             SWEEP_WORKLOAD_SWEEP3D_SCENARIOS,
             SWEEP_WORKLOAD_STENCIL_SCENARIOS,
             SWEEP_WORKLOAD_ALLREDUCE_SCENARIOS,
-            SWEEP_CACHE_ENTRIES,
             SWEEP_PLAN_JOBS,
             SWEEP_PLAN_DEDUPED,
             SWEEP_PLAN_GROUPS,
@@ -78,7 +67,7 @@ mod tests {
         ] {
             assert!(!name.starts_with("wall."), "{name} must stay deterministic");
         }
-        for name in [SWEEP_CACHE_HITS, SWEEP_CACHE_MISSES, SWEEP_POOL_WORKERS, SWEEP_WALL_US] {
+        for name in [SWEEP_POOL_WORKERS, SWEEP_WALL_US] {
             assert!(name.starts_with("wall."), "{name} must be wall-prefixed");
         }
     }

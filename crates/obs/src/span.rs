@@ -374,7 +374,15 @@ impl Recorder {
     /// function of the run, this order is identical however the recording
     /// threads interleaved.
     pub fn sim_spans(&self) -> Vec<SpanRecord> {
-        let mut spans = self.state().sim_spans.clone();
+        self.with_sim_spans(|spans| spans.iter().map(|&s| s.clone()).collect())
+    }
+
+    /// Run `f` over the sim-domain spans in [`Recorder::sim_spans`] order,
+    /// borrowed under the recorder's lock instead of copied (an exporter
+    /// streaming millions of spans needs no second copy of them).
+    pub(crate) fn with_sim_spans<R>(&self, f: impl FnOnce(&[&SpanRecord]) -> R) -> R {
+        let state = self.state();
+        let mut spans: Vec<&SpanRecord> = state.sim_spans.iter().collect();
         spans.sort_by(|a, b| {
             (a.pid, a.tid, a.start, a.end(), &a.name).cmp(&(
                 b.pid,
@@ -384,7 +392,7 @@ impl Recorder {
                 &b.name,
             ))
         });
-        spans
+        f(&spans)
     }
 
     /// The sim-domain causality edges, in deterministic order (sorted on

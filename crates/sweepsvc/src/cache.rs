@@ -1,5 +1,12 @@
 //! The sharded evaluation cache.
 //!
+//! No library path uses it any more: a warm hit costs more than the
+//! subtask evaluation it saves, so sweeps, validation and strong scaling
+//! evaluate PACE directly. The module stays, hidden from the docs, only
+//! because the benchmark package's traced rebuilds still name
+//! [`EvalCache`], [`CacheKey`] and [`CacheStats`]; the benchmark revision
+//! that retires those rebuilds deletes it.
+//!
 //! Model evaluation is pure: a subtask's time depends only on its template
 //! parameters and on the hardware fields that template reads. The cache
 //! keys on exactly those inputs, canonicalised to bit patterns

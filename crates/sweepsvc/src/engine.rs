@@ -1,18 +1,17 @@
-//! The cache-backed evaluator and the sweep engine.
-//!
-//! [`CachedEngine`] runs [`pace_core::EvaluationEngine::evaluate_with`]
-//! with a hook that answers each subtask through the shared
-//! [`EvalCache`], memoising [`pace_core::engine::evaluate_subtask`].
-//! Evaluation is a pure function of the cached key's inputs and the loop
-//! is pace-core's own, so its reports are bit-identical to the uncached
-//! engine's.
+//! The sweep engine.
 //!
 //! [`SweepEngine`] hands a [`SweepSpec`]'s scenario ids to the worker
 //! pool, whose workers decode each id they claim against the spec's
 //! [`ScenarioIndex`], and returns results in scenario-id order plus the
-//! run's cache and per-worker throughput counters. Scenarios on the PACE
-//! backend evaluate through the cache; other backends dispatch to their
-//! [`wavefront_models::Predictor`] implementation.
+//! run's per-worker throughput counters. Scenarios on the PACE backend
+//! evaluate directly through pace-core's [`EvaluationEngine`], on the
+//! application object the index built once for their problem; other
+//! backends dispatch to their [`wavefront_models::Predictor`]
+//! implementation.
+//!
+//! [`CachedEngine`] (a memo of [`pace_core::engine::evaluate_subtask`]
+//! over the [`EvalCache`]) has no caller in the library: it stays only
+//! for the benchmark package's traced rebuilds, and goes with them.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -28,13 +27,20 @@ use pace_core::{
 
 use wavefront_models::Backend;
 
-use crate::cache::{CacheKey, CacheStats, EvalCache};
+use crate::cache::{CacheKey, EvalCache};
 use crate::plan::{self, ExecPlan, ForkGroup, PlanStats};
 use crate::pool::{self, WorkerStats};
 use crate::spec::{Scenario, ScenarioIndex, ScenarioResult, SweepSpec};
 
 /// A drop-in evaluator with a shared, thread-safe memo of subtask
 /// evaluations.
+///
+/// No library path uses it: a memo hit costs more than the
+/// [`evaluate_subtask`] call it saves, so every sweep evaluates PACE
+/// directly. It is kept, hidden, only because the benchmark package's
+/// traced rebuilds still name it; the benchmark revision that retires
+/// those rebuilds deletes it together with [`EvalCache`].
+#[doc(hidden)]
 #[derive(Debug, Clone, Default)]
 pub struct CachedEngine {
     cache: Arc<EvalCache>,
@@ -44,11 +50,6 @@ impl CachedEngine {
     /// An engine with a fresh cache.
     pub fn new() -> Self {
         CachedEngine { cache: Arc::new(EvalCache::new()) }
-    }
-
-    /// An engine sharing an existing cache.
-    pub fn with_cache(cache: Arc<EvalCache>) -> Self {
-        CachedEngine { cache }
     }
 
     /// The underlying cache (for counters).
@@ -76,18 +77,19 @@ impl CachedEngine {
 /// Evaluate one scenario. This is *the* definition of scenario semantics,
 /// shared verbatim by the naive path (one call per scenario) and by the
 /// planner's standalone jobs, so the two paths are byte-identical by
-/// construction. PACE goes through the shared subtask cache (bit-identical
-/// to the uncached engine); DES scenarios under [`SweepSpec::des_fork`]
-/// pause the base twin, swap in the scenario's twin and resume (degrading
-/// to a cold run when the twin fails the noise-class probe); every other
-/// backend prices the scenario via its `Predictor`.
+/// construction. PACE evaluates `app` (the scenario's problem's
+/// application object) through pace-core's own loop; DES scenarios under
+/// [`SweepSpec::des_fork`] pause the base twin, swap in the scenario's
+/// twin and resume (degrading to a cold run when the twin fails the
+/// noise-class probe); every other backend prices the scenario via its
+/// `Predictor`.
 pub(crate) fn evaluate_scenario(
-    engine: &CachedEngine,
     spec: &SweepSpec,
+    app: &ApplicationObject,
     sc: &Scenario,
 ) -> EvaluationReport {
     let report = match (sc.backend, spec.des_fork) {
-        (Backend::Pace, _) => return engine.evaluate(&sc.workload.application(), sc.hw()),
+        (Backend::Pace, _) => return EvaluationEngine.evaluate(app, sc.hw()),
         (Backend::DesSim, Some(fork)) if plan::forks_from_base(spec, sc) => {
             wavefront_models::dessim::predict_forked(
                 &*sc.workload,
@@ -101,11 +103,16 @@ pub(crate) fn evaluate_scenario(
     report.unwrap_or_else(|e| panic!("backend '{}': {e}", sc.backend.name()))
 }
 
-/// Evaluate one scenario into its full [`ScenarioResult`] row: the
-/// scenario evaluation [`SweepEngine::run`] performs per scenario, and
-/// every row a chunk store ([`crate::store`]) saves.
-pub fn scenario_result(engine: &CachedEngine, spec: &SweepSpec, sc: &Scenario) -> ScenarioResult {
-    ScenarioResult::new(sc, evaluate_scenario(engine, spec, sc))
+/// Evaluate one scenario into its full [`ScenarioResult`] row, through
+/// the same scenario evaluation as [`SweepEngine::run`], on an
+/// application object built from the scenario's workload.
+///
+/// `_engine` is unused: PACE is evaluated directly, never through the
+/// memo. The parameter stays only so the benchmark package's callers
+/// keep compiling, and goes with [`CachedEngine`].
+#[doc(hidden)]
+pub fn scenario_result(_engine: &CachedEngine, spec: &SweepSpec, sc: &Scenario) -> ScenarioResult {
+    ScenarioResult::new(sc, evaluate_scenario(spec, &sc.workload.application(), sc))
 }
 
 /// Evaluate one fork group of a plan: the group's shared prefix runs
@@ -166,8 +173,6 @@ pub struct SweepStats {
     pub scenarios: usize,
     /// Worker threads used.
     pub workers: Vec<WorkerStats>,
-    /// Cache counters after the run (cumulative over the engine's life).
-    pub cache: CacheStats,
     /// Wall-clock time of the sweep.
     pub wall: Duration,
     /// Planner shape counters (`None` on the naive path).
@@ -181,14 +186,10 @@ impl SweepStats {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{} scenarios in {:.3} ms on {} worker(s); cache {} hit / {} miss ({:.0}% hit rate, {} entries)",
+            "{} scenarios in {:.3} ms on {} worker(s)",
             self.scenarios,
             self.wall.as_secs_f64() * 1e3,
             self.workers.len(),
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.hit_rate() * 100.0,
-            self.cache.entries,
         );
         if let Some(p) = &self.plan {
             let _ = writeln!(
@@ -224,7 +225,6 @@ pub struct SweepOutcome {
 #[derive(Debug, Clone)]
 pub struct SweepEngine {
     workers: usize,
-    cache: Arc<EvalCache>,
     obs: Obs,
 }
 
@@ -239,23 +239,14 @@ impl SweepEngine {
 
     /// An engine with an explicit worker count (1 = serial).
     pub fn with_workers(workers: usize) -> Self {
-        SweepEngine {
-            workers: workers.max(1),
-            cache: Arc::new(EvalCache::new()),
-            obs: Obs::disabled(),
-        }
+        SweepEngine { workers: workers.max(1), obs: Obs::disabled() }
     }
 
     /// Attach a telemetry bundle: scenario wall spans go to its recorder,
-    /// pool/cache counters to its metrics registry.
+    /// scenario, plan and pool counters to its metrics registry.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
-    }
-
-    /// The engine's cache (shared across `run` calls).
-    pub fn cache(&self) -> &EvalCache {
-        &self.cache
     }
 
     /// Configured worker count.
@@ -280,9 +271,10 @@ impl SweepEngine {
     }
 
     /// Evaluate the scenarios `ids` of the validated `spec` on the pool,
-    /// each worker decoding the ids it claims through `index`; results
-    /// come back in id order. This is the body of [`SweepEngine::run`],
-    /// and [`crate::store::run_stored`] hands it the id ranges its store
+    /// each worker decoding the ids it claims through `index` and
+    /// borrowing its problem's application object from it; results come
+    /// back in id order. This is the body of [`SweepEngine::run`], and
+    /// [`crate::store::run_stored`] hands it the id ranges its store
     /// could not serve.
     pub(crate) fn run_ids(
         &self,
@@ -295,7 +287,11 @@ impl SweepEngine {
             ids.len(),
             workload_counts(spec, ids),
             None,
-            |engine, i| scenario_result(engine, spec, &index.scenario(first + i)),
+            |i| {
+                let sc = index.scenario(first + i);
+                let report = evaluate_scenario(spec, index.application(sc.problem), &sc);
+                ScenarioResult::new(&sc, report)
+            },
             |_, r| {
                 let args = vec![
                     ("id", r.id.into()),
@@ -314,7 +310,7 @@ impl SweepEngine {
     /// paused simulation prefix per `(machine, problem)` cell, replaying
     /// only the divergent suffixes. Results are byte-identical to
     /// [`SweepEngine::run`] on the same spec — same scenario-id order,
-    /// same bits — only wall time and cache/plan counters differ
+    /// same bits — only wall time and plan counters differ
     /// (digest-gated in `tests/sweep_plan.rs`).
     ///
     /// # Panics
@@ -324,7 +320,8 @@ impl SweepEngine {
         if let Err(e) = spec.validate() {
             panic!("invalid sweep spec: {e}");
         }
-        let scenarios = spec.scenarios();
+        let index = spec.index();
+        let scenarios: Vec<Scenario> = (0..spec.len()).map(|id| index.scenario(id)).collect();
         let plan = ExecPlan::build(spec, &scenarios);
         let proto = |j: usize| &scenarios[plan.jobs[j].proto];
 
@@ -345,8 +342,11 @@ impl SweepEngine {
             units.len(),
             workload_counts(spec, 0..spec.len()),
             Some(plan.stats()),
-            |engine, u| match units[u] {
-                Unit::Single(j) => vec![(j, evaluate_scenario(engine, spec, proto(j)))],
+            |u| match units[u] {
+                Unit::Single(j) => {
+                    let sc = proto(j);
+                    vec![(j, evaluate_scenario(spec, index.application(sc.problem), sc))]
+                }
                 Unit::Group(g, fork) => evaluate_fork_group(spec, &scenarios, &plan, g, fork),
             },
             |u, out| match units[u] {
@@ -382,33 +382,30 @@ impl SweepEngine {
     }
 
     /// The executor body of [`SweepEngine::run`] and
-    /// [`SweepEngine::run_planned`]: evaluate units `0..units` on the pool
-    /// through one engine over the shared cache, record one wall span per
-    /// unit (`span` names it and picks its args, only when a recorder is
-    /// attached), name the worker tracks and publish the run's counters,
-    /// `kinds` among them. A unit is one scenario unless `plan` says how
+    /// [`SweepEngine::run_planned`]: evaluate units `0..units` on the pool,
+    /// record one wall span per unit (`span` names it and picks its args,
+    /// only when a recorder is attached), name the worker tracks and
+    /// publish the run's counters, `kinds` among them. A unit is one scenario unless `plan` says how
     /// many scenarios the run covers. Outputs keep the units' order.
     fn execute<R: Send>(
         &self,
         units: usize,
         kinds: Vec<(&'static str, u64)>,
         plan: Option<PlanStats>,
-        work: impl Fn(&CachedEngine, usize) -> R + Sync,
+        work: impl Fn(usize) -> R + Sync,
         span: impl Fn(usize, &R) -> (String, Args) + Sync,
     ) -> (Vec<R>, SweepStats) {
         let scenarios = plan.map_or(units, |p| p.scenarios);
-        let cache_before = self.cache.stats();
-        let engine = CachedEngine::with_cache(Arc::clone(&self.cache));
         let rec = &*self.obs.recorder;
         if rec.is_enabled() {
             rec.set_process_name(SWEEP_PID, "sweepsvc");
         }
         let run = pool::run_indexed(units, self.workers, |worker, unit| {
             if !rec.is_enabled() {
-                return work(&engine, unit);
+                return work(unit);
             }
             let t0 = Instant::now();
-            let out = work(&engine, unit);
+            let out = work(unit);
             let (name, args) = span(unit, &out);
             rec.wall_span(SWEEP_PID, worker as u32, name, Cat::Scenario, t0, args);
             out
@@ -418,38 +415,22 @@ impl SweepEngine {
                 rec.set_thread_name(SWEEP_PID, w.worker as u32, format!("worker {}", w.worker));
             }
         }
-        let stats = SweepStats {
-            scenarios,
-            workers: run.workers,
-            cache: self.cache.stats(),
-            wall: run.wall,
-            plan,
-        };
-        self.publish_metrics(&stats, cache_before, &kinds);
+        let stats = SweepStats { scenarios, workers: run.workers, wall: run.wall, plan };
+        self.publish_metrics(&stats, &kinds);
         (run.results, stats)
     }
 
-    /// Publish the run's counters to the metrics registry. Scenario,
-    /// plan-shape and cache-entry values are scheduling-independent;
-    /// everything timing- or interleaving-dependent (worker attribution,
-    /// the cache hit/miss split — a racing double-compute turns a
-    /// would-be hit into a miss) carries the `wall.` prefix so
-    /// deterministic snapshots exclude it. Cache counters are cumulative
-    /// over the engine's life, so this run's contribution is the delta
-    /// against `cache_before`.
-    fn publish_metrics(
-        &self,
-        stats: &SweepStats,
-        cache_before: CacheStats,
-        kinds: &[(&'static str, u64)],
-    ) {
+    /// Publish the run's counters to the metrics registry. Scenario and
+    /// plan-shape values are scheduling-independent; everything timing-
+    /// or interleaving-dependent (wall time, worker attribution) carries
+    /// the `wall.` prefix so deterministic snapshots exclude it.
+    fn publish_metrics(&self, stats: &SweepStats, kinds: &[(&'static str, u64)]) {
         use obs::names as n;
         let m = &self.obs.metrics;
         m.counter_add(n::SWEEP_SCENARIOS, stats.scenarios as u64);
         for &(name, count) in kinds {
             m.counter_add(name, count);
         }
-        m.gauge_set(n::SWEEP_CACHE_ENTRIES, stats.cache.entries as f64);
         m.gauge_set(n::SWEEP_WALL_US, stats.wall.as_micros() as f64);
         m.gauge_set(n::SWEEP_POOL_WORKERS, stats.workers.len() as f64);
         if let Some(p) = &stats.plan {
@@ -459,8 +440,6 @@ impl SweepEngine {
             m.counter_add(n::SWEEP_PLAN_FORK_RESUMES, p.fork_resumes);
             m.counter_add(n::SWEEP_PLAN_FALLBACKS, p.fallbacks);
         }
-        m.counter_add(n::SWEEP_CACHE_HITS, stats.cache.hits - cache_before.hits);
-        m.counter_add(n::SWEEP_CACHE_MISSES, stats.cache.misses - cache_before.misses);
         for w in &stats.workers {
             let base = format!("wall.sweep.pool.worker.{:02}", w.worker);
             m.counter_add(&format!("{base}.items"), w.items);
@@ -524,9 +503,7 @@ mod tests {
         }
         let processed: u64 = out.stats.workers.iter().map(|w| w.items).sum();
         assert_eq!(processed, 6);
-        // The collective subtask is shared across the two multipliers.
-        assert!(out.stats.cache.hits > 0, "stats: {:?}", out.stats.cache);
-        assert!(!out.stats.summary().is_empty());
+        assert!(out.stats.summary().starts_with("6 scenarios in "), "{}", out.stats.summary());
     }
 
     #[test]
@@ -553,8 +530,7 @@ mod tests {
         assert_eq!(counter("sweep.scenarios"), Some(out.results.len() as u64));
         assert_eq!(counter("sweep.workload.sweep3d.scenarios"), Some(out.results.len() as u64));
         assert_eq!(counter("sweep.workload.stencil.scenarios"), None, "no stencil axis here");
-        assert_eq!(counter("wall.sweep.cache.hits"), Some(out.stats.cache.hits));
-        assert_eq!(counter("wall.sweep.cache.misses"), Some(out.stats.cache.misses));
+        assert!(snap.entries.iter().all(|(name, _)| !name.contains("cache")), "no cache metrics");
         let items: u64 = out.stats.workers.iter().map(|w| w.items).sum();
         let metric_items: u64 = (0..out.stats.workers.len())
             .map(|w| counter(&format!("wall.sweep.pool.worker.{w:02}.items")).unwrap_or(0))
@@ -698,7 +674,6 @@ mod tests {
         assert_eq!(counter(obs::names::SWEEP_PLAN_GROUPS), Some(0));
         assert_eq!(counter(obs::names::SWEEP_PLAN_FALLBACKS), Some(0));
         assert_eq!(gauge(obs::names::SWEEP_POOL_WORKERS), Some(2.0));
-        assert_eq!(gauge(obs::names::SWEEP_CACHE_ENTRIES), Some(out.stats.cache.entries as f64));
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //!   that claim them in chunks from one shared cursor, decode and
 //!   evaluate them, and collects results **in scenario-id order**,
 //!   bit-identical for any worker count ([`engine`], [`pool`]);
-//! * [`EvalCache`] — a sharded, `parking_lot`-guarded memo of subtask
-//!   evaluations keyed on canonicalised model/hardware inputs, shared by
-//!   all workers, with hit/miss counters; [`CachedEngine`] runs
-//!   pace-core's evaluation loop through it ([`cache`]);
+//! * PACE scenarios evaluate directly through pace-core's
+//!   `EvaluationEngine`, on one application object per problem that the
+//!   index builds next to its machine table: a model evaluation costs
+//!   tens of nanoseconds per subtask, less than any memo lookup would;
 //! * [`ExecPlan`] — the campaign execution planner: grid-level dedup of
 //!   bit-identical evaluations plus snapshot-prefix sharing for DES rate
 //!   what-ifs, executed by [`SweepEngine::run_planned`] with
@@ -44,9 +44,14 @@
 //!     .problem("8x8", Sweep3dParams::speculative_20m(8, 8));
 //! let outcome = SweepEngine::new().run(&spec);
 //! assert_eq!(outcome.results.len(), 6);
-//! assert!(outcome.stats.cache.hits > 0); // the collective is shared
+//! // Scenario-id order: problem-major, then rate multiplier.
+//! assert_eq!(outcome.results[3].label, "8x8");
+//! // A faster flop rate helps, but less than proportionally.
+//! let (base, fast) = (outcome.results[0].total_secs, outcome.results[2].total_secs);
+//! assert!(fast < base && fast > base / 1.5);
 //! ```
 
+#[doc(hidden)]
 pub mod cache;
 pub mod engine;
 pub mod plan;
@@ -55,8 +60,13 @@ pub mod replicate;
 pub mod spec;
 pub mod store;
 
+// The memo types and `scenario_result` have no library caller; they stay,
+// hidden, for the benchmark package's traced rebuilds only.
+#[doc(hidden)]
 pub use cache::{CacheKey, CacheStats, EvalCache};
-pub use engine::{scenario_result, CachedEngine, SweepEngine, SweepOutcome, SweepStats, SWEEP_PID};
+#[doc(hidden)]
+pub use engine::{scenario_result, CachedEngine};
+pub use engine::{SweepEngine, SweepOutcome, SweepStats, SWEEP_PID};
 pub use plan::{ExecPlan, ForkGroup, PlanJob, PlanStats};
 pub use pool::{
     available_workers, nested_plan, run_ordered, run_ordered_with_worker, sim_threads_override,

@@ -9,11 +9,13 @@
 //! spec.
 //!
 //! [`SweepSpec::index`] scales each `(machine, multiplier)` pair once
-//! into a shared table, and [`ScenarioIndex::scenario`] decodes any id
-//! into its [`Scenario`] against that table, so the engine's workers
-//! decode the ids they claim and no scenario list is ever built;
-//! [`SweepSpec::scenarios`] is the same decode over every id, for the
-//! planner.
+//! into a shared table and builds each problem's PACE
+//! [`ApplicationObject`] once next to it, and [`ScenarioIndex::scenario`]
+//! decodes any id into its [`Scenario`] against that table, so the
+//! engine's workers decode the ids they claim and borrow their problem's
+//! application object. Naive and stored sweeps never build a scenario
+//! list; the planner decodes every id of its index into one, and
+//! [`SweepSpec::scenarios`] is that same decode.
 //!
 //! The problem axis holds [`Workload`] trait objects, so one sweep can mix
 //! wavefront, stencil and allreduce configurations; scenario identity and
@@ -26,7 +28,7 @@
 use std::sync::Arc;
 
 use pace_core::workload::Workload;
-use pace_core::{EvaluationReport, HardwareModel};
+use pace_core::{ApplicationObject, EvaluationReport, HardwareModel};
 use wavefront_models::{unsupported_workload, Backend};
 
 /// One labelled workload configuration of a sweep.
@@ -169,7 +171,8 @@ impl SweepSpec {
     }
 
     /// The spec's scenarios addressed by id: every `(machine, multiplier)`
-    /// pair scaled once into a shared table. The identity multiplier takes
+    /// pair scaled once into a shared table, and every problem's
+    /// [`Workload::application`] built once. The identity multiplier takes
     /// the machine verbatim (bit-for-bit) rather than scaling it by 1.0.
     pub fn index(&self) -> ScenarioIndex<'_> {
         let mut machines = Vec::with_capacity(self.machines.len() * self.rate_multipliers.len());
@@ -180,7 +183,8 @@ impl SweepSpec {
                 machines.push(Arc::new(scaled));
             }
         }
-        ScenarioIndex { spec: self, machines }
+        let applications = self.problems.iter().map(|p| p.workload.application()).collect();
+        ScenarioIndex { spec: self, machines, applications }
     }
 
     /// Every scenario of the spec, in id order ([`ScenarioIndex::scenario`]
@@ -192,16 +196,29 @@ impl SweepSpec {
 }
 
 /// A [`SweepSpec`]'s scenarios addressed by id, over one table of scaled
-/// machines (see [`SweepSpec::index`]).
+/// machines and one of problem applications (see [`SweepSpec::index`]).
 #[derive(Debug, Clone)]
 pub struct ScenarioIndex<'s> {
     spec: &'s SweepSpec,
     /// `machines × rate_multipliers`, machine-major: entry
     /// `machine_idx * multipliers + multiplier_idx`.
     machines: Vec<Arc<registry::MachineSpec>>,
+    /// One PACE application object per problem, in problem order.
+    applications: Vec<ApplicationObject>,
 }
 
 impl ScenarioIndex<'_> {
+    /// The PACE application object of problem `problem`: exactly
+    /// `spec.problems[problem].workload.application()`, built once per
+    /// index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `problem` is not an index into [`SweepSpec::problems`].
+    pub fn application(&self, problem: usize) -> &ApplicationObject {
+        &self.applications[problem]
+    }
+
     /// Number of scenarios ([`SweepSpec::len`]).
     pub fn len(&self) -> usize {
         self.spec.len()

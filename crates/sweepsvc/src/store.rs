@@ -576,14 +576,18 @@ mod tests {
         let spec = small_spec();
         let digest = spec_digest(&spec).unwrap();
         let ranges = partition(spec.len(), STORE_RANGES);
-        let lookups = |engine: &SweepEngine| engine.cache().hits() + engine.cache().misses();
+        let obs = obs::Obs::enabled();
+        let evaluated = || {
+            let snap = obs.metrics.snapshot();
+            snap.get(obs::names::SWEEP_SCENARIOS).and_then(obs::MetricValue::as_counter)
+        };
         // A directory where range 3's chunk goes makes its rename fail:
         // the campaign stops there, after saving ranges 0..3 and before
         // evaluating anything past range 3.
         let stop = 3;
         let blocked = store.path(ChunkStore::chunk_key(digest, ranges[stop]));
         std::fs::create_dir(&blocked).unwrap();
-        let engine = SweepEngine::with_workers(2);
+        let engine = SweepEngine::with_workers(2).with_obs(obs.clone());
         let err = run_stored(&engine, &spec, &store, false).unwrap_err();
         assert!(err.contains("store rename"), "{err}");
         for (i, &range) in ranges.iter().enumerate() {
@@ -593,12 +597,8 @@ mod tests {
                 "range {i} saved iff finished"
             );
         }
-        let done = SweepEngine::with_workers(1);
-        done.run_ids(&spec, &spec.index(), 0..ranges[stop].end);
-        assert_eq!(lookups(&engine), lookups(&done), "evaluated exactly ranges 0..=stop");
-        let full = SweepEngine::with_workers(1);
-        full.run(&spec);
-        assert!(lookups(&done) < lookups(&full), "the stop leaves later ranges unevaluated");
+        assert!(ranges[stop].end < spec.len(), "ranges past the stop exist");
+        assert_eq!(evaluated(), Some(ranges[stop].end as u64), "evaluated exactly ranges 0..=stop");
         let leftovers = std::fs::read_dir(&dir)
             .unwrap()
             .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().contains(".tmp."))
@@ -615,6 +615,12 @@ mod tests {
                 store_hits: stop,
                 store_misses: ranges.len() - stop
             }
+        );
+        let resumed = (spec.len() - ranges[stop].start) as u64;
+        assert_eq!(
+            evaluated(),
+            Some(ranges[stop].end as u64 + resumed),
+            "resume evaluated the rest"
         );
         assert_eq!(out.results, SweepEngine::with_workers(1).run(&spec).results);
         let _ = std::fs::remove_dir_all(&dir);

@@ -8,7 +8,7 @@
 //!   within a stated per-table tolerance — the model-reproduction bound;
 //! * every row is pinned to this repository's exact computed value at
 //!   `1e-6` relative tolerance, so silent numerical drift in the model,
-//!   the hardware-benchmarking path, or the cache layer shows up
+//!   the hardware-benchmarking path, or the sweep layer shows up
 //!   immediately.
 //!
 //! Predictions are deterministic (closed-form model + seeded virtual
@@ -19,10 +19,8 @@
 //! The simulated *measured* runtimes are pinned too, bit for bit: the DES
 //! is seeded per row, so every `measured_secs` of Tables 1–3 is exact.
 
-use experiments::validation::{
-    self, predict_row, predict_row_cached, RowSpec, TABLE1_ROWS, TABLE2_ROWS, TABLE3_ROWS,
-};
-use pace_core::HardwareModel;
+use experiments::validation::{self, predict_row, RowSpec, TABLE1_ROWS, TABLE2_ROWS, TABLE3_ROWS};
+use pace_core::{HardwareModel, Sweep3dParams};
 use registry::sim as sim_machines;
 
 /// Exact predicted seconds per row, in row order (regenerate on
@@ -264,19 +262,28 @@ fn registry_machines_are_bit_identical_to_prerefactor_constructors() {
 }
 
 #[test]
-fn cached_predictions_match_golden_pins_exactly() {
-    // The cache layer must not perturb a single bit of any pinned row,
-    // including on hits (second pass).
+fn sweep_engine_predictions_match_golden_pins_exactly() {
+    // The sweep layer must not perturb a single bit of any pinned row:
+    // each table's rows as one PACE sweep on the benchmarked machine
+    // equal the direct prediction bit for bit, for any worker count.
     for t in tables() {
-        let engine = sweepsvc::CachedEngine::new();
-        let first: Vec<f64> =
-            t.rows.iter().map(|s| predict_row_cached(s, &t.hw, &engine)).collect();
-        let second: Vec<f64> =
-            t.rows.iter().map(|s| predict_row_cached(s, &t.hw, &engine)).collect();
-        let direct: Vec<f64> = t.rows.iter().map(|s| predict_row(s, &t.hw)).collect();
-        assert_eq!(first, direct, "{}: cached cold pass diverged", t.label);
-        assert_eq!(second, direct, "{}: cached warm pass diverged", t.label);
-        assert!(engine.cache().hits() > 0, "{}: warm pass must hit the cache", t.label);
+        let mut spec = sweepsvc::SweepSpec::new().machine_hw(t.hw.clone());
+        for (i, s) in t.rows.iter().enumerate() {
+            spec = spec.problem(format!("row{i}"), Sweep3dParams::weak_scaling_50cubed(s.px, s.py));
+        }
+        let direct: Vec<u64> = t.rows.iter().map(|s| predict_row(s, &t.hw).to_bits()).collect();
+        for workers in [1, 3] {
+            let swept: Vec<u64> = sweepsvc::SweepEngine::with_workers(workers)
+                .run(&spec)
+                .results
+                .iter()
+                .map(|r| r.total_secs.to_bits())
+                .collect();
+            assert_eq!(swept, direct, "{}: {workers}-worker sweep diverged", t.label);
+        }
+        for (&bits, &pin) in direct.iter().zip(&t.golden) {
+            assert!((f64::from_bits(bits) - pin).abs() / pin <= 1e-6, "{}: off its pin", t.label);
+        }
     }
 }
 

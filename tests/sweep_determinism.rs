@@ -1,22 +1,27 @@
-//! Determinism guarantees of the sweep engine and its evaluation cache.
+//! Determinism guarantees of the sweep engine and of the evaluation cache
+//! the benchmark package still uses.
 //!
 //! The engine's contract: a sweep's output is a pure function of its spec —
-//! worker count, claim order, and cache state must never show up in the
-//! results. The addressing contract: the scenario a worker decodes from an
-//! id is exactly the one the declarative nested expansion puts at that
-//! id. The cache's contract: a hit can only ever be answered for
-//! bit-identical inputs. All three are exercised here, the last with
-//! property tests that perturb single hardware fields by one ULP.
+//! worker count and claim order must never show up in the results, and
+//! every PACE row, on every execution path, is pace-core's own evaluation
+//! of its workload. The addressing contract: the scenario a worker decodes
+//! from an id is exactly the one the declarative nested expansion puts at
+//! that id. The cache's contract: a hit can only ever be answered for
+//! bit-identical inputs. All are exercised here, the last with property
+//! tests that perturb single hardware fields by one ULP.
 
 use std::sync::Arc;
 
 use experiments::speculation::{self, Problem};
-use pace_core::{AllreduceParams, HardwareModel, StencilParams, Sweep3dModel, Sweep3dParams};
+use pace_core::{
+    AllreduceParams, EvaluationEngine, EvaluationReport, HardwareModel, StencilParams,
+    Sweep3dModel, Sweep3dParams,
+};
 use proptest::prelude::*;
 use registry::quoted as machines;
 use sweepsvc::{
-    scenario_result, CacheKey, CachedEngine, EvalCache, Scenario, ScenarioResult, SweepEngine,
-    SweepSpec,
+    run_stored, scenario_result, CacheKey, CachedEngine, ChunkStore, EvalCache, Scenario,
+    ScenarioResult, SweepEngine, SweepSpec,
 };
 use wavefront_models::Backend;
 
@@ -32,12 +37,65 @@ fn sweep_is_bit_identical_for_any_worker_count() {
                 outcome.results, reference.results,
                 "{problem:?}: {workers}-worker sweep diverged from the 1-worker run"
             );
-            assert!(
-                outcome.stats.cache.hits > 0,
-                "{problem:?}: the rate what-ifs must share cached collective evaluations"
-            );
         }
     }
+}
+
+/// Every PACE row of every execution path (`run`, `run_planned`, a cold
+/// `run_stored` and its warm resume) is pace-core's own evaluation of the
+/// scenario's workload on its scaled machine, bit for bit, for 1-3
+/// workers over wavefront, stencil and allreduce problems and several rate
+/// multipliers. The index's per-problem application table is exactly each
+/// workload's `application()`.
+#[test]
+fn pace_rows_are_pace_core_evaluations_on_every_path() {
+    let spec = SweepSpec::new()
+        .machine(registry::builtin("opteron-gige").unwrap())
+        .machine(registry::builtin("pentium3-myrinet").unwrap())
+        // A repeated machine gives the planner grid duplicates to fold.
+        .machine(registry::builtin("opteron-gige").unwrap())
+        .rate_multipliers(vec![1.0, 1.25, 1.5])
+        .problem("50c-2x2", Sweep3dParams::weak_scaling_50cubed(2, 2))
+        .problem("20m-4x4", Sweep3dParams::speculative_20m(4, 4))
+        .problem("stencil-2x3", StencilParams::weak_scaling(2, 3))
+        .problem("allreduce-8", AllreduceParams::cg_like(8));
+    let index = spec.index();
+    for (p, prob) in spec.problems.iter().enumerate() {
+        assert_eq!(*index.application(p), prob.workload.application(), "problem {p}");
+    }
+    let expected: Vec<EvaluationReport> = spec
+        .scenarios()
+        .iter()
+        .map(|sc| EvaluationEngine::new().evaluate(&sc.workload.application(), sc.hw()))
+        .collect();
+    let kinds: Vec<&str> = spec.problems.iter().map(|p| p.workload.kind()).collect();
+    assert_eq!(kinds, ["sweep3d", "sweep3d", "stencil", "allreduce"]);
+
+    let dir = std::env::temp_dir().join(format!("pace-direct-rows-{}", std::process::id()));
+    for workers in [1, 2, 3] {
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ChunkStore::open(&dir).unwrap();
+        let engine = SweepEngine::with_workers(workers);
+        let paths = [
+            ("run", engine.run(&spec).results),
+            ("run_planned", engine.run_planned(&spec).results),
+            ("run_stored", run_stored(&engine, &spec, &store, false).unwrap().results),
+            ("run_stored --resume", run_stored(&engine, &spec, &store, true).unwrap().results),
+        ];
+        for (path, results) in &paths {
+            assert_eq!(results.len(), expected.len(), "{path}");
+            for (r, want) in results.iter().zip(&expected) {
+                let at = format!("{path}, {workers} worker(s), scenario {}", r.id);
+                assert_eq!(&r.report, want, "{at}");
+                assert_eq!(r.total_secs.to_bits(), want.total_secs.to_bits(), "{at}");
+                for (got, want) in r.report.subtasks.iter().zip(&want.subtasks) {
+                    let (g, w) = (got.secs_per_iteration, want.secs_per_iteration);
+                    assert_eq!(g.to_bits(), w.to_bits(), "{at}: subtask {}", got.name);
+                }
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

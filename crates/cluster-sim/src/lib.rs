@@ -18,19 +18,17 @@
 //!
 //! The simulation is fully deterministic for a given seed: noise is drawn
 //! per-rank in program order, independent of scheduling interleavings.
-//! One op interpreter executes a program set under two drivers, and both
-//! produce the same `RunReport` bit for bit:
+//! [`Engine::run`] is the driver every user path runs: one scheduler
+//! state over the whole mesh, executing each op through one interpreter.
+//! [`Engine::run_paused`] stops a run after a number of activations;
+//! [`Paused::snapshot`] then forks that prefix into variants (rate
+//! what-ifs) that resume from it. [`ReferenceEngine`] is the seed engine,
+//! kept as the oracle the tests compare against.
 //!
-//! * [`Engine::run`] — the sequential driver, one scheduler state over
-//!   the whole mesh;
-//! * [`Engine::run_parallel`] — the windowed conservative-parallel driver
-//!   in [`par`], which splits the ranks into contiguous partitions, each
-//!   running the same interpreter, advanced in lock-step windows.
-//!
-//! [`Engine::run_paused`] stops a sequential run after a number of
-//! activations; [`Paused::snapshot`] then forks that prefix into variants
-//! (rate what-ifs) that resume from it. [`ReferenceEngine`] is the seed
-//! engine, kept as the oracle the tests compare both drivers against.
+//! A second, windowed-parallel driver (`par`) runs the same interpreter
+//! per rank partition and gives the same `RunReport` bit for bit. It is
+//! hidden: only the benchmark's traced speculation rebuild and the
+//! engine-equivalence tests call it, and ROADMAP item 2 deletes it.
 //!
 //! ```
 //! use cluster_sim::{Engine, MachineSpec, Program, Op};
@@ -50,6 +48,7 @@ pub mod error;
 pub mod machine;
 pub mod network;
 pub mod noise;
+#[doc(hidden)]
 pub mod par;
 pub mod program;
 pub mod progset;
@@ -64,6 +63,7 @@ pub use error::{SimError, SimResult};
 pub use machine::MachineSpec;
 pub use network::{NetworkModel, PiecewiseSegments};
 pub use noise::NoiseModel;
+#[doc(hidden)]
 pub use par::{zero_lookahead_fallbacks, ParStats, PARTITION_PID};
 pub use program::{Op, Program};
 pub use progset::{ProgramSet, ProgramSetBuilder, SharedOp};

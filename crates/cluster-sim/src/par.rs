@@ -97,12 +97,20 @@ pub const PARTITION_PID: u32 = obs::pids::PARTITION;
 static FALLBACK_WARNINGS: AtomicU64 = AtomicU64::new(0);
 
 /// Number of zero-lookahead sequential fallbacks this process has taken.
+///
+/// Hidden: only the benchmark's traced speculation rebuild and the
+/// engine-equivalence tests call this; ROADMAP item 2 deletes it.
+#[doc(hidden)]
 pub fn zero_lookahead_fallbacks() -> u64 {
     FALLBACK_WARNINGS.load(Ordering::Relaxed)
 }
 
 /// Counters describing how a parallel run executed. The *results* never
 /// depend on any of this — only wall-clock behaviour does.
+///
+/// Hidden: only the benchmark's traced speculation rebuild and the
+/// engine-equivalence tests call this; ROADMAP item 2 deletes it.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParStats {
     /// Contiguous rank partitions (worker threads) actually used.
@@ -129,12 +137,20 @@ impl<'m> Engine<'m> {
     /// there are fewer ranks than two, or when the cross-partition
     /// lookahead is zero (a zero-latency interconnect admits no
     /// conservative window; a warning is printed to stderr).
+    ///
+    /// Hidden: only the benchmark's traced speculation rebuild and the
+    /// engine-equivalence tests call this; ROADMAP item 2 deletes it.
+    #[doc(hidden)]
     pub fn run_parallel(self, threads: usize) -> SimResult<RunReport> {
         self.run_parallel_stats(threads).map(|(report, _)| report)
     }
 
     /// [`Engine::run_parallel`] plus the window/lookahead counters, for
     /// tests and the bench harness.
+    ///
+    /// Hidden: only the benchmark's traced speculation rebuild and the
+    /// engine-equivalence tests call this; ROADMAP item 2 deletes it.
+    #[doc(hidden)]
     pub fn run_parallel_stats(self, threads: usize) -> SimResult<(RunReport, ParStats)> {
         self.validate()?;
         let Engine { machine, set, recorder, trace_pid, .. } = self;

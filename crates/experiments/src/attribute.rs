@@ -7,11 +7,8 @@
 //! with [`obs::attr::attribute`] and reports where every picosecond of
 //! the makespan went. The extractor's hard gate — path length equals the
 //! `RunReport` makespan to the picosecond — runs on every invocation.
-//!
-//! `--check-modes` replays the identical scenario through both engines
-//! (sequential and windowed parallel) and fails unless
-//! the attribution reports are byte-identical, turning the engine
-//! equivalence guarantee into a one-command audit.
+//! The global `--trace` writes the same run's spans as a Chrome trace,
+//! which Perfetto and speedscope both open.
 
 use cluster_sim::{Engine, MachineSpec, NoiseModel, ProgramSet, RunReport};
 use obs::{attr, Attribution, Obs, Recorder};
@@ -21,25 +18,6 @@ use sweep3d::ProblemConfig;
 
 /// Track group the traced measurement lands on.
 pub const MEASURE_PID: u32 = obs::pids::ENGINE;
-
-/// Which engine executes the traced run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Sequential event loop (the golden reference).
-    Sequential,
-    /// Conservative windowed-parallel engine on N threads.
-    Parallel(usize),
-}
-
-impl Mode {
-    /// Stable name for reports and JSON.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Mode::Sequential => "sequential",
-            Mode::Parallel(_) => "parallel",
-        }
-    }
-}
 
 /// The golden-fixture machine (see `tests/engine_golden.rs`): Pentium3
 /// sim spec + commodity noise + 4 KiB rendezvous threshold, pinned seed.
@@ -85,18 +63,14 @@ pub fn fixture_set(workload: WorkloadKind, px: usize, py: usize) -> Result<Progr
     }
 }
 
-/// Run `set` on the fixture machine through `mode` with tracing into
-/// `rec`, then attribute the trace. The extractor's internal gate
-/// guarantees the returned path length equals the report makespan
-/// exactly.
-pub fn run_traced(set: ProgramSet, mode: Mode, rec: &Recorder) -> (RunReport, Attribution) {
-    let machine = fixture_machine();
-    let eng = Engine::from_set(&machine, set).with_recorder(rec, MEASURE_PID);
-    let report = match mode {
-        Mode::Sequential => eng.run(),
-        Mode::Parallel(threads) => eng.run_parallel(threads),
-    }
-    .expect("fixture scenario executes without deadlock");
+/// Run `set` on the fixture machine with tracing into `rec`, then
+/// attribute the trace. The extractor's internal gate guarantees the
+/// returned path length equals the report makespan exactly.
+pub fn run_traced(set: ProgramSet, rec: &Recorder) -> (RunReport, Attribution) {
+    let report = Engine::from_set(&fixture_machine(), set)
+        .with_recorder(rec, MEASURE_PID)
+        .run()
+        .expect("fixture scenario executes without deadlock");
     let attribution = attr::attribute(rec, MEASURE_PID).expect("trace attributes cleanly");
     let makespan_ps = report.ranks.iter().map(|r| r.finish.picos()).max().expect("run has ranks");
     assert_eq!(
@@ -106,17 +80,11 @@ pub fn run_traced(set: ProgramSet, mode: Mode, rec: &Recorder) -> (RunReport, At
     (report, attribution)
 }
 
-/// `experiments attribute [--px N] [--py N] [--workload <kind>]
-/// [--mode seq|par] [--threads N] [--speedscope <path>]
-/// [--check-modes] [--json]`.
+/// `experiments attribute [--px N] [--py N] [--workload <kind>] [--json]`.
 pub fn run(args: &[String], obs: &Obs, json: bool) {
     let mut px = 2usize;
     let mut py = 3usize;
     let mut workload = WorkloadKind::Wavefront;
-    let mut mode_arg = "seq".to_string();
-    let mut threads = 2usize;
-    let mut speedscope: Option<String> = None;
-    let mut check_modes = false;
     let mut i = 0;
     while i < args.len() {
         let value = |i: &mut usize| -> &str {
@@ -135,10 +103,6 @@ pub fn run(args: &[String], obs: &Obs, json: bool) {
                     std::process::exit(2);
                 })
             }
-            "--mode" => mode_arg = value(&mut i).to_string(),
-            "--threads" => threads = crate::int_flag("--threads", value(&mut i)),
-            "--speedscope" => speedscope = Some(value(&mut i).to_string()),
-            "--check-modes" => check_modes = true,
             other => {
                 eprintln!("unknown attribute flag {other:?}");
                 std::process::exit(2);
@@ -146,14 +110,6 @@ pub fn run(args: &[String], obs: &Obs, json: bool) {
         }
         i += 1;
     }
-    let mode = match mode_arg.as_str() {
-        "seq" | "sequential" => Mode::Sequential,
-        "par" | "parallel" => Mode::Parallel(threads.max(2)),
-        other => {
-            eprintln!("unknown mode {other:?} (expected seq or par)");
-            std::process::exit(2);
-        }
-    };
 
     let set = fixture_set(workload, px, py).unwrap_or_else(|e| {
         eprintln!("{e}");
@@ -162,82 +118,15 @@ pub fn run(args: &[String], obs: &Obs, json: bool) {
 
     // Record into the shared bundle so --trace exports the same run.
     let rec = &*obs.recorder;
-    let label = format!("attribute {} {px}x{py} ({})", workload.kind(), mode.name());
-    rec.set_process_name(MEASURE_PID, label.clone());
-    let (_report, attribution) = run_traced(set.clone(), mode, rec);
-
-    if let Some(path) = &speedscope {
-        std::fs::write(path, obs::speedscope::export(rec, &label)).expect("write speedscope file");
-        eprintln!("wrote speedscope profile to {path}");
-    }
-
-    if check_modes {
-        let modes = [Mode::Sequential, Mode::Parallel(threads.max(2))];
-        let runs: Vec<(Mode, String)> = modes
-            .iter()
-            .map(|&m| {
-                let fresh = Recorder::enabled();
-                let (_, a) = run_traced(set.clone(), m, &fresh);
-                (m, a.to_json())
-            })
-            .collect();
-        let baseline = &runs[0].1;
-        let all_equal = runs.iter().all(|(_, j)| j == baseline);
-        if !json {
-            println!("### Attribution cross-mode check: {px}x{py}, {} ranks\n", px * py);
-            println!("| mode | attribution bytes | identical to sequential |");
-            println!("|---|---|---|");
-            for (m, j) in &runs {
-                println!(
-                    "| {} | {} | {} |",
-                    m.name(),
-                    j.len(),
-                    if j == baseline { "yes" } else { "NO" }
-                );
-            }
-            println!();
-        }
-        if !all_equal {
-            eprintln!("attribution reports differ between engine modes");
-            std::process::exit(1);
-        }
-    }
+    rec.set_process_name(MEASURE_PID, format!("attribute {} {px}x{py}", workload.kind()));
+    let (_report, attribution) = run_traced(set, rec);
 
     if json {
         println!("{}", attribution.to_json());
     } else {
-        let title = format!(
-            "{} {px}x{py} on {} ({} engine)",
-            workload.kind(),
-            fixture_machine().name,
-            mode.name()
-        );
+        let title = format!("{} {px}x{py} on {}", workload.kind(), fixture_machine().name);
         print!("{}", attribution.render(&title));
     }
     obs.metrics.counter_add("attr.runs", 1);
     obs.metrics.gauge_set("attr.makespan_ps", attribution.makespan_ps as f64);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fixtures_gate_and_agree_across_modes() {
-        for (workload, px, py) in [
-            (WorkloadKind::Wavefront, 2, 3),
-            (WorkloadKind::Stencil, 2, 2),
-            (WorkloadKind::Allreduce, 2, 3),
-        ] {
-            let set = fixture_set(workload, px, py).unwrap();
-            let rec_seq = Recorder::enabled();
-            let (report, a_seq) = run_traced(set.clone(), Mode::Sequential, &rec_seq);
-            assert_eq!(a_seq.ranks.len(), px * py);
-            let makespan_ps = report.ranks.iter().map(|r| r.finish.picos()).max().unwrap();
-            assert_eq!(a_seq.makespan_ps, makespan_ps);
-            let rec_par = Recorder::enabled();
-            let (_, a_par) = run_traced(set, Mode::Parallel(2), &rec_par);
-            assert_eq!(a_seq.to_json(), a_par.to_json(), "{workload:?} parallel diverged");
-        }
-    }
 }

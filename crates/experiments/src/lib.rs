@@ -37,24 +37,20 @@ pub mod strong_scaling;
 pub mod validation;
 pub mod wavefront_fig;
 
-/// Parse the integer operand of a command-line flag, or exit 2 with a
-/// one-line usage error (the same treatment unknown flags get).
-pub fn int_flag<T: std::str::FromStr>(flag: &str, value: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("{flag} takes an integer, got {value:?}");
-        std::process::exit(2)
-    })
-}
-
 /// Parse the operand of a count flag (`--ranks`, `--repeat`, …): a
-/// positive integer, or exit 2 with a one-line usage error naming the flag.
+/// positive integer, or exit 2 with a one-line usage error naming the flag
+/// (the same treatment unknown flags get).
 pub fn positive_flag(flag: &str, value: &str) -> usize {
-    match int_flag(flag, value) {
-        0 => {
+    match value.parse() {
+        Ok(0) => {
             eprintln!("{flag} takes a positive integer, got {value:?}");
             std::process::exit(2)
         }
-        n => n,
+        Ok(n) => n,
+        Err(_) => {
+            eprintln!("{flag} takes an integer, got {value:?}");
+            std::process::exit(2)
+        }
     }
 }
 

@@ -32,23 +32,17 @@
 //!                                        merge is bit-identity-checked against a serial
 //!                                        in-process reference run
 //! experiments speculation [--problem 20m|1b] [--workload <wavefront|stencil|allreduce>]
-//!                         [--ranks N] [--repeat K] [--iterations I]
-//!                         [--threads N] [--json]
+//!                         [--ranks N] [--repeat K] [--iterations I] [--json]
 //!                                        discrete-event run of a speculative scenario (default
 //!                                        8000 ranks), seed-replicated over the worker pool;
 //!                                        --workload replays another template's DES lowering on
-//!                                        the same hypothetical machine;
-//!                                        --threads N runs each replication on the parallel
-//!                                        engine with N threads (bit-identical results)
+//!                                        the same hypothetical machine
 //! experiments timeline                  pipeline Gantt chart (simulated)
 //! experiments obs                       telemetry demo: phase spans + span/stats cross-check
-//! experiments attribute [--px N] [--py N] [--workload <wavefront|stencil|allreduce>]
-//!                       [--mode seq|par] [--threads N]
-//!                       [--speedscope <path>] [--check-modes] [--json]
+//! experiments attribute [--px N] [--py N] [--workload <wavefront|stencil|allreduce>] [--json]
 //!                                        critical-path attribution of a traced run: per-mechanism
-//!                                        makespan breakdown, per-rank slack, top critical edges;
-//!                                        --check-modes proves byte-identical attribution across
-//!                                        both engine modes, --speedscope writes a profile
+//!                                        makespan breakdown, per-rank slack, top critical edges
+//!                                        (the global --trace writes the same run's spans)
 //! experiments csv [dir]                 write tables/figures as CSV files
 //! experiments validate                  all three tables + summary stats
 //! experiments all                       everything above
@@ -483,7 +477,6 @@ fn run_speculation(args: &[String], json: bool) {
         iterations: 2,
         repeat: 3,
     };
-    let mut threads: Option<usize> = None;
     let mut i = 0;
     while i < args.len() {
         let value = |i: &mut usize| -> &str {
@@ -513,7 +506,6 @@ fn run_speculation(args: &[String], json: bool) {
             "--ranks" => spec.ranks = positive_flag("--ranks", value(&mut i)),
             "--repeat" => spec.repeat = positive_flag("--repeat", value(&mut i)),
             "--iterations" => spec.iterations = positive_flag("--iterations", value(&mut i)),
-            "--threads" => threads = Some(positive_flag("--threads", value(&mut i))),
             other => {
                 eprintln!("unknown speculation flag {other:?}");
                 std::process::exit(2);
@@ -521,8 +513,8 @@ fn run_speculation(args: &[String], json: bool) {
         }
         i += 1;
     }
-    let campaign = speculation::simulate(&spec, sweepsvc::available_workers(), threads)
-        .unwrap_or_else(|e| {
+    let campaign =
+        speculation::simulate(&spec, sweepsvc::available_workers()).unwrap_or_else(|e| {
             eprintln!("{e}");
             std::process::exit(2);
         });
@@ -577,7 +569,7 @@ fn run_obs(obs: &Obs) {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments [--trace <path>] [--metrics <path>] [--json] <table1|table2|table3|fig1|fig8|fig9|hmcl [--machine <name|path>]|concurrence|ablation|blocking|asci-goals|rendezvous|strong-scaling|sweep [--machine <name|path>] [--backend <list>] [--workload <kind|path>] [--plan] [--store DIR [--resume]]|speculation [--problem 20m|1b] [--workload <kind>] [--ranks N] [--repeat K] [--iterations I] [--threads N]|timeline|obs|attribute [--px N] [--py N] [--workload <kind>] [--mode seq|par] [--speedscope <path>] [--check-modes]|robustness|host-validate|csv [dir]|validate|all>"
+        "usage: experiments [--trace <path>] [--metrics <path>] [--json] <table1|table2|table3|fig1|fig8|fig9|hmcl [--machine <name|path>]|concurrence|ablation|blocking|asci-goals|rendezvous|strong-scaling|sweep [--machine <name|path>] [--backend <list>] [--workload <kind|path>] [--plan] [--store DIR [--resume]]|speculation [--problem 20m|1b] [--workload <kind>] [--ranks N] [--repeat K] [--iterations I]|timeline|obs|attribute [--px N] [--py N] [--workload <kind>]|robustness|host-validate|csv [dir]|validate|all>"
     );
     std::process::exit(2)
 }

@@ -273,8 +273,6 @@ pub struct Campaign {
     pub iterations: usize,
     /// Pool workers the seeds were fanned over.
     pub workers: usize,
-    /// Engine threads per run.
-    pub sim_threads: usize,
     /// Distinct interned op streams (roles) in the program set.
     pub streams: usize,
     /// Ops stored once (sum over streams).
@@ -289,16 +287,9 @@ pub struct Campaign {
 
 /// Lower `spec` and replicate it under `spec.repeat` fixed noise seeds on
 /// the [`speculation_machine`], fanned over `workers` pool threads. Fully
-/// deterministic: two invocations produce bit-identical reports.
-/// `sim_threads` is the per-run engine thread count (the CLI's
-/// `--threads N`); `None` lets the sweepsvc nested-parallelism policy
-/// donate spare pool slots. Results are bit-identical for every thread
-/// count.
-pub fn simulate(
-    spec: &CampaignSpec,
-    workers: usize,
-    sim_threads: Option<usize>,
-) -> Result<Campaign, String> {
+/// deterministic: two invocations produce bit-identical reports, for any
+/// worker count.
+pub fn simulate(spec: &CampaignSpec, workers: usize) -> Result<Campaign, String> {
     let t0 = Instant::now();
     let (subject, set) = spec.lower()?;
     let seeds: Vec<u64> = (1..=spec.repeat as u64).map(|i| 0x5EED_0000 + i).collect();
@@ -307,18 +298,14 @@ pub fn simulate(
         &set,
         &seeds,
         workers,
-        sim_threads,
+        None,
         &obs::Obs::disabled(),
     )
     .map_err(|e| format!("speculation campaign: {e}"))?;
-    let sim_threads = sim_threads
-        .or_else(sweepsvc::sim_threads_override)
-        .unwrap_or_else(|| sweepsvc::nested_plan(workers, spec.repeat).1);
     Ok(Campaign {
         subject,
         iterations: spec.iterations,
         workers,
-        sim_threads,
         streams: set.num_streams(),
         stored_ops: set.stored_ops(),
         ops_per_run: set.total_ops(),
@@ -367,7 +354,7 @@ impl Campaign {
                 out,
                 concat!(
                     "  \"ranks\": {},\n  \"iterations\": {},\n  \"repeat\": {},\n",
-                    "  \"workers\": {},\n  \"sim_threads\": {},\n  \"streams\": {},\n",
+                    "  \"workers\": {},\n  \"streams\": {},\n",
                     "  \"stored_ops\": {},\n  \"ops_per_run\": {},\n  \"total_events\": {},\n",
                     "  \"wall_ms\": {:.3},\n  \"events_per_sec\": {:.0},\n",
                     "  \"makespan_secs\": {{\"mean\": {:.6}, \"min\": {:.6}, \"max\": {:.6}, \"std\": {:.6}}},\n",
@@ -377,7 +364,6 @@ impl Campaign {
                 self.iterations,
                 s.replications.len(),
                 self.workers,
-                self.sim_threads,
                 self.streams,
                 self.stored_ops,
                 self.ops_per_run,
@@ -409,7 +395,7 @@ impl Campaign {
             out,
             concat!(
                 "program encoding   : {} roles / {} ranks, {} ops stored for {} executed per run\n",
-                "replications       : {} seeds over {} worker(s), {} engine thread(s)/run\n",
+                "replications       : {} seeds over {} worker(s)\n",
                 "makespan           : mean {:.4} s  (min {:.4}, max {:.4}, std {:.5})\n",
                 "campaign wall      : {:.2} ms\n",
                 "throughput         : {:.2} M simulated events/s\n\n"
@@ -420,7 +406,6 @@ impl Campaign {
             self.ops_per_run,
             s.replications.len(),
             self.workers,
-            self.sim_threads,
             s.mean_makespan(),
             s.min_makespan(),
             s.max_makespan(),
@@ -524,8 +509,8 @@ mod tests {
 
     #[test]
     fn des_campaign_is_reproducible_and_counts_events() {
-        let a = simulate(&spec(WorkloadKind::Wavefront, 4, 1), 2, None).unwrap();
-        let b = simulate(&spec(WorkloadKind::Wavefront, 4, 1), 4, None).unwrap();
+        let a = simulate(&spec(WorkloadKind::Wavefront, 4, 1), 2).unwrap();
+        let b = simulate(&spec(WorkloadKind::Wavefront, 4, 1), 4).unwrap();
         // Worker count must not change the results, only the wall clock.
         assert_eq!(a.summary.replications, b.summary.replications);
         assert_eq!(a.subject, Subject::Figure { problem: Problem::TwentyMillion, px: 2, py: 2 });
@@ -540,21 +525,21 @@ mod tests {
     }
 
     #[test]
-    fn threaded_campaign_is_bit_identical() {
-        // `--threads N` must not change a single simulated number, for any
-        // workload.
+    fn every_workload_campaign_is_worker_count_invariant() {
+        // The pool width must not change a single simulated number, for
+        // any workload.
         for (workload, ranks) in
             [(WorkloadKind::Wavefront, 6), (WorkloadKind::Stencil, 4), (WorkloadKind::Allreduce, 5)]
         {
-            let plain = simulate(&spec(workload, ranks, 1), 1, None).unwrap();
-            let threaded = simulate(&spec(workload, ranks, 1), 2, Some(3)).unwrap();
-            assert_eq!(plain.summary.replications, threaded.summary.replications, "{workload:?}");
+            let serial = simulate(&spec(workload, ranks, 1), 1).unwrap();
+            let pooled = simulate(&spec(workload, ranks, 1), 3).unwrap();
+            assert_eq!(serial.summary.replications, pooled.summary.replications, "{workload:?}");
         }
     }
 
     #[test]
     fn workload_campaigns_replicate_across_seeds() {
-        let c = simulate(&spec(WorkloadKind::Stencil, 4, 3), 2, None).unwrap();
+        let c = simulate(&spec(WorkloadKind::Stencil, 4, 3), 2).unwrap();
         assert_eq!(c.subject, Subject::Template { kind: "stencil", ranks: 4 });
         assert_eq!(c.iterations, 3);
         assert_eq!(c.summary.replications.len(), 2);

@@ -21,11 +21,7 @@ fn assert_usage_error(args: &[&str]) {
 #[test]
 fn non_integer_flag_values_are_usage_errors() {
     assert_usage_error(&["speculation", "--ranks", "abc"]);
-    assert_usage_error(&["speculation", "--threads", "-1"]);
-    // Zero is not an engine thread count.
-    assert_usage_error(&["speculation", "--threads", "0"]);
-    let out = experiments(&["speculation", "--threads", "0"]);
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--threads"));
+    assert_usage_error(&["speculation", "--repeat", "-1"]);
     assert_usage_error(&["attribute", "--px", "two"]);
 }
 
@@ -86,7 +82,6 @@ fn speculation_json_keeps_its_keys_for_every_workload() {
         "iterations",
         "repeat",
         "workers",
-        "sim_threads",
         "streams",
         "stored_ops",
         "ops_per_run",
@@ -138,7 +133,19 @@ fn removed_engine_selectors_are_usage_errors() {
     // a repository-wide search for its name finds only history documents.
     let removed_flag = concat!("--opti", "mistic");
     assert_usage_error(&["speculation", removed_flag]);
-    assert_usage_error(&["attribute", "--mode", "opt"]);
+    // Every user path runs the sequential engine: the engine-thread,
+    // engine-mode and cross-mode flags are gone, and so is the second
+    // profile exporter (the global --trace covers it).
+    for args in [
+        &["speculation", "--threads", "2"][..],
+        &["attribute", "--mode", "par"],
+        &["attribute", "--check-modes"],
+        &["attribute", "--speedscope", "f"],
+    ] {
+        assert_usage_error(args);
+        let stderr = String::from_utf8_lossy(&experiments(args).stderr).into_owned();
+        assert!(stderr.contains(args[1]), "{args:?}: error should name {}: {stderr}", args[1]);
+    }
 }
 
 /// Machine spec files that parse as JSON but hold unphysical values exit

@@ -22,9 +22,7 @@
 //! hard internal gate ([`AttrError::PathMismatch`]), same spirit as the
 //! span-totals cross-check. On top of the path the module computes
 //! per-rank slack, the top-k critical edges, and a whole-run rollup
-//! ([`Rollup`]) whose fixed field list doubles as the feature schema for
-//! the learned surrogate backend (ROADMAP item 4): [`Rollup::delta`]
-//! diffs two rollups between what-if scenarios.
+//! ([`Rollup`]) of mechanism totals over every rank.
 
 use crate::json::escape;
 use crate::span::{Cat, EdgeKind, EdgeRecord, Recorder, SpanRecord};
@@ -153,8 +151,7 @@ impl PathBreakdown {
 }
 
 /// Whole-run mechanism totals summed over every rank (not just the
-/// path). The fixed field list is the surrogate feature schema; diffable
-/// between what-if scenarios with [`Rollup::delta`].
+/// path).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Rollup {
     /// Span-derived makespan (max rank finish), ps.
@@ -203,16 +200,6 @@ impl Rollup {
             ("rollup.messages", self.messages),
             ("rollup.rendezvous", self.rendezvous),
         ]
-    }
-
-    /// Signed per-field difference `self - baseline`, in canonical field
-    /// order — the what-if diff the attribution reports print.
-    pub fn delta(&self, baseline: &Rollup) -> Vec<(&'static str, i64)> {
-        self.features()
-            .into_iter()
-            .zip(baseline.features())
-            .map(|((name, a), (_, b))| (name, a as i64 - b as i64))
-            .collect()
     }
 }
 
@@ -570,14 +557,6 @@ pub fn attribute(rec: &Recorder, pid: u32) -> Result<Attribution, AttrError> {
 }
 
 impl Attribution {
-    /// The flat feature vector (path + rollup features in canonical
-    /// order) the surrogate backend trains on.
-    pub fn features(&self) -> Vec<(&'static str, u64)> {
-        let mut v = self.path.features();
-        v.extend(self.rollup.features());
-        v
-    }
-
     /// Deterministic JSON document (`obs/attr-v1`). Identical runs —
     /// through any engine mode — produce byte-identical output.
     pub fn to_json(&self) -> String {
@@ -769,15 +748,6 @@ mod tests {
     fn empty_recorder_is_reported() {
         let rec = Recorder::enabled();
         assert_eq!(attribute(&rec, 0).unwrap_err(), AttrError::NoSpans);
-    }
-
-    #[test]
-    fn rollup_delta_is_signed() {
-        let a = Rollup { compute_ps: 100, wire_ps: 10, ..Rollup::default() };
-        let b = Rollup { compute_ps: 80, wire_ps: 30, ..Rollup::default() };
-        let d = a.delta(&b);
-        assert!(d.contains(&("rollup.compute_ps", 20)));
-        assert!(d.contains(&("rollup.wire_ps", -20)));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   are isolated so determinism tests can ignore them ([`span`]);
 //! * [`MetricsRegistry`] — monotonic counters, gauges and fixed-bucket
 //!   histograms, snapshotted in deterministic name order ([`metrics`]);
-//! * exporters — Chrome `trace_event` JSON loadable in Perfetto
-//!   ([`chrome`]) and speedscope profiles ([`speedscope`]);
+//! * the exporter — Chrome `trace_event` JSON, which Perfetto and
+//!   speedscope both open ([`chrome`]);
 //! * [`json`] — the hand-rolled JSON emission helpers and a minimal
 //!   parser the round-trip tests validate against (the workspace builds
 //!   offline; the `serde` shim has no data format).
@@ -34,7 +34,6 @@ pub mod metrics;
 pub mod names;
 pub mod pids;
 pub mod span;
-pub mod speedscope;
 
 use std::sync::Arc;
 

@@ -23,10 +23,10 @@
 //!   bit-identical evaluations plus snapshot-prefix sharing for DES rate
 //!   what-ifs, executed by [`SweepEngine::run_planned`] with
 //!   byte-identical results to the naive path ([`plan`]);
-//! * [`replicate_set_threaded`] / [`replicate_set_attributed`] — the
-//!   parallel-replication runner for `cluster-sim` measurement campaigns:
-//!   N seeds of one machine, merged into one statistics summary, the
-//!   second also carrying each run's critical-path rollup ([`replicate`]);
+//! * [`replicate_set_threaded`] — the parallel-replication runner for
+//!   `cluster-sim` measurement campaigns: N seeds of one machine, each on
+//!   the sequential engine, merged into one statistics summary
+//!   ([`replicate`]);
 //! * [`run_stored`] — resumable campaigns: the scenario ids split into
 //!   contiguous ranges, each persisted as a content-addressed chunk, so a
 //!   rerun evaluates only missing or corrupt ranges, bit-identical to
@@ -69,12 +69,13 @@ pub use engine::{scenario_result, CachedEngine};
 pub use engine::{SweepEngine, SweepOutcome, SweepStats, SWEEP_PID};
 pub use plan::{ExecPlan, ForkGroup, PlanJob, PlanStats};
 pub use pool::{
-    available_workers, nested_plan, run_ordered, run_ordered_with_worker, sim_threads_override,
-    PoolRun, WorkerStats, CLAIMS_PER_WORKER,
+    available_workers, run_ordered, run_ordered_with_worker, PoolRun, WorkerStats,
+    CLAIMS_PER_WORKER,
 };
-pub use replicate::{
-    replicate_set_attributed, replicate_set_threaded, Replication, ReplicationSummary,
-    REPLICATE_PID,
-};
+// The engine-thread split and its environment override have no library
+// caller; they stay, hidden, for the benchmark package's traced rebuild.
+#[doc(hidden)]
+pub use pool::{nested_plan, sim_threads_override};
+pub use replicate::{replicate_set_threaded, Replication, ReplicationSummary, REPLICATE_PID};
 pub use spec::{ProblemPoint, Scenario, ScenarioIndex, ScenarioResult, SweepSpec};
 pub use store::{partition, run_stored, ChunkStore, IdRange, StoreStats, StoredOutcome};

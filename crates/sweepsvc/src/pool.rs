@@ -101,6 +101,11 @@ pub fn available_workers() -> usize {
 /// (`jobs >= slots`) gets sequential runs and a narrow batch (few
 /// scenarios, many ranks) gets multi-threaded ones. Never oversubscribes:
 /// `outer * inner <= slots` (with the usual minimum of one each).
+///
+/// Hidden: replications run on the sequential engine, so only the
+/// benchmark's traced speculation rebuild calls this; ROADMAP item 2
+/// deletes it.
+#[doc(hidden)]
 pub fn nested_plan(slots: usize, jobs: usize) -> (usize, usize) {
     let slots = slots.max(1);
     if jobs == 0 {
@@ -111,10 +116,13 @@ pub fn nested_plan(slots: usize, jobs: usize) -> (usize, usize) {
     (outer, inner)
 }
 
-/// Per-run engine thread override from the `PACE_SIM_THREADS` environment
-/// variable — the hook CI's `threads=4` matrix leg uses to route every
-/// replication campaign through the parallel engine. Results are
-/// bit-identical either way; only wall-clock behaviour changes.
+/// Per-run engine thread count from the `PACE_SIM_THREADS` environment
+/// variable.
+///
+/// Hidden: replications run on the sequential engine, so only the
+/// benchmark's traced speculation rebuild calls this; ROADMAP item 2
+/// deletes it.
+#[doc(hidden)]
 pub fn sim_threads_override() -> Option<usize> {
     let raw = std::env::var("PACE_SIM_THREADS").ok()?;
     raw.trim().parse().ok().filter(|&t| t > 0)

@@ -1,14 +1,11 @@
 //! Parallel replication of `cluster-sim` runs.
 //!
 //! A measurement campaign replays the same machine under N noise seeds.
-//! Two entry points fan the seeds out over the worker pool — each
-//! replication is an independent deterministic simulation of
-//! `machine.with_seed(seed)` — and merge the runs into one
-//! [`ReplicationSummary`]:
-//!
-//! * [`replicate_set_threaded`] — the plain campaign;
-//! * [`replicate_set_attributed`] — the same runs, each traced and
-//!   carrying its critical-path [`obs::Rollup`].
+//! [`replicate_set_threaded`] fans the seeds out over the worker pool —
+//! each replication is an independent deterministic simulation of
+//! `machine.with_seed(seed)` on the sequential engine
+//! ([`cluster_sim::Engine::run`]) — and merges the runs into one
+//! [`ReplicationSummary`].
 //!
 //! Replications are reported in seed order, so the summary is identical
 //! whether the runs happened concurrently or sequentially. Fork campaigns
@@ -35,8 +32,8 @@ pub struct Replication {
     pub makespan_secs: f64,
     /// Full per-rank statistics.
     pub report: RunReport,
-    /// Whole-run mechanism attribution ([`obs::Rollup`]), present when
-    /// the run was traced through [`replicate_set_attributed`].
+    /// Always `None`: replications are not traced. The field stays
+    /// because the benchmark package builds this struct literally.
     pub rollup: Option<obs::Rollup>,
 }
 
@@ -98,56 +95,16 @@ impl ReplicationSummary {
         }
         self.replications.iter().map(|r| r.report.mean_compute_fraction()).sum::<f64>() / n as f64
     }
-
-    /// Per-seed attribution columns as a markdown table — the campaign
-    /// output for runs traced through [`replicate_set_attributed`].
-    /// `None` unless every replication carries a rollup.
-    pub fn attribution_markdown(&self) -> Option<String> {
-        use std::fmt::Write as _;
-        let rollups: Vec<&obs::Rollup> =
-            self.replications.iter().map(|r| r.rollup.as_ref()).collect::<Option<_>>()?;
-        let ms = |ps: u64| ps as f64 / 1e9;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "| seed | makespan (ms) | compute | send ovh | recv ovh | blocked | fill | blk idle | drain | collective | wire | msgs | rdv |"
-        );
-        let _ = writeln!(out, "|---|---|---|---|---|---|---|---|---|---|---|---|---|");
-        for (rep, ro) in self.replications.iter().zip(&rollups) {
-            let _ = writeln!(
-                out,
-                "| {:#x} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} | {} | {} |",
-                rep.seed,
-                ms(ro.makespan_ps),
-                ms(ro.compute_ps),
-                ms(ro.send_overhead_ps),
-                ms(ro.recv_overhead_ps),
-                ms(ro.blocked_send_ps),
-                ms(ro.fill_ps),
-                ms(ro.blocking_idle_ps),
-                ms(ro.drain_ps),
-                ms(ro.collective_ps),
-                ms(ro.wire_ps),
-                ro.messages,
-                ro.rendezvous,
-            );
-        }
-        Some(out)
-    }
 }
 
 /// Run the shared program `set` on `machine` once per seed, fanned out
-/// over `workers` pool threads. Fails with the first simulation error, if
-/// any. Each seeded run clones the set (an `Arc` bump per distinct op
-/// stream), not the op vectors.
+/// over `min(workers, seeds)` pool threads, each run on the sequential
+/// engine. Fails with the first simulation error, if any. Each seeded run
+/// clones the set (an `Arc` bump per distinct op stream), not the op
+/// vectors. Results are bit-identical for every worker count.
 ///
-/// Worker slots follow the nested-parallelism policy
-/// ([`pool::nested_plan`]): campaign-level seeds first, spare slots
-/// donated to intra-run engine threads
-/// ([`cluster_sim::Engine::run_parallel`]), never oversubscribing.
-/// `sim_threads` pins the intra-run thread count (`--threads N` in the
-/// CLI); `None` lets the plan decide, subject to the `PACE_SIM_THREADS`
-/// override. Results are bit-identical for every split.
+/// `_sim_threads` is ignored. It stays only because the benchmark package
+/// passes `None` in that position.
 ///
 /// With telemetry on, each seeded run becomes a wall span on its worker's
 /// track, and the summary merge publishes its duration to the metrics
@@ -157,73 +114,30 @@ pub fn replicate_set_threaded(
     set: &ProgramSet,
     seeds: &[u64],
     workers: usize,
-    sim_threads: Option<usize>,
-    obs: &Obs,
-) -> SimResult<ReplicationSummary> {
-    replicate_seeds(machine, set, seeds, workers, sim_threads, false, obs)
-}
-
-/// [`replicate_set_threaded`] with per-seed critical-path attribution:
-/// each seeded run is traced into a private recorder and attributed with
-/// [`obs::attr::attribute`] — the extractor's path-equals-makespan gate
-/// runs for every seed — and the whole-run mechanism [`obs::Rollup`]
-/// rides along on each [`Replication`]. Render the columns with
-/// [`ReplicationSummary::attribution_markdown`]. The simulated numbers
-/// are bit-identical to [`replicate_set_threaded`]; only `rollup` differs.
-pub fn replicate_set_attributed(
-    machine: &MachineSpec,
-    set: &ProgramSet,
-    seeds: &[u64],
-    workers: usize,
-    obs: &Obs,
-) -> SimResult<ReplicationSummary> {
-    replicate_seeds(machine, set, seeds, workers, None, true, obs)
-}
-
-/// The per-seed loop behind both entry points.
-fn replicate_seeds(
-    machine: &MachineSpec,
-    set: &ProgramSet,
-    seeds: &[u64],
-    workers: usize,
-    sim_threads: Option<usize>,
-    attributed: bool,
+    _sim_threads: Option<usize>,
     obs: &Obs,
 ) -> SimResult<ReplicationSummary> {
     let rec = &*obs.recorder;
     if rec.is_enabled() {
         rec.set_process_name(REPLICATE_PID, format!("replicate {}", machine.name));
     }
-    let (outer, planned) = pool::nested_plan(workers, seeds.len());
-    let inner = sim_threads.or_else(pool::sim_threads_override).unwrap_or(planned).max(1);
-    let run = pool::run_ordered_with_worker(seeds.to_vec(), outer, |worker, &seed| {
+    let run = pool::run_ordered_with_worker(seeds.to_vec(), workers, |worker, &seed| {
         let t0 = Instant::now();
         let seeded = machine.clone().with_seed(seed);
-        let trace = attributed.then(obs::Recorder::enabled);
-        let mut engine = Engine::from_set(&seeded, set.clone());
-        if let Some(trace) = &trace {
-            engine = engine.with_recorder(trace, obs::pids::ENGINE);
-        }
-        let result = engine.run_parallel(inner).map(|report| {
-            let rollup = trace.as_ref().map(|trace| {
-                obs::attr::attribute(trace, obs::pids::ENGINE)
-                    .expect("traced replication attributes cleanly")
-                    .rollup
-            });
-            Replication { seed, makespan_secs: report.makespan(), report, rollup }
+        let result = Engine::from_set(&seeded, set.clone()).run().map(|report| Replication {
+            seed,
+            makespan_secs: report.makespan(),
+            report,
+            rollup: None,
         });
         if rec.is_enabled() {
-            let mut args = vec![("seed", seed.into()), ("sim_threads", inner.into())];
-            if attributed {
-                args.push(("attributed", 1u64.into()));
-            }
             rec.wall_span(
                 REPLICATE_PID,
                 worker as u32,
                 format!("seed:{seed}"),
                 Cat::Task,
                 t0,
-                args,
+                vec![("seed", seed.into())],
             );
         }
         result
@@ -231,9 +145,6 @@ fn replicate_seeds(
     let merge_started = Instant::now();
     let replications = run.results.into_iter().collect::<SimResult<Vec<_>>>()?;
     obs.metrics.counter_add("replicate.seeds", seeds.len() as u64);
-    if attributed {
-        obs.metrics.counter_add("replicate.attributed", seeds.len() as u64);
-    }
     obs.metrics.gauge_set("wall.replicate.merge_us", merge_started.elapsed().as_micros() as f64);
     Ok(ReplicationSummary {
         machine: machine.name.clone(),
@@ -262,7 +173,7 @@ mod tests {
         MachineSpec::ideal(100.0).with_noise(cluster_sim::NoiseModel::commodity())
     }
 
-    /// A plain campaign with the engine-thread split left to the plan.
+    /// A plain campaign on `workers` pool threads.
     fn replicate(set: &ProgramSet, seeds: &[u64], workers: usize) -> ReplicationSummary {
         replicate_set_threaded(&noisy_machine(), set, seeds, workers, None, &Obs::disabled())
             .unwrap()
@@ -322,64 +233,19 @@ mod tests {
     }
 
     #[test]
-    fn threaded_replications_keep_seed_order_and_results() {
-        // The deterministic-ordering smoke test: with pool workers *and*
-        // intra-run engine threads both > 1, result ordering and every
-        // simulated number must still match the serial run — ordering is
-        // pinned by input position, never by completion order.
-        let machine = noisy_machine();
+    fn unsorted_seeds_keep_input_order_for_every_worker_count() {
+        // Ordering is pinned by input position, never by completion
+        // order: with seeds out of numeric order and any worker count (up
+        // to one worker per seed), every simulated number and the seed
+        // order must match the serial run.
         let set = ring_programs(6);
         let seeds = [42u64, 5, 17, 99, 3];
-        let serial =
-            replicate_set_threaded(&machine, &set, &seeds, 1, Some(1), &Obs::disabled()).unwrap();
-        for (workers, threads) in [(3, 2), (2, 3), (5, 4)] {
-            let threaded = replicate_set_threaded(
-                &machine,
-                &set,
-                &seeds,
-                workers,
-                Some(threads),
-                &Obs::disabled(),
-            )
-            .unwrap();
-            assert_eq!(
-                threaded.replications, serial.replications,
-                "workers={workers} sim_threads={threads} perturbed the campaign"
-            );
-            let order: Vec<u64> = threaded.replications.iter().map(|r| r.seed).collect();
+        let serial = replicate(&set, &seeds, 1);
+        for workers in [2, 3, 5, 8] {
+            let pooled = replicate(&set, &seeds, workers);
+            assert_eq!(pooled.replications, serial.replications, "workers={workers}");
+            let order: Vec<u64> = pooled.replications.iter().map(|r| r.seed).collect();
             assert_eq!(order, seeds, "seed order must be input order, not completion order");
         }
-    }
-
-    #[test]
-    fn attributed_replication_matches_plain_and_renders_columns() {
-        let machine = noisy_machine();
-        let set = ring_programs(4);
-        let seeds = [11u64, 22, 33];
-        let plain = replicate(&set, &seeds, 1);
-        let obs = obs::Obs::enabled();
-        let attributed = replicate_set_attributed(&machine, &set, &seeds, 2, &obs).unwrap();
-        // Attribution must not perturb the simulated numbers.
-        for (a, b) in plain.replications.iter().zip(&attributed.replications) {
-            assert_eq!(a.report, b.report);
-            let ro = b.rollup.expect("attributed run carries a rollup");
-            // The extractor's gate: rollup makespan is the report's, exactly.
-            let makespan_ps = b.report.ranks.iter().map(|r| r.finish.picos()).max().unwrap();
-            assert_eq!(ro.makespan_ps, makespan_ps);
-            assert!(ro.messages > 0);
-        }
-        let snap = obs.metrics.snapshot();
-        assert_eq!(
-            snap.get("replicate.attributed").and_then(obs::MetricValue::as_counter),
-            Some(3)
-        );
-        // Worker-count invariance extends to the rollup columns.
-        let serial = replicate_set_attributed(&machine, &set, &seeds, 1, &Obs::disabled()).unwrap();
-        assert_eq!(serial.replications, attributed.replications);
-        let table = attributed.attribution_markdown().expect("all rollups present");
-        assert!(table.contains("| seed | makespan (ms) |"), "{table}");
-        assert_eq!(table.lines().count(), 2 + seeds.len());
-        // Plain campaigns have no attribution columns to render.
-        assert!(plain.attribution_markdown().is_none());
     }
 }

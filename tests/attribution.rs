@@ -5,37 +5,14 @@
 //!   noise classes, partition counts and both engine modes;
 //! * the attribution report is byte-identical between the sequential and
 //!   windowed-parallel engines on digest-matched runs;
-//! * both hold on every golden fixture (6 / 64 / 512 / 8000 ranks).
+//! * both hold on every golden fixture (6 / 64 / 512 / 8000 ranks) and on
+//!   the `experiments attribute` fixture of every workload template.
 
-use cluster_sim::{Engine, MachineSpec, NoiseModel};
+use cluster_sim::{Engine, MachineSpec, NoiseModel, ProgramSet};
+use experiments::attribute::{fixture_machine, fixture_set};
 use obs::{attr, Recorder};
+use pace_core::WorkloadKind;
 use proptest::prelude::*;
-use sweep3d::trace::{generate_programs, FlopModel};
-use sweep3d::ProblemConfig;
-
-/// The golden-fixture machine of `tests/engine_golden.rs`.
-fn fixture_machine(seed: u64) -> MachineSpec {
-    let mut m = registry::sim::pentium3_myrinet_sim();
-    m.noise = NoiseModel::commodity();
-    m.rendezvous_bytes = Some(4096);
-    m.seed = seed;
-    m
-}
-
-fn fixture_config(px: usize, py: usize) -> ProblemConfig {
-    let mut c = ProblemConfig::weak_scaling(4, px, py);
-    c.mk = 2;
-    c.iterations = 2;
-    c
-}
-
-fn flop_model() -> FlopModel {
-    FlopModel {
-        flops_per_cell_angle: 21.5,
-        source_flops_per_cell: 2.0,
-        flux_err_flops_per_cell: 3.0,
-    }
-}
 
 #[derive(Debug, Clone, Copy)]
 enum Mode {
@@ -43,17 +20,16 @@ enum Mode {
     Par(usize),
 }
 
-/// Run the fixture through one engine mode with tracing, return the
-/// report makespan (ps) and the attribution.
-fn attribute_mode(
-    machine: &MachineSpec,
-    px: usize,
-    py: usize,
-    mode: Mode,
-) -> (u64, attr::Attribution) {
-    let programs = generate_programs(&fixture_config(px, py), &flop_model());
+/// The golden-fixture SWEEP3D scenario on a `px × py` array.
+fn wavefront(px: usize, py: usize) -> ProgramSet {
+    fixture_set(WorkloadKind::Wavefront, px, py).expect("wavefront fixture lowers")
+}
+
+/// Run `set` on `machine` through one engine mode with tracing, return
+/// the report makespan (ps) and the attribution.
+fn attribute_mode(machine: &MachineSpec, set: ProgramSet, mode: Mode) -> (u64, attr::Attribution) {
     let rec = Recorder::enabled();
-    let eng = Engine::new(machine, programs).with_recorder(&rec, 0);
+    let eng = Engine::from_set(machine, set).with_recorder(&rec, 0);
     let report = match mode {
         Mode::Seq => eng.run(),
         Mode::Par(threads) => eng.run_parallel(threads),
@@ -78,67 +54,73 @@ proptest! {
         py in 2usize..5,
         threads in 2usize..5,
     ) {
-        let mut machine = fixture_machine(seed);
+        let mut machine = fixture_machine();
+        machine.seed = seed;
         if !noisy {
             machine.noise = NoiseModel::none();
         }
-        let (makespan, a_seq) = attribute_mode(&machine, px, py, Mode::Seq);
+        let (makespan, a_seq) = attribute_mode(&machine, wavefront(px, py), Mode::Seq);
         prop_assert_eq!(a_seq.makespan_ps, makespan, "sequential path != makespan");
         prop_assert_eq!(a_seq.path.total_ps, makespan, "path breakdown != makespan");
 
-        let (mk_par, a_par) = attribute_mode(&machine, px, py, Mode::Par(threads));
+        let (mk_par, a_par) = attribute_mode(&machine, wavefront(px, py), Mode::Par(threads));
         prop_assert_eq!(mk_par, makespan, "parallel engine diverged");
         prop_assert_eq!(a_seq.to_json(), a_par.to_json(), "parallel attribution differs");
     }
 }
 
-/// The golden scenarios: the gate holds at every pinned size, the
-/// rollup covers the run, and attribution is deterministic (two traced
-/// runs yield identical bytes). 6/64/512 also cross-check the parallel
-/// engine's attribution bytes; 8000 ranks runs sequential-only to keep
-/// the suite's wall time in budget (the mode identity is already proved
-/// at the smaller sizes and by the property test above).
+/// The golden scenarios and each template's `experiments attribute`
+/// fixture: the gate holds at every size, the rollup covers the run, and
+/// attribution is deterministic (two traced runs yield identical bytes).
+/// All but the 8000-rank run also cross-check the parallel engine's
+/// attribution bytes; 8000 ranks runs sequential-only to keep the suite's
+/// wall time in budget (the mode identity is already proved at the
+/// smaller sizes and by the property test above).
 #[test]
 fn golden_scenarios_attribute_exactly() {
-    let machine = fixture_machine(0xF1B5_EED0);
-    for &(px, py, cross_modes) in
-        &[(2usize, 3usize, true), (8, 8, true), (16, 32, true), (80, 100, false)]
-    {
-        let (makespan, a) = attribute_mode(&machine, px, py, Mode::Seq);
-        assert_eq!(
-            a.makespan_ps, makespan,
-            "{px}x{py}: critical path must equal the report makespan exactly"
-        );
-        assert_eq!(a.path.total_ps, makespan, "{px}x{py}: breakdown total drifted");
-        assert_eq!(a.ranks.len(), px * py, "{px}x{py}: per-rank attribution incomplete");
-        assert_eq!(a.rollup.makespan_ps, makespan, "{px}x{py}: rollup makespan drifted");
-        assert!(a.rollup.messages > 0 && a.rollup.compute_ps > 0);
+    use WorkloadKind::{Allreduce, Stencil, Wavefront};
+    let machine = fixture_machine();
+    for &(kind, px, py, cross_modes) in &[
+        (Wavefront, 2usize, 3usize, true),
+        (Wavefront, 8, 8, true),
+        (Wavefront, 16, 32, true),
+        (Wavefront, 80, 100, false),
+        (Stencil, 2, 2, true),
+        (Allreduce, 2, 3, true),
+    ] {
+        let set = fixture_set(kind, px, py).unwrap();
+        let (makespan, a) = attribute_mode(&machine, set.clone(), Mode::Seq);
+        let name = format!("{kind:?} {px}x{py}");
+        assert_eq!(a.makespan_ps, makespan, "{name}: critical path must equal the makespan");
+        assert_eq!(a.path.total_ps, makespan, "{name}: breakdown total drifted");
+        assert_eq!(a.ranks.len(), px * py, "{name}: per-rank attribution incomplete");
+        assert_eq!(a.rollup.makespan_ps, makespan, "{name}: rollup makespan drifted");
+        assert!(a.rollup.compute_ps > 0, "{name}: no compute attributed");
+        // The allreduce template communicates through collectives only.
+        assert_eq!(a.rollup.messages == 0, kind == Allreduce, "{name}: message edges");
         // Every rank's slack is consistent with its finish time.
         for r in &a.ranks {
-            assert_eq!(r.finish_ps + r.slack_ps, makespan, "{px}x{py}: rank {} slack", r.rank);
+            assert_eq!(r.finish_ps + r.slack_ps, makespan, "{name}: rank {} slack", r.rank);
         }
         if cross_modes {
             // Byte-determinism: a second identical traced run attributes
             // to the same bytes.
-            let (_, again) = attribute_mode(&machine, px, py, Mode::Seq);
-            assert_eq!(a.to_json(), again.to_json(), "{px}x{py}: attribution not deterministic");
-            let (_, a_par) = attribute_mode(&machine, px, py, Mode::Par(4));
-            assert_eq!(a.to_json(), a_par.to_json(), "{px}x{py}: parallel attribution differs");
+            let (_, again) = attribute_mode(&machine, set.clone(), Mode::Seq);
+            assert_eq!(a.to_json(), again.to_json(), "{name}: attribution not deterministic");
+            let (_, a_par) = attribute_mode(&machine, set, Mode::Par(4));
+            assert_eq!(a.to_json(), a_par.to_json(), "{name}: parallel attribution differs");
         }
     }
 }
 
-/// What-if diffability: slowing the CPU moves compute picoseconds in the
-/// rollup delta, and the delta against itself is all-zero.
+/// What-if diffability: slowing the CPU adds compute picoseconds to the
+/// rollup and lengthens the run.
 #[test]
 fn rollup_deltas_attribute_what_ifs() {
-    let machine = fixture_machine(0xF1B5_EED0);
-    let (_, base) = attribute_mode(&machine, 2, 3, Mode::Seq);
-    assert!(base.rollup.delta(&base.rollup).iter().all(|&(_, d)| d == 0));
-    let slower = machine.with_cpu_scaled(0.5);
-    let (_, slow) = attribute_mode(&slower, 2, 3, Mode::Seq);
-    let delta = slow.rollup.delta(&base.rollup);
-    let get = |name: &str| delta.iter().find(|(n, _)| *n == name).unwrap().1;
-    assert!(get("rollup.compute_ps") > 0, "slower CPU must add compute time: {delta:?}");
-    assert!(get("rollup.makespan_ps") > 0, "slower CPU must lengthen the run: {delta:?}");
+    let machine = fixture_machine();
+    let (_, base) = attribute_mode(&machine, wavefront(2, 3), Mode::Seq);
+    let (_, slow) = attribute_mode(&machine.with_cpu_scaled(0.5), wavefront(2, 3), Mode::Seq);
+    let (base, slow) = (base.rollup, slow.rollup);
+    assert!(slow.compute_ps > base.compute_ps, "slower CPU must add compute time");
+    assert!(slow.makespan_ps > base.makespan_ps, "slower CPU must lengthen the run");
 }

@@ -9,7 +9,7 @@
 use cluster_sim::{Engine, MachineSpec, Program, ProgramSet};
 use sweep3d::trace::{generate_programs, FlopModel};
 use sweep3d::ProblemConfig;
-use sweepsvc::{replicate_set_attributed, replicate_set_threaded, ReplicationSummary};
+use sweepsvc::{replicate_set_threaded, ReplicationSummary};
 
 const SEEDS: [u64; 6] = [0xA11CE, 3, 1414, 7, 99, 2];
 
@@ -24,7 +24,7 @@ fn workload() -> (MachineSpec, Vec<Program>) {
     (registry::sim::pentium3_myrinet_sim(), programs)
 }
 
-/// A campaign with the engine-thread split left to the nested plan.
+/// A campaign on `workers` pool threads.
 fn replicate(machine: &MachineSpec, programs: &[Program], workers: usize) -> ReplicationSummary {
     let set = ProgramSet::from_programs(programs);
     replicate_set_threaded(machine, &set, &SEEDS, workers, None, &obs::Obs::disabled())
@@ -71,30 +71,18 @@ fn campaign_statistics_are_worker_count_invariant() {
 }
 
 #[test]
-fn intra_run_engine_threads_keep_result_order_and_values() {
-    // Deterministic-ordering smoke: with pool workers AND per-run engine
-    // threads (`--threads` / PACE_SIM_THREADS) both above 1, the campaign
-    // must return the same reports in the same input-seed order — never
-    // completion order — because each run is bit-identical under the
-    // windowed parallel engine and the pool reorders by item index.
+fn seed_order_is_input_order_for_every_worker_count() {
+    // Deterministic-ordering smoke: with any pool width, up to one worker
+    // per seed and beyond, the campaign must return the same reports in
+    // the same input-seed order — never completion order — because each
+    // run is deterministic and the pool reorders by item index.
     let (machine, programs) = workload();
-    let set = ProgramSet::from_programs(&programs);
-    let obs = obs::Obs::disabled();
-
-    let serial =
-        replicate_set_threaded(&machine, &set, &SEEDS, 1, Some(1), &obs).expect("serial campaign");
-    let nested =
-        replicate_set_threaded(&machine, &set, &SEEDS, 3, Some(2), &obs).expect("nested campaign");
-    assert_eq!(nested.replications, serial.replications, "engine threads perturbed the campaign");
-    let order: Vec<u64> = nested.replications.iter().map(|r| r.seed).collect();
-    assert_eq!(order, SEEDS, "replications must come back in input-seed order");
-
-    // Same invariant through the attributed entry point: the traced runs
-    // keep input-seed order and every simulated number of the plain ones.
-    let attributed =
-        replicate_set_attributed(&machine, &set, &SEEDS, 4, &obs).expect("attributed campaign");
-    for (a, b) in serial.replications.iter().zip(&attributed.replications) {
-        assert_eq!((a.seed, &a.report), (b.seed, &b.report), "attribution perturbed the campaign");
-        assert!(b.rollup.is_some(), "attributed run carries a rollup");
+    let serial = replicate(&machine, &programs, 1);
+    for workers in [2, 3, SEEDS.len(), 16] {
+        let pooled = replicate(&machine, &programs, workers);
+        assert_eq!(pooled.replications, serial.replications, "{workers} workers");
+        let order: Vec<u64> = pooled.replications.iter().map(|r| r.seed).collect();
+        assert_eq!(order, SEEDS, "replications must come back in input-seed order");
+        assert!(pooled.replications.iter().all(|r| r.rollup.is_none()));
     }
 }

@@ -24,7 +24,9 @@
 //!
 //! * Programs are held as a shared [`ProgramSet`]: each distinct op stream
 //!   is stored once and sends/receives name a *slot* into the rank's
-//!   partner table (≤4 partners for a SWEEP3D rank).
+//!   partner table (≤4 partners for a SWEEP3D rank). A stream is one body
+//!   run `laps` times: at the end of the body a rank wraps its pc to 0
+//!   until its laps are done, and only that branch reads the lap count.
 //! * Message queues are dense per-channel tables: one channel per directed
 //!   `(src, dst)` partner edge, resolved from the slot tables before the
 //!   run starts. The hot path never hashes and never allocates map
@@ -52,11 +54,12 @@
 //!   price class holding the compute block's noise-free time or the
 //!   send's sender overhead, serialisation, wire and receiver-overhead
 //!   times, and every stored op of every distinct stream names its class.
-//!   An 8000-rank speculation run executes 12.7 M ops over about 10.6 k
-//!   stored ones, so the hot loop reads a price where it used to call the
-//!   CPU and network models. Messages and parked rendezvous sends carry
-//!   the sending op's class, so the receiver side prices the transfer
-//!   from the same entry. At 4 bytes per stored op the table stays well
+//!   The table prices each stream's body once, however many laps it runs.
+//!   A two-iteration 8000-rank speculation run executes 12.7 M ops over
+//!   about 5.3 k stored ones, so the hot loop reads a price where it used
+//!   to call the CPU and network models. Messages and parked rendezvous
+//!   sends carry the sending op's class, so the receiver side prices the
+//!   transfer from the same entry. At 4 bytes per stored op the table stays well
 //!   below the size of the streams it prices.
 //! * The table changes no bit. Its prices are the very `SimTime`s the
 //!   model calls return, and the noise is still drawn per executed op in
@@ -551,7 +554,7 @@ impl CostTable {
         CostTable { stream_base, class_of, prices }
     }
 
-    /// Price class of each op of rank `r`'s stream, indexed by pc.
+    /// Price class of each op of rank `r`'s stream body, indexed by pc.
     #[inline]
     pub(crate) fn classes(&self, set: &ProgramSet, r: usize) -> &[u32] {
         let s = set.stream_index(r);
@@ -709,7 +712,10 @@ pub(crate) struct SeqState {
     chan_lo: usize,
     // Hot per-rank state, struct-of-arrays.
     clock: Vec<SimTime>,
+    /// Position in the rank's stream body.
     pc: Vec<u32>,
+    /// Laps of the body the rank has finished.
+    lap: Vec<u32>,
     status: Vec<St>,
     /// Arrival clock at the collective a rank is parked on.
     park_clock: Vec<SimTime>,
@@ -738,6 +744,7 @@ impl SeqState {
             chan_lo: chans.start,
             clock: vec![SimTime::ZERO; n],
             pc: vec![0u32; n],
+            lap: vec![0u32; n],
             status: vec![St::Ready; n],
             park_clock: vec![SimTime::ZERO; n],
             stats: vec![RankStats::default(); n],
@@ -818,6 +825,12 @@ impl SeqState {
             loop {
                 let at = self.pc[li] as usize;
                 if at >= ops.len() {
+                    // End of the body: run it again until every lap is done.
+                    if self.lap[li] + 1 < set.laps(r) {
+                        self.lap[li] += 1;
+                        self.pc[li] = 0;
+                        continue;
+                    }
                     self.status[li] = St::Done;
                     self.stats[li].finish = self.clock[li];
                     // Every clock advance is mirrored by exactly one stats

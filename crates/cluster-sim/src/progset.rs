@@ -13,6 +13,13 @@
 //! distinct stream plus the per-rank partner tables, not a copy of every
 //! op.
 //!
+//! A stream is stored as one *body* plus a lap count: every rank that runs
+//! it executes the body `laps` times back to back. An iterative code
+//! lowers one iteration body per role, run `laps` = iterations times, so
+//! a 12-iteration SWEEP3D trace stores a twelfth of the ops it executes.
+//! The engine wraps a rank's pc to the body's start at the end of each
+//! lap; [`ProgramSet::materialize`] spells the laps out.
+//!
 //! Rank/slot invariants are enforced by [`ProgramSetBuilder`]: a rank's
 //! partners are distinct and every slot its stream uses is in range, so
 //! the engine can resolve slots to dense channel ids without checks on the
@@ -85,12 +92,16 @@ struct RankProgram {
 /// A set of per-rank programs with the op streams stored once each.
 ///
 /// Build with [`ProgramSet::from_programs`] (interning an existing
-/// `Vec<Program>`) or incrementally with [`ProgramSetBuilder`] (trace
-/// generators that know their role structure up front). `Clone` is cheap:
-/// `Arc` bumps for the streams plus the small per-rank partner tables.
+/// `Vec<Program>`, one lap per stream) or incrementally with
+/// [`ProgramSetBuilder`] (trace generators that know their role structure
+/// and iteration count up front). `Clone` is cheap: `Arc` bumps for the
+/// streams plus the small per-rank partner tables.
 #[derive(Debug, Clone, Default)]
 pub struct ProgramSet {
+    /// Each distinct stream's body.
     streams: Vec<Arc<[SharedOp]>>,
+    /// Times each stream's body runs, by stream index (at least 1).
+    laps: Vec<u32>,
     ranks: Vec<RankProgram>,
 }
 
@@ -100,7 +111,7 @@ impl ProgramSet {
     pub fn from_programs(programs: &[Program]) -> Self {
         let mut b = ProgramSetBuilder::new();
         for prog in programs {
-            let (stream, partners) = b.intern_program(prog);
+            let (stream, partners) = b.intern_program(prog, 1);
             b.push_rank(stream, partners).expect("interned rank is well-formed");
         }
         b.build()
@@ -121,9 +132,14 @@ impl ProgramSet {
         self.streams.len()
     }
 
-    /// Rank `r`'s op stream.
+    /// Rank `r`'s stream body, which it runs [`ProgramSet::laps`] times.
     pub fn ops(&self, r: usize) -> &[SharedOp] {
         &self.streams[self.ranks[r].stream as usize]
+    }
+
+    /// How many times rank `r` runs its body ([`ProgramSet::ops`]).
+    pub fn laps(&self, r: usize) -> u32 {
+        self.laps[self.ranks[r].stream as usize]
     }
 
     /// Rank `r`'s partner table (absolute rank per slot).
@@ -137,28 +153,29 @@ impl ProgramSet {
         self.ranks[r].stream as usize
     }
 
-    /// The distinct op streams, each stored once, in stream-index order.
+    /// The distinct stream bodies, each stored once, in stream-index order.
     pub(crate) fn streams(&self) -> impl Iterator<Item = &[SharedOp]> {
         self.streams.iter().map(|s| &s[..])
     }
 
-    /// Ops actually stored (each distinct stream counted once).
+    /// Ops actually stored (each distinct body counted once).
     pub fn stored_ops(&self) -> usize {
         self.streams.iter().map(|s| s.len()).sum()
     }
 
-    /// Ops as executed (per-rank stream lengths summed) — what a cloned
-    /// `Vec<Program>` representation would have to store.
+    /// Ops as executed (per-rank body length × laps, summed) — what a
+    /// cloned `Vec<Program>` representation would have to store.
     pub fn total_ops(&self) -> usize {
-        self.ranks.iter().map(|rp| self.streams[rp.stream as usize].len()).sum()
+        (0..self.num_ranks()).map(|r| self.ops(r).len() * self.laps(r) as usize).sum()
     }
 
     /// Decode rank `r` back into a standalone [`Program`] with absolute
-    /// partner ranks.
+    /// partner ranks, its body repeated once per lap.
     pub fn materialize(&self, r: usize) -> Program {
         let partners = &self.ranks[r].partners;
         let mut p = Program::new();
-        for op in self.ops(r) {
+        let body = self.ops(r);
+        for op in (0..self.laps(r)).flat_map(|_| body) {
             p.push(match *op {
                 SharedOp::Compute { flops, working_set } => Op::Compute { flops, working_set },
                 SharedOp::Send { slot, bytes, tag } => {
@@ -182,9 +199,10 @@ impl ProgramSet {
 
     /// Static validation, verdict-equivalent to
     /// [`crate::program::validate_programs`] on the materialized set but
-    /// computed on the shared form: per-stream tag multisets are built once
-    /// per distinct stream and compared per directed edge, so the cost is
-    /// `O(streams × len + ranks × slots)` instead of `O(total ops)`.
+    /// computed on the shared form: per-stream tag multisets are counted
+    /// once over each distinct body, scaled by its laps, and compared per
+    /// directed edge, so the cost is `O(stored ops + ranks × slots)`
+    /// instead of `O(total ops)`.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.ranks.len();
 
@@ -200,7 +218,8 @@ impl ProgramSet {
         let infos: Vec<StreamInfo> = self
             .streams
             .iter()
-            .map(|stream| {
+            .zip(&self.laps)
+            .map(|(stream, &laps)| {
                 let slots = stream
                     .iter()
                     .map(|op| match *op {
@@ -233,6 +252,12 @@ impl ProgramSet {
                         }
                     }
                 }
+                // Every lap repeats the body's traffic.
+                let laps = u64::from(laps);
+                for counts in info.sends.iter_mut().chain(info.recvs.iter_mut()) {
+                    counts.values_mut().for_each(|c| *c *= laps);
+                }
+                info.collectives *= laps;
                 info
             })
             .collect();
@@ -351,7 +376,8 @@ impl ProgramSet {
 #[derive(Debug, Default)]
 pub struct ProgramSetBuilder {
     streams: Vec<Arc<[SharedOp]>>,
-    intern: HashMap<Vec<OpKey>, u32>,
+    laps: Vec<u32>,
+    intern: HashMap<(Vec<OpKey>, u32), u32>,
     /// Highest slot index each stream touches, +1 (0 = touches none).
     stream_slots: Vec<usize>,
     ranks: Vec<RankProgram>,
@@ -363,10 +389,11 @@ impl ProgramSetBuilder {
         Self::default()
     }
 
-    /// Intern a slot-relative op stream, returning its stream id. Streams
-    /// with bit-identical op sequences share one id.
-    pub fn intern_ops(&mut self, ops: Vec<SharedOp>) -> u32 {
-        let key: Vec<OpKey> = ops.iter().map(op_key).collect();
+    /// Intern a slot-relative body run `laps` times, returning its stream
+    /// id. Streams with bit-identical bodies and equal laps share one id.
+    fn intern_ops(&mut self, ops: Vec<SharedOp>, laps: u32) -> u32 {
+        assert!(laps >= 1, "a stream runs its body at least once");
+        let key = (ops.iter().map(op_key).collect::<Vec<OpKey>>(), laps);
         if let Some(&id) = self.intern.get(&key) {
             return id;
         }
@@ -380,15 +407,17 @@ impl ProgramSetBuilder {
             .max()
             .unwrap_or(0);
         self.streams.push(ops.into());
+        self.laps.push(laps);
         self.stream_slots.push(slots);
         self.intern.insert(key, id);
         id
     }
 
     /// Convert a legacy [`Program`] to slot-relative form (partners in
-    /// first-appearance order) and intern its stream. Does **not** add a
-    /// rank; pair with [`ProgramSetBuilder::push_rank`].
-    pub fn intern_program(&mut self, prog: &Program) -> (u32, Vec<u32>) {
+    /// first-appearance order) and intern it as a body that runs `laps`
+    /// times (at least 1; pass 1 for a program that is the whole run).
+    /// Does **not** add a rank; pair with [`ProgramSetBuilder::push_rank`].
+    pub fn intern_program(&mut self, prog: &Program, laps: u32) -> (u32, Vec<u32>) {
         let mut partners: Vec<u32> = Vec::new();
         let slot_of = |partners: &mut Vec<u32>, rank: usize| -> u16 {
             let rank = u32::try_from(rank).expect("rank id fits in u32");
@@ -417,7 +446,7 @@ impl ProgramSetBuilder {
                 Op::Barrier => SharedOp::Barrier,
             })
             .collect();
-        (self.intern_ops(ops), partners)
+        (self.intern_ops(ops, laps), partners)
     }
 
     /// Append the next rank, executing `stream` with the given partner
@@ -446,7 +475,7 @@ impl ProgramSetBuilder {
 
     /// Finish the set.
     pub fn build(self) -> ProgramSet {
-        ProgramSet { streams: self.streams, ranks: self.ranks }
+        ProgramSet { streams: self.streams, laps: self.laps, ranks: self.ranks }
     }
 }
 
@@ -572,14 +601,77 @@ mod tests {
     #[test]
     fn builder_rejects_duplicate_partners_and_missing_slots() {
         let mut b = ProgramSetBuilder::new();
-        let stream = b.intern_ops(vec![
-            SharedOp::Send { slot: 0, bytes: 8, tag: 0 },
-            SharedOp::Recv { slot: 1, tag: 0 },
-        ]);
+        let stream = b.intern_ops(
+            vec![SharedOp::Send { slot: 0, bytes: 8, tag: 0 }, SharedOp::Recv { slot: 1, tag: 0 }],
+            1,
+        );
         assert!(b.push_rank(stream, vec![1, 1]).is_err(), "duplicate partner");
         assert!(b.push_rank(stream, vec![1]).is_err(), "slot 1 uncovered");
         assert!(b.push_rank(stream, vec![1, 2]).is_ok());
         assert!(b.push_rank(99, vec![]).is_err(), "unknown stream");
+    }
+
+    /// A set whose rank `r` runs `bodies[r]` `laps[r]` times.
+    fn lapped(bodies: &[Program], laps: &[u32]) -> ProgramSet {
+        let mut b = ProgramSetBuilder::new();
+        for (body, &laps) in bodies.iter().zip(laps) {
+            let (stream, partners) = b.intern_program(body, laps);
+            b.push_rank(stream, partners).unwrap();
+        }
+        b.build()
+    }
+
+    #[test]
+    fn laps_store_the_body_once_and_materialize_it_per_lap() {
+        let body = ring(5);
+        let set = lapped(&body, &[3; 5]);
+        assert_eq!(set.num_streams(), 1);
+        assert_eq!(set.laps(2), 3);
+        assert_eq!(set.stored_ops(), 4);
+        assert_eq!(set.total_ops(), 5 * 4 * 3);
+        for (r, prog) in body.iter().enumerate() {
+            let want: Vec<Op> = prog.ops().iter().cycle().take(3 * prog.len()).copied().collect();
+            assert_eq!(set.materialize(r).ops(), &want[..]);
+        }
+        assert!(set.validate().is_ok());
+    }
+
+    #[test]
+    fn equal_bodies_with_different_laps_do_not_merge() {
+        let mut b = ProgramSetBuilder::new();
+        let prog = &ring(2)[0];
+        let (once, _) = b.intern_program(prog, 1);
+        let (twice, _) = b.intern_program(prog, 2);
+        assert_ne!(once, twice);
+        assert_eq!(b.intern_program(prog, 2).0, twice);
+    }
+
+    #[test]
+    fn validate_scales_traffic_and_collectives_by_laps() {
+        // Rank 0 sends tag 3 twice and barriers twice in one lap; rank 1
+        // receives once and barriers once per lap.
+        let mut p0 = Program::new();
+        p0.push(Op::Send { to: 1, bytes: 8, tag: 3 });
+        p0.push(Op::Send { to: 1, bytes: 8, tag: 3 });
+        p0.push(Op::Barrier);
+        p0.push(Op::Barrier);
+        let mut p1 = Program::new();
+        p1.push(Op::Recv { from: 0, tag: 3 });
+        p1.push(Op::Barrier);
+        let bodies = [p0, p1];
+        let set = lapped(&bodies, &[1, 2]);
+        assert!(set.validate().is_ok());
+        assert!(validate_programs(&set.materialize_all()).is_ok());
+        let err = lapped(&bodies, &[1, 3]).validate().unwrap_err();
+        assert!(err.contains("2 sends vs 3 recvs"), "{err}");
+
+        // Traffic balanced, collectives not: 2 barriers against 3.
+        let (mut q0, mut q1) = (Program::new(), Program::new());
+        q0.push(Op::Barrier);
+        q0.push(Op::Barrier);
+        q1.push(Op::Barrier);
+        let err = lapped(&[q0, q1], &[1, 3]).validate().unwrap_err();
+        assert!(err.contains("collective count mismatch"), "{err}");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use cluster_sim::{Engine, MachineSpec};
+use cluster_sim::{Engine, MachineSpec, SharedOp};
 use sweep3d::serial::SerialSolver;
 use sweep3d::trace::{generate_program_set, FlopModel};
 use sweep3d::ProblemConfig;
@@ -52,7 +52,13 @@ pub fn virtual_profile(
     config.validate().expect("profiling config");
     let flop_model = FlopModel::calibrate(&config, CALIBRATION_PROXY_CELLS);
     let set = generate_program_set(&config, &flop_model);
-    let rank_flops = set.materialize(0).total_flops();
+    // Rank 0's flops in execution order (body after body), so the sum is
+    // the one its materialized program would give, bit for bit.
+    let body = set.ops(0);
+    let rank_flops: f64 = (0..set.laps(0))
+        .flat_map(|_| body)
+        .map(|op| if let SharedOp::Compute { flops, .. } = *op { flops } else { 0.0 })
+        .sum();
     let report = Engine::from_set(spec, set).run().expect("profiling run");
     let elapsed = report.makespan();
     let cells = config.it * (config.jt / profile_pes) * config.kt;

@@ -13,8 +13,9 @@
 //! Two functions produce the same trace:
 //!
 //! * [`generate_program_set`] is how every DES caller builds its trace
-//!   (validation tables, profiling, studies, campaigns): one interned op
-//!   stream per mesh role, run with [`cluster_sim::Engine::from_set`];
+//!   (validation tables, profiling, studies, campaigns): one iteration
+//!   body per mesh role, run `laps` = iterations times, with
+//!   [`cluster_sim::Engine::from_set`];
 //! * [`generate_programs`] is the per-rank reference — one `Vec<Op>` per
 //!   rank — that tests decode the shared set against and that the
 //!   benchmark's traced rebuild uses.
@@ -78,14 +79,17 @@ pub fn block_working_set(nx: usize, ny: usize, klen: usize, n_ang: usize) -> usi
     cell_bytes + face_bytes
 }
 
-/// Build the legacy op program of a single rank (see
-/// [`generate_programs`] for the trace structure).
+/// Build the legacy op program of a single rank over `iterations`
+/// iterations (see [`generate_programs`] for the trace structure). Every
+/// iteration emits the same ops: tags name octant, angle block, k block
+/// and direction, never the iteration.
 fn rank_program(
     config: &ProblemConfig,
     flops: &FlopModel,
     topo: &Cart2d,
     a_blocks: &[(usize, usize)],
     rank: usize,
+    iterations: usize,
 ) -> Program {
     let (pi, pj) = topo.coords(rank);
     let decomp = Decomposition::for_pe(config, pi, pj);
@@ -127,7 +131,7 @@ fn rank_program(
             }
         };
 
-    for _iter in 0..config.iterations {
+    for _iter in 0..iterations {
         // The octant nesting mirrors the drivers exactly: pair-major
         // with per-pair angle blocks under reflective boundaries,
         // octant-major otherwise (see crate::parallel).
@@ -167,13 +171,15 @@ fn trace_angle_blocks(config: &ProblemConfig) -> Vec<(usize, usize)> {
 /// This is the per-rank reference form of the trace, used by tests (the
 /// decode-equality checks against [`generate_program_set`]) and by the
 /// benchmark's traced rebuild. Simulation callers build the shared form
-/// with [`generate_program_set`] instead: it stores each role's stream
-/// once rather than one copy per rank.
+/// with [`generate_program_set`] instead: it stores each role's iteration
+/// body once rather than the whole run once per rank.
 pub fn generate_programs(config: &ProblemConfig, flops: &FlopModel) -> Vec<Program> {
     config.validate().expect("valid config");
     let topo = Cart2d::new(config.npe_i, config.npe_j);
     let a_blocks = trace_angle_blocks(config);
-    (0..config.num_pes()).map(|rank| rank_program(config, flops, &topo, &a_blocks, rank)).collect()
+    (0..config.num_pes())
+        .map(|rank| rank_program(config, flops, &topo, &a_blocks, rank, config.iterations))
+        .collect()
 }
 
 /// A rank's *role* on the processor array: which mesh neighbors exist,
@@ -183,11 +189,11 @@ pub fn generate_programs(config: &ProblemConfig, flops: &FlopModel) -> Vec<Progr
 /// concrete ranks their partner slots point at.
 type RoleKey = (bool, bool, bool, bool, usize, usize);
 
-/// Generate the trace as a shared [`ProgramSet`]: one interned op stream
-/// per *role* (corner, edge, interior, …) instead of one `Vec<Op>` clone
-/// per rank. An 8000-PE weak-scaling sweep materialises at most nine
-/// distinct streams, so campaign setup is O(roles × ops + ranks), not
-/// O(ranks × ops).
+/// Generate the trace as a shared [`ProgramSet`]: one iteration body per
+/// *role* (corner, edge, interior, …), run `laps` = `config.iterations`
+/// times, instead of one whole-run `Vec<Op>` clone per rank. An 8000-PE
+/// weak-scaling sweep stores at most nine distinct bodies, so campaign
+/// setup is O(roles × ops per iteration + ranks), not O(ranks × ops).
 ///
 /// The decoded per-rank streams are element-wise identical to
 /// [`generate_programs`] — a test pins this for every SWEEP3D role.
@@ -195,6 +201,7 @@ pub fn generate_program_set(config: &ProblemConfig, flops: &FlopModel) -> Progra
     config.validate().expect("valid config");
     let topo = Cart2d::new(config.npe_i, config.npe_j);
     let a_blocks = trace_angle_blocks(config);
+    let laps = u32::try_from(config.iterations).expect("iteration count fits in u32");
     let mut builder = ProgramSetBuilder::new();
     // role → (interned stream, slot order as mesh directions).
     let mut roles: HashMap<RoleKey, (u32, Vec<Direction>)> = HashMap::new();
@@ -212,11 +219,12 @@ pub fn generate_program_set(config: &ProblemConfig, flops: &FlopModel) -> Progra
             decomp.ny,
         );
         let (stream, dirs) = roles.entry(key).or_insert_with(|| {
-            // First rank of this role: generate its legacy program once,
-            // intern the stream, and record the slot order as directions
-            // so every other rank of the role can map its own neighbors.
-            let prog = rank_program(config, flops, &topo, &a_blocks, rank);
-            let (stream, partners) = builder.intern_program(&prog);
+            // First rank of this role: generate one iteration of its
+            // legacy program, intern it as a body run once per iteration,
+            // and record the slot order as directions so every other rank
+            // of the role can map its own neighbors.
+            let prog = rank_program(config, flops, &topo, &a_blocks, rank, 1);
+            let (stream, partners) = builder.intern_program(&prog, laps);
             let dirs = partners
                 .iter()
                 .map(|&p| {
@@ -328,15 +336,17 @@ mod tests {
     /// generator emits — per rank, per op, element-wise — for every
     /// SWEEP3D neighbor role: corner (2 neighbors), edge (3), interior
     /// (4), and the degenerate 1-wide boundary column (≤2 neighbors with
-    /// no E/W exchange).
+    /// no E/W exchange), and at the paper's 12 iterations, where each
+    /// role's one-iteration body runs 12 laps.
     #[test]
     fn program_set_decodes_to_legacy_programs_for_all_roles() {
         let fm = flop_model();
         // 3x3 covers corner/edge/interior; 1x4 covers the boundary-column
         // role (no i-direction neighbors at all); 1x1 covers the serial
         // degenerate case.
-        for (px, py) in [(3, 3), (1, 4), (1, 1)] {
-            let c = cfg(px, py);
+        let twelve = ProblemConfig { iterations: 12, ..cfg(3, 3) };
+        for c in [cfg(3, 3), cfg(1, 4), cfg(1, 1), twelve] {
+            let (px, py) = (c.npe_i, c.npe_j);
             let legacy = generate_programs(&c, &fm);
             let set = generate_program_set(&c, &fm);
             assert_eq!(set.num_ranks(), legacy.len());
@@ -345,10 +355,22 @@ mod tests {
                 assert_eq!(
                     got.ops(),
                     want.ops(),
-                    "{px}x{py} rank {rank}: decoded stream differs from legacy"
+                    "{px}x{py} x{} rank {rank}: decoded stream differs from legacy",
+                    c.iterations
                 );
             }
         }
+    }
+
+    #[test]
+    fn program_set_stores_one_iteration_per_role() {
+        let fm = flop_model();
+        let one = generate_program_set(&ProblemConfig { iterations: 1, ..cfg(3, 3) }, &fm);
+        let twelve = generate_program_set(&ProblemConfig { iterations: 12, ..cfg(3, 3) }, &fm);
+        assert_eq!(twelve.num_streams(), one.num_streams());
+        assert_eq!(twelve.stored_ops(), one.stored_ops());
+        assert_eq!(twelve.total_ops(), 12 * one.total_ops());
+        assert!((0..twelve.num_ranks()).all(|r| twelve.laps(r) == 12));
     }
 
     #[test]

@@ -14,7 +14,11 @@
 //!   N ways, each fork resumed and compared to a from-scratch run;
 //! * forks that resume on a different machine (network, rendezvous
 //!   threshold and CPU curve swapped): pinned digests at 64 and 8000
-//!   ranks, and a random-machine oracle at both ends of the cut range.
+//!   ranks, and a random-machine oracle at both ends of the cut range;
+//! * lapped sets (one random body per rank, run 1 to 4 times): the engine
+//!   on the lapped set must equal it on the spelled-out programs and the
+//!   reference engine, traces included, at every pause cut, and static
+//!   validation must give the verdict it gives on the spelled-out set.
 //!
 //! Failures reproduce deterministically (the proptest shim derives each
 //! case's RNG from the test name and case index) and, when
@@ -25,7 +29,11 @@
 //! (see `engine_golden.rs`) and say so loudly in the PR.
 
 use cluster_sim::cpu::RatePoint;
-use cluster_sim::{CpuModel, Engine, MachineSpec, NetworkModel, NoiseModel, Op, Program, SimError};
+use cluster_sim::program::validate_programs;
+use cluster_sim::{
+    CpuModel, Engine, MachineSpec, NetworkModel, NoiseModel, Op, Program, ProgramSet,
+    ProgramSetBuilder, ReferenceEngine, SimError,
+};
 use obs::Recorder;
 use proptest::prelude::*;
 use sweep3d::trace::{generate_program_set, FlopModel};
@@ -200,6 +208,21 @@ fn random_programs(
     programs
 }
 
+/// Rank `r` runs `bodies[r]` `laps[r]` times.
+fn lapped_set(bodies: &[Program], laps: &[u32]) -> ProgramSet {
+    let mut b = ProgramSetBuilder::new();
+    for (body, &laps) in bodies.iter().zip(laps) {
+        let (stream, partners) = b.intern_program(body, laps);
+        b.push_rank(stream, partners).expect("interned rank is well-formed");
+    }
+    b.build()
+}
+
+/// The set's programs with every lap spelled out.
+fn materialize(set: &ProgramSet) -> Vec<Program> {
+    (0..set.num_ranks()).map(|r| set.materialize(r)).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -285,5 +308,97 @@ proptest! {
         prop_assert!(done.is_complete());
         let got = done.resume_with(&b).unwrap();
         prop_assert_eq!(&got, &on_a, "cut past the end, resumed on B");
+    }
+
+    /// Lapped differential: a set whose every rank runs a random balanced
+    /// body `laps` times must run exactly like the spelled-out programs —
+    /// through `Engine::new` (report, traced spans and edges) and through
+    /// the reference engine — and a pause at any activation cut, forked
+    /// and resumed, must equal the uninterrupted run. Every cut from 0 to
+    /// the end is tried, so the lap boundaries (a rank parked with its pc
+    /// at the end of its body) are among them.
+    #[test]
+    fn lapped_set_runs_like_its_materialized_programs(
+        n in 2usize..6,
+        msgs in prop::collection::vec((0usize..6, 0usize..6, 0u32..5, 1usize..20_000), 1..20),
+        computes in prop::collection::vec((0usize..6, 0u32..1000, 0u32..100_000), 0..6),
+        collectives in 1usize..3,
+        laps in 1u32..5,
+        rendezvous_raw in 0usize..8192,
+        noisy in any::<bool>(),
+    ) {
+        let msgs: Vec<_> =
+            msgs.into_iter().map(|(f, t, tag, b)| (f % n, t % n, tag, b)).collect();
+        let bodies = random_programs(n, &msgs, &computes, collectives);
+        let set = lapped_set(&bodies, &vec![laps; n]);
+        let programs = materialize(&set);
+        prop_assert_eq!(set.total_ops(), programs.iter().map(Program::len).sum::<usize>());
+        let mut machine = fixture_machine();
+        machine.rendezvous_bytes = (rendezvous_raw >= 512).then_some(rendezvous_raw);
+        if !noisy {
+            machine.noise = NoiseModel::none();
+        }
+
+        let rec_lapped = Recorder::enabled();
+        let want = Engine::from_set(&machine, set.clone())
+            .with_recorder(&rec_lapped, 0)
+            .run()
+            .unwrap();
+        let rec_flat = Recorder::enabled();
+        let flat =
+            Engine::new(&machine, programs.clone()).with_recorder(&rec_flat, 0).run().unwrap();
+        prop_assert_eq!(&flat, &want, "lapped set != materialized programs");
+        prop_assert_eq!(rec_lapped.sim_spans(), rec_flat.sim_spans(), "span streams diverged");
+        prop_assert_eq!(rec_lapped.sim_edges(), rec_flat.sim_edges(), "edge streams diverged");
+        let reference = ReferenceEngine::new(&machine, programs).run().unwrap();
+        prop_assert_eq!(&reference, &want, "lapped set != reference engine");
+
+        let total = Engine::from_set(&machine, set.clone()).run_paused(u64::MAX).unwrap();
+        prop_assert!(total.is_complete());
+        for cut in 0..=total.activations() {
+            let paused = Engine::from_set(&machine, set.clone()).run_paused(cut).unwrap();
+            let fork = paused.snapshot().resume().unwrap();
+            prop_assert_eq!(&fork, &want, "fork of pause @{} diverged", cut);
+            let got = paused.resume().unwrap();
+            prop_assert_eq!(&got, &want, "resume of pause @{} diverged", cut);
+        }
+    }
+
+    /// Static validation on a lapped set gives the verdict
+    /// `validate_programs` gives on the spelled-out programs: per-rank
+    /// laps may differ (which unbalances most sets), and one op may be
+    /// dropped from one body.
+    #[test]
+    fn lapped_validate_agrees_with_materialized(
+        n in 2usize..6,
+        msgs in prop::collection::vec((0usize..6, 0usize..6, 0u32..5, 1usize..20_000), 1..20),
+        collectives in 1usize..3,
+        laps in prop::collection::vec(1u32..5, 6..7),
+        same_laps in any::<bool>(),
+        drop in (any::<bool>(), 0usize..6, 0usize..64),
+    ) {
+        let msgs: Vec<_> =
+            msgs.into_iter().map(|(f, t, tag, b)| (f % n, t % n, tag, b)).collect();
+        let mut bodies = random_programs(n, &msgs, &[], collectives);
+        if drop.0 {
+            let body = &bodies[drop.1 % n];
+            let skip = drop.2 % body.len();
+            let mut kept = Program::new();
+            for (i, &op) in body.ops().iter().enumerate() {
+                if i != skip {
+                    kept.push(op);
+                }
+            }
+            bodies[drop.1 % n] = kept;
+        }
+        let laps = if same_laps { vec![laps[0]; n] } else { laps[..n].to_vec() };
+        let set = lapped_set(&bodies, &laps);
+        let lapped = set.validate();
+        let flat = validate_programs(&materialize(&set));
+        prop_assert_eq!(
+            lapped.is_ok(),
+            flat.is_ok(),
+            "verdicts differ: lapped {:?} vs materialized {:?}", lapped, flat
+        );
     }
 }

@@ -569,8 +569,6 @@ impl CostTable {
 pub struct Engine<'m> {
     pub(crate) machine: &'m MachineSpec,
     pub(crate) set: ProgramSet,
-    /// Skip static validation (for intentionally-broken deadlock tests).
-    pub(crate) skip_validation: bool,
     /// Telemetry sink for per-activity spans (virtual-time domain).
     pub(crate) recorder: Option<&'m Recorder>,
     /// Track group the spans are recorded under (one pid per run when a
@@ -588,14 +586,7 @@ impl<'m> Engine<'m> {
     /// campaigns clone the set per run — an `Arc` bump per distinct
     /// stream, not a copy of every op.
     pub fn from_set(machine: &'m MachineSpec, set: ProgramSet) -> Self {
-        Engine { machine, set, skip_validation: false, recorder: None, trace_pid: 0 }
-    }
-
-    /// Disable the static message-balance pre-check (dynamic deadlock
-    /// detection still applies). Used by tests that exercise the detector.
-    pub fn without_validation(mut self) -> Self {
-        self.skip_validation = true;
-        self
+        Engine { machine, set, recorder: None, trace_pid: 0 }
     }
 
     /// Attach a telemetry recorder. Every activity interval of the run is
@@ -621,11 +612,8 @@ impl<'m> Engine<'m> {
         run_sequential(&self.set, &build_channels(&self.set), &ctx)
     }
 
-    /// The static message-balance pre-check, unless switched off.
+    /// The static message-balance pre-check.
     pub(crate) fn validate(&self) -> SimResult<()> {
-        if self.skip_validation {
-            return Ok(());
-        }
         self.set.validate().map_err(|detail| SimError::InvalidPrograms { detail })
     }
 

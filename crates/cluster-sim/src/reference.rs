@@ -75,8 +75,6 @@ struct RankState {
 pub struct ReferenceEngine<'m> {
     machine: &'m MachineSpec,
     programs: Vec<Program>,
-    /// Skip static validation (for intentionally-broken deadlock tests).
-    skip_validation: bool,
     /// Telemetry sink for per-activity spans (virtual-time domain).
     recorder: Option<&'m Recorder>,
     /// Track group the spans are recorded under.
@@ -86,14 +84,7 @@ pub struct ReferenceEngine<'m> {
 impl<'m> ReferenceEngine<'m> {
     /// Create an engine for one program per rank.
     pub fn new(machine: &'m MachineSpec, programs: Vec<Program>) -> Self {
-        ReferenceEngine { machine, programs, skip_validation: false, recorder: None, trace_pid: 0 }
-    }
-
-    /// Disable the static message-balance pre-check (dynamic deadlock
-    /// detection still applies).
-    pub fn without_validation(mut self) -> Self {
-        self.skip_validation = true;
-        self
+        ReferenceEngine { machine, programs, recorder: None, trace_pid: 0 }
     }
 
     /// Attach a telemetry recorder (see [`crate::engine::Engine::with_recorder`]).
@@ -105,10 +96,7 @@ impl<'m> ReferenceEngine<'m> {
 
     /// Execute the programs to completion, returning per-rank statistics.
     pub fn run(self) -> SimResult<RunReport> {
-        if !self.skip_validation {
-            validate_programs(&self.programs)
-                .map_err(|detail| SimError::InvalidPrograms { detail })?;
-        }
+        validate_programs(&self.programs).map_err(|detail| SimError::InvalidPrograms { detail })?;
         let n = self.programs.len();
         if n == 0 {
             return Ok(RunReport { ranks: vec![] });

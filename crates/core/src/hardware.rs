@@ -99,12 +99,6 @@ impl HardwareModel {
         out.name = format!("{} (rate x{factor:.2})", self.name);
         out
     }
-
-    /// Derive a machine with a different interconnect — the §6 model-reuse
-    /// demonstration (Opteron nodes + Myrinet comm model).
-    pub fn with_comm(&self, comm: CommModel, label: &str) -> HardwareModel {
-        HardwareModel { name: label.to_string(), rates: self.rates.clone(), comm }
-    }
 }
 
 #[cfg(test)]

@@ -13,12 +13,11 @@
 
 use cluster_sim::MachineSpec;
 use pace_core::templates::pipeline;
-use pace_core::{OpcodeCosts, Sweep3dModel, Sweep3dParams, TemplateBinding};
+use pace_core::{HardwareModel, OpcodeCosts, Sweep3dModel, Sweep3dParams, TemplateBinding};
 use registry::sim as sim_machines;
-use sweep3d::trace::FlopModel;
 
 use crate::error_pct;
-use crate::validation::{measure_row, row_config, RowSpec};
+use crate::validation::{Calibration, RowSpec, TABLE1_ROWS, TABLE2_ROWS};
 
 /// The two costing regimes compared against one measurement.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,14 +40,13 @@ pub struct AblationResult {
 
 /// Price a full prediction with the old per-opcode method: every subtask's
 /// clc vector × the naive opcode table, the pipeline template reused with
-/// the externally-priced unit time.
-pub fn opcode_predict(params: &Sweep3dParams, clock_ghz: f64, machine: &MachineSpec) -> f64 {
+/// the externally-priced unit time. Communication uses the benchmarked
+/// machine's *fitted* comm model, as the old PACE did — only computation
+/// costing differs between the regimes.
+pub fn opcode_predict(params: &Sweep3dParams, clock_ghz: f64, hw: &HardwareModel) -> f64 {
     let costs = OpcodeCosts::naive_microbenchmark(clock_ghz);
     let model = Sweep3dModel::new(*params);
     let app = model.application_object();
-    // Use the *fitted* comm model workflow for communication, as the old
-    // PACE did — only computation costing differs between the regimes.
-    let hw = hwbench::benchmark_machine(machine, &[50], 1);
     let mut total_per_iter = 0.0;
     for sub in &app.subtasks {
         let t = match &sub.template {
@@ -77,12 +75,11 @@ pub fn opcode_predict(params: &Sweep3dParams, clock_ghz: f64, machine: &MachineS
 
 /// Run the ablation on one machine for one validation row.
 pub fn run_on(machine: &MachineSpec, clock_ghz: f64, spec: &RowSpec) -> AblationResult {
-    let flop_model = FlopModel::calibrate(&row_config(spec), 10);
-    let measured = measure_row(spec, machine, &flop_model, 0xAB1A);
-    let hw = hwbench::benchmark_machine(machine, &[50], 1);
-    let params = Sweep3dParams::weak_scaling_50cubed(spec.px, spec.py);
-    let coarse = Sweep3dModel::new(params).predict(&hw).total_secs;
-    let opcode = opcode_predict(&params, clock_ghz, machine);
+    let params = spec.params();
+    let cal = Calibration::new(machine, &params, 10, &[50]);
+    let measured = cal.measure(&params, machine, 0xAB1A, &obs::Recorder::disabled(), 0).makespan();
+    let coarse = cal.predict(&params);
+    let opcode = opcode_predict(&params, clock_ghz, &cal.hw);
     AblationResult {
         machine: machine.name.clone(),
         clock_ghz,
@@ -94,18 +91,14 @@ pub fn run_on(machine: &MachineSpec, clock_ghz: f64, spec: &RowSpec) -> Ablation
     }
 }
 
-/// The paper's headline case: the Opteron cluster, 2×2 row.
+/// The paper's headline case: the Opteron cluster, Table 2's 2×2 row.
 pub fn opteron_case() -> AblationResult {
-    let spec =
-        RowSpec { it: 100, jt: 100, px: 2, py: 2, paper_measured: 8.98, paper_predicted: 9.69 };
-    run_on(&sim_machines::opteron_gige_sim(), 2.0, &spec)
+    run_on(&sim_machines::opteron_gige_sim(), 2.0, &TABLE2_ROWS[0])
 }
 
-/// The Pentium 3 case.
+/// The Pentium 3 case, Table 1's 2×2 row.
 pub fn pentium3_case() -> AblationResult {
-    let spec =
-        RowSpec { it: 100, jt: 100, px: 2, py: 2, paper_measured: 26.54, paper_predicted: 28.59 };
-    run_on(&sim_machines::pentium3_myrinet_sim(), 1.4, &spec)
+    run_on(&sim_machines::pentium3_myrinet_sim(), 1.4, &TABLE1_ROWS[0])
 }
 
 /// Both paper cases (Pentium 3, then Opteron), fanned out over the

@@ -16,6 +16,8 @@ use pace_core::{AllreduceParams, StencilParams, Workload, WorkloadKind};
 use sweep3d::trace::{generate_program_set, FlopModel};
 use sweep3d::ProblemConfig;
 
+use crate::usage_error;
+
 /// Track group the traced measurement lands on.
 pub const MEASURE_PID: u32 = obs::pids::ENGINE;
 
@@ -36,13 +38,14 @@ fn fixture_config(px: usize, py: usize) -> ProblemConfig {
     c
 }
 
-fn fixture_flops() -> FlopModel {
-    FlopModel {
-        flops_per_cell_angle: 21.5,
-        source_flops_per_cell: 2.0,
-        flux_err_flops_per_cell: 3.0,
-    }
-}
+/// The golden fixtures' fixed flop weights: traced and speculative DES
+/// runs charge them instead of profiling the kernel, so their results do
+/// not depend on a calibration run.
+pub const FIXTURE_FLOPS: FlopModel = FlopModel {
+    flops_per_cell_angle: 21.5,
+    source_flops_per_cell: 2.0,
+    flux_err_flops_per_cell: 3.0,
+};
 
 /// The fixture's program set on a `px × py` array: the golden-fixture
 /// SWEEP3D scenario, or another template's DES lowering on the fixture
@@ -52,7 +55,7 @@ pub fn fixture_set(workload: WorkloadKind, px: usize, py: usize) -> Result<Progr
     let template = |w: &dyn Workload| w.program_set(&fixture_machine());
     match workload {
         WorkloadKind::Wavefront => {
-            Ok(generate_program_set(&fixture_config(px, py), &fixture_flops()))
+            Ok(generate_program_set(&fixture_config(px, py), &FIXTURE_FLOPS))
         }
         WorkloadKind::Stencil => {
             template(&StencilParams { iterations: 5, ..StencilParams::weak_scaling(px, py) })
@@ -85,36 +88,19 @@ pub fn run(args: &[String], obs: &Obs, json: bool) {
     let mut px = 2usize;
     let mut py = 3usize;
     let mut workload = WorkloadKind::Wavefront;
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: &mut usize| -> &str {
-            *i += 1;
-            args.get(*i).map(String::as_str).unwrap_or_else(|| {
-                eprintln!("{} requires a value", args[*i - 1]);
-                std::process::exit(2);
-            })
-        };
-        match args[i].as_str() {
-            "--px" => px = crate::positive_flag("--px", value(&mut i)),
-            "--py" => py = crate::positive_flag("--py", value(&mut i)),
+    let mut flags = crate::FlagReader::new("attribute", args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--px" => px = flags.positive(),
+            "--py" => py = flags.positive(),
             "--workload" => {
-                workload = WorkloadKind::parse(value(&mut i)).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                })
+                workload = WorkloadKind::parse(flags.value()).unwrap_or_else(|e| usage_error(e))
             }
-            other => {
-                eprintln!("unknown attribute flag {other:?}");
-                std::process::exit(2);
-            }
+            other => flags.unknown(other),
         }
-        i += 1;
     }
 
-    let set = fixture_set(workload, px, py).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let set = fixture_set(workload, px, py).unwrap_or_else(|e| usage_error(e));
 
     // Record into the shared bundle so --trace exports the same run.
     let rec = &*obs.recorder;

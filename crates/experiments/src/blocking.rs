@@ -7,10 +7,11 @@
 //! factors on the simulated machine *and* through the analytic model,
 //! showing the model captures the trade-off.
 
-use cluster_sim::{Engine, MachineSpec};
-use pace_core::{Sweep3dModel, Sweep3dParams};
-use sweep3d::trace::{generate_program_set, FlopModel};
-use sweep3d::ProblemConfig;
+use cluster_sim::MachineSpec;
+use pace_core::workload::sweep3d_problem_config;
+use pace_core::Sweep3dParams;
+
+use crate::validation::Calibration;
 
 /// One blocking observation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,7 +26,8 @@ pub struct BlockingPoint {
     pub predicted_secs: f64,
 }
 
-/// Sweep mk × mmi for a weak-scaled problem on a machine.
+/// Sweep mk × mmi for a weak-scaled problem on a machine, skipping
+/// blockings that do not describe a valid problem.
 pub fn sweep(
     machine: &MachineSpec,
     cells_per_pe: usize,
@@ -34,26 +36,19 @@ pub fn sweep(
     mks: &[usize],
     mmis: &[usize],
 ) -> Vec<BlockingPoint> {
-    let base = ProblemConfig::weak_scaling(cells_per_pe, px, py);
-    let flop_model = FlopModel::calibrate(&base, 10.min(cells_per_pe));
-    let hw = hwbench::benchmark_machine(machine, &[cells_per_pe], 1);
+    let n = cells_per_pe;
+    let base = Sweep3dParams { nx: n, ny: n, nz: n, ..Sweep3dParams::weak_scaling_50cubed(px, py) };
+    let cal = Calibration::new(machine, &base, 10.min(n), &[n]);
+    let recorder = obs::Recorder::disabled();
     let mut out = Vec::new();
     for &mk in mks {
         for &mmi in mmis {
-            let config = ProblemConfig { mk, mmi, ..base };
-            if config.validate().is_err() {
+            let params = Sweep3dParams { mk, mmi, ..base };
+            if sweep3d_problem_config(&params).is_err() {
                 continue;
             }
-            let set = generate_program_set(&config, &flop_model);
-            let measured =
-                Engine::from_set(machine, set).run().expect("blocking trace runs").makespan();
-            let mut params = Sweep3dParams::weak_scaling_50cubed(px, py);
-            params.nx = config.it / px;
-            params.ny = config.jt / py;
-            params.nz = config.kt;
-            params.mk = mk;
-            params.mmi = mmi;
-            let predicted = Sweep3dModel::new(params).predict(&hw).total_secs;
+            let measured = cal.measure(&params, machine, 0, &recorder, 0).makespan();
+            let predicted = cal.predict(&params);
             out.push(BlockingPoint { mk, mmi, measured_secs: measured, predicted_secs: predicted });
         }
     }

@@ -14,9 +14,9 @@ use std::time::Instant;
 use pace_core::hardware::{AchievedRate, HardwareModel};
 use pace_core::{Sweep3dModel, Sweep3dParams};
 use sweep3d::parallel::run_parallel;
-use sweep3d::ProblemConfig;
 
 use crate::error_pct;
+use crate::validation::problem_config;
 
 /// The host-validation outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,13 +38,14 @@ pub struct HostValidation {
 /// Run the host validation for a `cells³`-per-rank problem on a `px × py`
 /// thread array.
 pub fn run(cells: usize, px: usize, py: usize, reps: usize) -> HostValidation {
-    let mut config = ProblemConfig::weak_scaling(cells, px, py);
-    config.mk = (cells / 2).max(1);
-    config.iterations = 4;
+    let (n, mk) = (cells, (cells / 2).max(1));
+    let base = Sweep3dParams::weak_scaling_50cubed(px, py);
+    let mut params = Sweep3dParams { nx: n, ny: n, nz: n, mk, iterations: 4, ..base };
+    let config = problem_config(&params);
 
     // Step 1: serial-kernel profiling on this host (the PAPI step).
-    let serial_cfg = ProblemConfig { npe_i: 1, npe_j: 1, it: cells, jt: cells, ..config };
-    let profile = hwbench::profiler::host_profile(&serial_cfg);
+    let profile =
+        hwbench::profiler::host_profile(&problem_config(&Sweep3dParams { px: 1, py: 1, ..params }));
 
     // Step 2: transport microbenchmarks + Eq. 3 fit.
     let sizes: Vec<usize> = (6..=17).map(|p| 1usize << p).collect();
@@ -63,12 +64,6 @@ pub fn run(cells: usize, px: usize, py: usize, reps: usize) -> HostValidation {
     // Step 3: prediction from the layered model, calibrated with the
     // instrumented kernel's per-cell-angle flop count.
     let fm = sweep3d::trace::FlopModel::calibrate(&config, (cells / 2).clamp(4, 10));
-    let mut params = Sweep3dParams::weak_scaling_50cubed(px, py);
-    params.nx = cells;
-    params.ny = cells;
-    params.nz = cells;
-    params.mk = config.mk;
-    params.iterations = config.iterations;
     params.kernel = params.kernel.with_sweep_flops(fm.flops_per_cell_angle);
     let base_prediction = Sweep3dModel::new(params).predict(&hw).total_secs;
     // The model assumes one processor per rank; on an oversubscribed host

@@ -37,20 +37,61 @@ pub mod strong_scaling;
 pub mod validation;
 pub mod wavefront_fig;
 
-/// Parse the operand of a count flag (`--ranks`, `--repeat`, …): a
-/// positive integer, or exit 2 with a one-line usage error naming the flag
-/// (the same treatment unknown flags get).
-pub fn positive_flag(flag: &str, value: &str) -> usize {
-    match value.parse() {
-        Ok(0) => {
-            eprintln!("{flag} takes a positive integer, got {value:?}");
-            std::process::exit(2)
+/// Exit 2 with a one-line usage error on stderr.
+pub fn usage_error(message: impl std::fmt::Display) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
+}
+
+/// Reads a subcommand's flags in order: loop on [`FlagReader::next_flag`],
+/// read each flag's operand with [`FlagReader::value`] or
+/// [`FlagReader::positive`], and hand anything else to
+/// [`FlagReader::unknown`]. A flag missing its value, a count that is not
+/// a positive integer and an unknown flag each exit 2 with a one-line
+/// message naming the flag.
+pub struct FlagReader<'a> {
+    command: &'static str,
+    args: &'a [String],
+    next: usize,
+}
+
+impl<'a> FlagReader<'a> {
+    /// A reader over `command`'s operands.
+    pub fn new(command: &'static str, args: &'a [String]) -> Self {
+        FlagReader { command, args, next: 0 }
+    }
+
+    /// The next flag, or `None` after the last.
+    pub fn next_flag(&mut self) -> Option<&'a str> {
+        let flag = self.args.get(self.next)?;
+        self.next += 1;
+        Some(flag)
+    }
+
+    /// The value of the flag just read.
+    pub fn value(&mut self) -> &'a str {
+        let Some(value) = self.args.get(self.next) else {
+            usage_error(format!("{} requires a value", self.args[self.next - 1]))
+        };
+        self.next += 1;
+        value
+    }
+
+    /// The value of the count flag just read (`--ranks`, `--repeat`, …):
+    /// a positive integer.
+    pub fn positive(&mut self) -> usize {
+        let flag = &self.args[self.next - 1];
+        let value = self.value();
+        match value.parse() {
+            Ok(0) => usage_error(format!("{flag} takes a positive integer, got {value:?}")),
+            Ok(n) => n,
+            Err(_) => usage_error(format!("{flag} takes an integer, got {value:?}")),
         }
-        Ok(n) => n,
-        Err(_) => {
-            eprintln!("{flag} takes an integer, got {value:?}");
-            std::process::exit(2)
-        }
+    }
+
+    /// Reject a flag the subcommand does not know.
+    pub fn unknown(&self, flag: &str) -> ! {
+        usage_error(format!("unknown {} flag {flag:?}", self.command))
     }
 }
 

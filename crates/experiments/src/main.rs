@@ -12,6 +12,8 @@
 //! experiments asci-goals                §6 ASCI-target extrapolation
 //! experiments rendezvous                eager-vs-rendezvous ablation
 //! experiments strong-scaling            strong-scaling extension study
+//! experiments robustness                Table 2 error structure under 8 re-seeded campaigns
+//! experiments host-validate             the whole method on this host (threaded ranks, wall clock)
 //! experiments sweep [--machine <name|path>] [--backend <pace|loggp|hoisie|dessim>[,...]]
 //!                   [--workload <wavefront|stencil|allreduce|path>] [--plan] [--json]
 //!                                        registry sweep: resolve a machine by registry name or
@@ -56,8 +58,8 @@
 
 use experiments::speculation::Problem;
 use experiments::{
-    ablation, asci_goals, attribute, blocking, hmcl, observability, positive_flag, related,
-    rendezvous, report, speculation, strong_scaling, validation, wavefront_fig,
+    ablation, asci_goals, attribute, blocking, hmcl, observability, related, rendezvous, report,
+    speculation, strong_scaling, usage_error, validation, wavefront_fig, FlagReader,
 };
 use obs::Obs;
 
@@ -75,8 +77,7 @@ impl Flags {
         let mut take_value = |flag: &str| -> Option<String> {
             let i = args.iter().position(|a| a == flag)?;
             if i + 1 >= args.len() {
-                eprintln!("{flag} requires a path argument");
-                std::process::exit(2);
+                usage_error(format!("{flag} requires a path argument"));
             }
             args.remove(i);
             Some(args.remove(i))
@@ -199,19 +200,10 @@ fn run_hmcl(args: &[String]) {
     let name = match args {
         [] => "pentium3-myrinet",
         [flag, value] if flag == "--machine" => value.as_str(),
-        _ => {
-            eprintln!("usage: experiments hmcl [--machine <name|path>]");
-            std::process::exit(2);
-        }
+        _ => usage_error("usage: experiments hmcl [--machine <name|path>]"),
     };
-    let machine = registry::resolve(name).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let fitted = hwbench::characterise(&machine, &[50], 2).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let machine = registry::resolve(name).unwrap_or_else(|e| usage_error(e));
+    let fitted = hwbench::characterise(&machine, &[50], 2).unwrap_or_else(|e| usage_error(e));
     println!("{}", hmcl::render(&fitted.analytic, 125_000));
 }
 
@@ -289,62 +281,48 @@ impl WorkloadArg {
 fn run_sweep(args: &[String], obs: &Obs, json: bool) {
     use pace_core::{AllreduceParams, StencilParams, Sweep3dParams, WorkloadKind};
     use wavefront_models::Backend;
-    let exit = |e: String| -> ! {
-        eprintln!("{e}");
-        std::process::exit(2)
-    };
-    let mut machine_arg: Option<String> = None;
-    let mut backend_arg: Option<String> = None;
-    let mut workload_arg: Option<String> = None;
+    let mut machine_arg = None;
+    let mut backend_arg = None;
+    let mut workload_arg = None;
     let mut plan = false;
-    let mut store_arg: Option<String> = None;
+    let mut store_arg = None;
     let mut resume = false;
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: &mut usize| -> String {
-            *i += 1;
-            args.get(*i).cloned().unwrap_or_else(|| {
-                eprintln!("{} requires a value", args[*i - 1]);
-                std::process::exit(2);
-            })
-        };
-        match args[i].as_str() {
-            "--machine" | "--machine-file" => machine_arg = Some(value(&mut i)),
-            "--backend" => backend_arg = Some(value(&mut i)),
-            "--workload" => workload_arg = Some(value(&mut i)),
+    let mut flags = FlagReader::new("sweep", args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--machine" | "--machine-file" => machine_arg = Some(flags.value()),
+            "--backend" => backend_arg = Some(flags.value()),
+            "--workload" => workload_arg = Some(flags.value()),
             "--plan" => plan = true,
-            "--store" => store_arg = Some(value(&mut i)),
+            "--store" => store_arg = Some(flags.value()),
             "--resume" => resume = true,
-            other => {
-                eprintln!("unknown sweep flag {other:?}");
-                std::process::exit(2);
-            }
+            other => flags.unknown(other),
         }
-        i += 1;
     }
     if plan && store_arg.is_some() {
-        exit("--plan and --store are separate execution paths; pick one".into());
+        usage_error("--plan and --store are separate execution paths; pick one");
     }
     if resume && store_arg.is_none() {
-        exit("--resume needs a chunk store (--store DIR)".into());
+        usage_error("--resume needs a chunk store (--store DIR)");
     }
     // A bare identifier selects a template's default ladder; anything
     // else is tried as a workload spec-file path.
-    let workload = match workload_arg.as_deref() {
+    let workload = match workload_arg {
         Some(s) => match WorkloadKind::parse(s) {
             Ok(kind) => WorkloadArg::Ladder(kind),
             Err(_) => WorkloadArg::File(Box::new(
-                registry::resolve_workload(s).unwrap_or_else(|e| exit(e)),
+                registry::resolve_workload(s).unwrap_or_else(|e| usage_error(e)),
             )),
         },
         None => WorkloadArg::Ladder(WorkloadKind::Wavefront),
     };
-    let machine_arg = machine_arg.as_deref().unwrap_or("opteron-myrinet");
-    let machine = registry::resolve(machine_arg).unwrap_or_else(|e| exit(e));
-    let backends: Vec<Backend> = match backend_arg.as_deref() {
-        Some(list) => {
-            list.split(',').map(|s| Backend::parse(s.trim()).unwrap_or_else(|e| exit(e))).collect()
-        }
+    let machine_arg = machine_arg.unwrap_or("opteron-myrinet");
+    let machine = registry::resolve(machine_arg).unwrap_or_else(|e| usage_error(e));
+    let backends: Vec<Backend> = match backend_arg {
+        Some(list) => list
+            .split(',')
+            .map(|s| Backend::parse(s.trim()).unwrap_or_else(|e| usage_error(e)))
+            .collect(),
         // Default: every backend the machine can serve for this workload
         // (the wavefront-only closed forms drop off the stencil and
         // allreduce grids; an explicit --backend list is still validated
@@ -384,14 +362,15 @@ fn run_sweep(args: &[String], obs: &Obs, json: bool) {
             spec = spec.problem_arc(label, (**ws).clone().into_arc());
         }
     }
-    spec.validate().unwrap_or_else(|e| exit(e));
+    spec.validate().unwrap_or_else(|e| usage_error(e));
     let engine = sweepsvc::SweepEngine::new().with_obs(obs.clone());
     let (results, plan_stats, store_stats) = if plan {
         let out = engine.run_planned(&spec);
         (out.results, out.stats.plan, None)
     } else if let Some(dir) = store_arg {
-        let chunks = sweepsvc::ChunkStore::open(&dir).unwrap_or_else(|e| exit(e));
-        let out = sweepsvc::run_stored(&engine, &spec, &chunks, resume).unwrap_or_else(|e| exit(e));
+        let chunks = sweepsvc::ChunkStore::open(dir).unwrap_or_else(|e| usage_error(e));
+        let out = sweepsvc::run_stored(&engine, &spec, &chunks, resume)
+            .unwrap_or_else(|e| usage_error(e));
         (out.results, None, Some(out.stats))
     } else {
         (engine.run(&spec).results, None, None)
@@ -477,47 +456,28 @@ fn run_speculation(args: &[String], json: bool) {
         iterations: 2,
         repeat: 3,
     };
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: &mut usize| -> &str {
-            *i += 1;
-            args.get(*i).map(String::as_str).unwrap_or_else(|| {
-                eprintln!("{} requires a value", args[*i - 1]);
-                std::process::exit(2);
-            })
-        };
-        match args[i].as_str() {
+    let mut flags = FlagReader::new("speculation", args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
             "--problem" => {
-                spec.problem = match value(&mut i) {
+                spec.problem = match flags.value() {
                     "20m" => Problem::TwentyMillion,
                     "1b" => Problem::OneBillion,
-                    other => {
-                        eprintln!("unknown problem {other:?} (expected 20m or 1b)");
-                        std::process::exit(2);
-                    }
+                    other => usage_error(format!("unknown problem {other:?} (expected 20m or 1b)")),
                 }
             }
             "--workload" => {
-                spec.workload = pace_core::WorkloadKind::parse(value(&mut i)).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                })
+                spec.workload =
+                    pace_core::WorkloadKind::parse(flags.value()).unwrap_or_else(|e| usage_error(e))
             }
-            "--ranks" => spec.ranks = positive_flag("--ranks", value(&mut i)),
-            "--repeat" => spec.repeat = positive_flag("--repeat", value(&mut i)),
-            "--iterations" => spec.iterations = positive_flag("--iterations", value(&mut i)),
-            other => {
-                eprintln!("unknown speculation flag {other:?}");
-                std::process::exit(2);
-            }
+            "--ranks" => spec.ranks = flags.positive(),
+            "--repeat" => spec.repeat = flags.positive(),
+            "--iterations" => spec.iterations = flags.positive(),
+            other => flags.unknown(other),
         }
-        i += 1;
     }
-    let campaign =
-        speculation::simulate(&spec, sweepsvc::available_workers()).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
+    let campaign = speculation::simulate(&spec, sweepsvc::available_workers())
+        .unwrap_or_else(|e| usage_error(e));
     print!("{}", campaign.render(json));
 }
 
@@ -568,10 +528,9 @@ fn run_obs(obs: &Obs) {
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: experiments [--trace <path>] [--metrics <path>] [--json] <table1|table2|table3|fig1|fig8|fig9|hmcl [--machine <name|path>]|concurrence|ablation|blocking|asci-goals|rendezvous|strong-scaling|sweep [--machine <name|path>] [--backend <list>] [--workload <kind|path>] [--plan] [--store DIR [--resume]]|speculation [--problem 20m|1b] [--workload <kind>] [--ranks N] [--repeat K] [--iterations I]|timeline|obs|attribute [--px N] [--py N] [--workload <kind>]|robustness|host-validate|csv [dir]|validate|all>"
-    );
-    std::process::exit(2)
+    usage_error(
+        "usage: experiments [--trace <path>] [--metrics <path>] [--json] <table1|table2|table3|fig1|fig8|fig9|hmcl [--machine <name|path>]|concurrence|ablation|blocking|asci-goals|rendezvous|strong-scaling|sweep [--machine <name|path>] [--backend <list>] [--workload <kind|path>] [--plan] [--store DIR [--resume]]|speculation [--problem 20m|1b] [--workload <kind>] [--ranks N] [--repeat K] [--iterations I]|timeline|obs|attribute [--px N] [--py N] [--workload <kind>]|robustness|host-validate|csv [dir]|validate|all>",
+    )
 }
 
 fn main() {

@@ -1,27 +1,33 @@
 //! The `obs` subcommand: one representative validation scenario run end
 //! to end under full telemetry, with a phase-by-phase breakdown.
 //!
-//! The scenario is a Table 2 row (200×200 on a 4×4 Opteron/GigE array):
-//! small enough to run in CI, rich enough to exercise every span source —
-//! kernel calibration, hardware benchmarking, the simulated measurement
-//! (per-rank sim spans) and the PACE prediction. Each phase is recorded
-//! as a wall span; the measurement's per-rank activity lands as sim spans
-//! whose per-category totals must reproduce the run's [`RankStats`](cluster_sim::RankStats)
+//! The scenario is a Table 2 row (200×200 on a 4×4 Opteron/GigE array),
+//! run through the same [`Calibration`] as the table and under the row's
+//! own noise seed, so it measures exactly the value `experiments table2`
+//! prints for that row. It is small enough to run in CI, rich enough to
+//! exercise every span source — kernel calibration, hardware
+//! benchmarking, the simulated measurement (per-rank sim spans) and the
+//! PACE prediction. Each phase is recorded as a wall span (calibration
+//! and benchmarking run side by side, on two threads of the phase
+//! track); the measurement's per-rank activity lands as sim spans whose
+//! per-category totals must reproduce the run's [`RankStats`](cluster_sim::RankStats)
 //! exactly (that cross-check is printed, not just asserted in tests).
 
 use std::time::{Duration, Instant};
 
-use cluster_sim::Engine;
 use obs::{Cat, Obs};
 use registry::sim as sim_machines;
-use sweep3d::trace::{generate_program_set, FlopModel};
 
-use crate::validation::{self, RowSpec};
+use crate::validation::{self, Calibration, RowSpec};
 
 /// Track group of the phase wall spans (see [`obs::pids`]).
 pub const PHASE_PID: u32 = obs::pids::PHASE;
 /// Track group of the representative measurement's sim spans.
 pub const MEASURE_PID: u32 = obs::pids::ENGINE;
+
+/// The representative row's index in Table 2 (200×200 on 4×4, 16 PEs).
+/// `run_table` measures row `i` under seed `i + 1`; so does this run.
+pub const TABLE2_ROW: usize = 4;
 
 /// One recorded phase.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,44 +82,38 @@ impl ObsReport {
 /// Run the representative scenario under `obs`, recording phase wall
 /// spans, the measurement's sim spans and summary metrics.
 pub fn run_representative(obs: &Obs) -> ObsReport {
-    let spec = validation::TABLE2_ROWS[4]; // 200x200 on 4x4, 16 PEs
+    let spec = validation::TABLE2_ROWS[TABLE2_ROW];
+    let params = spec.params();
     let machine = sim_machines::opteron_gige_sim();
     let rec = &*obs.recorder;
     rec.set_process_name(PHASE_PID, "experiments obs");
     rec.set_thread_name(PHASE_PID, 0, "phases");
+    rec.set_thread_name(PHASE_PID, 1, "benchmark");
     rec.set_process_name(MEASURE_PID, format!("measure {}x{}", spec.it, spec.jt));
     let mut phases = Vec::new();
-    let mut phase = |name: &'static str, t0: Instant| {
-        rec.wall_span(PHASE_PID, 0, name, Cat::Phase, t0, vec![]);
-        let wall = t0.elapsed();
+    let mut phase = |name: &'static str, wall: Duration| {
         phases.push(Phase { name, wall });
         obs.metrics.gauge_set(&format!("wall.obs.phase.{name}_us"), wall.as_micros() as f64);
     };
+    let timed = |name: &'static str, t0: Instant| {
+        rec.wall_span(PHASE_PID, 0, name, Cat::Phase, t0, vec![]);
+        t0.elapsed()
+    };
 
-    let t0 = Instant::now();
-    let config = validation::row_config(&spec);
-    let flop_model = FlopModel::calibrate(&config, 10);
-    phase("calibrate", t0);
-
-    let t0 = Instant::now();
-    let hw = hwbench::benchmark_machine(&machine, &[50], 1);
-    phase("benchmark", t0);
+    let (cal, walls) = Calibration::observed(&machine, &params, 10, &[50], rec, PHASE_PID);
+    phase("calibrate", walls[0]);
+    phase("benchmark", walls[1]);
 
     // The recorder may be shared with earlier subcommands (`experiments
     // all`) that traced runs on the same pid; only this run's spans count.
     let before = rec.sim_totals();
     let t0 = Instant::now();
-    let set = generate_program_set(&config, &flop_model);
-    let seeded = machine.clone().with_seed(machine.seed ^ 1);
-    let report = Engine::from_set(&seeded, set)
-        .with_recorder(rec, MEASURE_PID)
-        .run()
-        .expect("trace executes without deadlock");
-    phase("measure", t0);
+    let report = cal.measure(&params, &machine, TABLE2_ROW as u64 + 1, rec, MEASURE_PID);
+    phase("measure", timed("measure", t0));
 
     let t0 = Instant::now();
-    let predicted_secs = validation::predict_row(&spec, &hw);
-    phase("predict", t0);
+    let predicted_secs = cal.predict(&params);
+    phase("predict", timed("predict", t0));
 
     let totals = rec.sim_totals();
     let total = |rank: usize, cat: Cat| -> u64 {

@@ -5,9 +5,8 @@
 
 use cluster_sim::MachineSpec;
 use hwbench::stats::{mean, stddev};
-use sweep3d::trace::FlopModel;
 
-use crate::validation::{predict_row, row_config, RowSpec};
+use crate::validation::{Calibration, RowSpec};
 
 /// Error statistics of one campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,10 +34,9 @@ pub struct Robustness {
 /// The *prediction* is fixed (the model is deterministic); only the
 /// simulated measurement varies.
 pub fn run(machine: &MachineSpec, rows: &[RowSpec], n_campaigns: u64) -> Robustness {
-    let reference = row_config(&rows[0]);
-    let flop_model = FlopModel::calibrate(&reference, 10);
-    let hw = hwbench::benchmark_machine(machine, &[50], 1);
-    let predictions: Vec<f64> = rows.iter().map(|r| predict_row(r, &hw)).collect();
+    let cal = Calibration::new(machine, &rows[0].params(), 10, &[50]);
+    let recorder = obs::Recorder::disabled();
+    let predictions: Vec<f64> = rows.iter().map(|r| cal.predict(&r.params())).collect();
 
     let mut campaigns = Vec::new();
     for campaign in 0..n_campaigns {
@@ -50,7 +48,7 @@ pub fn run(machine: &MachineSpec, rows: &[RowSpec], n_campaigns: u64) -> Robustn
             .enumerate()
             .map(|(idx, (row, &pred))| {
                 let measured =
-                    crate::validation::measure_row(row, &day, &flop_model, idx as u64 + 1);
+                    cal.measure(&row.params(), &day, idx as u64 + 1, &recorder, 0).makespan();
                 crate::error_pct(measured, pred)
             })
             .collect();

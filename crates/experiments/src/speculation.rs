@@ -10,12 +10,12 @@
 use std::time::{Duration, Instant};
 
 use cluster_sim::{MachineSpec, ProgramSet};
+use pace_core::workload::sweep3d_problem_config;
 use pace_core::{
-    AllreduceParams, HardwareModel, StencilParams, Sweep3dModel, Sweep3dParams, Workload,
-    WorkloadKind,
+    AllreduceParams, HardwareModel, StencilParams, Sweep3dParams, Workload, WorkloadKind,
 };
 use registry::quoted as machines;
-use sweep3d::trace::{generate_program_set, FlopModel};
+use sweep3d::trace::generate_program_set;
 use sweep3d::ProblemConfig;
 use sweepsvc::{ReplicationSummary, SweepEngine, SweepSpec, SweepStats};
 
@@ -48,13 +48,10 @@ impl Problem {
         }
     }
 
-    /// Full DES problem configuration on a `px × py` array (the per-PE
-    /// subgrid of the figure: 5×5×100 or 25×25×200).
+    /// Full DES problem configuration on a `px × py` array, derived from
+    /// [`Problem::params`].
     pub fn config(&self, px: usize, py: usize) -> ProblemConfig {
-        match self {
-            Problem::TwentyMillion => ProblemConfig::speculative(5, 5, 100, px, py),
-            Problem::OneBillion => ProblemConfig::speculative(25, 25, 200, px, py),
-        }
+        crate::validation::problem_config(&self.params(px, py))
     }
 }
 
@@ -127,7 +124,8 @@ pub fn sweep_spec(problem: Problem, hw: &HardwareModel) -> SweepSpec {
 
 /// Run one speculation figure through the sweep engine with an explicit
 /// worker count, returning the curve plus the engine's counters. The
-/// curve is bit-identical to [`run_on_serial`] for any worker count.
+/// curve is bit-identical to a serial, one-evaluation-at-a-time run for
+/// any worker count (unit-tested).
 pub fn run_on_with(
     problem: Problem,
     hw: &HardwareModel,
@@ -222,14 +220,6 @@ impl Subject {
     }
 }
 
-/// Fixed calibration constants (same family as the golden fixtures) keep
-/// the wavefront campaign reproducible without a profiling run.
-const FIGURE_FLOPS: FlopModel = FlopModel {
-    flops_per_cell_angle: 21.5,
-    source_flops_per_cell: 2.0,
-    flux_err_flops_per_cell: 3.0,
-};
-
 impl CampaignSpec {
     /// Lower the scenario to the program set every replication replays:
     /// the figure's SWEEP3D trace, or the template's DES lowering on the
@@ -242,10 +232,13 @@ impl CampaignSpec {
         match self.workload {
             WorkloadKind::Wavefront => {
                 let (px, py) = array_for_ranks(self.ranks);
-                let mut config = self.problem.config(px, py);
-                config.iterations = self.iterations;
+                let params =
+                    Sweep3dParams { iterations: self.iterations, ..self.problem.params(px, py) };
+                let config = sweep3d_problem_config(&params)?;
                 let subject = Subject::Figure { problem: self.problem, px, py };
-                Ok((subject, generate_program_set(&config, &FIGURE_FLOPS)))
+                // The golden fixtures' fixed flop weights keep the campaign
+                // reproducible without a profiling run.
+                Ok((subject, generate_program_set(&config, &crate::attribute::FIXTURE_FLOPS)))
             }
             WorkloadKind::Stencil => {
                 let (px, py) = array_for_ranks(self.ranks);
@@ -417,32 +410,33 @@ impl Campaign {
     }
 }
 
-/// The pre-engine serial reference path: one model evaluation at a time,
-/// no pool. Kept as the ground truth the parallel path is tested against.
-pub fn run_on_serial(problem: Problem, hw: &HardwareModel) -> SpeculationCurve {
-    let hw125 = hw.with_rate_scaled(1.25);
-    let hw150 = hw.with_rate_scaled(1.50);
-    let points = processor_ladder()
-        .into_iter()
-        .map(|(px, py)| {
-            let params = problem.params(px, py);
-            let model = Sweep3dModel::new(params);
-            CurvePoint {
-                pes: px * py,
-                px,
-                py,
-                actual: model.predict(hw).total_secs,
-                plus25: model.predict(&hw125).total_secs,
-                plus50: model.predict(&hw150).total_secs,
-            }
-        })
-        .collect();
-    SpeculationCurve { problem, machine: hw.name.clone(), points }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pace_core::Sweep3dModel;
+
+    /// The pre-engine serial reference path: one model evaluation at a
+    /// time, no pool, the ground truth the sweep path is tested against.
+    fn run_on_serial(problem: Problem, hw: &HardwareModel) -> SpeculationCurve {
+        let hw125 = hw.with_rate_scaled(1.25);
+        let hw150 = hw.with_rate_scaled(1.50);
+        let points = processor_ladder()
+            .into_iter()
+            .map(|(px, py)| {
+                let params = problem.params(px, py);
+                let model = Sweep3dModel::new(params);
+                CurvePoint {
+                    pes: px * py,
+                    px,
+                    py,
+                    actual: model.predict(hw).total_secs,
+                    plus25: model.predict(&hw125).total_secs,
+                    plus50: model.predict(&hw150).total_secs,
+                }
+            })
+            .collect();
+        SpeculationCurve { problem, machine: hw.name.clone(), points }
+    }
 
     #[test]
     fn ladder_reaches_8000() {
@@ -546,6 +540,16 @@ mod tests {
         let makespans = c.summary.makespans();
         assert!(makespans[0] != makespans[1], "seeds had no effect: {makespans:?}");
         assert!(c.total_events() > 0 && c.events_per_sec() > 0.0);
+    }
+
+    #[test]
+    fn figure_problems_have_the_papers_sizes() {
+        // 20M cells: 5x5x100 per PE on ~89x90 needs 8010 PEs; the paper
+        // quotes 8000 for both problems.
+        let c = Problem::TwentyMillion.config(80, 100);
+        assert_eq!(c.total_cells(), 5 * 80 * 5 * 100 * 100);
+        assert_eq!(c.num_pes(), 8000);
+        assert_eq!(Problem::OneBillion.config(80, 100).total_cells(), 1_000_000_000);
     }
 
     #[test]

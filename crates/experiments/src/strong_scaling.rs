@@ -9,10 +9,10 @@
 //! both the simulator and the analytic model across a strong-scaling ladder
 //! and reports speedups and model error.
 
-use cluster_sim::{Engine, MachineSpec};
-use pace_core::{Sweep3dModel, Sweep3dParams};
-use sweep3d::trace::{generate_program_set, FlopModel};
-use sweep3d::ProblemConfig;
+use cluster_sim::MachineSpec;
+use pace_core::Sweep3dParams;
+
+use crate::validation::Calibration;
 
 /// One strong-scaling observation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,6 +31,18 @@ pub struct StrongPoint {
     pub speedup: f64,
 }
 
+/// The `it × jt × kt` global grid on a `px × py` array. The model and
+/// the DES both see `(it / px) × (jt / py)` cells per PE, so a grid that
+/// does not divide evenly is cut down to one that does.
+pub fn params(it: usize, jt: usize, kt: usize, px: usize, py: usize) -> Sweep3dParams {
+    Sweep3dParams {
+        nx: it / px,
+        ny: jt / py,
+        nz: kt,
+        ..Sweep3dParams::weak_scaling_50cubed(px, py)
+    }
+}
+
 /// Run the study for a fixed `it × jt × kt` global grid.
 pub fn run(
     machine: &MachineSpec,
@@ -40,8 +52,6 @@ pub fn run(
     arrays: &[(usize, usize)],
 ) -> Vec<StrongPoint> {
     assert!(!arrays.is_empty());
-    let base_cfg = config_for(it, jt, kt, arrays[0].0, arrays[0].1);
-    let fm = FlopModel::calibrate(&base_cfg, 10);
     // "This rate changes according to the problem size per processor and
     // requires updating according to the problem size that will be
     // modelled" (§4.3): profile the achieved rate at a cube-edge proxy for
@@ -56,20 +66,14 @@ pub fn run(
         .collect();
     edges.sort_unstable();
     edges.dedup();
-    let hw = hwbench::benchmark_machine(machine, &edges, 1);
+    let cal = Calibration::new(machine, &params(it, jt, kt, arrays[0].0, arrays[0].1), 10, &edges);
+    let recorder = obs::Recorder::disabled();
     // Ladder points are independent simulations: fan them out over the
     // pool, then derive speedups from the in-order results.
     let run = sweepsvc::run_ordered(arrays.to_vec(), sweepsvc::available_workers(), |&(px, py)| {
-        let config = config_for(it, jt, kt, px, py);
-        config.validate().expect("strong-scaling config");
-        let set = generate_program_set(&config, &fm);
-        let measured = Engine::from_set(machine, set).run().expect("runs").makespan();
-        let mut params = Sweep3dParams::weak_scaling_50cubed(px, py);
-        params.nx = it / px;
-        params.ny = jt / py;
-        params.nz = kt;
-        let predicted = Sweep3dModel::new(params).predict(&hw).total_secs;
-        (px, py, measured, predicted)
+        let params = params(it, jt, kt, px, py);
+        let measured = cal.measure(&params, machine, 0, &recorder, 0).makespan();
+        (px, py, measured, cal.predict(&params))
     });
     let base_time = run.results[0].2;
     run.results
@@ -83,15 +87,6 @@ pub fn run(
             speedup: base_time / measured,
         })
         .collect()
-}
-
-fn config_for(it: usize, jt: usize, kt: usize, px: usize, py: usize) -> ProblemConfig {
-    let mut c = ProblemConfig::weak_scaling(1, px, py);
-    c.it = it;
-    c.jt = jt;
-    c.kt = kt;
-    c.mk = 10.min(kt);
-    c
 }
 
 /// The default ladder: a 120×120×40 grid on 1…64 PEs on the Opteron

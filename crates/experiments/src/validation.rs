@@ -2,8 +2,8 @@
 //!
 //! For every row of the paper's validation tables the harness
 //!
-//! 1. builds the problem configuration (weak scaling, 50³ cells/PE, mk=10,
-//!    mmi=3, 12 iterations),
+//! 1. builds the problem as [`Sweep3dParams`] (weak scaling, 50³ cells/PE,
+//!    mk=10, mmi=3, 12 iterations) and derives the DES configuration,
 //! 2. *measures* the runtime by executing the application's op trace on
 //!    the simulated machine (`cluster-sim`),
 //! 3. *predicts* the runtime with the PACE model, using a hardware model
@@ -11,10 +11,14 @@
 //!    virtual profiling at small scale + fitted Eq. 3 curves),
 //! 4. reports the error in the paper's convention.
 //!
-//! The paper's measured/predicted values are embedded for side-by-side
-//! comparison in EXPERIMENTS.md.
+//! Steps 2–3 go through [`Calibration`], shared by every study that both
+//! measures and predicts. The paper's values are in EXPERIMENTS.md.
 
-use cluster_sim::{Engine, MachineSpec};
+use std::time::{Duration, Instant};
+
+use cluster_sim::{Engine, MachineSpec, RunReport};
+use obs::{Cat, Recorder};
+use pace_core::workload::sweep3d_problem_config;
 use pace_core::{HardwareModel, Sweep3dModel, Sweep3dParams};
 use registry::sim as sim_machines;
 use sweep3d::trace::{generate_program_set, FlopModel};
@@ -54,6 +58,12 @@ impl RowSpec {
     /// Total PEs.
     pub fn pes(&self) -> usize {
         self.px * self.py
+    }
+
+    /// The row's problem: 50³ cells per PE on the row's array (the rows'
+    /// `it × jt` grids are exactly that, see the unit tests).
+    pub fn params(&self) -> Sweep3dParams {
+        Sweep3dParams::weak_scaling_50cubed(self.px, self.py)
     }
 }
 
@@ -166,10 +176,15 @@ impl ValidationTable {
     }
 }
 
+/// The DES configuration of a study problem (all of them are valid).
+pub(crate) fn problem_config(params: &Sweep3dParams) -> ProblemConfig {
+    sweep3d_problem_config(params).expect("study problems are valid")
+}
+
 /// The problem configuration of a row (50³ per PE, mk=10, mmi=3, S6, 12
 /// iterations — constant across all tables).
 pub fn row_config(spec: &RowSpec) -> ProblemConfig {
-    ProblemConfig::table_row(spec.it, spec.jt, spec.px, spec.py)
+    problem_config(&spec.params())
 }
 
 /// Simulate the measurement for one row on a machine.
@@ -179,34 +194,107 @@ pub fn measure_row(
     flop_model: &FlopModel,
     row_seed: u64,
 ) -> f64 {
-    measure_row_observed(spec, machine, flop_model, row_seed, &obs::Recorder::disabled(), 0)
+    simulate(&row_config(spec), machine, flop_model, row_seed, &Recorder::disabled(), 0).makespan()
 }
 
-/// [`measure_row`] with the simulated run recorded: every rank activity
-/// becomes a sim-domain span on the track group `pid`. The makespan is
-/// identical with recording on or off.
-fn measure_row_observed(
-    spec: &RowSpec,
+/// Run `config`'s trace on `machine` reseeded with `machine.seed ^ seed`,
+/// recording every rank activity on track group `pid` (the report is the
+/// same with recording on or off).
+fn simulate(
+    config: &ProblemConfig,
     machine: &MachineSpec,
     flop_model: &FlopModel,
-    row_seed: u64,
-    recorder: &obs::Recorder,
+    seed: u64,
+    recorder: &Recorder,
     pid: u32,
-) -> f64 {
-    let set = generate_program_set(&row_config(spec), flop_model);
-    let machine = machine.clone().with_seed(machine.seed ^ row_seed);
+) -> RunReport {
+    let set = generate_program_set(config, flop_model);
+    let machine = machine.clone().with_seed(machine.seed ^ seed);
     Engine::from_set(&machine, set)
         .with_recorder(recorder, pid)
         .run()
         .expect("trace executes without deadlock")
-        .makespan()
 }
 
 /// Predict one row with the PACE model against a benchmarked hardware
 /// model.
 pub fn predict_row(spec: &RowSpec, hw: &HardwareModel) -> f64 {
-    let params = Sweep3dParams::weak_scaling_50cubed(spec.px, spec.py);
-    Sweep3dModel::new(params).predict(hw).total_secs
+    Sweep3dModel::new(spec.params()).predict(hw).total_secs
+}
+
+/// The paper's §4 method on one machine: the kernel's flop model,
+/// profiled on a small serial proxy, and the machine's hardware model,
+/// benchmarked and fitted to Eq. 3.
+#[derive(Debug)]
+pub struct Calibration {
+    /// Per-cell flop weights the measured traces charge.
+    pub flop_model: FlopModel,
+    /// The benchmarked hardware model the predictions price against.
+    pub hw: HardwareModel,
+}
+
+impl Calibration {
+    /// Calibrate the kernel on a `proxy_cells`³ serial proxy of
+    /// `reference` and, side by side, benchmark `machine` at the per-PE
+    /// cube edges `per_pe_sizes`.
+    pub fn new(
+        machine: &MachineSpec,
+        reference: &Sweep3dParams,
+        proxy_cells: usize,
+        per_pe_sizes: &[usize],
+    ) -> Self {
+        let disabled = Recorder::disabled();
+        Self::observed(machine, reference, proxy_cells, per_pe_sizes, &disabled, 0).0
+    }
+
+    /// [`Calibration::new`] with each step recorded as a wall span on
+    /// track group `pid` (`calibrate` on thread 0, `benchmark` on thread
+    /// 1), also returning the two steps' wall times in that order.
+    pub fn observed(
+        machine: &MachineSpec,
+        reference: &Sweep3dParams,
+        proxy_cells: usize,
+        per_pe_sizes: &[usize],
+        recorder: &Recorder,
+        pid: u32,
+    ) -> (Self, [Duration; 2]) {
+        let timed = |tid: u32, name: &'static str, t0: Instant| {
+            recorder.wall_span(pid, tid, name, Cat::Phase, t0, vec![]);
+            t0.elapsed()
+        };
+        let reference = problem_config(reference);
+        let ((flop_model, calibrate), (hw, benchmark)) = std::thread::scope(|s| {
+            let calibration = s.spawn(|| {
+                let t0 = Instant::now();
+                let flop_model = FlopModel::calibrate(&reference, proxy_cells);
+                (flop_model, timed(0, "calibrate", t0))
+            });
+            let t0 = Instant::now();
+            let hw = hwbench::benchmark_machine(machine, per_pe_sizes, 1);
+            let benchmarked = (hw, timed(1, "benchmark", t0));
+            (calibration.join().expect("kernel calibration panicked"), benchmarked)
+        });
+        (Calibration { flop_model, hw }, [calibrate, benchmark])
+    }
+
+    /// Measure `params` on `machine` reseeded with `machine.seed ^ seed`
+    /// (seed 0 keeps the machine's own), recording the run's rank
+    /// activity on track group `pid`.
+    pub fn measure(
+        &self,
+        params: &Sweep3dParams,
+        machine: &MachineSpec,
+        seed: u64,
+        recorder: &Recorder,
+        pid: u32,
+    ) -> RunReport {
+        simulate(&problem_config(params), machine, &self.flop_model, seed, recorder, pid)
+    }
+
+    /// The PACE prediction of `params`, seconds.
+    pub fn predict(&self, params: &Sweep3dParams) -> f64 {
+        Sweep3dModel::new(*params).predict(&self.hw).total_secs
+    }
 }
 
 /// Spacing between the pid blocks of consecutive validation tables, so
@@ -237,14 +325,9 @@ pub fn run_table_observed(
 ) -> ValidationTable {
     // Kernel calibration (one instrumented serial proxy run, the paper's
     // PAPI profiling step) and hardware benchmarking (profile at 1×1 /
-    // 1×2, fit the Eq. 3 curves) are independent; run them side by side.
-    let reference = row_config(&rows[0]);
-    let (flop_model, hw) = std::thread::scope(|s| {
-        let flop_model = s.spawn(|| FlopModel::calibrate(&reference, 10));
-        let hw = hwbench::benchmark_machine(machine, &[50], 1);
-        (flop_model.join().expect("kernel calibration panicked"), hw)
-    });
-    let calibrated_mflops = hw.achieved_mflops(125_000);
+    // 1×2, fit the Eq. 3 curves).
+    let cal = Calibration::new(machine, &rows[0].params(), 10, &[50]);
+    let calibrated_mflops = cal.hw.achieved_mflops(125_000);
 
     let recorder = &*obs.recorder;
     // Longest row first: the largest arrays dominate the pool's tail, so
@@ -261,9 +344,9 @@ pub fn run_table_observed(
                 format!("{label} {}x{} on {}x{}", spec.it, spec.jt, spec.px, spec.py),
             );
         }
-        let measured =
-            measure_row_observed(&spec, machine, &flop_model, idx as u64 + 1, recorder, pid);
-        let predicted = predict_row(&spec, &hw);
+        let params = spec.params();
+        let measured = cal.measure(&params, machine, idx as u64 + 1, recorder, pid).makespan();
+        let predicted = cal.predict(&params);
         (
             idx,
             ValidationRow {

@@ -10,12 +10,14 @@ fn experiments(args: &[&str]) -> Output {
         .expect("spawn the experiments binary")
 }
 
-fn assert_usage_error(args: &[&str]) {
+/// Run `args`, check it is a one-line usage error, and return the line.
+fn assert_usage_error(args: &[&str]) -> String {
     let out = experiments(args);
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(out.status.code(), Some(2), "{args:?} should be a usage error: {stderr}");
     assert_eq!(stderr.lines().count(), 1, "{args:?}: expected a one-line message: {stderr}");
     assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+    stderr.trim_end().to_string()
 }
 
 #[test]
@@ -23,6 +25,18 @@ fn non_integer_flag_values_are_usage_errors() {
     assert_usage_error(&["speculation", "--ranks", "abc"]);
     assert_usage_error(&["speculation", "--repeat", "-1"]);
     assert_usage_error(&["attribute", "--px", "two"]);
+}
+
+/// Every subcommand that reads flags names a flag missing its value and
+/// rejects an unknown flag, with the same messages.
+#[test]
+fn missing_values_and_unknown_flags_are_usage_errors() {
+    for command in ["sweep", "speculation", "attribute"] {
+        let missing = assert_usage_error(&[command, "--workload"]);
+        assert_eq!(missing, "--workload requires a value", "{command}");
+        let unknown = assert_usage_error(&[command, "--bogus"]);
+        assert_eq!(unknown, format!("unknown {command} flag \"--bogus\""));
+    }
 }
 
 /// Count flags take positive integers: a zero exits 2 naming the flag

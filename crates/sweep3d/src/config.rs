@@ -67,27 +67,6 @@ impl ProblemConfig {
         }
     }
 
-    /// The paper's Table 1–3 rows: a global `it × jt × 50` grid on `px × py`
-    /// processors (per-PE subgrid 50×50×50 in every row).
-    pub fn table_row(it: usize, jt: usize, px: usize, py: usize) -> Self {
-        let mut c = Self::weak_scaling(50, px, py);
-        c.it = it;
-        c.jt = jt;
-        c.kt = 50;
-        c
-    }
-
-    /// The §6 speculative configurations: fixed per-PE subgrid
-    /// `nx × ny × nz` on a `px × py` array (5×5×100 for the 20M-cell
-    /// problem, 25×25×200 for the 1-billion-cell problem).
-    pub fn speculative(nx: usize, ny: usize, nz: usize, px: usize, py: usize) -> Self {
-        let mut c = Self::weak_scaling(1, px, py);
-        c.it = nx * px;
-        c.jt = ny * py;
-        c.kt = nz;
-        c
-    }
-
     /// Total cells in the global grid.
     pub fn total_cells(&self) -> usize {
         self.it * self.jt * self.kt
@@ -246,21 +225,11 @@ mod tests {
     #[test]
     fn table_row_matches_paper() {
         // Table 1 row: 400x700x50 on 8x14.
-        let c = ProblemConfig::table_row(400, 700, 8, 14);
+        let c = ProblemConfig::weak_scaling(50, 8, 14);
+        assert_eq!((c.it, c.jt, c.kt), (400, 700, 50));
         assert_eq!(c.num_pes(), 112);
         let d = Decomposition::for_pe(&c, 0, 0);
         assert_eq!((d.nx, d.ny, d.nz), (50, 50, 50));
-    }
-
-    #[test]
-    fn speculative_sizes() {
-        // 20M cells: 5x5x100 per PE on ~89x90 needs 8010 PEs; the paper
-        // quotes 8000 for both problems.
-        let c = ProblemConfig::speculative(5, 5, 100, 80, 100);
-        assert_eq!(c.total_cells(), 5 * 80 * 5 * 100 * 100);
-        assert_eq!(c.num_pes(), 8000);
-        let c = ProblemConfig::speculative(25, 25, 200, 80, 100);
-        assert_eq!(c.total_cells(), 1_000_000_000);
     }
 
     #[test]

@@ -54,6 +54,7 @@
 #[doc(hidden)]
 pub mod cache;
 pub mod engine;
+mod fnv;
 pub mod plan;
 pub mod pool;
 pub mod replicate;

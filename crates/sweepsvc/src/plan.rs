@@ -43,31 +43,20 @@ use std::sync::Arc;
 
 use wavefront_models::Backend;
 
+use crate::fnv::Fnv1a;
 use crate::spec::{Scenario, SweepSpec};
 
 /// A job's bucket key: backend, workload `(kind, param digest)`, twin
 /// machine digest and, for forked DES jobs, the base machine digest.
 type JobKey<'a> = (Backend, (&'a str, u64), u64, Option<u64>);
 
-/// FNV-1a over formatted text, so a spec digests without allocating.
-struct Fnv(u64);
-
-impl std::fmt::Write for Fnv {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for b in s.bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Ok(())
-    }
-}
-
 /// Digest of a machine spec's full field-by-field rendering. Equal specs
 /// render equally (short of `0.0` against `-0.0`, which would only cost a
 /// missed dedup), so equal inputs always share a bucket.
 fn spec_digest(machine: &registry::MachineSpec) -> u64 {
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut h = Fnv1a::new();
     write!(h, "{machine:?}").expect("hashing cannot fail");
-    h.0
+    h.finish()
 }
 
 /// Shape counters of an execution plan (all deterministic functions of

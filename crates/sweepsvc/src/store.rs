@@ -32,22 +32,12 @@ use registry::WorkloadSpec;
 use wavefront_models::Backend;
 
 use crate::engine::SweepEngine;
+use crate::fnv::Fnv1a;
 use crate::spec::{ScenarioResult, SweepSpec};
 
 /// Ranges a stored campaign is split into. Chunk keys depend on the
 /// split, so changing it turns every existing store cold.
 pub const STORE_RANGES: usize = 8;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 // ---------------------------------------------------------------------------
 // Range partitioner
@@ -172,12 +162,11 @@ pub fn spec_to_json(spec: &SweepSpec) -> Result<String, String> {
 /// document, then every problem's workload kind and `param_digest`.
 pub fn spec_digest(spec: &SweepSpec) -> Result<u64, String> {
     let text = spec_to_json(spec)?;
-    let mut h = fnv1a(FNV_OFFSET, text.as_bytes());
+    let mut h = Fnv1a::new().add(text.as_bytes());
     for p in &spec.problems {
-        h = fnv1a(h, p.workload.kind().as_bytes());
-        h = fnv1a(h, &p.workload.param_digest().to_le_bytes());
+        h = h.add(p.workload.kind().as_bytes()).add(&p.workload.param_digest().to_le_bytes());
     }
-    Ok(h)
+    Ok(h.finish())
 }
 
 // ---------------------------------------------------------------------------
@@ -347,10 +336,11 @@ impl ChunkStore {
 
     /// The chunk key of one range of one campaign.
     pub fn chunk_key(spec_digest: u64, range: IdRange) -> u64 {
-        let mut h = fnv1a(FNV_OFFSET, &spec_digest.to_le_bytes());
-        h = fnv1a(h, &(range.start as u64).to_le_bytes());
-        h = fnv1a(h, &(range.end as u64).to_le_bytes());
-        h
+        Fnv1a::new()
+            .add(&spec_digest.to_le_bytes())
+            .add(&(range.start as u64).to_le_bytes())
+            .add(&(range.end as u64).to_le_bytes())
+            .finish()
     }
 
     /// The chunk file path for a key.
@@ -381,7 +371,7 @@ impl ChunkStore {
         // The payload digest is over the canonical re-serialization, so a
         // chunk that parses but drifted by a bit anywhere fails closed.
         let payload = results_to_json(&results);
-        if field("payload_digest") != Some(fnv1a(FNV_OFFSET, payload.as_bytes())) {
+        if field("payload_digest") != Some(Fnv1a::of(payload.as_bytes())) {
             return None;
         }
         if results.len() != range.len()
@@ -405,7 +395,7 @@ impl ChunkStore {
             "{{\n  \"schema\": \"sweepsvc/shard-chunk-v1\",\n  \"key\": \"{key:016x}\",\n  \"spec_digest\": \"{spec_digest:016x}\",\n  \"start\": {},\n  \"end\": {},\n  \"payload_digest\": \"{:016x}\",\n  \"results\": {payload}\n}}\n",
             range.start,
             range.end,
-            fnv1a(FNV_OFFSET, payload.as_bytes()),
+            Fnv1a::of(payload.as_bytes()),
         );
         let path = self.path(key);
         let tmp = self.dir.join(format!("{key:016x}.tmp.{}", std::process::id()));

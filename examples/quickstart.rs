@@ -7,15 +7,18 @@
 //! ```
 
 use cluster_sim::Engine;
+use pace_core::workload::sweep3d_problem_config;
 use pace_core::{Sweep3dModel, Sweep3dParams};
 use registry::sim::opteron_gige_sim;
 use sweep3d::trace::{generate_program_set, FlopModel};
-use sweep3d::ProblemConfig;
 
 fn main() {
     // The workload: 100x100x50 cells on a 2x2 processor array — the first
     // row of the paper's Table 2 (50^3 cells per processor, weak scaling).
-    let config = ProblemConfig::table_row(100, 100, 2, 2);
+    // It is described once, for the model; the simulator's configuration
+    // is derived from it.
+    let params = Sweep3dParams::weak_scaling_50cubed(2, 2);
+    let config = sweep3d_problem_config(&params).expect("valid problem");
     let machine = opteron_gige_sim();
 
     println!("== PACE quickstart ==");
@@ -36,7 +39,6 @@ fn main() {
     println!("fitted ping-pong curve   : {}\n", hw.comm.pingpong);
 
     // Step 2 — prediction: evaluate the layered PACE model.
-    let params = Sweep3dParams::weak_scaling_50cubed(config.npe_i, config.npe_j);
     let prediction = Sweep3dModel::new(params).predict(&hw);
     println!("PACE prediction          : {:.2} s", prediction.total_secs);
     for sub in &prediction.report.subtasks {

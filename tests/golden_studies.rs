@@ -9,14 +9,17 @@
 //! its `experiments` subcommand uses (robustness on Table 2's rows), and
 //! the whole file takes a few seconds in a debug build.
 //!
-//! The last test pins the problem descriptions themselves: the DES
+//! The last tests pin the problem descriptions themselves: `experiments
+//! obs` measures exactly the Table 2 row it names, and the DES
 //! configuration derived from each study's `Sweep3dParams` equals the
 //! configuration the studies used to build by hand, for every Table 1–3
 //! row, both figure ladders and the strong-scaling and blocking points.
 
 use experiments::speculation::{processor_ladder, Problem};
-use experiments::validation::{row_config, TABLE1_ROWS, TABLE2_ROWS, TABLE3_ROWS};
-use experiments::{ablation, asci_goals, blocking, rendezvous, robustness, strong_scaling};
+use experiments::validation::{self, TABLE1_ROWS, TABLE2_ROWS, TABLE3_ROWS};
+use experiments::{
+    ablation, asci_goals, blocking, observability, rendezvous, robustness, strong_scaling,
+};
 use pace_core::workload::sweep3d_problem_config;
 use pace_core::Sweep3dParams;
 use registry::sim as sim_machines;
@@ -222,13 +225,28 @@ fn derived(params: Sweep3dParams) -> ProblemConfig {
     sweep3d_problem_config(&params).expect("study problems are valid")
 }
 
+/// `experiments obs` runs Table 2's 200×200 / 4×4 row; it must measure
+/// the value the table prints for that row.
+#[test]
+fn obs_measures_the_table_row_it_names() {
+    let report = observability::run_representative(&obs::Obs::enabled());
+    let row = &validation::table2().rows[observability::TABLE2_ROW];
+    assert_eq!(report.spec, row.spec);
+    assert_eq!(report.measured_secs.to_bits(), row.measured_secs.to_bits());
+    assert_eq!(report.predicted_secs.to_bits(), row.predicted_secs.to_bits());
+}
+
 #[test]
 fn derived_configs_equal_the_hand_built_ones() {
     for rows in [&TABLE1_ROWS[..], &TABLE2_ROWS[..], &TABLE3_ROWS[..]] {
         for spec in rows {
-            let hand = ProblemConfig::table_row(spec.it, spec.jt, spec.px, spec.py);
-            assert_eq!(derived(Sweep3dParams::weak_scaling_50cubed(spec.px, spec.py)), hand);
-            assert_eq!(row_config(spec), hand, "{spec:?}");
+            let hand = ProblemConfig {
+                it: spec.it,
+                jt: spec.jt,
+                ..ProblemConfig::weak_scaling(50, spec.px, spec.py)
+            };
+            assert_eq!(derived(spec.params()), hand, "{spec:?}");
+            assert_eq!(validation::row_config(spec), hand, "{spec:?}");
         }
     }
     for (px, py) in processor_ladder() {
@@ -246,12 +264,7 @@ fn derived_configs_equal_the_hand_built_ones() {
         (40, 40, 20, &[(1, 1), (2, 2), (2, 4)]),
     ] {
         for &(px, py) in arrays {
-            let params = Sweep3dParams {
-                nx: it / px,
-                ny: jt / py,
-                nz: kt,
-                ..Sweep3dParams::weak_scaling_50cubed(px, py)
-            };
+            let params = strong_scaling::params(it, jt, kt, px, py);
             assert_eq!(derived(params), hand_strong(it, jt, kt, px, py), "{px}x{py}");
         }
     }

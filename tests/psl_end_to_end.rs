@@ -38,20 +38,32 @@ fn psl_overrides_mirror_programmatic_params_across_scales() {
     use pace_core::{Sweep3dModel, Sweep3dParams};
     use registry::quoted as machines;
     let objects = parse(pace_psl::assets::SWEEP3D_PSL).unwrap();
-    let hw = machines::opteron_myrinet_hypothetical();
-    for (px, py, nx, ny, nz) in [(2, 2, 50, 50, 50), (16, 16, 5, 5, 100), (40, 50, 25, 25, 200)] {
-        let app = compile(&objects, &Overrides::sweep3d(px, py, nx, ny, nz)).unwrap();
-        let psl_pred = EvaluationEngine::new().evaluate(&app, &hw).total_secs;
-        let mut params = Sweep3dParams::weak_scaling_50cubed(px, py);
-        params.nx = nx;
-        params.ny = ny;
-        params.nz = nz;
-        let prog_pred = Sweep3dModel::new(params).predict(&hw).total_secs;
-        let rel = (psl_pred - prog_pred).abs() / prog_pred;
-        assert!(
-            rel < 0.01,
-            "{px}x{py}/{nx}x{ny}x{nz}: PSL {psl_pred:.4} vs programmatic {prog_pred:.4}"
-        );
+    // 1 to 8000 PEs: the validation cube, the Fig. 8 (5×5×100) and
+    // Fig. 9 (25×25×200) per-PE problems and a few shapes between.
+    let shapes = [
+        (1, 1, 50, 50, 50),
+        (2, 2, 50, 50, 50),
+        (2, 3, 50, 50, 50),
+        (8, 14, 50, 50, 50),
+        (16, 16, 5, 5, 100),
+        (20, 25, 10, 20, 40),
+        (40, 50, 25, 25, 200),
+        (80, 100, 5, 5, 100),
+    ];
+    for hw in machines::all_quoted() {
+        for (px, py, nx, ny, nz) in shapes {
+            let app = compile(&objects, &Overrides::sweep3d(px, py, nx, ny, nz)).unwrap();
+            let psl_pred = EvaluationEngine::new().evaluate(&app, &hw).total_secs;
+            let params =
+                Sweep3dParams { nx, ny, nz, ..Sweep3dParams::weak_scaling_50cubed(px, py) };
+            let prog_pred = Sweep3dModel::new(params).predict(&hw).total_secs;
+            assert_eq!(
+                psl_pred.to_bits(),
+                prog_pred.to_bits(),
+                "{} {px}x{py}/{nx}x{ny}x{nz}: PSL {psl_pred:e} vs programmatic {prog_pred:e}",
+                hw.name
+            );
+        }
     }
 }
 

@@ -256,34 +256,6 @@ impl Sweep3dModel {
         let report = EvaluationEngine::new().evaluate(&app, hw);
         Sweep3dPrediction { total_secs: report.total_secs, report }
     }
-
-    /// Search the blocking-parameter space for the fastest predicted
-    /// configuration — the model used *prescriptively* (one of the paper's
-    /// motivating applications: tuning before running). Returns
-    /// `(mk, mmi, predicted seconds)` for the best candidate.
-    pub fn optimize_blocking(
-        &self,
-        hw: &HardwareModel,
-        mk_candidates: &[usize],
-        mmi_candidates: &[usize],
-    ) -> (usize, usize, f64) {
-        let mut best: Option<(usize, usize, f64)> = None;
-        for &mk in mk_candidates {
-            for &mmi in mmi_candidates {
-                if mk == 0 || mmi == 0 || mk > self.params.nz {
-                    continue;
-                }
-                let mut params = self.params;
-                params.mk = mk;
-                params.mmi = mmi.min(params.angles_per_octant);
-                let t = Sweep3dModel::new(params).predict(hw).total_secs;
-                if best.is_none_or(|(_, _, bt)| t < bt) {
-                    best = Some((mk, mmi, t));
-                }
-            }
-        }
-        best.expect("at least one valid blocking candidate")
-    }
 }
 
 #[cfg(test)]
@@ -368,31 +340,6 @@ mod tests {
         assert!((k.sweep_per_cell_angle.flops() - 30.0).abs() < 1e-9);
         // Branch counts untouched.
         assert_eq!(k.sweep_per_cell_angle.ifbr, 3.0);
-    }
-
-    #[test]
-    fn optimal_blocking_prefers_pipelining_on_deep_arrays() {
-        // On a deep array, a single giant block (mk = nz, mmi = all
-        // angles) serialises the pipeline; the optimiser must pick finer
-        // blocking than the coarsest candidate.
-        let model = Sweep3dModel::new(Sweep3dParams::weak_scaling_50cubed(2, 12));
-        let (mk, mmi, t_best) =
-            model.optimize_blocking(&hw(110.0), &[1, 2, 5, 10, 25, 50], &[1, 2, 3, 6]);
-        assert!(mk < 50 || mmi < 6, "coarsest blocking cannot win: mk={mk} mmi={mmi}");
-        // And single-rank runs prefer the coarsest (no pipeline to feed;
-        // fewer per-unit overheads).
-        let solo = Sweep3dModel::new(Sweep3dParams::weak_scaling_50cubed(1, 1));
-        let (_, _, t_solo) =
-            solo.optimize_blocking(&hw(110.0), &[1, 2, 5, 10, 25, 50], &[1, 2, 3, 6]);
-        assert!(t_best > 0.0 && t_solo > 0.0);
-    }
-
-    #[test]
-    fn optimize_blocking_respects_grid_bounds() {
-        let model = Sweep3dModel::new(Sweep3dParams::weak_scaling_50cubed(4, 4));
-        let (mk, mmi, _) = model.optimize_blocking(&hw(110.0), &[100, 10], &[3]);
-        assert_eq!(mk, 10, "mk larger than nz must be skipped");
-        assert_eq!(mmi, 3);
     }
 
     #[test]

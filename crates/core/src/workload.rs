@@ -3,8 +3,8 @@
 //!
 //! Historically this repository modelled exactly one application — SWEEP3D —
 //! and every layer above `pace-core` was welded to [`Sweep3dParams`]. The
-//! [`Workload`] trait carves the actually-generic contract out of that
-//! plumbing: a workload supplies
+//! [`Workload`] enum names the closed set of templates the library ships,
+//! one variant per template with its parameter struct, and supplies
 //!
 //! * the **analytic prediction inputs** — an [`ApplicationObject`] the
 //!   evaluation engine prices against a [`HardwareModel`](crate::HardwareModel);
@@ -13,7 +13,7 @@
 //! * a stable **kind string** and **parameter digest** used for cache keys,
 //!   campaign-planner deduplication and scenario identity.
 //!
-//! Three workloads ship with the library:
+//! Three workloads ship with the library, one [`Workload`] variant each:
 //!
 //! | kind       | structure                                  | template       |
 //! |------------|--------------------------------------------|----------------|
@@ -24,8 +24,9 @@
 //! The SWEEP3D implementation is a mechanical refactor of the pre-existing
 //! model and DES trace paths and is pinned bit-identical to them by the
 //! `workload_identity` differential tests.
-
-use std::any::Any;
+//!
+//! Adding a template means adding a variant: every `match` on [`Workload`]
+//! across the workspace that must grow then fails to compile.
 
 use cluster_sim::{Op, Program, ProgramSet};
 use serde::{Deserialize, Serialize};
@@ -96,50 +97,159 @@ impl ParamDigest {
 }
 
 // ---------------------------------------------------------------------------
-// The trait
+// The enum
 // ---------------------------------------------------------------------------
 
-/// A parallel application workload: analytic model inputs plus a
-/// discrete-event lowering plus a stable identity.
+/// A parallel application workload: one template of the library with its
+/// parameters. Each variant supplies analytic model inputs, a
+/// discrete-event lowering and a stable identity.
 ///
-/// Implementations are plain parameter structs; the trait is object-safe so
-/// the sweep service can hold heterogeneous problem axes
-/// (`Arc<dyn Workload>`). Equality of trait objects is defined as equality
-/// of `(kind, param_digest)` — the same key the campaign planner dedups on.
-pub trait Workload: std::fmt::Debug + Send + Sync {
+/// Equality is equality of `(kind, param_digest)` — the same key the
+/// campaign planner dedups on.
+#[derive(Debug, Clone, Copy)]
+pub enum Workload {
+    /// The pipelined synchronous wavefront (SWEEP3D, the paper's subject).
+    Wavefront(Sweep3dParams),
+    /// The bulk-synchronous 2D halo-exchange stencil.
+    Stencil(StencilParams),
+    /// The allreduce-dominated CG-style solver.
+    Allreduce(AllreduceParams),
+}
+
+impl Workload {
+    /// The template this workload instantiates (its CLI and spec-file
+    /// identifier is [`WorkloadKind::name`]).
+    pub fn template(&self) -> WorkloadKind {
+        match self {
+            Workload::Wavefront(_) => WorkloadKind::Wavefront,
+            Workload::Stencil(_) => WorkloadKind::Stencil,
+            Workload::Allreduce(_) => WorkloadKind::Allreduce,
+        }
+    }
+
     /// Stable kind string (`"sweep3d"`, `"stencil"`, …). Reported as the
     /// `application` of every [`EvaluationReport`](crate::EvaluationReport)
     /// and used as the first component of cache/scenario identity.
-    fn kind(&self) -> &'static str;
+    pub fn kind(&self) -> &'static str {
+        self.template().kind()
+    }
 
     /// Number of MPI ranks the workload decomposes over.
-    fn pes(&self) -> usize;
+    pub fn pes(&self) -> usize {
+        match self {
+            Workload::Wavefront(p) => p.px * p.py,
+            Workload::Stencil(p) => p.px * p.py,
+            Workload::Allreduce(p) => p.procs,
+        }
+    }
 
     /// Outer iteration count.
-    fn iterations(&self) -> usize;
+    pub fn iterations(&self) -> usize {
+        match self {
+            Workload::Wavefront(p) => p.iterations,
+            Workload::Stencil(p) => p.iterations,
+            Workload::Allreduce(p) => p.iterations,
+        }
+    }
 
     /// The application-layer object the analytic evaluation engine prices.
-    fn application(&self) -> ApplicationObject;
+    pub fn application(&self) -> ApplicationObject {
+        match self {
+            Workload::Wavefront(p) => Sweep3dModel::new(*p).application_object(),
+            Workload::Stencil(p) => p.application(),
+            Workload::Allreduce(p) => p.application(),
+        }
+    }
 
     /// Lower the workload to a rank-by-rank [`ProgramSet`] for the
     /// discrete-event engine. The machine is available for lowerings that
     /// adapt blocking to the target; the shipped workloads are
     /// machine-independent and ignore it.
-    fn program_set(&self, machine: &cluster_sim::MachineSpec) -> Result<ProgramSet, String>;
+    pub fn program_set(&self, machine: &cluster_sim::MachineSpec) -> Result<ProgramSet, String> {
+        match self {
+            Workload::Wavefront(p) => p.program_set(machine),
+            Workload::Stencil(p) if p.px == 0 || p.py == 0 || p.nx == 0 || p.ny == 0 => {
+                Err("stencil grid extents must be positive".to_string())
+            }
+            Workload::Stencil(p) => Ok(ProgramSet::from_programs(&p.programs())),
+            Workload::Allreduce(p) if p.procs == 0 => {
+                Err("allreduce needs at least one rank".to_string())
+            }
+            Workload::Allreduce(p) => Ok(ProgramSet::from_programs(&p.programs())),
+        }
+    }
 
     /// Stable digest over the workload's parameters (kind included). Two
     /// workloads with equal digests are interchangeable for caching,
     /// planner deduplication and snapshot-prefix sharing.
-    fn param_digest(&self) -> u64;
-
-    /// Downcast support for backends that only model specific workloads
-    /// (e.g. the wavefront-only LogGP closed form).
-    fn as_any(&self) -> &dyn Any;
+    pub fn param_digest(&self) -> u64 {
+        let mut d = ParamDigest::new(self.kind());
+        match self {
+            Workload::Wavefront(p) => {
+                d.write_usize(p.px)
+                    .write_usize(p.py)
+                    .write_usize(p.nx)
+                    .write_usize(p.ny)
+                    .write_usize(p.nz)
+                    .write_usize(p.mk)
+                    .write_usize(p.mmi)
+                    .write_usize(p.angles_per_octant)
+                    .write_usize(p.iterations);
+                for v in [
+                    &p.kernel.sweep_per_cell_angle,
+                    &p.kernel.source_per_cell,
+                    &p.kernel.flux_err_per_cell,
+                ] {
+                    d.write_f64(v.mfdg)
+                        .write_f64(v.afdg)
+                        .write_f64(v.dfdg)
+                        .write_f64(v.ifbr)
+                        .write_f64(v.lfor)
+                        .write_f64(v.cmld);
+                }
+            }
+            Workload::Stencil(p) => {
+                d.write_usize(p.px)
+                    .write_usize(p.py)
+                    .write_usize(p.nx)
+                    .write_usize(p.ny)
+                    .write_usize(p.iterations)
+                    .write_f64(p.flops_per_cell);
+            }
+            Workload::Allreduce(p) => {
+                d.write_usize(p.procs)
+                    .write_usize(p.cells_per_pe)
+                    .write_f64(p.flops_per_cell)
+                    .write_usize(p.reduce_bytes)
+                    .write_usize(p.reductions_per_iteration)
+                    .write_usize(p.iterations);
+            }
+        }
+        d.finish()
+    }
 }
 
-impl PartialEq for dyn Workload + '_ {
+impl PartialEq for Workload {
     fn eq(&self, other: &Self) -> bool {
         self.kind() == other.kind() && self.param_digest() == other.param_digest()
+    }
+}
+
+impl From<Sweep3dParams> for Workload {
+    fn from(p: Sweep3dParams) -> Self {
+        Workload::Wavefront(p)
+    }
+}
+
+impl From<StencilParams> for Workload {
+    fn from(p: StencilParams) -> Self {
+        Workload::Stencil(p)
+    }
+}
+
+impl From<AllreduceParams> for Workload {
+    fn from(p: AllreduceParams) -> Self {
+        Workload::Allreduce(p)
     }
 }
 
@@ -180,64 +290,14 @@ pub fn sweep3d_flop_model(params: &Sweep3dParams) -> sweep3d::trace::FlopModel {
     }
 }
 
-/// Build the interned program set the DES backend replays for `params`.
-/// Machine-independent; exposed so campaign planners can pay trace
-/// generation once per problem cell and fork the simulation prefix across
-/// what-ifs.
-pub fn sweep3d_program_set(params: &Sweep3dParams) -> Result<ProgramSet, String> {
-    let config = sweep3d_problem_config(params)?;
-    Ok(sweep3d::trace::generate_program_set(&config, &sweep3d_flop_model(params)))
-}
-
-impl Workload for Sweep3dParams {
-    fn kind(&self) -> &'static str {
-        "sweep3d"
-    }
-
-    fn pes(&self) -> usize {
-        self.px * self.py
-    }
-
-    fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    fn application(&self) -> ApplicationObject {
-        Sweep3dModel::new(*self).application_object()
-    }
-
-    fn program_set(&self, _machine: &cluster_sim::MachineSpec) -> Result<ProgramSet, String> {
-        sweep3d_program_set(self)
-    }
-
-    fn param_digest(&self) -> u64 {
-        let mut d = ParamDigest::new(self.kind());
-        d.write_usize(self.px)
-            .write_usize(self.py)
-            .write_usize(self.nx)
-            .write_usize(self.ny)
-            .write_usize(self.nz)
-            .write_usize(self.mk)
-            .write_usize(self.mmi)
-            .write_usize(self.angles_per_octant)
-            .write_usize(self.iterations);
-        for v in [
-            &self.kernel.sweep_per_cell_angle,
-            &self.kernel.source_per_cell,
-            &self.kernel.flux_err_per_cell,
-        ] {
-            d.write_f64(v.mfdg)
-                .write_f64(v.afdg)
-                .write_f64(v.dfdg)
-                .write_f64(v.ifbr)
-                .write_f64(v.lfor)
-                .write_f64(v.cmld);
-        }
-        d.finish()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
+impl Sweep3dParams {
+    /// Build the interned program set the DES backend replays. The
+    /// lowering is machine-independent, so `_machine` is unused; campaign
+    /// planners pay trace generation once per problem cell and fork the
+    /// simulation prefix across what-ifs.
+    pub fn program_set(&self, _machine: &cluster_sim::MachineSpec) -> Result<ProgramSet, String> {
+        let config = sweep3d_problem_config(self)?;
+        Ok(sweep3d::trace::generate_program_set(&config, &sweep3d_flop_model(self)))
     }
 }
 
@@ -375,22 +435,10 @@ impl StencilParams {
             })
             .collect()
     }
-}
 
-impl Workload for StencilParams {
-    fn kind(&self) -> &'static str {
-        "stencil"
-    }
-
-    fn pes(&self) -> usize {
-        self.px * self.py
-    }
-
-    fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    fn application(&self) -> ApplicationObject {
+    /// The application-layer object the analytic engine prices (see
+    /// [`Workload::application`]).
+    pub fn application(&self) -> ApplicationObject {
         let flops = self.update_flops();
         let cells = self.cells_per_pe();
         // Split the per-cell cost into a multiply/add mix so the clc
@@ -401,7 +449,7 @@ impl Workload for StencilParams {
             ..Default::default()
         };
         ApplicationObject {
-            name: self.kind().to_string(),
+            name: WorkloadKind::Stencil.kind().to_string(),
             iterations: self.iterations,
             subtasks: vec![SubtaskObject {
                 name: "update".to_string(),
@@ -419,28 +467,6 @@ impl Workload for StencilParams {
                 }),
             }],
         }
-    }
-
-    fn program_set(&self, _machine: &cluster_sim::MachineSpec) -> Result<ProgramSet, String> {
-        if self.px == 0 || self.py == 0 || self.nx == 0 || self.ny == 0 {
-            return Err("stencil grid extents must be positive".to_string());
-        }
-        Ok(ProgramSet::from_programs(&self.programs()))
-    }
-
-    fn param_digest(&self) -> u64 {
-        let mut d = ParamDigest::new(self.kind());
-        d.write_usize(self.px)
-            .write_usize(self.py)
-            .write_usize(self.nx)
-            .write_usize(self.ny)
-            .write_usize(self.iterations)
-            .write_f64(self.flops_per_cell);
-        d.finish()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -504,22 +530,10 @@ impl AllreduceParams {
             })
             .collect()
     }
-}
 
-impl Workload for AllreduceParams {
-    fn kind(&self) -> &'static str {
-        "allreduce"
-    }
-
-    fn pes(&self) -> usize {
-        self.procs
-    }
-
-    fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    fn application(&self) -> ApplicationObject {
+    /// The application-layer object the analytic engine prices (see
+    /// [`Workload::application`]).
+    pub fn application(&self) -> ApplicationObject {
         let per_unit = ResourceVector {
             mfdg: self.flops_per_cell * 0.5,
             afdg: self.flops_per_cell * 0.5,
@@ -547,29 +561,11 @@ impl Workload for AllreduceParams {
                 }),
             });
         }
-        ApplicationObject { name: self.kind().to_string(), iterations: self.iterations, subtasks }
-    }
-
-    fn program_set(&self, _machine: &cluster_sim::MachineSpec) -> Result<ProgramSet, String> {
-        if self.procs == 0 {
-            return Err("allreduce needs at least one rank".to_string());
+        ApplicationObject {
+            name: WorkloadKind::Allreduce.kind().to_string(),
+            iterations: self.iterations,
+            subtasks,
         }
-        Ok(ProgramSet::from_programs(&self.programs()))
-    }
-
-    fn param_digest(&self) -> u64 {
-        let mut d = ParamDigest::new(self.kind());
-        d.write_usize(self.procs)
-            .write_usize(self.cells_per_pe)
-            .write_f64(self.flops_per_cell)
-            .write_usize(self.reduce_bytes)
-            .write_usize(self.reductions_per_iteration)
-            .write_usize(self.iterations);
-        d.finish()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -595,14 +591,10 @@ impl WorkloadKind {
 
     /// Parse a CLI identifier. The error lists every valid identifier.
     pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "wavefront" => Ok(WorkloadKind::Wavefront),
-            "stencil" => Ok(WorkloadKind::Stencil),
-            "allreduce" => Ok(WorkloadKind::Allreduce),
-            other => Err(format!(
-                "unknown workload '{other}' (expected one of: wavefront, stencil, allreduce)"
-            )),
-        }
+        Self::ALL.into_iter().find(|k| k.name() == s).ok_or_else(|| {
+            let names: Vec<&str> = Self::ALL.iter().map(|k| k.name()).collect();
+            format!("unknown workload '{s}' (expected one of: {})", names.join(", "))
+        })
     }
 
     /// The CLI identifier.
@@ -614,7 +606,7 @@ impl WorkloadKind {
         }
     }
 
-    /// The [`Workload::kind`] string of this template's implementation.
+    /// The [`Workload::kind`] string of this template.
     pub fn kind(self) -> &'static str {
         match self {
             WorkloadKind::Wavefront => "sweep3d",
@@ -637,7 +629,7 @@ mod tests {
     #[test]
     fn sweep3d_workload_mirrors_the_direct_model() {
         let p = Sweep3dParams::weak_scaling_50cubed(4, 6);
-        let w: &dyn Workload = &p;
+        let w = Workload::from(p);
         assert_eq!(w.kind(), "sweep3d");
         assert_eq!(w.pes(), 24);
         assert_eq!(w.iterations(), 12);
@@ -663,17 +655,17 @@ mod tests {
 
     #[test]
     fn digests_separate_kinds_and_params() {
-        let s1: &dyn Workload = &StencilParams::weak_scaling(2, 2);
-        let s2: &dyn Workload = &StencilParams::weak_scaling(2, 3);
-        let a: &dyn Workload = &AllreduceParams::cg_like(4);
-        let w: &dyn Workload = &Sweep3dParams::weak_scaling_50cubed(2, 2);
+        let s1 = Workload::from(StencilParams::weak_scaling(2, 2));
+        let s2 = Workload::from(StencilParams::weak_scaling(2, 3));
+        let a = Workload::from(AllreduceParams::cg_like(4));
+        let w = Workload::from(Sweep3dParams::weak_scaling_50cubed(2, 2));
         let digests = [s1.param_digest(), s2.param_digest(), a.param_digest(), w.param_digest()];
         for i in 0..digests.len() {
             for j in i + 1..digests.len() {
                 assert_ne!(digests[i], digests[j], "digest collision between {i} and {j}");
             }
         }
-        assert_eq!(s1, s1, "trait-object equality is (kind, digest)");
+        assert_eq!(s1, s1, "workload equality is (kind, digest)");
         assert!(s1 != s2);
     }
 
@@ -700,7 +692,7 @@ mod tests {
         let hw = HardwareModel::flat_rate("ideal", 100.0, CommModel::free());
         let analytic = EvaluationEngine::new().evaluate(&p.application(), &hw).total_secs;
         let machine = MachineSpec::ideal(100.0);
-        let set = p.program_set(&machine).unwrap();
+        let set = Workload::from(p).program_set(&machine).unwrap();
         let des = Engine::from_set(&machine, set).run().unwrap().makespan();
         assert!(
             (analytic - des).abs() / analytic < 1e-9,

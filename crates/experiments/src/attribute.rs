@@ -52,16 +52,16 @@ pub const FIXTURE_FLOPS: FlopModel = FlopModel {
 /// machine (the allreduce solver only sees the total rank count), with
 /// iteration counts cut so the traced run stays tier-1 cheap.
 pub fn fixture_set(workload: WorkloadKind, px: usize, py: usize) -> Result<ProgramSet, String> {
-    let template = |w: &dyn Workload| w.program_set(&fixture_machine());
+    let template = |w: Workload| w.program_set(&fixture_machine());
     match workload {
         WorkloadKind::Wavefront => {
             Ok(generate_program_set(&fixture_config(px, py), &FIXTURE_FLOPS))
         }
         WorkloadKind::Stencil => {
-            template(&StencilParams { iterations: 5, ..StencilParams::weak_scaling(px, py) })
+            template(StencilParams { iterations: 5, ..StencilParams::weak_scaling(px, py) }.into())
         }
         WorkloadKind::Allreduce => {
-            template(&AllreduceParams { iterations: 10, ..AllreduceParams::cg_like(px * py) })
+            template(AllreduceParams { iterations: 10, ..AllreduceParams::cg_like(px * py) }.into())
         }
     }
 }

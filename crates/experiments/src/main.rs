@@ -252,20 +252,21 @@ fn run_validate(obs: &Obs) {
     }
 }
 
-/// The sweep's `--workload` argument: a named template (which owns a
-/// default problem ladder) or a spec file carrying one parameter point.
-enum WorkloadArg {
-    Ladder(pace_core::WorkloadKind),
-    File(Box<registry::WorkloadSpec>),
-}
-
-impl WorkloadArg {
-    /// The [`pace_core::Workload::kind`] string of the selected template.
-    fn kind(&self) -> &'static str {
-        match self {
-            WorkloadArg::Ladder(k) => k.kind(),
-            WorkloadArg::File(ws) => ws.workload().kind(),
-        }
+/// The sweep's default problem ladder for a template: five array sizes
+/// up to 16 ranks, labelled by shape.
+fn sweep_ladder(kind: pace_core::WorkloadKind) -> Vec<(String, pace_core::Workload)> {
+    use pace_core::{AllreduceParams, StencilParams, Sweep3dParams, WorkloadKind};
+    let arrays = [(1, 1), (1, 2), (2, 2), (2, 4), (4, 4)];
+    match kind {
+        WorkloadKind::Wavefront => arrays
+            .map(|(px, py)| (format!("{px}x{py}"), Sweep3dParams::speculative_20m(px, py).into()))
+            .into(),
+        WorkloadKind::Stencil => arrays
+            .map(|(px, py)| (format!("{px}x{py}"), StencilParams::weak_scaling(px, py).into()))
+            .into(),
+        WorkloadKind::Allreduce => [1, 2, 4, 8, 16]
+            .map(|procs| (format!("p{procs}"), AllreduceParams::cg_like(procs).into()))
+            .into(),
     }
 }
 
@@ -279,7 +280,7 @@ impl WorkloadArg {
 /// digest-checked against a serial in-process reference (any divergence is
 /// a hard failure).
 fn run_sweep(args: &[String], obs: &Obs, json: bool) {
-    use pace_core::{AllreduceParams, StencilParams, Sweep3dParams, WorkloadKind};
+    use pace_core::WorkloadKind;
     use wavefront_models::Backend;
     let mut machine_arg = None;
     let mut backend_arg = None;
@@ -306,16 +307,16 @@ fn run_sweep(args: &[String], obs: &Obs, json: bool) {
         usage_error("--resume needs a chunk store (--store DIR)");
     }
     // A bare identifier selects a template's default ladder; anything
-    // else is tried as a workload spec-file path.
-    let workload = match workload_arg {
-        Some(s) => match WorkloadKind::parse(s) {
-            Ok(kind) => WorkloadArg::Ladder(kind),
-            Err(_) => WorkloadArg::File(Box::new(
-                registry::resolve_workload(s).unwrap_or_else(|e| usage_error(e)),
-            )),
-        },
-        None => WorkloadArg::Ladder(WorkloadKind::Wavefront),
+    // else is tried as a workload spec-file path holding one problem.
+    let problems = match workload_arg.map(|s| (s, WorkloadKind::parse(s))) {
+        None => sweep_ladder(WorkloadKind::Wavefront),
+        Some((_, Ok(kind))) => sweep_ladder(kind),
+        Some((path, Err(_))) => {
+            let w = registry::resolve_workload(path).unwrap_or_else(|e| usage_error(e));
+            vec![(format!("{}-{}pe", w.template().name(), w.pes()), w)]
+        }
     };
+    let template = problems[0].1.template();
     let machine_arg = machine_arg.unwrap_or("opteron-myrinet");
     let machine = registry::resolve(machine_arg).unwrap_or_else(|e| usage_error(e));
     let backends: Vec<Backend> = match backend_arg {
@@ -330,7 +331,7 @@ fn run_sweep(args: &[String], obs: &Obs, json: bool) {
         None => {
             let all =
                 if machine.sim.is_some() { &Backend::ALL[..] } else { &Backend::ANALYTIC[..] };
-            all.iter().copied().filter(|b| b.supports(workload.kind())).collect()
+            all.iter().copied().filter(|b| b.supports(template)).collect()
         }
     };
     let mut spec = sweepsvc::SweepSpec::new().machine(machine.clone()).backends(backends.clone());
@@ -341,26 +342,8 @@ fn run_sweep(args: &[String], obs: &Obs, json: bool) {
         // (the planner still dedupes).
         spec = spec.rate_multipliers(vec![1.0, 1.25, 1.5]).des_fork(30);
     }
-    match &workload {
-        WorkloadArg::Ladder(WorkloadKind::Wavefront) => {
-            for (px, py) in [(1, 1), (1, 2), (2, 2), (2, 4), (4, 4)] {
-                spec = spec.problem(format!("{px}x{py}"), Sweep3dParams::speculative_20m(px, py));
-            }
-        }
-        WorkloadArg::Ladder(WorkloadKind::Stencil) => {
-            for (px, py) in [(1, 1), (1, 2), (2, 2), (2, 4), (4, 4)] {
-                spec = spec.problem(format!("{px}x{py}"), StencilParams::weak_scaling(px, py));
-            }
-        }
-        WorkloadArg::Ladder(WorkloadKind::Allreduce) => {
-            for procs in [1, 2, 4, 8, 16] {
-                spec = spec.problem(format!("p{procs}"), AllreduceParams::cg_like(procs));
-            }
-        }
-        WorkloadArg::File(ws) => {
-            let label = format!("{}-{}pe", ws.name(), ws.workload().pes());
-            spec = spec.problem_arc(label, (**ws).clone().into_arc());
-        }
+    for (label, w) in problems {
+        spec = spec.problem(label, w);
     }
     spec.validate().unwrap_or_else(|e| usage_error(e));
     let engine = sweepsvc::SweepEngine::new().with_obs(obs.clone());
@@ -396,7 +379,7 @@ fn run_sweep(args: &[String], obs: &Obs, json: bool) {
             .collect();
         println!("{{");
         println!("  \"machine\": \"{}\",", machine.id);
-        println!("  \"workload\": \"{}\",", workload.kind());
+        println!("  \"workload\": \"{}\",", template.kind());
         let names: Vec<String> = backends.iter().map(|b| format!("\"{}\"", b.name())).collect();
         println!("  \"backends\": [{}],", names.join(", "));
         if parity {
@@ -422,7 +405,7 @@ fn run_sweep(args: &[String], obs: &Obs, json: bool) {
     }
     println!(
         "### Registry sweep: {} workload on {} across {} backend(s)\n",
-        workload.kind(),
+        template.kind(),
         machine.id,
         backends.len()
     );
@@ -519,6 +502,16 @@ fn run_csv(dir: &str) {
     write("fig9.csv", report::speculation_csv(&speculation::run(Problem::OneBillion)));
 }
 
+/// `obs` itself when it records spans (under `--trace`), else a bundle
+/// with a recorder of its own that shares `obs`'s metrics registry: for
+/// the steps that read their spans back.
+fn recording(obs: &Obs) -> Obs {
+    if obs.is_enabled() {
+        return obs.clone();
+    }
+    Obs { recorder: std::sync::Arc::new(obs::Recorder::enabled()), ..obs.clone() }
+}
+
 fn run_obs(obs: &Obs) {
     let report = observability::run_representative(obs);
     print!("{}", observability::render(&report));
@@ -537,13 +530,10 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let flags = Flags::extract(&mut args);
     let arg = args.first().cloned().unwrap_or_else(|| usage());
-    // Span recording is only paid for when something consumes the spans:
-    // a `--trace` export, or the `obs` cross-check itself.
-    let obs = &if flags.trace.is_some() || matches!(arg.as_str(), "obs" | "attribute" | "all") {
-        Obs::enabled()
-    } else {
-        Obs::disabled()
-    };
+    // The run-wide recorder is only paid for when a `--trace` export
+    // consumes its spans; `obs` and `attribute` read their own spans back
+    // and record into a recorder of their own otherwise.
+    let obs = &if flags.trace.is_some() { Obs::enabled() } else { Obs::disabled() };
     match arg.as_str() {
         "table1" => run_validation_table(1, obs),
         "table2" => run_validation_table(2, obs),
@@ -561,8 +551,8 @@ fn main() {
         "sweep" => run_sweep(&args[1..], obs, flags.json),
         "speculation" => run_speculation(&args[1..], flags.json),
         "timeline" => run_timeline(),
-        "obs" => run_obs(obs),
-        "attribute" => attribute::run(&args[1..], obs, flags.json),
+        "obs" => run_obs(&recording(obs)),
+        "attribute" => attribute::run(&args[1..], &recording(obs), flags.json),
         "robustness" => {
             let r = experiments::robustness::run(
                 &sim_machine("opteron-gige"),
@@ -605,7 +595,7 @@ fn main() {
             run_strong_scaling();
             run_sweep(&[], obs, flags.json);
             run_timeline();
-            run_obs(obs);
+            run_obs(&recording(obs));
         }
         _ => usage(),
     }

@@ -46,10 +46,7 @@ pub fn run_backends(
                 .iter()
                 .enumerate()
                 .map(|(bi, b)| {
-                    (
-                        b.predictor().display_name().to_string(),
-                        outcome.results[base + bi].total_secs,
-                    )
+                    (b.display_name().to_string(), outcome.results[base + bi].total_secs)
                 })
                 .collect();
             let max = predictions.iter().map(|p| p.1).fold(f64::MIN, f64::max);

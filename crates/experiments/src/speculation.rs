@@ -225,7 +225,7 @@ impl CampaignSpec {
     /// the figure's SWEEP3D trace, or the template's DES lowering on the
     /// [`speculation_machine`].
     pub fn lower(&self) -> Result<(Subject, ProgramSet), String> {
-        let template = |w: &dyn Workload| {
+        let template = |w: Workload| {
             let set = w.program_set(&speculation_machine())?;
             Ok((Subject::Template { kind: w.kind(), ranks: w.pes() }, set))
         };
@@ -242,15 +242,15 @@ impl CampaignSpec {
             }
             WorkloadKind::Stencil => {
                 let (px, py) = array_for_ranks(self.ranks);
-                template(&StencilParams {
+                template(Workload::Stencil(StencilParams {
                     iterations: self.iterations,
                     ..StencilParams::weak_scaling(px, py)
-                })
+                }))
             }
-            WorkloadKind::Allreduce => template(&AllreduceParams {
+            WorkloadKind::Allreduce => template(Workload::Allreduce(AllreduceParams {
                 iterations: self.iterations,
                 ..AllreduceParams::cg_like(self.ranks)
-            }),
+            })),
         }
     }
 }

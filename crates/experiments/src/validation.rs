@@ -187,16 +187,6 @@ pub fn row_config(spec: &RowSpec) -> ProblemConfig {
     problem_config(&spec.params())
 }
 
-/// Simulate the measurement for one row on a machine.
-pub fn measure_row(
-    spec: &RowSpec,
-    machine: &MachineSpec,
-    flop_model: &FlopModel,
-    row_seed: u64,
-) -> f64 {
-    simulate(&row_config(spec), machine, flop_model, row_seed, &Recorder::disabled(), 0).makespan()
-}
-
 /// Run `config`'s trace on `machine` reseeded with `machine.seed ^ seed`,
 /// recording every rank activity on track group `pid` (the report is the
 /// same with recording on or off).
@@ -214,12 +204,6 @@ fn simulate(
         .with_recorder(recorder, pid)
         .run()
         .expect("trace executes without deadlock")
-}
-
-/// Predict one row with the PACE model against a benchmarked hardware
-/// model.
-pub fn predict_row(spec: &RowSpec, hw: &HardwareModel) -> f64 {
-    Sweep3dModel::new(spec.params()).predict(hw).total_secs
 }
 
 /// The paper's §4 method on one machine: the kernel's flop model,
@@ -453,9 +437,12 @@ mod tests {
     fn measurements_increase_with_array_size() {
         // Weak scaling: more PEs ⇒ deeper pipeline ⇒ longer runtime.
         let machine = sim_machines::opteron_gige_sim();
-        let fm = FlopModel::calibrate(&row_config(&TABLE2_ROWS[0]), 10);
-        let small = measure_row(&TABLE2_ROWS[0], &machine, &fm, 1);
-        let large = measure_row(&TABLE2_ROWS[8], &machine, &fm, 2);
+        let cal = Calibration::new(&machine, &TABLE2_ROWS[0].params(), 10, &[50]);
+        let measure = |spec: &RowSpec, seed| {
+            cal.measure(&spec.params(), &machine, seed, &Recorder::disabled(), 0).makespan()
+        };
+        let small = measure(&TABLE2_ROWS[0], 1);
+        let large = measure(&TABLE2_ROWS[8], 2);
         assert!(large > small, "{large} vs {small}");
     }
 }

@@ -197,13 +197,14 @@ fn out_of_range_machine_spec_fields_are_usage_errors() {
 /// count, an angle count no S_N order yields) exit 2 naming the field.
 #[test]
 fn unpriceable_workload_spec_fields_are_usage_errors() {
+    use pace_core::Workload;
     use pace_core::{AllreduceParams, StencilParams, Sweep3dParams};
-    use registry::WorkloadSpec;
-    let stencil = WorkloadSpec::Stencil(StencilParams::weak_scaling(2, 2)).to_json();
-    let allreduce = WorkloadSpec::Allreduce(AllreduceParams::cg_like(4)).to_json();
+    use registry::workload_to_json;
+    let stencil = workload_to_json(&Workload::Stencil(StencilParams::weak_scaling(2, 2)));
+    let allreduce = workload_to_json(&Workload::Allreduce(AllreduceParams::cg_like(4)));
     let mut params = Sweep3dParams::speculative_20m(2, 2);
     params.iterations = 1;
-    let wavefront = WorkloadSpec::Wavefront(params).to_json();
+    let wavefront = workload_to_json(&Workload::Wavefront(params));
     let probes = [
         (&stencil, "\"px\": 2", "\"px\": 0", "params.px"),
         (&stencil, "\"ny\": 1000", "\"ny\": 0", "params.ny"),
@@ -250,9 +251,10 @@ fn unpriceable_workload_spec_fields_are_usage_errors() {
 #[test]
 fn workload_specs_past_the_work_ceiling_are_usage_errors() {
     use pace_core::StencilParams;
-    use registry::WorkloadSpec;
+    use pace_core::Workload;
+    use registry::workload_to_json;
     let stencil = |nx, ny, iterations, flops_per_cell| {
-        WorkloadSpec::Stencil(StencilParams { px: 2, py: 2, nx, ny, iterations, flops_per_cell })
+        Workload::Stencil(StencilParams { px: 2, py: 2, nx, ny, iterations, flops_per_cell })
     };
     // (spec, phrases the one-line error must hold)
     let probes = [
@@ -264,7 +266,7 @@ fn workload_specs_past_the_work_ceiling_are_usage_errors() {
     std::fs::create_dir_all(&dir).unwrap();
     for (i, (spec, phrases)) in probes.iter().enumerate() {
         let path = dir.join(format!("probe{i}.json"));
-        std::fs::write(&path, spec.to_json()).unwrap();
+        std::fs::write(&path, workload_to_json(spec)).unwrap();
         let out = experiments(&["sweep", "--workload", path.to_str().unwrap()]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "probe {i}: {stderr}");
@@ -284,9 +286,10 @@ fn workload_specs_past_the_work_ceiling_are_usage_errors() {
 #[test]
 fn workload_specs_past_the_byte_budget_are_usage_errors() {
     use pace_core::AllreduceParams;
-    use registry::WorkloadSpec;
+    use pace_core::Workload;
+    use registry::workload_to_json;
     let allreduce = |reduce_bytes| {
-        WorkloadSpec::Allreduce(AllreduceParams {
+        Workload::Allreduce(AllreduceParams {
             reduce_bytes,
             reductions_per_iteration: 1,
             iterations: 1,
@@ -296,8 +299,8 @@ fn workload_specs_past_the_byte_budget_are_usage_errors() {
     let dir = std::env::temp_dir().join(format!("pace-byte-probes-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("probe.json");
-    let run = |spec: WorkloadSpec| {
-        std::fs::write(&path, spec.to_json()).unwrap();
+    let run = |spec: Workload| {
+        std::fs::write(&path, workload_to_json(&spec)).unwrap();
         experiments(&["sweep", "--workload", path.to_str().unwrap()])
     };
     let out = run(allreduce(1_000_000_000_000_000));
@@ -316,28 +319,29 @@ fn workload_specs_past_the_byte_budget_are_usage_errors() {
 /// 100000 x 100000 stencil used to abort allocating 240 GB, exit 134).
 #[test]
 fn workload_specs_past_the_rank_ceiling_are_usage_errors() {
+    use pace_core::Workload;
     use pace_core::{AllreduceParams, StencilParams, Sweep3dParams};
-    use registry::{WorkloadSpec, MAX_RANKS};
+    use registry::{workload_to_json, MAX_RANKS};
     let grid = |px, py| {
         [
-            WorkloadSpec::Stencil(StencilParams::weak_scaling(px, py)),
-            WorkloadSpec::Wavefront(Sweep3dParams::speculative_20m(px, py)),
+            Workload::Stencil(StencilParams::weak_scaling(px, py)),
+            Workload::Wavefront(Sweep3dParams::speculative_20m(px, py)),
         ]
     };
-    let probes: Vec<WorkloadSpec> = grid(100_000, 100_000)
+    let probes: Vec<Workload> = grid(100_000, 100_000)
         .into_iter()
         .chain(grid(1 << 32, 1 << 32)) // px * py overflows u64
-        .chain([WorkloadSpec::Allreduce(AllreduceParams::cg_like(MAX_RANKS + 1))])
+        .chain([Workload::Allreduce(AllreduceParams::cg_like(MAX_RANKS + 1))])
         .collect();
     let ceiling = MAX_RANKS.to_string();
     let dir = std::env::temp_dir().join(format!("pace-rank-probes-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     for (i, spec) in probes.iter().enumerate() {
         let path = dir.join(format!("probe{i}.json"));
-        std::fs::write(&path, spec.to_json()).unwrap();
+        std::fs::write(&path, workload_to_json(spec)).unwrap();
         let out = experiments(&["sweep", "--workload", path.to_str().unwrap()]);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "probe {i} ({}): {stderr}", spec.name());
+        assert_eq!(out.status.code(), Some(2), "probe {i} ({}): {stderr}", spec.template().name());
         assert!(!stderr.contains("panicked"), "probe {i} panicked: {stderr}");
         assert!(!stderr.contains("memory allocation"), "probe {i} aborted: {stderr}");
         assert!(

@@ -7,20 +7,18 @@
 //! pipeline stalls, rendezvous hand-shakes and OS noise the closed forms
 //! average away. It is the most expensive backend (wall time grows with
 //! ranks × blocks) and the only one that needs the registry machine's
-//! `sim` half. It is workload-generic: any [`Workload`] that lowers to a
-//! [`cluster_sim::ProgramSet`] can be simulated.
+//! `sim` half. It is workload-generic: every [`Workload`] lowers to a
+//! [`cluster_sim::ProgramSet`] that can be simulated.
 
 use cluster_sim::{Engine, Paused};
 use pace_core::engine::{EvaluationReport, SubtaskTime};
 use pace_core::workload::Workload;
 
-use crate::Predictor;
-
 /// Wrap a simulated makespan into the report shape every DES prediction
 /// uses. Shared by the cold, forked and planned paths so they are
 /// byte-identical by construction.
 pub fn report_from_makespan(
-    workload: &dyn Workload,
+    workload: &Workload,
     sim_name: &str,
     total_secs: f64,
 ) -> EvaluationReport {
@@ -45,7 +43,7 @@ pub fn report_from_makespan(
 /// `machine` and `base` are equal the result is bit-identical to a cold
 /// run.
 pub fn predict_forked(
-    workload: &dyn Workload,
+    workload: &Workload,
     base: &registry::MachineSpec,
     machine: &registry::MachineSpec,
     fork_after: u64,
@@ -61,7 +59,7 @@ pub fn predict_forked(
 /// itself, so a single machine takes no snapshot. Each report is
 /// bit-identical to [`predict_forked`] on its machine.
 pub fn predict_fork_group(
-    workload: &dyn Workload,
+    workload: &Workload,
     base: &registry::MachineSpec,
     machines: &[&registry::MachineSpec],
     fork_after: u64,
@@ -87,35 +85,17 @@ pub fn predict_fork_group(
     Ok(reports)
 }
 
-/// The discrete-event predictor backend.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DesSimPredictor;
-
-impl Predictor for DesSimPredictor {
-    fn name(&self) -> &'static str {
-        "dessim"
-    }
-
-    fn display_name(&self) -> &'static str {
-        "cluster-sim (discrete event)"
-    }
-
-    fn needs_sim(&self) -> bool {
-        true
-    }
-
-    fn predict(
-        &self,
-        workload: &dyn Workload,
-        machine: &registry::MachineSpec,
-    ) -> Result<EvaluationReport, String> {
-        let sim = machine.sim_or_err()?;
-        let set = workload.program_set(sim)?;
-        let report = Engine::from_set(sim, set)
-            .run()
-            .map_err(|e| format!("dessim on '{}': {e}", machine.id))?;
-        Ok(report_from_makespan(workload, &sim.name, report.makespan()))
-    }
+/// Cold DES prediction ([`Backend::DesSim`](crate::Backend::DesSim)):
+/// run the workload's program set to completion on `machine`'s twin.
+pub(crate) fn predict(
+    workload: &Workload,
+    machine: &registry::MachineSpec,
+) -> Result<EvaluationReport, String> {
+    let sim = machine.sim_or_err()?;
+    let set = workload.program_set(sim)?;
+    let report =
+        Engine::from_set(sim, set).run().map_err(|e| format!("dessim on '{}': {e}", machine.id))?;
+    Ok(report_from_makespan(workload, &sim.name, report.makespan()))
 }
 
 #[cfg(test)]
@@ -123,11 +103,15 @@ mod tests {
     use super::*;
     use pace_core::Sweep3dParams;
 
+    fn wavefront(px: usize, py: usize) -> Workload {
+        Sweep3dParams::speculative_20m(px, py).into()
+    }
+
     #[test]
     fn identity_fork_matches_a_cold_run_bit_for_bit() {
         let machine = registry::builtin("opteron-myrinet").unwrap();
-        let p = Sweep3dParams::speculative_20m(2, 2);
-        let cold = DesSimPredictor.predict(&p, &machine).unwrap();
+        let p = wavefront(2, 2);
+        let cold = predict(&p, &machine).unwrap();
         for fork in [0, 7, u64::MAX] {
             let forked = predict_forked(&p, &machine, &machine, fork).unwrap();
             assert_eq!(
@@ -143,7 +127,7 @@ mod tests {
     fn a_fork_group_matches_one_forked_prediction_per_machine() {
         let machine = registry::builtin("opteron-myrinet").unwrap();
         let twins: Vec<_> = [1.0, 1.25, 1.5].map(|r| machine.with_rate_scaled(r)).into();
-        let p = Sweep3dParams::speculative_20m(2, 2);
+        let p = wavefront(2, 2);
         let group = predict_fork_group(&p, &machine, &twins.iter().collect::<Vec<_>>(), 30);
         let one_by_one: Vec<_> =
             twins.iter().map(|m| predict_forked(&p, &machine, m, 30).unwrap()).collect();
@@ -155,9 +139,9 @@ mod tests {
     fn forked_rate_what_if_speeds_up_the_suffix_only() {
         let machine = registry::builtin("opteron-myrinet").unwrap();
         let faster = machine.with_rate_scaled(2.0);
-        let p = Sweep3dParams::speculative_20m(2, 2);
-        let cold = DesSimPredictor.predict(&p, &machine).unwrap().total_secs;
-        let cold_fast = DesSimPredictor.predict(&p, &faster).unwrap().total_secs;
+        let p = wavefront(2, 2);
+        let cold = predict(&p, &machine).unwrap().total_secs;
+        let cold_fast = predict(&p, &faster).unwrap().total_secs;
         let forked = predict_forked(&p, &machine, &faster, 40).unwrap().total_secs;
         assert!(forked < cold, "faster suffix must beat the all-slow run");
         assert!(forked > cold_fast, "slow prefix must cost against the all-fast run");
@@ -166,12 +150,11 @@ mod tests {
     #[test]
     fn prediction_is_deterministic_and_scales() {
         let machine = registry::builtin("opteron-myrinet").unwrap();
-        let p = Sweep3dParams::speculative_20m(2, 2);
-        let a = DesSimPredictor.predict_secs(&p, &machine).unwrap();
-        let b = DesSimPredictor.predict_secs(&p, &machine).unwrap();
+        let p = wavefront(2, 2);
+        let a = predict(&p, &machine).unwrap().total_secs;
+        let b = predict(&p, &machine).unwrap().total_secs;
         assert_eq!(a.to_bits(), b.to_bits(), "same seed, same machine ⇒ same bits");
-        let larger =
-            DesSimPredictor.predict_secs(&Sweep3dParams::speculative_20m(6, 6), &machine).unwrap();
+        let larger = predict(&wavefront(6, 6), &machine).unwrap().total_secs;
         assert!(larger > a, "weak scaling grows the makespan: {larger} vs {a}");
     }
 
@@ -188,9 +171,9 @@ mod tests {
             a.iterations = 5;
             a
         };
-        for w in [&stencil as &dyn Workload, &solver as &dyn Workload] {
-            let cold = DesSimPredictor.predict(w, &machine).unwrap();
-            let forked = predict_forked(w, &machine, &machine, 9).unwrap();
+        for w in [Workload::from(stencil), Workload::from(solver)] {
+            let cold = predict(&w, &machine).unwrap();
+            let forked = predict_forked(&w, &machine, &machine, 9).unwrap();
             assert_eq!(cold, forked, "identity fork must be free for '{}'", w.kind());
         }
     }

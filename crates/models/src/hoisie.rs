@@ -22,11 +22,7 @@
 //! twice per iteration by the octant-pair reversals.
 
 use pace_core::comm::CommModel;
-use pace_core::engine::EvaluationReport;
-use pace_core::workload::Workload;
 use pace_core::{HardwareModel, Sweep3dParams};
-
-use crate::{Backend, Predictor};
 
 /// The Hoisie et al. wavefront model.
 #[derive(Debug, Clone, Copy, Default)]
@@ -108,26 +104,6 @@ impl HoisieModel {
     /// The closed-form prediction against an analytic hardware model.
     pub fn predict_secs(&self, params: &Sweep3dParams, hw: &HardwareModel) -> f64 {
         self.breakdown(params, hw).total_secs
-    }
-}
-
-impl Predictor for HoisieModel {
-    fn name(&self) -> &'static str {
-        "hoisie"
-    }
-
-    fn display_name(&self) -> &'static str {
-        "Hoisie et al. (LANL)"
-    }
-
-    fn predict(
-        &self,
-        workload: &dyn Workload,
-        machine: &registry::MachineSpec,
-    ) -> Result<EvaluationReport, String> {
-        // The closed form is a wavefront derivation; refuse anything else.
-        let params = crate::wavefront_params(Backend::Hoisie, workload)?;
-        Ok(crate::scalar_report(machine, workload, self.predict_secs(params, &machine.analytic)))
     }
 }
 

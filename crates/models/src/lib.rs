@@ -5,7 +5,8 @@
 //! the LogGP model of Sundaram-Stukel & Vernon (PPoPP'99) and the Los
 //! Alamos wavefront models of Hoisie, Lubeck & Wasserman. This crate makes
 //! that concurrence check executable — and generalises it into the
-//! [`Predictor`] backend interface every layer of the workspace now speaks:
+//! [`Backend`] enumeration every layer of the workspace now speaks, whose
+//! [`Backend::predict`] dispatches by `match`:
 //!
 //! * [`Backend::Pace`] — this repository's PACE layered model (the paper);
 //! * [`Backend::LogGp`] — the LogGP closed form ([`loggp`]);
@@ -20,7 +21,7 @@
 //! / program set the workload supplies. The LogGP and Hoisie closed forms
 //! are derivations *for the wavefront specifically*; they declare that via
 //! [`Backend::supports`] and fail with a structured error on anything
-//! else.
+//! else ([`unsupported_workload`]).
 //!
 //! Neither closed-form baseline is a re-derivation of the full published
 //! models (those target one machine's MPI implementation in detail); they
@@ -31,48 +32,12 @@ pub mod dessim;
 pub mod hoisie;
 pub mod loggp;
 
-pub use dessim::DesSimPredictor;
 pub use hoisie::{HoisieBreakdown, HoisieModel};
 pub use loggp::{LogGpModel, LogGpParams};
 
 use pace_core::engine::{EvaluationReport, SubtaskTime};
-use pace_core::workload::Workload;
-use pace_core::{EvaluationEngine, Sweep3dParams};
-
-/// A prediction backend: anything that can turn (workload, machine) into an
-/// evaluation report. Replaces the narrower `WavefrontModel` trait, which
-/// only spoke the analytic `HardwareModel` half of one application.
-pub trait Predictor: Send + Sync {
-    /// The stable CLI identifier (`pace`, `loggp`, `hoisie`, `dessim`).
-    fn name(&self) -> &'static str;
-
-    /// A human-readable display name with attribution.
-    fn display_name(&self) -> &'static str;
-
-    /// Whether [`predict`](Predictor::predict) requires the machine's
-    /// simulated (DES) half.
-    fn needs_sim(&self) -> bool {
-        false
-    }
-
-    /// Predict a workload's run on a registry machine. Errors when the
-    /// machine lacks a characterisation the backend needs, or when the
-    /// backend does not model the workload's structure.
-    fn predict(
-        &self,
-        workload: &dyn Workload,
-        machine: &registry::MachineSpec,
-    ) -> Result<EvaluationReport, String>;
-
-    /// Predicted total execution time, seconds.
-    fn predict_secs(
-        &self,
-        workload: &dyn Workload,
-        machine: &registry::MachineSpec,
-    ) -> Result<f64, String> {
-        Ok(self.predict(workload, machine)?.total_secs)
-    }
-}
+use pace_core::workload::{Workload, WorkloadKind};
+use pace_core::EvaluationEngine;
 
 /// The structured refusal of a backend asked to price a workload outside
 /// its derivation. Shared so the CLI, the sweep validator and the backends
@@ -81,24 +46,12 @@ pub fn unsupported_workload(backend: Backend, kind: &str) -> String {
     format!("backend '{}' does not model workload '{kind}'", backend.name())
 }
 
-/// Downcast a workload to the wavefront parameter set, or produce the
-/// structured unsupported-workload error for `backend`.
-pub(crate) fn wavefront_params(
-    backend: Backend,
-    workload: &dyn Workload,
-) -> Result<&Sweep3dParams, String> {
-    workload
-        .as_any()
-        .downcast_ref::<Sweep3dParams>()
-        .ok_or_else(|| unsupported_workload(backend, workload.kind()))
-}
-
 /// Wrap a closed-form scalar prediction into a report shaped like the PACE
 /// engine's output (single aggregate subtask). The report's `application`
 /// is the workload's kind string.
-pub(crate) fn scalar_report(
+fn scalar_report(
     machine: &registry::MachineSpec,
-    workload: &dyn Workload,
+    workload: &Workload,
     total_secs: f64,
 ) -> EvaluationReport {
     EvaluationReport {
@@ -111,31 +64,6 @@ pub(crate) fn scalar_report(
             secs_per_iteration: total_secs / workload.iterations().max(1) as f64,
             pipeline: None,
         }],
-    }
-}
-
-/// The PACE model of this repository, adapted to the backend interface.
-/// Fully workload-generic: it prices whatever application object the
-/// workload supplies, so going through the registry is bit-identical to
-/// evaluating the model directly.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PacePredictor;
-
-impl Predictor for PacePredictor {
-    fn name(&self) -> &'static str {
-        "pace"
-    }
-
-    fn display_name(&self) -> &'static str {
-        "PACE (this paper)"
-    }
-
-    fn predict(
-        &self,
-        workload: &dyn Workload,
-        machine: &registry::MachineSpec,
-    ) -> Result<EvaluationReport, String> {
-        Ok(EvaluationEngine::new().evaluate(&workload.application(), &machine.analytic))
     }
 }
 
@@ -183,34 +111,76 @@ impl Backend {
         }
     }
 
-    /// Whether this backend models a workload kind. The PACE engine and
-    /// the DES engine are template-generic; the LogGP and Hoisie closed
-    /// forms are wavefront derivations only.
-    pub fn supports(self, kind: &str) -> bool {
-        match self {
-            Backend::Pace | Backend::DesSim => true,
-            Backend::LogGp | Backend::Hoisie => kind == "sweep3d",
+    /// Whether this backend models a workload template. The PACE engine
+    /// and the DES engine are template-generic; the LogGP and Hoisie
+    /// closed forms are wavefront derivations only.
+    pub fn supports(self, template: WorkloadKind) -> bool {
+        match template {
+            WorkloadKind::Wavefront => true,
+            WorkloadKind::Stencil | WorkloadKind::Allreduce => {
+                matches!(self, Backend::Pace | Backend::DesSim)
+            }
         }
     }
 
-    /// Instantiate the backend's predictor.
-    pub fn predictor(self) -> Box<dyn Predictor> {
+    /// A human-readable display name with attribution.
+    pub fn display_name(self) -> &'static str {
         match self {
-            Backend::Pace => Box::new(PacePredictor),
-            Backend::LogGp => Box::new(loggp::LogGpModel),
-            Backend::Hoisie => Box::new(hoisie::HoisieModel),
-            Backend::DesSim => Box::new(dessim::DesSimPredictor),
+            Backend::Pace => "PACE (this paper)",
+            Backend::LogGp => "LogGP (Sundaram-Stukel & Vernon)",
+            Backend::Hoisie => "Hoisie et al. (LANL)",
+            Backend::DesSim => "cluster-sim (discrete event)",
         }
+    }
+
+    /// Whether [`predict`](Backend::predict) requires the machine's
+    /// simulated (DES) half.
+    pub fn needs_sim(self) -> bool {
+        self == Backend::DesSim
+    }
+
+    /// Predict a workload's run on a registry machine. Errors when the
+    /// machine lacks a characterisation the backend needs, or when the
+    /// backend does not model the workload's structure.
+    ///
+    /// PACE prices whatever application object the workload supplies, so
+    /// going through the registry is bit-identical to evaluating the model
+    /// directly; the closed forms wrap their scalar into a one-subtask
+    /// report whose `application` is the workload's kind string.
+    pub fn predict(
+        self,
+        workload: &Workload,
+        machine: &registry::MachineSpec,
+    ) -> Result<EvaluationReport, String> {
+        let hw = &machine.analytic;
+        match (self, workload) {
+            (Backend::Pace, w) => Ok(EvaluationEngine::new().evaluate(&w.application(), hw)),
+            (Backend::LogGp, Workload::Wavefront(p)) => {
+                Ok(scalar_report(machine, workload, LogGpModel.predict_secs(p, hw)))
+            }
+            (Backend::Hoisie, Workload::Wavefront(p)) => {
+                Ok(scalar_report(machine, workload, HoisieModel.predict_secs(p, hw)))
+            }
+            // The closed forms are wavefront derivations; refuse anything else.
+            (Backend::LogGp | Backend::Hoisie, w) => Err(unsupported_workload(self, w.kind())),
+            (Backend::DesSim, w) => dessim::predict(w, machine),
+        }
+    }
+
+    /// The backend itself: it predicts through [`Backend::predict`].
+    #[doc(hidden)]
+    pub fn predictor(self) -> Self {
+        self
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pace_core::{AllreduceParams, StencilParams, Sweep3dModel};
+    use pace_core::{AllreduceParams, StencilParams, Sweep3dModel, Sweep3dParams};
 
-    fn analytic_predictors() -> Vec<Box<dyn Predictor>> {
-        Backend::ANALYTIC.iter().map(|b| b.predictor()).collect()
+    fn secs(b: Backend, w: impl Into<Workload>, machine: &registry::MachineSpec) -> f64 {
+        b.predict(&w.into(), machine).unwrap().total_secs
     }
 
     #[test]
@@ -234,10 +204,7 @@ mod tests {
         let machine = registry::builtin("opteron-myrinet").unwrap();
         for (px, py) in [(2usize, 2usize), (10, 10), (40, 50)] {
             let params = Sweep3dParams::speculative_1b(px, py);
-            let preds: Vec<f64> = analytic_predictors()
-                .iter()
-                .map(|m| m.predict_secs(&params, &machine).unwrap())
-                .collect();
+            let preds: Vec<f64> = Backend::ANALYTIC.map(|b| secs(b, params, &machine)).into();
             let max = preds.iter().cloned().fold(f64::MIN, f64::max);
             let min = preds.iter().cloned().fold(f64::MAX, f64::min);
             assert!(min > 0.0);
@@ -248,11 +215,10 @@ mod tests {
     #[test]
     fn all_models_scale_up_with_processors() {
         let machine = registry::builtin("opteron-myrinet").unwrap();
-        for model in analytic_predictors() {
-            let small = model.predict_secs(&Sweep3dParams::speculative_1b(2, 2), &machine).unwrap();
-            let large =
-                model.predict_secs(&Sweep3dParams::speculative_1b(80, 100), &machine).unwrap();
-            assert!(large > small, "{}: weak-scaling time must grow with the array", model.name());
+        for b in Backend::ANALYTIC {
+            let small = secs(b, Sweep3dParams::speculative_1b(2, 2), &machine);
+            let large = secs(b, Sweep3dParams::speculative_1b(80, 100), &machine);
+            assert!(large > small, "{}: weak-scaling time must grow with the array", b.name());
         }
     }
 
@@ -261,7 +227,7 @@ mod tests {
         let machine = registry::builtin("pentium3-myrinet").unwrap();
         let params = Sweep3dParams::weak_scaling_50cubed(4, 4);
         let direct = Sweep3dModel::new(params).predict(&machine.analytic).report;
-        let via_backend = PacePredictor.predict(&params, &machine).unwrap();
+        let via_backend = Backend::Pace.predict(&params.into(), &machine).unwrap();
         assert_eq!(via_backend, direct);
     }
 
@@ -270,8 +236,7 @@ mod tests {
         let machine = registry::builtin("opteron-gige").unwrap();
         let params = Sweep3dParams::weak_scaling_50cubed(4, 4);
         for b in [Backend::LogGp, Backend::Hoisie] {
-            let p = b.predictor();
-            let report = p.predict(&params, &machine).unwrap();
+            let report = b.predict(&params.into(), &machine).unwrap();
             assert_eq!(report.iterations, params.iterations);
             assert_eq!(report.application, "sweep3d");
             let per_iter = report.subtasks[0].secs_per_iteration;
@@ -287,12 +252,11 @@ mod tests {
             registry::quoted::opteron_myrinet_hypothetical(),
         );
         let err = Backend::DesSim
-            .predictor()
-            .predict(&Sweep3dParams::weak_scaling_50cubed(2, 2), &analytic_only)
+            .predict(&Sweep3dParams::weak_scaling_50cubed(2, 2).into(), &analytic_only)
             .unwrap_err();
         assert!(err.contains("flat"), "error should name the machine: {err}");
-        assert!(Backend::DesSim.predictor().needs_sim());
-        assert!(!Backend::Pace.predictor().needs_sim());
+        assert!(Backend::DesSim.needs_sim());
+        assert!(!Backend::Pace.needs_sim());
     }
 
     #[test]
@@ -301,15 +265,15 @@ mod tests {
         let stencil = StencilParams::weak_scaling(2, 2);
         let solver = AllreduceParams::cg_like(4);
         for b in [Backend::LogGp, Backend::Hoisie] {
-            for w in [&stencil as &dyn Workload, &solver as &dyn Workload] {
-                assert!(!b.supports(w.kind()));
-                let err = b.predictor().predict(w, &machine).unwrap_err();
+            for w in [Workload::from(stencil), Workload::from(solver)] {
+                assert!(!b.supports(w.template()));
+                let err = b.predict(&w, &machine).unwrap_err();
                 assert_eq!(err, unsupported_workload(b, w.kind()));
             }
-            assert!(b.supports("sweep3d"));
+            assert!(b.supports(WorkloadKind::Wavefront));
         }
         for b in [Backend::Pace, Backend::DesSim] {
-            assert!(b.supports("stencil") && b.supports("allreduce"));
+            assert!(WorkloadKind::ALL.into_iter().all(|t| b.supports(t)));
         }
     }
 
@@ -318,11 +282,11 @@ mod tests {
         let machine = registry::builtin("opteron-myrinet").unwrap();
         let stencil = StencilParams::weak_scaling(2, 2);
         let solver = AllreduceParams::cg_like(4);
-        for w in [&stencil as &dyn Workload, &solver as &dyn Workload] {
-            let pace = PacePredictor.predict(w, &machine).unwrap();
+        for w in [Workload::from(stencil), Workload::from(solver)] {
+            let pace = Backend::Pace.predict(&w, &machine).unwrap();
             assert_eq!(pace.application, w.kind());
             assert!(pace.total_secs > 0.0);
-            let des = DesSimPredictor.predict(w, &machine).unwrap();
+            let des = Backend::DesSim.predict(&w, &machine).unwrap();
             assert_eq!(des.application, w.kind());
             assert!(des.total_secs > 0.0);
         }

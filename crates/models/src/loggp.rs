@@ -19,11 +19,7 @@
 //! compares modelling structure, not calibration inputs.
 
 use pace_core::comm::CommModel;
-use pace_core::engine::EvaluationReport;
-use pace_core::workload::Workload;
 use pace_core::{HardwareModel, Sweep3dParams};
-
-use crate::{Backend, Predictor};
 
 /// The LogGP machine abstraction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,26 +97,6 @@ impl LogGpModel {
         let reduce = hw.comm.allreduce_secs(8, lg.p);
 
         (fill + steady + serial + reduce) * params.iterations as f64
-    }
-}
-
-impl Predictor for LogGpModel {
-    fn name(&self) -> &'static str {
-        "loggp"
-    }
-
-    fn display_name(&self) -> &'static str {
-        "LogGP (Sundaram-Stukel & Vernon)"
-    }
-
-    fn predict(
-        &self,
-        workload: &dyn Workload,
-        machine: &registry::MachineSpec,
-    ) -> Result<EvaluationReport, String> {
-        // The closed form is a wavefront derivation; refuse anything else.
-        let params = crate::wavefront_params(Backend::LogGp, workload)?;
-        Ok(crate::scalar_report(machine, workload, self.predict_secs(params, &machine.analytic)))
     }
 }
 

@@ -29,7 +29,7 @@ pub mod quoted;
 pub mod sim;
 mod workload_json;
 
-pub use workload_json::{load_workload_file, WorkloadSpec, MAX_RANKS};
+pub use workload_json::{load_workload_file, workload_from_json, workload_to_json, MAX_RANKS};
 
 use pace_core::HardwareModel;
 
@@ -135,7 +135,7 @@ pub fn resolve(name_or_path: &str) -> Result<MachineSpec, String> {
 /// [`resolve`]; bare template identifiers are handled by
 /// [`pace_core::WorkloadKind::parse`] in the CLI, which owns the default
 /// parameter ladders).
-pub fn resolve_workload(path: &str) -> Result<WorkloadSpec, String> {
+pub fn resolve_workload(path: &str) -> Result<pace_core::Workload, String> {
     if std::path::Path::new(path).exists() {
         return load_workload_file(path);
     }

@@ -20,12 +20,11 @@
 //!   and byte budget (`MAX_RANK_BYTES` reduced bytes).
 
 use std::ops::RangeInclusive;
-use std::sync::Arc;
 
 use obs::json::{escape, Json};
 use pace_core::clc::ResourceVector;
 use pace_core::sweep3d_model::KernelCharacterisation;
-use pace_core::{AllreduceParams, StencilParams, Sweep3dParams, Workload};
+use pace_core::{AllreduceParams, StencilParams, Sweep3dParams, Workload, WorkloadKind};
 
 use crate::json::{as_obj, check_fields, integer, num, ranged, req, string, Object};
 
@@ -67,82 +66,42 @@ const MAX_RANK_STEPS: f64 = 1e5;
 /// time, inside the picosecond clock's ~213-day span.
 const MAX_RANK_BYTES: f64 = 1e12;
 
-/// A parsed workload spec: which template plus its parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WorkloadSpec {
-    /// The pipelined synchronous wavefront (SWEEP3D).
-    Wavefront(Sweep3dParams),
-    /// The 2D halo-exchange stencil.
-    Stencil(StencilParams),
-    /// The allreduce-dominated CG-style solver.
-    Allreduce(AllreduceParams),
+/// Emit the JSON spec-file form of a workload. Its `workload` field is
+/// the template's CLI identifier ([`WorkloadKind::name`](pace_core::WorkloadKind::name)
+/// — `"wavefront"`, not the [`Workload::kind`] string `"sweep3d"`).
+pub fn workload_to_json(workload: &Workload) -> String {
+    let params = match workload {
+        Workload::Wavefront(p) => wavefront_json(p),
+        Workload::Stencil(p) => stencil_json(p),
+        Workload::Allreduce(p) => allreduce_json(p),
+    };
+    let name = workload.template().name();
+    format!("{{\n  \"workload\": \"{}\",\n  \"params\": {params}\n}}\n", escape(name))
 }
 
-impl WorkloadSpec {
-    /// The spec-file `workload` identifier (the CLI name, not the
-    /// [`Workload::kind`] string — `"wavefront"`, not `"sweep3d"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            WorkloadSpec::Wavefront(_) => "wavefront",
-            WorkloadSpec::Stencil(_) => "stencil",
-            WorkloadSpec::Allreduce(_) => "allreduce",
-        }
-    }
-
-    /// Borrow the parameters as the trait object the sweep layers consume.
-    pub fn workload(&self) -> &dyn Workload {
-        match self {
-            WorkloadSpec::Wavefront(p) => p,
-            WorkloadSpec::Stencil(p) => p,
-            WorkloadSpec::Allreduce(p) => p,
-        }
-    }
-
-    /// Move the parameters behind an `Arc<dyn Workload>` (the form
-    /// `sweepsvc`'s problem axis stores).
-    pub fn into_arc(self) -> Arc<dyn Workload> {
-        match self {
-            WorkloadSpec::Wavefront(p) => Arc::new(p),
-            WorkloadSpec::Stencil(p) => Arc::new(p),
-            WorkloadSpec::Allreduce(p) => Arc::new(p),
-        }
-    }
-
-    /// Emit the JSON spec-file form.
-    pub fn to_json(&self) -> String {
-        let params = match self {
-            WorkloadSpec::Wavefront(p) => wavefront_json(p),
-            WorkloadSpec::Stencil(p) => stencil_json(p),
-            WorkloadSpec::Allreduce(p) => allreduce_json(p),
-        };
-        format!("{{\n  \"workload\": \"{}\",\n  \"params\": {params}\n}}\n", escape(self.name()))
-    }
-
-    /// Parse a JSON workload spec. Unknown fields, missing fields and
-    /// malformed values are errors that name the offending path; an
-    /// unknown `workload` identifier lists every valid one.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let doc = Json::parse(text).map_err(|e| format!("workload spec: {e}"))?;
-        let map = as_obj(&doc, "workload spec")?;
-        check_fields(map, &["workload", "params"], "workload spec")?;
-        let name = string(req(map, "workload", "workload spec")?, "workload spec.workload")?;
-        let params = req(map, "params", "workload spec")?;
-        match name.as_str() {
-            "wavefront" => Ok(WorkloadSpec::Wavefront(wavefront(params, "workload spec.params")?)),
-            "stencil" => Ok(WorkloadSpec::Stencil(stencil(params, "workload spec.params")?)),
-            "allreduce" => Ok(WorkloadSpec::Allreduce(allreduce(params, "workload spec.params")?)),
-            other => Err(format!(
-                "workload spec.workload: unknown workload '{other}' (expected one of: wavefront, stencil, allreduce)"
-            )),
-        }
-    }
+/// Parse a JSON workload spec. Unknown fields, missing fields and
+/// malformed values are errors that name the offending path; an unknown
+/// `workload` identifier lists every valid one.
+pub fn workload_from_json(text: &str) -> Result<Workload, String> {
+    let doc = Json::parse(text).map_err(|e| format!("workload spec: {e}"))?;
+    let map = as_obj(&doc, "workload spec")?;
+    check_fields(map, &["workload", "params"], "workload spec")?;
+    let name = string(req(map, "workload", "workload spec")?, "workload spec.workload")?;
+    let params = req(map, "params", "workload spec")?;
+    let kind = WorkloadKind::parse(&name).map_err(|e| format!("workload spec.workload: {e}"))?;
+    let ctx = "workload spec.params";
+    Ok(match kind {
+        WorkloadKind::Wavefront => Workload::Wavefront(wavefront(params, ctx)?),
+        WorkloadKind::Stencil => Workload::Stencil(stencil(params, ctx)?),
+        WorkloadKind::Allreduce => Workload::Allreduce(allreduce(params, ctx)?),
+    })
 }
 
 /// Load a workload from a JSON spec file.
-pub fn load_workload_file(path: &str) -> Result<WorkloadSpec, String> {
+pub fn load_workload_file(path: &str) -> Result<Workload, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read workload spec file {path}: {e}"))?;
-    WorkloadSpec::from_json(&text).map_err(|e| format!("{path}: {e}"))
+    workload_from_json(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -399,23 +358,21 @@ mod tests {
     #[test]
     fn every_template_round_trips_exactly() {
         let specs = [
-            WorkloadSpec::Wavefront(Sweep3dParams::weak_scaling_50cubed(2, 3)),
-            WorkloadSpec::Stencil(StencilParams::weak_scaling(4, 2)),
-            WorkloadSpec::Allreduce(AllreduceParams::cg_like(16)),
+            Workload::Wavefront(Sweep3dParams::weak_scaling_50cubed(2, 3)),
+            Workload::Stencil(StencilParams::weak_scaling(4, 2)),
+            Workload::Allreduce(AllreduceParams::cg_like(16)),
         ];
         for spec in specs {
-            let doc = spec.to_json();
-            let back =
-                WorkloadSpec::from_json(&doc).unwrap_or_else(|e| panic!("{}: {e}", spec.name()));
-            assert_eq!(back, spec, "{} must round-trip exactly", spec.name());
-            // The trait-object identity survives the trip too.
-            assert_eq!(back.workload().param_digest(), spec.workload().param_digest());
+            let doc = workload_to_json(&spec);
+            let back = workload_from_json(&doc)
+                .unwrap_or_else(|e| panic!("{}: {e}", spec.template().name()));
+            assert_eq!(back, spec, "{} must round-trip exactly", spec.template().name());
         }
     }
 
     #[test]
     fn unknown_workload_identifier_lists_the_valid_ones() {
-        let err = WorkloadSpec::from_json(r#"{ "workload": "fft", "params": {} }"#).unwrap_err();
+        let err = workload_from_json(r#"{ "workload": "fft", "params": {} }"#).unwrap_err();
         assert!(err.contains("unknown workload 'fft'"), "{err}");
         for name in ["wavefront", "stencil", "allreduce"] {
             assert!(err.contains(name), "error must list '{name}': {err}");
@@ -424,43 +381,42 @@ mod tests {
 
     #[test]
     fn typos_and_missing_fields_name_the_offending_path() {
-        let err = WorkloadSpec::from_json(
+        let err = workload_from_json(
             r#"{ "workload": "stencil", "params": { "px": 2, "py": 2, "nx": 10, "ny": 10, "iterations": 1, "flops_per_cel": 6 } }"#,
         )
         .unwrap_err();
         assert!(err.contains("unknown field `flops_per_cel`"), "{err}");
         assert!(err.contains("flops_per_cell"), "should list expected fields: {err}");
-        let err =
-            WorkloadSpec::from_json(r#"{ "workload": "allreduce", "params": { "procs": 4 } }"#)
-                .unwrap_err();
+        let err = workload_from_json(r#"{ "workload": "allreduce", "params": { "procs": 4 } }"#)
+            .unwrap_err();
         assert!(err.contains("missing required field"), "{err}");
     }
 
     #[test]
     fn values_the_templates_cannot_price_name_their_field() {
         let cases = [
-            (WorkloadSpec::Stencil(StencilParams::weak_scaling(2, 2)), "\"nx\": 1000", "\"nx\": 0"),
+            (Workload::Stencil(StencilParams::weak_scaling(2, 2)), "\"nx\": 1000", "\"nx\": 0"),
             (
-                WorkloadSpec::Stencil(StencilParams::weak_scaling(2, 2)),
+                Workload::Stencil(StencilParams::weak_scaling(2, 2)),
                 "\"flops_per_cell\": 6",
                 "\"flops_per_cell\": \"inf\"",
             ),
-            (WorkloadSpec::Allreduce(AllreduceParams::cg_like(4)), "\"procs\": 4", "\"procs\": 0"),
+            (Workload::Allreduce(AllreduceParams::cg_like(4)), "\"procs\": 4", "\"procs\": 0"),
             (
-                WorkloadSpec::Wavefront(Sweep3dParams::speculative_20m(2, 2)),
+                Workload::Wavefront(Sweep3dParams::speculative_20m(2, 2)),
                 "\"angles_per_octant\": 6",
                 "\"angles_per_octant\": 5",
             ),
             (
-                WorkloadSpec::Wavefront(Sweep3dParams::speculative_20m(2, 2)),
+                Workload::Wavefront(Sweep3dParams::speculative_20m(2, 2)),
                 "\"cmld\": 12",
                 "\"cmld\": -12",
             ),
         ];
         for (spec, from, to) in cases {
-            let doc = spec.to_json();
+            let doc = workload_to_json(&spec);
             assert_eq!(doc.matches(from).count(), 1, "{from} must edit one field");
-            let err = WorkloadSpec::from_json(&doc.replacen(from, to, 1)).unwrap_err();
+            let err = workload_from_json(&doc.replacen(from, to, 1)).unwrap_err();
             let field = to.split('"').nth(1).unwrap();
             assert!(err.contains(&format!(".{field}: ")), "{to}: {err}");
         }
@@ -468,15 +424,15 @@ mod tests {
 
     #[test]
     fn rank_counts_past_the_ceiling_are_rejected() {
-        let parse = |spec: WorkloadSpec| WorkloadSpec::from_json(&spec.to_json());
+        let parse = |spec: Workload| workload_from_json(&workload_to_json(&spec));
         // 1024 x 1024 is exactly MAX_RANKS; a product past u64 must not
         // wrap into range.
         for (px, py, fits) in [(1024, 1024, true), (1024, 1025, false), (1 << 32, 1 << 32, false)] {
             for spec in [
-                WorkloadSpec::Stencil(StencilParams::weak_scaling(px, py)),
-                WorkloadSpec::Wavefront(Sweep3dParams::speculative_20m(px, py)),
+                Workload::Stencil(StencilParams::weak_scaling(px, py)),
+                Workload::Wavefront(Sweep3dParams::speculative_20m(px, py)),
             ] {
-                let name = spec.name();
+                let name = spec.template().name();
                 match parse(spec) {
                     Ok(_) => assert!(fits, "{name} {px}x{py} must be rejected"),
                     Err(err) => {
@@ -487,7 +443,7 @@ mod tests {
                 }
             }
         }
-        let procs = |n| parse(WorkloadSpec::Allreduce(AllreduceParams::cg_like(n)));
+        let procs = |n| parse(Workload::Allreduce(AllreduceParams::cg_like(n)));
         assert!(procs(MAX_RANKS).is_ok());
         let err = procs(MAX_RANKS + 1).unwrap_err();
         assert!(err.contains("params.procs: ") && err.contains("rank ceiling"), "{err}");
@@ -496,14 +452,7 @@ mod tests {
     #[test]
     fn per_rank_work_past_the_ceiling_is_rejected() {
         let stencil = |nx, ny, flops_per_cell, iterations| {
-            WorkloadSpec::Stencil(StencilParams {
-                px: 2,
-                py: 2,
-                nx,
-                ny,
-                iterations,
-                flops_per_cell,
-            })
+            Workload::Stencil(StencilParams { px: 2, py: 2, nx, ny, iterations, flops_per_cell })
         };
         let mut reductions = AllreduceParams::cg_like(4);
         reductions.reductions_per_iteration = 1 << 20;
@@ -518,14 +467,14 @@ mod tests {
             (stencil(1000, 1000, 1e6, 1), None), // exactly 1e12 operations
             (stencil(1, 1, 6.0, 100_000), None), // exactly 1e5 trace steps
             (stencil(1, 1, 6.0, 100_001), Some("params.iterations: ")),
-            (WorkloadSpec::Allreduce(reductions), Some("trace steps per rank")),
-            (WorkloadSpec::Wavefront(k_blocks), Some("params.iterations: ")),
-            (WorkloadSpec::Wavefront(Sweep3dParams::speculative_1b(80, 100)), None),
-            (WorkloadSpec::Stencil(StencilParams::weak_scaling(80, 100)), None),
-            (WorkloadSpec::Allreduce(AllreduceParams::cg_like(8000)), None),
+            (Workload::Allreduce(reductions), Some("trace steps per rank")),
+            (Workload::Wavefront(k_blocks), Some("params.iterations: ")),
+            (Workload::Wavefront(Sweep3dParams::speculative_1b(80, 100)), None),
+            (Workload::Stencil(StencilParams::weak_scaling(80, 100)), None),
+            (Workload::Allreduce(AllreduceParams::cg_like(8000)), None),
         ];
         for (spec, want) in cases {
-            match (WorkloadSpec::from_json(&spec.to_json()), want) {
+            match (workload_from_json(&workload_to_json(&spec)), want) {
                 (Ok(back), None) => assert_eq!(back, spec),
                 (Err(err), Some(phrase)) => {
                     assert!(err.contains("work ceiling") && err.contains(phrase), "{err}")
@@ -538,7 +487,7 @@ mod tests {
     #[test]
     fn reduced_bytes_past_the_budget_are_rejected() {
         let allreduce = |reduce_bytes, reductions_per_iteration, iterations| {
-            WorkloadSpec::Allreduce(AllreduceParams {
+            Workload::Allreduce(AllreduceParams {
                 procs: 4,
                 cells_per_pe: 1,
                 flops_per_cell: 1.0,
@@ -557,7 +506,7 @@ mod tests {
             (allreduce(1 << 52, 0, 1), true), // no reductions move no bytes
         ];
         for (spec, fits) in cases {
-            match WorkloadSpec::from_json(&spec.to_json()) {
+            match workload_from_json(&workload_to_json(&spec)) {
                 Ok(back) => {
                     assert!(fits, "{spec:?} must be rejected");
                     assert_eq!(back, spec);
@@ -575,8 +524,8 @@ mod tests {
     fn kernel_vectors_survive_the_wavefront_trip() {
         let mut p = Sweep3dParams::weak_scaling_50cubed(1, 2);
         p.kernel.sweep_per_cell_angle.mfdg = 12.3456789;
-        let spec = WorkloadSpec::Wavefront(p);
-        let back = WorkloadSpec::from_json(&spec.to_json()).unwrap();
+        let spec = Workload::Wavefront(p);
+        let back = workload_from_json(&workload_to_json(&spec)).unwrap();
         assert_eq!(back, spec);
     }
 }

@@ -300,7 +300,6 @@ mod tests {
 
     #[test]
     fn halo_keys_read_rates_comm_and_structure() {
-        use pace_core::workload::Workload;
         let (_, hw) = subtasks();
         let subs = pace_core::StencilParams::weak_scaling(3, 2).application().subtasks;
         let halo = subs

@@ -6,8 +6,7 @@
 //! run's per-worker throughput counters. Scenarios on the PACE backend
 //! evaluate directly through pace-core's [`EvaluationEngine`], on the
 //! application object the index built once for their problem; other
-//! backends dispatch to their [`wavefront_models::Predictor`]
-//! implementation.
+//! backends go through [`Backend::predict`](wavefront_models::Backend::predict).
 //!
 //! [`CachedEngine`] (a memo of [`pace_core::engine::evaluate_subtask`]
 //! over the [`EvalCache`]) has no caller in the library: it stays only
@@ -81,8 +80,8 @@ impl CachedEngine {
 /// application object) through pace-core's own loop; DES scenarios under
 /// [`SweepSpec::des_fork`] pause the base twin, swap in the scenario's
 /// twin and resume (degrading to a cold run when the twin fails the
-/// noise-class probe); every other backend prices the scenario via its
-/// `Predictor`.
+/// noise-class probe); every other backend prices the scenario through
+/// [`Backend::predict`].
 pub(crate) fn evaluate_scenario(
     spec: &SweepSpec,
     app: &ApplicationObject,
@@ -92,13 +91,13 @@ pub(crate) fn evaluate_scenario(
         (Backend::Pace, _) => return EvaluationEngine.evaluate(app, sc.hw()),
         (Backend::DesSim, Some(fork)) if plan::forks_from_base(spec, sc) => {
             wavefront_models::dessim::predict_forked(
-                &*sc.workload,
+                &sc.workload,
                 &spec.machines[sc.machine],
                 &sc.machine_spec,
                 fork,
             )
         }
-        (other, _) => other.predictor().predict(&*sc.workload, &sc.machine_spec),
+        (other, _) => other.predict(&sc.workload, &sc.machine_spec),
     };
     report.unwrap_or_else(|e| panic!("backend '{}': {e}", sc.backend.name()))
 }
@@ -128,7 +127,7 @@ fn evaluate_fork_group(
     let proto = |j: usize| &scenarios[plan.jobs[j].proto];
     let machines: Vec<_> = group.members.iter().map(|&j| &*proto(j).machine_spec).collect();
     let reports = wavefront_models::dessim::predict_fork_group(
-        &*proto(group.members[0]).workload,
+        &proto(group.members[0]).workload,
         &spec.machines[group.machine],
         &machines,
         fork,

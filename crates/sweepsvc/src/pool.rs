@@ -400,11 +400,8 @@ mod tests {
             })
         }));
         let payload = caught.expect_err("the item's panic must reach the caller");
-        let message = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
-        assert_eq!(message, Some("item 0 failed"));
+        let message = payload.downcast::<&str>().map(|m| *m);
+        assert_eq!(message.ok(), Some("item 0 failed"));
         // Each other worker finishes at most the block it holds, then
         // claims nothing further.
         let bound = ((workers - 1) * claim_block(n, workers)) as u64;

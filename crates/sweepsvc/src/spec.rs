@@ -17,9 +17,9 @@
 //! list; the planner decodes every id of its index into one, and
 //! [`SweepSpec::scenarios`] is that same decode.
 //!
-//! The problem axis holds [`Workload`] trait objects, so one sweep can mix
-//! wavefront, stencil and allreduce configurations; scenario identity and
-//! planner deduplication key on the workload's `(kind, param_digest)`.
+//! The problem axis holds [`Workload`]s, so one sweep can mix wavefront,
+//! stencil and allreduce configurations; scenario identity and planner
+//! deduplication key on the workload's `(kind, param_digest)`.
 //!
 //! The backend axis defaults to `[Backend::Pace]`, so specs that never
 //! mention backends expand to exactly the ids they did before the axis
@@ -32,20 +32,13 @@ use pace_core::{ApplicationObject, EvaluationReport, HardwareModel};
 use wavefront_models::{unsupported_workload, Backend};
 
 /// One labelled workload configuration of a sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProblemPoint {
     /// Display label (e.g. `"4x8"`).
     pub label: String,
-    /// The workload under prediction.
-    pub workload: Arc<dyn Workload>,
-}
-
-impl PartialEq for ProblemPoint {
-    fn eq(&self, other: &Self) -> bool {
-        // Workload equality is `(kind, param_digest)` — the same identity
-        // the planner dedups on.
-        self.label == other.label && *self.workload == *other.workload
-    }
+    /// The workload under prediction, shared with every scenario of the
+    /// problem.
+    pub workload: Arc<Workload>,
 }
 
 /// The declarative sweep description.
@@ -125,15 +118,11 @@ impl SweepSpec {
         self
     }
 
-    /// Add a labelled workload configuration.
-    pub fn problem(self, label: impl Into<String>, workload: impl Workload + 'static) -> Self {
-        self.problem_arc(label, Arc::new(workload))
-    }
-
-    /// Add a labelled workload already behind an `Arc` (e.g. parsed from a
-    /// spec file).
-    pub fn problem_arc(mut self, label: impl Into<String>, workload: Arc<dyn Workload>) -> Self {
-        self.problems.push(ProblemPoint { label: label.into(), workload });
+    /// Add a labelled workload configuration (a [`Workload`] or one of
+    /// its parameter structs).
+    pub fn problem(mut self, label: impl Into<String>, workload: impl Into<Workload>) -> Self {
+        self.problems
+            .push(ProblemPoint { label: label.into(), workload: Arc::new(workload.into()) });
         self
     }
 
@@ -156,11 +145,11 @@ impl SweepSpec {
     pub fn validate(&self) -> Result<(), String> {
         for &b in &self.backends {
             for p in &self.problems {
-                if !b.supports(p.workload.kind()) {
+                if !b.supports(p.workload.template()) {
                     return Err(unsupported_workload(b, p.workload.kind()));
                 }
             }
-            if !b.predictor().needs_sim() {
+            if !b.needs_sim() {
                 continue;
             }
             for m in &self.machines {
@@ -267,7 +256,7 @@ impl Default for SweepSpec {
 }
 
 /// One concrete point of the expanded sweep grid.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Stable scenario id (position in the expansion order).
     pub id: usize,
@@ -288,23 +277,8 @@ pub struct Scenario {
     /// The (already rate-scaled) registry machine to evaluate against,
     /// shared by every scenario of its `(machine, multiplier)` pair.
     pub machine_spec: Arc<registry::MachineSpec>,
-    /// The workload under prediction.
-    pub workload: Arc<dyn Workload>,
-}
-
-impl PartialEq for Scenario {
-    fn eq(&self, other: &Self) -> bool {
-        self.id == other.id
-            && self.machine == other.machine
-            && self.problem == other.problem
-            && self.multiplier == other.multiplier
-            && self.backend_idx == other.backend_idx
-            && self.backend == other.backend
-            && self.rate_multiplier == other.rate_multiplier
-            && self.label == other.label
-            && self.machine_spec == other.machine_spec
-            && *self.workload == *other.workload
-    }
+    /// The workload under prediction (its problem's, shared).
+    pub workload: Arc<Workload>,
 }
 
 impl Scenario {

@@ -26,9 +26,7 @@ use std::path::PathBuf;
 use obs::json::{escape, Json};
 use pace_core::engine::SubtaskTime;
 use pace_core::templates::pipeline::PipelineEstimate;
-use pace_core::workload::Workload;
-use pace_core::{AllreduceParams, EvaluationReport, StencilParams, Sweep3dParams};
-use registry::WorkloadSpec;
+use pace_core::EvaluationReport;
 use wavefront_models::Backend;
 
 use crate::engine::SweepEngine;
@@ -91,34 +89,13 @@ pub fn partition(n: usize, parts: usize) -> Vec<IdRange> {
 // Canonical spec document and campaign identity
 // ---------------------------------------------------------------------------
 
-/// The workload spec-file form of a problem-axis trait object, for the
-/// shipped parameter types. Store keys hash that form, so ad-hoc
-/// `Workload` impls (possible in library use, not constructible from the
-/// CLI) are a structured error rather than a silent wrong answer.
-fn workload_spec_of(w: &dyn Workload) -> Result<WorkloadSpec, String> {
-    let any = w.as_any();
-    if let Some(p) = any.downcast_ref::<Sweep3dParams>() {
-        return Ok(WorkloadSpec::Wavefront(*p));
-    }
-    if let Some(p) = any.downcast_ref::<StencilParams>() {
-        return Ok(WorkloadSpec::Stencil(*p));
-    }
-    if let Some(p) = any.downcast_ref::<AllreduceParams>() {
-        return Ok(WorkloadSpec::Allreduce(*p));
-    }
-    Err(format!(
-        "workload kind '{}' has no spec-file form; stored campaigns need the shipped parameter types",
-        w.kind()
-    ))
-}
-
 /// Emit the canonical spec document. Machine and workload specs
 /// ride as escaped strings of their own exact round-trip formats
-/// ([`registry::MachineSpec::to_json`], [`WorkloadSpec::to_json`]);
+/// ([`registry::MachineSpec::to_json`], [`registry::workload_to_json`]);
 /// rate multipliers are hex bit patterns. The text is deterministic —
 /// [`spec_digest`] hashes it for store keying, so its bytes, schema name
 /// included, must not change or every existing store turns cold.
-pub fn spec_to_json(spec: &SweepSpec) -> Result<String, String> {
+pub fn spec_to_json(spec: &SweepSpec) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"sweepsvc/shard-spec-v1\",\n  \"machines\": [");
@@ -128,13 +105,12 @@ pub fn spec_to_json(spec: &SweepSpec) -> Result<String, String> {
     }
     out.push_str("],\n  \"problems\": [");
     for (i, p) in spec.problems.iter().enumerate() {
-        let ws = workload_spec_of(&*p.workload)?;
         let sep = if i == 0 { "" } else { ", " };
         let _ = write!(
             out,
             "{sep}{{\"label\": \"{}\", \"workload\": \"{}\"}}",
             escape(&p.label),
-            escape(&ws.to_json())
+            escape(&registry::workload_to_json(&p.workload))
         );
     }
     out.push_str("],\n  \"rate_multiplier_bits\": [");
@@ -155,18 +131,18 @@ pub fn spec_to_json(spec: &SweepSpec) -> Result<String, String> {
         None => out.push_str("null"),
     }
     out.push_str("\n}\n");
-    Ok(out)
+    out
 }
 
 /// Campaign identity for store keying: FNV-1a over the canonical spec
 /// document, then every problem's workload kind and `param_digest`.
-pub fn spec_digest(spec: &SweepSpec) -> Result<u64, String> {
-    let text = spec_to_json(spec)?;
+pub fn spec_digest(spec: &SweepSpec) -> u64 {
+    let text = spec_to_json(spec);
     let mut h = Fnv1a::new().add(text.as_bytes());
     for p in &spec.problems {
         h = h.add(p.workload.kind().as_bytes()).add(&p.workload.param_digest().to_le_bytes());
     }
-    Ok(h.finish())
+    h.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -457,7 +433,7 @@ pub fn run_stored(
     resume: bool,
 ) -> Result<StoredOutcome, String> {
     spec.validate()?;
-    let digest = spec_digest(spec)?;
+    let digest = spec_digest(spec);
     let index = spec.index();
     let ranges = partition(spec.len(), STORE_RANGES);
     let mut results = Vec::with_capacity(spec.len());
@@ -480,6 +456,7 @@ pub fn run_stored(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pace_core::{AllreduceParams, Sweep3dParams};
 
     fn small_spec() -> SweepSpec {
         let mut params = Sweep3dParams::speculative_20m(2, 2);
@@ -513,10 +490,10 @@ mod tests {
     #[test]
     fn spec_digest_separates_campaigns() {
         // The canonical text, and hence the digest, is reproducible.
-        assert_eq!(spec_to_json(&small_spec()).unwrap(), spec_to_json(&small_spec()).unwrap());
-        let a = spec_digest(&small_spec()).unwrap();
-        let b = spec_digest(&small_spec().rate_multipliers(vec![1.0])).unwrap();
-        let c = spec_digest(&small_spec().des_fork(21)).unwrap();
+        assert_eq!(spec_to_json(&small_spec()), spec_to_json(&small_spec()));
+        let a = spec_digest(&small_spec());
+        let b = spec_digest(&small_spec().rate_multipliers(vec![1.0]));
+        let c = spec_digest(&small_spec().des_fork(21));
         assert_ne!(a, b);
         assert_ne!(a, c);
     }
@@ -541,7 +518,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = ChunkStore::open(&dir).unwrap();
         let spec = small_spec();
-        let digest = spec_digest(&spec).unwrap();
+        let digest = spec_digest(&spec);
         let results = SweepEngine::with_workers(1).run(&spec).results;
         let range = IdRange { start: 0, end: results.len() };
         assert!(store.load(digest, range).is_none(), "empty store misses");
@@ -564,7 +541,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = ChunkStore::open(&dir).unwrap();
         let spec = small_spec();
-        let digest = spec_digest(&spec).unwrap();
+        let digest = spec_digest(&spec);
         let ranges = partition(spec.len(), STORE_RANGES);
         let obs = obs::Obs::enabled();
         let evaluated = || {

@@ -61,10 +61,9 @@ fn main() {
     // Concurrence with related analytic models (the paper's sanity check
     // against LogGP and the LANL model), through the predictor backends.
     println!("--- concurrence at 8000 PEs, 1-billion-cell problem ---");
-    let params = Problem::OneBillion.params(80, 100);
+    let workload = Problem::OneBillion.params(80, 100).into();
     for backend in Backend::ANALYTIC {
-        let predictor = backend.predictor();
-        let secs = predictor.predict_secs(&params, &machine).expect("analytic backends run");
-        println!("{:<36} {:>8.3} s", predictor.display_name(), secs);
+        let report = backend.predict(&workload, &machine).expect("analytic backends run");
+        println!("{:<36} {:>8.3} s", backend.display_name(), report.total_secs);
     }
 }

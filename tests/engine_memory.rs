@@ -13,7 +13,7 @@
 //! rendezvous sends alike, up to the paper's 8000 PEs.
 
 use cluster_sim::{Engine, MachineSpec, MemProbe, NoiseModel};
-use pace_core::{Sweep3dParams, Workload as _};
+use pace_core::Sweep3dParams;
 use sweep3d::trace::{generate_program_set, FlopModel};
 use sweep3d::ProblemConfig;
 

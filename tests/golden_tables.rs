@@ -19,8 +19,8 @@
 //! The simulated *measured* runtimes are pinned too, bit for bit: the DES
 //! is seeded per row, so every `measured_secs` of Tables 1–3 is exact.
 
-use experiments::validation::{self, predict_row, RowSpec, TABLE1_ROWS, TABLE2_ROWS, TABLE3_ROWS};
-use pace_core::{HardwareModel, Sweep3dParams};
+use experiments::validation::{self, RowSpec, TABLE1_ROWS, TABLE2_ROWS, TABLE3_ROWS};
+use pace_core::{HardwareModel, Sweep3dModel, Sweep3dParams};
 use registry::sim as sim_machines;
 
 /// Exact predicted seconds per row, in row order (regenerate on
@@ -147,6 +147,11 @@ const TABLE3_MEASURED_BITS: [u64; 16] = [
     0x4033e9a4b22dbb94,
 ];
 
+/// The PACE prediction of a row on a benchmarked hardware model, seconds.
+fn predict_row(spec: &RowSpec, hw: &HardwareModel) -> f64 {
+    Sweep3dModel::new(spec.params()).predict(hw).total_secs
+}
+
 fn benchmarked(machine: &cluster_sim::MachineSpec) -> HardwareModel {
     // The exact hardware-model derivation the validation tables use.
     hwbench::benchmark_machine(machine, &[50], 1)
@@ -239,7 +244,6 @@ const REGISTRY_GOLDEN: [(&str, u64, u64, u64); 4] = [
 
 #[test]
 fn registry_machines_are_bit_identical_to_prerefactor_constructors() {
-    use pace_core::{Sweep3dModel, Sweep3dParams};
     let points = [
         Sweep3dParams::weak_scaling_50cubed(4, 4),
         Sweep3dParams::speculative_20m(8, 8),

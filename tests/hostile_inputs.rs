@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 
 use obs::json::{escape, Json};
 use proptest::prelude::*;
-use registry::{MachineSpec, WorkloadSpec};
+use registry::{workload_from_json, workload_to_json, MachineSpec};
 use sweepsvc::store::{ChunkStore, IdRange};
 
 /// Arbitrary scalars, half of them ASCII (controls, quotes and
@@ -178,8 +178,8 @@ proptest! {
         extra in 0u8..10,
     ) {
         let doc = workload_doc(template, &picks, drop, extra == 0);
-        if let Ok(spec) = WorkloadSpec::from_json(&doc) {
-            prop_assert_eq!(WorkloadSpec::from_json(&spec.to_json()), Ok(spec));
+        if let Ok(spec) = workload_from_json(&doc) {
+            prop_assert_eq!(workload_from_json(&workload_to_json(&spec)), Ok(spec));
         }
     }
 

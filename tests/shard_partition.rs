@@ -108,14 +108,14 @@ fn result_codec_round_trips_bit_for_bit() {
 #[test]
 fn store_keys_stay_byte_identical() {
     let spec = mixed_spec();
-    let text = sweepsvc::store::spec_to_json(&spec).unwrap();
+    let text = sweepsvc::store::spec_to_json(&spec);
     let problems = text.lines().find(|l| l.starts_with("  \"problems\"")).unwrap();
     assert_eq!(problems, MIXED_PROBLEMS_LINE);
     let fnv = text
         .bytes()
         .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3));
     assert_eq!((text.len(), fnv), (3054, 0x964a_f32c_4a8f_455c));
-    let digest = spec_digest(&spec).unwrap();
+    let digest = spec_digest(&spec);
     assert_eq!(digest, 0xd71a_0767_49b6_6351);
     let ranges = partition(spec.scenarios().len(), STORE_RANGES);
     assert_eq!(ranges.len(), 8);

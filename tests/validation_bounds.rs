@@ -2,9 +2,16 @@
 //! measurement (DES trace) vs prediction (PACE model) on the three
 //! simulated machines, with the error structure of §5.
 
-use experiments::validation::{self, RowSpec};
+use cluster_sim::MachineSpec;
+use experiments::validation::{self, Calibration, RowSpec};
+use obs::Recorder;
 use registry::sim as sim_machines;
-use sweep3d::trace::FlopModel;
+
+/// The simulated measurement of `spec` on `machine` under noise seed
+/// `seed`, untraced.
+fn measure(cal: &Calibration, spec: &RowSpec, machine: &MachineSpec, seed: u64) -> f64 {
+    cal.measure(&spec.params(), machine, seed, &Recorder::disabled(), 0).makespan()
+}
 
 #[test]
 fn table2_reproduces_paper_error_structure() {
@@ -55,11 +62,11 @@ fn weak_scaling_runtime_grows_linearly_with_stages() {
     // the increase in the number of pipeline stages". Check measurement
     // correlates with the pipeline-depth metric across rows.
     let machine = sim_machines::opteron_gige_sim();
-    let fm = FlopModel::calibrate(&validation::row_config(&validation::TABLE2_ROWS[0]), 10);
+    let cal = Calibration::new(&machine, &validation::TABLE2_ROWS[0].params(), 10, &[50]);
     let mut rows: Vec<(f64, f64)> = Vec::new();
     for (idx, spec) in validation::TABLE2_ROWS.iter().enumerate() {
         let stages = (3 * (spec.px - 1) + 2 * (spec.py - 1)) as f64;
-        let t = validation::measure_row(spec, &machine, &fm, idx as u64 + 77);
+        let t = measure(&cal, spec, &machine, idx as u64 + 77);
         rows.push((stages, t));
     }
     let fit = hwbench::stats::ols(&rows);
@@ -72,11 +79,11 @@ fn prediction_is_deterministic_and_measurement_seeded() {
     let machine = sim_machines::opteron_gige_sim();
     let spec =
         RowSpec { it: 100, jt: 100, px: 2, py: 2, paper_measured: 8.98, paper_predicted: 9.69 };
-    let fm = FlopModel::calibrate(&validation::row_config(&spec), 10);
-    let a = validation::measure_row(&spec, &machine, &fm, 1);
-    let b = validation::measure_row(&spec, &machine, &fm, 1);
+    let cal = Calibration::new(&machine, &spec.params(), 10, &[50]);
+    let a = measure(&cal, &spec, &machine, 1);
+    let b = measure(&cal, &spec, &machine, 1);
     assert_eq!(a, b, "same seed must reproduce the measurement exactly");
-    let c = validation::measure_row(&spec, &machine, &fm, 2);
+    let c = measure(&cal, &spec, &machine, 2);
     assert_ne!(a, c, "different runs see different background load");
     // But runs stay within the noise envelope.
     assert!((a - c).abs() / a < 0.08);
@@ -93,13 +100,12 @@ fn run_table_returns_rows_in_input_order() {
     let machine = sim_machines::pentium3_myrinet_sim();
     let table = validation::run_table("Table 1", rows, &machine);
 
-    let fm = FlopModel::calibrate(&validation::row_config(&rows[0]), 10);
-    let hw = hwbench::benchmark_machine(&machine, &[50], 1);
+    let cal = Calibration::new(&machine, &rows[0].params(), 10, &[50]);
     assert_eq!(table.rows.len(), rows.len());
     for (idx, (row, spec)) in table.rows.iter().zip(rows).enumerate() {
         assert_eq!(row.spec, *spec, "row {idx} out of order");
-        let measured = validation::measure_row(spec, &machine, &fm, idx as u64 + 1);
-        let predicted = validation::predict_row(spec, &hw);
+        let measured = measure(&cal, spec, &machine, idx as u64 + 1);
+        let predicted = cal.predict(&spec.params());
         assert_eq!(row.measured_secs.to_bits(), measured.to_bits(), "row {idx} measured");
         assert_eq!(row.predicted_secs.to_bits(), predicted.to_bits(), "row {idx} predicted");
         assert_eq!(row.error_pct, experiments::error_pct(measured, predicted), "row {idx} error");

@@ -65,7 +65,7 @@ fn derived_analytic(sim: &cluster_sim::MachineSpec) -> HardwareModel {
 
 /// Run a workload's DES lowering to completion on a noise-free machine
 /// and return the makespan in seconds.
-fn simulate(workload: &dyn Workload, sim: &cluster_sim::MachineSpec) -> f64 {
+fn simulate(workload: &Workload, sim: &cluster_sim::MachineSpec) -> f64 {
     let quiet = sim.clone().with_noise(NoiseModel::none());
     let set = workload.program_set(&quiet).expect("lowering");
     Engine::from_set(&quiet, set).run().expect("clean run").makespan()
@@ -73,11 +73,11 @@ fn simulate(workload: &dyn Workload, sim: &cluster_sim::MachineSpec) -> f64 {
 
 /// Closed-form prediction of the same workload on the derived analytic
 /// twin of the same machine.
-fn predict(workload: &dyn Workload, sim: &cluster_sim::MachineSpec) -> f64 {
+fn predict(workload: &Workload, sim: &cluster_sim::MachineSpec) -> f64 {
     EvaluationEngine::new().evaluate(&workload.application(), &derived_analytic(sim)).total_secs
 }
 
-fn assert_concurrent(workload: &dyn Workload, label: &str) {
+fn assert_concurrent(workload: &Workload, label: &str) {
     for name in MACHINES {
         let machine = registry::builtin(name).unwrap();
         let sim = machine.sim.as_ref().unwrap_or_else(|| panic!("{name} has a sim half"));
@@ -95,20 +95,20 @@ fn assert_concurrent(workload: &dyn Workload, label: &str) {
 fn stencil_analytic_concurs_with_des_on_all_paper_machines() {
     let mut p = StencilParams::weak_scaling(2, 2);
     p.iterations = 10;
-    assert_concurrent(&p, "stencil 2x2");
+    assert_concurrent(&p.into(), "stencil 2x2");
     let mut p = StencilParams::weak_scaling(4, 2);
     p.iterations = 10;
-    assert_concurrent(&p, "stencil 4x2");
+    assert_concurrent(&p.into(), "stencil 4x2");
 }
 
 #[test]
 fn allreduce_analytic_concurs_with_des_on_all_paper_machines() {
     let mut p = AllreduceParams::cg_like(4);
     p.iterations = 20;
-    assert_concurrent(&p, "allreduce 4pe");
+    assert_concurrent(&p.into(), "allreduce 4pe");
     let mut p = AllreduceParams::cg_like(8);
     p.iterations = 20;
-    assert_concurrent(&p, "allreduce 8pe");
+    assert_concurrent(&p.into(), "allreduce 8pe");
 }
 
 /// Mixed-workload campaigns through the planner stay byte-identical to

@@ -5,9 +5,9 @@
 //!   pre-refactor tree (analytic backend trio plus a reduced DES fixture
 //!   at 6 ranks). Bless after an intentional model change with
 //!   `BLESS_GOLDEN=1 cargo test --test workload_identity -- --nocapture`.
-//! * A differential proptest: for random parameter points, every backend
-//!   reached through the `Workload` trait object must be bit-identical
-//!   to the direct `Sweep3dParams`-typed call it replaced.
+//! * A differential proptest: for random parameter points, every analytic
+//!   backend reached through `Backend::predict` on a `Workload` must be
+//!   bit-identical to the direct `Sweep3dParams`-typed call.
 
 use pace_core::Sweep3dParams;
 use proptest::prelude::*;
@@ -98,19 +98,19 @@ fn wavefront_campaigns_pin_pre_refactor_digests() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-    /// Differential check over random parameter points: the trait-object
-    /// path must be bit-identical to the direct typed path on every
+    /// Differential check over random parameter points: the backend
+    /// dispatch must be bit-identical to the direct typed path on every
     /// analytic backend.
     #[test]
-    fn trait_object_path_is_bit_identical_to_direct_calls(
+    fn backend_dispatch_is_bit_identical_to_direct_calls(
         px in 1usize..9,
         py in 1usize..9,
         nz in 10usize..60,
         mk in 1usize..12,
         mult_sel in 0usize..3,
     ) {
-        use pace_core::{Sweep3dModel, workload::Workload};
-        use wavefront_models::{HoisieModel, LogGpModel, PacePredictor, Predictor};
+        use pace_core::{Sweep3dModel, Workload};
+        use wavefront_models::{HoisieModel, LogGpModel};
         let mut params = Sweep3dParams::weak_scaling_50cubed(px, py);
         params.nz = nz;
         params.mk = mk;
@@ -119,19 +119,19 @@ proptest! {
             0 => machine,
             _ => machine.with_rate_scaled(1.0 + 0.25 * mult_sel as f64),
         };
-        let workload: &dyn Workload = &params;
+        let workload = Workload::Wavefront(params);
 
-        // PACE through the trait object == the direct model, bit for bit.
+        // PACE through the backend == the direct model, bit for bit.
         let direct = Sweep3dModel::new(params).predict(&machine.analytic).report;
-        let via_trait = PacePredictor.predict(workload, &machine).unwrap();
-        prop_assert_eq!(&via_trait, &direct);
+        let via_backend = Backend::Pace.predict(&workload, &machine).unwrap();
+        prop_assert_eq!(&via_backend, &direct);
 
-        // Closed-form backends: the trait path wraps the same scalar.
+        // Closed-form backends: the dispatch wraps the same scalar.
         let loggp = LogGpModel.predict_secs(&params, &machine.analytic);
-        let via = Predictor::predict(&LogGpModel, workload, &machine).unwrap();
+        let via = Backend::LogGp.predict(&workload, &machine).unwrap();
         prop_assert_eq!(via.total_secs.to_bits(), loggp.to_bits());
         let hoisie = HoisieModel.predict_secs(&params, &machine.analytic);
-        let via = Predictor::predict(&HoisieModel, workload, &machine).unwrap();
+        let via = Backend::Hoisie.predict(&workload, &machine).unwrap();
         prop_assert_eq!(via.total_secs.to_bits(), hoisie.to_bits());
     }
 }

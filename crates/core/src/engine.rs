@@ -5,6 +5,8 @@
 //! microseconds, since the model is closed-form. The report carries the
 //! per-subtask breakdown PACE presents to the analyst.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 use crate::hardware::HardwareModel;
@@ -15,8 +17,9 @@ use crate::templates::pipeline::PipelineEstimate;
 /// One subtask's evaluated time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SubtaskTime {
-    /// Subtask name.
-    pub name: String,
+    /// Subtask name (its subtask object's, shared when that is a
+    /// literal).
+    pub name: Cow<'static, str>,
     /// Time per iteration, seconds.
     pub secs_per_iteration: f64,
     /// Pipeline breakdown when the subtask used the pipeline template.
@@ -26,8 +29,9 @@ pub struct SubtaskTime {
 /// The engine's output.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EvaluationReport {
-    /// Application name.
-    pub application: String,
+    /// Application name (its application object's, shared when that is
+    /// a literal).
+    pub application: Cow<'static, str>,
     /// Hardware model name.
     pub hardware: String,
     /// Predicted total execution time, seconds.

@@ -7,6 +7,8 @@
 //! module is the in-memory form those objects compile to — both the
 //! programmatic API and the PSL front-end (`pace-psl`) build these.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 use crate::clc::ResourceVector;
@@ -32,8 +34,9 @@ pub enum TemplateBinding {
 /// A subtask object: serial resource usage + template binding.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SubtaskObject {
-    /// Name (e.g. `"sweep"`).
-    pub name: String,
+    /// Name (e.g. `"sweep"`). Built-in models name their subtasks with
+    /// literals, so copying the name into a report allocates nothing.
+    pub name: Cow<'static, str>,
     /// Total serial floating-point work of one evaluation of this subtask
     /// on one rank (already multiplied out over its control flow).
     pub flops: f64,
@@ -51,9 +54,14 @@ pub struct SubtaskObject {
 
 impl SubtaskObject {
     /// A communication-free subtask from a per-unit vector and unit count.
-    pub fn serial(name: &str, per_unit: ResourceVector, units: f64, cells_per_pe: usize) -> Self {
+    pub fn serial(
+        name: impl Into<Cow<'static, str>>,
+        per_unit: ResourceVector,
+        units: f64,
+        cells_per_pe: usize,
+    ) -> Self {
         SubtaskObject {
-            name: name.to_string(),
+            name: name.into(),
             flops: per_unit.flops() * units,
             per_unit,
             units,
@@ -66,8 +74,9 @@ impl SubtaskObject {
 /// An application object: ordered subtasks × iterations.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ApplicationObject {
-    /// Application name.
-    pub name: String,
+    /// Application name (a literal for the built-in models, like the
+    /// subtask names).
+    pub name: Cow<'static, str>,
     /// Outer iteration count (12 for SWEEP3D's fixed setup).
     pub iterations: usize,
     /// Subtasks called once per iteration, in order.

@@ -389,3 +389,32 @@ fn warm_store_resume_serves_every_range() {
     assert_eq!(warm, cold, "the store changed the printed results");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// `sweep --json` carries no wall-clock field, so its stdout is a pure
+/// function of the command line. Each run's length and FNV-1a are
+/// pinned: a change to the sweep harness must leave every byte alone.
+#[test]
+fn sweep_json_stdout_is_byte_stable() {
+    let pins: [(&[&str], usize, u64); 5] = [
+        (&[], 1721, 0xefa4_34c4_bfe0_4bb8),
+        (&["--workload", "stencil"], 905, 0x92d7_a1fe_5a10_b3be),
+        (&["--workload", "allreduce"], 899, 0xfb9f_ad4b_8e66_a62c),
+        (&["--plan"], 5021, 0xcdec_fe2a_c400_08ee),
+        (&["--machine", "opteron-gige", "--backend", "loggp"], 497, 0x5be4_ee17_8a11_9764),
+    ];
+    for (extra, len, digest) in pins {
+        let out = experiments(&[&["sweep", "--json"], extra].concat());
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{extra:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!((out.stdout.len(), fnv1a(&out.stdout)), (len, digest), "sweep --json {extra:?}");
+    }
+}

@@ -23,12 +23,12 @@ pub fn report_from_makespan(
     total_secs: f64,
 ) -> EvaluationReport {
     EvaluationReport {
-        application: workload.kind().to_string(),
+        application: workload.kind().into(),
         hardware: sim_name.to_string(),
         total_secs,
         iterations: workload.iterations(),
         subtasks: vec![SubtaskTime {
-            name: "simulated".to_string(),
+            name: "simulated".into(),
             secs_per_iteration: total_secs / workload.iterations().max(1) as f64,
             pipeline: None,
         }],

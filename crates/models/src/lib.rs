@@ -55,12 +55,12 @@ fn scalar_report(
     total_secs: f64,
 ) -> EvaluationReport {
     EvaluationReport {
-        application: workload.kind().to_string(),
+        application: workload.kind().into(),
         hardware: machine.analytic.name.clone(),
         total_secs,
         iterations: workload.iterations(),
         subtasks: vec![SubtaskTime {
-            name: "total".to_string(),
+            name: "total".into(),
             secs_per_iteration: total_secs / workload.iterations().max(1) as f64,
             pipeline: None,
         }],

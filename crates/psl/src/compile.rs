@@ -40,7 +40,11 @@ pub fn compile(objects: &[Object], overrides: &Overrides) -> Result<ApplicationO
     for sub in &model.subtasks {
         subtasks.push(compile_subtask(sub)?);
     }
-    Ok(ApplicationObject { name: model.application, iterations: iterations as usize, subtasks })
+    Ok(ApplicationObject {
+        name: model.application.into(),
+        iterations: iterations as usize,
+        subtasks,
+    })
 }
 
 fn binding(sub: &EvaluatedSubtask, name: &str) -> Result<f64, PslError> {
@@ -113,7 +117,7 @@ fn compile_subtask(sub: &EvaluatedSubtask) -> Result<SubtaskObject, PslError> {
         .product::<f64>()
         .max(sub.bindings.get("cells").copied().unwrap_or(1.0)) as usize;
     Ok(SubtaskObject {
-        name: sub.name.clone(),
+        name: sub.name.clone().into(),
         flops,
         per_unit: sub.vector,
         units: 1.0,

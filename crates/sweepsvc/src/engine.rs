@@ -29,7 +29,7 @@ use wavefront_models::Backend;
 use crate::cache::{CacheKey, EvalCache};
 use crate::plan::{self, ExecPlan, ForkGroup, PlanStats};
 use crate::pool::{self, WorkerStats};
-use crate::spec::{Scenario, ScenarioIndex, ScenarioResult, SweepSpec};
+use crate::spec::{Scenario, ScenarioIndex, ScenarioRef, ScenarioResult, SweepSpec};
 
 /// A drop-in evaluator with a shared, thread-safe memo of subtask
 /// evaluations.
@@ -85,19 +85,19 @@ impl CachedEngine {
 pub(crate) fn evaluate_scenario(
     spec: &SweepSpec,
     app: &ApplicationObject,
-    sc: &Scenario,
+    sc: ScenarioRef<'_>,
 ) -> EvaluationReport {
     let report = match (sc.backend, spec.des_fork) {
         (Backend::Pace, _) => return EvaluationEngine.evaluate(app, sc.hw()),
         (Backend::DesSim, Some(fork)) if plan::forks_from_base(spec, sc) => {
             wavefront_models::dessim::predict_forked(
-                &sc.workload,
+                sc.workload,
                 &spec.machines[sc.machine],
-                &sc.machine_spec,
+                sc.machine_spec,
                 fork,
             )
         }
-        (other, _) => other.predict(&sc.workload, &sc.machine_spec),
+        (other, _) => other.predict(sc.workload, sc.machine_spec),
     };
     report.unwrap_or_else(|e| panic!("backend '{}': {e}", sc.backend.name()))
 }
@@ -111,7 +111,7 @@ pub(crate) fn evaluate_scenario(
 /// keep compiling, and goes with [`CachedEngine`].
 #[doc(hidden)]
 pub fn scenario_result(_engine: &CachedEngine, spec: &SweepSpec, sc: &Scenario) -> ScenarioResult {
-    ScenarioResult::new(sc, evaluate_scenario(spec, &sc.workload.application(), sc))
+    ScenarioResult::new(sc.view(), evaluate_scenario(spec, &sc.workload.application(), sc.view()))
 }
 
 /// Evaluate one fork group of a plan: the group's shared prefix runs
@@ -287,9 +287,8 @@ impl SweepEngine {
             workload_counts(spec, ids),
             None,
             |i| {
-                let sc = index.scenario(first + i);
-                let report = evaluate_scenario(spec, index.application(sc.problem), &sc);
-                ScenarioResult::new(&sc, report)
+                let sc = index.decode(first + i);
+                ScenarioResult::new(sc, evaluate_scenario(spec, index.application(sc.problem), sc))
             },
             |_, r| {
                 let args = vec![
@@ -344,7 +343,7 @@ impl SweepEngine {
             |u| match units[u] {
                 Unit::Single(j) => {
                     let sc = proto(j);
-                    vec![(j, evaluate_scenario(spec, index.application(sc.problem), sc))]
+                    vec![(j, evaluate_scenario(spec, index.application(sc.problem), sc.view()))]
                 }
                 Unit::Group(g, fork) => evaluate_fork_group(spec, &scenarios, &plan, g, fork),
             },
@@ -374,7 +373,7 @@ impl SweepEngine {
             .iter()
             .map(|sc| {
                 let report = job_reports[plan.assignment[sc.id]].clone();
-                ScenarioResult::new(sc, report.expect("every job evaluated"))
+                ScenarioResult::new(sc.view(), report.expect("every job evaluated"))
             })
             .collect();
         SweepOutcome { results, stats }

@@ -11,10 +11,14 @@
 //!   scenarios are addressed by stable ids and decoded on demand through
 //!   a [`ScenarioIndex`] that scales each (machine, multiplier) pair once
 //!   ([`spec`]);
-//! * [`SweepEngine`] — hands scenario ids to a pool of scoped threads
-//!   that claim them in chunks from one shared cursor, decode and
-//!   evaluate them, and collects results **in scenario-id order**,
-//!   bit-identical for any worker count ([`engine`], [`pool`]);
+//! * [`SweepEngine`] — hands scenario ids to a pool (the calling thread
+//!   plus threads kept between runs) whose workers claim them in chunks
+//!   from one shared cursor, decode and evaluate them, and collects
+//!   results **in scenario-id order**, bit-identical for any worker count
+//!   ([`engine`], [`pool`]). A worker's decode borrows the scenario's
+//!   label, scaled machine and workload from the index, and each result
+//!   row allocates three times (its label, its report's hardware name and
+//!   subtask list); subtask and application names are shared literals;
 //! * PACE scenarios evaluate directly through pace-core's
 //!   `EvaluationEngine`, on one application object per problem that the
 //!   index builds next to its machine table: a model evaluation costs

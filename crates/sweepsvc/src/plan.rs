@@ -44,7 +44,7 @@ use std::sync::Arc;
 use wavefront_models::Backend;
 
 use crate::fnv::Fnv1a;
-use crate::spec::{Scenario, SweepSpec};
+use crate::spec::{Scenario, ScenarioRef, SweepSpec};
 
 /// A job's bucket key: backend, workload `(kind, param digest)`, twin
 /// machine digest and, for forked DES jobs, the base machine digest.
@@ -192,7 +192,7 @@ impl ExecPlan {
             }
             // 3. Static noise-class probe: an incompatible twin cannot
             // resume from the base prefix; evaluate it standalone.
-            if !forks_from_base(spec, sc) {
+            if !forks_from_base(spec, sc.view()) {
                 fallbacks += 1;
                 singles.push(j);
                 continue;
@@ -231,7 +231,7 @@ impl ExecPlan {
 /// Whether `sc`'s twin can resume a prefix paused on its base machine's
 /// twin: the static noise-class probe behind both the planner's
 /// fallbacks and the naive path's cold-run degradation.
-pub(crate) fn forks_from_base(spec: &SweepSpec, sc: &Scenario) -> bool {
+pub(crate) fn forks_from_base(spec: &SweepSpec, sc: ScenarioRef<'_>) -> bool {
     match (spec.machines[sc.machine].sim_or_err(), sc.machine_spec.sim_or_err()) {
         (Ok(base), Ok(twin)) => cluster_sim::snapshot_compatible(base, twin).is_ok(),
         _ => false,

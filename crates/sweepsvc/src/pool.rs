@@ -1,15 +1,25 @@
 //! The worker pool: one shared cursor, chunked claims.
 //!
-//! [`run_indexed`] fans item indices `0..n` out over `crossbeam` scoped
-//! threads. Workers claim contiguous blocks of indices from one atomic
-//! cursor — [`CLAIMS_PER_WORKER`] claims per worker on an even split, one
-//! item per claim for batches too small to split that finely — and the
-//! results come back **in index order** regardless of which worker
-//! computed what or in what interleaving: each worker keeps its blocks in
-//! claim order and the blocks are stitched together by start index at the
-//! end. With a pure work function the output is therefore bit-identical
-//! for any worker count. [`run_ordered`] and [`run_ordered_with_worker`]
-//! are the same pool over a `Vec` of items.
+//! [`run_indexed`] fans item indices `0..n` out over the calling thread
+//! and the pool's threads. Workers claim contiguous blocks of indices
+//! from one shared cursor — [`CLAIMS_PER_WORKER`] claims per worker on an
+//! even split, one item per claim for batches too small to split that
+//! finely — and the results come back **in index order** regardless of
+//! which worker computed what or in what interleaving: a claim hands the
+//! worker the block's own slots of the result `Vec`. The worker builds
+//! the block's results in a block-sized buffer of its own, which stays in
+//! cache, and then moves them into those slots; nothing else is buffered
+//! per worker or stitched afterwards. With a pure work function the
+//! output is therefore bit-identical for any worker count.
+//! [`run_ordered`] and [`run_ordered_with_worker`] are the same pool over
+//! a `Vec` of items.
+//!
+//! Worker 0 is the calling thread; the others are pool threads kept
+//! between runs (started on first demand, never more at once than the
+//! concurrent runs need). An idle pool thread polls for its next job for
+//! a moment before it blocks, and so does a run waiting for its pool
+//! threads, so back-to-back runs pay neither a thread start nor a
+//! wake-up.
 //!
 //! A panicking item stops the pool: the other workers finish the block
 //! they hold, claim nothing further, and the pool re-raises the item's own
@@ -18,9 +28,11 @@
 //! Per-worker throughput counters (items processed, claims, busy time)
 //! come back alongside the results.
 
+use std::mem::MaybeUninit;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Claims each worker makes on an even split of a batch: a batch of `n`
@@ -162,7 +174,9 @@ where
     run_blocks(started, n, workers, |w, claim, out| {
         let mut cell = blocks[claim.start / block].lock().unwrap_or_else(PoisonError::into_inner);
         let items = std::mem::take(&mut *cell);
-        out.extend(items.iter().map(|item| work(w, item)));
+        for (slot, item) in out.iter_mut().zip(&items) {
+            slot.write(work(w, item));
+        }
         items
     })
 }
@@ -180,84 +194,181 @@ where
     R: Send,
     F: Fn(usize, usize) -> R + Sync,
 {
-    run_blocks(Instant::now(), n, workers, |w, claim, out| out.extend(claim.map(|i| work(w, i))))
+    run_blocks(Instant::now(), n, workers, |w, claim, out| {
+        for (slot, i) in out.iter_mut().zip(claim) {
+            slot.write(work(w, i));
+        }
+    })
 }
 
-/// The pool itself: workers claim blocks of `0..n` from the shared cursor
-/// and `eval(worker, block, out)` appends the block's results, in order,
-/// to the empty buffer `out`. A worker is busy only inside `eval`: moving
-/// `out` into its results and dropping whatever `eval` returns (the
-/// block's consumed items) happen outside that window. The run's wall
-/// clock counts from `started`.
+/// The pool itself: workers claim blocks of `0..n` in ascending order and
+/// `eval(worker, block, out)` writes the block's results, in order, into
+/// `out`, the worker's block buffer; it must write every slot or panic.
+/// The worker then moves them into the block's own slots of the result
+/// `Vec`. A worker is busy only inside `eval`: that move, and dropping
+/// whatever `eval` returns (the block's consumed items), happen outside
+/// that window. The run's wall clock counts from `started`.
 fn run_blocks<R, D, F>(started: Instant, n: usize, workers: usize, eval: F) -> PoolRun<R>
 where
     R: Send,
-    F: Fn(usize, Range<usize>, &mut Vec<R>) -> D + Sync,
+    F: Fn(usize, Range<usize>, &mut [MaybeUninit<R>]) -> D + Sync,
 {
     let workers = pool_width(n, workers);
     let block = claim_block(n, workers);
-    let cursor = AtomicUsize::new(0);
+    let mut results: Vec<R> = Vec::with_capacity(n);
+    // The claim cursor: the result slots cut into claim blocks, handed out
+    // in order. A worker holds the lock only to take the next block.
+    let claims = Mutex::new(results.spare_capacity_mut()[..n].chunks_mut(block).enumerate());
     let stop = AtomicBool::new(false);
-    // One worker's loop: claim a block, evaluate it, until the cursor
-    // passes `n` or another worker's panic raises `stop`. Returns the
-    // worker's counters, its `(start, len)` blocks in claim order and
-    // their results, concatenated.
+    // One worker's loop: claim a block, fill it, until the blocks run out
+    // or another worker's panic raises `stop`. Returns the worker's
+    // counters.
     let worker = |w: usize| {
         let _stop_on_panic = StopOnPanic(&stop);
         let mut stats = WorkerStats::new(w);
-        let mut blocks: Vec<(usize, usize)> = Vec::new();
-        let mut local: Vec<R> = Vec::new();
-        let mut scratch: Vec<R> = Vec::with_capacity(block);
+        let mut scratch: Vec<MaybeUninit<R>> = Vec::new();
+        scratch.resize_with(block, MaybeUninit::uninit);
         while !stop.load(Ordering::Relaxed) {
-            let start = cursor.fetch_add(block, Ordering::Relaxed);
-            if start >= n {
-                break;
-            }
-            let end = (start + block).min(n);
+            let claimed = claims.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((b, out)) = claimed else { break };
+            let start = b * block;
+            let len = out.len();
             stats.steals += 1;
             let t0 = Instant::now();
-            let spent = eval(w, start..end, &mut scratch);
+            let spent = eval(w, start..start + len, &mut scratch[..len]);
             stats.busy += t0.elapsed();
+            out.swap_with_slice(&mut scratch[..len]);
             drop(spent);
-            local.append(&mut scratch);
-            stats.items += (end - start) as u64;
-            blocks.push((start, end - start));
+            stats.items += len as u64;
         }
-        (stats, blocks, local)
+        stats
     };
 
-    if workers <= 1 {
-        let (stats, _, results) = worker(0);
-        return PoolRun { results, workers: vec![stats], wall: started.elapsed() };
-    }
-
-    let joined = crossbeam::thread::scope(|s| {
-        let worker = &worker;
-        let handles: Vec<_> = (0..workers).map(|w| s.spawn(move |_| worker(w))).collect();
-        handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-    })
-    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-
-    // Stitch the blocks together by start index. Each worker's blocks sit
-    // in its buffer in claim order, which is ascending start order.
-    let mut segments: Vec<(usize, usize, usize)> = Vec::new();
-    let mut buffers = Vec::with_capacity(workers);
-    let mut worker_stats = Vec::with_capacity(workers);
-    for (w, outcome) in joined.into_iter().enumerate() {
-        let (stats, blocks, local) =
-            outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        segments.extend(blocks.into_iter().map(|(start, len)| (start, len, w)));
-        buffers.push(local.into_iter());
-        worker_stats.push(stats);
-    }
-    segments.sort_unstable();
-    let mut results = Vec::with_capacity(n);
-    for (start, len, w) in segments {
-        debug_assert_eq!(start, results.len(), "blocks tile 0..n");
-        results.extend(buffers[w].by_ref().take(len));
-    }
-    assert_eq!(results.len(), n, "every item evaluated once");
+    let worker_stats = if workers <= 1 { vec![worker(0)] } else { on_helpers(workers, &worker) };
+    let items: u64 = worker_stats.iter().map(|s| s.items).sum();
+    assert_eq!(items, n as u64, "every item evaluated once");
+    // SAFETY: the claim cursor hands out each block of the first `n`
+    // slots exactly once, and every worker returned normally (a panic
+    // was re-raised above), so every claimed block was filled in full
+    // from a buffer `eval` wrote in full; the items count covers `n`, so
+    // every block was claimed.
+    unsafe { results.set_len(n) };
     PoolRun { results, workers: worker_stats, wall: started.elapsed() }
+}
+
+/// The body one pool worker runs, returning its counters.
+type WorkerBody<'a> = dyn Fn(usize) -> WorkerStats + Sync + 'a;
+
+/// A pool run's job for one helper thread: run `body` as worker `worker`
+/// and report the outcome on `done`.
+struct Job {
+    /// The run's worker body, its lifetime erased: the run that sent the
+    /// job keeps the body alive until it has received this job's outcome.
+    body: &'static WorkerBody<'static>,
+    worker: usize,
+    done: mpsc::Sender<(usize, std::thread::Result<WorkerStats>)>,
+}
+
+/// A pool thread kept between runs, waiting for its next [`Job`]. It
+/// exits when its `Helper` handle is dropped; the handles of idle helpers
+/// live in [`IDLE`] for the rest of the process, so the threads are never
+/// joined. Nothing is lost by that: a job's panic is caught on the helper
+/// and handed to the run that sent the job.
+struct Helper {
+    jobs: mpsc::Sender<Job>,
+}
+
+/// Helpers no run holds. A run checks out the helpers it needs, starting
+/// new ones when too few are idle, and checks them back in once every one
+/// has reported, so concurrent and nested runs never share a helper, and
+/// a run pays for no thread start once the pool is warm.
+static IDLE: Mutex<Vec<Helper>> = Mutex::new(Vec::new());
+
+/// How long an idle helper, and a run waiting for its helpers, keep
+/// polling before they block. Back-to-back runs (a campaign's specs, its
+/// store ranges) then find their helpers awake: waking a blocked thread
+/// on an idle core can take longer than a whole analytic run.
+const SPIN: Duration = Duration::from_micros(200);
+
+/// The next message on `rx`, polled for [`SPIN`] before blocking; `None`
+/// once every sender is gone.
+fn recv_spinning<T>(rx: &mpsc::Receiver<T>) -> Option<T> {
+    let deadline = Instant::now() + SPIN;
+    loop {
+        match rx.try_recv() {
+            Ok(message) => return Some(message),
+            Err(mpsc::TryRecvError::Disconnected) => return None,
+            Err(mpsc::TryRecvError::Empty) if Instant::now() < deadline => std::hint::spin_loop(),
+            Err(mpsc::TryRecvError::Empty) => return rx.recv().ok(),
+        }
+    }
+}
+
+impl Helper {
+    fn start() -> Helper {
+        let (jobs, inbox) = mpsc::channel::<Job>();
+        std::thread::Builder::new()
+            .name("sweepsvc-pool".into())
+            .spawn(move || {
+                while let Some(job) = recv_spinning(&inbox) {
+                    let outcome = catch_unwind(AssertUnwindSafe(|| (job.body)(job.worker)));
+                    // The run waits for this outcome; once it is sent the
+                    // body may be gone, and it is not touched again.
+                    let _ = job.done.send((job.worker, outcome));
+                }
+            })
+            .expect("start a pool thread");
+        Helper { jobs }
+    }
+}
+
+/// Run `body` as workers `0..workers`: worker 0 on the calling thread,
+/// the others on helper threads. Returns their counters in worker order,
+/// only once every worker has finished (which is what lets a helper
+/// borrow `body`), re-raising the panic payload of the first worker that
+/// panicked.
+fn on_helpers(workers: usize, body: &WorkerBody<'_>) -> Vec<WorkerStats> {
+    let mut helpers = {
+        let mut idle = IDLE.lock().unwrap_or_else(PoisonError::into_inner);
+        let keep = idle.len().saturating_sub(workers - 1);
+        idle.split_off(keep)
+    };
+    while helpers.len() < workers - 1 {
+        helpers.push(Helper::start());
+    }
+    // SAFETY: only the lifetime is erased. Every helper that receives a
+    // job reports its outcome before it lets go of `body`, and this
+    // function collects one outcome per job sent before it returns or
+    // unwinds (worker 0's panic is caught until then), so no helper uses
+    // `body` after the borrow ends.
+    let body: &'static WorkerBody<'static> = unsafe { std::mem::transmute(body) };
+    let (done, outcomes) = mpsc::channel();
+    let mut results: Vec<Option<std::thread::Result<WorkerStats>>> = Vec::new();
+    results.resize_with(workers, || None);
+    let mut sent = 0;
+    let mut live = Vec::with_capacity(workers - 1);
+    for (worker, helper) in (1..).zip(helpers) {
+        match helper.jobs.send(Job { body, worker, done: done.clone() }) {
+            Ok(()) => {
+                sent += 1;
+                live.push(helper);
+            }
+            // A helper whose thread is gone runs nothing: its share runs
+            // here.
+            Err(_) => results[worker] = Some(catch_unwind(AssertUnwindSafe(|| body(worker)))),
+        }
+    }
+    drop(done);
+    results[0] = Some(catch_unwind(AssertUnwindSafe(|| body(0))));
+    for _ in 0..sent {
+        let (worker, outcome) = recv_spinning(&outcomes).expect("every pool thread reports back");
+        results[worker] = Some(outcome);
+    }
+    IDLE.lock().unwrap_or_else(PoisonError::into_inner).append(&mut live);
+    results
+        .into_iter()
+        .map(|r| r.expect("every worker ran").unwrap_or_else(|payload| resume_unwind(payload)))
+        .collect()
 }
 
 /// Raises the pool's stop flag when its worker unwinds, so the other
@@ -420,14 +531,24 @@ mod tests {
         for &(tid, _) in &run.results {
             assert_eq!(tid, caller, "workers==1 must run inline on the caller thread");
         }
-        // Two or more workers do spawn: every item runs off the caller.
-        let spawned = run_ordered_with_worker((0..16u64).collect(), 2, |_, &x| {
-            (std::thread::current().id(), x)
+        // Two or more workers: worker 0 is the caller, every other worker
+        // a pool thread.
+        let pooled = run_ordered_with_worker((0..64u64).collect(), 2, |w, &x| {
+            (w, std::thread::current().id(), x)
         });
-        assert!(
-            spawned.results.iter().all(|&(tid, _)| tid != caller),
-            "workers>=2 must run on pool threads"
-        );
+        for &(w, tid, x) in &pooled.results {
+            assert_eq!(w == 0, tid == caller, "item {x} ran as worker {w}");
+        }
+    }
+
+    #[test]
+    fn nested_runs_take_their_own_pool_threads() {
+        let outer = run_indexed(6, 3, |_, i| {
+            let inner = run_indexed(300, 2, |_, j| (i * j) as u64);
+            inner.results.iter().sum::<u64>()
+        });
+        let expected: Vec<u64> = (0..6).map(|i| (0..300).map(|j| (i * j) as u64).sum()).collect();
+        assert_eq!(outer.results, expected);
     }
 
     #[test]

@@ -11,11 +11,15 @@
 //! [`SweepSpec::index`] scales each `(machine, multiplier)` pair once
 //! into a shared table and builds each problem's PACE
 //! [`ApplicationObject`] once next to it, and [`ScenarioIndex::scenario`]
-//! decodes any id into its [`Scenario`] against that table, so the
-//! engine's workers decode the ids they claim and borrow their problem's
-//! application object. Naive and stored sweeps never build a scenario
-//! list; the planner decodes every id of its index into one, and
-//! [`SweepSpec::scenarios`] is that same decode.
+//! decodes any id into its [`Scenario`] against that table. The engine's
+//! workers run the same decode without the copy: it borrows the label,
+//! the scaled machine and the workload from the index, so decoding
+//! allocates nothing and touches no reference count that another worker
+//! shares. A [`ScenarioResult`] row then allocates its label once, and
+//! its report its hardware name and subtask list; the report shares the
+//! application and subtask names, which are literals. Naive and stored
+//! sweeps never build a scenario list; the planner decodes every id of
+//! its index into one, and [`SweepSpec::scenarios`] is that same decode.
 //!
 //! The problem axis holds [`Workload`]s, so one sweep can mix wavefront,
 //! stencil and allreduce configurations; scenario identity and planner
@@ -219,12 +223,27 @@ impl ScenarioIndex<'_> {
     }
 
     /// The scenario with stable id
-    /// `id = ((machine_idx * problems + problem_idx) * multipliers + multiplier_idx) * backends + backend_idx`.
+    /// `id = ((machine_idx * problems + problem_idx) * multipliers + multiplier_idx) * backends + backend_idx`,
+    /// owning its label and sharing its machine and workload. It is an
+    /// owned copy of the same decode the engine's workers use, which
+    /// borrows all three from the index.
     ///
     /// # Panics
     ///
     /// Panics if `id >= len()` (its machine index is past the table).
     pub fn scenario(&self, id: usize) -> Scenario {
+        self.decode(id).to_scenario()
+    }
+
+    /// Decode `id` (see [`ScenarioIndex::scenario`]) by borrowing the
+    /// label, the scaled machine and the workload from the index: no
+    /// allocation and no reference-count traffic, so workers decoding
+    /// side by side never write to a shared cache line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id >= len()` (its machine index is past the table).
+    pub(crate) fn decode(&self, id: usize) -> ScenarioRef<'_> {
         let spec = self.spec;
         let rates = spec.rate_multipliers.len();
         let backend_idx = id % spec.backends.len();
@@ -234,7 +253,7 @@ impl ScenarioIndex<'_> {
         let problem = rest % spec.problems.len();
         let machine = rest / spec.problems.len();
         let prob = &spec.problems[problem];
-        Scenario {
+        ScenarioRef {
             id,
             machine,
             problem,
@@ -242,9 +261,60 @@ impl ScenarioIndex<'_> {
             backend_idx,
             backend: spec.backends[backend_idx],
             rate_multiplier: spec.rate_multipliers[multiplier],
-            label: prob.label.clone(),
-            machine_spec: Arc::clone(&self.machines[machine * rates + multiplier]),
-            workload: Arc::clone(&prob.workload),
+            label: &prob.label,
+            machine_spec: &self.machines[machine * rates + multiplier],
+            workload: &prob.workload,
+        }
+    }
+}
+
+/// A [`Scenario`] borrowed from the [`ScenarioIndex`] (or the
+/// [`Scenario`]) that holds its label, machine and workload; see
+/// [`ScenarioIndex::decode`] and [`Scenario::view`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ScenarioRef<'a> {
+    /// Stable scenario id.
+    pub id: usize,
+    /// Index into [`SweepSpec::machines`].
+    pub machine: usize,
+    /// Index into [`SweepSpec::problems`].
+    pub problem: usize,
+    /// Index into [`SweepSpec::rate_multipliers`].
+    pub multiplier: usize,
+    /// Index into [`SweepSpec::backends`].
+    pub backend_idx: usize,
+    /// The predictor backend evaluating this scenario.
+    pub backend: Backend,
+    /// The multiplier value.
+    pub rate_multiplier: f64,
+    /// Problem label.
+    pub label: &'a str,
+    /// The (already rate-scaled) registry machine.
+    pub machine_spec: &'a Arc<registry::MachineSpec>,
+    /// The workload under prediction.
+    pub workload: &'a Arc<Workload>,
+}
+
+impl ScenarioRef<'_> {
+    /// The scaled analytic hardware model of this scenario.
+    pub(crate) fn hw(&self) -> &HardwareModel {
+        &self.machine_spec.analytic
+    }
+
+    /// The owned scenario: the label copied, the machine and workload
+    /// shared.
+    pub(crate) fn to_scenario(self) -> Scenario {
+        Scenario {
+            id: self.id,
+            machine: self.machine,
+            problem: self.problem,
+            multiplier: self.multiplier,
+            backend_idx: self.backend_idx,
+            backend: self.backend,
+            rate_multiplier: self.rate_multiplier,
+            label: self.label.to_owned(),
+            machine_spec: Arc::clone(self.machine_spec),
+            workload: Arc::clone(self.workload),
         }
     }
 }
@@ -286,6 +356,22 @@ impl Scenario {
     pub fn hw(&self) -> &HardwareModel {
         &self.machine_spec.analytic
     }
+
+    /// This scenario, borrowed.
+    pub(crate) fn view(&self) -> ScenarioRef<'_> {
+        ScenarioRef {
+            id: self.id,
+            machine: self.machine,
+            problem: self.problem,
+            multiplier: self.multiplier,
+            backend_idx: self.backend_idx,
+            backend: self.backend,
+            rate_multiplier: self.rate_multiplier,
+            label: &self.label,
+            machine_spec: &self.machine_spec,
+            workload: &self.workload,
+        }
+    }
 }
 
 /// One evaluated scenario.
@@ -314,8 +400,10 @@ pub struct ScenarioResult {
 }
 
 impl ScenarioResult {
-    /// The result row of `sc` carrying `report`.
-    pub(crate) fn new(sc: &Scenario, report: EvaluationReport) -> Self {
+    /// The result row of `sc` carrying `report`. The label is the row's
+    /// one allocation of its own; the report brings its hardware name
+    /// and subtask list.
+    pub(crate) fn new(sc: ScenarioRef<'_>, report: EvaluationReport) -> Self {
         ScenarioResult {
             id: sc.id,
             machine: sc.machine,
@@ -323,7 +411,7 @@ impl ScenarioResult {
             multiplier: sc.multiplier,
             backend: sc.backend,
             rate_multiplier: sc.rate_multiplier,
-            label: sc.label.clone(),
+            label: sc.label.to_owned(),
             pes: sc.workload.pes(),
             total_secs: report.total_secs,
             report,

@@ -248,13 +248,13 @@ pub fn result_from_json(v: &Json) -> Result<ScenarioResult, String> {
             }),
         };
         subtasks.push(SubtaskTime {
-            name: string(s.get("name"), &format!("{sctx}.name"))?,
+            name: string(s.get("name"), &format!("{sctx}.name"))?.into(),
             secs_per_iteration: bits_field(s.get("secs_bits"), &format!("{sctx}.secs_bits"))?,
             pipeline,
         });
     }
     let report = EvaluationReport {
-        application: string(v.get("application"), &format!("{ctx}.application"))?,
+        application: string(v.get("application"), &format!("{ctx}.application"))?.into(),
         hardware: string(v.get("hardware"), &format!("{ctx}.hardware"))?,
         total_secs: bits_field(v.get("report_total_bits"), &format!("{ctx}.report_total_bits"))?,
         iterations: uint(v.get("iterations"), &format!("{ctx}.iterations"))? as usize,

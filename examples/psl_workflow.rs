@@ -53,7 +53,7 @@ fn main() {
         "  application '{}': {} iterations, subtasks: {}",
         app.name,
         app.iterations,
-        app.subtasks.iter().map(|s| s.name.as_str()).collect::<Vec<_>>().join(", ")
+        app.subtasks.iter().map(|s| &*s.name).collect::<Vec<_>>().join(", ")
     );
 
     // Step 3: evaluate against each of the paper's quoted machines.

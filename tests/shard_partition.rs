@@ -124,5 +124,19 @@ fn store_keys_stay_byte_identical() {
     assert_eq!(ChunkStore::chunk_key(digest, ranges[7]), 0x7829_ce87_9537_b443);
 }
 
+/// The chunk payload `run_stored` writes and validates: the canonical
+/// result list of a `run` of `mixed_spec`, pinned by length and FNV-1a,
+/// so stores written before a change to the result rows still load and
+/// resume warm.
+#[test]
+fn chunk_payload_bytes_stay_identical() {
+    let results = SweepEngine::with_workers(2).run(&mixed_spec()).results;
+    let text = results_to_json(&results);
+    let fnv = text
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3));
+    assert_eq!((text.len(), fnv), (9158, 0x3e38_a426_b5f4_12be));
+}
+
 /// The problem line of `mixed_spec`'s spec document.
 const MIXED_PROBLEMS_LINE: &str = r#"  "problems": [{"label": "2x2", "workload": "{\n  \"workload\": \"wavefront\",\n  \"params\": {\n    \"px\": 2, \"py\": 2, \"nx\": 5, \"ny\": 5, \"nz\": 20,\n    \"mk\": 10, \"mmi\": 3, \"angles_per_octant\": 6, \"iterations\": 1,\n    \"kernel\": {\n      \"sweep_per_cell_angle\": { \"mfdg\": 8.8, \"afdg\": 12.7, \"dfdg\": 1.3599999999999999, \"ifbr\": 3, \"lfor\": 0.05, \"cmld\": 12 },\n      \"source_per_cell\": { \"mfdg\": 1, \"afdg\": 1, \"dfdg\": 0, \"ifbr\": 0, \"lfor\": 0.01, \"cmld\": 3 },\n      \"flux_err_per_cell\": { \"mfdg\": 0, \"afdg\": 2, \"dfdg\": 1, \"ifbr\": 1, \"lfor\": 0.01, \"cmld\": 2 }\n    }\n  }\n}\n"}, {"label": "st2x2", "workload": "{\n  \"workload\": \"stencil\",\n  \"params\": { \"px\": 2, \"py\": 2, \"nx\": 1000, \"ny\": 1000, \"iterations\": 100, \"flops_per_cell\": 6 }\n}\n"}, {"label": "cg4", "workload": "{\n  \"workload\": \"allreduce\",\n  \"params\": { \"procs\": 4, \"cells_per_pe\": 250000, \"flops_per_cell\": 10, \"reduce_bytes\": 8, \"reductions_per_iteration\": 2, \"iterations\": 200 }\n}\n"}],"#;

@@ -25,6 +25,9 @@ use sweepsvc::{
 };
 use wavefront_models::Backend;
 
+mod common;
+use common::design_space_specs;
+
 #[test]
 fn sweep_is_bit_identical_for_any_worker_count() {
     let hw = machines::opteron_myrinet_hypothetical();
@@ -179,42 +182,6 @@ fn results_digest(results: &[ScenarioResult]) -> u64 {
         }
     }
     h
-}
-
-/// A procurement-style analytic design space: four machines (one from a
-/// spec file) × six rates including the identity; wavefront problems on
-/// every analytic backend (2,160 scenarios, several claims per worker at
-/// 8 workers), stencil and allreduce problems on PACE, the analytic
-/// backend that models them.
-fn design_space_specs() -> [SweepSpec; 2] {
-    let spec_file = concat!(env!("CARGO_MANIFEST_DIR"), "/assets/machines/candidate-ib.json");
-    let mut machines: Vec<registry::MachineSpec> =
-        ["pentium3-myrinet", "opteron-gige", "altix-numalink"]
-            .iter()
-            .map(|n| registry::builtin(n).unwrap())
-            .collect();
-    machines.push(registry::load_file(spec_file).unwrap());
-    let rates = vec![1.0, 1.05, 1.25, 1.5, 2.0, 3.0];
-    let arrays =
-        [(1, 1), (2, 2), (2, 4), (4, 4), (4, 8), (8, 8), (8, 16), (16, 16), (16, 32), (32, 32)];
-    let mut wavefront = SweepSpec::new().backends(Backend::ANALYTIC.to_vec());
-    let mut others = SweepSpec::new();
-    for m in &machines {
-        wavefront = wavefront.machine(m.clone());
-        others = others.machine(m.clone());
-    }
-    wavefront = wavefront.rate_multipliers(rates.clone());
-    others = others.rate_multipliers(rates);
-    for &(px, py) in &arrays {
-        wavefront = wavefront
-            .problem(format!("50c-{px}x{py}"), Sweep3dParams::weak_scaling_50cubed(px, py))
-            .problem(format!("20m-{px}x{py}"), Sweep3dParams::speculative_20m(px, py))
-            .problem(format!("1b-{px}x{py}"), Sweep3dParams::speculative_1b(px, py));
-        others = others
-            .problem(format!("stencil-{px}x{py}"), StencilParams::weak_scaling(px, py))
-            .problem(format!("allreduce-{}", px * py), AllreduceParams::cg_like(px * py));
-    }
-    [wavefront, others]
 }
 
 /// Pinned digest of the design space's 2,640 results, as the nested

@@ -45,6 +45,7 @@
 pub mod cpu;
 pub mod engine;
 pub mod error;
+mod fnv;
 pub mod machine;
 pub mod network;
 pub mod noise;
@@ -60,6 +61,7 @@ pub mod timeline;
 pub use cpu::CpuModel;
 pub use engine::{snapshot_compatible, Engine, MemProbe, Paused};
 pub use error::{SimError, SimResult};
+pub use fnv::Fnv1a;
 pub use machine::MachineSpec;
 pub use network::{NetworkModel, PiecewiseSegments};
 pub use noise::NoiseModel;

@@ -214,30 +214,11 @@ impl<'m> Engine<'m> {
         }
         if lookahead == Some(SimTime::ZERO) {
             FALLBACK_WARNINGS.fetch_add(1, Ordering::Relaxed);
-            // Warn exactly once per run: as a structured event on the
-            // engine's own telemetry track when one is attached, on
-            // stderr otherwise.
-            match ctx.rec {
-                Some(rec) => rec.sim_event(
-                    PARTITION_PID,
-                    0,
-                    "warn.zero_lookahead_fallback",
-                    0,
-                    vec![
-                        ("threads", threads.into()),
-                        ("boundary_channels", boundary_channels.into()),
-                        (
-                            "detail",
-                            "zero cross-partition wire latency leaves no conservative window"
-                                .into(),
-                        ),
-                    ],
-                ),
-                None => eprintln!(
-                    "cluster-sim: run_parallel({threads}) fell back to sequential execution: \
-                     zero cross-partition wire latency leaves no conservative window"
-                ),
-            }
+            // Warn exactly once per run.
+            eprintln!(
+                "cluster-sim: run_parallel({threads}) fell back to sequential execution: \
+                 zero cross-partition wire latency leaves no conservative window"
+            );
             return sequential(lookahead, boundary_channels);
         }
 

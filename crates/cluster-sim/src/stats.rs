@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::time::SimTime;
+use crate::Fnv1a;
 
 /// Time breakdown for one rank.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -96,29 +97,23 @@ impl RunReport {
     /// reports are digest-equal iff they are bit-identical, which is what
     /// the golden regression fixtures pin across engine rewrites.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |v: u64| {
-            // Mix one byte at a time so field boundaries cannot alias.
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        mix(self.ranks.len() as u64);
+        let mut h = Fnv1a::new().u64(self.ranks.len() as u64);
         for r in &self.ranks {
-            mix(r.compute.picos());
-            mix(r.send_overhead.picos());
-            mix(r.send_wait.picos());
-            mix(r.recv_overhead.picos());
-            mix(r.recv_wait.picos());
-            mix(r.collective.picos());
-            mix(r.messages_sent);
-            mix(r.bytes_sent);
-            mix(r.finish.picos());
+            for v in [
+                r.compute.picos(),
+                r.send_overhead.picos(),
+                r.send_wait.picos(),
+                r.recv_overhead.picos(),
+                r.recv_wait.picos(),
+                r.collective.picos(),
+                r.messages_sent,
+                r.bytes_sent,
+                r.finish.picos(),
+            ] {
+                h = h.u64(v);
+            }
         }
-        h
+        h.finish()
     }
 }
 

@@ -30,7 +30,7 @@
 
 use std::borrow::Cow;
 
-use cluster_sim::{Op, Program, ProgramSet};
+use cluster_sim::{Fnv1a, Op, Program, ProgramSet};
 use serde::{Deserialize, Serialize};
 
 use crate::clc::ResourceVector;
@@ -46,57 +46,6 @@ use crate::templates::halo::HaloParams;
 /// the analytic rate table on cells per processor; this constant is the
 /// published conversion between the two for the non-wavefront workloads.
 pub const BYTES_PER_CELL: usize = 3 * 8;
-
-// ---------------------------------------------------------------------------
-// Parameter digests
-// ---------------------------------------------------------------------------
-
-/// A little FNV-1a accumulator for workload parameter digests. The digest
-/// must be stable across runs and platforms (it keys caches and scenario
-/// identity), so implementations feed it canonical field encodings — never
-/// `Hash` derive output.
-#[derive(Debug, Clone, Copy)]
-pub struct ParamDigest(u64);
-
-impl ParamDigest {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// Start a digest, seeded with the workload kind.
-    pub fn new(kind: &str) -> Self {
-        let mut d = ParamDigest(Self::OFFSET);
-        d.write_bytes(kind.as_bytes());
-        d
-    }
-
-    fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    /// Feed a `u64` (little-endian bytes).
-    pub fn write_u64(&mut self, v: u64) -> &mut Self {
-        self.write_bytes(&v.to_le_bytes());
-        self
-    }
-
-    /// Feed a `usize` (canonicalised to 64 bits).
-    pub fn write_usize(&mut self, v: usize) -> &mut Self {
-        self.write_u64(v as u64)
-    }
-
-    /// Feed an `f64` by bit pattern.
-    pub fn write_f64(&mut self, v: f64) -> &mut Self {
-        self.write_u64(v.to_bits())
-    }
-
-    /// Finish the digest.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 // ---------------------------------------------------------------------------
 // The enum
@@ -185,47 +134,45 @@ impl Workload {
     /// workloads with equal digests are interchangeable for caching,
     /// planner deduplication and snapshot-prefix sharing.
     pub fn param_digest(&self) -> u64 {
-        let mut d = ParamDigest::new(self.kind());
+        // Canonical field encodings (never `Hash` derive output): the
+        // digest keys scenario identity, stores and the planner, so it
+        // must be stable across runs and platforms.
+        let mut d = Fnv1a::new().bytes(self.kind().as_bytes());
+        let mut feed = |fields: &[u64]| fields.iter().for_each(|&v| d = d.u64(v));
         match self {
             Workload::Wavefront(p) => {
-                d.write_usize(p.px)
-                    .write_usize(p.py)
-                    .write_usize(p.nx)
-                    .write_usize(p.ny)
-                    .write_usize(p.nz)
-                    .write_usize(p.mk)
-                    .write_usize(p.mmi)
-                    .write_usize(p.angles_per_octant)
-                    .write_usize(p.iterations);
-                for v in [
-                    &p.kernel.sweep_per_cell_angle,
-                    &p.kernel.source_per_cell,
-                    &p.kernel.flux_err_per_cell,
-                ] {
-                    d.write_f64(v.mfdg)
-                        .write_f64(v.afdg)
-                        .write_f64(v.dfdg)
-                        .write_f64(v.ifbr)
-                        .write_f64(v.lfor)
-                        .write_f64(v.cmld);
+                feed(&[
+                    p.px as u64,
+                    p.py as u64,
+                    p.nx as u64,
+                    p.ny as u64,
+                    p.nz as u64,
+                    p.mk as u64,
+                    p.mmi as u64,
+                    p.angles_per_octant as u64,
+                    p.iterations as u64,
+                ]);
+                let k = &p.kernel;
+                for v in [&k.sweep_per_cell_angle, &k.source_per_cell, &k.flux_err_per_cell] {
+                    feed(&[v.mfdg, v.afdg, v.dfdg, v.ifbr, v.lfor, v.cmld].map(f64::to_bits));
                 }
             }
-            Workload::Stencil(p) => {
-                d.write_usize(p.px)
-                    .write_usize(p.py)
-                    .write_usize(p.nx)
-                    .write_usize(p.ny)
-                    .write_usize(p.iterations)
-                    .write_f64(p.flops_per_cell);
-            }
-            Workload::Allreduce(p) => {
-                d.write_usize(p.procs)
-                    .write_usize(p.cells_per_pe)
-                    .write_f64(p.flops_per_cell)
-                    .write_usize(p.reduce_bytes)
-                    .write_usize(p.reductions_per_iteration)
-                    .write_usize(p.iterations);
-            }
+            Workload::Stencil(p) => feed(&[
+                p.px as u64,
+                p.py as u64,
+                p.nx as u64,
+                p.ny as u64,
+                p.iterations as u64,
+                p.flops_per_cell.to_bits(),
+            ]),
+            Workload::Allreduce(p) => feed(&[
+                p.procs as u64,
+                p.cells_per_pe as u64,
+                p.flops_per_cell.to_bits(),
+                p.reduce_bytes as u64,
+                p.reductions_per_iteration as u64,
+                p.iterations as u64,
+            ]),
         }
         d.finish()
     }

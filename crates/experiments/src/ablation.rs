@@ -15,6 +15,7 @@ use cluster_sim::MachineSpec;
 use pace_core::templates::pipeline;
 use pace_core::{HardwareModel, OpcodeCosts, Sweep3dModel, Sweep3dParams, TemplateBinding};
 use registry::sim as sim_machines;
+use sweepsvc::{available_workers, run_ordered_with_worker};
 
 use crate::error_pct;
 use crate::validation::{Calibration, RowSpec, TABLE1_ROWS, TABLE2_ROWS};
@@ -105,7 +106,7 @@ pub fn pentium3_case() -> AblationResult {
 /// worker pool — each case runs its own simulation and two predictions.
 pub fn paper_cases() -> Vec<AblationResult> {
     let cases: Vec<fn() -> AblationResult> = vec![pentium3_case, opteron_case];
-    sweepsvc::run_ordered(cases, sweepsvc::available_workers(), |case| case()).results
+    run_ordered_with_worker(cases, available_workers(), |_, case| case()).results
 }
 
 #[cfg(test)]

@@ -19,8 +19,7 @@
 //!                                        registry sweep: resolve a machine by registry name or
 //!                                        spec-file path (default opteron-myrinet) and evaluate
 //!                                        a workload ladder (default wavefront) across backends
-//!                                        (default: every backend that models it on the machine;
-//!                                        --machine-file <path> forces file resolution);
+//!                                        (default: every backend that models it on the machine);
 //!                                        --workload swaps the problem axis for another template
 //!                                        of the workload library or a spec file (an explicit
 //!                                        unsupported backend pair is a structured error);
@@ -291,7 +290,7 @@ fn run_sweep(args: &[String], obs: &Obs, json: bool) {
     let mut flags = FlagReader::new("sweep", args);
     while let Some(flag) = flags.next_flag() {
         match flag {
-            "--machine" | "--machine-file" => machine_arg = Some(flags.value()),
+            "--machine" => machine_arg = Some(flags.value()),
             "--backend" => backend_arg = Some(flags.value()),
             "--workload" => workload_arg = Some(flags.value()),
             "--plan" => plan = true,

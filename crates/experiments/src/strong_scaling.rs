@@ -11,6 +11,7 @@
 
 use cluster_sim::MachineSpec;
 use pace_core::Sweep3dParams;
+use sweepsvc::{available_workers, run_ordered_with_worker};
 
 use crate::validation::Calibration;
 
@@ -70,7 +71,7 @@ pub fn run(
     let recorder = obs::Recorder::disabled();
     // Ladder points are independent simulations: fan them out over the
     // pool, then derive speedups from the in-order results.
-    let run = sweepsvc::run_ordered(arrays.to_vec(), sweepsvc::available_workers(), |&(px, py)| {
+    let run = run_ordered_with_worker(arrays.to_vec(), available_workers(), |_, &(px, py)| {
         let params = params(it, jt, kt, px, py);
         let measured = cal.measure(&params, machine, 0, &recorder, 0).makespan();
         (px, py, measured, cal.predict(&params))

@@ -23,6 +23,7 @@ use pace_core::{HardwareModel, Sweep3dModel, Sweep3dParams};
 use registry::sim as sim_machines;
 use sweep3d::trace::{generate_program_set, FlopModel};
 use sweep3d::ProblemConfig;
+use sweepsvc::{available_workers, run_ordered_with_worker};
 
 use crate::error_pct;
 
@@ -320,7 +321,7 @@ pub fn run_table_observed(
     // order, so the table is identical to an in-order run.
     let mut indexed: Vec<(usize, RowSpec)> = rows.iter().copied().enumerate().collect();
     indexed.sort_by_key(|&(idx, spec)| (std::cmp::Reverse(spec.pes()), idx));
-    let mut rows = sweepsvc::run_ordered(indexed, sweepsvc::available_workers(), |&(idx, spec)| {
+    let mut rows = run_ordered_with_worker(indexed, available_workers(), |_, &(idx, spec)| {
         let pid = pid_base + idx as u32;
         if recorder.is_enabled() {
             recorder.set_process_name(

@@ -39,6 +39,14 @@ fn missing_values_and_unknown_flags_are_usage_errors() {
     }
 }
 
+/// The retired `--machine-file` alias is an unknown flag: `--machine`
+/// takes a registry name or a spec-file path.
+#[test]
+fn machine_file_alias_is_an_unknown_flag() {
+    let err = assert_usage_error(&["sweep", "--machine-file", "x"]);
+    assert_eq!(err, "unknown sweep flag \"--machine-file\"");
+}
+
 /// Count flags take positive integers: a zero exits 2 naming the flag
 /// (it used to panic mid-lowering or print a non-JSON `inf`).
 #[test]
@@ -183,7 +191,7 @@ fn out_of_range_machine_spec_fields_are_usage_errors() {
         assert_eq!(base.matches(from).count(), 1, "probe {from:?} must edit exactly one field");
         let path = dir.join(format!("probe{i}.json"));
         std::fs::write(&path, base.replacen(from, to, 1)).unwrap();
-        let out = experiments(&["sweep", "--machine-file", path.to_str().unwrap()]);
+        let out = experiments(&["sweep", "--machine", path.to_str().unwrap()]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{to}: {stderr}");
         assert!(!stderr.contains("panicked"), "{to} panicked: {stderr}");
@@ -390,11 +398,6 @@ fn warm_store_resume_serves_every_range() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// FNV-1a over `bytes`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
-}
-
 /// `sweep --json` carries no wall-clock field, so its stdout is a pure
 /// function of the command line. Each run's length and FNV-1a are
 /// pinned: a change to the sweep harness must leave every byte alone.
@@ -415,6 +418,10 @@ fn sweep_json_stdout_is_byte_stable() {
             "{extra:?}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        assert_eq!((out.stdout.len(), fnv1a(&out.stdout)), (len, digest), "sweep --json {extra:?}");
+        assert_eq!(
+            (out.stdout.len(), cluster_sim::Fnv1a::of(&out.stdout)),
+            (len, digest),
+            "sweep --json {extra:?}"
+        );
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Emits the JSON-object format (`{"traceEvents": [...]}`) that
 //! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev) load
-//! directly: complete spans (`ph: "X"`), instant events (`ph: "i"`) and
-//! process/thread-name metadata (`ph: "M"`).
+//! directly: complete spans (`ph: "X"`) and process/thread-name metadata
+//! (`ph: "M"`).
 //!
 //! Sim-domain timestamps are virtual-time picoseconds converted to the
 //! format's microsecond unit with six exact decimal places, so the output
@@ -62,23 +62,14 @@ fn write_span(out: &mut String, s: &SpanRecord, sim: bool) {
     out.push('}');
 }
 
-/// Render a recorder's contents as a Chrome-trace JSON document: the
-/// in-memory form of [`export_to`], byte for byte.
+/// Stream a recorder's contents as a Chrome-trace JSON document into
+/// `out`, one event at a time, so a trace of millions of spans never
+/// exists as one string; wrap a file in a [`std::io::BufWriter`]. The
+/// recorder stays locked while its sim spans are written.
 ///
 /// With `include_wall` false only the deterministic sim-domain stream
 /// (plus track names) is written — the form the determinism tests compare
 /// byte-for-byte.
-pub fn export(rec: &Recorder, include_wall: bool) -> String {
-    let mut out = Vec::new();
-    export_to(rec, include_wall, &mut out).expect("writing to a Vec cannot fail");
-    String::from_utf8(out).expect("the exporter writes UTF-8")
-}
-
-/// Stream a recorder's contents as a Chrome-trace JSON document into
-/// `out`, one event at a time, so a trace of millions of spans never
-/// exists as one string. The bytes equal [`export`]'s; wrap a file in a
-/// [`std::io::BufWriter`]. The recorder stays locked while its sim spans
-/// are written.
 ///
 /// # Errors
 ///
@@ -123,24 +114,6 @@ pub fn export_to(rec: &Recorder, include_wall: bool, out: &mut impl io::Write) -
             emit(out, &mut buf)
         })
     })?;
-    for event in rec.events() {
-        if !event.sim_time && !include_wall {
-            continue;
-        }
-        let ts = if event.sim_time { ps_to_us(event.ts) } else { event.ts.to_string() };
-        let _ = write!(
-            buf,
-            "{{\"name\": \"{}\", \"ph\": \"i\", \"s\": \"t\", \"pid\": {}, \"tid\": {}, \
-             \"ts\": {}, \"args\": ",
-            escape(&event.name),
-            event.pid,
-            event.tid,
-            ts
-        );
-        write_args(&mut buf, &event.args);
-        buf.push('}');
-        emit(out, &mut buf)?;
-    }
     if include_wall {
         for span in rec.wall_spans() {
             write_span(&mut buf, &span, false);
@@ -156,13 +129,18 @@ mod tests {
     use crate::json::Json;
     use crate::span::Cat;
 
+    fn export(rec: &Recorder, include_wall: bool) -> String {
+        let mut out = Vec::new();
+        export_to(rec, include_wall, &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
     fn sample_recorder() -> Recorder {
         let rec = Recorder::enabled();
         rec.set_process_name(1, "row 0");
         rec.set_thread_name(1, 0, "rank 0");
         rec.sim_span(1, 0, "compute", Cat::Compute, 0, 1_500_000, vec![("flops", 1e6.into())]);
         rec.sim_span(1, 0, "send", Cat::Comm, 1_500_000, 250_000, vec![("bytes", 512usize.into())]);
-        rec.sim_event(1, 0, "iteration", 1_750_000, vec![("n", 1usize.into())]);
         rec.wall_span(9, 0, "scenario", Cat::Scenario, std::time::Instant::now(), vec![]);
         rec
     }
@@ -172,7 +150,7 @@ mod tests {
         let doc = export(&sample_recorder(), true);
         let parsed = Json::parse(&doc).expect("chrome trace must parse");
         let events = parsed.get("traceEvents").unwrap().as_arr().unwrap();
-        assert!(events.len() >= 5);
+        assert!(events.len() >= 4);
         for ev in events {
             assert!(ev.get("ph").is_some());
             assert!(ev.get("pid").and_then(Json::as_f64).is_some());
@@ -207,7 +185,7 @@ mod tests {
     }
 
     #[test]
-    fn streamed_export_equals_in_memory_export() {
+    fn trickled_export_equals_buffered_export() {
         let rec = sample_recorder();
         for include_wall in [false, true] {
             let mut streamed = Trickle(Vec::new());
@@ -218,14 +196,13 @@ mod tests {
                 "include_wall={include_wall}"
             );
         }
-        // The sim-only document, pinned: streaming changed no byte.
+        // The sim-only document, pinned.
         let pinned = concat!(
             "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n",
             " {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"args\": {\"name\": \"row 0\"}},\n",
             " {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"args\": {\"name\": \"rank 0\"}},\n",
             " {\"name\": \"compute\", \"cat\": \"compute\", \"ph\": \"X\", \"pid\": 1, \"tid\": 0, \"ts\": 0.000000, \"dur\": 1.500000, \"args\": {\"flops\": 1000000}},\n",
-            " {\"name\": \"send\", \"cat\": \"comm\", \"ph\": \"X\", \"pid\": 1, \"tid\": 0, \"ts\": 1.500000, \"dur\": 0.250000, \"args\": {\"bytes\": 512}},\n",
-            " {\"name\": \"iteration\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 1, \"tid\": 0, \"ts\": 1.750000, \"args\": {\"n\": 1}}\n",
+            " {\"name\": \"send\", \"cat\": \"comm\", \"ph\": \"X\", \"pid\": 1, \"tid\": 0, \"ts\": 1.500000, \"dur\": 0.250000, \"args\": {\"bytes\": 512}}\n",
             "]}\n",
         );
         assert_eq!(export(&rec, false), pinned);

@@ -5,12 +5,12 @@
 //! crate gives the reproduction the same auditability — every prediction
 //! can be traced back to the events that produced it:
 //!
-//! * [`Recorder`] — a thread-safe span/event recorder with a cheap
+//! * [`Recorder`] — a thread-safe span recorder with a cheap
 //!   disabled path. Sim-domain spans are keyed on the simulator's virtual
 //!   clock (picoseconds) and are byte-deterministic; wall-domain spans
 //!   are isolated so determinism tests can ignore them ([`span`]);
-//! * [`MetricsRegistry`] — monotonic counters, gauges and fixed-bucket
-//!   histograms, snapshotted in deterministic name order ([`metrics`]);
+//! * [`MetricsRegistry`] — monotonic counters and gauges, snapshotted in
+//!   deterministic name order ([`metrics`]);
 //! * the exporter — Chrome `trace_event` JSON, which Perfetto and
 //!   speedscope both open ([`chrome`]);
 //! * [`json`] — the hand-rolled JSON emission helpers and a minimal
@@ -23,8 +23,9 @@
 //! let rec = Recorder::enabled();
 //! rec.set_thread_name(0, 0, "rank 0");
 //! rec.sim_span(0, 0, "compute", Cat::Compute, 0, 2_000_000, vec![]);
-//! let trace = chrome::export(&rec, false);
-//! assert!(trace.contains("\"traceEvents\""));
+//! let mut trace = Vec::new();
+//! chrome::export_to(&rec, false, &mut trace).unwrap();
+//! assert!(String::from_utf8(trace).unwrap().contains("\"traceEvents\""));
 //! ```
 
 pub mod attr;
@@ -40,13 +41,13 @@ use std::sync::Arc;
 pub use attr::{AttrError, Attribution, Rollup};
 pub use json::Json;
 pub use metrics::{MetricValue, MetricsRegistry, MetricsSnapshot};
-pub use span::{ArgValue, Args, Cat, EdgeKind, EdgeRecord, EventRecord, Recorder, SpanRecord};
+pub use span::{ArgValue, Args, Cat, EdgeKind, EdgeRecord, Recorder, SpanRecord};
 
 /// A recorder + metrics bundle, cheaply cloneable for handing to
 /// subsystems (engines, pools) that record into shared telemetry.
 #[derive(Debug, Clone, Default)]
 pub struct Obs {
-    /// The shared span/event recorder.
+    /// The shared span recorder.
     pub recorder: Arc<Recorder>,
     /// The shared metrics registry.
     pub metrics: Arc<MetricsRegistry>,

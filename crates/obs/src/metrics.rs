@@ -1,5 +1,5 @@
-//! The metrics registry: monotonic counters, gauges and fixed-bucket
-//! histograms behind one mutex, snapshotted in deterministic name order.
+//! The metrics registry: monotonic counters and gauges behind one mutex,
+//! snapshotted in deterministic name order.
 //!
 //! Naming convention: metrics whose value depends on host wall-clock or
 //! scheduling (busy times, wall durations) are prefixed `wall.`, so
@@ -18,18 +18,6 @@ pub enum MetricValue {
     Counter(u64),
     /// Last-write-wins measurement.
     Gauge(f64),
-    /// Fixed-bucket histogram: `counts[i]` observations fell in
-    /// `(bounds[i-1], bounds[i]]`; the final slot is the overflow bucket.
-    Histogram {
-        /// Upper bucket bounds, ascending.
-        bounds: Vec<f64>,
-        /// Per-bucket counts (`bounds.len() + 1` slots).
-        counts: Vec<u64>,
-        /// Total observations.
-        count: u64,
-        /// Sum of observed values.
-        sum: f64,
-    },
 }
 
 impl MetricValue {
@@ -85,29 +73,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Observe `value` in the histogram `name`, creating it with the given
-    /// ascending `bounds` on first use (later calls reuse the stored
-    /// bounds).
-    pub fn observe(&self, name: &str, bounds: &[f64], value: f64) {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must ascend");
-        let mut inner = self.inner();
-        let metric = inner.entry(name.to_string()).or_insert_with(|| MetricValue::Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            count: 0,
-            sum: 0.0,
-        });
-        match metric {
-            MetricValue::Histogram { bounds, counts, count, sum } => {
-                let slot = bounds.iter().position(|&b| value <= b).unwrap_or(bounds.len());
-                counts[slot] += 1;
-                *count += 1;
-                *sum += value;
-            }
-            other => panic!("metric {name} is not a histogram: {other:?}"),
-        }
-    }
-
     /// A point-in-time copy of every metric, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -147,8 +112,7 @@ impl MetricsSnapshot {
     }
 
     /// Render as a JSON object `{name: value, ...}` in name order.
-    /// Counters and gauges are plain numbers; histograms are objects with
-    /// `bounds`, `counts`, `count` and `sum`.
+    /// Counters and gauges are plain numbers.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         for (i, (name, value)) in self.entries.iter().enumerate() {
@@ -159,17 +123,6 @@ impl MetricsSnapshot {
             match value {
                 MetricValue::Counter(v) => out.push_str(&v.to_string()),
                 MetricValue::Gauge(v) => out.push_str(&fmt_f64(*v)),
-                MetricValue::Histogram { bounds, counts, count, sum } => {
-                    let bounds: Vec<String> = bounds.iter().map(|b| fmt_f64(*b)).collect();
-                    let counts: Vec<String> = counts.iter().map(|c| c.to_string()).collect();
-                    out.push_str(&format!(
-                        "{{\"bounds\": [{}], \"counts\": [{}], \"count\": {}, \"sum\": {}}}",
-                        bounds.join(", "),
-                        counts.join(", "),
-                        count,
-                        fmt_f64(*sum)
-                    ));
-                }
             }
         }
         out.push_str("\n}\n");
@@ -198,28 +151,11 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_overflow() {
-        let reg = MetricsRegistry::new();
-        let bounds = [1.0, 10.0, 100.0];
-        for v in [0.5, 1.0, 5.0, 50.0, 500.0] {
-            reg.observe("h", &bounds, v);
-        }
-        match reg.snapshot().get("h").unwrap() {
-            MetricValue::Histogram { counts, count, sum, .. } => {
-                assert_eq!(counts, &vec![2, 1, 1, 1]);
-                assert_eq!(*count, 5);
-                assert!((sum - 556.5).abs() < 1e-12);
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
     fn snapshot_is_name_ordered_and_json_parses() {
         let reg = MetricsRegistry::new();
         reg.gauge_set("zeta", 1.0);
         reg.counter_add("alpha", 1);
-        reg.observe("mid", &[1.0], 0.5);
+        reg.gauge_set("mid", 0.5);
         let snap = reg.snapshot();
         let names: Vec<&str> = snap.entries.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(names, vec!["alpha", "mid", "zeta"]);

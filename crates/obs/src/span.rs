@@ -1,4 +1,4 @@
-//! The span/event recorder.
+//! The span recorder.
 //!
 //! Two time domains are kept strictly apart:
 //!
@@ -55,7 +55,7 @@ impl Cat {
     }
 }
 
-/// A span/event argument value.
+/// A span argument value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArgValue {
     /// Unsigned integer.
@@ -90,7 +90,7 @@ impl From<&str> for ArgValue {
     }
 }
 
-/// Key/value argument list attached to a span or event.
+/// Key/value argument list attached to a span.
 pub type Args = Vec<(&'static str, ArgValue)>;
 
 /// One completed span on a `(pid, tid)` track.
@@ -207,34 +207,16 @@ impl EdgeRecord {
     }
 }
 
-/// One instantaneous event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventRecord {
-    /// Track group.
-    pub pid: u32,
-    /// Track within the group.
-    pub tid: u32,
-    /// Event name.
-    pub name: Cow<'static, str>,
-    /// Timestamp (ps for sim events, µs for wall events).
-    pub ts: u64,
-    /// True when `ts` is virtual time.
-    pub sim_time: bool,
-    /// Attached arguments.
-    pub args: Args,
-}
-
 #[derive(Debug, Default)]
 struct RecorderState {
     sim_spans: Vec<SpanRecord>,
     sim_edges: Vec<EdgeRecord>,
     wall_spans: Vec<SpanRecord>,
-    events: Vec<EventRecord>,
     process_names: BTreeMap<u32, String>,
     thread_names: BTreeMap<(u32, u32), String>,
 }
 
-/// Thread-safe span/event recorder with a cheap disabled path.
+/// Thread-safe span recorder with a cheap disabled path.
 #[derive(Debug)]
 pub struct Recorder {
     enabled: bool,
@@ -331,28 +313,6 @@ impl Recorder {
         self.state().sim_edges.push(edge);
     }
 
-    /// Record an instantaneous virtual-time event (`ts` in picoseconds).
-    pub fn sim_event(
-        &self,
-        pid: u32,
-        tid: u32,
-        name: impl Into<Cow<'static, str>>,
-        ts_ps: u64,
-        args: Args,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        self.state().events.push(EventRecord {
-            pid,
-            tid,
-            name: name.into(),
-            ts: ts_ps,
-            sim_time: true,
-            args,
-        });
-    }
-
     /// Label a track group (a Chrome-trace "process").
     pub fn set_process_name(&self, pid: u32, name: impl Into<String>) {
         if !self.enabled {
@@ -410,21 +370,6 @@ impl Recorder {
         self.state().wall_spans.clone()
     }
 
-    /// The recorded events, sim-domain first, each sorted like the spans.
-    pub fn events(&self) -> Vec<EventRecord> {
-        let mut evs = self.state().events.clone();
-        evs.sort_by(|a, b| {
-            (!a.sim_time, a.pid, a.tid, a.ts, &a.name).cmp(&(
-                !b.sim_time,
-                b.pid,
-                b.tid,
-                b.ts,
-                &b.name,
-            ))
-        });
-        evs
-    }
-
     /// Track-group labels.
     pub fn process_names(&self) -> BTreeMap<u32, String> {
         self.state().process_names.clone()
@@ -455,11 +400,9 @@ mod tests {
     fn disabled_recorder_drops_everything() {
         let rec = Recorder::disabled();
         rec.sim_span(0, 0, "compute", Cat::Compute, 0, 10, vec![]);
-        rec.sim_event(0, 0, "tick", 5, vec![]);
         rec.set_process_name(0, "run");
         assert!(!rec.is_enabled());
         assert!(rec.sim_spans().is_empty());
-        assert!(rec.events().is_empty());
         assert!(rec.process_names().is_empty());
     }
 

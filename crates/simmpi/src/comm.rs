@@ -21,11 +21,6 @@ use crate::error::{MpiError, Result};
 use crate::message::{Message, Payload};
 use crate::ReduceOp;
 
-/// Wildcard: match a message from any source rank.
-pub const ANY_SOURCE: Option<usize> = None;
-/// Wildcard: match a message with any tag.
-pub const ANY_TAG: Option<i32> = None;
-
 /// Base of the reserved (negative) tag space used by collectives.
 const COLLECTIVE_TAG_BASE: i32 = i32::MIN / 2;
 /// Number of distinct collective epochs kept apart in tag space.
@@ -141,18 +136,6 @@ impl Comm {
     /// Blocking receive matching an exact `(source, tag)` pair.
     pub fn recv(&self, source: usize, tag: i32) -> Result<(Payload, RecvStatus)> {
         self.check_rank(source)?;
-        self.recv_matching(Some(source), Some(tag))
-    }
-
-    /// Blocking receive with optional wildcards ([`ANY_SOURCE`], [`ANY_TAG`]).
-    pub fn recv_matching(
-        &self,
-        source: Option<usize>,
-        tag: Option<i32>,
-    ) -> Result<(Payload, RecvStatus)> {
-        if let Some(s) = source {
-            self.check_rank(s)?;
-        }
         let mailbox = &self.shared.mailboxes[self.rank];
         let mut q = mailbox.queue.lock();
         loop {
@@ -169,12 +152,6 @@ impl Comm {
             }
             mailbox.arrived.wait_for(&mut q, std::time::Duration::from_millis(50));
         }
-    }
-
-    /// Non-blocking probe: returns `true` when a matching message is queued.
-    pub fn probe(&self, source: Option<usize>, tag: Option<i32>) -> bool {
-        let q = self.shared.mailboxes[self.rank].queue.lock();
-        q.iter().any(|m| m.matches(source, tag))
     }
 
     /// Convenience: blocking receive decoded as `f64`s.
@@ -310,28 +287,6 @@ impl Comm {
         let v = self.allreduce_f64s(&[value], op)?;
         Ok(v[0])
     }
-
-    /// Gather per-rank vectors to the root (rank-ordered concatenation).
-    pub fn gather_f64s(&self, values: &[f64], root: usize) -> Result<Option<Vec<Vec<f64>>>> {
-        self.check_rank(root)?;
-        let tag = self.next_epoch_tag(0);
-        if self.rank == root {
-            let mut out = vec![Vec::new(); self.size()];
-            out[root] = values.to_vec();
-            for (r, slot) in out.iter_mut().enumerate() {
-                if r != root {
-                    let (v, _) = self.recv_f64s(r, tag)?;
-                    *slot = v;
-                }
-            }
-            self.bump_epoch();
-            Ok(Some(out))
-        } else {
-            self.send_f64s(root, tag, values)?;
-            self.bump_epoch();
-            Ok(None)
-        }
-    }
 }
 
 impl Drop for Comm {
@@ -407,16 +362,6 @@ mod tests {
         assert_eq!(v[0], 2.0);
         let (v, _) = c.recv_f64s(0, 1).unwrap();
         assert_eq!(v[0], 1.0);
-    }
-
-    #[test]
-    fn probe_sees_queued() {
-        let mut comms = Comm::create(1);
-        let c = comms.remove(0);
-        assert!(!c.probe(None, None));
-        c.send_f64s(0, 4, &[]).unwrap();
-        assert!(c.probe(Some(0), Some(4)));
-        assert!(!c.probe(Some(0), Some(5)));
     }
 
     #[test]

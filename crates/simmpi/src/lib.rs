@@ -14,8 +14,7 @@
 //!
 //! * sends are buffered (never block on a matching receive),
 //! * receives block until a matching envelope arrives,
-//! * matching is FIFO per `(source, tag)` pair,
-//! * [`ANY_SOURCE`]/[`ANY_TAG`] wildcards are supported.
+//! * matching is FIFO per `(source, tag)` pair, with no wildcards.
 //!
 //! ## Quick example
 //!
@@ -40,7 +39,7 @@ pub mod message;
 pub mod runtime;
 pub mod topology;
 
-pub use comm::{Comm, RecvStatus, ANY_SOURCE, ANY_TAG};
+pub use comm::{Comm, RecvStatus};
 pub use error::{MpiError, Result};
 pub use message::{Message, Payload};
 pub use runtime::Runtime;

@@ -89,11 +89,11 @@ pub struct Message {
 }
 
 impl Message {
-    /// True when the envelope matches a receive posted with the given
-    /// (possibly wildcard) source and tag.
+    /// True when the envelope matches a receive posted for `source` and
+    /// `tag`.
     #[inline]
-    pub fn matches(&self, source: Option<usize>, tag: Option<i32>) -> bool {
-        source.is_none_or(|s| s == self.source) && tag.is_none_or(|t| t == self.tag)
+    pub fn matches(&self, source: usize, tag: i32) -> bool {
+        self.source == source && self.tag == tag
     }
 }
 
@@ -123,13 +123,10 @@ mod tests {
     }
 
     #[test]
-    fn matching_wildcards() {
+    fn matching_is_exact() {
         let m = Message { source: 3, tag: 9, seq: 0, payload: Payload::from_f64s(&[]) };
-        assert!(m.matches(None, None));
-        assert!(m.matches(Some(3), None));
-        assert!(m.matches(None, Some(9)));
-        assert!(m.matches(Some(3), Some(9)));
-        assert!(!m.matches(Some(2), Some(9)));
-        assert!(!m.matches(Some(3), Some(8)));
+        assert!(m.matches(3, 9));
+        assert!(!m.matches(2, 9));
+        assert!(!m.matches(3, 8));
     }
 }

@@ -58,7 +58,6 @@
 #[doc(hidden)]
 pub mod cache;
 pub mod engine;
-mod fnv;
 pub mod plan;
 pub mod pool;
 pub mod replicate;
@@ -74,8 +73,7 @@ pub use engine::{scenario_result, CachedEngine};
 pub use engine::{SweepEngine, SweepOutcome, SweepStats, SWEEP_PID};
 pub use plan::{ExecPlan, ForkGroup, PlanJob, PlanStats};
 pub use pool::{
-    available_workers, run_ordered, run_ordered_with_worker, PoolRun, WorkerStats,
-    CLAIMS_PER_WORKER,
+    available_workers, run_ordered_with_worker, PoolRun, WorkerStats, CLAIMS_PER_WORKER,
 };
 // The engine-thread split and its environment override have no library
 // caller; they stay, hidden, for the benchmark package's traced rebuild.

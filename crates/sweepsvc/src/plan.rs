@@ -41,9 +41,9 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+use cluster_sim::Fnv1a;
 use wavefront_models::Backend;
 
-use crate::fnv::Fnv1a;
 use crate::spec::{Scenario, ScenarioRef, SweepSpec};
 
 /// A job's bucket key: backend, workload `(kind, param digest)`, twin

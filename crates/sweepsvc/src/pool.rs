@@ -11,8 +11,7 @@
 //! cache, and then moves them into those slots; nothing else is buffered
 //! per worker or stitched afterwards. With a pure work function the
 //! output is therefore bit-identical for any worker count.
-//! [`run_ordered`] and [`run_ordered_with_worker`] are the same pool over
-//! a `Vec` of items.
+//! [`run_ordered_with_worker`] is the same pool over a `Vec` of items.
 //!
 //! Worker 0 is the calling thread; the others are pool threads kept
 //! between runs (started on first demand, never more at once than the
@@ -141,21 +140,11 @@ pub fn sim_threads_override() -> Option<usize> {
 }
 
 /// Apply `work` to every item on a pool of `workers` threads, returning
-/// results in item order. `workers <= 1` runs inline on the caller's
-/// thread (no spawn), which is also the serial reference for determinism
-/// tests.
-pub fn run_ordered<T, R, F>(items: Vec<T>, workers: usize, work: F) -> PoolRun<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    run_ordered_with_worker(items, workers, |_, item| work(item))
-}
-
-/// Like [`run_ordered`], but the work function also receives the index of
-/// the worker executing the item — the hook the telemetry layer uses to
-/// attribute per-scenario wall spans to pool threads.
+/// results in item order; `work` also receives the index of the worker
+/// executing the item — the hook the telemetry layer uses to attribute
+/// per-scenario wall spans to pool threads. `workers <= 1` runs inline on
+/// the caller's thread (no spawn), which is also the serial reference for
+/// determinism tests.
 pub fn run_ordered_with_worker<T, R, F>(items: Vec<T>, workers: usize, work: F) -> PoolRun<R>
 where
     T: Send,
@@ -389,7 +378,7 @@ mod tests {
 
     #[test]
     fn empty_batch() {
-        let run = run_ordered(Vec::<u32>::new(), 4, |x| x * 2);
+        let run = run_ordered_with_worker(Vec::<u32>::new(), 4, |_, x| x * 2);
         assert!(run.results.is_empty());
         assert_eq!(run.workers.len(), 1);
     }
@@ -398,7 +387,7 @@ mod tests {
     fn order_is_input_order_for_any_worker_count() {
         let items: Vec<u64> = (0..200).collect();
         for workers in [1, 2, 3, 8] {
-            let run = run_ordered(items.clone(), workers, |&x| x * x);
+            let run = run_ordered_with_worker(items.clone(), workers, |_, &x| x * x);
             assert_eq!(
                 run.results,
                 items.iter().map(|x| x * x).collect::<Vec<_>>(),
@@ -409,7 +398,7 @@ mod tests {
 
     #[test]
     fn every_item_counted_exactly_once() {
-        let run = run_ordered((0..57u64).collect(), 4, |&x| x);
+        let run = run_ordered_with_worker((0..57u64).collect(), 4, |_, &x| x);
         let total: u64 = run.workers.iter().map(|w| w.items).sum();
         assert_eq!(total, 57);
         assert_eq!(
@@ -420,7 +409,7 @@ mod tests {
 
     #[test]
     fn more_workers_than_items_is_clamped() {
-        let run = run_ordered(vec![1, 2, 3], 64, |&x: &i32| x + 1);
+        let run = run_ordered_with_worker(vec![1, 2, 3], 64, |_, &x: &i32| x + 1);
         assert_eq!(run.results, vec![2, 3, 4]);
         assert!(run.workers.len() <= 3);
     }

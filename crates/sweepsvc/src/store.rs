@@ -23,6 +23,7 @@
 
 use std::path::PathBuf;
 
+use cluster_sim::Fnv1a;
 use obs::json::{escape, Json};
 use pace_core::engine::SubtaskTime;
 use pace_core::templates::pipeline::PipelineEstimate;
@@ -30,7 +31,6 @@ use pace_core::EvaluationReport;
 use wavefront_models::Backend;
 
 use crate::engine::SweepEngine;
-use crate::fnv::Fnv1a;
 use crate::spec::{ScenarioResult, SweepSpec};
 
 /// Ranges a stored campaign is split into. Chunk keys depend on the
@@ -138,9 +138,9 @@ pub fn spec_to_json(spec: &SweepSpec) -> String {
 /// document, then every problem's workload kind and `param_digest`.
 pub fn spec_digest(spec: &SweepSpec) -> u64 {
     let text = spec_to_json(spec);
-    let mut h = Fnv1a::new().add(text.as_bytes());
+    let mut h = Fnv1a::new().bytes(text.as_bytes());
     for p in &spec.problems {
-        h = h.add(p.workload.kind().as_bytes()).add(&p.workload.param_digest().to_le_bytes());
+        h = h.bytes(p.workload.kind().as_bytes()).u64(p.workload.param_digest());
     }
     h.finish()
 }
@@ -312,11 +312,7 @@ impl ChunkStore {
 
     /// The chunk key of one range of one campaign.
     pub fn chunk_key(spec_digest: u64, range: IdRange) -> u64 {
-        Fnv1a::new()
-            .add(&spec_digest.to_le_bytes())
-            .add(&(range.start as u64).to_le_bytes())
-            .add(&(range.end as u64).to_le_bytes())
-            .finish()
+        Fnv1a::new().u64(spec_digest).u64(range.start as u64).u64(range.end as u64).finish()
     }
 
     /// The chunk file path for a key.

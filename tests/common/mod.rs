@@ -1,7 +1,10 @@
-//! Test inputs shared by several integration-test files.
+//! Test inputs and digests shared by several integration-test files.
+// Each test file compiles this module on its own and uses part of it.
+#![allow(dead_code)]
 
+use cluster_sim::Fnv1a;
 use pace_core::{AllreduceParams, StencilParams, Sweep3dParams};
-use sweepsvc::SweepSpec;
+use sweepsvc::{ScenarioResult, SweepSpec};
 use wavefront_models::Backend;
 
 /// A procurement-style analytic design space: four machines (one from a
@@ -38,4 +41,23 @@ pub fn design_space_specs() -> [SweepSpec; 2] {
             .problem(format!("allreduce-{}", px * py), AllreduceParams::cg_like(px * py));
     }
     [wavefront, others]
+}
+
+/// FNV-1a over every result field the campaign golden digests pin: ids,
+/// PE counts, rate multipliers and every subtask time, bit for bit.
+pub fn campaign_digest(results: &[ScenarioResult]) -> u64 {
+    let mut h = Fnv1a::new().u64(results.len() as u64);
+    for r in results {
+        h = h
+            .u64(r.id as u64)
+            .u64(r.pes as u64)
+            .u64(r.rate_multiplier.to_bits())
+            .u64(r.total_secs.to_bits())
+            .u64(r.report.iterations as u64)
+            .u64(r.report.subtasks.len() as u64);
+        for s in &r.report.subtasks {
+            h = h.u64(s.secs_per_iteration.to_bits());
+        }
+    }
+    h.finish()
 }

@@ -12,36 +12,23 @@ use obs::{chrome, Cat, Recorder};
 /// A deterministic but non-trivial run: 5-rank pipeline with noise, both
 /// messaging protocols and a closing collective.
 fn traced_run(pid: u32) -> (Recorder, cluster_sim::RunReport) {
-    let mut machine = MachineSpec::ideal(200.0)
-        .with_noise(cluster_sim::NoiseModel::commodity())
-        .with_seed(0xC0FFEE)
-        .with_rendezvous(4096);
-    machine.network = NetworkModel::from_link(10.0, 150.0, 3.0, 4096.0);
-    let ranks = 5;
-    let mut programs = Vec::new();
-    for r in 0..ranks {
-        let mut p = Program::new();
-        for b in 0..6u32 {
-            if r > 0 {
-                p.push(Op::Recv { from: r - 1, tag: b });
-            }
-            p.push(Op::Compute { flops: 2e6, working_set: 4096 });
-            if r + 1 < ranks {
-                p.push(Op::Send { to: r + 1, bytes: if b % 2 == 0 { 512 } else { 8192 }, tag: b });
-            }
-        }
-        p.push(Op::AllReduce { bytes: 16 });
-        programs.push(p);
-    }
+    let (machine, programs) = traced_run_programs();
     let rec = Recorder::enabled();
     let report = Engine::new(&machine, programs).with_recorder(&rec, pid).run().unwrap();
     (rec, report)
 }
 
+/// The recorder's Chrome-trace document.
+fn export(rec: &Recorder, include_wall: bool) -> String {
+    let mut out = Vec::new();
+    chrome::export_to(rec, include_wall, &mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("the exporter writes UTF-8")
+}
+
 #[test]
 fn chrome_trace_round_trips_with_required_fields() {
     let (rec, _) = traced_run(3);
-    let doc = chrome::export(&rec, true);
+    let doc = export(&rec, true);
     let parsed = Json::parse(&doc).expect("chrome export must be valid JSON");
     let events = parsed.get("traceEvents").unwrap().as_arr().unwrap();
     assert!(!events.is_empty());
@@ -63,7 +50,7 @@ fn chrome_trace_round_trips_with_required_fields() {
 #[test]
 fn chrome_trace_timestamps_are_monotonic_per_track() {
     let (rec, _) = traced_run(0);
-    let doc = chrome::export(&rec, false);
+    let doc = export(&rec, false);
     let parsed = Json::parse(&doc).unwrap();
     let events = parsed.get("traceEvents").unwrap().as_arr().unwrap();
     let mut last_ts: BTreeMap<(u64, u64), f64> = BTreeMap::new();
@@ -113,14 +100,14 @@ fn identical_runs_export_byte_identical_sim_traces() {
     let (rec_b, report_b) = traced_run(1);
     assert_eq!(report_a, report_b, "the run itself must be deterministic");
     assert_eq!(
-        chrome::export(&rec_a, false),
-        chrome::export(&rec_b, false),
+        export(&rec_a, false),
+        export(&rec_b, false),
         "sim-only chrome export must be byte-identical"
     );
 }
 
-/// The programs of `traced_run`, for runs that need to drive the engine
-/// differently (paused/forked) against the same fixture.
+/// The machine and programs of `traced_run`, also for runs that drive the
+/// engine differently (paused/forked) against the same fixture.
 fn traced_run_programs() -> (cluster_sim::MachineSpec, Vec<Program>) {
     let mut machine = MachineSpec::ideal(200.0)
         .with_noise(cluster_sim::NoiseModel::commodity())
@@ -169,8 +156,8 @@ fn paused_resume_emits_the_uninterrupted_span_stream() {
             "pause @{pause_after}: span streams diverged"
         );
         assert_eq!(
-            chrome::export(&rec, false),
-            chrome::export(&rec_full, false),
+            export(&rec, false),
+            export(&rec_full, false),
             "pause @{pause_after}: chrome exports diverged"
         );
     }

@@ -1,6 +1,7 @@
 //! Property tests for the chunk store's range partitioner, chunk keys
 //! and result codec (the resume matrix lives in `tests/sweep_plan.rs`).
 
+use cluster_sim::Fnv1a;
 use proptest::prelude::*;
 use sweepsvc::store::{
     partition, result_from_json, result_to_json, results_to_json, spec_digest, ChunkStore, IdRange,
@@ -111,10 +112,7 @@ fn store_keys_stay_byte_identical() {
     let text = sweepsvc::store::spec_to_json(&spec);
     let problems = text.lines().find(|l| l.starts_with("  \"problems\"")).unwrap();
     assert_eq!(problems, MIXED_PROBLEMS_LINE);
-    let fnv = text
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3));
-    assert_eq!((text.len(), fnv), (3054, 0x964a_f32c_4a8f_455c));
+    assert_eq!((text.len(), Fnv1a::of(text.as_bytes())), (3054, 0x964a_f32c_4a8f_455c));
     let digest = spec_digest(&spec);
     assert_eq!(digest, 0xd71a_0767_49b6_6351);
     let ranges = partition(spec.scenarios().len(), STORE_RANGES);
@@ -132,10 +130,7 @@ fn store_keys_stay_byte_identical() {
 fn chunk_payload_bytes_stay_identical() {
     let results = SweepEngine::with_workers(2).run(&mixed_spec()).results;
     let text = results_to_json(&results);
-    let fnv = text
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3));
-    assert_eq!((text.len(), fnv), (9158, 0x3e38_a426_b5f4_12be));
+    assert_eq!((text.len(), Fnv1a::of(text.as_bytes())), (9158, 0x3e38_a426_b5f4_12be));
 }
 
 /// The problem line of `mixed_spec`'s spec document.

@@ -12,6 +12,7 @@
 
 use std::sync::Arc;
 
+use cluster_sim::Fnv1a;
 use experiments::speculation::{self, Problem};
 use pace_core::{
     AllreduceParams, EvaluationEngine, EvaluationReport, HardwareModel, StencilParams,
@@ -150,38 +151,30 @@ fn oracle_scenarios(spec: &SweepSpec) -> Vec<Scenario> {
 
 /// FNV-1a over every field of every result.
 fn results_digest(results: &[ScenarioResult]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut h = Fnv1a::new();
     for r in results {
         for v in [r.id, r.machine, r.problem, r.multiplier, r.pes, r.report.iterations] {
-            mix(&(v as u64).to_le_bytes());
+            h = h.u64(v as u64);
         }
-        mix(r.backend.name().as_bytes());
-        mix(r.label.as_bytes());
-        mix(r.report.application.as_bytes());
-        mix(r.report.hardware.as_bytes());
+        h = h
+            .bytes(r.backend.name().as_bytes())
+            .bytes(r.label.as_bytes())
+            .bytes(r.report.application.as_bytes())
+            .bytes(r.report.hardware.as_bytes());
         for x in [r.rate_multiplier, r.total_secs, r.report.total_secs] {
-            mix(&x.to_bits().to_le_bytes());
+            h = h.u64(x.to_bits());
         }
         for s in &r.report.subtasks {
-            mix(s.name.as_bytes());
-            mix(&s.secs_per_iteration.to_bits().to_le_bytes());
+            h = h.bytes(s.name.as_bytes()).u64(s.secs_per_iteration.to_bits());
             if let Some(p) = &s.pipeline {
                 for x in [p.total_secs, p.fill_secs, p.steady_secs, p.comm_secs, p.unit_secs] {
-                    mix(&x.to_bits().to_le_bytes());
+                    h = h.u64(x.to_bits());
                 }
-                mix(&(p.stages as u64).to_le_bytes());
+                h = h.u64(p.stages as u64);
             }
         }
     }
-    h
+    h.finish()
 }
 
 /// Pinned digest of the design space's 2,640 results, as the nested

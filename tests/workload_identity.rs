@@ -11,35 +11,11 @@
 
 use pace_core::Sweep3dParams;
 use proptest::prelude::*;
-use sweepsvc::{ScenarioResult, SweepEngine, SweepSpec};
+use sweepsvc::{SweepEngine, SweepSpec};
 use wavefront_models::Backend;
 
-/// FNV-1a over every result field that matters, same mixing idiom as
-/// `tests/sweep_plan.rs`.
-fn campaign_digest(results: &[ScenarioResult]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    mix(results.len() as u64);
-    for r in results {
-        mix(r.id as u64);
-        mix(r.pes as u64);
-        mix(r.rate_multiplier.to_bits());
-        mix(r.total_secs.to_bits());
-        mix(r.report.iterations as u64);
-        mix(r.report.subtasks.len() as u64);
-        for s in &r.report.subtasks {
-            mix(s.secs_per_iteration.to_bits());
-        }
-    }
-    h
-}
+mod common;
+use common::campaign_digest;
 
 /// The analytic concurrence trio over the validation weak-scaling family
 /// with a rate what-if axis — the pre-refactor scenario-id layout this

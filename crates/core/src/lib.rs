@@ -44,7 +44,6 @@ pub mod clc;
 pub mod comm;
 pub mod engine;
 pub mod hardware;
-pub mod hmcl_script;
 pub mod model;
 pub mod sweep3d_model;
 pub mod templates;

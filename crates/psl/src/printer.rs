@@ -3,8 +3,7 @@
 //! Round-trip law (property-tested): `parse(print(objects))` yields an AST
 //! equal to `objects`. This is what makes PSL models *artifacts* — a
 //! programmatically built or machine-tuned model can be written back out
-//! for review and version control, like the HMCL scripts of the hardware
-//! layer.
+//! for review and version control.
 
 use std::fmt::Write as _;
 

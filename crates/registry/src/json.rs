@@ -12,9 +12,10 @@
 //!
 //! Infinite switch points (a curve with no eager→rendezvous transition,
 //! e.g. from [`CommCurve::linear`]) are encoded as the strings `"inf"` /
-//! `"-inf"`, matching the HMCL script convention (`A = inf`). `u64` seeds
-//! are carried as JSON numbers and therefore must be ≤ 2⁵³ (all built-in
-//! seeds are); larger seeds are rejected rather than silently rounded.
+//! `"-inf"`, as the Fig. 7 listing (`experiments::hmcl`) prints `A = inf`.
+//! `u64` seeds are carried as JSON numbers and therefore must be ≤ 2⁵³
+//! (all built-in seeds are); larger seeds are rejected rather than
+//! silently rounded.
 
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;

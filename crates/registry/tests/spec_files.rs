@@ -201,6 +201,24 @@ fn rejects_empty_rates_and_empty_id() {
 }
 
 #[test]
+fn rejects_out_of_range_analytic_values_naming_the_path() {
+    type Edit = fn(&mut HardwareModel);
+    let cases: [(&str, Edit); 3] = [
+        ("machine spec.analytic.rates[0].cells_per_pe", |hw| {
+            hw.rates[0].cells_per_pe = f64::INFINITY
+        }),
+        ("machine spec.analytic.rates[0].mflops", |hw| hw.rates[0].mflops = f64::INFINITY),
+        ("machine spec.analytic.comm.send.b_us", |hw| hw.comm.send.b_us = -1e9),
+    ];
+    for (path, edit) in cases {
+        let mut m = registry::builtin("opteron-gige").unwrap();
+        edit(&mut m.analytic);
+        let err = MachineSpec::from_json(&m.to_json()).unwrap_err();
+        assert!(err.starts_with(&format!("{path}:")), "{path}: {err}");
+    }
+}
+
+#[test]
 fn rejects_documents_that_are_not_json_objects() {
     assert!(MachineSpec::from_json("not json at all").is_err());
     assert!(MachineSpec::from_json("[1, 2, 3]").is_err());

@@ -28,17 +28,6 @@ const EPOCH_MODULUS: i64 = 4096;
 /// Tag slots reserved per epoch (rounds of a dissemination barrier etc.).
 const SLOTS_PER_EPOCH: i64 = 64;
 
-/// Status information returned by a successful receive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvStatus {
-    /// The actual source rank of the matched message.
-    pub source: usize,
-    /// The actual tag of the matched message.
-    pub tag: i32,
-    /// Payload length in bytes.
-    pub len: usize,
-}
-
 /// One rank's mailbox.
 struct Mailbox {
     queue: Mutex<VecDeque<Message>>,
@@ -134,16 +123,13 @@ impl Comm {
     }
 
     /// Blocking receive matching an exact `(source, tag)` pair.
-    pub fn recv(&self, source: usize, tag: i32) -> Result<(Payload, RecvStatus)> {
+    pub fn recv(&self, source: usize, tag: i32) -> Result<Payload> {
         self.check_rank(source)?;
         let mailbox = &self.shared.mailboxes[self.rank];
         let mut q = mailbox.queue.lock();
         loop {
             if let Some(pos) = q.iter().position(|m| m.matches(source, tag)) {
-                let msg = q.remove(pos).expect("position is in range");
-                let status =
-                    RecvStatus { source: msg.source, tag: msg.tag, len: msg.payload.len() };
-                return Ok((msg.payload, status));
+                return Ok(q.remove(pos).expect("position is in range").payload);
             }
             // No match queued. If this rank is the only one still alive, no
             // future send can satisfy us.
@@ -155,9 +141,8 @@ impl Comm {
     }
 
     /// Convenience: blocking receive decoded as `f64`s.
-    pub fn recv_f64s(&self, source: usize, tag: i32) -> Result<(Vec<f64>, RecvStatus)> {
-        let (payload, status) = self.recv(source, tag)?;
-        Ok((payload.to_f64s()?, status))
+    pub fn recv_f64s(&self, source: usize, tag: i32) -> Result<Vec<f64>> {
+        self.recv(source, tag)?.to_f64s()
     }
 
     fn next_epoch_tag(&self, slot: i64) -> i32 {
@@ -215,7 +200,7 @@ impl Comm {
             let child_v = vrank | mask;
             if child_v < size {
                 let child = (child_v + root) % size;
-                let (theirs, _) = self.recv_f64s(child, tag)?;
+                let theirs = self.recv_f64s(child, tag)?;
                 if theirs.len() != acc.len() {
                     return Err(MpiError::CollectiveMismatch {
                         detail: format!(
@@ -254,8 +239,7 @@ impl Comm {
         if vrank != 0 {
             let top = highest_bit(vrank);
             let parent = ((vrank & !(1 << top)) + root) % size;
-            let (got, _) = self.recv_f64s(parent, tag)?;
-            data = Some(got);
+            data = Some(self.recv_f64s(parent, tag)?);
         }
         // Forward phase: children are vrank | bit for bits above our top bit.
         let data = data.expect("broadcast data present after receive phase");
@@ -323,11 +307,8 @@ mod tests {
         let mut comms = Comm::create(1);
         let c = comms.remove(0);
         c.send_f64s(0, 5, &[1.0, 2.0]).unwrap();
-        let (v, st) = c.recv_f64s(0, 5).unwrap();
+        let v = c.recv_f64s(0, 5).unwrap();
         assert_eq!(v, vec![1.0, 2.0]);
-        assert_eq!(st.source, 0);
-        assert_eq!(st.tag, 5);
-        assert_eq!(st.len, 16);
     }
 
     #[test]
@@ -346,7 +327,7 @@ mod tests {
             c.send_f64s(0, 3, &[i as f64]).unwrap();
         }
         for i in 0..10 {
-            let (v, _) = c.recv_f64s(0, 3).unwrap();
+            let v = c.recv_f64s(0, 3).unwrap();
             assert_eq!(v[0], i as f64, "messages must not overtake");
         }
     }
@@ -358,9 +339,9 @@ mod tests {
         c.send_f64s(0, 1, &[1.0]).unwrap();
         c.send_f64s(0, 2, &[2.0]).unwrap();
         // Receive tag 2 first even though tag 1 arrived earlier.
-        let (v, _) = c.recv_f64s(0, 2).unwrap();
+        let v = c.recv_f64s(0, 2).unwrap();
         assert_eq!(v[0], 2.0);
-        let (v, _) = c.recv_f64s(0, 1).unwrap();
+        let v = c.recv_f64s(0, 1).unwrap();
         assert_eq!(v[0], 1.0);
     }
 

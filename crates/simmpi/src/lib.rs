@@ -26,7 +26,7 @@
 //!     let right = (comm.rank() + 1) % comm.size();
 //!     let left = (comm.rank() + comm.size() - 1) % comm.size();
 //!     comm.send_f64s(right, 7, &[comm.rank() as f64]).unwrap();
-//!     let (msg, _st) = comm.recv_f64s(left, 7).unwrap();
+//!     let msg = comm.recv_f64s(left, 7).unwrap();
 //!     let total = comm.allreduce_f64(msg[0], ReduceOp::Sum).unwrap();
 //!     total
 //! });
@@ -39,7 +39,7 @@ pub mod message;
 pub mod runtime;
 pub mod topology;
 
-pub use comm::{Comm, RecvStatus};
+pub use comm::Comm;
 pub use error::{MpiError, Result};
 pub use message::{Message, Payload};
 pub use runtime::Runtime;

@@ -78,10 +78,10 @@ mod tests {
         let out = Runtime::new(2).run(|c| {
             if c.rank() == 0 {
                 c.send_f64s(1, 1, &[3.0]).unwrap();
-                let (v, _) = c.recv_f64s(1, 2).unwrap();
+                let v = c.recv_f64s(1, 2).unwrap();
                 v[0]
             } else {
-                let (v, _) = c.recv_f64s(0, 1).unwrap();
+                let v = c.recv_f64s(0, 1).unwrap();
                 c.send_f64s(0, 2, &[v[0] * 2.0]).unwrap();
                 v[0]
             }

@@ -123,46 +123,6 @@ impl ProblemConfig {
         }
         Ok(())
     }
-
-    /// Parse a simple `key = value` input deck (one pair per line, `#`
-    /// comments), in the spirit of the SWEEP3D `input` file.
-    pub fn parse_deck(text: &str) -> Result<Self, String> {
-        let mut c = Self::weak_scaling(50, 1, 1);
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("line {}: expected key = value", lineno + 1))?;
-            let key = key.trim();
-            let value = value.trim();
-            let parse_usize =
-                |v: &str| v.parse::<usize>().map_err(|e| format!("line {}: {e}", lineno + 1));
-            let parse_f64 =
-                |v: &str| v.parse::<f64>().map_err(|e| format!("line {}: {e}", lineno + 1));
-            match key {
-                "it" => c.it = parse_usize(value)?,
-                "jt" => c.jt = parse_usize(value)?,
-                "kt" => c.kt = parse_usize(value)?,
-                "npe_i" => c.npe_i = parse_usize(value)?,
-                "npe_j" => c.npe_j = parse_usize(value)?,
-                "mk" => c.mk = parse_usize(value)?,
-                "mmi" => c.mmi = parse_usize(value)?,
-                "sn" => c.sn_order = parse_usize(value)?,
-                "iterations" | "itmax" => c.iterations = parse_usize(value)?,
-                "sigma_t" => c.sigma_t = parse_f64(value)?,
-                "scattering_ratio" => c.scattering_ratio = parse_f64(value)?,
-                "cell_size" => c.cell_size = parse_f64(value)?,
-                "source" => c.source_strength = parse_f64(value)?,
-                "reflective_k" => c.reflective_k = parse_usize(value)? != 0,
-                other => return Err(format!("line {}: unknown key '{other}'", lineno + 1)),
-            }
-        }
-        c.validate()?;
-        Ok(c)
-    }
 }
 
 /// The per-rank decomposition of the global grid.
@@ -275,34 +235,6 @@ mod tests {
         let mut c = ProblemConfig::weak_scaling(50, 2, 2);
         c.it = 1;
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn deck_roundtrip() {
-        let deck = "
-            # SWEEP3D-style deck
-            it = 100
-            jt = 100
-            kt = 50   # k planes
-            npe_i = 2
-            npe_j = 2
-            mk = 10
-            mmi = 3
-            sn = 6
-            itmax = 12
-        ";
-        let c = ProblemConfig::parse_deck(deck).unwrap();
-        assert_eq!((c.it, c.jt, c.kt), (100, 100, 50));
-        assert_eq!(c.num_pes(), 4);
-        assert_eq!(c.iterations, 12);
-    }
-
-    #[test]
-    fn deck_errors_are_located() {
-        let err = ProblemConfig::parse_deck("it = 100\nbogus = 3\n").unwrap_err();
-        assert!(err.contains("line 2"), "{err}");
-        let err = ProblemConfig::parse_deck("it 100").unwrap_err();
-        assert!(err.contains("key = value"), "{err}");
     }
 
     #[test]

@@ -129,7 +129,7 @@ fn rank_main(config: &ProblemConfig, topo: &Cart2d, comm: &Comm) -> RankOutcome 
             let mut face_i = match up_i {
                 Some(src) => {
                     let tag = msg_tag(oi, ab, kb, 0) as i32;
-                    let (v, _) = comm.recv_f64s(src, tag).expect("i-face receive");
+                    let v = comm.recv_f64s(src, tag).expect("i-face receive");
                     debug_assert_eq!(v.len(), shape.face_i_len(ny));
                     v
                 }
@@ -138,7 +138,7 @@ fn rank_main(config: &ProblemConfig, topo: &Cart2d, comm: &Comm) -> RankOutcome 
             let mut face_j = match up_j {
                 Some(src) => {
                     let tag = msg_tag(oi, ab, kb, 1) as i32;
-                    let (v, _) = comm.recv_f64s(src, tag).expect("j-face receive");
+                    let v = comm.recv_f64s(src, tag).expect("j-face receive");
                     debug_assert_eq!(v.len(), shape.face_j_len(nx));
                     v
                 }

@@ -3,8 +3,8 @@
 //! fabric) is defined in a JSON spec file, not in code. The example loads
 //! it through the machine registry, runs the PACE benchmarking workflow
 //! against its simulated half, prints the fitted HMCL hardware model
-//! (paper Fig. 7), and predicts how SWEEP3D would scale on it before
-//! buying.
+//! (paper Fig. 7), saves and reloads the fitted spec, and predicts how
+//! SWEEP3D would scale on it before buying.
 //!
 //! ```text
 //! cargo run --release --example custom_cluster
@@ -32,12 +32,12 @@ fn main() {
     assert_eq!(hw, machine.analytic);
     println!("{}", hmcl::render(&hw, 125_000));
 
-    // The fitted model is a first-class HMCL script: save it, edit it,
+    // The fitted machine is a spec document: save it, edit it by hand,
     // reload it (the §6 model-reuse workflow at the file level).
-    let script = pace_core::hmcl_script::write(&hw);
-    let reloaded = pace_core::hmcl_script::parse(&script).expect("round trip");
-    assert_eq!(reloaded.comm, hw.comm);
-    println!("HMCL script round-trips ({} bytes)\n", script.len());
+    let saved = fitted.to_json();
+    let reloaded = registry::MachineSpec::from_json(&saved).expect("round trip");
+    assert_eq!(reloaded, fitted);
+    println!("spec document round-trips ({} bytes)\n", saved.len());
 
     // Scaling forecast for the validation problem size.
     println!("predicted SWEEP3D weak scaling (50^3 cells/PE, mk=10, mmi=3):");
